@@ -309,7 +309,7 @@ def _scale_of(payload, declared: str | None, args):
     if isinstance(payload, DiagSpec):
         if args.mode not in (None, "diag"):
             raise ModeError(f"a diagonal-operator file cannot be read in {args.mode} mode")
-        return diag_scale(payload, args.horizon or 8)
+        return diag_scale(payload, 8 if args.horizon is None else args.horizon)
     mode = args.mode or declared or "compact"
     if mode == "matrix":
         if args.horizon is not None:
@@ -543,6 +543,16 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _parse_trials(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise ParseError(f"trials must be an integer, got {text!r}") from exc
+    if n < 1:
+        raise ParseError(f"trials must be >= 1, got {n}")
+    return n
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ParseError(message)
@@ -561,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             sp.add_argument("--seed", type=int, default=None)
         if trials is not None:
-            sp.add_argument("--trials", type=int, default=trials)
+            sp.add_argument("--trials", type=_parse_trials, default=trials)
         if dims:
             sp.add_argument("--dims", type=_parse_dims, default=(2, 8), metavar="a..b")
 

@@ -63,11 +63,15 @@ class FuzzSummary:
 
 
 def _crandn(stream: Stream, rows: int, cols: int) -> np.ndarray:
-    """i.i.d. standard complex Gaussian entries, row-major draw order."""
+    """i.i.d. standard complex Gaussian entries, row-major draw order.
+
+    One block of 2m normals, m = n rounded up to even, is the stream that two
+    normals(n) calls (real parts, then imaginary parts) would consume.
+    """
     n = rows * cols
-    re = np.array(stream.normals(n))
-    im = np.array(stream.normals(n))
-    return ((re + 1j * im) / math.sqrt(2.0)).reshape(rows, cols)
+    m = n + (n & 1)
+    z = np.array(stream.normals(2 * m))
+    return ((z[:n] + 1j * z[m:m + n]) / math.sqrt(2.0)).reshape(rows, cols)
 
 
 def _hermitian(stream: Stream, d: int, scale: float = 1.0) -> np.ndarray:
@@ -414,7 +418,7 @@ def _fam_control_bk(stream: Stream, d: int):
 
 def _indefinite(stream: Stream, d: int) -> np.ndarray:
     h = _hermitian(stream, d)
-    w, v = linalg.eigh(h)
+    w, v = linalg._eigh(h)
     w = w.copy()
     w[0] = max(w[0], 0.5)
     w[-1] = min(w[-1], -0.5)

@@ -6,6 +6,10 @@ entrywise margins where the entrywise form is the interesting contrast, and
 any norm-form side conditions. A False verdict on a theorem's hypothesis
 class indicates an implementation bug, so the whole family doubles as a
 self-test; the known entrywise failures are recorded, not judged.
+
+Each verifier validates its arguments once, on entry, and then works only
+through the private helpers of linalg and spectra, which do not re-check
+matrices the verifier has built or already validated.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from .errors import (
     NotProjectionSum,
     RangeNotContained,
 )
+from .linalg import _direct_sum, _eigh, _sv_array, _svd_values, _unitary_exp
 from .major import gauge, maj_tol, schatten, seq_product, submajorizes
-from .spectra import SpreadSeq, compact_scale, matrix_scale, spread_plus
+from .spectra import SpreadSeq, _compact_scale, _presorted, matrix_scale, spread_plus
 
 POS_GATE = 1e-10
 DOUGLAS_TOL = 1e-8
@@ -57,35 +62,37 @@ def _digest(*mats) -> str:
 
 
 def _scale_seq(seq: SpreadSeq, c: float) -> SpreadSeq:
-    return SpreadSeq(values=c * seq.values, tail=c * seq.tail, mode=seq.mode)
+    """c * seq for a constant c >= 0, which keeps the sequence sorted."""
+    return _presorted(SpreadSeq, values=c * seq.values, tail=c * seq.tail, mode=seq.mode)
 
 
 def _add_seq(a: SpreadSeq, b: SpreadSeq) -> SpreadSeq:
     k = max(len(a), len(b))
-    return SpreadSeq(values=a.padded(k) + b.padded(k), tail=a.tail + b.tail, mode="compact")
+    return _presorted(
+        SpreadSeq, values=a.padded(k) + b.padded(k), tail=a.tail + b.tail, mode="compact"
+    )
 
 
-def _spr(m, k: int | None = None) -> SpreadSeq:
-    """Compact-model spectral spread of a Hermitian matrix."""
-    return spread_plus(compact_scale(m, k))
+def _spr(m: np.ndarray, k: int | None = None) -> SpreadSeq:
+    """Compact-model spectral spread of a Hermitian matrix (not re-checked)."""
+    return spread_plus(_compact_scale(m, k))
 
 
 def _require_positive(m, what: str) -> np.ndarray:
     h = linalg.as_hermitian(m)
-    w = linalg.eigh(h).values
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    if w.size and float(w[-1]) < -POS_GATE * scale:
-        raise NotPositive(f"{what} has eigenvalue {w[-1]:.3e}")
+    if not _is_positive(h):
+        raise NotPositive(f"{what} has eigenvalue {_eigh(h).values[-1]:.3e}")
     return h
 
-def _is_positive(m) -> bool:
-    w = linalg.eigh(m).values
+
+def _is_positive(m: np.ndarray) -> bool:
+    w = _eigh(m).values
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     return not w.size or float(w[-1]) >= -POS_GATE * scale
 
 
-def _psd_sqrt(m) -> np.ndarray:
-    w, v = linalg.eigh(m)
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    w, v = _eigh(m)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     if w.size and float(w[-1]) < -POS_GATE * scale:
         raise NotPositive(f"square root of a non-positive matrix ({w[-1]:.3e})")
@@ -111,8 +118,8 @@ def check_tao_positive(f, split: int | None = None) -> Verdict:
     if not 1 <= split <= d - 1:
         raise DimMismatch(f"split {split} does not cut a {d}x{d} matrix")
     b = fm[:split, split:]
-    sb = linalg.sv_array(b)
-    sf = linalg.eigh(fm).values
+    sb = _sv_array(b)
+    sf = _eigh(fm).values
     margins = sf[: len(sb)] - 2.0 * sb
     ok = bool(len(margins) == 0 or float(np.min(margins)) >= -_entry_tol(sf))
     return Verdict(
@@ -135,7 +142,7 @@ def check_key(a, split: int | None = None) -> Verdict:
     if not 1 <= split <= d - 1:
         raise DimMismatch(f"split {split} does not cut a {d}x{d} matrix")
     b = am[:split, split:]
-    lhs = _scale_seq(linalg.svd_values(b, horizon=2 * d), 2.0)
+    lhs = _scale_seq(_svd_values(b, horizon=2 * d), 2.0)
     rhs = _spr(am)
     rep = submajorizes(lhs, rhs)
     return Verdict(
@@ -152,12 +159,12 @@ def check_trace_pairing(a, b) -> Verdict:
         raise DimMismatch(f"shapes {am.shape} and {bm.shape} differ")
     d = am.shape[0]
     lhs = float(np.trace(am @ bm).real)
-    sa = compact_scale(am, 2 * d)
-    sb = compact_scale(bm, 2 * d)
+    sa = _compact_scale(am, 2 * d)
+    sb = _compact_scale(bm, 2 * d)
     rhs = float(np.dot(sa.pos, sb.pos) + np.dot(sa.neg, sb.neg))
     margin = rhs - lhs
     tol = 1e-9 * max(1.0, abs(rhs), abs(lhs))
-    wa = linalg.eigh(am).values
+    wa = _eigh(am).values
     cutoff = 1e-10 * max(1.0, float(np.max(np.abs(wa))))
     rank = int(np.sum(np.abs(wa) > cutoff))
     return Verdict(
@@ -174,7 +181,7 @@ def check_commutator_scale(a, x) -> Verdict:
     if am.shape != xm.shape:
         raise DimMismatch(f"shapes {am.shape} and {xm.shape} differ")
     comm = 1j * (am @ xm - xm @ am)
-    lhs = SpreadSeq(values=compact_scale(comm).pos, tail=0.0, mode="compact")
+    lhs = _presorted(SpreadSeq, values=_compact_scale(comm).pos, tail=0.0, mode="compact")
     rhs = _scale_seq(seq_product(_spr(am), _spr(xm)), 0.5)
     rep = submajorizes(lhs, rhs)
     return Verdict(
@@ -193,9 +200,9 @@ def check_commutator_sv(a, x) -> Verdict:
     if am.shape != xm.shape:
         raise DimMismatch(f"shapes {am.shape} and {xm.shape} differ")
     d = am.shape[0]
-    lhs = linalg.svd_values(am @ xm - xm @ am, horizon=4 * d)
+    lhs = _svd_values(am @ xm - xm @ am, horizon=4 * d)
     rhs = _scale_seq(
-        seq_product(_spr(linalg.direct_sum(am, am)), _spr(linalg.direct_sum(xm, xm))),
+        seq_product(_spr(_direct_sum(am, am)), _spr(_direct_sum(xm, xm))),
         0.5,
     )
     rep = submajorizes(lhs, rhs)
@@ -226,9 +233,9 @@ def check_mixed_commutator(a, b, x) -> Verdict:
     if xm.shape != (m, n):
         raise DimMismatch(f"X is {xm.shape}, expected {(m, n)}")
     k = 2 * (m + n)
-    lhs_vals = linalg.sv_array(am @ xm - xm @ bm)
-    lhs = linalg.svd_values(am @ xm - xm @ bm, horizon=k)
-    rhs = seq_product(_spr(linalg.direct_sum(am, bm)), linalg.svd_values(xm, horizon=k))
+    lhs_vals = _sv_array(am @ xm - xm @ bm)
+    lhs = _svd_values(am @ xm - xm @ bm, horizon=k)
+    rhs = seq_product(_spr(_direct_sum(am, bm)), _svd_values(xm, horizon=k))
     rep = submajorizes(lhs, rhs)
     q = len(lhs_vals)
     margins = rhs.values[:q] - lhs_vals
@@ -240,8 +247,7 @@ def check_mixed_commutator(a, b, x) -> Verdict:
     )
 
 
-def _herm_parts(m) -> tuple[np.ndarray, np.ndarray]:
-    c = linalg.as_cmatrix(m)
+def _herm_parts(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if c.shape[0] != c.shape[1]:
         raise DimMismatch(f"matrix is {c.shape[0]}x{c.shape[1]}, not square")
     return (c + c.conj().T) / 2.0, (c - c.conj().T) / 2j
@@ -255,33 +261,33 @@ def check_general_commutator(a, b, x) -> Verdict:
     using the extreme eigenvalues of each part, for the op, trace, and
     Frobenius norms.
     """
-    a1, a2 = _herm_parts(a)
-    b1, b2 = _herm_parts(b)
+    am = linalg.as_cmatrix(a)
+    bm = linalg.as_cmatrix(b)
     xm = linalg.as_cmatrix(x)
+    a1, a2 = _herm_parts(am)
+    b1, b2 = _herm_parts(bm)
     m, n = a1.shape[0], b1.shape[0]
     if xm.shape != (m, n):
         raise DimMismatch(f"X is {xm.shape}, expected {(m, n)}")
     k = 2 * (m + n)
-    am = linalg.as_cmatrix(a)
-    bm = linalg.as_cmatrix(b)
-    lhs = linalg.svd_values(am @ xm - xm @ bm, horizon=k)
+    lhs = _svd_values(am @ xm - xm @ bm, horizon=k)
     spread_sum = _add_seq(
-        _spr(linalg.direct_sum(a1, b1)), _spr(linalg.direct_sum(a2, b2))
+        _spr(_direct_sum(a1, b1)), _spr(_direct_sum(a2, b2))
     )
-    rhs = seq_product(spread_sum, linalg.svd_values(xm, horizon=k))
+    rhs = seq_product(spread_sum, _svd_values(xm, horizon=k))
     rep = submajorizes(lhs, rhs)
-    w_a1, w_b1 = linalg.eigh(a1).values, linalg.eigh(b1).values
-    w_a2, w_b2 = linalg.eigh(a2).values, linalg.eigh(b2).values
+    w_a1, w_b1 = _eigh(a1).values, _eigh(b1).values
+    w_a2, w_b2 = _eigh(a2).values, _eigh(b2).values
     scalar = (
         max(w_a1[0], w_b1[0]) - min(w_a1[-1], w_b1[-1])
         + max(w_a2[0], w_b2[0]) - min(w_a2[-1], w_b2[-1])
     )
-    sx = linalg.sv_array(xm)
+    sx = _svd_values(xm)
     corollary = {}
     ok = rep.holds
     for nid in _NORM_IDS:
         lv = gauge(lhs, nid)
-        bv = scalar * gauge(SpreadSeq(values=sx), nid)
+        bv = scalar * gauge(sx, nid)
         good = bool(lv <= bv + 1e-9 * max(1.0, bv))
         corollary[nid] = {"lhs": lv, "bound": bv, "ok": good}
         ok = ok and good
@@ -299,10 +305,10 @@ def check_unitary_conj(a, x) -> Verdict:
     if am.shape != xm.shape:
         raise DimMismatch(f"shapes {am.shape} and {xm.shape} differ")
     d = am.shape[0]
-    u = linalg.unitary_exp(xm)
-    lhs = linalg.svd_values(am - u.conj().T @ am @ u, horizon=4 * d)
+    u = _unitary_exp(xm)
+    lhs = _svd_values(am - u.conj().T @ am @ u, horizon=4 * d)
     rhs = _scale_seq(
-        seq_product(_spr(linalg.direct_sum(xm, xm)), _spr(linalg.direct_sum(am, am))),
+        seq_product(_spr(_direct_sum(xm, xm)), _spr(_direct_sum(am, am))),
         0.5,
     )
     rep = submajorizes(lhs, rhs)
@@ -350,10 +356,11 @@ def douglas_factorize(a, b, tol: float = DOUGLAS_TOL) -> np.ndarray:
     return c
 
 
-def _require_splitting(s, c, proj_tol: float = 1e-8) -> np.ndarray:
-    """Validate C*C + S*S as an orthogonal projection; return it."""
-    sm = linalg.as_cmatrix(s)
-    cm = linalg.as_cmatrix(c)
+def _require_splitting(sm: np.ndarray, cm: np.ndarray, proj_tol: float = 1e-8) -> np.ndarray:
+    """Validate C*C + S*S as an orthogonal projection; return it.
+
+    S and C are already validated matrices; only their sum is checked here.
+    """
     if sm.shape != cm.shape:
         raise DimMismatch(f"shapes {sm.shape} and {cm.shape} differ")
     p = cm.conj().T @ cm + sm.conj().T @ sm
@@ -366,14 +373,14 @@ def _require_splitting(s, c, proj_tol: float = 1e-8) -> np.ndarray:
 def check_agm_projection(s, c, e) -> Verdict:
     """Doubled s(SEC*) vs the spread of the compressed operator plus a zero block."""
     em = linalg.as_hermitian(e)
-    p = _require_splitting(s, c)
+    sm, cm = linalg.as_cmatrix(s), linalg.as_cmatrix(c)
+    p = _require_splitting(sm, cm)
     if p.shape != em.shape:
         raise DimMismatch(f"shapes {p.shape} and {em.shape} differ")
     d = em.shape[0]
-    sm, cm = linalg.as_cmatrix(s), linalg.as_cmatrix(c)
     k = 4 * d
-    lhs = _scale_seq(linalg.svd_values(sm @ em @ cm.conj().T, horizon=k), 2.0)
-    rhs = _spr(linalg.direct_sum(p @ em @ p, np.zeros((d, d))), k)
+    lhs = _scale_seq(_svd_values(sm @ em @ cm.conj().T, horizon=k), 2.0)
+    rhs = _spr(_direct_sum(p @ em @ p, np.zeros((d, d))), k)
     rep = submajorizes(lhs, rhs)
     return Verdict(
         ineq_id="agm_projection", holds=rep.holds, report=rep,
@@ -398,19 +405,19 @@ def check_agm_pair(s, c, e1, e2=None) -> Verdict:
         raise DimMismatch("operator dimensions do not match the splitting")
     d = p.shape[0]
     k = 4 * d
-    lhs = linalg.svd_values(sm @ e1m @ cm + cm @ e2m @ sm, horizon=k)
-    rhs = _scale_seq(_spr(linalg.direct_sum(p @ e1m @ p, -(p @ e2m @ p)), k), 0.5)
+    lhs = _svd_values(sm @ e1m @ cm + cm @ e2m @ sm, horizon=k)
+    rhs = _scale_seq(_spr(_direct_sum(p @ e1m @ p, -(p @ e2m @ p)), k), 0.5)
     rep = submajorizes(lhs, rhs)
     ok = rep.holds
     extras = {}
     if same:
         re_sec = (sm @ e1m @ cm + cm @ e1m @ sm) / 2.0
         coro = submajorizes(
-            linalg.svd_values(re_sec, horizon=2 * d),
-            _scale_seq(linalg.svd_values(e1m, horizon=2 * d), 0.5),
+            _svd_values(re_sec, horizon=2 * d),
+            _scale_seq(_svd_values(e1m, horizon=2 * d), 0.5),
         )
-        spr_pair = _spr(linalg.direct_sum(e1m, -e1m), 4 * d)
-        doubled = _scale_seq(linalg.svd_values(e1m, horizon=4 * d), 2.0)
+        spr_pair = _spr(_direct_sum(e1m, -e1m), 4 * d)
+        doubled = _scale_seq(_svd_values(e1m, horizon=4 * d), 2.0)
         defect = float(np.max(np.abs(spr_pair.values - doubled.values)))
         id_ok = bool(defect <= 1e-9 * max(1.0, float(np.max(doubled.values, initial=0.0))))
         extras = {
@@ -434,22 +441,22 @@ def check_agm_compact(s, c, e) -> Verdict:
     theorem for positive E and fails on the documented indefinite fixture.
     """
     em = linalg.as_hermitian(e)
-    p = _require_splitting(s, c)
+    sm, cm = linalg.as_cmatrix(s), linalg.as_cmatrix(c)
+    p = _require_splitting(sm, cm)
     if p.shape != em.shape:
         raise DimMismatch(f"shapes {p.shape} and {em.shape} differ")
     d = em.shape[0]
-    sm, cm = linalg.as_cmatrix(s), linalg.as_cmatrix(c)
     k = 2 * d
     sec = sm @ em @ cm.conj().T
-    lhs = _scale_seq(linalg.svd_values(sec, horizon=k), 2.0)
+    lhs = _scale_seq(_svd_values(sec, horizon=k), 2.0)
     rhs = _spr(em, k)
     rep = submajorizes(lhs, rhs)
     spr_pep = _spr(p @ em @ p, k)
     margins = rhs.values - spr_pep.values
     sub_ok = bool(float(np.min(margins)) >= -_entry_tol(rhs.values)) if len(margins) else True
-    fro_lhs = schatten(linalg.sv_array(sec), 2)
+    fro_lhs = schatten(_sv_array(sec), 2)
     compact_bound = 0.5 * schatten(rhs, 2)
-    identity_bound = 0.5 * schatten(linalg.sv_array(em), 2)
+    identity_bound = 0.5 * schatten(_sv_array(em), 2)
     e_positive = _is_positive(em)
     extras = {
         "compression_monotone": sub_ok,
@@ -466,8 +473,8 @@ def check_agm_compact(s, c, e) -> Verdict:
     if e_positive:
         pos_norms = {}
         for nid in _NORM_IDS:
-            lv = gauge(linalg.svd_values(sec), nid)
-            bv = 0.5 * gauge(linalg.svd_values(em), nid)
+            lv = gauge(_svd_values(sec), nid)
+            bv = 0.5 * gauge(_svd_values(em), nid)
             good = bool(lv <= bv + 1e-9 * max(1.0, bv))
             pos_norms[nid] = {"lhs": lv, "bound": bv, "ok": good}
             ok = ok and good
@@ -499,12 +506,12 @@ def check_agm_general(a, b, e) -> Verdict:
     gh = linalg.as_hermitian(g, tol=1e-8)
     aeb = am @ em @ bm.conj().T
     k = 2 * d
-    lhs = linalg.svd_values(aeb, horizon=k)
+    lhs = _svd_values(aeb, horizon=k)
     rhs = _scale_seq(_spr(gh, k), 0.5)
     rep = submajorizes(lhs, rhs)
-    rhs0 = _scale_seq(_spr(linalg.direct_sum(gh, np.zeros((d, d))), 4 * d), 0.5)
-    rep0 = submajorizes(linalg.svd_values(aeb, horizon=4 * d), rhs0)
-    s_aeb = linalg.sv_array(aeb)
+    rhs0 = _scale_seq(_spr(_direct_sum(gh, np.zeros((d, d))), 4 * d), 0.5)
+    rep0 = submajorizes(_svd_values(aeb, horizon=4 * d), rhs0)
+    s_aeb = _sv_array(aeb)
     spr_g = _spr(gh, k).values
     margins = spr_g[:d] - 2.0 * s_aeb
     e_ok = bool(float(np.min(margins)) >= -_entry_tol(spr_g)) if len(margins) else True
@@ -513,8 +520,8 @@ def check_agm_general(a, b, e) -> Verdict:
     if _is_positive(em):
         eroot = _psd_sqrt(em)
         cross = submajorizes(
-            _scale_seq(linalg.svd_values(aeb, horizon=k), 2.0),
-            linalg.svd_values(eroot @ f2 @ eroot, horizon=k),
+            _scale_seq(_svd_values(aeb, horizon=k), 2.0),
+            _svd_values(eroot @ f2 @ eroot, horizon=k),
         )
         extras["positive_cross_holds"] = cross.holds
         ok = ok and cross.holds
@@ -533,8 +540,8 @@ def check_zhan(e, f) -> Verdict:
         raise DimMismatch(f"shapes {em.shape} and {fm.shape} differ")
     d = em.shape[0]
     k = 4 * d
-    lhs = linalg.svd_values(em - fm, horizon=k)
-    rhs = _spr(linalg.direct_sum(em, fm), k)
+    lhs = _svd_values(em - fm, horizon=k)
+    rhs = _spr(_direct_sum(em, fm), k)
     rep = submajorizes(lhs, rhs)
     return Verdict(
         ineq_id="zhan", holds=rep.holds, report=rep,
@@ -558,9 +565,8 @@ def check_offdiag_projection(e, p) -> Verdict:
     d = em.shape[0]
     half = math.ceil(d / 2)
     corner = pm @ em @ (np.eye(d) - pm)
-    sv = linalg.sv_array(corner)
-    # rank(PE(I-P)) <= floor(d/2), so the discarded values are noise; they
-    # come from the Gram matrix, whose zero roots float at sqrt(eps) * scale
+    sv = _sv_array(corner)
+    # rank(PE(I-P)) <= floor(d/2), so the discarded values are rounding noise
     dropped = float(np.max(sv[half:], initial=0.0))
     lhs = 2.0 * sv[:half]
     rhs = spread_plus(matrix_scale(em)).values
@@ -580,7 +586,7 @@ def check_offdiag_compact(e, p) -> Verdict:
         raise DimMismatch(f"shapes {em.shape} and {pm.shape} differ")
     d = em.shape[0]
     corner = pm @ em @ (np.eye(d) - pm)
-    lhs = _scale_seq(linalg.svd_values(corner, horizon=2 * d), 2.0)
+    lhs = _scale_seq(_svd_values(corner, horizon=2 * d), 2.0)
     rhs = _spr(em)
     rep = submajorizes(lhs, rhs)
     return Verdict(
@@ -592,16 +598,16 @@ def check_offdiag_compact(e, p) -> Verdict:
 def check_identity_split(s, c, e) -> Verdict:
     """Full splitting C*C + S*S = I: doubled s(SEC*) vs spread of E plus a zero block."""
     em = linalg.as_hermitian(e)
-    p = _require_splitting(s, c)
+    sm, cm = linalg.as_cmatrix(s), linalg.as_cmatrix(c)
+    p = _require_splitting(sm, cm)
     d = em.shape[0]
     if p.shape != em.shape:
         raise DimMismatch(f"shapes {p.shape} and {em.shape} differ")
     if float(np.max(np.abs(p - np.eye(d)))) > 1e-8:
         raise NotProjectionSum("C*C + S*S must equal the identity here")
-    sm, cm = linalg.as_cmatrix(s), linalg.as_cmatrix(c)
     k = 4 * d
-    lhs = _scale_seq(linalg.svd_values(sm @ em @ cm.conj().T, horizon=k), 2.0)
-    rhs = _spr(linalg.direct_sum(em, np.zeros((d, d))), k)
+    lhs = _scale_seq(_svd_values(sm @ em @ cm.conj().T, horizon=k), 2.0)
+    rhs = _spr(_direct_sum(em, np.zeros((d, d))), k)
     rep = submajorizes(lhs, rhs)
     return Verdict(
         ineq_id="equiv5", holds=rep.holds, report=rep,
@@ -616,8 +622,8 @@ def control_kittaneh_positive(c, d, x) -> Verdict:
     xm = linalg.as_cmatrix(x)
     if xm.shape != (cm.shape[0], dm.shape[0]):
         raise DimMismatch(f"X is {xm.shape}, expected {(cm.shape[0], dm.shape[0])}")
-    lhs = linalg.sv_array(cm @ xm - xm @ dm)
-    rhs = linalg.opnorm(xm) * linalg.sv_array(linalg.direct_sum(cm, dm))[: len(lhs)]
+    lhs = _sv_array(cm @ xm - xm @ dm)
+    rhs = linalg.opnorm(xm) * _sv_array(_direct_sum(cm, dm))[: len(lhs)]
     margins = rhs - lhs
     ok = bool(len(margins) == 0 or float(np.min(margins)) >= -_entry_tol(rhs))
     return Verdict(
@@ -633,8 +639,8 @@ def control_bhatia_kittaneh(a, b) -> Verdict:
     bm = linalg.as_cmatrix(b)
     if am.shape != bm.shape:
         raise DimMismatch(f"shapes {am.shape} and {bm.shape} differ")
-    lhs = 2.0 * linalg.sv_array(am @ bm.conj().T)
-    rhs = linalg.sv_array(am.conj().T @ am + bm.conj().T @ bm)[: len(lhs)]
+    lhs = 2.0 * _sv_array(am @ bm.conj().T)
+    rhs = _sv_array(am.conj().T @ am + bm.conj().T @ bm)[: len(lhs)]
     margins = rhs - lhs
     ok = bool(len(margins) == 0 or float(np.min(margins)) >= -_entry_tol(rhs))
     return Verdict(
@@ -647,10 +653,10 @@ def control_bhatia_kittaneh(a, b) -> Verdict:
 def control_strict_gap(e) -> Verdict:
     """Strict Frobenius gap ||E||_2 < g_2(spread(E)) for indefinite E."""
     em = linalg.as_hermitian(e)
-    w = linalg.eigh(em).values
+    w = _eigh(em).values
     if not (w.size and w[0] > 0.0 and w[-1] < 0.0):
         raise NotPositive("an indefinite operator (both signs present) is required")
-    fro = schatten(linalg.sv_array(em), 2)
+    fro = schatten(_sv_array(em), 2)
     g2 = schatten(_spr(em), 2)
     margin = g2 - fro
     ok = bool(margin > 1e-9 * fro)

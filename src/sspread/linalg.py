@@ -3,7 +3,10 @@ values, polar factorization, block constructions, and the unitary exponential.
 
 Matrices are numpy complex128 arrays. Inputs that must be Hermitian or
 projections are validated and rejected (never symmetrized) at 1e-10 relative
-tolerance.
+tolerance. Each public function validates its input once and then calls a
+private helper of the same name with a leading underscore; code inside the
+package calls those helpers directly on matrices it has built or already
+validated.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .errors import NoConvergence, NotHermitian, NotPositive, NotProjection
 HERM_TOL = 1e-10
 PROJ_TOL = 1e-10
 EIG_TOL = 1e-10
-# clamp floor for eigenvalues of X*X that should be >= 0
+# clamp floor for eigenvalues of X*X that should be >= 0 (polar factor)
 PSD_CLAMP = 1e-12
 
 
@@ -75,7 +78,10 @@ def eigh(a) -> EigenPair:
         NotHermitian: input fails the Hermiticity gate.
         NoConvergence: the underlying solver did not converge.
     """
-    m = as_hermitian(a)
+    return _eigh(as_hermitian(a))
+
+
+def _eigh(m: np.ndarray) -> EigenPair:
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -86,19 +92,21 @@ def eigh(a) -> EigenPair:
 def sv_array(x) -> np.ndarray:
     """Singular values of X, non-increasing, length min(rows, cols).
 
-    Computed as square roots of the eigenvalues of X*X, so s(X) = s(X*) holds
-    by construction up to the eigensolver tolerance. Tiny negative eigenvalues
-    of X*X (>= -PSD_CLAMP * scale) are clamped to zero.
+    Computed by LAPACK's SVD (values only), so small singular values are
+    accurate to machine precision relative to s_1(X). Square roots of the
+    eigenvalues of X*X would only be accurate to sqrt(eps) * s_1(X).
+
+    Raises:
+        NoConvergence: the SVD did not converge.
     """
-    m = as_cmatrix(x)
-    rows, cols = m.shape
-    h = m.conj().T @ m
-    w = eigh(h).values
-    scale = max(1.0, float(w[0]) if w.size else 0.0)
-    if w.size and float(w[-1]) < -PSD_CLAMP * scale:
-        raise NotPositive(f"X*X has eigenvalue {w[-1]:.3e} below clamp floor")
-    w = np.clip(w, 0.0, None)
-    return np.sqrt(w[: min(rows, cols)])
+    return _sv_array(as_cmatrix(x))
+
+
+def _sv_array(m: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
 
 
 def opnorm(x) -> float:
@@ -116,7 +124,7 @@ def polar(x) -> tuple[np.ndarray, np.ndarray]:
     """
     m = as_cmatrix(x)
     h = m.conj().T @ m
-    w, v = eigh(h)
+    w, v = _eigh(h)
     scale = max(1.0, float(w[0]) if w.size else 0.0)
     if w.size and float(w[-1]) < -PSD_CLAMP * scale:
         raise NotPositive(f"X*X has eigenvalue {w[-1]:.3e} below clamp floor")
@@ -131,7 +139,10 @@ def polar(x) -> tuple[np.ndarray, np.ndarray]:
 
 def direct_sum(a, b) -> np.ndarray:
     """Block-diagonal matrix diag(A, B)."""
-    ma, mb = as_cmatrix(a), as_cmatrix(b)
+    return _direct_sum(as_cmatrix(a), as_cmatrix(b))
+
+
+def _direct_sum(ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
     out = np.zeros(
         (ma.shape[0] + mb.shape[0], ma.shape[1] + mb.shape[1]), dtype=np.complex128
     )
@@ -152,7 +163,11 @@ def offdiag_embed(b) -> np.ndarray:
 
 def unitary_exp(x) -> np.ndarray:
     """U = e^{iX} for Hermitian X, via the eigendecomposition of X."""
-    w, v = eigh(x)
+    return _unitary_exp(as_hermitian(x))
+
+
+def _unitary_exp(m: np.ndarray) -> np.ndarray:
+    w, v = _eigh(m)
     u = v @ np.diag(np.exp(1j * w)) @ v.conj().T
     d = u.conj().T @ u - np.eye(u.shape[0])
     if float(np.linalg.norm(d)) > 1e-10:
@@ -185,7 +200,7 @@ def compress(a, p) -> CompressResult:
     mp = as_projection(p)
     if ma.shape != mp.shape:
         raise ValueError(f"dimension mismatch {ma.shape} vs {mp.shape}")
-    w, v = eigh(mp)
+    w, v = _eigh(mp)
     basis = v[:, w > 0.5]
     compressed = basis.conj().T @ ma @ basis
     return CompressResult(compressed, mp @ ma @ mp)
@@ -193,12 +208,16 @@ def compress(a, p) -> CompressResult:
 
 def svd_values(x, horizon: int | None = None):
     """Singular values as a compact-mode SpreadSeq, zero-padded to horizon."""
-    from .spectra import SpreadSeq
+    return _svd_values(as_cmatrix(x), horizon)
 
-    s = sv_array(x)
+
+def _svd_values(m: np.ndarray, horizon: int | None = None):
+    from .spectra import SpreadSeq, _presorted
+
+    s = _sv_array(m)
     if horizon is None:
         horizon = len(s)
     if horizon < len(s):
         raise ValueError(f"horizon {horizon} is below the value count {len(s)}")
     vals = np.concatenate([s, np.zeros(horizon - len(s))])
-    return SpreadSeq(values=vals, tail=0.0, mode="compact")
+    return _presorted(SpreadSeq, values=vals, tail=0.0, mode="compact")

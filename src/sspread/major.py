@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HorizonMismatch, ModeError
-from .spectra import TAIL_TOL, SpreadSeq, TwoSidedSeq
+from .spectra import TAIL_TOL, SpreadSeq, TwoSidedSeq, _presorted
 
 
 def maj_tol(b_inf: float, k: int) -> float:
@@ -138,6 +138,9 @@ def seq_product(a, b) -> SpreadSeq:
     for s in (a, b):
         if isinstance(s, SpreadSeq) and s.mode != "compact":
             mode = s.mode
+    if isinstance(a, SpreadSeq) and isinstance(b, SpreadSeq):
+        # products of non-negative non-increasing factors are sorted already
+        return _presorted(SpreadSeq, values=av * bv, tail=at * bt, mode=mode)
     return SpreadSeq(values=av * bv, tail=at * bt, mode=mode)
 
 
@@ -202,21 +205,25 @@ def _tail_verdict(a_tail, b_tail, a_settled, b_settled) -> str:
 
 
 def _finish(kind, upper, lower, verdict, tol, sum_defect=None) -> MajorizationReport:
+    # argmin returns the first minimum and a lower margin must be strictly
+    # smaller to win, so ties go to the earliest upper index
+    upper = np.asarray(upper, dtype=float)
     worst_k = 1
     worst = math.inf
-    for i, m in enumerate(upper):
-        if m < worst:
-            worst, worst_k = float(m), i + 1
+    if len(upper):
+        i = int(np.argmin(upper))
+        worst, worst_k = float(upper[i]), i + 1
     if lower is not None:
-        for i, m in enumerate(lower):
-            if m < worst:
-                worst, worst_k = float(m), -(i + 1)
+        lower = np.asarray(lower, dtype=float)
+        if len(lower):
+            i = int(np.argmin(lower))
+            if lower[i] < worst:
+                worst, worst_k = float(lower[i]), -(i + 1)
     holds = verdict != "tail_violated" and worst >= -tol
     if sum_defect is not None:
         holds = holds and abs(sum_defect) <= tol
     return MajorizationReport(
-        kind=kind, margins_upper=np.asarray(upper, dtype=float),
-        margins_lower=None if lower is None else np.asarray(lower, dtype=float),
+        kind=kind, margins_upper=upper, margins_lower=lower,
         holds=bool(holds), worst_k=worst_k, tail_verdict=verdict, tol=tol,
         sum_defect=sum_defect,
     )

@@ -187,11 +187,24 @@ def _absmax(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if len(a) else 0.0
 
 
+def _presorted(cls, **fields):
+    """A TwoSidedSeq or SpreadSeq whose invariants hold by construction.
+
+    Skips __post_init__: for float arrays the package has just built in
+    sorted order (eigenvalues, singular values, and their non-negative
+    scalings, products and sums). Every field must be given.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def matrix_scale(a) -> TwoSidedSeq:
     """Two-sided scale of a Hermitian matrix in the d-dimensional convention."""
     mu = linalg.eigh(a).values
-    return TwoSidedSeq(
-        pos=mu, neg=mu[::-1].copy(), pos_tail=None, neg_tail=None,
+    return _presorted(
+        TwoSidedSeq, pos=mu, neg=mu[::-1].copy(), pos_tail=None, neg_tail=None,
         K=len(mu), mode="matrix",
     )
 
@@ -203,17 +216,25 @@ def compact_scale(a, k: int | None = None) -> TwoSidedSeq:
         a: Hermitian matrix of dimension d.
         k: horizon, defaults to 2*d; must satisfy k >= d.
     """
-    mu = linalg.eigh(a).values
+    return _compact_scale(linalg.as_hermitian(a), k)
+
+
+def _compact_scale(m: np.ndarray, k: int | None = None) -> TwoSidedSeq:
+    """compact_scale of a matrix that is Hermitian by construction or validation."""
+    mu = linalg._eigh(m).values
     d = len(mu)
     if k is None:
         k = 2 * d
     if k < d:
         raise HorizonMismatch(f"horizon {k} is below the dimension {d}")
-    plus = np.sort(mu[mu > 0.0])[::-1]
-    minus = np.sort(mu[mu < 0.0])
+    # mu is non-increasing, so both sides come out sorted without a sort
+    plus = mu[mu > 0.0]
+    minus = mu[mu < 0.0][::-1]
     pos = np.concatenate([plus, np.zeros(k - len(plus))])
     neg = np.concatenate([minus, np.zeros(k - len(minus))])
-    return TwoSidedSeq(pos=pos, neg=neg, pos_tail=0.0, neg_tail=0.0, K=k, mode="compact")
+    return _presorted(
+        TwoSidedSeq, pos=pos, neg=neg, pos_tail=0.0, neg_tail=0.0, K=k, mode="compact"
+    )
 
 
 def diag_scale(a: DiagSpec, k: int, m_factor: int = 64) -> TwoSidedSeq:
@@ -269,11 +290,16 @@ def spread_plus(scale: TwoSidedSeq) -> SpreadSeq:
     """Spectral spread Spr+, the positive-index part of the full spread.
 
     In matrix mode only the first ceil(d/2) entries are non-negative (the
-    rest mirror them with opposite sign), so only those are returned.
+    rest mirror them with opposite sign), so only those are returned. In
+    compact mode the scale's own invariants (pos non-increasing, neg
+    non-decreasing, neg <= pos) make the spread sorted and non-negative, so
+    only a negative tail sends it through the SpreadSeq checks.
     """
     vals = scale.pos - scale.neg
     if scale.mode == "matrix":
         half = math.ceil(scale.K / 2)
         return SpreadSeq(values=vals[:half], tail=0.0, mode="matrix")
     tail = 0.0 if scale.pos_tail is None else scale.pos_tail - scale.neg_tail
+    if scale.mode == "compact" and tail >= 0.0:
+        return _presorted(SpreadSeq, values=vals, tail=tail, mode="compact")
     return SpreadSeq(values=vals, tail=tail, mode=scale.mode)

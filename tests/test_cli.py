@@ -252,6 +252,26 @@ def test_dims_parse_errors(capsys):
     assert run(capsys, "fuzz", "zhan", "--dims", "a..b")[0] == 2
 
 
+def test_trials_below_one_exit_two(capsys):
+    for cmd in ("fuzz", "suite"):
+        for n in ("0", "-3"):
+            argv = [cmd, "zhan"] if cmd == "fuzz" else [cmd]
+            code, out, err = run(capsys, *argv, "--trials", n, "--json")
+            assert code == 2, (cmd, n)
+            assert out == "" and "trials" in err
+
+
+def test_diag_horizon_zero_exit_two(capsys):
+    for cmd in ("spread", "scale"):
+        for k in ("0", "-1"):
+            code, out, _ = run(capsys, cmd, f"{FIX}/diag_scale.diag", "--horizon", k, "--json")
+            assert code == 2, (cmd, k)
+            assert out == ""
+    # the default horizon is still 8
+    code, out, _ = run(capsys, "scale", f"{FIX}/diag_scale.diag", "--json")
+    assert code == 0 and json.loads(out)["K"] == 8
+
+
 def test_suite_json_is_deterministic(capsys):
     code1, out1, _ = run(capsys, "suite", "--seed", "1", "--trials", "6", "--json")
     code2, out2, _ = run(capsys, "suite", "--seed", "1", "--trials", "6", "--json")

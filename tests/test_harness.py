@@ -116,6 +116,14 @@ def test_fuzz_child_seed_schedule():
     assert summary.worst_seed in children
 
 
+def test_agm_pair_campaign_has_no_false_failure():
+    # trial 31 of this campaign has a singular value near 2e-17; the old
+    # sqrt(eig(X*X)) path put it at 1.24e-8 and failed the bound by 1.04e-8
+    s = fuzz("agm_pair", trials=40, dims=(2, 8), seed=109000353)
+    assert s.failures == 0
+    assert s.worst_margin > 0.0
+
+
 def test_fuzz_zero_trials():
     s = fuzz("zhan", trials=0, seed=1)
     assert s.trials == 0 and s.failures == 0

@@ -97,6 +97,19 @@ def test_sv_rectangular_and_zero():
     assert np.allclose(sv_array(np.zeros((2, 2))), [0.0, 0.0], atol=0.0)
 
 
+def test_sv_rank_deficient_matches_svd_to_machine_precision():
+    # rank 2 in 5x4: the square-root-of-X*X path would leave the zero
+    # singular values at sqrt(eps) scale instead of near 1e-16
+    for seed in range(6):
+        g = _gen(5, seed)
+        x = g[:, :2] @ g[:2, :4]
+        s = sv_array(x)
+        ref = np.linalg.svd(x, compute_uv=False)
+        assert s.shape == (4,)
+        assert float(np.max(np.abs(s - ref))) <= 1e-14
+        assert float(np.max(s[2:])) <= 1e-14
+
+
 def test_svd_values_padding_and_horizon():
     x = np.diag([2.0, 1.0])
     seq = svd_values(x, horizon=5)
@@ -199,7 +212,7 @@ def test_as_hermitian_symmetrizes_roundoff():
 
 
 def test_polar_wrong_input_not_positive_guard():
-    # sv_array clamps tiny negatives; a wildly non-psd Gram cannot occur,
+    # polar clamps tiny negatives of X*X; a wildly non-psd Gram cannot occur,
     # so this only checks the clamp path stays quiet on near-singular input
     x = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
     u, p = polar(x)
