@@ -360,31 +360,13 @@ def cmd_spread(args) -> tuple[dict, int]:
     return report, EXIT_HOLDS
 
 
-# ineq_id -> (argument kinds, callable); "H" Hermitian, "G" general complex
-CHECKS = {
-    "tao_positive": ("H", lambda ms, a: ineq.check_tao_positive(ms[0], a.split)),
-    "key": ("H", lambda ms, a: ineq.check_key(ms[0], a.split)),
-    "trace_pairing": ("HH", lambda ms, a: ineq.check_trace_pairing(*ms)),
-    "commutator_scale": ("HH", lambda ms, a: ineq.check_commutator_scale(*ms)),
-    "commutator_sv": ("HH", lambda ms, a: ineq.check_commutator_sv(*ms)),
-    "mixed_commutator": ("HHG", lambda ms, a: ineq.check_mixed_commutator(*ms)),
-    "general_commutator": ("GGG", lambda ms, a: ineq.check_general_commutator(*ms)),
-    "unitary_conj": ("HH", lambda ms, a: ineq.check_unitary_conj(*ms)),
-    "agm_projection": ("GGH", lambda ms, a: ineq.check_agm_projection(*ms)),
-    "agm_pair": ("HHH?", lambda ms, a: ineq.check_agm_pair(*ms)),
-    "agm_compact": ("GGH", lambda ms, a: ineq.check_agm_compact(*ms)),
-    "agm_general": ("GGH", lambda ms, a: ineq.check_agm_general(*ms)),
-    "zhan": ("HH", lambda ms, a: ineq.check_zhan(*ms)),
-    "equiv1": ("HG", lambda ms, a: ineq.check_offdiag_projection(*ms)),
-    "equiv_compact1": ("HG", lambda ms, a: ineq.check_offdiag_compact(*ms)),
-    "equiv5": ("GGH", lambda ms, a: ineq.check_identity_split(*ms)),
-}
-
-
 def cmd_check(args) -> tuple[dict, int]:
-    if args.ineq_id not in CHECKS:
+    entry = harness.VERIFIERS.get(args.ineq_id)
+    if entry is None:
         raise UnknownInequality(f"unknown inequality {args.ineq_id!r}")
-    sig, fn = CHECKS[args.ineq_id]
+    sig = entry.files
+    if sig is None:
+        raise UnknownInequality(f"{args.ineq_id} has no check form; run it with fuzz")
     required = len(sig.rstrip("?"))
     optional = sig.endswith("?")
     lo = required if not optional else required - 1
@@ -395,7 +377,9 @@ def cmd_check(args) -> tuple[dict, int]:
         _load_matrix(p, kind == "H")
         for p, kind in zip(args.files, sig)
     ]
-    v = fn(mats, args)
+    if entry.split:
+        mats.append(args.split)
+    v = getattr(ineq, entry.check)(*mats)
     report = {
         "command": "check",
         "inputs": _inputs_entry(args.files),
@@ -408,8 +392,6 @@ def cmd_check(args) -> tuple[dict, int]:
 
 def cmd_fuzz(args) -> tuple[dict, int]:
     seed = _default_seed(args)
-    if args.ineq_id not in harness.FAMILIES:
-        raise UnknownInequality(f"no fuzz family for {args.ineq_id!r}")
     s = harness.fuzz(args.ineq_id, trials=args.trials, dims=args.dims, seed=seed)
     print(f"fuzz {args.ineq_id}: {s.trials} trials in {s.runtime_ms:.0f} ms", file=sys.stderr)
     report = {
@@ -441,12 +423,9 @@ def cmd_suite(args) -> tuple[dict, int]:
     t0 = time.perf_counter()
     seed = _default_seed(args)
     repros = [harness.repro(ex) for ex in harness.EXAMPLE_IDS]
-    fam_ids = list(harness.THEOREM_IDS) + list(ineq.EQUIV_IDS) + [
-        "control_kittaneh", "control_bhatia_kittaneh", "control_strict_gap",
-    ]
     fuzzes = [
         summary_to_dict(harness.fuzz(f, trials=args.trials, dims=args.dims, seed=seed))
-        for f in fam_ids
+        for f in harness.VERIFIERS
     ]
     props = harness.property_suite(seed, trials=args.trials, dims=args.dims)
     ok = (
@@ -540,6 +519,8 @@ def _parse_dims(text: str) -> tuple[int, int]:
         raise ParseError(f"dims must be integers, got {text!r}") from exc
     if lo < 1 or hi < lo:
         raise ParseError(f"empty dimension range {text!r}")
+    if hi < 2:
+        raise ParseError(f"fuzz families need dimension 2 or more, got {text!r}")
     return lo, hi
 
 

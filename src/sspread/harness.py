@@ -1,5 +1,5 @@
-"""Deterministic generators, fixture reproductions, fuzz campaigns, and the
-property suite.
+"""Deterministic generators, fixture reproductions, the verifier registry,
+fuzz campaigns, and the property suite.
 
 All randomness flows through the counter-based stream in rng.py: a campaign
 at seed s gives trial t the child seed derive_seed(s, t), so any failing
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,21 +291,19 @@ def repro(example_id: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# fuzz families
+# fuzz families: each draws one trial's arguments for its verifier
 
 
 def _dim2(stream: Stream, dims: tuple[int, int]) -> int:
-    return stream.randint(max(2, dims[0]), max(2, dims[1]))
+    return stream.randint(max(2, dims[0]), dims[1])
 
 
 def _fam_tao(stream: Stream, d: int):
-    f = _positive(stream, d)
-    return ineq.check_tao_positive(f, stream.randint(1, d - 1))
+    return _positive(stream, d), stream.randint(1, d - 1)
 
 
 def _fam_key(stream: Stream, d: int):
-    a = _hermitian(stream, d)
-    return ineq.check_key(a, stream.randint(1, d - 1))
+    return _hermitian(stream, d), stream.randint(1, d - 1)
 
 
 def _fam_trace(stream: Stream, d: int):
@@ -313,32 +312,21 @@ def _fam_trace(stream: Stream, d: int):
     w = np.array(stream.normals(d))
     w[rank:] = 0.0
     a = v @ np.diag(w) @ v.conj().T
-    b = _hermitian(stream, d)
-    return ineq.check_trace_pairing(a, b)
+    return a, _hermitian(stream, d)
 
 
-def _fam_comm_scale(stream: Stream, d: int):
-    return ineq.check_commutator_scale(_hermitian(stream, d), _hermitian(stream, d))
-
-
-def _fam_comm_sv(stream: Stream, d: int):
-    return ineq.check_commutator_sv(_hermitian(stream, d), _hermitian(stream, d))
+def _fam_herm_pair(stream: Stream, d: int):
+    return _hermitian(stream, d), _hermitian(stream, d)
 
 
 def _fam_mixed(stream: Stream, d: int):
     n = stream.randint(2, d)
-    a = _hermitian(stream, d)
-    b = _hermitian(stream, n)
-    x = _crandn(stream, d, n)
-    return ineq.check_mixed_commutator(a, b, x)
+    return _hermitian(stream, d), _hermitian(stream, n), _crandn(stream, d, n)
 
 
 def _fam_general_comm(stream: Stream, d: int):
     n = stream.randint(2, d)
-    a = _crandn(stream, d, d)
-    b = _crandn(stream, n, n)
-    x = _crandn(stream, d, n)
-    return ineq.check_general_commutator(a, b, x)
+    return _crandn(stream, d, d), _crandn(stream, n, n), _crandn(stream, d, n)
 
 
 def _fam_unitary(stream: Stream, d: int):
@@ -347,119 +335,112 @@ def _fam_unitary(stream: Stream, d: int):
     nrm = linalg.opnorm(x)
     if nrm > 0:
         x = x * (math.pi * stream.uniform() / nrm)
-    return ineq.check_unitary_conj(a, x)
+    return a, x
 
 
-def _fam_agm_projection(stream: Stream, d: int):
+def _fam_agm_split(stream: Stream, d: int):
     c, s, _ = _partition(stream, d)
-    e = _hermitian(stream, d)
-    return ineq.check_agm_projection(s, c, e)
+    return s, c, _hermitian(stream, d)
 
 
 def _fam_agm_pair(stream: Stream, d: int):
     c, s, _ = _partition(stream, d, positive=True)
     e1 = _hermitian(stream, d)
     e2 = None if stream.uniform() < 0.5 else _hermitian(stream, d)
-    return ineq.check_agm_pair(s, c, e1, e2)
-
-
-def _fam_agm_compact(stream: Stream, d: int):
-    c, s, _ = _partition(stream, d)
-    e = _hermitian(stream, d)
-    return ineq.check_agm_compact(s, c, e)
+    return s, c, e1, e2
 
 
 def _fam_agm_general(stream: Stream, d: int):
     a = _crandn(stream, d, d)
     b = _crandn(stream, d, d)
     e = _positive(stream, d) if stream.uniform() < 0.5 else _hermitian(stream, d)
-    return ineq.check_agm_general(a, b, e)
+    return a, b, e
 
 
-def _fam_zhan(stream: Stream, d: int):
-    return ineq.check_zhan(_hermitian(stream, d), _hermitian(stream, d))
-
-
-def _fam_equiv1(stream: Stream, d: int):
-    return ineq.check_offdiag_projection(_hermitian(stream, d), _projection(stream, d))
-
-
-def _fam_equiv3(stream: Stream, d: int):
-    n = stream.randint(2, d)
-    return ineq.check_mixed_commutator(
-        _hermitian(stream, d), _hermitian(stream, n), _crandn(stream, d, n)
-    )
+def _fam_offdiag(stream: Stream, d: int):
+    return _hermitian(stream, d), _projection(stream, d)
 
 
 def _fam_equiv5(stream: Stream, d: int):
     c, s, _ = _partition(stream, d, rank=d)
-    e = _hermitian(stream, d)
-    return ineq.check_identity_split(s, c, e)
-
-
-def _fam_equiv_c1(stream: Stream, d: int):
-    return ineq.check_offdiag_compact(_hermitian(stream, d), _projection(stream, d))
+    return s, c, _hermitian(stream, d)
 
 
 def _fam_equiv_c2(stream: Stream, d: int):
-    return ineq.check_agm_general(_crandn(stream, d, d), _crandn(stream, d, d), _hermitian(stream, d))
+    return _crandn(stream, d, d), _crandn(stream, d, d), _hermitian(stream, d)
 
 
 def _fam_control_kittaneh(stream: Stream, d: int):
     n = stream.randint(2, d)
-    return ineq.control_kittaneh_positive(
-        _positive(stream, d), _positive(stream, n), _crandn(stream, d, n)
-    )
+    return _positive(stream, d), _positive(stream, n), _crandn(stream, d, n)
 
 
 def _fam_control_bk(stream: Stream, d: int):
-    return ineq.control_bhatia_kittaneh(_crandn(stream, d, d), _crandn(stream, d, d))
+    return _crandn(stream, d, d), _crandn(stream, d, d)
 
 
-def _indefinite(stream: Stream, d: int) -> np.ndarray:
+def _fam_control_gap(stream: Stream, d: int):
     h = _hermitian(stream, d)
     w, v = linalg._eigh(h)
     w = w.copy()
     w[0] = max(w[0], 0.5)
     w[-1] = min(w[-1], -0.5)
-    return v @ np.diag(w) @ v.conj().T
+    return (v @ np.diag(w) @ v.conj().T,)
 
 
-def _fam_control_gap(stream: Stream, d: int):
-    return ineq.control_strict_gap(_indefinite(stream, d))
+# ---------------------------------------------------------------------------
+# the verifier registry
 
 
-FAMILIES = {
-    "tao_positive": _fam_tao,
-    "key": _fam_key,
-    "trace_pairing": _fam_trace,
-    "commutator_scale": _fam_comm_scale,
-    "commutator_sv": _fam_comm_sv,
-    "mixed_commutator": _fam_mixed,
-    "general_commutator": _fam_general_comm,
-    "unitary_conj": _fam_unitary,
-    "agm_projection": _fam_agm_projection,
-    "agm_pair": _fam_agm_pair,
-    "agm_compact": _fam_agm_compact,
-    "agm_general": _fam_agm_general,
-    "zhan": _fam_zhan,
-    "equiv1": _fam_equiv1,
-    "equiv2": _fam_comm_sv,
-    "equiv3": _fam_equiv3,
-    "equiv4": _fam_zhan,
-    "equiv5": _fam_equiv5,
-    "equiv_compact1": _fam_equiv_c1,
-    "equiv_compact2": _fam_equiv_c2,
-    "control_kittaneh": _fam_control_kittaneh,
-    "control_bhatia_kittaneh": _fam_control_bk,
-    "control_strict_gap": _fam_control_gap,
-}
+@dataclass(frozen=True)
+class Verifier:
+    """One member of the paper's inequality family.
 
-THEOREM_IDS = (
-    "tao_positive", "key", "trace_pairing", "commutator_scale", "commutator_sv",
-    "mixed_commutator", "general_commutator", "unitary_conj", "agm_projection",
-    "agm_pair", "agm_compact", "agm_general", "zhan",
-)
+    `check` names the ineq function that judges it; it is looked up on the
+    module at call time, so a wrapped or patched ineq function is the one
+    that runs. `draw(stream, d)` returns the verifier's arguments for one
+    fuzz trial. `files` is the `sspread check` file signature, one letter per
+    matrix file ("H" Hermitian, "G" general complex, a trailing "?" makes the
+    last file optional), or None when the id is fuzzed only; `split` appends
+    the `--split` value to the call. An alias re-runs another id's generator
+    and verifier under the name of one of the equivalent formulations.
+    """
+
+    id: str
+    kind: str  # "theorem", "equivalent" or "control"
+    check: str
+    draw: Callable[[Stream, int], tuple]
+    files: str | None = None
+    split: bool = False
+    alias: str | None = None
+
+
+VERIFIERS = {v.id: v for v in (
+    Verifier("tao_positive", "theorem", "check_tao_positive", _fam_tao, "H", split=True),
+    Verifier("key", "theorem", "check_key", _fam_key, "H", split=True),
+    Verifier("trace_pairing", "theorem", "check_trace_pairing", _fam_trace, "HH"),
+    Verifier("commutator_scale", "theorem", "check_commutator_scale", _fam_herm_pair, "HH"),
+    Verifier("commutator_sv", "theorem", "check_commutator_sv", _fam_herm_pair, "HH"),
+    Verifier("mixed_commutator", "theorem", "check_mixed_commutator", _fam_mixed, "HHG"),
+    Verifier("general_commutator", "theorem", "check_general_commutator", _fam_general_comm, "GGG"),
+    Verifier("unitary_conj", "theorem", "check_unitary_conj", _fam_unitary, "HH"),
+    Verifier("agm_projection", "theorem", "check_agm_projection", _fam_agm_split, "GGH"),
+    Verifier("agm_pair", "theorem", "check_agm_pair", _fam_agm_pair, "HHHH?"),
+    Verifier("agm_compact", "theorem", "check_agm_compact", _fam_agm_split, "GGH"),
+    Verifier("agm_general", "theorem", "check_agm_general", _fam_agm_general, "GGH"),
+    Verifier("zhan", "theorem", "check_zhan", _fam_herm_pair, "HH"),
+    Verifier("equiv1", "equivalent", "check_offdiag_projection", _fam_offdiag, "HG"),
+    Verifier("equiv2", "equivalent", "check_commutator_sv", _fam_herm_pair, alias="commutator_sv"),
+    Verifier("equiv3", "equivalent", "check_mixed_commutator", _fam_mixed, alias="mixed_commutator"),
+    Verifier("equiv4", "equivalent", "check_zhan", _fam_herm_pair, alias="zhan"),
+    Verifier("equiv5", "equivalent", "check_identity_split", _fam_equiv5, "GGH"),
+    Verifier("equiv_compact1", "equivalent", "check_offdiag_compact", _fam_offdiag, "HG"),
+    # not an alias of agm_general: E here is always Hermitian, never drawn positive
+    Verifier("equiv_compact2", "equivalent", "check_agm_general", _fam_equiv_c2),
+    Verifier("control_kittaneh", "control", "control_kittaneh_positive", _fam_control_kittaneh),
+    Verifier("control_bhatia_kittaneh", "control", "control_bhatia_kittaneh", _fam_control_bk),
+    Verifier("control_strict_gap", "control", "control_strict_gap", _fam_control_gap),
+)}
 
 
 def _verdict_margin(v: ineq.Verdict) -> float:
@@ -478,10 +459,15 @@ def fuzz(ineq_id: str, trials: int = 500, dims: tuple[int, int] = (2, 8),
 
     Trial t uses the child seed derive_seed(seed, t); worst_margin is the
     smallest judged margin seen, worst_seed the child seed that produced it.
+    Every family needs d >= 2: a lower bound of 1 is raised to 2, and a
+    range with no d >= 2 raises ValueError.
     """
-    if ineq_id not in FAMILIES:
+    if ineq_id not in VERIFIERS:
         raise UnknownInequality(f"no fuzz family for {ineq_id!r}")
-    fam = FAMILIES[ineq_id]
+    if dims[1] < max(2, dims[0]):
+        raise ValueError(f"fuzz needs a dimension range containing d >= 2, got {dims}")
+    entry = VERIFIERS[ineq_id]
+    verify = getattr(ineq, entry.check)
     t0 = time.perf_counter()
     failures = 0
     worst = math.inf
@@ -490,7 +476,7 @@ def fuzz(ineq_id: str, trials: int = 500, dims: tuple[int, int] = (2, 8),
         ts = derive_seed(seed, t)
         stream = Stream(ts)
         d = _dim2(stream, dims)
-        v = fam(stream, d)
+        v = verify(*entry.draw(stream, d))
         if not v.holds:
             failures += 1
         m = _verdict_margin(v)

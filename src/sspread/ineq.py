@@ -78,26 +78,25 @@ def _spr(m: np.ndarray, k: int | None = None) -> SpreadSeq:
     return spread_plus(_compact_scale(m, k))
 
 
-def _require_positive(m, what: str) -> np.ndarray:
-    h = linalg.as_hermitian(m)
-    if not _is_positive(h):
-        raise NotPositive(f"{what} has eigenvalue {_eigh(h).values[-1]:.3e}")
-    return h
+def _positive_eigh(m: np.ndarray, fail: str | None = None):
+    """Eigenpair of a Hermitian matrix that passes the positivity gate.
 
-
-def _is_positive(m: np.ndarray) -> bool:
-    w = _eigh(m).values
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    return not w.size or float(w[-1]) >= -POS_GATE * scale
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    m passes when its smallest eigenvalue is at least -POS_GATE * max(1, max|w|).
+    A failing m gives None, or raises NotPositive(fail.format(smallest
+    eigenvalue)) when a message template is given.
+    """
     w, v = _eigh(m)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    if w.size and float(w[-1]) < -POS_GATE * scale:
-        raise NotPositive(f"square root of a non-positive matrix ({w[-1]:.3e})")
-    r = np.sqrt(np.clip(w, 0.0, None))
-    return v @ np.diag(r) @ v.conj().T
+    if not w.size or float(w[-1]) >= -POS_GATE * scale:
+        return w, v
+    if fail is None:
+        return None
+    raise NotPositive(fail.format(w[-1]))
+
+
+def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Square root of a gated positive matrix from its eigenpair."""
+    return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
 def _entry_tol(rhs: np.ndarray) -> float:
@@ -111,7 +110,8 @@ def check_tao_positive(f, split: int | None = None) -> Verdict:
     checks 2 s_i(B) <= s_i(F) for every i up to the number of singular
     values of B.
     """
-    fm = _require_positive(f, "F")
+    fm = linalg.as_hermitian(f)
+    sf, _ = _positive_eigh(fm, "F has eigenvalue {:.3e}")
     d = fm.shape[0]
     if split is None:
         split = d // 2
@@ -119,7 +119,6 @@ def check_tao_positive(f, split: int | None = None) -> Verdict:
         raise DimMismatch(f"split {split} does not cut a {d}x{d} matrix")
     b = fm[:split, split:]
     sb = _sv_array(b)
-    sf = _eigh(fm).values
     margins = sf[: len(sb)] - 2.0 * sb
     ok = bool(len(margins) == 0 or float(np.min(margins)) >= -_entry_tol(sf))
     return Verdict(
@@ -395,8 +394,10 @@ def check_agm_pair(s, c, e1, e2=None) -> Verdict:
     s(Re(SEC)) weakly below s(E)/2 is evaluated as well, along with the
     identity spread(E oplus -E) = 2 s(E) it rests on.
     """
-    sm = _require_positive(s, "S")
-    cm = _require_positive(c, "C")
+    sm = linalg.as_hermitian(s)
+    _positive_eigh(sm, "S has eigenvalue {:.3e}")
+    cm = linalg.as_hermitian(c)
+    _positive_eigh(cm, "C has eigenvalue {:.3e}")
     p = _require_splitting(sm, cm)
     same = e2 is None
     e1m = linalg.as_hermitian(e1)
@@ -457,7 +458,7 @@ def check_agm_compact(s, c, e) -> Verdict:
     fro_lhs = schatten(_sv_array(sec), 2)
     compact_bound = 0.5 * schatten(rhs, 2)
     identity_bound = 0.5 * schatten(_sv_array(em), 2)
-    e_positive = _is_positive(em)
+    e_positive = _positive_eigh(em) is not None
     extras = {
         "compression_monotone": sub_ok,
         "fro": {
@@ -501,7 +502,7 @@ def check_agm_general(a, b, e) -> Verdict:
     if am.shape != (d, d) or bm.shape != (d, d):
         raise DimMismatch("A, B, E must share one square dimension")
     f2 = am.conj().T @ am + bm.conj().T @ bm
-    froot = _psd_sqrt(f2)
+    froot = _psd_root(*_positive_eigh(f2, "square root of a non-positive matrix ({:.3e})"))
     g = froot @ em @ froot
     gh = linalg.as_hermitian(g, tol=1e-8)
     aeb = am @ em @ bm.conj().T
@@ -517,8 +518,9 @@ def check_agm_general(a, b, e) -> Verdict:
     e_ok = bool(float(np.min(margins)) >= -_entry_tol(spr_g)) if len(margins) else True
     ok = rep.holds and rep0.holds
     extras = {"zero_block_holds": rep0.holds}
-    if _is_positive(em):
-        eroot = _psd_sqrt(em)
+    e_eig = _positive_eigh(em)
+    if e_eig is not None:
+        eroot = _psd_root(*e_eig)
         cross = submajorizes(
             _scale_seq(_svd_values(aeb, horizon=k), 2.0),
             _svd_values(eroot @ f2 @ eroot, horizon=k),
@@ -617,8 +619,10 @@ def check_identity_split(s, c, e) -> Verdict:
 
 def control_kittaneh_positive(c, d, x) -> Verdict:
     """Entrywise s_i(CX - XD) <= ||X|| s_i(C oplus D) for positive C, D."""
-    cm = _require_positive(c, "C")
-    dm = _require_positive(d, "D")
+    cm = linalg.as_hermitian(c)
+    _positive_eigh(cm, "C has eigenvalue {:.3e}")
+    dm = linalg.as_hermitian(d)
+    _positive_eigh(dm, "D has eigenvalue {:.3e}")
     xm = linalg.as_cmatrix(x)
     if xm.shape != (cm.shape[0], dm.shape[0]):
         raise DimMismatch(f"X is {xm.shape}, expected {(cm.shape[0], dm.shape[0])}")
@@ -665,38 +669,3 @@ def control_strict_gap(e) -> Verdict:
         witness=_digest(em), mode="compact",
         extras={"fro": fro, "g2_spread": g2, "margin": margin},
     )
-
-
-EQUIV_IDS = (
-    "equiv1", "equiv2", "equiv3", "equiv4", "equiv5",
-    "equiv_compact1", "equiv_compact2",
-)
-
-
-def equivalence_suite(seed: int, trials: int = 200, dims: tuple[int, int] = (2, 8)) -> list[Verdict]:
-    """Fuzz each member of the equivalent-inequalities family independently.
-
-    Returns one aggregated Verdict per family, in EQUIV_IDS order; a family
-    holds when every trial holds.
-    """
-    from . import harness
-
-    out = []
-    for fam in EQUIV_IDS:
-        summary = harness.fuzz(fam, trials=trials, dims=dims, seed=seed)
-        out.append(
-            Verdict(
-                ineq_id=fam,
-                holds=summary.failures == 0,
-                report=None,
-                witness=_digest(np.array([[seed, trials]], dtype=float)),
-                mode="matrix" if fam == "equiv1" else "compact",
-                extras={
-                    "trials": summary.trials,
-                    "failures": summary.failures,
-                    "worst_margin": summary.worst_margin,
-                    "worst_seed": summary.worst_seed,
-                },
-            )
-        )
-    return out

@@ -5,19 +5,21 @@ print. Every tolerance here is pinned; loosening one is a release decision,
 not a test fix.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from sspread import ineq
+import sspread
 from sspread import harness
-from sspread.harness import EXAMPLE_IDS, PROPERTIES, fuzz, property_suite, repro
+from sspread.harness import EXAMPLE_IDS, PROPERTIES, VERIFIERS, fuzz, property_suite, repro
 from sspread.rng import Stream, derive_seed
 
 SEED = 1
-FUZZ_IDS = list(harness.THEOREM_IDS) + list(ineq.EQUIV_IDS)
+FUZZ_IDS = [v.id for v in VERIFIERS.values() if v.kind in ("theorem", "equivalent")]
 
 
 def _line(tag: str, ok: bool, detail: str = ""):
@@ -89,6 +91,7 @@ def test_criterion_4_controls():
         "control_strict_gap": fuzz("control_strict_gap", trials=200,
                                    dims=(2, 8), seed=SEED),
     }
+    assert set(results) == {v.id for v in VERIFIERS.values() if v.kind == "control"}
     bad = {k: v.failures for k, v in results.items() if v.failures}
     _line("criterion 4: entrywise controls (500+500) and strict gap (200)",
           not bad, f"failures={bad or 'none'}")
@@ -97,8 +100,12 @@ def test_criterion_4_controls():
 
 def test_criterion_5_suite_determinism():
     cmd = [sys.executable, "-m", "sspread", "suite", "--seed", "1", "--json"]
-    r1 = subprocess.run(cmd, capture_output=True, timeout=300)
-    r2 = subprocess.run(cmd, capture_output=True, timeout=300)
+    # the child imports the package under test, installed or not
+    src = str(Path(sspread.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    r1 = subprocess.run(cmd, capture_output=True, timeout=300, env=env)
+    r2 = subprocess.run(cmd, capture_output=True, timeout=300, env=env)
     ok = r1.returncode == 0 and r2.returncode == 0 and r1.stdout == r2.stdout
     _line("criterion 5: suite --seed 1 twice, byte-identical JSON", ok,
           f"{len(r1.stdout)} bytes")

@@ -1,16 +1,18 @@
 """CLI: file formats, exit codes, JSON stability."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sspread import ParseError, Verdict, cli
-from sspread.harness import EXAMPLE_IDS, GenSpec, fixture_matrices, generate
+from sspread.harness import EXAMPLE_IDS, VERIFIERS, GenSpec, fixture_matrices, generate
 from sspread.spectra import DiagSpec
 
-FIX = str(Path(__file__).resolve().parent.parent / "fixtures")
+ROOT = Path(__file__).resolve().parent.parent
+FIX = str(ROOT / "fixtures")
 
 
 def run(capsys, *argv):
@@ -189,6 +191,23 @@ def test_check_optional_fourth_file(capsys, tmp_path):
     # agm_pair accepts 3 or 4 files
     code, _, err = run(capsys, "check", "agm_pair", f"{FIX}/kittaneh_fail_A.txt")
     assert code == 2
+    assert "3 or 4 matrix files" in err
+    t = np.array([0.3, 1.1])
+    files = []
+    for name, m in (("S", np.diag(np.sin(t))), ("C", np.diag(np.cos(t))),
+                    ("E1", np.array([[1.0, 2.0], [2.0, -1.0]])),
+                    ("E2", np.array([[0.0, 1.0], [1.0, 3.0]]))):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(cli.write_matrix_text(m))
+        files.append(str(path))
+    for n in (3, 4):
+        code, out, err = run(capsys, "check", "agm_pair", *files[:n], "--json")
+        assert code == 0, err
+        rep = json.loads(out)["check"]
+        assert rep["holds"] is True
+        # the corollary extras are evaluated only when E2 is omitted
+        assert ("coro_holds" in rep["extras"]) == (n == 3)
+    assert run(capsys, "check", "agm_pair", files[0], files[1])[0] == 2
 
 
 def test_exit_codes_parse_and_mode_and_unknown(capsys, tmp_path):
@@ -207,16 +226,52 @@ def test_exit_codes_parse_and_mode_and_unknown(capsys, tmp_path):
 
 
 def test_exit_code_fails_path(capsys, monkeypatch):
-    # judged-false plumbing: patch in a verifier that always rejects
-    def reject(ms, a):
+    # judged-false plumbing: patch in a verifier that always rejects; the CLI
+    # looks the verifier up on sspread.ineq at call time
+    def reject(e, f):
         return Verdict(ineq_id="zhan", holds=False, report=None,
                        witness="0" * 64, mode="matrix")
 
-    monkeypatch.setitem(cli.CHECKS, "zhan", ("HH", reject))
+    monkeypatch.setattr("sspread.ineq.check_zhan", reject)
     code, out, _ = run(capsys, "check", "zhan", f"{FIX}/kittaneh_fail_A.txt",
                        f"{FIX}/kittaneh_fail_B.txt")
     assert code == 1
     assert "FAILS" in out
+
+
+@pytest.mark.parametrize("ineq_id", [v.id for v in VERIFIERS.values() if v.files])
+def test_check_without_files_exit_two(capsys, ineq_id):
+    code, out, err = run(capsys, "check", ineq_id)
+    assert code == 2
+    assert out == "" and "matrix files" in err
+
+
+@pytest.mark.parametrize("ineq_id", [v.id for v in VERIFIERS.values() if v.files is None])
+def test_check_fuzz_only_id_exit_four(capsys, ineq_id):
+    code, out, err = run(capsys, "check", ineq_id, f"{FIX}/kittaneh_fail_A.txt")
+    assert code == 4
+    assert out == "" and ineq_id in err
+
+
+def test_readme_id_table_matches_registry():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| ([^|]+) \|$", text, flags=re.M)
+    table = {}
+    for ident, cls, files in rows:
+        alias = re.search(r"alias of `(\w+)`", cls)
+        shape = None
+        if files.strip() != "fuzz only":
+            # one token per file, an optional one in brackets; "(`--split N`)" is no file
+            toks = re.sub(r"\(.*?\)", "", files).split()
+            shape = len(toks), any(t.startswith("[") for t in toks), "--split" in files
+        table[ident] = (cls.split()[0].rstrip(","), alias and alias.group(1), shape)
+    registry = {
+        v.id: (v.kind, v.alias,
+               None if v.files is None
+               else (len(v.files.rstrip("?")), v.files.endswith("?"), v.split))
+        for v in VERIFIERS.values()
+    }
+    assert table == registry
 
 
 def test_repro_exit_codes(capsys):
@@ -250,6 +305,22 @@ def test_dims_parse_errors(capsys):
     assert run(capsys, "fuzz", "zhan", "--dims", "46")[0] == 2
     assert run(capsys, "fuzz", "zhan", "--dims", "4..2")[0] == 2
     assert run(capsys, "fuzz", "zhan", "--dims", "a..b")[0] == 2
+
+
+def test_fuzz_dims_without_d2_exit_two(capsys):
+    code, out, err = run(capsys, "fuzz", "zhan", "--dims", "1..1", "--json")
+    assert code == 2
+    assert out == "" and "dimension 2" in err
+
+
+def test_suite_dims_without_d2_exit_two(capsys, monkeypatch):
+    def no_work(*a, **k):
+        raise AssertionError("suite started work on an invalid --dims")
+
+    monkeypatch.setattr(cli.harness, "repro", no_work)
+    code, out, err = run(capsys, "suite", "--dims", "1..1", "--json")
+    assert code == 2
+    assert out == "" and "dimension 2" in err
 
 
 def test_trials_below_one_exit_two(capsys):

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from sspread import UnknownExample, UnknownInequality, UnknownKind
+from sspread import UnknownExample, UnknownInequality, UnknownKind, ineq
 from sspread.harness import (
     EXAMPLE_IDS,
-    FAMILIES,
+    VERIFIERS,
     GenSpec,
-    THEOREM_IDS,
     _dim2,
     _partition,
     fixture_matrices,
@@ -106,7 +105,7 @@ def test_fuzz_worst_seed_replays():
     summary = fuzz("key", trials=30, dims=(2, 6), seed=3)
     stream = Stream(summary.worst_seed)
     d = _dim2(stream, (2, 6))
-    v = FAMILIES["key"](stream, d)
+    v = ineq.check_key(*VERIFIERS["key"].draw(stream, d))
     assert v.report.min_margin() == pytest.approx(summary.worst_margin, rel=1e-12)
 
 
@@ -136,10 +135,26 @@ def test_fuzz_unknown_family():
 
 
 def test_fuzz_covers_all_declared_families():
-    for fam in THEOREM_IDS:
-        assert fam in FAMILIES
-    s = fuzz("control_strict_gap", trials=15, dims=(2, 5), seed=2)
-    assert s.failures == 0
+    bad = {}
+    for fam in VERIFIERS:
+        s = fuzz(fam, trials=2, dims=(2, 4), seed=2)
+        if s.trials != 2 or s.failures:
+            bad[fam] = s
+    assert not bad, bad
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (0, 1), (5, 4)])
+def test_fuzz_rejects_dims_without_d2(dims):
+    # checked before the first trial, so even an empty campaign is refused
+    for trials in (0, 1):
+        with pytest.raises(ValueError, match="d >= 2"):
+            fuzz("zhan", trials=trials, dims=dims)
+
+
+def test_fuzz_raises_lower_bound_one_to_two():
+    s1 = fuzz("zhan", trials=20, dims=(1, 2), seed=5)
+    s2 = fuzz("zhan", trials=20, dims=(2, 2), seed=5)
+    assert (s1.worst_margin, s1.worst_seed) == (s2.worst_margin, s2.worst_seed)
 
 
 def test_property_suite_structure_and_determinism():
@@ -154,3 +169,26 @@ def test_property_suite_structure_and_determinism():
     for p in rep1["properties"]:
         assert p["holds"], p
         assert p["detail"] is None
+
+
+def test_registry_holds_the_paper_family():
+    kinds = [v.kind for v in VERIFIERS.values()]
+    assert len(VERIFIERS) == 23
+    assert (kinds.count("theorem"), kinds.count("equivalent"), kinds.count("control")) == (13, 7, 3)
+    # theorems first, then equivalents, then controls: the suite reports in this order
+    assert kinds == sorted(kinds, key=("theorem", "equivalent", "control").index)
+    for v in VERIFIERS.values():
+        assert callable(getattr(ineq, v.check)), v.id
+        assert v.files is None or v.files.rstrip("?") and set(v.files.rstrip("?")) <= {"H", "G"}
+        assert not (v.split and v.files is None), v.id
+
+
+def test_aliases_rerun_their_target():
+    aliases = {v.id: v.alias for v in VERIFIERS.values() if v.alias}
+    assert aliases == {"equiv2": "commutator_sv", "equiv3": "mixed_commutator", "equiv4": "zhan"}
+    for fam, target in aliases.items():
+        a, t = VERIFIERS[fam], VERIFIERS[target]
+        assert (a.check, a.draw, a.kind, a.files) == (t.check, t.draw, "equivalent", None)
+        sa = fuzz(fam, trials=30, seed=7)
+        st = fuzz(target, trials=30, seed=7)
+        assert (sa.failures, sa.worst_margin, sa.worst_seed) == (st.failures, st.worst_margin, st.worst_seed)

@@ -15,6 +15,7 @@ from sspread import (
     offdiag_embed,
 )
 from sspread import ineq
+from sspread import eigh as linalg_eigh
 from sspread import sv_array as linalg_sv
 from sspread.harness import GenSpec, fixture_matrices, generate, _partition
 from sspread.rng import Stream
@@ -47,8 +48,39 @@ def test_tao_positive_random_psd():
 
 
 def test_tao_positive_rejects_indefinite():
-    with pytest.raises(NotPositive):
+    with pytest.raises(NotPositive, match=r"^F has eigenvalue -1\.000e\+00$"):
         ineq.check_tao_positive(np.diag([1.0, -1.0]))
+
+
+def test_positive_gate():
+    w, v = ineq._positive_eigh(_pos(4, 3))
+    ref = linalg_eigh(_pos(4, 3))
+    assert np.array_equal(w, ref.values) and np.array_equal(v, ref.vectors)
+    # the gate is relative: -POS_GATE * max(1, max|w|) still passes
+    edge = np.diag([100.0, -0.9 * ineq.POS_GATE * 100.0])
+    assert ineq._positive_eigh(edge) is not None
+    assert ineq._positive_eigh(np.diag([100.0, -2.0 * ineq.POS_GATE * 100.0])) is None
+    with pytest.raises(NotPositive, match=r"^root \(-2\.000e-08\)$"):
+        ineq._positive_eigh(np.diag([100.0, -2e-8]), "root ({:.3e})")
+
+
+def test_positive_gate_one_eigh_per_matrix(monkeypatch):
+    # the gate hands its eigenpair on: no verifier decomposes one matrix twice
+    seen = []
+    real = ineq._eigh
+
+    def counting(m):
+        seen.append(np.array(m, copy=True))
+        return real(m)
+
+    monkeypatch.setattr(ineq, "_eigh", counting)
+    f = _pos(4, 5)
+    ineq.check_tao_positive(f, split=2)
+    assert sum(np.array_equal(m, f) for m in seen) == 1
+    e = _pos(3, 6)
+    v = ineq.check_agm_general(_gen(3, 7), _gen(3, 8), e)
+    assert "positive_cross_holds" in v.extras
+    assert sum(np.array_equal(m, e) for m in seen) == 1
 
 
 def test_tao_positive_bad_split():
@@ -230,7 +262,7 @@ def test_douglas_agm_factor():
     # A*A <= F^2 = A*A + B*B puts range(A*) inside range(F), so A* = F W
     a, b = _gen(3, 11), _gen(3, 12)
     f2 = a.conj().T @ a + b.conj().T @ b
-    froot = ineq._psd_sqrt(f2)
+    froot = ineq._psd_root(*ineq._positive_eigh(f2, "F^2 has eigenvalue {:.3e}"))
     w = douglas_factorize(a.conj().T, froot)
     assert np.allclose(froot @ w, a.conj().T, atol=1e-8)
     assert np.max(linalg_sv(w)) <= 1.0 + 1e-8  # the quotient is a contraction
@@ -276,8 +308,10 @@ def test_agm_pair_two_operators():
 
 
 def test_agm_pair_requires_positive_halves():
-    with pytest.raises(NotPositive):
+    with pytest.raises(NotPositive, match=r"^S has eigenvalue -1\.000e\+00$"):
         ineq.check_agm_pair(-np.eye(2), np.zeros((2, 2)), np.eye(2))
+    with pytest.raises(NotPositive, match=r"^C has eigenvalue -2\.000e\+00$"):
+        ineq.check_agm_pair(np.zeros((2, 2)), -2.0 * np.eye(2), np.eye(2))
 
 
 def test_agm_compact_fixture_dual_verdict():
@@ -393,8 +427,10 @@ def test_control_kittaneh_positive_random():
 
 
 def test_control_kittaneh_rejects_indefinite():
-    with pytest.raises(NotPositive):
+    with pytest.raises(NotPositive, match=r"^C has eigenvalue -1\.000e\+00$"):
         ineq.control_kittaneh_positive(np.diag([1.0, -1.0]), np.eye(2), np.eye(2))
+    with pytest.raises(NotPositive, match=r"^D has eigenvalue -3\.000e\+00$"):
+        ineq.control_kittaneh_positive(np.eye(2), np.diag([1.0, -3.0]), np.eye(2))
 
 
 def test_control_bhatia_kittaneh_equality():
@@ -422,16 +458,7 @@ def test_control_strict_gap_requires_indefinite():
         ineq.control_strict_gap(np.diag([-1.0, -2.0]))
 
 
-# -- aggregation and witnesses -------------------------------------------------
-
-def test_equivalence_suite_small_run():
-    verdicts = ineq.equivalence_suite(seed=5, trials=10, dims=(2, 4))
-    assert [v.ineq_id for v in verdicts] == list(ineq.EQUIV_IDS)
-    for v in verdicts:
-        assert v.holds
-        assert v.extras["trials"] == 10
-        assert v.extras["failures"] == 0
-
+# -- witnesses -----------------------------------------------------------------
 
 def test_witness_digest_is_input_keyed():
     a, b = _herm(3, 1), _herm(3, 2)
