@@ -367,6 +367,8 @@ def cmd_check(args) -> tuple[dict, int]:
     sig = entry.files
     if sig is None:
         raise UnknownInequality(f"{args.ineq_id} has no check form; run it with fuzz")
+    if args.split is not None and not entry.split:
+        raise ParseError(f"{args.ineq_id} takes no --split")
     required = len(sig.rstrip("?"))
     optional = sig.endswith("?")
     lo = required if not optional else required - 1

@@ -332,7 +332,7 @@ def _fam_general_comm(stream: Stream, d: int):
 def _fam_unitary(stream: Stream, d: int):
     a = _hermitian(stream, d)
     x = _hermitian(stream, d)
-    nrm = linalg.opnorm(x)
+    nrm = float(linalg._sv_array(x)[0])
     if nrm > 0:
         x = x * (math.pi * stream.uniform() / nrm)
     return a, x
@@ -912,7 +912,12 @@ PROPERTIES = {
 
 
 def property_suite(seed: int, trials: int = 500, dims: tuple[int, int] = (2, 8)) -> dict:
-    """Run every module-level property `trials` times; report per-property."""
+    """Run every module-level property `trials` times; report per-property.
+
+    Like fuzz, a dimension range with no d >= 2 raises ValueError.
+    """
+    if dims[1] < max(2, dims[0]):
+        raise ValueError(f"property_suite needs a dimension range containing d >= 2, got {dims}")
     results = []
     for idx, (name, fn) in enumerate(sorted(PROPERTIES.items())):
         base = derive_seed(seed, idx)

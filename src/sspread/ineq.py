@@ -29,9 +29,9 @@ from .errors import (
     NotProjectionSum,
     RangeNotContained,
 )
-from .linalg import _direct_sum, _eigh, _sv_array, _svd_values, _unitary_exp
+from .linalg import EigenPair, _eigh, _sv_array, _svd_values, _unitary_exp
 from .major import gauge, maj_tol, schatten, seq_product, submajorizes
-from .spectra import SpreadSeq, _compact_scale, _presorted, matrix_scale, spread_plus
+from .spectra import SpreadSeq, _compact_scale, _eig_scale, _presorted, matrix_scale, spread_plus
 
 POS_GATE = 1e-10
 DOUGLAS_TOL = 1e-8
@@ -78,14 +78,25 @@ def _spr(m: np.ndarray, k: int | None = None) -> SpreadSeq:
     return spread_plus(_compact_scale(m, k))
 
 
-def _positive_eigh(m: np.ndarray, fail: str | None = None):
+def _spr_sum(*eigs: np.ndarray, k: int | None = None) -> SpreadSeq:
+    """Compact-model spread of the direct sum of blocks with these eigenvalues.
+
+    A block-diagonal matrix has the union of its blocks' spectra, so no block
+    matrix is built or decomposed. A zero block adds only zeros, which the
+    compact model drops: its size enters through the horizon k alone.
+    """
+    return spread_plus(_eig_scale(np.sort(np.concatenate(eigs))[::-1], k))
+
+
+def _positive_eigh(m, fail: str | None = None):
     """Eigenpair of a Hermitian matrix that passes the positivity gate.
 
-    m passes when its smallest eigenvalue is at least -POS_GATE * max(1, max|w|).
-    A failing m gives None, or raises NotPositive(fail.format(smallest
-    eigenvalue)) when a message template is given.
+    m is the matrix or its EigenPair. It passes when its smallest eigenvalue
+    is at least -POS_GATE * max(1, max|w|). A failing m gives None, or raises
+    NotPositive(fail.format(smallest eigenvalue)) when a message template is
+    given.
     """
-    w, v = _eigh(m)
+    w, v = m if isinstance(m, EigenPair) else _eigh(m)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     if not w.size or float(w[-1]) >= -POS_GATE * scale:
         return w, v
@@ -158,12 +169,12 @@ def check_trace_pairing(a, b) -> Verdict:
         raise DimMismatch(f"shapes {am.shape} and {bm.shape} differ")
     d = am.shape[0]
     lhs = float(np.trace(am @ bm).real)
-    sa = _compact_scale(am, 2 * d)
+    wa = _eigh(am).values
+    sa = _eig_scale(wa, 2 * d)
     sb = _compact_scale(bm, 2 * d)
     rhs = float(np.dot(sa.pos, sb.pos) + np.dot(sa.neg, sb.neg))
     margin = rhs - lhs
     tol = 1e-9 * max(1.0, abs(rhs), abs(lhs))
-    wa = _eigh(am).values
     cutoff = 1e-10 * max(1.0, float(np.max(np.abs(wa))))
     rank = int(np.sum(np.abs(wa) > cutoff))
     return Verdict(
@@ -200,10 +211,8 @@ def check_commutator_sv(a, x) -> Verdict:
         raise DimMismatch(f"shapes {am.shape} and {xm.shape} differ")
     d = am.shape[0]
     lhs = _svd_values(am @ xm - xm @ am, horizon=4 * d)
-    rhs = _scale_seq(
-        seq_product(_spr(_direct_sum(am, am)), _spr(_direct_sum(xm, xm))),
-        0.5,
-    )
+    wa, wx = _eigh(am).values, _eigh(xm).values
+    rhs = _scale_seq(seq_product(_spr_sum(wa, wa), _spr_sum(wx, wx)), 0.5)
     rep = submajorizes(lhs, rhs)
     norms = {}
     ok = rep.holds
@@ -233,8 +242,10 @@ def check_mixed_commutator(a, b, x) -> Verdict:
         raise DimMismatch(f"X is {xm.shape}, expected {(m, n)}")
     k = 2 * (m + n)
     lhs_vals = _sv_array(am @ xm - xm @ bm)
-    lhs = _svd_values(am @ xm - xm @ bm, horizon=k)
-    rhs = seq_product(_spr(_direct_sum(am, bm)), _svd_values(xm, horizon=k))
+    lhs = _svd_values(lhs_vals, horizon=k)
+    rhs = seq_product(
+        _spr_sum(_eigh(am).values, _eigh(bm).values), _svd_values(xm, horizon=k)
+    )
     rep = submajorizes(lhs, rhs)
     q = len(lhs_vals)
     margins = rhs.values[:q] - lhs_vals
@@ -270,18 +281,16 @@ def check_general_commutator(a, b, x) -> Verdict:
         raise DimMismatch(f"X is {xm.shape}, expected {(m, n)}")
     k = 2 * (m + n)
     lhs = _svd_values(am @ xm - xm @ bm, horizon=k)
-    spread_sum = _add_seq(
-        _spr(_direct_sum(a1, b1)), _spr(_direct_sum(a2, b2))
-    )
-    rhs = seq_product(spread_sum, _svd_values(xm, horizon=k))
-    rep = submajorizes(lhs, rhs)
     w_a1, w_b1 = _eigh(a1).values, _eigh(b1).values
     w_a2, w_b2 = _eigh(a2).values, _eigh(b2).values
+    spread_sum = _add_seq(_spr_sum(w_a1, w_b1), _spr_sum(w_a2, w_b2))
+    sx = _svd_values(xm)
+    rhs = seq_product(spread_sum, _svd_values(sx.values, horizon=k))
+    rep = submajorizes(lhs, rhs)
     scalar = (
         max(w_a1[0], w_b1[0]) - min(w_a1[-1], w_b1[-1])
         + max(w_a2[0], w_b2[0]) - min(w_a2[-1], w_b2[-1])
     )
-    sx = _svd_values(xm)
     corollary = {}
     ok = rep.holds
     for nid in _NORM_IDS:
@@ -304,12 +313,11 @@ def check_unitary_conj(a, x) -> Verdict:
     if am.shape != xm.shape:
         raise DimMismatch(f"shapes {am.shape} and {xm.shape} differ")
     d = am.shape[0]
-    u = _unitary_exp(xm)
+    wx, vx = _eigh(xm)
+    u = _unitary_exp(wx, vx)
     lhs = _svd_values(am - u.conj().T @ am @ u, horizon=4 * d)
-    rhs = _scale_seq(
-        seq_product(_spr(_direct_sum(xm, xm)), _spr(_direct_sum(am, am))),
-        0.5,
-    )
+    wa = _eigh(am).values
+    rhs = _scale_seq(seq_product(_spr_sum(wx, wx), _spr_sum(wa, wa)), 0.5)
     rep = submajorizes(lhs, rhs)
     return Verdict(
         ineq_id="unitary_conj", holds=rep.holds, report=rep,
@@ -320,7 +328,7 @@ def check_unitary_conj(a, x) -> Verdict:
 def _pinv(b, cutoff: float = PINV_CUTOFF) -> np.ndarray:
     """Spectral pseudoinverse at a relative singular-value cutoff."""
     m = linalg.as_cmatrix(b)
-    w, v = linalg.eigh(m.conj().T @ m)
+    w, v = _eigh(m.conj().T @ m)
     s = np.sqrt(np.clip(w, 0.0, None))
     smax = float(s[0]) if s.size else 0.0
     keep = s > cutoff * max(smax, 1e-300)
@@ -379,7 +387,7 @@ def check_agm_projection(s, c, e) -> Verdict:
     d = em.shape[0]
     k = 4 * d
     lhs = _scale_seq(_svd_values(sm @ em @ cm.conj().T, horizon=k), 2.0)
-    rhs = _spr(_direct_sum(p @ em @ p, np.zeros((d, d))), k)
+    rhs = _spr(p @ em @ p, k)  # PEP oplus 0
     rep = submajorizes(lhs, rhs)
     return Verdict(
         ineq_id="agm_projection", holds=rep.holds, report=rep,
@@ -407,18 +415,22 @@ def check_agm_pair(s, c, e1, e2=None) -> Verdict:
     d = p.shape[0]
     k = 4 * d
     lhs = _svd_values(sm @ e1m @ cm + cm @ e2m @ sm, horizon=k)
-    rhs = _scale_seq(_spr(_direct_sum(p @ e1m @ p, -(p @ e2m @ p)), k), 0.5)
+    w1 = _eigh(p @ e1m @ p).values
+    w2 = w1 if same else _eigh(p @ e2m @ p).values
+    rhs = _scale_seq(_spr_sum(w1, -w2, k=k), 0.5)
     rep = submajorizes(lhs, rhs)
     ok = rep.holds
     extras = {}
     if same:
         re_sec = (sm @ e1m @ cm + cm @ e1m @ sm) / 2.0
+        se = _sv_array(e1m)
         coro = submajorizes(
             _svd_values(re_sec, horizon=2 * d),
-            _scale_seq(_svd_values(e1m, horizon=2 * d), 0.5),
+            _scale_seq(_svd_values(se, horizon=2 * d), 0.5),
         )
-        spr_pair = _spr(_direct_sum(e1m, -e1m), 4 * d)
-        doubled = _scale_seq(_svd_values(e1m, horizon=4 * d), 2.0)
+        we = _eigh(e1m).values
+        spr_pair = _spr_sum(we, -we, k=4 * d)
+        doubled = _scale_seq(_svd_values(se, horizon=4 * d), 2.0)
         defect = float(np.max(np.abs(spr_pair.values - doubled.values)))
         id_ok = bool(defect <= 1e-9 * max(1.0, float(np.max(doubled.values, initial=0.0))))
         extras = {
@@ -448,17 +460,19 @@ def check_agm_compact(s, c, e) -> Verdict:
         raise DimMismatch(f"shapes {p.shape} and {em.shape} differ")
     d = em.shape[0]
     k = 2 * d
-    sec = sm @ em @ cm.conj().T
-    lhs = _scale_seq(_svd_values(sec, horizon=k), 2.0)
-    rhs = _spr(em, k)
+    s_sec = _sv_array(sm @ em @ cm.conj().T)
+    s_e = _sv_array(em)
+    e_eig = _eigh(em)
+    lhs = _scale_seq(_svd_values(s_sec, horizon=k), 2.0)
+    rhs = _spr_sum(e_eig.values, k=k)
     rep = submajorizes(lhs, rhs)
     spr_pep = _spr(p @ em @ p, k)
     margins = rhs.values - spr_pep.values
     sub_ok = bool(float(np.min(margins)) >= -_entry_tol(rhs.values)) if len(margins) else True
-    fro_lhs = schatten(_sv_array(sec), 2)
+    fro_lhs = schatten(s_sec, 2)
     compact_bound = 0.5 * schatten(rhs, 2)
-    identity_bound = 0.5 * schatten(_sv_array(em), 2)
-    e_positive = _positive_eigh(em) is not None
+    identity_bound = 0.5 * schatten(s_e, 2)
+    e_positive = _positive_eigh(e_eig) is not None
     extras = {
         "compression_monotone": sub_ok,
         "fro": {
@@ -474,8 +488,8 @@ def check_agm_compact(s, c, e) -> Verdict:
     if e_positive:
         pos_norms = {}
         for nid in _NORM_IDS:
-            lv = gauge(_svd_values(sec), nid)
-            bv = 0.5 * gauge(_svd_values(em), nid)
+            lv = gauge(_svd_values(s_sec), nid)
+            bv = 0.5 * gauge(_svd_values(s_e), nid)
             good = bool(lv <= bv + 1e-9 * max(1.0, bv))
             pos_norms[nid] = {"lhs": lv, "bound": bv, "ok": good}
             ok = ok and good
@@ -490,10 +504,13 @@ def check_agm_compact(s, c, e) -> Verdict:
 def check_agm_general(a, b, e) -> Verdict:
     """s(AEB*) vs half the spread of F^(1/2) E F^(1/2), F = A*A + B*B.
 
-    Verified in the compact model and again with an explicit appended zero
-    block; the entrywise comparison is recorded because it fails on the
-    documented 3x3 fixture. For positive E the equivalent formulation
-    2 s(AEB*) weakly below s(E^(1/2) F E^(1/2)) is cross-checked.
+    Verified in the compact model and again with a zero block appended. The
+    spectrum of G oplus 0 is G's plus zeros, so that second spread comes
+    from G's eigenvalues at the doubled horizon; the property suite checks
+    the union on explicit block matrices. The entrywise comparison is
+    recorded because it fails on the documented 3x3 fixture. For positive E
+    the equivalent formulation 2 s(AEB*) weakly below s(E^(1/2) F E^(1/2))
+    is cross-checked.
     """
     am = linalg.as_cmatrix(a)
     bm = linalg.as_cmatrix(b)
@@ -505,24 +522,24 @@ def check_agm_general(a, b, e) -> Verdict:
     froot = _psd_root(*_positive_eigh(f2, "square root of a non-positive matrix ({:.3e})"))
     g = froot @ em @ froot
     gh = linalg.as_hermitian(g, tol=1e-8)
-    aeb = am @ em @ bm.conj().T
+    s_aeb = _sv_array(am @ em @ bm.conj().T)
+    wg = _eigh(gh).values
     k = 2 * d
-    lhs = _svd_values(aeb, horizon=k)
-    rhs = _scale_seq(_spr(gh, k), 0.5)
+    lhs = _svd_values(s_aeb, horizon=k)
+    spr_g = _spr_sum(wg, k=k)
+    rhs = _scale_seq(spr_g, 0.5)
     rep = submajorizes(lhs, rhs)
-    rhs0 = _scale_seq(_spr(_direct_sum(gh, np.zeros((d, d))), 4 * d), 0.5)
-    rep0 = submajorizes(_svd_values(aeb, horizon=4 * d), rhs0)
-    s_aeb = _sv_array(aeb)
-    spr_g = _spr(gh, k).values
-    margins = spr_g[:d] - 2.0 * s_aeb
-    e_ok = bool(float(np.min(margins)) >= -_entry_tol(spr_g)) if len(margins) else True
+    rhs0 = _scale_seq(_spr_sum(wg, k=4 * d), 0.5)  # G oplus 0
+    rep0 = submajorizes(_svd_values(s_aeb, horizon=4 * d), rhs0)
+    margins = spr_g.values[:d] - 2.0 * s_aeb
+    e_ok = bool(float(np.min(margins)) >= -_entry_tol(spr_g.values)) if len(margins) else True
     ok = rep.holds and rep0.holds
     extras = {"zero_block_holds": rep0.holds}
     e_eig = _positive_eigh(em)
     if e_eig is not None:
         eroot = _psd_root(*e_eig)
         cross = submajorizes(
-            _scale_seq(_svd_values(aeb, horizon=k), 2.0),
+            _scale_seq(lhs, 2.0),
             _svd_values(eroot @ f2 @ eroot, horizon=k),
         )
         extras["positive_cross_holds"] = cross.holds
@@ -543,7 +560,7 @@ def check_zhan(e, f) -> Verdict:
     d = em.shape[0]
     k = 4 * d
     lhs = _svd_values(em - fm, horizon=k)
-    rhs = _spr(_direct_sum(em, fm), k)
+    rhs = _spr_sum(_eigh(em).values, _eigh(fm).values, k=k)
     rep = submajorizes(lhs, rhs)
     return Verdict(
         ineq_id="zhan", holds=rep.holds, report=rep,
@@ -609,7 +626,7 @@ def check_identity_split(s, c, e) -> Verdict:
         raise NotProjectionSum("C*C + S*S must equal the identity here")
     k = 4 * d
     lhs = _scale_seq(_svd_values(sm @ em @ cm.conj().T, horizon=k), 2.0)
-    rhs = _spr(_direct_sum(em, np.zeros((d, d))), k)
+    rhs = _spr(em, k)  # E oplus 0
     rep = submajorizes(lhs, rhs)
     return Verdict(
         ineq_id="equiv5", holds=rep.holds, report=rep,
@@ -627,7 +644,9 @@ def control_kittaneh_positive(c, d, x) -> Verdict:
     if xm.shape != (cm.shape[0], dm.shape[0]):
         raise DimMismatch(f"X is {xm.shape}, expected {(cm.shape[0], dm.shape[0])}")
     lhs = _sv_array(cm @ xm - xm @ dm)
-    rhs = linalg.opnorm(xm) * _sv_array(_direct_sum(cm, dm))[: len(lhs)]
+    s_x = _sv_array(xm)
+    s_cd = np.sort(np.concatenate([_sv_array(cm), _sv_array(dm)]))[::-1]  # s(C oplus D)
+    rhs = (float(s_x[0]) if s_x.size else 0.0) * s_cd[: len(lhs)]
     margins = rhs - lhs
     ok = bool(len(margins) == 0 or float(np.min(margins)) >= -_entry_tol(rhs))
     return Verdict(
@@ -661,7 +680,7 @@ def control_strict_gap(e) -> Verdict:
     if not (w.size and w[0] > 0.0 and w[-1] < 0.0):
         raise NotPositive("an indefinite operator (both signs present) is required")
     fro = schatten(_sv_array(em), 2)
-    g2 = schatten(_spr(em), 2)
+    g2 = schatten(_spr_sum(w), 2)
     margin = g2 - fro
     ok = bool(margin > 1e-9 * fro)
     return Verdict(

@@ -139,10 +139,7 @@ def polar(x) -> tuple[np.ndarray, np.ndarray]:
 
 def direct_sum(a, b) -> np.ndarray:
     """Block-diagonal matrix diag(A, B)."""
-    return _direct_sum(as_cmatrix(a), as_cmatrix(b))
-
-
-def _direct_sum(ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
+    ma, mb = as_cmatrix(a), as_cmatrix(b)
     out = np.zeros(
         (ma.shape[0] + mb.shape[0], ma.shape[1] + mb.shape[1]), dtype=np.complex128
     )
@@ -163,11 +160,11 @@ def offdiag_embed(b) -> np.ndarray:
 
 def unitary_exp(x) -> np.ndarray:
     """U = e^{iX} for Hermitian X, via the eigendecomposition of X."""
-    return _unitary_exp(as_hermitian(x))
+    return _unitary_exp(*_eigh(as_hermitian(x)))
 
 
-def _unitary_exp(m: np.ndarray) -> np.ndarray:
-    w, v = _eigh(m)
+def _unitary_exp(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """e^{iX} from the eigenpair (w, v) of a Hermitian X."""
     u = v @ np.diag(np.exp(1j * w)) @ v.conj().T
     d = u.conj().T @ u - np.eye(u.shape[0])
     if float(np.linalg.norm(d)) > 1e-10:
@@ -212,9 +209,10 @@ def svd_values(x, horizon: int | None = None):
 
 
 def _svd_values(m: np.ndarray, horizon: int | None = None):
+    """svd_values of a matrix, or of singular values already computed (1-d m)."""
     from .spectra import SpreadSeq, _presorted
 
-    s = _sv_array(m)
+    s = m if m.ndim == 1 else _sv_array(m)
     if horizon is None:
         horizon = len(s)
     if horizon < len(s):

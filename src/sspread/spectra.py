@@ -221,7 +221,11 @@ def compact_scale(a, k: int | None = None) -> TwoSidedSeq:
 
 def _compact_scale(m: np.ndarray, k: int | None = None) -> TwoSidedSeq:
     """compact_scale of a matrix that is Hermitian by construction or validation."""
-    mu = linalg._eigh(m).values
+    return _eig_scale(linalg._eigh(m).values, k)
+
+
+def _eig_scale(mu: np.ndarray, k: int | None = None) -> TwoSidedSeq:
+    """Compact-model scale from non-increasing eigenvalues mu (horizon 2*len(mu))."""
     d = len(mu)
     if k is None:
         k = 2 * d

@@ -181,6 +181,20 @@ def test_check_split_flag(capsys, tmp_path):
     assert json.loads(out)["check"]["extras"]["split"] == 1
 
 
+def test_check_split_refused_without_split_form(capsys, tmp_path):
+    # --split is out of domain for a verifier that takes no split
+    code, out, err = run(capsys, "check", "zhan", f"{FIX}/kittaneh_fail_A.txt",
+                         f"{FIX}/kittaneh_fail_B.txt", "--split", "7")
+    assert code == 2 and out == ""
+    assert "zhan takes no --split" in err
+    p = tmp_path / "f.txt"
+    p.write_text("dim 2\n2 1\n1 2\n")
+    for ineq_id in ("tao_positive", "key"):
+        code, out, _ = run(capsys, "check", ineq_id, str(p), "--split", "1", "--json")
+        assert code == 0
+        assert json.loads(out)["check"]["extras"]["split"] == 1
+
+
 def test_check_wrong_file_count(capsys):
     code, _, err = run(capsys, "check", "zhan", f"{FIX}/kittaneh_fail_A.txt")
     assert code == 2

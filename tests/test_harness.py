@@ -151,6 +151,13 @@ def test_fuzz_rejects_dims_without_d2(dims):
             fuzz("zhan", trials=trials, dims=dims)
 
 
+@pytest.mark.parametrize("dims", [(1, 1), (0, 1), (5, 4)])
+def test_property_suite_rejects_dims_without_d2(dims):
+    for trials in (0, 1):
+        with pytest.raises(ValueError, match="d >= 2"):
+            property_suite(1, trials=trials, dims=dims)
+
+
 def test_fuzz_raises_lower_bound_one_to_two():
     s1 = fuzz("zhan", trials=20, dims=(1, 2), seed=5)
     s2 = fuzz("zhan", trials=20, dims=(2, 2), seed=5)

@@ -11,13 +11,16 @@ from sspread import (
     NotPositive,
     NotProjectionSum,
     RangeNotContained,
+    compact_scale,
+    direct_sum,
     douglas_factorize,
     offdiag_embed,
+    spread_plus,
 )
-from sspread import ineq
+from sspread import ineq, linalg
 from sspread import eigh as linalg_eigh
 from sspread import sv_array as linalg_sv
-from sspread.harness import GenSpec, fixture_matrices, generate, _partition
+from sspread.harness import VERIFIERS, GenSpec, fixture_matrices, generate, _partition
 from sspread.rng import Stream
 
 
@@ -81,6 +84,64 @@ def test_positive_gate_one_eigh_per_matrix(monkeypatch):
     v = ineq.check_agm_general(_gen(3, 7), _gen(3, 8), e)
     assert "positive_cross_holds" in v.extras
     assert sum(np.array_equal(m, e) for m in seen) == 1
+
+
+@pytest.mark.parametrize("d", [*range(2, 9), *range(32, 65, 8)])
+def test_direct_sum_spread_from_block_spectra(d):
+    # the merged block spectra give the spread of the explicit block matrix
+    a, b = _herm(d, d), _herm(d, d + 100)
+    wa, wb = linalg_eigh(a).values, linalg_eigh(b).values
+    cases = (
+        (a, b, ineq._spr_sum(wa, wb)),
+        (a, a, ineq._spr_sum(wa, wa)),
+        (a, -a, ineq._spr_sum(wa, -wa)),
+        (a, np.zeros((d, d)), ineq._spr_sum(wa, k=4 * d)),
+    )
+    for x, y, got in cases:
+        ref = spread_plus(compact_scale(direct_sum(x, y)))
+        assert len(got) == len(ref) == 4 * d
+        tol = 32 * np.finfo(float).eps * max(linalg_sv(x)[0], linalg_sv(y)[0])
+        assert float(np.max(np.abs(got.values - ref.values))) <= tol
+
+
+def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
+    # every verifier decomposes each matrix at most once per kind (eigh,
+    # SVD), and none decomposes a matrix larger than its largest input
+    seen = {"eigh": [], "svd": []}
+    real = {"eigh": linalg._eigh, "svd": linalg._sv_array}
+
+    def counting(kind):
+        def wrapped(m):
+            seen[kind].append(np.array(m, copy=True))
+            return real[kind](m)
+        return wrapped
+
+    for mod in (linalg, ineq):
+        monkeypatch.setattr(mod, "_eigh", counting("eigh"))
+        monkeypatch.setattr(mod, "_sv_array", counting("svd"))
+    runs = {}
+    for entry in VERIFIERS.values():
+        runs.setdefault(entry.check, [entry.draw(Stream(11), 6)])
+    assert len(runs) == 19
+    # both branches of agm_pair (E2 given or not) and of the positive-E
+    # extras of agm_compact and agm_general
+    s, c, e1, _ = runs["check_agm_pair"][0]
+    runs["check_agm_pair"] += [(s, c, e1, None), (s, c, e1, e1 + np.eye(6))]
+    s, c, _ = runs["check_agm_compact"][0]
+    runs["check_agm_compact"] += [(s, c, _pos(6, 1)), (s, c, _herm(6, 2))]
+    a, b, _ = runs["check_agm_general"][0]
+    runs["check_agm_general"] += [(a, b, _pos(6, 3)), (a, b, _herm(6, 4))]
+    for name, arg_sets in runs.items():
+        for args in arg_sets:
+            start = {kind: len(calls) for kind, calls in seen.items()}
+            getattr(ineq, name)(*args)
+            largest = max(max(np.shape(m)) for m in args if isinstance(m, np.ndarray))
+            for kind, calls in seen.items():
+                mats = calls[start[kind]:]
+                too_large = sum(max(m.shape) > largest for m in mats)
+                repeats = len(mats) - len({(m.shape, m.tobytes()) for m in mats})
+                assert (too_large, repeats) == (0, 0), (name, kind)
+    assert seen["eigh"] and seen["svd"]
 
 
 def test_tao_positive_bad_split():
