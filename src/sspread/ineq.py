@@ -29,9 +29,16 @@ from .errors import (
     NotProjectionSum,
     RangeNotContained,
 )
-from .linalg import EigenPair, _eigh, _sv_array, _svd_values, _unitary_exp
+from .linalg import _eigh, _eigvalsh, _sv_array, _svd_values, _unitary_exp
 from .major import gauge, maj_tol, schatten, seq_product, submajorizes
-from .spectra import SpreadSeq, _compact_scale, _eig_scale, _presorted, matrix_scale, spread_plus
+from .spectra import (
+    SpreadSeq,
+    _compact_scale,
+    _eig_scale,
+    _matrix_spread,
+    _presorted,
+    spread_plus,
+)
 
 POS_GATE = 1e-10
 DOUGLAS_TOL = 1e-8
@@ -88,20 +95,18 @@ def _spr_sum(*eigs: np.ndarray, k: int | None = None) -> SpreadSeq:
     return spread_plus(_eig_scale(np.sort(np.concatenate(eigs))[::-1], k))
 
 
-def _positive_eigh(m, fail: str | None = None):
-    """Eigenpair of a Hermitian matrix that passes the positivity gate.
+def _positive_gate(w: np.ndarray, fail: str | None = None) -> bool:
+    """Positivity gate on the non-increasing eigenvalues w of a Hermitian matrix.
 
-    m is the matrix or its EigenPair. It passes when its smallest eigenvalue
-    is at least -POS_GATE * max(1, max|w|). A failing m gives None, or raises
-    NotPositive(fail.format(smallest eigenvalue)) when a message template is
-    given.
+    w passes when its smallest entry is at least -POS_GATE * max(1, max|w|).
+    A failing w gives False, or raises NotPositive(fail.format(smallest
+    eigenvalue)) when a message template is given.
     """
-    w, v = m if isinstance(m, EigenPair) else _eigh(m)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     if not w.size or float(w[-1]) >= -POS_GATE * scale:
-        return w, v
+        return True
     if fail is None:
-        return None
+        return False
     raise NotPositive(fail.format(w[-1]))
 
 
@@ -122,7 +127,8 @@ def check_tao_positive(f, split: int | None = None) -> Verdict:
     values of B.
     """
     fm = linalg.as_hermitian(f)
-    sf, _ = _positive_eigh(fm, "F has eigenvalue {:.3e}")
+    sf = _eigvalsh(fm)
+    _positive_gate(sf, "F has eigenvalue {:.3e}")
     d = fm.shape[0]
     if split is None:
         split = d // 2
@@ -169,7 +175,7 @@ def check_trace_pairing(a, b) -> Verdict:
         raise DimMismatch(f"shapes {am.shape} and {bm.shape} differ")
     d = am.shape[0]
     lhs = float(np.trace(am @ bm).real)
-    wa = _eigh(am).values
+    wa = _eigvalsh(am)
     sa = _eig_scale(wa, 2 * d)
     sb = _compact_scale(bm, 2 * d)
     rhs = float(np.dot(sa.pos, sb.pos) + np.dot(sa.neg, sb.neg))
@@ -211,7 +217,7 @@ def check_commutator_sv(a, x) -> Verdict:
         raise DimMismatch(f"shapes {am.shape} and {xm.shape} differ")
     d = am.shape[0]
     lhs = _svd_values(am @ xm - xm @ am, horizon=4 * d)
-    wa, wx = _eigh(am).values, _eigh(xm).values
+    wa, wx = _eigvalsh(am), _eigvalsh(xm)
     rhs = _scale_seq(seq_product(_spr_sum(wa, wa), _spr_sum(wx, wx)), 0.5)
     rep = submajorizes(lhs, rhs)
     norms = {}
@@ -244,7 +250,7 @@ def check_mixed_commutator(a, b, x) -> Verdict:
     lhs_vals = _sv_array(am @ xm - xm @ bm)
     lhs = _svd_values(lhs_vals, horizon=k)
     rhs = seq_product(
-        _spr_sum(_eigh(am).values, _eigh(bm).values), _svd_values(xm, horizon=k)
+        _spr_sum(_eigvalsh(am), _eigvalsh(bm)), _svd_values(xm, horizon=k)
     )
     rep = submajorizes(lhs, rhs)
     q = len(lhs_vals)
@@ -281,8 +287,8 @@ def check_general_commutator(a, b, x) -> Verdict:
         raise DimMismatch(f"X is {xm.shape}, expected {(m, n)}")
     k = 2 * (m + n)
     lhs = _svd_values(am @ xm - xm @ bm, horizon=k)
-    w_a1, w_b1 = _eigh(a1).values, _eigh(b1).values
-    w_a2, w_b2 = _eigh(a2).values, _eigh(b2).values
+    w_a1, w_b1 = _eigvalsh(a1), _eigvalsh(b1)
+    w_a2, w_b2 = _eigvalsh(a2), _eigvalsh(b2)
     spread_sum = _add_seq(_spr_sum(w_a1, w_b1), _spr_sum(w_a2, w_b2))
     sx = _svd_values(xm)
     rhs = seq_product(spread_sum, _svd_values(sx.values, horizon=k))
@@ -316,7 +322,7 @@ def check_unitary_conj(a, x) -> Verdict:
     wx, vx = _eigh(xm)
     u = _unitary_exp(wx, vx)
     lhs = _svd_values(am - u.conj().T @ am @ u, horizon=4 * d)
-    wa = _eigh(am).values
+    wa = _eigvalsh(am)
     rhs = _scale_seq(seq_product(_spr_sum(wx, wx), _spr_sum(wa, wa)), 0.5)
     rep = submajorizes(lhs, rhs)
     return Verdict(
@@ -403,9 +409,9 @@ def check_agm_pair(s, c, e1, e2=None) -> Verdict:
     identity spread(E oplus -E) = 2 s(E) it rests on.
     """
     sm = linalg.as_hermitian(s)
-    _positive_eigh(sm, "S has eigenvalue {:.3e}")
+    _positive_gate(_eigvalsh(sm), "S has eigenvalue {:.3e}")
     cm = linalg.as_hermitian(c)
-    _positive_eigh(cm, "C has eigenvalue {:.3e}")
+    _positive_gate(_eigvalsh(cm), "C has eigenvalue {:.3e}")
     p = _require_splitting(sm, cm)
     same = e2 is None
     e1m = linalg.as_hermitian(e1)
@@ -415,8 +421,8 @@ def check_agm_pair(s, c, e1, e2=None) -> Verdict:
     d = p.shape[0]
     k = 4 * d
     lhs = _svd_values(sm @ e1m @ cm + cm @ e2m @ sm, horizon=k)
-    w1 = _eigh(p @ e1m @ p).values
-    w2 = w1 if same else _eigh(p @ e2m @ p).values
+    w1 = _eigvalsh(p @ e1m @ p)
+    w2 = w1 if same else _eigvalsh(p @ e2m @ p)
     rhs = _scale_seq(_spr_sum(w1, -w2, k=k), 0.5)
     rep = submajorizes(lhs, rhs)
     ok = rep.holds
@@ -428,7 +434,7 @@ def check_agm_pair(s, c, e1, e2=None) -> Verdict:
             _svd_values(re_sec, horizon=2 * d),
             _scale_seq(_svd_values(se, horizon=2 * d), 0.5),
         )
-        we = _eigh(e1m).values
+        we = _eigvalsh(e1m)
         spr_pair = _spr_sum(we, -we, k=4 * d)
         doubled = _scale_seq(_svd_values(se, horizon=4 * d), 2.0)
         defect = float(np.max(np.abs(spr_pair.values - doubled.values)))
@@ -462,9 +468,9 @@ def check_agm_compact(s, c, e) -> Verdict:
     k = 2 * d
     s_sec = _sv_array(sm @ em @ cm.conj().T)
     s_e = _sv_array(em)
-    e_eig = _eigh(em)
+    w_e = _eigvalsh(em)
     lhs = _scale_seq(_svd_values(s_sec, horizon=k), 2.0)
-    rhs = _spr_sum(e_eig.values, k=k)
+    rhs = _spr_sum(w_e, k=k)
     rep = submajorizes(lhs, rhs)
     spr_pep = _spr(p @ em @ p, k)
     margins = rhs.values - spr_pep.values
@@ -472,7 +478,7 @@ def check_agm_compact(s, c, e) -> Verdict:
     fro_lhs = schatten(s_sec, 2)
     compact_bound = 0.5 * schatten(rhs, 2)
     identity_bound = 0.5 * schatten(s_e, 2)
-    e_positive = _positive_eigh(e_eig) is not None
+    e_positive = _positive_gate(w_e)
     extras = {
         "compression_monotone": sub_ok,
         "fro": {
@@ -519,11 +525,13 @@ def check_agm_general(a, b, e) -> Verdict:
     if am.shape != (d, d) or bm.shape != (d, d):
         raise DimMismatch("A, B, E must share one square dimension")
     f2 = am.conj().T @ am + bm.conj().T @ bm
-    froot = _psd_root(*_positive_eigh(f2, "square root of a non-positive matrix ({:.3e})"))
+    w_f, v_f = _eigh(f2)
+    _positive_gate(w_f, "square root of a non-positive matrix ({:.3e})")
+    froot = _psd_root(w_f, v_f)
     g = froot @ em @ froot
     gh = linalg.as_hermitian(g, tol=1e-8)
     s_aeb = _sv_array(am @ em @ bm.conj().T)
-    wg = _eigh(gh).values
+    wg = _eigvalsh(gh)
     k = 2 * d
     lhs = _svd_values(s_aeb, horizon=k)
     spr_g = _spr_sum(wg, k=k)
@@ -535,9 +543,11 @@ def check_agm_general(a, b, e) -> Verdict:
     e_ok = bool(float(np.min(margins)) >= -_entry_tol(spr_g.values)) if len(margins) else True
     ok = rep.holds and rep0.holds
     extras = {"zero_block_holds": rep0.holds}
-    e_eig = _positive_eigh(em)
-    if e_eig is not None:
-        eroot = _psd_root(*e_eig)
+    # E's eigenvectors feed E^(1/2) only when E passes the gate, but the gate
+    # needs the spectrum first: one decomposition, with vectors, serves both
+    w_e, v_e = _eigh(em)
+    if _positive_gate(w_e):
+        eroot = _psd_root(w_e, v_e)
         cross = submajorizes(
             _scale_seq(lhs, 2.0),
             _svd_values(eroot @ f2 @ eroot, horizon=k),
@@ -560,7 +570,7 @@ def check_zhan(e, f) -> Verdict:
     d = em.shape[0]
     k = 4 * d
     lhs = _svd_values(em - fm, horizon=k)
-    rhs = _spr_sum(_eigh(em).values, _eigh(fm).values, k=k)
+    rhs = _spr_sum(_eigvalsh(em), _eigvalsh(fm), k=k)
     rep = submajorizes(lhs, rhs)
     return Verdict(
         ineq_id="zhan", holds=rep.holds, report=rep,
@@ -588,7 +598,7 @@ def check_offdiag_projection(e, p) -> Verdict:
     # rank(PE(I-P)) <= floor(d/2), so the discarded values are rounding noise
     dropped = float(np.max(sv[half:], initial=0.0))
     lhs = 2.0 * sv[:half]
-    rhs = spread_plus(matrix_scale(em)).values
+    rhs = _matrix_spread(_eigvalsh(em)).values
     rep = submajorizes(lhs, rhs)
     noise_ok = dropped <= 1e-7 * max(1.0, float(np.max(sv, initial=0.0)))
     return Verdict(
@@ -637,9 +647,9 @@ def check_identity_split(s, c, e) -> Verdict:
 def control_kittaneh_positive(c, d, x) -> Verdict:
     """Entrywise s_i(CX - XD) <= ||X|| s_i(C oplus D) for positive C, D."""
     cm = linalg.as_hermitian(c)
-    _positive_eigh(cm, "C has eigenvalue {:.3e}")
+    _positive_gate(_eigvalsh(cm), "C has eigenvalue {:.3e}")
     dm = linalg.as_hermitian(d)
-    _positive_eigh(dm, "D has eigenvalue {:.3e}")
+    _positive_gate(_eigvalsh(dm), "D has eigenvalue {:.3e}")
     xm = linalg.as_cmatrix(x)
     if xm.shape != (cm.shape[0], dm.shape[0]):
         raise DimMismatch(f"X is {xm.shape}, expected {(cm.shape[0], dm.shape[0])}")
@@ -676,7 +686,7 @@ def control_bhatia_kittaneh(a, b) -> Verdict:
 def control_strict_gap(e) -> Verdict:
     """Strict Frobenius gap ||E||_2 < g_2(spread(E)) for indefinite E."""
     em = linalg.as_hermitian(e)
-    w = _eigh(em).values
+    w = _eigvalsh(em)
     if not (w.size and w[0] > 0.0 and w[-1] < 0.0):
         raise NotPositive("an indefinite operator (both signs present) is required")
     fro = schatten(_sv_array(em), 2)

@@ -1,5 +1,6 @@
-"""Dense complex linear algebra: Hermitian eigendecomposition, singular
-values, polar factorization, block constructions, and the unitary exponential.
+"""Dense complex linear algebra: Hermitian eigenvalues and eigendecomposition,
+singular values, polar factorization, block constructions, and the unitary
+exponential.
 
 Matrices are numpy complex128 arrays. Inputs that must be Hermitian or
 projections are validated and rejected (never symmetrized) at 1e-10 relative
@@ -7,6 +8,11 @@ tolerance. Each public function validates its input once and then calls a
 private helper of the same name with a leading underscore; code inside the
 package calls those helpers directly on matrices it has built or already
 validated.
+
+Scales, spreads and positivity gates need eigenvalues only; they come from
+LAPACK's values-only Hermitian driver (`_eigvalsh`). Eigenvectors (`_eigh`)
+are computed only for functional calculus: square roots, e^{iX}, polar
+factors and compressions.
 """
 
 from __future__ import annotations
@@ -87,6 +93,15 @@ def _eigh(m: np.ndarray) -> EigenPair:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     return EigenPair(w[::-1].copy(), v[:, ::-1].copy())
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Non-increasing eigenvalues of a Hermitian matrix, without eigenvectors."""
+    try:
+        w = np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    return w[::-1].copy()
 
 
 def sv_array(x) -> np.ndarray:

@@ -202,7 +202,7 @@ def _presorted(cls, **fields):
 
 def matrix_scale(a) -> TwoSidedSeq:
     """Two-sided scale of a Hermitian matrix in the d-dimensional convention."""
-    mu = linalg.eigh(a).values
+    mu = linalg._eigvalsh(linalg.as_hermitian(a))
     return _presorted(
         TwoSidedSeq, pos=mu, neg=mu[::-1].copy(), pos_tail=None, neg_tail=None,
         K=len(mu), mode="matrix",
@@ -221,7 +221,7 @@ def compact_scale(a, k: int | None = None) -> TwoSidedSeq:
 
 def _compact_scale(m: np.ndarray, k: int | None = None) -> TwoSidedSeq:
     """compact_scale of a matrix that is Hermitian by construction or validation."""
-    return _eig_scale(linalg._eigh(m).values, k)
+    return _eig_scale(linalg._eigvalsh(m), k)
 
 
 def _eig_scale(mu: np.ndarray, k: int | None = None) -> TwoSidedSeq:
@@ -238,6 +238,19 @@ def _eig_scale(mu: np.ndarray, k: int | None = None) -> TwoSidedSeq:
     neg = np.concatenate([minus, np.zeros(k - len(minus))])
     return _presorted(
         TwoSidedSeq, pos=pos, neg=neg, pos_tail=0.0, neg_tail=0.0, K=k, mode="compact"
+    )
+
+
+def _matrix_spread(mu: np.ndarray) -> SpreadSeq:
+    """Matrix-mode Spr+ from non-increasing eigenvalues mu.
+
+    Equal bit for bit to spread_plus(matrix_scale(A)) on the same
+    eigenvalues. fl(mu_i - mu_{d+1-i}) is non-increasing and non-negative for
+    i <= ceil(d/2), so the SpreadSeq checks are skipped.
+    """
+    half = math.ceil(len(mu) / 2)
+    return _presorted(
+        SpreadSeq, values=mu[:half] - mu[::-1][:half], tail=0.0, mode="matrix"
     )
 
 

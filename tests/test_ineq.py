@@ -56,34 +56,69 @@ def test_tao_positive_rejects_indefinite():
 
 
 def test_positive_gate():
-    w, v = ineq._positive_eigh(_pos(4, 3))
-    ref = linalg_eigh(_pos(4, 3))
-    assert np.array_equal(w, ref.values) and np.array_equal(v, ref.vectors)
+    gate = ineq._positive_gate
+    assert gate(linalg._eigvalsh(_pos(4, 3))) is True
+    assert gate(np.array([])) is True
     # the gate is relative: -POS_GATE * max(1, max|w|) still passes
-    edge = np.diag([100.0, -0.9 * ineq.POS_GATE * 100.0])
-    assert ineq._positive_eigh(edge) is not None
-    assert ineq._positive_eigh(np.diag([100.0, -2.0 * ineq.POS_GATE * 100.0])) is None
+    edge = ineq.POS_GATE * 100.0
+    assert gate(np.array([100.0, -edge])) is True
+    assert gate(np.array([100.0, -0.9 * edge])) is True
+    assert gate(np.array([100.0, -2.0 * edge])) is False
+    # below unit scale the edge is absolute
+    assert gate(np.array([0.5, -0.9 * ineq.POS_GATE])) is True
+    assert gate(np.array([0.5, -2.0 * ineq.POS_GATE])) is False
     with pytest.raises(NotPositive, match=r"^root \(-2\.000e-08\)$"):
-        ineq._positive_eigh(np.diag([100.0, -2e-8]), "root ({:.3e})")
+        gate(np.array([100.0, -2e-8]), "root ({:.3e})")
+    # the same edge reached through a verifier's values-only spectrum
+    assert ineq.check_tao_positive(np.diag([100.0, -0.9 * edge])).holds
+    with pytest.raises(NotPositive, match=r"^F has eigenvalue -2\.000e-08$"):
+        ineq.check_tao_positive(np.diag([100.0, -2e-8]))
+
+
+def _count_eigh(monkeypatch):
+    """Record every Hermitian decomposition, values-only or with vectors.
+
+    Returns (all_calls, vector_calls): lists of the matrices decomposed.
+    """
+    calls, vector_calls = [], []
+    real_eigh, real_eigvalsh = linalg._eigh, linalg._eigvalsh
+
+    def eigh(m):
+        calls.append(np.array(m, copy=True))
+        vector_calls.append(calls[-1])
+        return real_eigh(m)
+
+    def eigvalsh(m):
+        calls.append(np.array(m, copy=True))
+        return real_eigvalsh(m)
+
+    for mod in (linalg, ineq):
+        monkeypatch.setattr(mod, "_eigh", eigh)
+        monkeypatch.setattr(mod, "_eigvalsh", eigvalsh)
+    return calls, vector_calls
 
 
 def test_positive_gate_one_eigh_per_matrix(monkeypatch):
-    # the gate hands its eigenpair on: no verifier decomposes one matrix twice
-    seen = []
-    real = ineq._eigh
+    # each gated matrix is decomposed once, values-only where the vectors
+    # are not used
+    seen, with_vectors = _count_eigh(monkeypatch)
 
-    def counting(m):
-        seen.append(np.array(m, copy=True))
-        return real(m)
+    def count(m, calls):
+        return sum(np.array_equal(x, m) for x in calls)
 
-    monkeypatch.setattr(ineq, "_eigh", counting)
     f = _pos(4, 5)
     ineq.check_tao_positive(f, split=2)
-    assert sum(np.array_equal(m, f) for m in seen) == 1
+    assert (count(f, seen), count(f, with_vectors)) == (1, 0)
+    c, s, _ = _splitting(4, 9, positive=True)
+    ineq.check_agm_pair(s, c, _herm(4, 10))
+    assert [(count(m, seen), count(m, with_vectors)) for m in (s, c)] == [(1, 0)] * 2
+    p, q = _pos(3, 12), _pos(2, 13)
+    ineq.control_kittaneh_positive(p, q, _gen(3, 14)[:, :2])
+    assert [(count(m, seen), count(m, with_vectors)) for m in (p, q)] == [(1, 0)] * 2
     e = _pos(3, 6)
     v = ineq.check_agm_general(_gen(3, 7), _gen(3, 8), e)
     assert "positive_cross_holds" in v.extras
-    assert sum(np.array_equal(m, e) for m in seen) == 1
+    assert (count(e, seen), count(e, with_vectors)) == (1, 1)
 
 
 @pytest.mark.parametrize("d", [*range(2, 9), *range(32, 65, 8)])
@@ -105,20 +140,20 @@ def test_direct_sum_spread_from_block_spectra(d):
 
 
 def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
-    # every verifier decomposes each matrix at most once per kind (eigh,
-    # SVD), and none decomposes a matrix larger than its largest input
-    seen = {"eigh": [], "svd": []}
-    real = {"eigh": linalg._eigh, "svd": linalg._sv_array}
+    # every verifier decomposes each matrix at most once per kind (Hermitian
+    # eigenvalues with or without vectors, SVD), none decomposes a matrix
+    # larger than its largest input, and eigenvectors are computed only for
+    # e^{iX} (unitary_conj) and the square roots of F and E (agm_general)
+    eighs, with_vectors = _count_eigh(monkeypatch)
+    seen = {"eigh": eighs, "svd": []}
+    real_sv = linalg._sv_array
 
-    def counting(kind):
-        def wrapped(m):
-            seen[kind].append(np.array(m, copy=True))
-            return real[kind](m)
-        return wrapped
+    def sv_array(m):
+        seen["svd"].append(np.array(m, copy=True))
+        return real_sv(m)
 
     for mod in (linalg, ineq):
-        monkeypatch.setattr(mod, "_eigh", counting("eigh"))
-        monkeypatch.setattr(mod, "_sv_array", counting("svd"))
+        monkeypatch.setattr(mod, "_sv_array", sv_array)
     runs = {}
     for entry in VERIFIERS.values():
         runs.setdefault(entry.check, [entry.draw(Stream(11), 6)])
@@ -134,6 +169,7 @@ def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
     for name, arg_sets in runs.items():
         for args in arg_sets:
             start = {kind: len(calls) for kind, calls in seen.items()}
+            start_vectors = len(with_vectors)
             getattr(ineq, name)(*args)
             largest = max(max(np.shape(m)) for m in args if isinstance(m, np.ndarray))
             for kind, calls in seen.items():
@@ -141,6 +177,16 @@ def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
                 too_large = sum(max(m.shape) > largest for m in mats)
                 repeats = len(mats) - len({(m.shape, m.tobytes()) for m in mats})
                 assert (too_large, repeats) == (0, 0), (name, kind)
+            if name == "check_unitary_conj":
+                expected = [args[1]]
+            elif name == "check_agm_general":
+                a, b, e = args
+                expected = [a.conj().T @ a + b.conj().T @ b, e]
+            else:
+                expected = []
+            got = with_vectors[start_vectors:]
+            assert len(got) == len(expected), name
+            assert all(np.array_equal(g, x) for g, x in zip(got, expected)), name
     assert seen["eigh"] and seen["svd"]
 
 
@@ -323,7 +369,9 @@ def test_douglas_agm_factor():
     # A*A <= F^2 = A*A + B*B puts range(A*) inside range(F), so A* = F W
     a, b = _gen(3, 11), _gen(3, 12)
     f2 = a.conj().T @ a + b.conj().T @ b
-    froot = ineq._psd_root(*ineq._positive_eigh(f2, "F^2 has eigenvalue {:.3e}"))
+    wf, vf = linalg._eigh(f2)
+    ineq._positive_gate(wf, "F^2 has eigenvalue {:.3e}")
+    froot = ineq._psd_root(wf, vf)
     w = douglas_factorize(a.conj().T, froot)
     assert np.allclose(froot @ w, a.conj().T, atol=1e-8)
     assert np.max(linalg_sv(w)) <= 1.0 + 1e-8  # the quotient is a contraction

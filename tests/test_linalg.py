@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sspread import (
+    NoConvergence,
     NotHermitian,
     NotPositive,
     NotProjection,
@@ -21,6 +22,7 @@ from sspread import (
     svd_values,
     unitary_exp,
 )
+from sspread import linalg
 from sspread.harness import GenSpec, generate
 
 
@@ -78,6 +80,27 @@ def test_eigh_descending_and_orthonormal():
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         eigh([[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("d", [*range(2, 9), *range(32, 65, 8)])
+def test_eigvalsh_matches_eigh_values(d):
+    # the values-only driver may differ from eigh in the last digits only
+    for seed in range(3):
+        a = _herm(d, 100 * d + seed, scale=10.0 ** (seed - 1))
+        w = linalg._eigvalsh(a)
+        ref = linalg._eigh(a).values
+        assert w.shape == (d,) and np.all(np.diff(w) <= 0.0)
+        tol = 32 * np.finfo(float).eps * float(np.max(np.abs(ref)))
+        assert float(np.max(np.abs(w - ref))) <= tol
+
+
+def test_eigvalsh_no_convergence(monkeypatch):
+    def broken(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", broken)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        linalg._eigvalsh(np.eye(2))
 
 
 def test_sv_two_by_two_closed_form():

@@ -16,6 +16,8 @@ from sspread import (
     spread_full,
     spread_plus,
 )
+from sspread import linalg, spectra
+from sspread.harness import GenSpec, generate
 
 A3 = np.diag([3.0, 1.0, -2.0])
 
@@ -55,6 +57,21 @@ def test_spread_matrix_mode_truncates_to_half():
     # Spr_i = mu_i - mu_{d+1-i} is non-negative only for i <= ceil(d/2)
     assert spr.mode == "matrix"
     assert np.allclose(spr.values, [5.0, 0.0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 33, 64])
+def test_matrix_spread_from_eigenvalues_is_the_public_spread(d):
+    a = generate(GenSpec(kind="hermitian", dim=d, seed=d))
+    mu = linalg._eigvalsh(a)
+    got = spectra._matrix_spread(mu)
+    ref = spread_plus(matrix_scale(a))
+    assert np.array_equal(got.values, ref.values)
+    assert (got.tail, got.mode) == (ref.tail, ref.mode) == (0.0, "matrix")
+    # the same eigenvalues through an explicitly built, validated scale
+    built = TwoSidedSeq(pos=mu, neg=mu[::-1], pos_tail=None, neg_tail=None, K=d, mode="matrix")
+    assert np.array_equal(got.values, spread_plus(built).values)
+    # it passes the SpreadSeq checks it skips
+    SpreadSeq(values=got.values, tail=0.0, mode="matrix")
 
 
 def test_spread_compact_mode():
