@@ -543,11 +543,9 @@ def check_agm_general(a, b, e) -> Verdict:
     e_ok = bool(float(np.min(margins)) >= -_entry_tol(spr_g.values)) if len(margins) else True
     ok = rep.holds and rep0.holds
     extras = {"zero_block_holds": rep0.holds}
-    # E's eigenvectors feed E^(1/2) only when E passes the gate, but the gate
-    # needs the spectrum first: one decomposition, with vectors, serves both
-    w_e, v_e = _eigh(em)
-    if _positive_gate(w_e):
-        eroot = _psd_root(w_e, v_e)
+    # E's eigenvectors feed E^(1/2), so they are computed only once E passes
+    if _positive_gate(_eigvalsh(em)):
+        eroot = _psd_root(*_eigh(em))
         cross = submajorizes(
             _scale_seq(lhs, 2.0),
             _svd_values(eroot @ f2 @ eroot, horizon=k),

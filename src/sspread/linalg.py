@@ -12,7 +12,8 @@ validated.
 Scales, spreads and positivity gates need eigenvalues only; they come from
 LAPACK's values-only Hermitian driver (`_eigvalsh`). Eigenvectors (`_eigh`)
 are computed only for functional calculus: square roots, e^{iX}, polar
-factors and compressions.
+factors and compressions; a matrix whose root is taken only when it is
+positive is gated on its eigenvalues first.
 """
 
 from __future__ import annotations

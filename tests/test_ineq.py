@@ -115,10 +115,16 @@ def test_positive_gate_one_eigh_per_matrix(monkeypatch):
     p, q = _pos(3, 12), _pos(2, 13)
     ineq.control_kittaneh_positive(p, q, _gen(3, 14)[:, :2])
     assert [(count(m, seen), count(m, with_vectors)) for m in (p, q)] == [(1, 0)] * 2
+    # agm_general gates E on its eigenvalues and decomposes it again, with
+    # vectors, only when E passes and its square root is built
     e = _pos(3, 6)
     v = ineq.check_agm_general(_gen(3, 7), _gen(3, 8), e)
     assert "positive_cross_holds" in v.extras
-    assert (count(e, seen), count(e, with_vectors)) == (1, 1)
+    assert (count(e, seen), count(e, with_vectors)) == (2, 1)
+    e = _herm(3, 6)
+    v = ineq.check_agm_general(_gen(3, 7), _gen(3, 8), e)
+    assert "positive_cross_holds" not in v.extras
+    assert (count(e, seen), count(e, with_vectors)) == (1, 0)
 
 
 @pytest.mark.parametrize("d", [*range(2, 9), *range(32, 65, 8)])
@@ -143,7 +149,9 @@ def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
     # every verifier decomposes each matrix at most once per kind (Hermitian
     # eigenvalues with or without vectors, SVD), none decomposes a matrix
     # larger than its largest input, and eigenvectors are computed only for
-    # e^{iX} (unitary_conj) and the square roots of F and E (agm_general)
+    # e^{iX} (unitary_conj) and the square roots of F and of a positive E
+    # (agm_general); a positive E is the one matrix decomposed twice, values
+    # first for its gate, then with vectors for its root
     eighs, with_vectors = _count_eigh(monkeypatch)
     seen = {"eigh": eighs, "svd": []}
     real_sv = linalg._sv_array
@@ -166,8 +174,21 @@ def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
     runs["check_agm_compact"] += [(s, c, _pos(6, 1)), (s, c, _herm(6, 2))]
     a, b, _ = runs["check_agm_general"][0]
     runs["check_agm_general"] += [(a, b, _pos(6, 3)), (a, b, _herm(6, 4))]
+    positive_e = []
     for name, arg_sets in runs.items():
         for args in arg_sets:
+            repeats_allowed = 0
+            if name == "check_unitary_conj":
+                expected = [args[1]]
+            elif name == "check_agm_general":
+                a, b, e = args
+                expected = [a.conj().T @ a + b.conj().T @ b]
+                if ineq._positive_gate(np.linalg.eigvalsh(e)[::-1]):
+                    expected.append(e)
+                    repeats_allowed = 1
+                positive_e.append(repeats_allowed)
+            else:
+                expected = []
             start = {kind: len(calls) for kind, calls in seen.items()}
             start_vectors = len(with_vectors)
             getattr(ineq, name)(*args)
@@ -176,18 +197,14 @@ def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
                 mats = calls[start[kind]:]
                 too_large = sum(max(m.shape) > largest for m in mats)
                 repeats = len(mats) - len({(m.shape, m.tobytes()) for m in mats})
-                assert (too_large, repeats) == (0, 0), (name, kind)
-            if name == "check_unitary_conj":
-                expected = [args[1]]
-            elif name == "check_agm_general":
-                a, b, e = args
-                expected = [a.conj().T @ a + b.conj().T @ b, e]
-            else:
-                expected = []
+                allowed = repeats_allowed if kind == "eigh" else 0
+                assert (too_large, repeats) == (0, allowed), (name, kind)
             got = with_vectors[start_vectors:]
             assert len(got) == len(expected), name
             assert all(np.array_equal(g, x) for g, x in zip(got, expected)), name
     assert seen["eigh"] and seen["svd"]
+    # agm_general ran with both a positive and a non-positive E
+    assert 0 in positive_e and 1 in positive_e
 
 
 def test_tao_positive_bad_split():
