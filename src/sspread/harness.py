@@ -4,6 +4,11 @@ fuzz campaigns, and the property suite.
 All randomness flows through the counter-based stream in rng.py: a campaign
 at seed s gives trial t the child seed derive_seed(s, t), so any failing
 instance can be rebuilt from its reported worst_seed alone.
+
+A fuzz campaign draws each trial from its own stream, groups the trials of a
+chunk by argument signature (shapes, plus scalar or absent arguments), judges
+each group with one call of the verifier's kernel over stacks, and reduces
+the rows in trial order, so its report does not depend on the grouping.
 """
 
 from __future__ import annotations
@@ -397,13 +402,15 @@ def _fam_control_gap(stream: Stream, d: int):
 class Verifier:
     """One member of the paper's inequality family.
 
-    `check` names the ineq function that judges it; it is looked up on the
-    module at call time, so a wrapped or patched ineq function is the one
-    that runs. `draw(stream, d)` returns the verifier's arguments for one
-    fuzz trial. `files` is the `sspread check` file signature, one letter per
-    matrix file ("H" Hermitian, "G" general complex, a trailing "?" makes the
-    last file optional), or None when the id is fuzzed only; `split` appends
-    the `--split` value to the call. An alias re-runs another id's generator
+    `check` names the public ineq function that judges it; `sspread check`
+    looks it up on the module at call time, so a wrapped or patched ineq
+    function is the one that runs, and fuzz runs its kernel,
+    `ineq.KERNELS[check]`, on stacks of trials. `draw(stream, d)` returns
+    the verifier's arguments for one fuzz trial. `files` is the `sspread
+    check` file signature, one letter per matrix file ("H" Hermitian, "G"
+    general complex, a trailing "?" makes the last file optional), or None
+    when the id is fuzzed only; `split` appends the `--split` value to the
+    call. An alias re-runs another id's generator
     and verifier under the name of one of the equivalent formulations.
     """
 
@@ -444,14 +451,22 @@ VERIFIERS = {v.id: v for v in (
 )}
 
 
-def _verdict_margin(v: ineq.Verdict) -> float:
-    if v.report is not None:
-        return v.report.min_margin()
-    if v.entrywise_margins is not None and len(v.entrywise_margins):
-        return float(np.min(v.entrywise_margins))
-    if "margin" in v.extras:
-        return float(v.extras["margin"])
-    return math.inf
+# a fuzz chunk takes trials until their drawn matrices hold this many
+# entries (4 MiB of complex128), so a campaign at large dims never holds all
+# of its trials' matrices at once
+FUZZ_CHUNK_ENTRIES = 1 << 18
+
+
+def _signature(args: tuple) -> tuple:
+    """What trials must share to be judged in one batch: array shapes and the
+    values of scalar or absent arguments."""
+    return tuple(a.shape if isinstance(a, np.ndarray) else a for a in args)
+
+
+def _stack(batch: list[tuple]) -> list:
+    """One group's argument tuples as stacked arguments; scalars are shared."""
+    return [np.stack(col) if isinstance(col[0], np.ndarray) else col[0]
+            for col in zip(*batch)]
 
 
 def fuzz(ineq_id: str, trials: int = 500, dims: tuple[int, int] = (2, 8),
@@ -459,34 +474,51 @@ def fuzz(ineq_id: str, trials: int = 500, dims: tuple[int, int] = (2, 8),
     """Run one inequality family on `trials` generated instances.
 
     Trial t uses the child seed derive_seed(seed, t); worst_margin is the
-    smallest judged margin seen, worst_seed the child seed that produced it.
-    Every family needs d >= 2: a lower bound of 1 is raised to 2, and a
-    range with no d >= 2 raises ValueError.
+    smallest judged margin seen, worst_seed the child seed of the first trial
+    that produced it. Every family needs d >= 2: a lower bound of 1 is raised
+    to 2, and a range with no d >= 2 raises ValueError.
+
+    Trials are drawn in chunks of about FUZZ_CHUNK_ENTRIES matrix entries;
+    within a chunk, the trials of one argument signature are judged by one
+    kernel call, and the rows are put back in trial order before the
+    reduction.
     """
     if ineq_id not in VERIFIERS:
         raise UnknownInequality(f"no fuzz family for {ineq_id!r}")
     if dims[1] < max(2, dims[0]):
         raise ValueError(f"fuzz needs a dimension range containing d >= 2, got {dims}")
     entry = VERIFIERS[ineq_id]
-    verify = getattr(ineq, entry.check)
+    kernel = ineq.KERNELS[entry.check]
     t0 = time.perf_counter()
-    failures = 0
+    seeds = [derive_seed(seed, t) for t in range(trials)]
+    holds = np.ones(trials, dtype=bool)
+    margin = np.empty(trials)
+    t = 0
+    while t < trials:
+        groups: dict[tuple, tuple[list, list]] = {}
+        entries = 0
+        while t < trials and entries < FUZZ_CHUNK_ENTRIES:
+            stream = Stream(seeds[t])
+            args = entry.draw(stream, _dim2(stream, dims))
+            index, batch = groups.setdefault(_signature(args), ([], []))
+            index.append(t)
+            batch.append(args)
+            entries += sum(a.size for a in args if isinstance(a, np.ndarray))
+            t += 1
+        for index, batch in groups.values():
+            rows = kernel(*_stack(batch))
+            holds[index] = rows.holds
+            margin[index] = rows.margin
     worst = math.inf
     worst_seed = 0
-    for t in range(trials):
-        ts = derive_seed(seed, t)
-        stream = Stream(ts)
-        d = _dim2(stream, dims)
-        v = verify(*entry.draw(stream, d))
-        if not v.holds:
-            failures += 1
-        m = _verdict_margin(v)
-        if m < worst:
-            worst = m
-            worst_seed = ts
+    if trials:
+        # the first trial of smallest margin; a NaN margin never wins
+        i = int(np.argmin(np.where(np.isnan(margin), math.inf, margin)))
+        if margin[i] < worst:
+            worst, worst_seed = float(margin[i]), seeds[i]
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     return FuzzSummary(
-        ineq_id=ineq_id, trials=trials, failures=failures,
+        ineq_id=ineq_id, trials=trials, failures=int(trials - np.count_nonzero(holds)),
         worst_margin=0.0 if trials == 0 else worst,
         worst_seed=worst_seed, runtime_ms=runtime_ms,
     )

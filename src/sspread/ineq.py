@@ -7,16 +7,24 @@ any norm-form side conditions. A False verdict on a theorem's hypothesis
 class indicates an implementation bug, so the whole family doubles as a
 self-test; the known entrywise failures are recorded, not judged.
 
-Each verifier validates its arguments once, on entry, and then works only
-through the private helpers of linalg and spectra, which do not re-check
-matrices the verifier has built or already validated.
+Every verifier is a kernel over stacks: its matrix arguments carry a leading
+batch axis (B, rows, cols), every member of a stack has the same shape, and
+scalar arguments (a split, an absent E2) are shared by the whole batch. A
+kernel validates its stacks once, on entry, member by member, then works
+only through the private stacked helpers of linalg, spectra and major, and
+returns Rows: each row's verdict and judged margin as arrays, plus a builder
+for one row's full Verdict. The public check_*/control_* function is its
+kernel on a batch of one, and harness.fuzz runs the kernels on groups of
+trials of equal shape. numpy runs LAPACK, matmul, sorts and partial sums
+member by member, so a row's numbers do not depend on the batch around it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,34 +37,71 @@ from .errors import (
     NotProjectionSum,
     RangeNotContained,
 )
-from .linalg import _eigh, _eigvalsh, _sv_array, _svd_values, _unitary_exp
-from .major import gauge, maj_tol, schatten, seq_product, submajorizes
-from .spectra import (
-    SpreadSeq,
-    _compact_scale,
-    _eig_scale,
-    _matrix_spread,
-    _presorted,
-    spread_plus,
+from .linalg import (
+    _as_cmatrices,
+    _as_hermitians,
+    _as_projections,
+    _ct,
+    _diag,
+    _eigh,
+    _eigvalsh,
+    _sv_array,
+    _unitary_exp,
 )
+from .major import _gauge_rows, _schatten_rows, _sub_rows
+from .spectra import _eig_sides, _eig_spread, _matrix_spread
 
 POS_GATE = 1e-10
 DOUGLAS_TOL = 1e-8
 PINV_CUTOFF = 1e-10
 
 
-@dataclass(frozen=True)
 class Verdict:
-    """Outcome of one inequality check on one instance."""
+    """Outcome of one inequality check on one instance.
 
-    ineq_id: str
-    holds: bool
-    report: object | None
-    witness: str
-    mode: str
-    entrywise_margins: np.ndarray | None = None
-    entrywise_holds: bool | None = None
-    extras: dict = field(default_factory=dict)
+    `witness` is the sha256 digest of the validated inputs. A verifier hands
+    over the input matrices and the digest is computed when `witness` is
+    first read; a caller may pass the digest string itself.
+    """
+
+    __slots__ = ("ineq_id", "holds", "report", "mode", "entrywise_margins",
+                 "entrywise_holds", "extras", "_witness")
+
+    def __init__(self, ineq_id: str, holds: bool, report: object | None,
+                 witness: str | tuple, mode: str,
+                 entrywise_margins: np.ndarray | None = None,
+                 entrywise_holds: bool | None = None, extras: dict | None = None):
+        self.ineq_id = ineq_id
+        self.holds = holds
+        self.report = report
+        self._witness = witness
+        self.mode = mode
+        self.entrywise_margins = entrywise_margins
+        self.entrywise_holds = entrywise_holds
+        self.extras = {} if extras is None else extras
+
+    @property
+    def witness(self) -> str:
+        if not isinstance(self._witness, str):
+            self._witness = _digest(*self._witness)
+        return self._witness
+
+    def __repr__(self) -> str:
+        return f"Verdict(ineq_id={self.ineq_id!r}, holds={self.holds!r}, mode={self.mode!r})"
+
+
+class Rows(NamedTuple):
+    """A kernel's judgement of a batch, row by row.
+
+    holds and margin are (B,) arrays. margin is the judged margin: the
+    report's smallest margin, else the smallest entrywise margin, else
+    extras["margin"] (inf when there is none). verdict(i) builds row i's
+    Verdict.
+    """
+
+    holds: np.ndarray
+    margin: np.ndarray
+    verdict: Callable[[int], Verdict]
 
 
 def _digest(*mats) -> str:
@@ -68,55 +113,587 @@ def _digest(*mats) -> str:
     return h.hexdigest()
 
 
-def _scale_seq(seq: SpreadSeq, c: float) -> SpreadSeq:
-    """c * seq for a constant c >= 0, which keeps the sequence sorted."""
-    return _presorted(SpreadSeq, values=c * seq.values, tail=c * seq.tail, mode=seq.mode)
+def _one(a) -> np.ndarray:
+    """One matrix argument as a stack of one.
+
+    Always a copy: the Verdict hashes its inputs only when its witness is
+    first read, and a caller may change its own array before that.
+    """
+    return np.array(a, dtype=np.complex128)[None]
 
 
-def _add_seq(a: SpreadSeq, b: SpreadSeq) -> SpreadSeq:
-    k = max(len(a), len(b))
-    return _presorted(
-        SpreadSeq, values=a.padded(k) + b.padded(k), tail=a.tail + b.tail, mode="compact"
-    )
+def _pad(s: np.ndarray, k: int) -> np.ndarray:
+    """Zero-pad the last axis to length k."""
+    return np.concatenate([s, np.zeros(s.shape[:-1] + (k - s.shape[-1],))], axis=-1)
 
 
-def _spr(m: np.ndarray, k: int | None = None) -> SpreadSeq:
-    """Compact-model spectral spread of a Hermitian matrix (not re-checked)."""
-    return spread_plus(_compact_scale(m, k))
-
-
-def _spr_sum(*eigs: np.ndarray, k: int | None = None) -> SpreadSeq:
+def _spr_sum(*eigs: np.ndarray, k: int | None = None) -> np.ndarray:
     """Compact-model spread of the direct sum of blocks with these eigenvalues.
 
     A block-diagonal matrix has the union of its blocks' spectra, so no block
     matrix is built or decomposed. A zero block adds only zeros, which the
-    compact model drops: its size enters through the horizon k alone.
+    compact model drops: its size enters through the horizon k alone. Works
+    along the last axis, so stacks of spectra give stacks of spreads.
     """
-    return spread_plus(_eig_scale(np.sort(np.concatenate(eigs))[::-1], k))
+    merged = np.sort(np.concatenate(eigs, axis=-1), axis=-1)[..., ::-1]
+    return _eig_spread(merged, k)
 
 
-def _positive_gate(w: np.ndarray, fail: str | None = None) -> bool:
-    """Positivity gate on the non-increasing eigenvalues w of a Hermitian matrix.
+def _positive_gate(w: np.ndarray, fail: str | None = None):
+    """Positivity gate on non-increasing eigenvalues w (..., d) of Hermitian matrices.
 
-    w passes when its smallest entry is at least -POS_GATE * max(1, max|w|).
-    A failing w gives False, or raises NotPositive(fail.format(smallest
-    eigenvalue)) when a message template is given.
+    A spectrum passes when its smallest entry is at least -POS_GATE *
+    max(1, max|w|). Returns a bool for one spectrum and a bool array for a
+    stack. With a message template, a failing spectrum raises instead:
+    NotPositive(fail.format(smallest eigenvalue)) for the first that fails.
     """
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    if not w.size or float(w[-1]) >= -POS_GATE * scale:
-        return True
-    if fail is None:
-        return False
-    raise NotPositive(fail.format(w[-1]))
+    if w.shape[-1]:
+        scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
+        ok = w[..., -1] >= -POS_GATE * scale
+    else:
+        ok = np.ones(w.shape[:-1], dtype=bool)
+    if fail is not None and not np.all(ok):
+        first = np.flatnonzero(~np.ravel(ok))[0]
+        raise NotPositive(fail.format(w.reshape(-1, w.shape[-1])[first, -1]))
+    return bool(ok) if w.ndim == 1 else ok
 
 
 def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Square root of a gated positive matrix from its eigenpair."""
-    return v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    """Square root of a gated positive matrix (or stack) from its eigenpair."""
+    return v @ _diag(np.sqrt(np.clip(w, 0.0, None))) @ _ct(v)
 
 
-def _entry_tol(rhs: np.ndarray) -> float:
-    return 1e-9 * max(1.0, float(np.max(np.abs(rhs))) if len(rhs) else 0.0)
+def _entrywise(margins: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(holds, smallest margin) per row: every margin clears -1e-9 * max(1, max|rhs|).
+
+    A row with no margins holds, and its smallest margin is inf.
+    """
+    tol = 1e-9 * np.maximum(1.0, np.max(np.abs(rhs), axis=-1, initial=0.0))
+    low = np.min(margins, axis=-1, initial=math.inf)
+    return low >= -tol, low
+
+
+def _same_shape(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape[1:] != b.shape[1:]:
+        raise DimMismatch(f"shapes {a.shape[1:]} and {b.shape[1:]} differ")
+
+
+def _cut(split: int | None, d: int) -> int:
+    """The split of a d x d matrix into corner blocks; defaults to d // 2."""
+    if split is None:
+        split = d // 2
+    if not 1 <= split <= d - 1:
+        raise DimMismatch(f"split {split} does not cut a {d}x{d} matrix")
+    return split
+
+
+def _pymax(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """max(x, y) entry by entry, with Python's rule: x unless y is larger."""
+    return np.where(y > x, y, x)
+
+
+def _pymin(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.where(y < x, y, x)
+
+
+_NORM_IDS = ("op", "schatten:1", "schatten:2")
+
+
+def _norm_forms(lhs: np.ndarray, rhs: np.ndarray, c=None) -> tuple[dict, np.ndarray]:
+    """The norm forms ||lhs|| <= c ||rhs|| for the _NORM_IDS, row by row.
+
+    Returns ({id: (lhs norms, bounds, ok)}, ok for every id).
+    """
+    forms = {}
+    ok = np.ones(lhs.shape[0], dtype=bool)
+    for nid in _NORM_IDS:
+        lv = _gauge_rows(lhs, nid)
+        bv = _gauge_rows(rhs, nid)
+        if c is not None:
+            bv = c * bv
+        good = lv <= bv + 1e-9 * np.maximum(1.0, bv)
+        forms[nid] = (lv, bv, good)
+        ok &= good
+    return forms, ok
+
+
+def _norm_row(forms: dict, i: int) -> dict:
+    return {nid: {"lhs": float(lv[i]), "bound": float(bv[i]), "ok": bool(good[i])}
+            for nid, (lv, bv, good) in forms.items()}
+
+
+# ---------------------------------------------------------------------------
+# kernels: each takes stacks and returns Rows
+
+
+def _tao_positive(f, split: int | None = None) -> Rows:
+    fm = _as_hermitians(f)
+    sf = _eigvalsh(fm)
+    _positive_gate(sf, "F has eigenvalue {:.3e}")
+    split = _cut(split, fm.shape[-1])
+    sb = _sv_array(fm[:, :split, split:])
+    margins = sf[:, : sb.shape[-1]] - 2.0 * sb
+    ok, low = _entrywise(margins, sf)
+
+    def verdict(i: int) -> Verdict:
+        return Verdict(
+            "tao_positive", bool(ok[i]), None, (fm[i],), "matrix",
+            entrywise_margins=margins[i], entrywise_holds=bool(ok[i]),
+            extras={"split": split},
+        )
+
+    return Rows(ok, low, verdict)
+
+
+def _key(a, split: int | None = None) -> Rows:
+    am = _as_hermitians(a)
+    d = am.shape[-1]
+    split = _cut(split, d)
+    lhs = 2.0 * _pad(_sv_array(am[:, :split, split:]), 2 * d)
+    sub = _sub_rows(lhs, _eig_spread(_eigvalsh(am)))
+
+    def verdict(i: int) -> Verdict:
+        return Verdict("key", bool(sub.holds[i]), sub.report(i), (am[i],), "compact",
+                       extras={"split": split})
+
+    return Rows(sub.holds, sub.margin, verdict)
+
+
+def _trace_pairing(a, b) -> Rows:
+    am = _as_hermitians(a)
+    bm = _as_hermitians(b)
+    _same_shape(am, bm)
+    d = am.shape[-1]
+    lhs = np.trace(am @ bm, axis1=-2, axis2=-1).real
+    wa = _eigvalsh(am)
+    a_pos, a_neg = _eig_sides(wa, 2 * d)
+    b_pos, b_neg = _eig_sides(_eigvalsh(bm), 2 * d)
+    # matmul of a (1 x k) row by a (k x 1) column runs BLAS's dot on each
+    # row, the bits np.dot gives; an elementwise product summed would not
+    rhs = (a_pos[:, None, :] @ b_pos[:, :, None] + a_neg[:, None, :] @ b_neg[:, :, None])[:, 0, 0]
+    margin = rhs - lhs
+    tol = 1e-9 * np.maximum(np.maximum(1.0, np.abs(rhs)), np.abs(lhs))
+    cutoff = 1e-10 * np.maximum(1.0, np.max(np.abs(wa), axis=-1))
+    rank = np.sum(np.abs(wa) > cutoff[:, None], axis=-1)
+    ok = margin >= -tol
+
+    def verdict(i: int) -> Verdict:
+        return Verdict(
+            "trace_pairing", bool(ok[i]), None, (am[i], bm[i]), "compact",
+            extras={"lhs": float(lhs[i]), "rhs": float(rhs[i]),
+                    "margin": float(margin[i]), "rank_a": int(rank[i])},
+        )
+
+    return Rows(ok, margin, verdict)
+
+
+def _commutator_scale(a, x) -> Rows:
+    am = _as_hermitians(a)
+    xm = _as_hermitians(x)
+    _same_shape(am, xm)
+    comm = 1j * (am @ xm - xm @ am)
+    lhs = _eig_sides(_eigvalsh(comm))[0]
+    rhs = 0.5 * (_eig_spread(_eigvalsh(am)) * _eig_spread(_eigvalsh(xm)))
+    sub = _sub_rows(lhs, rhs)
+
+    def verdict(i: int) -> Verdict:
+        return Verdict("commutator_scale", bool(sub.holds[i]), sub.report(i),
+                       (am[i], xm[i]), "compact")
+
+    return Rows(sub.holds, sub.margin, verdict)
+
+
+def _commutator_sv(a, x) -> Rows:
+    am = _as_hermitians(a)
+    xm = _as_hermitians(x)
+    _same_shape(am, xm)
+    d = am.shape[-1]
+    lhs = _pad(_sv_array(am @ xm - xm @ am), 4 * d)
+    wa, wx = _eigvalsh(am), _eigvalsh(xm)
+    rhs = 0.5 * (_spr_sum(wa, wa) * _spr_sum(wx, wx))
+    sub = _sub_rows(lhs, rhs)
+    norms, norms_ok = _norm_forms(lhs, rhs)
+    ok = sub.holds & norms_ok
+
+    def verdict(i: int) -> Verdict:
+        return Verdict("commutator_sv", bool(ok[i]), sub.report(i), (am[i], xm[i]),
+                       "compact", extras={"norms": _norm_row(norms, i)})
+
+    return Rows(ok, sub.margin, verdict)
+
+
+def _mixed_commutator(a, b, x) -> Rows:
+    am = _as_hermitians(a)
+    bm = _as_hermitians(b)
+    xm = _as_cmatrices(x)
+    m, n = am.shape[-1], bm.shape[-1]
+    if xm.shape[1:] != (m, n):
+        raise DimMismatch(f"X is {xm.shape[1:]}, expected {(m, n)}")
+    k = 2 * (m + n)
+    lhs_vals = _sv_array(am @ xm - xm @ bm)
+    rhs = _spr_sum(_eigvalsh(am), _eigvalsh(bm)) * _pad(_sv_array(xm), k)
+    sub = _sub_rows(_pad(lhs_vals, k), rhs)
+    margins = rhs[:, : lhs_vals.shape[-1]] - lhs_vals
+    e_ok, _ = _entrywise(margins, rhs)
+
+    def verdict(i: int) -> Verdict:
+        return Verdict(
+            "mixed_commutator", bool(sub.holds[i]), sub.report(i), (am[i], bm[i], xm[i]),
+            "compact", entrywise_margins=margins[i], entrywise_holds=bool(e_ok[i]),
+        )
+
+    return Rows(sub.holds, sub.margin, verdict)
+
+
+def _herm_parts(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if c.shape[-2] != c.shape[-1]:
+        raise DimMismatch(f"matrix is {c.shape[-2]}x{c.shape[-1]}, not square")
+    return (c + _ct(c)) / 2.0, (c - _ct(c)) / 2j
+
+
+def _general_commutator(a, b, x) -> Rows:
+    am = _as_cmatrices(a)
+    bm = _as_cmatrices(b)
+    xm = _as_cmatrices(x)
+    a1, a2 = _herm_parts(am)
+    b1, b2 = _herm_parts(bm)
+    m, n = a1.shape[-1], b1.shape[-1]
+    if xm.shape[1:] != (m, n):
+        raise DimMismatch(f"X is {xm.shape[1:]}, expected {(m, n)}")
+    k = 2 * (m + n)
+    lhs = _pad(_sv_array(am @ xm - xm @ bm), k)
+    w_a1, w_b1 = _eigvalsh(a1), _eigvalsh(b1)
+    w_a2, w_b2 = _eigvalsh(a2), _eigvalsh(b2)
+    spread_sum = _spr_sum(w_a1, w_b1) + _spr_sum(w_a2, w_b2)
+    sx = _sv_array(xm)
+    sub = _sub_rows(lhs, spread_sum * _pad(sx, k))
+    scalar = (
+        _pymax(w_a1[:, 0], w_b1[:, 0]) - _pymin(w_a1[:, -1], w_b1[:, -1])
+        + _pymax(w_a2[:, 0], w_b2[:, 0]) - _pymin(w_a2[:, -1], w_b2[:, -1])
+    )
+    corollary, coro_ok = _norm_forms(lhs, sx, scalar)
+    ok = sub.holds & coro_ok
+
+    def verdict(i: int) -> Verdict:
+        return Verdict(
+            "general_commutator", bool(ok[i]), sub.report(i), (am[i], bm[i], xm[i]),
+            "compact",
+            extras={"scalar": float(scalar[i]), "corollary": _norm_row(corollary, i)},
+        )
+
+    return Rows(ok, sub.margin, verdict)
+
+
+def _unitary_conj(a, x) -> Rows:
+    am = _as_hermitians(a)
+    xm = _as_hermitians(x)
+    _same_shape(am, xm)
+    d = am.shape[-1]
+    wx, vx = _eigh(xm)
+    u = _unitary_exp(wx, vx)
+    lhs = _pad(_sv_array(am - _ct(u) @ am @ u), 4 * d)
+    wa = _eigvalsh(am)
+    rhs = 0.5 * (_spr_sum(wx, wx) * _spr_sum(wa, wa))
+    sub = _sub_rows(lhs, rhs)
+
+    def verdict(i: int) -> Verdict:
+        return Verdict("unitary_conj", bool(sub.holds[i]), sub.report(i),
+                       (am[i], xm[i]), "compact")
+
+    return Rows(sub.holds, sub.margin, verdict)
+
+
+def _require_splitting(sm: np.ndarray, cm: np.ndarray, proj_tol: float = 1e-8) -> np.ndarray:
+    """Validate C*C + S*S as an orthogonal projection; return it.
+
+    S and C are already validated stacks; only their sum is checked here.
+    """
+    _same_shape(sm, cm)
+    p = _ct(cm) @ cm + _ct(sm) @ sm
+    try:
+        return _as_projections(p, tol=proj_tol)
+    except (NotProjection, NotHermitian) as exc:
+        raise NotProjectionSum(f"C*C + S*S is not a projection: {exc}") from exc
+
+
+def _agm_projection(s, c, e) -> Rows:
+    em = _as_hermitians(e)
+    sm, cm = _as_cmatrices(s), _as_cmatrices(c)
+    p = _require_splitting(sm, cm)
+    _same_shape(p, em)
+    k = 4 * em.shape[-1]
+    lhs = 2.0 * _pad(_sv_array(sm @ em @ _ct(cm)), k)
+    rhs = _eig_spread(_eigvalsh(p @ em @ p), k)  # PEP oplus 0
+    sub = _sub_rows(lhs, rhs)
+
+    def verdict(i: int) -> Verdict:
+        return Verdict("agm_projection", bool(sub.holds[i]), sub.report(i),
+                       (sm[i], cm[i], em[i]), "compact")
+
+    return Rows(sub.holds, sub.margin, verdict)
+
+
+def _agm_pair(s, c, e1, e2=None) -> Rows:
+    sm = _as_hermitians(s)
+    _positive_gate(_eigvalsh(sm), "S has eigenvalue {:.3e}")
+    cm = _as_hermitians(c)
+    _positive_gate(_eigvalsh(cm), "C has eigenvalue {:.3e}")
+    p = _require_splitting(sm, cm)
+    same = e2 is None
+    e1m = _as_hermitians(e1)
+    e2m = e1m if same else _as_hermitians(e2)
+    if e1m.shape[1:] != p.shape[1:] or e2m.shape[1:] != p.shape[1:]:
+        raise DimMismatch("operator dimensions do not match the splitting")
+    d = p.shape[-1]
+    k = 4 * d
+    pair = sm @ e1m @ cm + cm @ e2m @ sm
+    lhs = _pad(_sv_array(pair), k)
+    w1 = _eigvalsh(p @ e1m @ p)
+    w2 = w1 if same else _eigvalsh(p @ e2m @ p)
+    sub = _sub_rows(lhs, 0.5 * _spr_sum(w1, -w2, k=k))
+    ok = sub.holds
+    if same:
+        se = _sv_array(e1m)
+        coro = _sub_rows(_pad(_sv_array(pair / 2.0), 2 * d), 0.5 * _pad(se, 2 * d))
+        we = _eigvalsh(e1m)
+        doubled = 2.0 * _pad(se, 4 * d)
+        defect = np.max(np.abs(_spr_sum(we, -we, k=4 * d) - doubled), axis=-1)
+        id_ok = defect <= 1e-9 * np.maximum(1.0, np.max(doubled, axis=-1, initial=0.0))
+        ok = ok & coro.holds & id_ok
+
+    def verdict(i: int) -> Verdict:
+        extras = {}
+        if same:
+            extras = {
+                "coro_holds": bool(coro.holds[i]),
+                "identity_defect": float(defect[i]),
+                "identity_ok": bool(id_ok[i]),
+            }
+        return Verdict("agm_pair", bool(ok[i]), sub.report(i),
+                       (sm[i], cm[i], e1m[i], e2m[i]), "compact", extras=extras)
+
+    return Rows(ok, sub.margin, verdict)
+
+
+def _agm_compact(s, c, e) -> Rows:
+    em = _as_hermitians(e)
+    sm, cm = _as_cmatrices(s), _as_cmatrices(c)
+    p = _require_splitting(sm, cm)
+    _same_shape(p, em)
+    k = 2 * em.shape[-1]
+    s_sec = _sv_array(sm @ em @ _ct(cm))
+    s_e = _sv_array(em)
+    w_e = _eigvalsh(em)
+    rhs = _spr_sum(w_e, k=k)
+    sub = _sub_rows(2.0 * _pad(s_sec, k), rhs)
+    margins = rhs - _eig_spread(_eigvalsh(p @ em @ p), k)
+    sub_ok, _ = _entrywise(margins, rhs)
+    fro_lhs = _schatten_rows(s_sec, 2)
+    compact_bound = 0.5 * _schatten_rows(rhs, 2)
+    identity_bound = 0.5 * _schatten_rows(s_e, 2)
+    compact_ok = fro_lhs <= compact_bound + 1e-9 * np.maximum(1.0, compact_bound)
+    identity_ok = fro_lhs <= identity_bound + 1e-9 * np.maximum(1.0, identity_bound)
+    e_positive = _positive_gate(w_e)
+    pos_norms, pos_ok = _norm_forms(s_sec, s_e, 0.5)
+    ok = sub.holds & sub_ok & compact_ok & (pos_ok | ~e_positive)
+
+    def verdict(i: int) -> Verdict:
+        extras = {
+            "compression_monotone": bool(sub_ok[i]),
+            "fro": {
+                "lhs": float(fro_lhs[i]),
+                "compact_bound": float(compact_bound[i]),
+                "identity_bound": float(identity_bound[i]),
+                "compact_ok": bool(compact_ok[i]),
+                "identity_ok": bool(identity_ok[i]),
+            },
+            "e_positive": bool(e_positive[i]),
+        }
+        if e_positive[i]:
+            extras["positive_norms"] = _norm_row(pos_norms, i)
+        return Verdict(
+            "agm_compact", bool(ok[i]), sub.report(i), (sm[i], cm[i], em[i]), "compact",
+            entrywise_margins=margins[i], entrywise_holds=bool(sub_ok[i]), extras=extras,
+        )
+
+    return Rows(ok, sub.margin, verdict)
+
+
+def _agm_general(a, b, e) -> Rows:
+    am = _as_cmatrices(a)
+    bm = _as_cmatrices(b)
+    em = _as_hermitians(e)
+    d = em.shape[-1]
+    if am.shape[1:] != (d, d) or bm.shape[1:] != (d, d):
+        raise DimMismatch("A, B, E must share one square dimension")
+    f2 = _ct(am) @ am + _ct(bm) @ bm
+    w_f, v_f = _eigh(f2)
+    _positive_gate(w_f, "square root of a non-positive matrix ({:.3e})")
+    froot = _psd_root(w_f, v_f)
+    gh = _as_hermitians(froot @ em @ froot, tol=1e-8)
+    s_aeb = _sv_array(am @ em @ _ct(bm))
+    wg = _eigvalsh(gh)
+    k = 2 * d
+    lhs = _pad(s_aeb, k)
+    spr_g = _spr_sum(wg, k=k)
+    sub = _sub_rows(lhs, 0.5 * spr_g)
+    sub0 = _sub_rows(_pad(s_aeb, 4 * d), 0.5 * _spr_sum(wg, k=4 * d))  # G oplus 0
+    margins = spr_g[:, :d] - 2.0 * s_aeb
+    e_ok, _ = _entrywise(margins, spr_g)
+    ok = sub.holds & sub0.holds
+    # E's eigenvectors feed E^(1/2), so they are computed only for the rows
+    # whose E passes the gate
+    positive = np.flatnonzero(_positive_gate(_eigvalsh(em)))
+    cross = {}
+    if positive.size:
+        eroot = _psd_root(*_eigh(em[positive]))
+        rows = _sub_rows(2.0 * lhs[positive], _pad(_sv_array(eroot @ f2[positive] @ eroot), k))
+        cross = dict(zip(positive.tolist(), rows.holds.tolist()))
+        ok[positive] &= rows.holds
+
+    def verdict(i: int) -> Verdict:
+        extras = {"zero_block_holds": bool(sub0.holds[i])}
+        if i in cross:
+            extras["positive_cross_holds"] = cross[i]
+        return Verdict(
+            "agm_general", bool(ok[i]), sub.report(i), (am[i], bm[i], em[i]), "compact",
+            entrywise_margins=margins[i], entrywise_holds=bool(e_ok[i]), extras=extras,
+        )
+
+    return Rows(ok, sub.margin, verdict)
+
+
+def _zhan(e, f) -> Rows:
+    em = _as_hermitians(e)
+    fm = _as_hermitians(f)
+    _same_shape(em, fm)
+    k = 4 * em.shape[-1]
+    sub = _sub_rows(_pad(_sv_array(em - fm), k), _spr_sum(_eigvalsh(em), _eigvalsh(fm), k=k))
+
+    def verdict(i: int) -> Verdict:
+        return Verdict("zhan", bool(sub.holds[i]), sub.report(i), (em[i], fm[i]), "compact")
+
+    return Rows(sub.holds, sub.margin, verdict)
+
+
+def _offdiag_projection(e, p) -> Rows:
+    em = _as_hermitians(e)
+    pm = _as_projections(p)
+    _same_shape(em, pm)
+    d = em.shape[-1]
+    half = math.ceil(d / 2)
+    sv = _sv_array(pm @ em @ (np.eye(d) - pm))
+    # rank(PE(I-P)) <= floor(d/2), so the discarded values are rounding noise
+    dropped = np.max(sv[:, half:], axis=-1, initial=0.0)
+    sub = _sub_rows(2.0 * sv[:, :half], _matrix_spread(_eigvalsh(em)))
+    noise_ok = dropped <= 1e-7 * np.maximum(1.0, np.max(sv, axis=-1, initial=0.0))
+    ok = sub.holds & noise_ok
+
+    def verdict(i: int) -> Verdict:
+        return Verdict("equiv1", bool(ok[i]), sub.report(i), (em[i], pm[i]), "matrix",
+                       extras={"dropped_sv": float(dropped[i])})
+
+    return Rows(ok, sub.margin, verdict)
+
+
+def _offdiag_compact(e, p) -> Rows:
+    em = _as_hermitians(e)
+    pm = _as_projections(p)
+    _same_shape(em, pm)
+    d = em.shape[-1]
+    lhs = 2.0 * _pad(_sv_array(pm @ em @ (np.eye(d) - pm)), 2 * d)
+    sub = _sub_rows(lhs, _eig_spread(_eigvalsh(em)))
+
+    def verdict(i: int) -> Verdict:
+        return Verdict("equiv_compact1", bool(sub.holds[i]), sub.report(i),
+                       (em[i], pm[i]), "compact")
+
+    return Rows(sub.holds, sub.margin, verdict)
+
+
+def _identity_split(s, c, e) -> Rows:
+    em = _as_hermitians(e)
+    sm, cm = _as_cmatrices(s), _as_cmatrices(c)
+    p = _require_splitting(sm, cm)
+    d = em.shape[-1]
+    _same_shape(p, em)
+    if float(np.max(np.abs(p - np.eye(d)))) > 1e-8:
+        raise NotProjectionSum("C*C + S*S must equal the identity here")
+    k = 4 * d
+    lhs = 2.0 * _pad(_sv_array(sm @ em @ _ct(cm)), k)
+    sub = _sub_rows(lhs, _eig_spread(_eigvalsh(em), k))  # E oplus 0
+
+    def verdict(i: int) -> Verdict:
+        return Verdict("equiv5", bool(sub.holds[i]), sub.report(i),
+                       (sm[i], cm[i], em[i]), "compact")
+
+    return Rows(sub.holds, sub.margin, verdict)
+
+
+def _kittaneh_positive(c, d, x) -> Rows:
+    cm = _as_hermitians(c)
+    _positive_gate(_eigvalsh(cm), "C has eigenvalue {:.3e}")
+    dm = _as_hermitians(d)
+    _positive_gate(_eigvalsh(dm), "D has eigenvalue {:.3e}")
+    xm = _as_cmatrices(x)
+    if xm.shape[1:] != (cm.shape[-1], dm.shape[-1]):
+        raise DimMismatch(f"X is {xm.shape[1:]}, expected {(cm.shape[-1], dm.shape[-1])}")
+    lhs = _sv_array(cm @ xm - xm @ dm)
+    # s_1(X); singular values are non-negative and sorted, and X may be empty
+    top = np.max(_sv_array(xm), axis=-1, initial=0.0)
+    s_cd = np.sort(np.concatenate([_sv_array(cm), _sv_array(dm)], axis=-1), axis=-1)[..., ::-1]
+    rhs = top[:, None] * s_cd[:, : lhs.shape[-1]]  # ||X|| s(C oplus D)
+    margins = rhs - lhs
+    ok, low = _entrywise(margins, rhs)
+
+    def verdict(i: int) -> Verdict:
+        return Verdict(
+            "control_kittaneh", bool(ok[i]), None, (cm[i], dm[i], xm[i]), "matrix",
+            entrywise_margins=margins[i], entrywise_holds=bool(ok[i]),
+        )
+
+    return Rows(ok, low, verdict)
+
+
+def _bhatia_kittaneh(a, b) -> Rows:
+    am = _as_cmatrices(a)
+    bm = _as_cmatrices(b)
+    _same_shape(am, bm)
+    lhs = 2.0 * _sv_array(am @ _ct(bm))
+    rhs = _sv_array(_ct(am) @ am + _ct(bm) @ bm)[:, : lhs.shape[-1]]
+    margins = rhs - lhs
+    ok, low = _entrywise(margins, rhs)
+
+    def verdict(i: int) -> Verdict:
+        return Verdict(
+            "control_bhatia_kittaneh", bool(ok[i]), None, (am[i], bm[i]), "matrix",
+            entrywise_margins=margins[i], entrywise_holds=bool(ok[i]),
+        )
+
+    return Rows(ok, low, verdict)
+
+
+def _strict_gap(e) -> Rows:
+    em = _as_hermitians(e)
+    w = _eigvalsh(em)
+    if not (w.shape[-1] and np.all((w[:, 0] > 0.0) & (w[:, -1] < 0.0))):
+        raise NotPositive("an indefinite operator (both signs present) is required")
+    fro = _schatten_rows(_sv_array(em), 2)
+    g2 = _schatten_rows(_spr_sum(w), 2)
+    margin = g2 - fro
+    ok = margin > 1e-9 * fro
+
+    def verdict(i: int) -> Verdict:
+        return Verdict(
+            "control_strict_gap", bool(ok[i]), None, (em[i],), "compact",
+            extras={"fro": float(fro[i]), "g2_spread": float(g2[i]), "margin": float(margin[i])},
+        )
+
+    return Rows(ok, margin, verdict)
+
+
+# ---------------------------------------------------------------------------
+# public verifiers: each is its kernel on a batch of one
 
 
 def check_tao_positive(f, split: int | None = None) -> Verdict:
@@ -126,23 +703,7 @@ def check_tao_positive(f, split: int | None = None) -> Verdict:
     checks 2 s_i(B) <= s_i(F) for every i up to the number of singular
     values of B.
     """
-    fm = linalg.as_hermitian(f)
-    sf = _eigvalsh(fm)
-    _positive_gate(sf, "F has eigenvalue {:.3e}")
-    d = fm.shape[0]
-    if split is None:
-        split = d // 2
-    if not 1 <= split <= d - 1:
-        raise DimMismatch(f"split {split} does not cut a {d}x{d} matrix")
-    b = fm[:split, split:]
-    sb = _sv_array(b)
-    margins = sf[: len(sb)] - 2.0 * sb
-    ok = bool(len(margins) == 0 or float(np.min(margins)) >= -_entry_tol(sf))
-    return Verdict(
-        ineq_id="tao_positive", holds=ok, report=None, witness=_digest(fm),
-        mode="matrix", entrywise_margins=margins, entrywise_holds=ok,
-        extras={"split": split},
-    )
+    return _tao_positive(_one(f), split).verdict(0)
 
 
 def check_key(a, split: int | None = None) -> Verdict:
@@ -151,87 +712,22 @@ def check_key(a, split: int | None = None) -> Verdict:
     For Hermitian A with corner block B (rows < split, columns >= split):
     2 s(B) weakly submajorized by the compact-model spread of A.
     """
-    am = linalg.as_hermitian(a)
-    d = am.shape[0]
-    if split is None:
-        split = d // 2
-    if not 1 <= split <= d - 1:
-        raise DimMismatch(f"split {split} does not cut a {d}x{d} matrix")
-    b = am[:split, split:]
-    lhs = _scale_seq(_svd_values(b, horizon=2 * d), 2.0)
-    rhs = _spr(am)
-    rep = submajorizes(lhs, rhs)
-    return Verdict(
-        ineq_id="key", holds=rep.holds, report=rep, witness=_digest(am),
-        mode="compact", extras={"split": split},
-    )
+    return _key(_one(a), split).verdict(0)
 
 
 def check_trace_pairing(a, b) -> Verdict:
     """tr(AB) bounded by the index-paired product of the two-sided scales."""
-    am = linalg.as_hermitian(a)
-    bm = linalg.as_hermitian(b)
-    if am.shape != bm.shape:
-        raise DimMismatch(f"shapes {am.shape} and {bm.shape} differ")
-    d = am.shape[0]
-    lhs = float(np.trace(am @ bm).real)
-    wa = _eigvalsh(am)
-    sa = _eig_scale(wa, 2 * d)
-    sb = _compact_scale(bm, 2 * d)
-    rhs = float(np.dot(sa.pos, sb.pos) + np.dot(sa.neg, sb.neg))
-    margin = rhs - lhs
-    tol = 1e-9 * max(1.0, abs(rhs), abs(lhs))
-    cutoff = 1e-10 * max(1.0, float(np.max(np.abs(wa))))
-    rank = int(np.sum(np.abs(wa) > cutoff))
-    return Verdict(
-        ineq_id="trace_pairing", holds=bool(margin >= -tol), report=None,
-        witness=_digest(am, bm), mode="compact",
-        extras={"lhs": lhs, "rhs": rhs, "margin": margin, "rank_a": rank},
-    )
+    return _trace_pairing(_one(a), _one(b)).verdict(0)
 
 
 def check_commutator_scale(a, x) -> Verdict:
     """Positive scale of i[A,X] vs half the product of the two spreads."""
-    am = linalg.as_hermitian(a)
-    xm = linalg.as_hermitian(x)
-    if am.shape != xm.shape:
-        raise DimMismatch(f"shapes {am.shape} and {xm.shape} differ")
-    comm = 1j * (am @ xm - xm @ am)
-    lhs = _presorted(SpreadSeq, values=_compact_scale(comm).pos, tail=0.0, mode="compact")
-    rhs = _scale_seq(seq_product(_spr(am), _spr(xm)), 0.5)
-    rep = submajorizes(lhs, rhs)
-    return Verdict(
-        ineq_id="commutator_scale", holds=rep.holds, report=rep,
-        witness=_digest(am, xm), mode="compact",
-    )
-
-
-_NORM_IDS = ("op", "schatten:1", "schatten:2")
+    return _commutator_scale(_one(a), _one(x)).verdict(0)
 
 
 def check_commutator_sv(a, x) -> Verdict:
     """s([A,X]) vs half the product of the doubled spreads, plus norm forms."""
-    am = linalg.as_hermitian(a)
-    xm = linalg.as_hermitian(x)
-    if am.shape != xm.shape:
-        raise DimMismatch(f"shapes {am.shape} and {xm.shape} differ")
-    d = am.shape[0]
-    lhs = _svd_values(am @ xm - xm @ am, horizon=4 * d)
-    wa, wx = _eigvalsh(am), _eigvalsh(xm)
-    rhs = _scale_seq(seq_product(_spr_sum(wa, wa), _spr_sum(wx, wx)), 0.5)
-    rep = submajorizes(lhs, rhs)
-    norms = {}
-    ok = rep.holds
-    for nid in _NORM_IDS:
-        lv = gauge(lhs, nid)
-        bv = gauge(rhs, nid)
-        good = bool(lv <= bv + 1e-9 * max(1.0, bv))
-        norms[nid] = {"lhs": lv, "bound": bv, "ok": good}
-        ok = ok and good
-    return Verdict(
-        ineq_id="commutator_sv", holds=bool(ok), report=rep,
-        witness=_digest(am, xm), mode="compact", extras={"norms": norms},
-    )
+    return _commutator_sv(_one(a), _one(x)).verdict(0)
 
 
 def check_mixed_commutator(a, b, x) -> Verdict:
@@ -240,33 +736,7 @@ def check_mixed_commutator(a, b, x) -> Verdict:
     The submajorization is the claim; the entrywise comparison is kept in the
     verdict because it can fail (and does, on the documented fixture).
     """
-    am = linalg.as_hermitian(a)
-    bm = linalg.as_hermitian(b)
-    xm = linalg.as_cmatrix(x)
-    m, n = am.shape[0], bm.shape[0]
-    if xm.shape != (m, n):
-        raise DimMismatch(f"X is {xm.shape}, expected {(m, n)}")
-    k = 2 * (m + n)
-    lhs_vals = _sv_array(am @ xm - xm @ bm)
-    lhs = _svd_values(lhs_vals, horizon=k)
-    rhs = seq_product(
-        _spr_sum(_eigvalsh(am), _eigvalsh(bm)), _svd_values(xm, horizon=k)
-    )
-    rep = submajorizes(lhs, rhs)
-    q = len(lhs_vals)
-    margins = rhs.values[:q] - lhs_vals
-    e_ok = bool(q == 0 or float(np.min(margins)) >= -_entry_tol(rhs.values))
-    return Verdict(
-        ineq_id="mixed_commutator", holds=rep.holds, report=rep,
-        witness=_digest(am, bm, xm), mode="compact",
-        entrywise_margins=margins, entrywise_holds=e_ok,
-    )
-
-
-def _herm_parts(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if c.shape[0] != c.shape[1]:
-        raise DimMismatch(f"matrix is {c.shape[0]}x{c.shape[1]}, not square")
-    return (c + c.conj().T) / 2.0, (c - c.conj().T) / 2j
+    return _mixed_commutator(_one(a), _one(b), _one(x)).verdict(0)
 
 
 def check_general_commutator(a, b, x) -> Verdict:
@@ -277,58 +747,122 @@ def check_general_commutator(a, b, x) -> Verdict:
     using the extreme eigenvalues of each part, for the op, trace, and
     Frobenius norms.
     """
-    am = linalg.as_cmatrix(a)
-    bm = linalg.as_cmatrix(b)
-    xm = linalg.as_cmatrix(x)
-    a1, a2 = _herm_parts(am)
-    b1, b2 = _herm_parts(bm)
-    m, n = a1.shape[0], b1.shape[0]
-    if xm.shape != (m, n):
-        raise DimMismatch(f"X is {xm.shape}, expected {(m, n)}")
-    k = 2 * (m + n)
-    lhs = _svd_values(am @ xm - xm @ bm, horizon=k)
-    w_a1, w_b1 = _eigvalsh(a1), _eigvalsh(b1)
-    w_a2, w_b2 = _eigvalsh(a2), _eigvalsh(b2)
-    spread_sum = _add_seq(_spr_sum(w_a1, w_b1), _spr_sum(w_a2, w_b2))
-    sx = _svd_values(xm)
-    rhs = seq_product(spread_sum, _svd_values(sx.values, horizon=k))
-    rep = submajorizes(lhs, rhs)
-    scalar = (
-        max(w_a1[0], w_b1[0]) - min(w_a1[-1], w_b1[-1])
-        + max(w_a2[0], w_b2[0]) - min(w_a2[-1], w_b2[-1])
-    )
-    corollary = {}
-    ok = rep.holds
-    for nid in _NORM_IDS:
-        lv = gauge(lhs, nid)
-        bv = scalar * gauge(sx, nid)
-        good = bool(lv <= bv + 1e-9 * max(1.0, bv))
-        corollary[nid] = {"lhs": lv, "bound": bv, "ok": good}
-        ok = ok and good
-    return Verdict(
-        ineq_id="general_commutator", holds=bool(ok), report=rep,
-        witness=_digest(am, bm, xm), mode="compact",
-        extras={"scalar": float(scalar), "corollary": corollary},
-    )
+    return _general_commutator(_one(a), _one(b), _one(x)).verdict(0)
 
 
 def check_unitary_conj(a, x) -> Verdict:
     """s(A - U*AU) with U = e^{iX}, against the doubled-spread product."""
-    am = linalg.as_hermitian(a)
-    xm = linalg.as_hermitian(x)
-    if am.shape != xm.shape:
-        raise DimMismatch(f"shapes {am.shape} and {xm.shape} differ")
-    d = am.shape[0]
-    wx, vx = _eigh(xm)
-    u = _unitary_exp(wx, vx)
-    lhs = _svd_values(am - u.conj().T @ am @ u, horizon=4 * d)
-    wa = _eigvalsh(am)
-    rhs = _scale_seq(seq_product(_spr_sum(wx, wx), _spr_sum(wa, wa)), 0.5)
-    rep = submajorizes(lhs, rhs)
-    return Verdict(
-        ineq_id="unitary_conj", holds=rep.holds, report=rep,
-        witness=_digest(am, xm), mode="compact",
-    )
+    return _unitary_conj(_one(a), _one(x)).verdict(0)
+
+
+def check_agm_projection(s, c, e) -> Verdict:
+    """Doubled s(SEC*) vs the spread of the compressed operator plus a zero block."""
+    return _agm_projection(_one(s), _one(c), _one(e)).verdict(0)
+
+
+def check_agm_pair(s, c, e1, e2=None) -> Verdict:
+    """s(S E1 C + C E2 S) for a positive splitting pair C^2 + S^2 = P.
+
+    With E1 = E2 = E the arithmetic-geometric-mean corollary
+    s(Re(SEC)) weakly below s(E)/2 is evaluated as well, along with the
+    identity spread(E oplus -E) = 2 s(E) it rests on.
+    """
+    return _agm_pair(_one(s), _one(c), _one(e1), None if e2 is None else _one(e2)).verdict(0)
+
+
+def check_agm_compact(s, c, e) -> Verdict:
+    """Doubled s(SEC*) vs the compact-model spread of E itself.
+
+    Also records: the compression monotonicity spread(PEP) <= spread(E)
+    entrywise, the Frobenius comparison against the compact bound, and the
+    identity-model Frobenius bound ||SEC*||_2 <= ||E||_2 / 2, which is only a
+    theorem for positive E and fails on the documented indefinite fixture.
+    """
+    return _agm_compact(_one(s), _one(c), _one(e)).verdict(0)
+
+
+def check_agm_general(a, b, e) -> Verdict:
+    """s(AEB*) vs half the spread of F^(1/2) E F^(1/2), F = A*A + B*B.
+
+    Verified in the compact model and again with a zero block appended. The
+    spectrum of G oplus 0 is G's plus zeros, so that second spread comes
+    from G's eigenvalues at the doubled horizon; the property suite checks
+    the union on explicit block matrices. The entrywise comparison is
+    recorded because it fails on the documented 3x3 fixture. For positive E
+    the equivalent formulation 2 s(AEB*) weakly below s(E^(1/2) F E^(1/2))
+    is cross-checked.
+    """
+    return _agm_general(_one(a), _one(b), _one(e)).verdict(0)
+
+
+def check_zhan(e, f) -> Verdict:
+    """s(E - F) vs the compact-model spread of E oplus F."""
+    return _zhan(_one(e), _one(f)).verdict(0)
+
+
+def check_offdiag_projection(e, p) -> Verdict:
+    """Doubled corner s-values vs the d-dimensional spread of E.
+
+    This is the bounded-operator form: the spread is taken in the matrix
+    model (no zero padding of the spectrum), and the comparison runs over
+    the ceil(d/2) entries that model carries. The corner PE(I-P) has rank
+    at most floor(d/2)-ish, never more than ceil(d/2); the discarded
+    singular values are asserted to vanish.
+    """
+    return _offdiag_projection(_one(e), _one(p)).verdict(0)
+
+
+def check_offdiag_compact(e, p) -> Verdict:
+    """Doubled corner s-values vs the compact-model spread of E."""
+    return _offdiag_compact(_one(e), _one(p)).verdict(0)
+
+
+def check_identity_split(s, c, e) -> Verdict:
+    """Full splitting C*C + S*S = I: doubled s(SEC*) vs spread of E plus a zero block."""
+    return _identity_split(_one(s), _one(c), _one(e)).verdict(0)
+
+
+def control_kittaneh_positive(c, d, x) -> Verdict:
+    """Entrywise s_i(CX - XD) <= ||X|| s_i(C oplus D) for positive C, D."""
+    return _kittaneh_positive(_one(c), _one(d), _one(x)).verdict(0)
+
+
+def control_bhatia_kittaneh(a, b) -> Verdict:
+    """Entrywise 2 s_i(AB*) <= s_i(A*A + B*B)."""
+    return _bhatia_kittaneh(_one(a), _one(b)).verdict(0)
+
+
+def control_strict_gap(e) -> Verdict:
+    """Strict Frobenius gap ||E||_2 < g_2(spread(E)) for indefinite E."""
+    return _strict_gap(_one(e)).verdict(0)
+
+
+# public verifier name -> its kernel over stacks
+KERNELS = {
+    "check_tao_positive": _tao_positive,
+    "check_key": _key,
+    "check_trace_pairing": _trace_pairing,
+    "check_commutator_scale": _commutator_scale,
+    "check_commutator_sv": _commutator_sv,
+    "check_mixed_commutator": _mixed_commutator,
+    "check_general_commutator": _general_commutator,
+    "check_unitary_conj": _unitary_conj,
+    "check_agm_projection": _agm_projection,
+    "check_agm_pair": _agm_pair,
+    "check_agm_compact": _agm_compact,
+    "check_agm_general": _agm_general,
+    "check_zhan": _zhan,
+    "check_offdiag_projection": _offdiag_projection,
+    "check_offdiag_compact": _offdiag_compact,
+    "check_identity_split": _identity_split,
+    "control_kittaneh_positive": _kittaneh_positive,
+    "control_bhatia_kittaneh": _bhatia_kittaneh,
+    "control_strict_gap": _strict_gap,
+}
+
+
+# ---------------------------------------------------------------------------
+# Douglas factorization
 
 
 def _pinv(b, cutoff: float = PINV_CUTOFF) -> np.ndarray:
@@ -369,330 +903,3 @@ def douglas_factorize(a, b, tol: float = DOUGLAS_TOL) -> np.ndarray:
     return c
 
 
-def _require_splitting(sm: np.ndarray, cm: np.ndarray, proj_tol: float = 1e-8) -> np.ndarray:
-    """Validate C*C + S*S as an orthogonal projection; return it.
-
-    S and C are already validated matrices; only their sum is checked here.
-    """
-    if sm.shape != cm.shape:
-        raise DimMismatch(f"shapes {sm.shape} and {cm.shape} differ")
-    p = cm.conj().T @ cm + sm.conj().T @ sm
-    try:
-        return linalg.as_projection(p, tol=proj_tol)
-    except (NotProjection, NotHermitian) as exc:
-        raise NotProjectionSum(f"C*C + S*S is not a projection: {exc}") from exc
-
-
-def check_agm_projection(s, c, e) -> Verdict:
-    """Doubled s(SEC*) vs the spread of the compressed operator plus a zero block."""
-    em = linalg.as_hermitian(e)
-    sm, cm = linalg.as_cmatrix(s), linalg.as_cmatrix(c)
-    p = _require_splitting(sm, cm)
-    if p.shape != em.shape:
-        raise DimMismatch(f"shapes {p.shape} and {em.shape} differ")
-    d = em.shape[0]
-    k = 4 * d
-    lhs = _scale_seq(_svd_values(sm @ em @ cm.conj().T, horizon=k), 2.0)
-    rhs = _spr(p @ em @ p, k)  # PEP oplus 0
-    rep = submajorizes(lhs, rhs)
-    return Verdict(
-        ineq_id="agm_projection", holds=rep.holds, report=rep,
-        witness=_digest(sm, cm, em), mode="compact",
-    )
-
-
-def check_agm_pair(s, c, e1, e2=None) -> Verdict:
-    """s(S E1 C + C E2 S) for a positive splitting pair C^2 + S^2 = P.
-
-    With E1 = E2 = E the arithmetic-geometric-mean corollary
-    s(Re(SEC)) weakly below s(E)/2 is evaluated as well, along with the
-    identity spread(E oplus -E) = 2 s(E) it rests on.
-    """
-    sm = linalg.as_hermitian(s)
-    _positive_gate(_eigvalsh(sm), "S has eigenvalue {:.3e}")
-    cm = linalg.as_hermitian(c)
-    _positive_gate(_eigvalsh(cm), "C has eigenvalue {:.3e}")
-    p = _require_splitting(sm, cm)
-    same = e2 is None
-    e1m = linalg.as_hermitian(e1)
-    e2m = e1m if same else linalg.as_hermitian(e2)
-    if e1m.shape != p.shape or e2m.shape != p.shape:
-        raise DimMismatch("operator dimensions do not match the splitting")
-    d = p.shape[0]
-    k = 4 * d
-    lhs = _svd_values(sm @ e1m @ cm + cm @ e2m @ sm, horizon=k)
-    w1 = _eigvalsh(p @ e1m @ p)
-    w2 = w1 if same else _eigvalsh(p @ e2m @ p)
-    rhs = _scale_seq(_spr_sum(w1, -w2, k=k), 0.5)
-    rep = submajorizes(lhs, rhs)
-    ok = rep.holds
-    extras = {}
-    if same:
-        re_sec = (sm @ e1m @ cm + cm @ e1m @ sm) / 2.0
-        se = _sv_array(e1m)
-        coro = submajorizes(
-            _svd_values(re_sec, horizon=2 * d),
-            _scale_seq(_svd_values(se, horizon=2 * d), 0.5),
-        )
-        we = _eigvalsh(e1m)
-        spr_pair = _spr_sum(we, -we, k=4 * d)
-        doubled = _scale_seq(_svd_values(se, horizon=4 * d), 2.0)
-        defect = float(np.max(np.abs(spr_pair.values - doubled.values)))
-        id_ok = bool(defect <= 1e-9 * max(1.0, float(np.max(doubled.values, initial=0.0))))
-        extras = {
-            "coro_holds": coro.holds,
-            "identity_defect": defect,
-            "identity_ok": id_ok,
-        }
-        ok = ok and coro.holds and id_ok
-    return Verdict(
-        ineq_id="agm_pair", holds=bool(ok), report=rep,
-        witness=_digest(sm, cm, e1m, e2m), mode="compact", extras=extras,
-    )
-
-
-def check_agm_compact(s, c, e) -> Verdict:
-    """Doubled s(SEC*) vs the compact-model spread of E itself.
-
-    Also records: the compression monotonicity spread(PEP) <= spread(E)
-    entrywise, the Frobenius comparison against the compact bound, and the
-    identity-model Frobenius bound ||SEC*||_2 <= ||E||_2 / 2, which is only a
-    theorem for positive E and fails on the documented indefinite fixture.
-    """
-    em = linalg.as_hermitian(e)
-    sm, cm = linalg.as_cmatrix(s), linalg.as_cmatrix(c)
-    p = _require_splitting(sm, cm)
-    if p.shape != em.shape:
-        raise DimMismatch(f"shapes {p.shape} and {em.shape} differ")
-    d = em.shape[0]
-    k = 2 * d
-    s_sec = _sv_array(sm @ em @ cm.conj().T)
-    s_e = _sv_array(em)
-    w_e = _eigvalsh(em)
-    lhs = _scale_seq(_svd_values(s_sec, horizon=k), 2.0)
-    rhs = _spr_sum(w_e, k=k)
-    rep = submajorizes(lhs, rhs)
-    spr_pep = _spr(p @ em @ p, k)
-    margins = rhs.values - spr_pep.values
-    sub_ok = bool(float(np.min(margins)) >= -_entry_tol(rhs.values)) if len(margins) else True
-    fro_lhs = schatten(s_sec, 2)
-    compact_bound = 0.5 * schatten(rhs, 2)
-    identity_bound = 0.5 * schatten(s_e, 2)
-    e_positive = _positive_gate(w_e)
-    extras = {
-        "compression_monotone": sub_ok,
-        "fro": {
-            "lhs": fro_lhs,
-            "compact_bound": compact_bound,
-            "identity_bound": identity_bound,
-            "compact_ok": bool(fro_lhs <= compact_bound + 1e-9 * max(1.0, compact_bound)),
-            "identity_ok": bool(fro_lhs <= identity_bound + 1e-9 * max(1.0, identity_bound)),
-        },
-        "e_positive": e_positive,
-    }
-    ok = rep.holds and sub_ok and extras["fro"]["compact_ok"]
-    if e_positive:
-        pos_norms = {}
-        for nid in _NORM_IDS:
-            lv = gauge(_svd_values(s_sec), nid)
-            bv = 0.5 * gauge(_svd_values(s_e), nid)
-            good = bool(lv <= bv + 1e-9 * max(1.0, bv))
-            pos_norms[nid] = {"lhs": lv, "bound": bv, "ok": good}
-            ok = ok and good
-        extras["positive_norms"] = pos_norms
-    return Verdict(
-        ineq_id="agm_compact", holds=bool(ok), report=rep,
-        witness=_digest(sm, cm, em), mode="compact",
-        entrywise_margins=margins, entrywise_holds=sub_ok, extras=extras,
-    )
-
-
-def check_agm_general(a, b, e) -> Verdict:
-    """s(AEB*) vs half the spread of F^(1/2) E F^(1/2), F = A*A + B*B.
-
-    Verified in the compact model and again with a zero block appended. The
-    spectrum of G oplus 0 is G's plus zeros, so that second spread comes
-    from G's eigenvalues at the doubled horizon; the property suite checks
-    the union on explicit block matrices. The entrywise comparison is
-    recorded because it fails on the documented 3x3 fixture. For positive E
-    the equivalent formulation 2 s(AEB*) weakly below s(E^(1/2) F E^(1/2))
-    is cross-checked.
-    """
-    am = linalg.as_cmatrix(a)
-    bm = linalg.as_cmatrix(b)
-    em = linalg.as_hermitian(e)
-    d = em.shape[0]
-    if am.shape != (d, d) or bm.shape != (d, d):
-        raise DimMismatch("A, B, E must share one square dimension")
-    f2 = am.conj().T @ am + bm.conj().T @ bm
-    w_f, v_f = _eigh(f2)
-    _positive_gate(w_f, "square root of a non-positive matrix ({:.3e})")
-    froot = _psd_root(w_f, v_f)
-    g = froot @ em @ froot
-    gh = linalg.as_hermitian(g, tol=1e-8)
-    s_aeb = _sv_array(am @ em @ bm.conj().T)
-    wg = _eigvalsh(gh)
-    k = 2 * d
-    lhs = _svd_values(s_aeb, horizon=k)
-    spr_g = _spr_sum(wg, k=k)
-    rhs = _scale_seq(spr_g, 0.5)
-    rep = submajorizes(lhs, rhs)
-    rhs0 = _scale_seq(_spr_sum(wg, k=4 * d), 0.5)  # G oplus 0
-    rep0 = submajorizes(_svd_values(s_aeb, horizon=4 * d), rhs0)
-    margins = spr_g.values[:d] - 2.0 * s_aeb
-    e_ok = bool(float(np.min(margins)) >= -_entry_tol(spr_g.values)) if len(margins) else True
-    ok = rep.holds and rep0.holds
-    extras = {"zero_block_holds": rep0.holds}
-    # E's eigenvectors feed E^(1/2), so they are computed only once E passes
-    if _positive_gate(_eigvalsh(em)):
-        eroot = _psd_root(*_eigh(em))
-        cross = submajorizes(
-            _scale_seq(lhs, 2.0),
-            _svd_values(eroot @ f2 @ eroot, horizon=k),
-        )
-        extras["positive_cross_holds"] = cross.holds
-        ok = ok and cross.holds
-    return Verdict(
-        ineq_id="agm_general", holds=bool(ok), report=rep,
-        witness=_digest(am, bm, em), mode="compact",
-        entrywise_margins=margins, entrywise_holds=e_ok, extras=extras,
-    )
-
-
-def check_zhan(e, f) -> Verdict:
-    """s(E - F) vs the compact-model spread of E oplus F."""
-    em = linalg.as_hermitian(e)
-    fm = linalg.as_hermitian(f)
-    if em.shape != fm.shape:
-        raise DimMismatch(f"shapes {em.shape} and {fm.shape} differ")
-    d = em.shape[0]
-    k = 4 * d
-    lhs = _svd_values(em - fm, horizon=k)
-    rhs = _spr_sum(_eigvalsh(em), _eigvalsh(fm), k=k)
-    rep = submajorizes(lhs, rhs)
-    return Verdict(
-        ineq_id="zhan", holds=rep.holds, report=rep,
-        witness=_digest(em, fm), mode="compact",
-    )
-
-
-def check_offdiag_projection(e, p) -> Verdict:
-    """Doubled corner s-values vs the d-dimensional spread of E.
-
-    This is the bounded-operator form: the spread is taken in the matrix
-    model (no zero padding of the spectrum), and the comparison runs over
-    the ceil(d/2) entries that model carries. The corner PE(I-P) has rank
-    at most floor(d/2)-ish, never more than ceil(d/2); the discarded
-    singular values are asserted to vanish.
-    """
-    em = linalg.as_hermitian(e)
-    pm = linalg.as_projection(p)
-    if em.shape != pm.shape:
-        raise DimMismatch(f"shapes {em.shape} and {pm.shape} differ")
-    d = em.shape[0]
-    half = math.ceil(d / 2)
-    corner = pm @ em @ (np.eye(d) - pm)
-    sv = _sv_array(corner)
-    # rank(PE(I-P)) <= floor(d/2), so the discarded values are rounding noise
-    dropped = float(np.max(sv[half:], initial=0.0))
-    lhs = 2.0 * sv[:half]
-    rhs = _matrix_spread(_eigvalsh(em)).values
-    rep = submajorizes(lhs, rhs)
-    noise_ok = dropped <= 1e-7 * max(1.0, float(np.max(sv, initial=0.0)))
-    return Verdict(
-        ineq_id="equiv1", holds=bool(rep.holds and noise_ok), report=rep,
-        witness=_digest(em, pm), mode="matrix", extras={"dropped_sv": dropped},
-    )
-
-
-def check_offdiag_compact(e, p) -> Verdict:
-    """Doubled corner s-values vs the compact-model spread of E."""
-    em = linalg.as_hermitian(e)
-    pm = linalg.as_projection(p)
-    if em.shape != pm.shape:
-        raise DimMismatch(f"shapes {em.shape} and {pm.shape} differ")
-    d = em.shape[0]
-    corner = pm @ em @ (np.eye(d) - pm)
-    lhs = _scale_seq(_svd_values(corner, horizon=2 * d), 2.0)
-    rhs = _spr(em)
-    rep = submajorizes(lhs, rhs)
-    return Verdict(
-        ineq_id="equiv_compact1", holds=rep.holds, report=rep,
-        witness=_digest(em, pm), mode="compact",
-    )
-
-
-def check_identity_split(s, c, e) -> Verdict:
-    """Full splitting C*C + S*S = I: doubled s(SEC*) vs spread of E plus a zero block."""
-    em = linalg.as_hermitian(e)
-    sm, cm = linalg.as_cmatrix(s), linalg.as_cmatrix(c)
-    p = _require_splitting(sm, cm)
-    d = em.shape[0]
-    if p.shape != em.shape:
-        raise DimMismatch(f"shapes {p.shape} and {em.shape} differ")
-    if float(np.max(np.abs(p - np.eye(d)))) > 1e-8:
-        raise NotProjectionSum("C*C + S*S must equal the identity here")
-    k = 4 * d
-    lhs = _scale_seq(_svd_values(sm @ em @ cm.conj().T, horizon=k), 2.0)
-    rhs = _spr(em, k)  # E oplus 0
-    rep = submajorizes(lhs, rhs)
-    return Verdict(
-        ineq_id="equiv5", holds=rep.holds, report=rep,
-        witness=_digest(sm, cm, em), mode="compact",
-    )
-
-
-def control_kittaneh_positive(c, d, x) -> Verdict:
-    """Entrywise s_i(CX - XD) <= ||X|| s_i(C oplus D) for positive C, D."""
-    cm = linalg.as_hermitian(c)
-    _positive_gate(_eigvalsh(cm), "C has eigenvalue {:.3e}")
-    dm = linalg.as_hermitian(d)
-    _positive_gate(_eigvalsh(dm), "D has eigenvalue {:.3e}")
-    xm = linalg.as_cmatrix(x)
-    if xm.shape != (cm.shape[0], dm.shape[0]):
-        raise DimMismatch(f"X is {xm.shape}, expected {(cm.shape[0], dm.shape[0])}")
-    lhs = _sv_array(cm @ xm - xm @ dm)
-    s_x = _sv_array(xm)
-    s_cd = np.sort(np.concatenate([_sv_array(cm), _sv_array(dm)]))[::-1]  # s(C oplus D)
-    rhs = (float(s_x[0]) if s_x.size else 0.0) * s_cd[: len(lhs)]
-    margins = rhs - lhs
-    ok = bool(len(margins) == 0 or float(np.min(margins)) >= -_entry_tol(rhs))
-    return Verdict(
-        ineq_id="control_kittaneh", holds=ok, report=None,
-        witness=_digest(cm, dm, xm), mode="matrix",
-        entrywise_margins=margins, entrywise_holds=ok,
-    )
-
-
-def control_bhatia_kittaneh(a, b) -> Verdict:
-    """Entrywise 2 s_i(AB*) <= s_i(A*A + B*B)."""
-    am = linalg.as_cmatrix(a)
-    bm = linalg.as_cmatrix(b)
-    if am.shape != bm.shape:
-        raise DimMismatch(f"shapes {am.shape} and {bm.shape} differ")
-    lhs = 2.0 * _sv_array(am @ bm.conj().T)
-    rhs = _sv_array(am.conj().T @ am + bm.conj().T @ bm)[: len(lhs)]
-    margins = rhs - lhs
-    ok = bool(len(margins) == 0 or float(np.min(margins)) >= -_entry_tol(rhs))
-    return Verdict(
-        ineq_id="control_bhatia_kittaneh", holds=ok, report=None,
-        witness=_digest(am, bm), mode="matrix",
-        entrywise_margins=margins, entrywise_holds=ok,
-    )
-
-
-def control_strict_gap(e) -> Verdict:
-    """Strict Frobenius gap ||E||_2 < g_2(spread(E)) for indefinite E."""
-    em = linalg.as_hermitian(e)
-    w = _eigvalsh(em)
-    if not (w.size and w[0] > 0.0 and w[-1] < 0.0):
-        raise NotPositive("an indefinite operator (both signs present) is required")
-    fro = schatten(_sv_array(em), 2)
-    g2 = schatten(_spr_sum(w), 2)
-    margin = g2 - fro
-    ok = bool(margin > 1e-9 * fro)
-    return Verdict(
-        ineq_id="control_strict_gap", holds=ok, report=None,
-        witness=_digest(em), mode="compact",
-        extras={"fro": fro, "g2_spread": g2, "margin": margin},
-    )

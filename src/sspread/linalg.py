@@ -9,6 +9,12 @@ private helper of the same name with a leading underscore; code inside the
 package calls those helpers directly on matrices it has built or already
 validated.
 
+The private helpers also take stacks (B, rows, cols) with a leading batch
+axis, and `_as_cmatrices`/`_as_hermitians`/`_as_projections` validate a stack
+member by member at the same tolerances as the public one-matrix checks,
+which are those checks on a stack of one. numpy runs LAPACK and matmul once
+per stack member, so each member gets the bits a lone call would give.
+
 Scales, spreads and positivity gates need eigenvalues only; they come from
 LAPACK's values-only Hermitian driver (`_eigvalsh`). Eigenvectors (`_eigh`)
 are computed only for functional calculus: square roots, e^{iX}, polar
@@ -33,12 +39,7 @@ PSD_CLAMP = 1e-12
 
 def as_cmatrix(a) -> np.ndarray:
     """Validate and return a 2-d complex128 matrix with finite entries."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix entries must be finite")
-    return m
+    return _as_cmatrices(np.asarray(a, dtype=np.complex128)[None])[0]
 
 
 def as_hermitian(a, tol: float = HERM_TOL) -> np.ndarray:
@@ -47,14 +48,61 @@ def as_hermitian(a, tol: float = HERM_TOL) -> np.ndarray:
     Raises:
         NotHermitian: if the defect max|A - A*| exceeds tol * max(1, max|A|).
     """
-    m = as_cmatrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise NotHermitian(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if defect > tol * scale:
-        raise NotHermitian(f"Hermitian defect {defect:.3e} exceeds {tol * scale:.3e}")
+    return _as_hermitians(np.asarray(a, dtype=np.complex128)[None], tol)[0]
+
+
+def _ct(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _absmax(m: np.ndarray, axes) -> np.ndarray:
+    return np.max(np.abs(m), axis=axes, initial=0.0)
+
+
+def _as_cmatrices(a) -> np.ndarray:
+    """Validate a stack (B, rows, cols) of finite complex128 matrices."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 3:
+        raise ValueError(f"expected a 2-d matrix, got shape {m.shape[1:]}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     return m
+
+
+def _as_hermitians(a, tol: float = HERM_TOL) -> np.ndarray:
+    """as_hermitian over a stack; the message names the first failing member."""
+    m = _as_cmatrices(a)
+    if m.shape[1] != m.shape[2]:
+        raise NotHermitian(f"matrix is {m.shape[1]}x{m.shape[2]}, not square")
+    limit = tol * np.maximum(1.0, _absmax(m, (1, 2)))
+    defect = _absmax(m - _ct(m), (1, 2))
+    bad = np.flatnonzero(defect > limit)
+    if bad.size:
+        i = bad[0]
+        raise NotHermitian(f"Hermitian defect {defect[i]:.3e} exceeds {limit[i]:.3e}")
+    return m
+
+
+def _as_projections(p, tol: float = PROJ_TOL) -> np.ndarray:
+    """as_projection over a stack; the message names the first failing member."""
+    m = _as_hermitians(p, tol)
+    limit = tol * np.maximum(1.0, _absmax(m, (1, 2)))
+    defect = np.max(np.abs(m @ m - m), axis=(1, 2))
+    bad = np.flatnonzero(defect > limit)
+    if bad.size:
+        i = bad[0]
+        raise NotProjection(f"idempotency defect {defect[i]:.3e} exceeds {limit[i]:.3e}")
+    return m
+
+
+def _diag(x: np.ndarray) -> np.ndarray:
+    """Diagonal matrices from the last axis of x: (..., n) -> (..., n, n)."""
+    n = x.shape[-1]
+    out = np.zeros(x.shape + (n,), dtype=x.dtype)
+    i = np.arange(n)
+    out[..., i, i] = x
+    return out
 
 
 class EigenPair(NamedTuple):
@@ -89,20 +137,22 @@ def eigh(a) -> EigenPair:
 
 
 def _eigh(m: np.ndarray) -> EigenPair:
+    """eigh of a matrix or of a stack of them (..., d, d), not re-checked."""
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    return EigenPair(w[::-1].copy(), v[:, ::-1].copy())
+    return EigenPair(w[..., ::-1].copy(), v[..., ::-1].copy())
 
 
 def _eigvalsh(m: np.ndarray) -> np.ndarray:
-    """Non-increasing eigenvalues of a Hermitian matrix, without eigenvectors."""
+    """Non-increasing eigenvalues of a Hermitian matrix or of a stack of them,
+    without eigenvectors."""
     try:
         w = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    return w[::-1].copy()
+    return w[..., ::-1].copy()
 
 
 def sv_array(x) -> np.ndarray:
@@ -119,6 +169,7 @@ def sv_array(x) -> np.ndarray:
 
 
 def _sv_array(m: np.ndarray) -> np.ndarray:
+    """sv_array of a matrix or of a stack of them, along the last axis."""
     try:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -180,22 +231,18 @@ def unitary_exp(x) -> np.ndarray:
 
 
 def _unitary_exp(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """e^{iX} from the eigenpair (w, v) of a Hermitian X."""
-    u = v @ np.diag(np.exp(1j * w)) @ v.conj().T
-    d = u.conj().T @ u - np.eye(u.shape[0])
-    if float(np.linalg.norm(d)) > 1e-10:
+    """e^{iX} from the eigenpair (w, v) of a Hermitian X, or of a stack of them."""
+    u = v @ _diag(np.exp(1j * w)) @ _ct(v)
+    # a gate only: the stacked norm sums in another order than the 2-d one
+    d = _ct(u) @ u - np.eye(u.shape[-1])
+    if np.any(np.linalg.norm(d, axis=(-2, -1)) > 1e-10):
         raise NoConvergence("e^{iX} failed the unitarity residual")
     return u
 
 
 def as_projection(p, tol: float = PROJ_TOL) -> np.ndarray:
     """Validate P as an orthogonal projection (P = P* = P^2) at relative tol."""
-    m = as_hermitian(p, tol)
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
-    defect = float(np.max(np.abs(m @ m - m)))
-    if defect > tol * scale:
-        raise NotProjection(f"idempotency defect {defect:.3e} exceeds {tol * scale:.3e}")
-    return m
+    return _as_projections(np.asarray(p, dtype=np.complex128)[None], tol)[0]
 
 
 def compress(a, p) -> CompressResult:
@@ -221,14 +268,9 @@ def compress(a, p) -> CompressResult:
 
 def svd_values(x, horizon: int | None = None):
     """Singular values as a compact-mode SpreadSeq, zero-padded to horizon."""
-    return _svd_values(as_cmatrix(x), horizon)
-
-
-def _svd_values(m: np.ndarray, horizon: int | None = None):
-    """svd_values of a matrix, or of singular values already computed (1-d m)."""
     from .spectra import SpreadSeq, _presorted
 
-    s = m if m.ndim == 1 else _sv_array(m)
+    s = _sv_array(as_cmatrix(x))
     if horizon is None:
         horizon = len(s)
     if horizon < len(s):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +29,12 @@ from .errors import HorizonMismatch, ModeError
 from .spectra import TAIL_TOL, SpreadSeq, TwoSidedSeq, _presorted
 
 
-def maj_tol(b_inf: float, k: int) -> float:
-    """Comparison tolerance scaled to the bound's magnitude and horizon."""
-    return 1e-9 * max(1.0, abs(b_inf) * max(k, 1))
+def maj_tol(b_inf, k: int):
+    """Comparison tolerance scaled to the bound's magnitude and horizon.
+
+    b_inf may be an array (one bound magnitude per row); so is the result.
+    """
+    return 1e-9 * np.maximum(1.0, np.abs(b_inf) * max(k, 1))
 
 
 @dataclass(frozen=True)
@@ -88,8 +92,45 @@ class MajorizationReport:
 
 def dec_rearrange(x) -> np.ndarray:
     """Decreasing rearrangement of a finite real multiset."""
-    a = np.asarray(x, dtype=float).ravel()
-    return np.sort(a)[::-1]
+    return _dec(np.asarray(x, dtype=float).ravel())
+
+
+def _dec(x: np.ndarray) -> np.ndarray:
+    """Decreasing rearrangement along the last axis."""
+    return np.sort(x, axis=-1)[..., ::-1]
+
+
+def _upper_margins(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sums of the k largest of b minus those of a, k = 1.., along the last axis."""
+    return np.cumsum(_dec(b), axis=-1) - np.cumsum(_dec(a), axis=-1)
+
+
+class SubRows(NamedTuple):
+    """Weak submajorization a <=_w b judged row by row over a stack.
+
+    upper is (B, k); tol, margin (the smallest entry of upper) and holds are
+    (B,). report(i) builds row i's MajorizationReport.
+    """
+
+    upper: np.ndarray
+    tol: np.ndarray
+    margin: np.ndarray
+    holds: np.ndarray
+
+    def report(self, i: int) -> MajorizationReport:
+        return _finish("submajorization", self.upper[i], None, "conclusive", self.tol[i])
+
+
+def _sub_rows(a: np.ndarray, b: np.ndarray) -> SubRows:
+    """submajorizes on stacks (B, k) of non-negative sequences with zero tails.
+
+    Each row is judged at its own maj_tol, exactly as submajorizes judges the
+    pair of SpreadSeqs (or plain arrays) in that row.
+    """
+    upper = _upper_margins(a, b)
+    tol = maj_tol(np.max(np.abs(b), axis=-1, initial=0.0), b.shape[-1])
+    margin = np.min(upper, axis=-1, initial=math.inf)
+    return SubRows(upper, tol, margin, margin >= -tol)
 
 
 def updown_rearrange(x, k: int | None = None) -> TwoSidedSeq:
@@ -219,6 +260,7 @@ def _finish(kind, upper, lower, verdict, tol, sum_defect=None) -> MajorizationRe
             i = int(np.argmin(lower))
             if lower[i] < worst:
                 worst, worst_k = float(lower[i]), -(i + 1)
+    tol = float(tol)
     holds = verdict != "tail_violated" and worst >= -tol
     if sum_defect is not None:
         holds = holds and abs(sum_defect) <= tol
@@ -244,8 +286,7 @@ def submajorizes(a, b, tol: float | None = None) -> MajorizationReport:
         verdict = _tail_verdict(a.tail, b.tail, a.settled(), b.settled())
         b_inf = max(_sup(bv), abs(b.tail))
         t = maj_tol(b_inf, len(bv)) if tol is None else tol
-        upper = np.cumsum(dec_rearrange(bv)) - np.cumsum(dec_rearrange(av))
-        return _finish("submajorization", upper, None, verdict, t)
+        return _finish("submajorization", _upper_margins(av, bv), None, verdict, t)
     av = np.asarray(a, dtype=float).ravel()
     bv = np.asarray(b, dtype=float).ravel()
     if len(av) != len(bv):
@@ -254,8 +295,7 @@ def submajorizes(a, b, tol: float | None = None) -> MajorizationReport:
         )
     b_inf = float(np.max(np.abs(bv))) if len(bv) else 0.0
     t = maj_tol(b_inf, len(bv)) if tol is None else tol
-    upper = np.cumsum(dec_rearrange(bv)) - np.cumsum(dec_rearrange(av))
-    return _finish("submajorization", upper, None, "conclusive", t)
+    return _finish("submajorization", _upper_margins(av, bv), None, "conclusive", t)
 
 
 def _sub_twosided(a, b, tol) -> MajorizationReport:
@@ -324,7 +364,7 @@ def majorizes(a, b, tol: float | None = None) -> MajorizationReport:
         )
     b_inf = float(np.max(np.abs(bv))) if len(bv) else 0.0
     t = maj_tol(b_inf, len(bv)) if tol is None else tol
-    upper = np.cumsum(dec_rearrange(bv)) - np.cumsum(dec_rearrange(av))
+    upper = _upper_margins(av, bv)
     lower = np.cumsum(np.sort(av)) - np.cumsum(np.sort(bv))
     defect = float(np.sum(av) - np.sum(bv))
     return _finish("majorization", upper, lower, "conclusive", t, sum_defect=defect)
@@ -332,31 +372,44 @@ def majorizes(a, b, tol: float | None = None) -> MajorizationReport:
 
 def ky_fan(a, k: int) -> float:
     """Ky Fan value: sum of the k largest entries of a non-negative sequence."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    v, _ = _values_and_tail(a)
-    return float(np.sum(dec_rearrange(v)[:k]))
+    return float(_ky_fan_rows(_values_and_tail(a)[0][None], k)[0])
 
 
 def schatten(a, p: float) -> float:
     """(sum a_i^p)^(1/p) for p >= 1; math.inf gives the top entry."""
-    if p != math.inf and p < 1.0:
-        raise ValueError(f"p = {p} is below 1, not a norm")
-    v, _ = _values_and_tail(a)
-    if len(v) == 0:
-        return 0.0
-    if p == math.inf:
-        return float(np.max(v))
-    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+    return float(_schatten_rows(_values_and_tail(a)[0][None], p)[0])
 
 
 def gauge(a, norm_id: str) -> float:
     """Evaluate a named symmetric gauge: 'op', 'kyfan:k', or 'schatten:p'."""
+    return float(_gauge_rows(_values_and_tail(a)[0][None], norm_id)[0])
+
+
+def _gauge_rows(v: np.ndarray, norm_id: str) -> np.ndarray:
+    """gauge of every row of a stack (B, n) of non-negative sequences."""
     if norm_id == "op":
-        return ky_fan(a, 1)
+        return _ky_fan_rows(v, 1)
     if norm_id.startswith("kyfan:"):
-        return ky_fan(a, int(norm_id.split(":", 1)[1]))
+        return _ky_fan_rows(v, int(norm_id.split(":", 1)[1]))
     if norm_id.startswith("schatten:"):
         arg = norm_id.split(":", 1)[1]
-        return schatten(a, math.inf if arg in ("inf", "oo") else float(arg))
+        return _schatten_rows(v, math.inf if arg in ("inf", "oo") else float(arg))
     raise ValueError(f"unknown gauge {norm_id!r}")
+
+
+def _ky_fan_rows(v: np.ndarray, k: int) -> np.ndarray:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return np.sum(_dec(v)[..., :k], axis=-1)
+
+
+def _schatten_rows(v: np.ndarray, p: float) -> np.ndarray:
+    if p != math.inf and p < 1.0:
+        raise ValueError(f"p = {p} is below 1, not a norm")
+    if v.shape[-1] == 0:
+        return np.zeros(v.shape[:-1])
+    if p == math.inf:
+        return np.max(v, axis=-1)
+    # the root is taken value by value: an array power of 0.5 would be a
+    # square root, which can differ from the scalar power in the last bit
+    return np.array([s ** (1.0 / p) for s in np.sum(np.abs(v) ** p, axis=-1)])

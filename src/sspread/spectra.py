@@ -216,42 +216,50 @@ def compact_scale(a, k: int | None = None) -> TwoSidedSeq:
         a: Hermitian matrix of dimension d.
         k: horizon, defaults to 2*d; must satisfy k >= d.
     """
-    return _compact_scale(linalg.as_hermitian(a), k)
-
-
-def _compact_scale(m: np.ndarray, k: int | None = None) -> TwoSidedSeq:
-    """compact_scale of a matrix that is Hermitian by construction or validation."""
-    return _eig_scale(linalg._eigvalsh(m), k)
+    return _eig_scale(linalg._eigvalsh(linalg.as_hermitian(a)), k)
 
 
 def _eig_scale(mu: np.ndarray, k: int | None = None) -> TwoSidedSeq:
     """Compact-model scale from non-increasing eigenvalues mu (horizon 2*len(mu))."""
-    d = len(mu)
+    pos, neg = _eig_sides(mu, k)
+    return _presorted(
+        TwoSidedSeq, pos=pos, neg=neg, pos_tail=0.0, neg_tail=0.0, K=len(pos), mode="compact"
+    )
+
+
+def _eig_sides(mu: np.ndarray, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, neg) of the compact-model scale from eigenvalues mu (..., d).
+
+    mu is non-increasing along its last axis, so the positive entries lead and
+    the negative ones trail, and both sides come out sorted without a sort.
+    Zeros, of either sign, become +0.0. The horizon k defaults to 2*d.
+    """
+    d = mu.shape[-1]
     if k is None:
         k = 2 * d
     if k < d:
         raise HorizonMismatch(f"horizon {k} is below the dimension {d}")
-    # mu is non-increasing, so both sides come out sorted without a sort
-    plus = mu[mu > 0.0]
-    minus = mu[mu < 0.0][::-1]
-    pos = np.concatenate([plus, np.zeros(k - len(plus))])
-    neg = np.concatenate([minus, np.zeros(k - len(minus))])
-    return _presorted(
-        TwoSidedSeq, pos=pos, neg=neg, pos_tail=0.0, neg_tail=0.0, K=k, mode="compact"
-    )
+    pad = np.zeros(mu.shape[:-1] + (k - d,))
+    pos = np.concatenate([np.where(mu > 0.0, mu, 0.0), pad], axis=-1)
+    neg = np.concatenate([np.where(mu < 0.0, mu, 0.0)[..., ::-1], pad], axis=-1)
+    return pos, neg
 
 
-def _matrix_spread(mu: np.ndarray) -> SpreadSeq:
-    """Matrix-mode Spr+ from non-increasing eigenvalues mu.
+def _eig_spread(mu: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Compact-model Spr+ values from non-increasing eigenvalues mu (..., d)."""
+    pos, neg = _eig_sides(mu, k)
+    return pos - neg
 
-    Equal bit for bit to spread_plus(matrix_scale(A)) on the same
+
+def _matrix_spread(mu: np.ndarray) -> np.ndarray:
+    """Matrix-mode Spr+ values from non-increasing eigenvalues mu (..., d).
+
+    Equal bit for bit to spread_plus(matrix_scale(A)).values on the same
     eigenvalues. fl(mu_i - mu_{d+1-i}) is non-increasing and non-negative for
-    i <= ceil(d/2), so the SpreadSeq checks are skipped.
+    i <= ceil(d/2), so no SpreadSeq checks are needed.
     """
-    half = math.ceil(len(mu) / 2)
-    return _presorted(
-        SpreadSeq, values=mu[:half] - mu[::-1][:half], tail=0.0, mode="matrix"
-    )
+    half = math.ceil(mu.shape[-1] / 2)
+    return mu[..., :half] - mu[..., ::-1][..., :half]
 
 
 def diag_scale(a: DiagSpec, k: int, m_factor: int = 64) -> TwoSidedSeq:

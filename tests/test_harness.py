@@ -1,9 +1,11 @@
 """Generator determinism, fuzz reproducibility, and fixture reproduction."""
 
+import math
+
 import numpy as np
 import pytest
 
-from sspread import UnknownExample, UnknownInequality, UnknownKind, ineq
+from sspread import UnknownExample, UnknownInequality, UnknownKind, harness, ineq
 from sspread.harness import (
     EXAMPLE_IDS,
     VERIFIERS,
@@ -121,6 +123,55 @@ def test_agm_pair_campaign_has_no_false_failure():
     s = fuzz("agm_pair", trials=40, dims=(2, 8), seed=109000353)
     assert s.failures == 0
     assert s.worst_margin > 0.0
+
+
+def _judged_margin(v):
+    """The margin a campaign judges one verdict by."""
+    if v.report is not None:
+        return v.report.min_margin()
+    if v.entrywise_margins is not None and len(v.entrywise_margins):
+        return float(np.min(v.entrywise_margins))
+    if "margin" in v.extras:
+        return float(v.extras["margin"])
+    return math.inf
+
+
+def _campaign_one_call_per_trial(ineq_id, trials, dims, seed):
+    """(failures, worst_margin, worst_seed) of a campaign run trial by trial
+    through the public verifier."""
+    entry = VERIFIERS[ineq_id]
+    check = getattr(ineq, entry.check)
+    failures, worst, worst_seed = 0, math.inf, 0
+    for t in range(trials):
+        ts = derive_seed(seed, t)
+        stream = Stream(ts)
+        v = check(*entry.draw(stream, _dim2(stream, dims)))
+        failures += not v.holds
+        m = _judged_margin(v)
+        if m < worst:
+            worst, worst_seed = m, ts
+    return failures, worst, worst_seed
+
+
+@pytest.mark.parametrize("dims", [(2, 8), (30, 33)])
+@pytest.mark.parametrize("ineq_id", list(VERIFIERS))
+def test_fuzz_report_does_not_depend_on_grouping(ineq_id, dims):
+    # fuzz judges trials in shape groups through the kernels; a loop of
+    # public calls, one trial at a time, must report exactly the same
+    for seed in (1, 2, 3):
+        s = fuzz(ineq_id, trials=60, dims=dims, seed=seed)
+        got = (s.failures, s.worst_margin, s.worst_seed)
+        assert got == _campaign_one_call_per_trial(ineq_id, 60, dims, seed), seed
+
+
+def test_fuzz_report_does_not_depend_on_chunking(monkeypatch):
+    ids = ("zhan", "tao_positive", "agm_pair", "mixed_commutator", "control_strict_gap")
+    ref = {i: fuzz(i, trials=40, seed=5) for i in ids}
+    # a budget of one entry closes every chunk after its first trial
+    monkeypatch.setattr(harness, "FUZZ_CHUNK_ENTRIES", 1)
+    for i, s in ref.items():
+        one = fuzz(i, trials=40, seed=5)
+        assert (one.failures, one.worst_margin, one.worst_seed) == (s.failures, s.worst_margin, s.worst_seed)
 
 
 def test_fuzz_zero_trials():

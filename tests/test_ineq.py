@@ -75,21 +75,28 @@ def test_positive_gate():
         ineq.check_tao_positive(np.diag([100.0, -2e-8]))
 
 
+def _members(m):
+    """The matrices of a stack (..., rows, cols), each copied; one for a 2-d m."""
+    m = np.asarray(m)
+    return [np.array(x, copy=True) for x in m.reshape(-1, *m.shape[-2:])]
+
+
 def _count_eigh(monkeypatch):
     """Record every Hermitian decomposition, values-only or with vectors.
 
-    Returns (all_calls, vector_calls): lists of the matrices decomposed.
+    Returns (all_calls, vector_calls): lists of the matrices decomposed, one
+    entry per member of a decomposed stack.
     """
     calls, vector_calls = [], []
     real_eigh, real_eigvalsh = linalg._eigh, linalg._eigvalsh
 
     def eigh(m):
-        calls.append(np.array(m, copy=True))
-        vector_calls.append(calls[-1])
+        calls.extend(_members(m))
+        vector_calls.extend(_members(m))
         return real_eigh(m)
 
     def eigvalsh(m):
-        calls.append(np.array(m, copy=True))
+        calls.extend(_members(m))
         return real_eigvalsh(m)
 
     for mod in (linalg, ineq):
@@ -142,7 +149,7 @@ def test_direct_sum_spread_from_block_spectra(d):
         ref = spread_plus(compact_scale(direct_sum(x, y)))
         assert len(got) == len(ref) == 4 * d
         tol = 32 * np.finfo(float).eps * max(linalg_sv(x)[0], linalg_sv(y)[0])
-        assert float(np.max(np.abs(got.values - ref.values))) <= tol
+        assert float(np.max(np.abs(got - ref.values))) <= tol
 
 
 def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
@@ -157,7 +164,7 @@ def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
     real_sv = linalg._sv_array
 
     def sv_array(m):
-        seen["svd"].append(np.array(m, copy=True))
+        seen["svd"].extend(_members(m))
         return real_sv(m)
 
     for mod in (linalg, ineq):
@@ -593,3 +600,32 @@ def test_witness_digest_is_input_keyed():
     v3 = ineq.check_zhan(b, a)
     assert v1.witness == v2.witness
     assert v1.witness != v3.witness
+
+
+def test_witness_is_hashed_on_first_read(monkeypatch):
+    a, b = _herm(3, 1), _herm(3, 2)
+    expected = ineq._digest(a, b)
+    calls = []
+    real = ineq._digest
+
+    def digest(*mats):
+        calls.append(len(mats))
+        return real(*mats)
+
+    monkeypatch.setattr(ineq, "_digest", digest)
+    v = ineq.check_zhan(a, b)
+    assert calls == []
+    assert v.witness == expected and v.witness == expected
+    assert calls == [2]
+    # a campaign never reads a witness, so it hashes nothing
+    from sspread.harness import fuzz
+
+    fuzz("zhan", trials=10, seed=1)
+    assert calls == [2]
+    # the digest is of the inputs as checked, even if the caller's array
+    # changes before the witness is read
+    v = ineq.check_zhan(a, b)
+    a[0, 0] += 1.0
+    assert v.witness == expected
+    # a digest given at construction is kept as is
+    assert ineq.Verdict("zhan", True, None, "0" * 64, "matrix").witness == "0" * 64

@@ -94,6 +94,33 @@ def test_eigvalsh_matches_eigh_values(d):
         assert float(np.max(np.abs(w - ref))) <= tol
 
 
+@pytest.mark.parametrize("d", [*range(2, 9), *range(32, 65)])
+def test_stacked_calls_match_single_calls_bit_for_bit(d):
+    # the batched verifiers rest on this premise: numpy runs LAPACK and
+    # matmul once per member of a stack, so a member's bits do not depend on
+    # the stack around it (a numpy or BLAS change that breaks it fails here)
+    herm = np.stack([_herm(d, 1000 * d + i, scale=2.0 ** i) for i in range(5)])
+    gen = np.stack([_gen(d, 2000 * d + i) for i in range(5)])
+    rect = gen[:, :, : d - 1]
+    w = linalg._eigvalsh(herm)
+    w_v, v = linalg._eigh(herm)
+    s, s_rect = linalg._sv_array(gen), linalg._sv_array(rect)
+    products = {
+        "A @ H": (gen @ herm, lambda i: gen[i] @ herm[i]),
+        "A* @ A": (linalg._ct(gen) @ gen, lambda i: gen[i].conj().T @ gen[i]),
+        "A @ H @ A*": (gen @ herm @ linalg._ct(gen), lambda i: gen[i] @ herm[i] @ gen[i].conj().T),
+        "rect* @ rect": (linalg._ct(rect) @ rect, lambda i: rect[i].conj().T @ rect[i]),
+    }
+    for i in range(5):
+        assert np.array_equal(w[i], linalg._eigvalsh(herm[i]))
+        one = linalg._eigh(herm[i])
+        assert np.array_equal(w_v[i], one.values) and np.array_equal(v[i], one.vectors)
+        assert np.array_equal(s[i], linalg._sv_array(gen[i]))
+        assert np.array_equal(s_rect[i], linalg._sv_array(rect[i]))
+        for name, (stacked, single) in products.items():
+            assert np.array_equal(stacked[i], single(i)), name
+
+
 def test_eigvalsh_no_convergence(monkeypatch):
     def broken(m):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
