@@ -523,6 +523,8 @@ def _parse_dims(text: str) -> tuple[int, int]:
         raise ParseError(f"empty dimension range {text!r}")
     if hi < 2:
         raise ParseError(f"fuzz families need dimension 2 or more, got {text!r}")
+    if hi > harness.MAX_DIM:
+        raise ParseError(f"dimensions go up to {harness.MAX_DIM}, got {text!r}")
     return lo, hi
 
 

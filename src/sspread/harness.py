@@ -5,10 +5,15 @@ All randomness flows through the counter-based stream in rng.py: a campaign
 at seed s gives trial t the child seed derive_seed(s, t), so any failing
 instance can be rebuilt from its reported worst_seed alone.
 
-A fuzz campaign draws each trial from its own stream, groups the trials of a
-chunk by argument signature (shapes, plus scalar or absent arguments), judges
-each group with one call of the verifier's kernel over stacks, and reduces
-the rows in trial order, so its report does not depend on the grouping.
+A fuzz campaign derives all child seeds in one expression and draws every
+trial's d at counter 0 of its stream. It then draws the trials of one d
+together, on one Stream over their seeds: every generator builds a stack
+(B, rows, cols) whose row b is bit for bit what the scalar stream of seed b
+draws alone, and a family splits its rows further where a draw sets a shape
+or a shared scalar argument. Each group goes to one call of the verifier's
+kernel over stacks, and the rows are reduced in trial order, so a report does
+not depend on grouping or chunking. The property suite, generate() and
+trial_args() call the same generators on the scalar stream, a batch of one.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ import numpy as np
 
 from . import ineq, linalg, major
 from .errors import UnknownExample, UnknownInequality, UnknownKind
-from .rng import Stream, derive_seed
+from .linalg import _ct, _diag
+from .rng import _MASK, Stream, _splitmix64_block, derive_seed
 from .spectra import (
     DiagSpec,
     SpreadSeq,
@@ -73,42 +79,48 @@ def _crandn(stream: Stream, rows: int, cols: int) -> np.ndarray:
     """i.i.d. standard complex Gaussian entries, row-major draw order.
 
     One block of 2m normals, m = n rounded up to even, is the stream that two
-    normals(n) calls (real parts, then imaginary parts) would consume.
+    normals(n) calls (real parts, then imaginary parts) would consume. Like
+    every generator here, it returns one matrix on the scalar stream and a
+    stack (B, rows, cols) on a batch of B seeds.
     """
     n = rows * cols
     m = n + (n & 1)
-    z = np.array(stream.normals(2 * m))
-    return ((z[:n] + 1j * z[m:m + n]) / math.sqrt(2.0)).reshape(rows, cols)
+    z = np.asarray(stream.normals(2 * m))
+    g = (z[..., :n] + 1j * z[..., m:m + n]) / math.sqrt(2.0)
+    return g.reshape(stream.shape + (rows, cols))
 
 
 def _hermitian(stream: Stream, d: int, scale: float = 1.0) -> np.ndarray:
     g = _crandn(stream, d, d)
-    return scale * (g + g.conj().T) / 2.0
+    return scale * (g + _ct(g)) / 2.0
 
 
 def _positive(stream: Stream, d: int, scale: float = 1.0) -> np.ndarray:
     g = _crandn(stream, d, d)
-    return scale * (g.conj().T @ g)
+    return scale * (_ct(g) @ g)
 
 
 def _unitary(stream: Stream, d: int) -> np.ndarray:
     g = _crandn(stream, d, d)
     q, r = np.linalg.qr(g)
-    ph = np.diagonal(r).copy()
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     ph = np.where(np.abs(ph) > 0, ph / np.abs(ph), 1.0)
-    return q * ph  # fixes the phase so the factorization is unique
+    return q * ph[..., None, :]  # fixes the phase so the factorization is unique
 
 
-def _projection(stream: Stream, d: int, rank: int | None = None) -> np.ndarray:
+def _lead(rank, d: int) -> np.ndarray:
+    """1.0 on the first `rank` of d entries and 0.0 after, per row of rank."""
+    return (np.arange(d) < np.asarray(rank)[..., None]).astype(float)
+
+
+def _projection(stream: Stream, d: int, rank=None) -> np.ndarray:
     if rank is None:
         rank = 1 if d == 1 else stream.randint(1, d - 1)
     v = _unitary(stream, d)
-    mask = np.zeros(d)
-    mask[:rank] = 1.0
-    return v @ np.diag(mask) @ v.conj().T
+    return v @ _diag(_lead(rank, d)) @ _ct(v)
 
 
-def _partition(stream: Stream, d: int, rank: int | None = None,
+def _partition(stream: Stream, d: int, rank=None,
                positive: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C, S, P) with C*C + S*S = P by construction.
 
@@ -118,13 +130,12 @@ def _partition(stream: Stream, d: int, rank: int | None = None,
     if rank is None:
         rank = stream.randint(1, d)
     v = _unitary(stream, d)
-    w = v.conj().T if positive else _unitary(stream, d)
-    theta = np.array([stream.uniform() * math.pi / 2.0 for _ in range(d)])
-    mask = np.zeros(d)
-    mask[:rank] = 1.0
-    c = v @ np.diag(np.cos(theta) * mask) @ w
-    s = v @ np.diag(np.sin(theta) * mask) @ w
-    p = w.conj().T @ np.diag(mask) @ w
+    w = _ct(v) if positive else _unitary(stream, d)
+    theta = np.asarray(stream.uniforms(d)) * math.pi / 2.0
+    mask = _lead(rank, d)
+    c = v @ _diag(np.cos(theta) * mask) @ w
+    s = v @ _diag(np.sin(theta) * mask) @ w
+    p = _ct(w) @ _diag(mask) @ w
     return c, s, p
 
 
@@ -297,101 +308,128 @@ def repro(example_id: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# fuzz families: each draws one trial's arguments for its verifier
+# fuzz families: each draws its verifier's arguments for a stream's trials
+#
+# A family draw(stream, d) returns the groups one kernel call each can judge:
+# [(rows, args)], rows indexing the stream's batch (slice(None) for all of
+# them) and args the kernel's arguments for those rows. A per-row draw that
+# sets a shape (n) or a shared scalar argument (a split, an absent E2) splits
+# the rows by its value. On the scalar stream there is one group, and args
+# are the public verifier's arguments for that one trial.
 
 
-def _dim2(stream: Stream, dims: tuple[int, int]) -> int:
-    return stream.randint(max(2, dims[0]), dims[1])
+def _split(values) -> list[tuple]:
+    """(value, rows) for each distinct value of a per-row draw, in increasing
+    order; rows is slice(None) when every row shares the value, as the one
+    row of the scalar stream always does."""
+    if np.ndim(values) == 0:
+        return [(values, slice(None))]
+    if np.all(values == values[0]):
+        return [(values[0].item(), slice(None))]
+    return [(v.item(), np.flatnonzero(values == v)) for v in np.unique(values)]
+
+
+def _whole(*args) -> list[tuple]:
+    """Every row in one group."""
+    return [(slice(None), args)]
+
+
+def _by_n(stream: Stream, d: int, draw) -> list[tuple]:
+    """Draw a second dimension n in [2, d] per row, then each n's rows on
+    their own stream: draw(stream of those rows, n) gives their arguments."""
+    return [(rows, draw(stream.take(rows), n)) for n, rows in _split(stream.randint(2, d))]
 
 
 def _fam_tao(stream: Stream, d: int):
-    return _positive(stream, d), stream.randint(1, d - 1)
+    f = _positive(stream, d)
+    return [(rows, (f[rows], k)) for k, rows in _split(stream.randint(1, d - 1))]
 
 
 def _fam_key(stream: Stream, d: int):
-    return _hermitian(stream, d), stream.randint(1, d - 1)
+    a = _hermitian(stream, d)
+    return [(rows, (a[rows], k)) for k, rows in _split(stream.randint(1, d - 1))]
 
 
 def _fam_trace(stream: Stream, d: int):
     rank = stream.randint(1, d)
     v = _unitary(stream, d)
-    w = np.array(stream.normals(d))
-    w[rank:] = 0.0
-    a = v @ np.diag(w) @ v.conj().T
-    return a, _hermitian(stream, d)
+    w = np.where(_lead(rank, d) > 0.0, np.asarray(stream.normals(d)), 0.0)
+    a = v @ _diag(w) @ _ct(v)
+    return _whole(a, _hermitian(stream, d))
 
 
 def _fam_herm_pair(stream: Stream, d: int):
-    return _hermitian(stream, d), _hermitian(stream, d)
+    return _whole(_hermitian(stream, d), _hermitian(stream, d))
 
 
 def _fam_mixed(stream: Stream, d: int):
-    n = stream.randint(2, d)
-    return _hermitian(stream, d), _hermitian(stream, n), _crandn(stream, d, n)
+    return _by_n(stream, d, lambda sub, n: (
+        _hermitian(sub, d), _hermitian(sub, n), _crandn(sub, d, n)))
 
 
 def _fam_general_comm(stream: Stream, d: int):
-    n = stream.randint(2, d)
-    return _crandn(stream, d, d), _crandn(stream, n, n), _crandn(stream, d, n)
+    return _by_n(stream, d, lambda sub, n: (
+        _crandn(sub, d, d), _crandn(sub, n, n), _crandn(sub, d, n)))
 
 
 def _fam_unitary(stream: Stream, d: int):
     a = _hermitian(stream, d)
     x = _hermitian(stream, d)
-    nrm = float(linalg._sv_array(x)[0])
-    if nrm > 0:
-        x = x * (math.pi * stream.uniform() / nrm)
-    return a, x
+    nrm = linalg._sv_array(x)[..., 0]
+    # a zero X stays zero whatever it is scaled by
+    scale = math.pi * np.asarray(stream.uniform()) / np.where(nrm > 0, nrm, 1.0)
+    return _whole(a, x * scale[..., None, None])
 
 
 def _fam_agm_split(stream: Stream, d: int):
     c, s, _ = _partition(stream, d)
-    return s, c, _hermitian(stream, d)
+    return _whole(s, c, _hermitian(stream, d))
 
 
 def _fam_agm_pair(stream: Stream, d: int):
     c, s, _ = _partition(stream, d, positive=True)
     e1 = _hermitian(stream, d)
-    e2 = None if stream.uniform() < 0.5 else _hermitian(stream, d)
-    return s, c, e1, e2
+    return [(rows, (s[rows], c[rows], e1[rows],
+                    None if absent else _hermitian(stream.take(rows), d)))
+            for absent, rows in _split(stream.uniform() < 0.5)]
 
 
 def _fam_agm_general(stream: Stream, d: int):
     a = _crandn(stream, d, d)
     b = _crandn(stream, d, d)
-    e = _positive(stream, d) if stream.uniform() < 0.5 else _hermitian(stream, d)
-    return a, b, e
+    e = np.empty_like(a)
+    for positive, rows in _split(stream.uniform() < 0.5):
+        e[rows] = (_positive if positive else _hermitian)(stream.take(rows), d)
+    return _whole(a, b, e)
 
 
 def _fam_offdiag(stream: Stream, d: int):
-    return _hermitian(stream, d), _projection(stream, d)
+    return _whole(_hermitian(stream, d), _projection(stream, d))
 
 
 def _fam_equiv5(stream: Stream, d: int):
     c, s, _ = _partition(stream, d, rank=d)
-    return s, c, _hermitian(stream, d)
+    return _whole(s, c, _hermitian(stream, d))
 
 
 def _fam_equiv_c2(stream: Stream, d: int):
-    return _crandn(stream, d, d), _crandn(stream, d, d), _hermitian(stream, d)
+    return _whole(_crandn(stream, d, d), _crandn(stream, d, d), _hermitian(stream, d))
 
 
 def _fam_control_kittaneh(stream: Stream, d: int):
-    n = stream.randint(2, d)
-    return _positive(stream, d), _positive(stream, n), _crandn(stream, d, n)
+    return _by_n(stream, d, lambda sub, n: (
+        _positive(sub, d), _positive(sub, n), _crandn(sub, d, n)))
 
 
 def _fam_control_bk(stream: Stream, d: int):
-    return _crandn(stream, d, d), _crandn(stream, d, d)
+    return _whole(_crandn(stream, d, d), _crandn(stream, d, d))
 
 
 def _fam_control_gap(stream: Stream, d: int):
-    h = _hermitian(stream, d)
-    w, v = linalg._eigh(h)
-    w = w.copy()
-    w[0] = max(w[0], 0.5)
-    w[-1] = min(w[-1], -0.5)
-    return (v @ np.diag(w) @ v.conj().T,)
+    w, v = linalg._eigh(_hermitian(stream, d))
+    w[..., 0] = np.maximum(w[..., 0], 0.5)
+    w[..., -1] = np.minimum(w[..., -1], -0.5)
+    return _whole(v @ _diag(w) @ _ct(v))
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +443,10 @@ class Verifier:
     `check` names the public ineq function that judges it; `sspread check`
     looks it up on the module at call time, so a wrapped or patched ineq
     function is the one that runs, and fuzz runs its kernel,
-    `ineq.KERNELS[check]`, on stacks of trials. `draw(stream, d)` returns
-    the verifier's arguments for one fuzz trial. `files` is the `sspread
+    `ineq.KERNELS[check]`, on stacks of trials. `draw(stream, d)` draws the
+    verifier's arguments for the trials of a stream at dimension d, as the
+    groups of the fuzz families above; `trial_args` rebuilds one trial's
+    public arguments. `files` is the `sspread
     check` file signature, one letter per matrix file ("H" Hermitian, "G"
     general complex, a trailing "?" makes the last file optional), or None
     when the id is fuzzed only; `split` appends the `--split` value to the
@@ -417,7 +457,7 @@ class Verifier:
     id: str
     kind: str  # "theorem", "equivalent" or "control"
     check: str
-    draw: Callable[[Stream, int], tuple]
+    draw: Callable[[Stream, int], list]
     files: str | None = None
     split: bool = False
     alias: str | None = None
@@ -451,22 +491,63 @@ VERIFIERS = {v.id: v for v in (
 )}
 
 
-# a fuzz chunk takes trials until their drawn matrices hold this many
-# entries (4 MiB of complex128), so a campaign at large dims never holds all
-# of its trials' matrices at once
+# the largest dimension fuzz and the property suite draw; a matrix of it
+# holds 16 MiB of complex128
+MAX_DIM = 1024
+
+# a fuzz chunk takes trials until the sum of their d*d reaches this many
+# entries (a family draws one to four matrices of about that size per
+# trial), so a campaign at large dims never holds all of its trials'
+# matrices at once
 FUZZ_CHUNK_ENTRIES = 1 << 18
 
 
-def _signature(args: tuple) -> tuple:
-    """What trials must share to be judged in one batch: array shapes and the
-    values of scalar or absent arguments."""
-    return tuple(a.shape if isinstance(a, np.ndarray) else a for a in args)
+def _check_dims(dims: tuple[int, int], what: str) -> None:
+    if dims[1] < max(2, dims[0]):
+        raise ValueError(f"{what} needs a dimension range containing d >= 2, got {dims}")
+    if dims[1] > MAX_DIM:
+        raise ValueError(f"{what} draws dimensions up to {MAX_DIM}, got {dims}")
 
 
-def _stack(batch: list[tuple]) -> list:
-    """One group's argument tuples as stacked arguments; scalars are shared."""
-    return [np.stack(col) if isinstance(col[0], np.ndarray) else col[0]
-            for col in zip(*batch)]
+def _groups(entry: Verifier, seeds: np.ndarray, lo: int, hi: int):
+    """Draw the trials of these child seeds in groups; yields (trial numbers,
+    kernel arguments) for each group.
+
+    Every trial draws its d at counter 0, all in one expression. The trials
+    are then taken in chunks of about FUZZ_CHUNK_ENTRIES entries, and the
+    trials of a chunk that share d are drawn by one call of the family,
+    which splits them further where a draw sets a shape or a shared scalar.
+    """
+    stream = Stream(seeds)
+    d = stream.randint(lo, hi)
+    reach = np.cumsum(d * d)
+    start = 0
+    while start < len(seeds):
+        budget = (reach[start - 1] if start else 0) + FUZZ_CHUNK_ENTRIES
+        stop = min(int(np.searchsorted(reach, budget)) + 1, len(seeds))
+        chunk = np.arange(start, stop)
+        for dv, rows in _split(d[chunk]):
+            index = chunk[rows]
+            for sub, args in entry.draw(stream.take(index), dv):
+                yield index[sub], args
+        start = stop
+
+
+def trial_args(ineq_id: str, child_seed: int, dims: tuple[int, int] = (2, 8)) -> tuple:
+    """The arguments of the fuzz trial with this child seed, in the order
+    the id's public verifier takes them.
+
+    A trial is fixed by its child seed and the dimension range, so a
+    campaign's worst_seed rebuilds its worst instance:
+    getattr(ineq, VERIFIERS[id].check)(*trial_args(id, worst_seed, dims)).
+    It draws through the family on the scalar stream, a batch of one.
+    """
+    if ineq_id not in VERIFIERS:
+        raise UnknownInequality(f"no fuzz family for {ineq_id!r}")
+    _check_dims(dims, "trial_args")
+    stream = Stream(child_seed)
+    ((_, args),) = VERIFIERS[ineq_id].draw(stream, stream.randint(max(2, dims[0]), dims[1]))
+    return args
 
 
 def fuzz(ineq_id: str, trials: int = 500, dims: tuple[int, int] = (2, 8),
@@ -476,46 +557,33 @@ def fuzz(ineq_id: str, trials: int = 500, dims: tuple[int, int] = (2, 8),
     Trial t uses the child seed derive_seed(seed, t); worst_margin is the
     smallest judged margin seen, worst_seed the child seed of the first trial
     that produced it. Every family needs d >= 2: a lower bound of 1 is raised
-    to 2, and a range with no d >= 2 raises ValueError.
+    to 2, and a range with no d >= 2 or above MAX_DIM raises ValueError.
 
-    Trials are drawn in chunks of about FUZZ_CHUNK_ENTRIES matrix entries;
-    within a chunk, the trials of one argument signature are judged by one
-    kernel call, and the rows are put back in trial order before the
-    reduction.
+    The trials are drawn in groups (see _groups), each group is judged by
+    one kernel call, and the rows are put back in trial order before the
+    reduction, so the report does not depend on the grouping.
     """
     if ineq_id not in VERIFIERS:
         raise UnknownInequality(f"no fuzz family for {ineq_id!r}")
-    if dims[1] < max(2, dims[0]):
-        raise ValueError(f"fuzz needs a dimension range containing d >= 2, got {dims}")
+    _check_dims(dims, "fuzz")
     entry = VERIFIERS[ineq_id]
     kernel = ineq.KERNELS[entry.check]
     t0 = time.perf_counter()
-    seeds = [derive_seed(seed, t) for t in range(trials)]
+    # derive_seed(seed, t) for every t at once
+    seeds = _splitmix64_block(seed & _MASK, 0, trials)
     holds = np.ones(trials, dtype=bool)
     margin = np.empty(trials)
-    t = 0
-    while t < trials:
-        groups: dict[tuple, tuple[list, list]] = {}
-        entries = 0
-        while t < trials and entries < FUZZ_CHUNK_ENTRIES:
-            stream = Stream(seeds[t])
-            args = entry.draw(stream, _dim2(stream, dims))
-            index, batch = groups.setdefault(_signature(args), ([], []))
-            index.append(t)
-            batch.append(args)
-            entries += sum(a.size for a in args if isinstance(a, np.ndarray))
-            t += 1
-        for index, batch in groups.values():
-            rows = kernel(*_stack(batch))
-            holds[index] = rows.holds
-            margin[index] = rows.margin
+    for index, args in _groups(entry, seeds, max(2, dims[0]), dims[1]):
+        rows = kernel(*args)
+        holds[index] = rows.holds
+        margin[index] = rows.margin
     worst = math.inf
     worst_seed = 0
     if trials:
         # the first trial of smallest margin; a NaN margin never wins
         i = int(np.argmin(np.where(np.isnan(margin), math.inf, margin)))
         if margin[i] < worst:
-            worst, worst_seed = float(margin[i]), seeds[i]
+            worst, worst_seed = float(margin[i]), int(seeds[i])
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     return FuzzSummary(
         ineq_id=ineq_id, trials=trials, failures=int(trials - np.count_nonzero(holds)),
@@ -956,10 +1024,10 @@ PROPERTIES = {
 def property_suite(seed: int, trials: int = 500, dims: tuple[int, int] = (2, 8)) -> dict:
     """Run every module-level property `trials` times; report per-property.
 
-    Like fuzz, a dimension range with no d >= 2 raises ValueError.
+    Like fuzz, a dimension range with no d >= 2 or above MAX_DIM raises
+    ValueError.
     """
-    if dims[1] < max(2, dims[0]):
-        raise ValueError(f"property_suite needs a dimension range containing d >= 2, got {dims}")
+    _check_dims(dims, "property_suite")
     results = []
     for idx, (name, fn) in enumerate(sorted(PROPERTIES.items())):
         base = derive_seed(seed, idx)

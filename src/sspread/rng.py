@@ -6,9 +6,12 @@ standard 64-bit avalanche. Gaussians come from Box-Muller on consecutive
 53-bit uniforms. The stream for a given seed is therefore a pure function of
 (seed, counter), reproducible across processes and platforms.
 
-Stream.normals computes a whole block of counter words in one numpy uint64
-expression; the Box-Muller transcendentals stay on the math module, so the
-block yields bit for bit the values of repeated normal_pair calls.
+A Stream carries a batch of seeds with one shared counter, so a draw takes
+the same counter words from every seed's stream and row b of a batch draw is
+bit for bit what a stream of seed b alone would draw. The counter words of a
+whole batch come from one numpy uint64 expression; the Box-Muller
+transcendentals stay on the math module, so every block yields the values of
+repeated normal_pair calls.
 """
 
 from __future__ import annotations
@@ -38,11 +41,18 @@ _U_GOLDEN, _U_MIX1, _U_MIX2 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_M
 _U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
-def _splitmix64_block(seed: int, counter: int, n: int) -> np.ndarray:
-    """splitmix64(seed, counter + i) for i in 0..n-1, as a uint64 array."""
+def _splitmix64_block(seed, counter: int, n: int) -> np.ndarray:
+    """splitmix64(seed, counter + i) for i in 0..n-1, as a uint64 array.
+
+    seed is an int, giving shape (n,), or a 1-d uint64 array of B seeds,
+    giving (B, n) with row b the block of seed b.
+    """
     z = np.arange(n, dtype=np.uint64)
     z *= _U_GOLDEN
-    z += np.uint64((seed + (counter + 1) * _GOLDEN) & _MASK)
+    if isinstance(seed, np.ndarray):
+        z = seed[:, None] + (z + np.uint64(((counter + 1) * _GOLDEN) & _MASK))
+    else:
+        z += np.uint64((seed + (counter + 1) * _GOLDEN) & _MASK)
     z ^= z >> _U30
     z *= _U_MIX1
     z ^= z >> _U27
@@ -57,28 +67,70 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 class Stream:
-    """Sequential view over the counter-based stream."""
+    """Sequential view over the counter-based streams of a batch of seeds.
 
-    def __init__(self, seed: int):
-        self.seed = seed & _MASK
+    Every seed of the batch shares one counter, so a draw takes the same
+    counter words from each seed's stream. Stream(seed) with an int seed is
+    the scalar stream, a batch of one: `shape` is (), next_u64, uniform and
+    randint return Python numbers, and uniforms and normals return lists.
+    Stream(seeds) with a 1-d uint64 array of B seeds has `shape` (B,): a
+    single draw returns a (B,) array and a draw of n values a (B, n) array,
+    row b being what Stream(int(seeds[b])) draws at the same counter.
+    """
+
+    def __init__(self, seed):
+        if isinstance(seed, np.ndarray):
+            if seed.ndim != 1:
+                raise ValueError(f"a batch of seeds is a 1-d array, got shape {seed.shape}")
+            self.seeds = seed.astype(np.uint64, copy=False)
+            self.seed = None
+            self.shape = self.seeds.shape
+        else:
+            self.seeds = None
+            self.seed = seed & _MASK
+            self.shape = ()
         self.counter = 0
 
-    def next_u64(self) -> int:
+    def take(self, rows) -> Stream:
+        """The streams of these rows of the batch (an index array or a slice),
+        at the current counter; on the scalar stream, a copy of it."""
+        sub = Stream(self.seed if self.seeds is None else self.seeds[rows])
+        sub.counter = self.counter
+        return sub
+
+    def _words(self, n: int) -> np.ndarray:
+        """The next n counter words of every row: (n,) or (B, n) uint64."""
+        z = _splitmix64_block(self.seed if self.seeds is None else self.seeds, self.counter, n)
+        self.counter += n
+        return z
+
+    def next_u64(self):
+        if self.seeds is not None:
+            return self._words(1)[:, 0]
         z = splitmix64(self.seed, self.counter)
         self.counter += 1
         return z
 
-    def uniform(self) -> float:
+    def uniform(self):
         """Uniform in [0, 1) with 53-bit resolution."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def randint(self, lo: int, hi: int) -> int:
+    def uniforms(self, n: int):
+        """n consecutive uniform() draws of every row."""
+        u = (self._words(max(n, 0)) >> _U11) * 2.0**-53
+        return u.tolist() if self.seeds is None else u
+
+    def randint(self, lo: int, hi: int):
         """Uniform integer in [lo, hi]. Modulo bias is irrelevant at our ranges."""
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
-        return lo + self.next_u64() % (hi - lo + 1)
+        z = self.next_u64()
+        if self.seeds is None:
+            return lo + z % (hi - lo + 1)
+        return lo + (z % np.uint64(hi - lo + 1)).astype(np.int64)
 
     def normal_pair(self) -> tuple[float, float]:
+        """Two standard Gaussians from the scalar stream."""
         # u1 shifted into (0, 1] so log() is safe
         u1 = 1.0 - self.uniform()
         u2 = self.uniform()
@@ -86,18 +138,34 @@ class Stream:
         t = 2.0 * math.pi * u2
         return r * math.cos(t), r * math.sin(t)
 
-    def normals(self, n: int) -> list[float]:
-        """n standard Gaussians: the first n values of ceil(n/2) normal_pair draws."""
+    def normals(self, n: int):
+        """n standard Gaussians per row: the first n values of ceil(n/2)
+        normal_pair draws, a list on the scalar stream.
+
+        A batch applies math.log/cos/sin by map over all its rows at once,
+        which pays once there are more than a few dozen values; the scalar
+        stream keeps a loop, which is faster on the short draws it serves.
+        np.sqrt is correctly rounded, as math.sqrt is, so both give the same
+        bits.
+        """
         if n <= 0:
-            return []
+            return [] if self.seeds is None else np.empty(self.shape + (0,))
         m = n + (n & 1)
-        u = ((_splitmix64_block(self.seed, self.counter, m) >> _U11) * 2.0**-53).tolist()
-        self.counter += m
-        log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
-        out: list[float] = []
-        for i in range(0, m, 2):
-            r = sqrt(-2.0 * log(1.0 - u[i]))
-            t = _TWO_PI * u[i + 1]
-            out.append(r * cos(t))
-            out.append(r * sin(t))
-        return out[:n]
+        u = (self._words(m) >> _U11) * 2.0**-53
+        if self.seeds is None:
+            u = u.tolist()
+            log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
+            out: list[float] = []
+            for i in range(0, m, 2):
+                r = sqrt(-2.0 * log(1.0 - u[i]))
+                t = _TWO_PI * u[i + 1]
+                out.append(r * cos(t))
+                out.append(r * sin(t))
+            return out[:n]
+        k = u.size // 2
+        r = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[:, 0::2]).ravel().tolist()), float, k))
+        t = (_TWO_PI * u[:, 1::2]).ravel().tolist()
+        out = np.empty(u.shape)
+        out[:, 0::2] = (r * np.fromiter(map(math.cos, t), float, k)).reshape(-1, m // 2)
+        out[:, 1::2] = (r * np.fromiter(map(math.sin, t), float, k)).reshape(-1, m // 2)
+        return out[:, :n]

@@ -327,6 +327,42 @@ def test_fuzz_dims_without_d2_exit_two(capsys):
     assert out == "" and "dimension 2" in err
 
 
+@pytest.mark.parametrize("cmd", ["fuzz", "suite"])
+def test_dims_above_max_exit_two(capsys, monkeypatch, cmd):
+    # refused before any work: drawing a matrix of d = 100000 exhausts memory
+    def no_work(*a, **k):
+        raise AssertionError(f"{cmd} started work on an invalid --dims")
+
+    monkeypatch.setattr(cli.harness, "fuzz", no_work)
+    monkeypatch.setattr(cli.harness, "repro", no_work)
+    argv = ["fuzz", "key"] if cmd == "fuzz" else ["suite"]
+    for dims in ("2..100000", f"2..{cli.harness.MAX_DIM + 1}"):
+        code, out, err = run(capsys, *argv, "--trials", "3", "--dims", dims, "--json")
+        assert code == 2, dims
+        assert out == "" and f"up to {cli.harness.MAX_DIM}" in err
+    assert cli._parse_dims(f"2..{cli.harness.MAX_DIM}") == (2, cli.harness.MAX_DIM)
+
+
+# reports of fuzz key --trials 40 --json at seeds outside [0, 2**64): the seed
+# is taken mod 2**64 before the child seeds are derived
+MASKED_SEED_REPORTS = {
+    "-5": '{"command":"fuzz","dims":[2,8],"inputs":[],"seed":-5,"summary":{"failures":0,'
+          '"ineq_id":"key","trials":40,"worst_margin":0.38317425027666085,'
+          '"worst_seed":1937302766700010895},"versions":{"sspread":"0.1.0"}}\n',
+    "123456789012345678901234567890":
+          '{"command":"fuzz","dims":[2,8],"inputs":[],"seed":123456789012345678901234567890,'
+          '"summary":{"failures":0,"ineq_id":"key","trials":40,"worst_margin":0.0013101176080642096,'
+          '"worst_seed":16384839876569067587},"versions":{"sspread":"0.1.0"}}\n',
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MASKED_SEED_REPORTS))
+def test_fuzz_seed_outside_uint64_is_masked(capsys, seed):
+    code, out, _ = run(capsys, "fuzz", "key", "--trials", "40", "--seed", seed, "--json")
+    assert code == 0
+    assert out == MASKED_SEED_REPORTS[seed]
+
+
 def test_suite_dims_without_d2_exit_two(capsys, monkeypatch):
     def no_work(*a, **k):
         raise AssertionError("suite started work on an invalid --dims")

@@ -10,15 +10,15 @@ from sspread.harness import (
     EXAMPLE_IDS,
     VERIFIERS,
     GenSpec,
-    _dim2,
     _partition,
     fixture_matrices,
     fuzz,
     generate,
     property_suite,
     repro,
+    trial_args,
 )
-from sspread.rng import Stream, derive_seed
+from sspread.rng import Stream, _splitmix64_block, derive_seed
 
 
 def test_genspec_validates():
@@ -105,9 +105,7 @@ def test_fuzz_is_deterministic():
 def test_fuzz_worst_seed_replays():
     # the reported child seed alone rebuilds the worst instance
     summary = fuzz("key", trials=30, dims=(2, 6), seed=3)
-    stream = Stream(summary.worst_seed)
-    d = _dim2(stream, (2, 6))
-    v = ineq.check_key(*VERIFIERS["key"].draw(stream, d))
+    v = ineq.check_key(*trial_args("key", summary.worst_seed, (2, 6)))
     assert v.report.min_margin() == pytest.approx(summary.worst_margin, rel=1e-12)
 
 
@@ -139,13 +137,11 @@ def _judged_margin(v):
 def _campaign_one_call_per_trial(ineq_id, trials, dims, seed):
     """(failures, worst_margin, worst_seed) of a campaign run trial by trial
     through the public verifier."""
-    entry = VERIFIERS[ineq_id]
-    check = getattr(ineq, entry.check)
+    check = getattr(ineq, VERIFIERS[ineq_id].check)
     failures, worst, worst_seed = 0, math.inf, 0
     for t in range(trials):
         ts = derive_seed(seed, t)
-        stream = Stream(ts)
-        v = check(*entry.draw(stream, _dim2(stream, dims)))
+        v = check(*trial_args(ineq_id, ts, dims))
         failures += not v.holds
         m = _judged_margin(v)
         if m < worst:
@@ -162,6 +158,41 @@ def test_fuzz_report_does_not_depend_on_grouping(ineq_id, dims):
         s = fuzz(ineq_id, trials=60, dims=dims, seed=seed)
         got = (s.failures, s.worst_margin, s.worst_seed)
         assert got == _campaign_one_call_per_trial(ineq_id, 60, dims, seed), seed
+
+
+def _bits(args) -> list:
+    return [(a.shape, a.dtype.str, a.tobytes()) if isinstance(a, np.ndarray) else a
+            for a in args]
+
+
+@pytest.mark.parametrize("dims", [(2, 8), (30, 33)])
+@pytest.mark.parametrize("ineq_id", list(VERIFIERS))
+def test_grouped_draw_equals_batch_of_one_draw(ineq_id, dims):
+    # fuzz draws each group of trials as one stack; row j of every stacked
+    # argument must be, bit for bit, what the scalar stream of that trial's
+    # child seed draws on its own
+    entry = VERIFIERS[ineq_id]
+    for seed in (1, 2, 3):
+        seeds = _splitmix64_block(seed, 0, 40)
+        drawn = []
+        for index, args in harness._groups(entry, seeds, max(2, dims[0]), dims[1]):
+            for j, t in enumerate(index):
+                row = tuple(a[j] if isinstance(a, np.ndarray) else a for a in args)
+                assert _bits(row) == _bits(trial_args(ineq_id, int(seeds[t]), dims)), (seed, t)
+            drawn.extend(index.tolist())
+        assert sorted(drawn) == list(range(40))
+
+
+def test_child_seeds_are_derive_seed():
+    seeds = _splitmix64_block(2**64 + 77, 0, 50)
+    assert seeds.tolist() == [derive_seed(77, t) for t in range(50)]
+
+
+def test_trial_args_rejects_what_fuzz_rejects():
+    with pytest.raises(UnknownInequality):
+        trial_args("nope", 1)
+    with pytest.raises(ValueError, match="d >= 2"):
+        trial_args("zhan", 1, (1, 1))
 
 
 def test_fuzz_report_does_not_depend_on_chunking(monkeypatch):
@@ -200,6 +231,18 @@ def test_fuzz_rejects_dims_without_d2(dims):
     for trials in (0, 1):
         with pytest.raises(ValueError, match="d >= 2"):
             fuzz("zhan", trials=trials, dims=dims)
+
+
+@pytest.mark.parametrize("dims", [(2, harness.MAX_DIM + 1), (2, 100000)])
+def test_dims_above_max_are_refused(dims):
+    # checked before any draw: a matrix of d = 100000 exhausts memory
+    for trials in (0, 3):
+        with pytest.raises(ValueError, match=f"up to {harness.MAX_DIM}"):
+            fuzz("key", trials=trials, dims=dims)
+        with pytest.raises(ValueError, match=f"up to {harness.MAX_DIM}"):
+            property_suite(1, trials=trials, dims=dims)
+    with pytest.raises(ValueError, match=f"up to {harness.MAX_DIM}"):
+        trial_args("key", 1, dims)
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (0, 1), (5, 4)])

@@ -20,7 +20,7 @@ from sspread import (
 from sspread import ineq, linalg
 from sspread import eigh as linalg_eigh
 from sspread import sv_array as linalg_sv
-from sspread.harness import VERIFIERS, GenSpec, fixture_matrices, generate, _partition
+from sspread.harness import VERIFIERS, GenSpec, fixture_matrices, generate, _partition, trial_args
 from sspread.rng import Stream
 
 
@@ -171,7 +171,7 @@ def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
         monkeypatch.setattr(mod, "_sv_array", sv_array)
     runs = {}
     for entry in VERIFIERS.values():
-        runs.setdefault(entry.check, [entry.draw(Stream(11), 6)])
+        runs.setdefault(entry.check, [trial_args(entry.id, 11, (6, 6))])
     assert len(runs) == 19
     # both branches of agm_pair (E2 given or not) and of the positive-E
     # extras of agm_compact and agm_general

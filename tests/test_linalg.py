@@ -105,13 +105,24 @@ def test_stacked_calls_match_single_calls_bit_for_bit(d):
     w = linalg._eigvalsh(herm)
     w_v, v = linalg._eigh(herm)
     s, s_rect = linalg._sv_array(gen), linalg._sv_array(rect)
+    # the generators' forms: a diagonal of reals between unitaries or
+    # general matrices, from a stacked QR
+    q, r = np.linalg.qr(gen)
+    x = np.cos(np.arange(5 * d).reshape(5, d)) * (np.arange(d) < d // 2 + 1)
+    dx = linalg._diag(x)
     products = {
         "A @ H": (gen @ herm, lambda i: gen[i] @ herm[i]),
         "A* @ A": (linalg._ct(gen) @ gen, lambda i: gen[i].conj().T @ gen[i]),
         "A @ H @ A*": (gen @ herm @ linalg._ct(gen), lambda i: gen[i] @ herm[i] @ gen[i].conj().T),
         "rect* @ rect": (linalg._ct(rect) @ rect, lambda i: rect[i].conj().T @ rect[i]),
+        "Q @ diag(x) @ Q*": (q @ dx @ linalg._ct(q), lambda i: q[i] @ np.diag(x[i]) @ q[i].conj().T),
+        "Q @ diag(x) @ A": (q @ dx @ gen, lambda i: q[i] @ np.diag(x[i]) @ gen[i]),
+        "Q @ diag(x) @ Q*, x shared": (q @ linalg._diag(x[0]) @ linalg._ct(q),
+                                       lambda i: q[i] @ np.diag(x[0]) @ q[i].conj().T),
     }
     for i in range(5):
+        qi, ri = np.linalg.qr(gen[i])
+        assert np.array_equal(q[i], qi) and np.array_equal(r[i], ri)
         assert np.array_equal(w[i], linalg._eigvalsh(herm[i]))
         one = linalg._eigh(herm[i])
         assert np.array_equal(w_v[i], one.values) and np.array_equal(v[i], one.vectors)

@@ -1,5 +1,6 @@
-"""The SplitMix64 stream is pinned: literal outputs, and the block draw of
-Stream.normals against the scalar normal_pair reference."""
+"""The SplitMix64 stream is pinned: literal outputs, the block draw of
+Stream.normals against the scalar normal_pair reference, and every row of a
+batch stream against the scalar stream of its seed."""
 
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from sspread.harness import _crandn
-from sspread.rng import Stream, derive_seed, splitmix64
+from sspread.rng import Stream, _splitmix64_block, derive_seed, splitmix64
 
 # splitmix64(seed, counter) literals: a change here is a stream-version break
 PINNED = [
@@ -69,3 +70,67 @@ def test_crandn_single_block_equals_two_draws(rows, cols):
     expected = ((re + 1j * im) / math.sqrt(2.0)).reshape(rows, cols)
     assert np.array_equal(_crandn(one, rows, cols), expected)
     assert one.counter == two.counter
+
+
+BATCH = np.array([0, 3, derive_seed(11, 4), 2**64 - 1, 3], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("counter", [0, 5, 2**40 + 3])
+def test_batch_block_rows_are_the_seed_blocks(counter):
+    block = _splitmix64_block(BATCH, counter, 9)
+    assert block.shape == (5, 9)
+    for b, seed in enumerate(BATCH.tolist()):
+        assert block[b].tolist() == _splitmix64_block(seed, counter, 9).tolist()
+        assert block[b, 4] == splitmix64(seed, counter + 4)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 129])
+@pytest.mark.parametrize("counter", [0, 1, 2**40 + 3])
+def test_batch_draws_are_the_scalar_draws_row_by_row(counter, n):
+    # one sequence of every kind of draw on a batch, then on each seed alone
+    batch = Stream(BATCH)
+    batch.counter = counter
+    got = [batch.next_u64(), batch.uniform(), batch.randint(3, 9), batch.uniforms(n),
+           batch.normals(n), batch.randint(0, 2**40), batch.normals(3)]
+    assert batch.shape == (5,)
+    assert [g.shape for g in got] == [(5,), (5,), (5,), (5, n), (5, n), (5,), (5, 3)]
+    for b, seed in enumerate(BATCH.tolist()):
+        one = Stream(seed)
+        one.counter = counter
+        ref = [one.next_u64(), one.uniform(), one.randint(3, 9), one.uniforms(n),
+               one.normals(n), one.randint(0, 2**40), one.normals(3)]
+        assert [g[b].tolist() for g in got] == ref  # bitwise, not approx
+        assert one.counter == batch.counter
+
+
+def test_scalar_stream_keeps_python_types():
+    s = Stream(-5)
+    assert s.shape == () and s.seed == 2**64 - 5
+    assert type(s.next_u64()) is int and type(s.uniform()) is float
+    assert type(s.randint(1, 4)) is int
+    assert isinstance(s.normals(3), list) and isinstance(s.uniforms(3), list)
+
+
+def test_take_keeps_the_counter():
+    batch = Stream(BATCH)
+    batch.normals(5)
+    sub = batch.take(np.array([4, 1]))
+    assert sub.counter == batch.counter and sub.seeds.tolist() == BATCH[[4, 1]].tolist()
+    assert sub.normals(4).tolist() == batch.normals(4)[[4, 1]].tolist()
+    one = Stream(7)
+    one.uniform()
+    copy = one.take(slice(None))
+    assert copy.shape == () and copy.uniform() == one.uniform()
+
+
+def test_batch_seeds_must_be_one_dimensional():
+    with pytest.raises(ValueError, match="1-d"):
+        Stream(np.zeros((2, 2), dtype=np.uint64))
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (3, 3), (2, 4)])
+def test_crandn_batch_rows_are_scalar_draws(rows, cols):
+    got = _crandn(Stream(BATCH), rows, cols)
+    assert got.shape == (5, rows, cols)
+    for b, seed in enumerate(BATCH.tolist()):
+        assert got[b].tobytes() == _crandn(Stream(seed), rows, cols).tobytes()
