@@ -533,8 +533,8 @@ def _parse_trials(text: str) -> int:
         n = int(text)
     except ValueError as exc:
         raise ParseError(f"trials must be an integer, got {text!r}") from exc
-    if n < 1:
-        raise ParseError(f"trials must be >= 1, got {n}")
+    if not 1 <= n <= harness.MAX_TRIALS:
+        raise ParseError(f"trials must be in [1, {harness.MAX_TRIALS}], got {n}")
     return n
 
 

@@ -5,15 +5,16 @@ All randomness flows through the counter-based stream in rng.py: a campaign
 at seed s gives trial t the child seed derive_seed(s, t), so any failing
 instance can be rebuilt from its reported worst_seed alone.
 
-A fuzz campaign derives all child seeds in one expression and draws every
-trial's d at counter 0 of its stream. It then draws the trials of one d
-together, on one Stream over their seeds: every generator builds a stack
-(B, rows, cols) whose row b is bit for bit what the scalar stream of seed b
-draws alone, and a family splits its rows further where a draw sets a shape
-or a shared scalar argument. Each group goes to one call of the verifier's
-kernel over stacks, and the rows are reduced in trial order, so a report does
-not depend on grouping or chunking. The property suite, generate() and
-trial_args() call the same generators on the scalar stream, a batch of one.
+A fuzz campaign, and each property of the property suite, derives all child
+seeds in one expression and draws every trial's d at counter 0 of its stream.
+It then draws the trials of one d together, on one Stream over their seeds:
+every generator builds a stack (B, rows, cols) whose row b is bit for bit
+what the scalar stream of seed b draws alone, and a family or property splits
+its rows further where a draw sets a shape or a shared scalar argument. Each
+group goes to one call of the verifier's kernel or the property's judge over
+stacks, and the rows are reduced in trial order, so a report does not depend
+on grouping or chunking. generate() and trial_args() call the same
+generators on the scalar stream, a batch of one.
 """
 
 from __future__ import annotations
@@ -28,22 +29,18 @@ import numpy as np
 
 from . import ineq, linalg, major
 from .errors import UnknownExample, UnknownInequality, UnknownKind
-from .linalg import _ct, _diag
+from .ineq import _pymax, _pymin
+from .linalg import _ct, _diag, _pad, _sv_array
+from .major import _dec
 from .rng import _MASK, Stream, _splitmix64_block, derive_seed
 from .spectra import (
     DiagSpec,
-    SpreadSeq,
-    TwoSidedSeq,
+    _eig_sides,
+    _eig_spread,
+    _matrix_spread,
     compact_scale,
     diag_scale,
-    matrix_scale,
-    spread_full,
     spread_plus,
-)
-
-GEN_KINDS = (
-    "hermitian", "positive", "unitary", "projection",
-    "partition_isometry", "complex_general",
 )
 
 
@@ -139,23 +136,21 @@ def _partition(stream: Stream, d: int, rank=None,
     return c, s, p
 
 
+# generator kind -> its draw on a stream for a GenSpec
+_KINDS = {
+    "hermitian": lambda stream, spec: _hermitian(stream, spec.dim, spec.scale),
+    "positive": lambda stream, spec: _positive(stream, spec.dim, spec.scale),
+    "unitary": lambda stream, spec: _unitary(stream, spec.dim),
+    "projection": lambda stream, spec: _projection(stream, spec.dim),
+    "partition_isometry": lambda stream, spec: _partition(stream, spec.dim),
+    "complex_general": lambda stream, spec: spec.scale * _crandn(stream, spec.dim, spec.dim),
+}
+GEN_KINDS = tuple(_KINDS)
+
+
 def generate(spec: GenSpec):
     """Build the matrix (or (C, S, P) triple) a GenSpec describes."""
-    stream = Stream(spec.seed)
-    d = spec.dim
-    if spec.kind == "hermitian":
-        return _hermitian(stream, d, spec.scale)
-    if spec.kind == "positive":
-        return _positive(stream, d, spec.scale)
-    if spec.kind == "unitary":
-        return _unitary(stream, d)
-    if spec.kind == "projection":
-        return _projection(stream, d)
-    if spec.kind == "partition_isometry":
-        return _partition(stream, d)
-    if spec.kind == "complex_general":
-        return spec.scale * _crandn(stream, d, d)
-    raise UnknownKind(f"unknown generator kind {spec.kind!r}")
+    return _KINDS[spec.kind](Stream(spec.seed), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +294,7 @@ def repro(example_id: str) -> dict:
         spr = spread_plus(sc)
         checks.append(_item("spread_i = 2 + 1/i", spr.values, [2.0 + 1.0 / i for i in range(1, k + 1)], 1e-12))
         checks.append(_item("spread tail", spr.tail, 2.0, 0.0))
-    report = {
-        "example_id": example_id,
-        "checks": checks,
-        "holds": all(c["pass"] for c in checks),
-    }
-    return report
+    return {"example_id": example_id, "checks": checks, "holds": all(c["pass"] for c in checks)}
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +365,7 @@ def _fam_general_comm(stream: Stream, d: int):
 def _fam_unitary(stream: Stream, d: int):
     a = _hermitian(stream, d)
     x = _hermitian(stream, d)
-    nrm = linalg._sv_array(x)[..., 0]
+    nrm = _sv_array(x)[..., 0]
     # a zero X stays zero whatever it is scaled by
     scale = math.pi * np.asarray(stream.uniform()) / np.where(nrm > 0, nrm, 1.0)
     return _whole(a, x * scale[..., None, None])
@@ -495,6 +485,10 @@ VERIFIERS = {v.id: v for v in (
 # holds 16 MiB of complex128
 MAX_DIM = 1024
 
+# the most trials fuzz and the property suite run at once: each holds a
+# seed, a d, a margin and a verdict or message per trial, about 25 MB here
+MAX_TRIALS = 10**6
+
 # a fuzz chunk takes trials until the sum of their d*d reaches this many
 # entries (a family draws one to four matrices of about that size per
 # trial), so a campaign at large dims never holds all of its trials'
@@ -502,7 +496,9 @@ MAX_DIM = 1024
 FUZZ_CHUNK_ENTRIES = 1 << 18
 
 
-def _check_dims(dims: tuple[int, int], what: str) -> None:
+def _check_dims(dims: tuple[int, int], what: str, trials: int = 0) -> None:
+    if not 0 <= trials <= MAX_TRIALS:
+        raise ValueError(f"{what} runs from 0 up to {MAX_TRIALS} trials, got {trials}")
     if dims[1] < max(2, dims[0]):
         raise ValueError(f"{what} needs a dimension range containing d >= 2, got {dims}")
     if dims[1] > MAX_DIM:
@@ -557,7 +553,8 @@ def fuzz(ineq_id: str, trials: int = 500, dims: tuple[int, int] = (2, 8),
     Trial t uses the child seed derive_seed(seed, t); worst_margin is the
     smallest judged margin seen, worst_seed the child seed of the first trial
     that produced it. Every family needs d >= 2: a lower bound of 1 is raised
-    to 2, and a range with no d >= 2 or above MAX_DIM raises ValueError.
+    to 2, and a range with no d >= 2 or above MAX_DIM raises ValueError, as
+    does a trial count below 0 or above MAX_TRIALS.
 
     The trials are drawn in groups (see _groups), each group is judged by
     one kernel call, and the rows are put back in trial order before the
@@ -565,7 +562,7 @@ def fuzz(ineq_id: str, trials: int = 500, dims: tuple[int, int] = (2, 8),
     """
     if ineq_id not in VERIFIERS:
         raise UnknownInequality(f"no fuzz family for {ineq_id!r}")
-    _check_dims(dims, "fuzz")
+    _check_dims(dims, "fuzz", trials)
     entry = VERIFIERS[ineq_id]
     kernel = ineq.KERNELS[entry.check]
     t0 = time.perf_counter()
@@ -594,459 +591,432 @@ def fuzz(ineq_id: str, trials: int = 500, dims: tuple[int, int] = (2, 8),
 
 # ---------------------------------------------------------------------------
 # property suite
+#
+# A property draws its inputs for a stream's trials as the fuzz families do,
+# [(rows, args)], and judge(*args) returns the rows' margins and their
+# failure messages (None where a row holds). Judges work on stacks through
+# the same private helpers the public functions run on a batch of one.
 
 
-def _add_twosided(x: TwoSidedSeq, y: TwoSidedSeq) -> TwoSidedSeq:
-    if x.mode != y.mode or x.K != y.K:
-        raise ValueError("summands must share mode and horizon")
-    pt = None if x.pos_tail is None else x.pos_tail + y.pos_tail
-    nt = None if x.neg_tail is None else x.neg_tail + y.neg_tail
-    return TwoSidedSeq(
-        pos=x.pos + y.pos, neg=x.neg + y.neg,
-        pos_tail=pt, neg_tail=nt, K=x.K, mode=x.mode,
-    )
+@dataclass(frozen=True)
+class Property:
+    """One property; d is drawn from the suite's dims cut to [lo, hi], or is hi above it."""
+
+    draw: Callable[[Stream, int], list]
+    judge: Callable[..., tuple]
+    lo: int = 1
+    hi: int = MAX_DIM
 
 
-def _mix(stream: Stream, y: np.ndarray, rounds: int = 6) -> np.ndarray:
-    """A random vector classically majorized by y (convex mix of permutations)."""
-    n = len(y)
-    acc = np.zeros(n)
-    weights = np.array([stream.uniform() for _ in range(rounds)]) + 1e-3
-    weights /= weights.sum()
-    for w in weights:
-        perm = _rand_perm(stream, n)
-        acc = acc + w * y[perm]
-    return acc
+def _judged(margin: np.ndarray, *checks) -> tuple[np.ndarray, list]:
+    """(margin, messages): a row's message is that of the first (ok, message)
+    check it fails, a message being a str or a function of the row."""
+    detail = [None] * len(margin)
+    for ok, msg in checks:
+        for i in np.flatnonzero(~ok):
+            if detail[i] is None:
+                detail[i] = msg if isinstance(msg, str) else msg(i)
+    return margin, detail
+
+
+def _relation(msg: str, sides: Callable, **how) -> Callable:
+    """The judge of one (sub)majorization, major._maj_rows(*sides(*args), **how)."""
+    def judge(*args):
+        rep = major._maj_rows(*sides(*args), **how)
+        return _judged(rep.margin, (rep.holds, msg))
+    return judge
+
+
+def _norms(m: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each matrix, call by call: a stacked norm sums in another order."""
+    return np.array([np.linalg.norm(x) for x in m])
 
 
 def _rand_perm(stream: Stream, n: int) -> np.ndarray:
-    perm = np.arange(n)
+    """A Fisher-Yates permutation of range(n) per row."""
+    perm = np.tile(np.arange(n), stream.shape + (1,))
+    rows = np.arange(len(perm))
     for i in range(n - 1, 0, -1):
         j = stream.randint(0, i)
-        perm[i], perm[j] = perm[j], perm[i]
+        perm[rows, i], perm[rows, j] = perm[rows, j], perm[rows, i]
     return perm
 
 
-class _PropertyFailure(Exception):
-    pass
+def _mix(stream: Stream, y: np.ndarray, rounds: int = 6) -> np.ndarray:
+    """A vector classically majorized by each row of y: a convex mix of its permutations."""
+    weights = stream.uniforms(rounds) + 1e-3
+    weights /= weights.sum(axis=-1, keepdims=True)
+    acc = np.zeros(y.shape)
+    for w in weights.T:
+        acc = acc + w[:, None] * np.take_along_axis(y, _rand_perm(stream, y.shape[-1]), -1)
+    return acc
 
 
-def _expect(cond: bool, msg: str):
-    if not cond:
-        raise _PropertyFailure(msg)
+def _matrix_multiset(mu: np.ndarray) -> np.ndarray:
+    """The matrix-mode scale of eigenvalues mu as a multiset (pos, then neg)."""
+    return np.concatenate([mu, mu[..., ::-1]], axis=-1)
 
 
-def _prop_eigh_residual(stream: Stream, dims):
-    d = stream.randint(dims[0], min(16, max(dims[1], dims[0])))
-    a = _hermitian(stream, d, scale=1.0 + 9.0 * stream.uniform())
-    if stream.uniform() < 0.25:
+def _d_eigh(stream: Stream, d: int):
+    a = _hermitian(stream, d, (1.0 + 9.0 * stream.uniform())[:, None, None])
+    forced = np.flatnonzero(stream.uniform() < 0.25)
+    if forced.size:
         # force eigenvalue multiplicities
-        w, v = linalg.eigh(a)
-        w = np.round(w)
-        a = v @ np.diag(w) @ v.conj().T
-        a = (a + a.conj().T) / 2.0
-    w, v = linalg.eigh(a)
-    resid = float(np.linalg.norm(a @ v - v @ np.diag(w)))
-    gate = 1e-10 * max(1.0, float(np.linalg.norm(a)))
-    _expect(resid <= gate, f"eigh residual {resid:.3e} above {gate:.3e}")
-    ortho = float(np.max(np.abs(v.conj().T @ v - np.eye(d))))
-    _expect(ortho <= 1e-12 * d, f"eigenvector basis defect {ortho:.3e}")
-    _expect(bool(np.all(np.diff(w) <= 1e-12)), "eigenvalues not sorted")
-    return min(gate - resid, 1e-12 * d - ortho)
+        w, v = linalg._eigh(a[forced])
+        b = v @ _diag(np.round(w)) @ _ct(v)
+        a[forced] = (b + _ct(b)) / 2.0
+    return _whole(a)
 
 
-def _prop_hat_trick(stream: Stream, dims):
-    d = stream.randint(dims[0], dims[1])
-    e = _crandn(stream, d, d)
-    hat = linalg.offdiag_embed(e)
-    sc = compact_scale(hat, 4 * d)
-    s = linalg.sv_array(e)
-    ref = major.updown_rearrange(np.concatenate([s, -s]), 4 * d)
-    err = max(
-        float(np.max(np.abs(sc.pos - ref.pos))),
-        float(np.max(np.abs(sc.neg - ref.neg))),
+def _j_eigh(a):
+    d = a.shape[-1]
+    w, v = linalg._eigh(a)
+    resid = _norms(a @ v - v @ _diag(w))
+    gate = 1e-10 * _pymax(1.0, _norms(a))
+    ortho = np.max(np.abs(_ct(v) @ v - np.eye(d)), axis=(-2, -1))
+    return _judged(
+        _pymin(gate - resid, 1e-12 * d - ortho),
+        (resid <= gate, lambda i: f"eigh residual {resid[i]:.3e} above {gate[i]:.3e}"),
+        (ortho <= 1e-12 * d, lambda i: f"eigenvector basis defect {ortho[i]:.3e}"),
+        (np.all(np.diff(w, axis=-1) <= 1e-12, axis=-1), "eigenvalues not sorted"),
     )
-    _expect(err <= 1e-9, f"hat-trick mismatch {err:.3e}")
-    return 1e-9 - err
 
 
-def _prop_sv_invariance(stream: Stream, dims):
-    d = stream.randint(dims[0], dims[1])
-    a = _crandn(stream, d, d)
-    u = _unitary(stream, d)
-    v = _unitary(stream, d)
-    err = float(np.max(np.abs(linalg.sv_array(u @ a @ v) - linalg.sv_array(a))))
-    _expect(err <= 1e-9, f"s(UAV) != s(A): {err:.3e}")
-    return 1e-9 - err
+def _j_hat(e):
+    k = 4 * e.shape[-1]
+    pos, neg = _eig_sides(linalg._eigvalsh(linalg._offdiag_embed(e)), k)
+    s = _sv_array(e)
+    ref_pos, ref_neg = major._updown(np.concatenate([s, -s], axis=-1), k)
+    err = _pymax(np.max(np.abs(pos - ref_pos), axis=-1), np.max(np.abs(neg - ref_neg), axis=-1))
+    return _judged(1e-9 - err, (err <= 1e-9, lambda i: f"hat-trick mismatch {err[i]:.3e}"))
 
 
-def _prop_sv_product(stream: Stream, dims):
-    d = stream.randint(dims[0], dims[1])
-    a = _crandn(stream, d, d)
-    x = _crandn(stream, d, d)
-    y = _crandn(stream, d, d)
-    lhs = linalg.sv_array(x @ a @ y)
-    bound = linalg.opnorm(x) * linalg.opnorm(y) * linalg.sv_array(a)
-    margin = float(np.min(bound - lhs))
-    _expect(margin >= -1e-9 * max(1.0, float(bound[0])), f"s(XAY) bound violated by {margin:.3e}")
-    return margin
+def _j_sv_invariance(a, u, v):
+    err = np.max(np.abs(_sv_array(u @ a @ v) - _sv_array(a)), axis=-1)
+    return _judged(1e-9 - err, (err <= 1e-9, lambda i: f"s(UAV) != s(A): {err[i]:.3e}"))
 
 
-def _prop_weyl_scale(stream: Stream, dims):
-    d = stream.randint(dims[0], dims[1])
+def _j_sv_product(a, x, y):
+    lhs = _sv_array(x @ a @ y)
+    bound = (linalg._opnorm(x) * linalg._opnorm(y))[:, None] * _sv_array(a)
+    margin = np.min(bound - lhs, axis=-1)
+    return _judged(margin, (margin >= -1e-9 * _pymax(1.0, bound[:, 0]),
+                            lambda i: f"s(XAY) bound violated by {margin[i]:.3e}"))
+
+
+def _j_weyl_scale(a, b):
+    wa, wb, wab = linalg._eigvalsh(a), linalg._eigvalsh(b), linalg._eigvalsh(a + b)
+    m = major._maj_rows(_matrix_multiset(wab), _matrix_multiset(wa) + _matrix_multiset(wb))
+    (pa, na), (pb, nb) = _eig_sides(wa), _eig_sides(wb)
+    c = major._maj_rows(np.concatenate(_eig_sides(wab), axis=-1),
+                        np.concatenate([pa + pb, na + nb], axis=-1), True, True)
+    return _judged(_pymin(m.margin, c.margin), (m.holds, "matrix-mode scale Weyl failed"),
+                   (c.holds, "compact-mode scale Weyl failed"))
+
+
+def _d_ky_fan(stream: Stream, d: int):
     a = _hermitian(stream, d)
-    b = _hermitian(stream, d)
-    rep_m = major.majorizes(matrix_scale(a + b), _add_twosided(matrix_scale(a), matrix_scale(b)))
-    _expect(rep_m.holds, "matrix-mode scale Weyl failed")
-    rep_c = major.majorizes(compact_scale(a + b), _add_twosided(compact_scale(a), compact_scale(b)))
-    _expect(rep_c.holds, "compact-mode scale Weyl failed")
-    return min(rep_m.min_margin(), rep_c.min_margin())
-
-
-def _prop_weyl_sv(stream: Stream, dims):
-    d = stream.randint(dims[0], dims[1])
-    a = _crandn(stream, d, d)
-    b = _crandn(stream, d, d)
-    rep = major.submajorizes(
-        linalg.sv_array(a + b), linalg.sv_array(a) + linalg.sv_array(b)
-    )
-    _expect(rep.holds, "singular-value triangle submajorization failed")
-    return rep.min_margin()
-
-
-def _prop_ky_fan(stream: Stream, dims):
-    d = stream.randint(dims[0], dims[1])
-    a = _hermitian(stream, d)
-    w, v = linalg.eigh(a)
     k = stream.randint(1, d)
-    top = float(np.sum(w[:k]))
-    basis = v[:, :k]
-    tr_top = float(np.trace(basis.conj().T @ a @ basis).real)
-    _expect(abs(top - tr_top) <= 1e-9 * max(1.0, abs(top)), "top-k eigenprojection trace mismatch")
-    bottom = float(np.sum(w[d - k:]))
-    margin = math.inf
-    for _ in range(4):
-        p = _projection(stream, d, rank=k)
-        tr = float(np.trace(p @ a).real)
-        margin = min(margin, top - tr, tr - bottom)
-    _expect(margin >= -1e-9 * max(1.0, abs(top)), f"Ky Fan extremality violated by {margin:.3e}")
-    return margin
+    ps = [_projection(stream, d, rank=k) for _ in range(4)]
+    return [(rows, (a[rows], kv, *(p[rows] for p in ps))) for kv, rows in _split(k)]
 
 
-def _prop_interlacing(stream: Stream, dims):
-    d = stream.randint(max(2, dims[0]), dims[1])
-    a = _hermitian(stream, d)
-    r = stream.randint(1, d - 1)
+def _j_ky_fan(a, k, *ps):
+    w, v = linalg._eigh(a)
+    top = np.sum(w[:, :k], axis=-1)
+    tr_top = np.trace(_ct(v[:, :, :k]) @ a @ v[:, :, :k], axis1=-2, axis2=-1).real
+    bottom = np.sum(w[:, a.shape[-1] - k:], axis=-1)
+    margin = np.full(len(a), math.inf)
+    for p in ps:
+        tr = np.trace(p @ a, axis1=-2, axis2=-1).real
+        margin = _pymin(_pymin(margin, top - tr), tr - bottom)
+    gate = -1e-9 * _pymax(1.0, np.abs(top))
+    return _judged(margin, (np.abs(top - tr_top) <= -gate, "top-k eigenprojection trace mismatch"),
+                   (margin >= gate, lambda i: f"Ky Fan extremality violated by {margin[i]:.3e}"))
+
+
+def _d_interlacing(stream: Stream, d: int):
+    a, r = _hermitian(stream, d), stream.randint(1, d - 1)
     p = _projection(stream, d, rank=r)
-    comp = linalg.compress(a, p).compressed
-    wa = linalg.eigh(a).values
-    wc = linalg.eigh(comp).values
-    margin = math.inf
-    for j in range(r):
-        margin = min(margin, wa[j] - wc[j])            # lambda_j(A) >= lambda_j(A_P)
-        margin = min(margin, wc[r - 1 - j] - wa[d - 1 - j])  # bottom interlacing
-    _expect(margin >= -1e-9 * max(1.0, float(np.max(np.abs(wa)))), "interlacing violated")
-    return margin
+    return [(rows, (a[rows], p[rows])) for _, rows in _split(r)]
+
+
+def _j_interlacing(a, p):
+    # A_P is Hermitian up to rounding only, so it is validated as eigh would
+    comp = linalg._as_hermitians(linalg._compressed(a, p))
+    wa, wc = linalg._eigh(a).values, linalg._eigh(comp).values
+    margin = np.full(len(a), math.inf)
+    for j in range(wc.shape[-1]):
+        margin = _pymin(margin, wa[:, j] - wc[:, j])  # lambda_j(A) >= lambda_j(A_P)
+        margin = _pymin(margin, wc[:, -1 - j] - wa[:, -1 - j])  # bottom interlacing
+    return _judged(margin, (margin >= -1e-9 * _pymax(1.0, np.max(np.abs(wa), axis=-1)),
+                            "interlacing violated"))
 
 
 @functools.cache
 def _alt_harmonic_gap() -> float:
-    """min(pos - neg) of the alternating-harmonic diag scale at horizon 8.
-
-    The operator is fixed, so its scale is built once, not on every trial.
-    """
+    """min(pos - neg) of the alternating-harmonic diag scale at horizon 8, built once."""
     spec = DiagSpec(head=(), liminf=-1.0, limsup=1.0, generator="alt_harmonic",
                     params={"upper": 1.0, "lower": -1.0})
     dsc = diag_scale(spec, 8)
     return float(np.min(dsc.pos - dsc.neg))
 
 
-def _prop_scale_ordering(stream: Stream, dims):
-    d = stream.randint(dims[0], dims[1])
-    a = _hermitian(stream, d)
-    sc = compact_scale(a)
-    margin = float(np.min(sc.pos - sc.neg))
-    _expect(margin >= 0.0, "compact scale ordering violated")
-    margin = min(margin, _alt_harmonic_gap())
-    _expect(margin >= 0.0, "diag scale ordering violated")
-    return margin
+def _j_scale_ordering(a):
+    compact = np.min(_eig_spread(linalg._eigvalsh(a)), axis=-1)
+    margin = _pymin(compact, _alt_harmonic_gap())
+    return _judged(margin, (compact >= 0.0, "compact scale ordering violated"),
+                   (margin >= 0.0, "diag scale ordering violated"))
 
 
-def _prop_translation(stream: Stream, dims):
-    d = stream.randint(dims[0], dims[1])
-    a = _hermitian(stream, d)
-    c = 4.0 * (stream.uniform() - 0.5)
-    base = spread_plus(matrix_scale(a)).values
-    shifted = spread_plus(matrix_scale(a + c * np.eye(d))).values
-    err = float(np.max(np.abs(base - shifted)))
-    _expect(err <= 1e-9 * max(1.0, float(np.max(base, initial=0.0))), f"translation changed the spread by {err:.3e}")
-    return 1e-9 - err
+def _j_translation(a, c):
+    base = _matrix_spread(linalg._eigvalsh(a))
+    shifted = _matrix_spread(linalg._eigvalsh(a + c[:, None, None] * np.eye(a.shape[-1])))
+    err = np.max(np.abs(base - shifted), axis=-1)
+    return _judged(1e-9 - err, (err <= 1e-9 * _pymax(1.0, np.max(base, axis=-1, initial=0.0)),
+                                lambda i: f"translation changed the spread by {err[i]:.3e}"))
 
 
-def _prop_scaling(stream: Stream, dims):
-    d = stream.randint(dims[0], dims[1])
-    a = _hermitian(stream, d)
-    c = 4.0 * (stream.uniform() - 0.5)
+def _j_homogeneity(a, c):
+    mu, mu_c = linalg._eigvalsh(a), linalg._eigvalsh(c[:, None, None] * a)
     err = 0.0
-    for mode_scale in (matrix_scale, compact_scale):
-        base = spread_plus(mode_scale(a)).values
-        scaled = spread_plus(mode_scale(c * a)).values
-        err = max(err, float(np.max(np.abs(scaled - abs(c) * base))))
-    _expect(err <= 1e-9, f"homogeneity defect {err:.3e}")
-    return 1e-9 - err
+    for spread in (_matrix_spread, _eig_spread):
+        err = _pymax(err, np.max(np.abs(spread(mu_c) - np.abs(c)[:, None] * spread(mu)), axis=-1))
+    return _judged(1e-9 - err, (err <= 1e-9, lambda i: f"homogeneity defect {err[i]:.3e}"))
 
 
-def _prop_zero_block(stream: Stream, dims):
-    d = stream.randint(dims[0], dims[1])
-    a = _hermitian(stream, d)
-    k = 2 * d
-    base = spread_plus(compact_scale(a, k)).values
-    padded = spread_plus(compact_scale(linalg.direct_sum(a, np.zeros((d, d))), k)).values
-    err = float(np.max(np.abs(base - padded)))
-    _expect(err <= 1e-12, f"zero block changed the compact spread by {err:.3e}")
-    return 1e-12 - err
+def _j_zero_block(a):
+    k = 2 * a.shape[-1]
+    base = _eig_spread(linalg._eigvalsh(a), k)
+    padded = _eig_spread(linalg._eigvalsh(linalg._direct_sum(a, np.zeros(a.shape))), k)
+    err = np.max(np.abs(base - padded), axis=-1)
+    return _judged(1e-12 - err, (
+        err <= 1e-12, lambda i: f"zero block changed the compact spread by {err[i]:.3e}"))
 
 
-def _prop_spread_vs_sv(stream: Stream, dims):
-    d = stream.randint(dims[0], dims[1])
-    a = _hermitian(stream, d)
-    sc = compact_scale(a)
-    spr = spread_plus(sc).values
-    s = linalg.svd_values(a, horizon=sc.K).values
-    tol = 1e-9 * max(1.0, float(np.max(s, initial=0.0)))
-    m1 = float(np.min((np.abs(sc.pos) + np.abs(sc.neg)) - spr))
-    m2 = float(np.min(2.0 * s - (np.abs(sc.pos) + np.abs(sc.neg))))
-    margin = min(m1, m2)
-    _expect(margin >= -tol, "spread vs singular-value sandwich failed")
-    p = _positive(stream, d)
-    scp = compact_scale(p)
-    m3 = float(np.min(linalg.svd_values(p, horizon=scp.K).values - spread_plus(scp).values))
-    margin = min(margin, m3)
-    _expect(m3 >= -tol, "positive case spread <= s failed")
-    return margin
+def _j_spread_vs_sv(a, p):
+    k = 2 * a.shape[-1]
+    pos, neg = _eig_sides(linalg._eigvalsh(a))
+    s = _pad(_sv_array(a), k)
+    size = np.abs(pos) + np.abs(neg)
+    margin = _pymin(np.min(size - (pos - neg), axis=-1), np.min(2.0 * s - size, axis=-1))
+    sp = _pad(_sv_array(p), k)
+    m3 = np.min(sp - _eig_spread(linalg._eigvalsh(p)), axis=-1)
+    # each comparison at the scale of its own matrix: P = G*G is larger than A
+    tol = 1e-9 * _pymax(1.0, np.max(s, axis=-1, initial=0.0))
+    tol_p = 1e-9 * _pymax(1.0, np.max(sp, axis=-1, initial=0.0))
+    return _judged(_pymin(margin, m3), (margin >= -tol, "spread vs singular-value sandwich failed"),
+                   (m3 >= -tol_p, "positive case spread <= s failed"))
 
 
-def _prop_doubling(stream: Stream, dims):
-    d = stream.randint(dims[0], dims[1])
-    a = _hermitian(stream, d)
-    k = 4 * d
-    dbl = spread_plus(compact_scale(linalg.direct_sum(a, a), k)).values
-    single = spread_plus(compact_scale(a, 2 * d)).values
-    ref = np.sort(np.concatenate([single, single]))[::-1]
-    err = float(np.max(np.abs(dbl - ref)))
-    _expect(err <= 1e-9, f"doubled spread mismatch {err:.3e}")
-    rep = major.submajorizes(
-        SpreadSeq(values=0.5 * dbl), linalg.svd_values(a, horizon=k)
-    )
-    _expect(rep.holds, "half doubled spread vs s(A) failed")
-    return min(1e-9 - err, rep.min_margin())
+def _j_doubling(a):
+    d = a.shape[-1]
+    dbl = _eig_spread(linalg._eigvalsh(linalg._direct_sum(a, a)), 4 * d)
+    single = _eig_spread(linalg._eigvalsh(a), 2 * d)
+    err = np.max(np.abs(dbl - _dec(np.concatenate([single, single], axis=-1))), axis=-1)
+    rep = major._sub_rows(0.5 * dbl, _pad(_sv_array(a), 4 * d))
+    return _judged(_pymin(1e-9 - err, rep.margin),
+                   (err <= 1e-9, lambda i: f"doubled spread mismatch {err[i]:.3e}"),
+                   (rep.holds, "half doubled spread vs s(A) failed"))
 
 
-def _prop_spread_monotone(stream: Stream, dims):
-    d = stream.randint(dims[0], dims[1])
+def _d_monotone(stream: Stream, d: int):
     b = _hermitian(stream, d)
-    weights = np.array([stream.uniform() + 1e-3 for _ in range(3)])
-    weights /= weights.sum()
-    a = np.zeros((d, d), dtype=np.complex128)
-    for w in weights:
+    weights = stream.uniforms(3) + 1e-3
+    weights /= weights.sum(axis=-1, keepdims=True)
+    a = np.zeros(b.shape, dtype=np.complex128)
+    for w in weights.T:
         u = _unitary(stream, d)
-        a = a + w * (u.conj().T @ b @ u)
-    a = (a + a.conj().T) / 2.0
-    prem = major.majorizes(matrix_scale(a), matrix_scale(b))
-    _expect(prem.holds, "averaged conjugates failed the scale premise")
-    rep = major.submajorizes(
-        spread_plus(compact_scale(a)), spread_plus(compact_scale(b))
-    )
-    _expect(rep.holds, "spread monotonicity under majorization failed")
-    return min(prem.min_margin(), rep.min_margin())
+        a = a + w[:, None, None] * (_ct(u) @ b @ u)
+    return _whole((a + _ct(a)) / 2.0, b)
 
 
-def _prop_additive_spread(stream: Stream, dims):
-    d = stream.randint(dims[0], dims[1])
-    a = _hermitian(stream, d)
-    b = _hermitian(stream, d)
-    k = 2 * d
-    lhs = spread_full(compact_scale(a + b, k))
-    rhs = _add_twosided(spread_full(compact_scale(a, k)), spread_full(compact_scale(b, k)))
-    rep = major.majorizes(lhs, rhs)
-    _expect(rep.holds, "spread subadditivity failed")
-    return rep.min_margin()
+def _j_monotone(a, b):
+    wa, wb = linalg._eigvalsh(a), linalg._eigvalsh(b)
+    prem = major._maj_rows(_matrix_multiset(wa), _matrix_multiset(wb))
+    rep = major._sub_rows(_eig_spread(wa), _eig_spread(wb))
+    return _judged(_pymin(prem.margin, rep.margin),
+                   (prem.holds, "averaged conjugates failed the scale premise"),
+                   (rep.holds, "spread monotonicity under majorization failed"))
 
 
-def _prop_lemma_updown_sum(stream: Stream, dims):
-    n = stream.randint(dims[0], dims[1])
-    x = np.array(stream.normals(2 * n))
-    y = np.array(stream.normals(2 * n))
-    lhs = major.Interleaved(neg_values=(x + y)[:n], pos_values=(x + y)[n:])
-    rhs = _add_twosided(major.updown_rearrange(x, 2 * n), major.updown_rearrange(y, 2 * n))
-    rep = major.majorizes(lhs, rhs)
-    _expect(rep.holds, "x+y vs rearranged sum majorization failed")
-    return rep.min_margin()
+def _subadditive_sides(a, b):
+    k = 2 * a.shape[-1]
+    va, vb, vab = (_eig_spread(linalg._eigvalsh(m), k) for m in (a, b, a + b))
+    return np.concatenate([vab, -vab], axis=-1), np.concatenate([va + vb, -va + -vb], axis=-1)
 
 
-def _prop_lemma_abs(stream: Stream, dims):
-    n = stream.randint(dims[0], dims[1])
-    y = np.array(stream.normals(n))
-    x = _mix(stream, y)
-    rep = major.submajorizes(np.abs(x), np.abs(y))
-    _expect(rep.holds, "|x| submajorization failed")
-    return rep.min_margin()
+def _updown_sum_sides(x, y):
+    (xp, xn), (yp, yn) = major._updown(x, x.shape[-1]), major._updown(y, y.shape[-1])
+    return x + y, np.concatenate([xp + yp, xn + yn], axis=-1)
 
 
-def _prop_lemma_sorted_sum(stream: Stream, dims):
-    n = stream.randint(dims[0], dims[1])
-    z = major.dec_rearrange(np.array(stream.normals(n)))
-    w = major.dec_rearrange(np.array(stream.normals(n)))
-    x = _mix(stream, z)
-    y = _mix(stream, w)
-    rep = major.majorizes(x + y, z + w)
-    _expect(rep.holds, "sum of majorized pairs failed")
-    return rep.min_margin()
+def _d_abs(stream: Stream, n: int):
+    y = stream.normals(n)
+    return _whole(_mix(stream, y), y)
 
 
-def _prop_lemma_interleave(stream: Stream, dims):
-    n = stream.randint(dims[0], dims[1])
-    y = np.abs(np.array(stream.normals(n)))
-    w = np.abs(np.array(stream.normals(n)))
-    x = stream.uniform() * _mix(stream, y)
-    z = stream.uniform() * _mix(stream, w)
-    rep = major.submajorizes(major.interleave(x, z), major.interleave(y, w))
-    _expect(rep.holds, "interleaved pair submajorization failed")
-    return rep.min_margin()
+def _d_sorted_sum(stream: Stream, n: int):
+    z, w = _dec(stream.normals(n)), _dec(stream.normals(n))
+    return _whole(_mix(stream, z), _mix(stream, w), z, w)
 
 
-def _prop_lemma_product_sort(stream: Stream, dims):
-    n = stream.randint(dims[0], dims[1])
-    x = np.abs(np.array(stream.normals(n)))
-    y = np.abs(np.array(stream.normals(n)))
-    rep = major.submajorizes(x * y, major.dec_rearrange(x) * major.dec_rearrange(y))
-    _expect(rep.holds, "product vs sorted product failed")
-    return rep.min_margin()
+def _d_interleave(stream: Stream, n: int):
+    y, w = np.abs(stream.normals(n)), np.abs(stream.normals(n))
+    x = stream.uniform()[:, None] * _mix(stream, y)
+    return _whole(x, stream.uniform()[:, None] * _mix(stream, w), y, w)
 
 
-def _prop_lemma_product_monotone(stream: Stream, dims):
-    n = stream.randint(dims[0], dims[1])
-    y = major.dec_rearrange(np.abs(np.array(stream.normals(n))))
-    z = major.dec_rearrange(np.abs(np.array(stream.normals(n))))
-    x = stream.uniform() * _mix(stream, y)
-    rep = major.submajorizes(x * z, y * z)
-    _expect(rep.holds, "product with a decreasing weight failed")
-    return rep.min_margin()
+def _d_product_monotone(stream: Stream, n: int):
+    y, z = _dec(np.abs(stream.normals(n))), _dec(np.abs(stream.normals(n)))
+    return _whole(stream.uniform()[:, None] * _mix(stream, y), y, z)
 
 
-def _prop_product_rearranged_chain(stream: Stream, dims):
-    n = stream.randint(dims[0], dims[1])
-    x = np.abs(np.array(stream.normals(n)))
-    y = np.abs(np.array(stream.normals(n)))
-    low = major.dec_rearrange(x) * np.sort(y)
+def _j_product_chain(x, y):
     mid = x * y
-    rep1 = major.submajorizes(low, mid)
-    rep2 = major.submajorizes(mid, major.dec_rearrange(x) * major.dec_rearrange(y))
-    _expect(rep1.holds and rep2.holds, "rearranged product chain failed")
-    return min(rep1.min_margin(), rep2.min_margin())
+    low = major._sub_rows(_dec(x) * np.sort(y, axis=-1), mid)
+    high = major._sub_rows(mid, _dec(x) * _dec(y))
+    return _judged(_pymin(low.margin, high.margin),
+                   (low.holds & high.holds, "rearranged product chain failed"))
 
 
-def _prop_weighted_sum_order(stream: Stream, dims):
-    n = stream.randint(dims[0], dims[1])
-    y = major.dec_rearrange(np.array(stream.normals(n)))
+def _d_weighted(stream: Stream, n: int):
+    y = _dec(stream.normals(n))
     # lowering entries of a mixed copy keeps x weakly below y, signs and all
-    drop = stream.uniform() * np.abs(np.array(stream.normals(n)))
-    x = major.dec_rearrange(_mix(stream, y) - drop)
-    z = major.dec_rearrange(np.abs(np.array(stream.normals(n))))
-    margin = float(np.dot(y, z) - np.dot(x, z))
-    _expect(margin >= -1e-9 * max(1.0, float(np.max(np.abs(y))) * n), "weighted sum ordering failed")
-    return margin
+    drop = stream.uniform()[:, None] * np.abs(stream.normals(n))
+    x = _dec(_mix(stream, y) - drop)
+    return _whole(x, y, _dec(np.abs(stream.normals(n))))
 
 
-def _prop_gauge_monotone(stream: Stream, dims):
-    n = stream.randint(dims[0], dims[1])
-    y = np.abs(np.array(stream.normals(n)))
-    x = stream.uniform() * _mix(stream, y)
-    xs = SpreadSeq(values=major.dec_rearrange(x))
-    ys = SpreadSeq(values=major.dec_rearrange(y))
-    margin = math.inf
+def _j_weighted(x, y, z):
+    # np.dot row by row: a stacked product sums in another order
+    margin = np.array([np.dot(yr, zr) - np.dot(xr, zr) for xr, yr, zr in zip(x, y, z)])
+    gate = -1e-9 * _pymax(1.0, np.max(np.abs(y), axis=-1) * y.shape[-1])
+    return _judged(margin, (margin >= gate, "weighted sum ordering failed"))
+
+
+def _d_gauge(stream: Stream, n: int):
+    y = np.abs(stream.normals(n))
+    return _whole(stream.uniform()[:, None] * _mix(stream, y), y)
+
+
+def _j_gauge(x, y):
+    xs, ys = _dec(x), _dec(y)
+    margin = np.full(len(x), math.inf)
     for nid in ("op", "kyfan:2", "schatten:1", "schatten:2", "schatten:3"):
-        if nid == "kyfan:2" and n < 2:
-            continue
-        margin = min(margin, major.gauge(ys, nid) - major.gauge(xs, nid))
-    _expect(margin >= -1e-9, "a symmetric gauge decreased under submajorization")
-    return margin
+        if nid != "kyfan:2" or x.shape[-1] >= 2:
+            margin = _pymin(margin, major._gauge_rows(ys, nid) - major._gauge_rows(xs, nid))
+    return _judged(margin, (margin >= -1e-9, "a symmetric gauge decreased under submajorization"))
 
 
-def _prop_generate_contracts(stream: Stream, dims):
-    d = stream.randint(dims[0], dims[1])
-    seed = stream.next_u64()
-    p = generate(GenSpec(kind="projection", dim=d, seed=seed))
-    err = float(np.max(np.abs(p @ p - p)))
-    _expect(err <= 1e-12, f"projection residual {err:.3e}")
-    c, s, pp = generate(GenSpec(kind="partition_isometry", dim=d, seed=seed))
-    err2 = float(np.linalg.norm(c.conj().T @ c + s.conj().T @ s - pp))
-    _expect(err2 <= 1e-12, f"partition residual {err2:.3e}")
-    u = generate(GenSpec(kind="unitary", dim=d, seed=seed))
-    err3 = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-    _expect(err3 <= 1e-12 * d, f"unitary residual {err3:.3e}")
-    again = generate(GenSpec(kind="hermitian", dim=d, seed=seed))
-    first = generate(GenSpec(kind="hermitian", dim=d, seed=seed))
-    _expect(bool(np.array_equal(again, first)), "generator is not deterministic")
-    return min(1e-12 - err, 1e-12 - err2)
+def _d_contracts(stream: Stream, d: int):
+    seeds = stream.next_u64()
+    c, s, pp = _partition(Stream(seeds), d)
+    twice = [_hermitian(Stream(seeds), d) for _ in range(2)]
+    return _whole(_projection(Stream(seeds), d), c, s, pp, _unitary(Stream(seeds), d), *twice)
+
+
+def _j_contracts(p, c, s, pp, u, again, first):
+    d = p.shape[-1]
+    err = np.max(np.abs(p @ p - p), axis=(-2, -1))
+    err2 = _norms(_ct(c) @ c + _ct(s) @ s - pp)
+    err3 = np.max(np.abs(_ct(u) @ u - np.eye(d)), axis=(-2, -1))
+    return _judged(
+        _pymin(1e-12 - err, 1e-12 - err2),
+        (err <= 1e-12, lambda i: f"projection residual {err[i]:.3e}"),
+        (err2 <= 1e-12, lambda i: f"partition residual {err2[i]:.3e}"),
+        (err3 <= 1e-12 * d, lambda i: f"unitary residual {err3[i]:.3e}"),
+        (np.all(again == first, axis=(-2, -1)), "generator is not deterministic"),
+    )
 
 
 PROPERTIES = {
-    "eigh_residual": _prop_eigh_residual,
-    "hat_trick": _prop_hat_trick,
-    "sv_unitary_invariance": _prop_sv_invariance,
-    "sv_product_bound": _prop_sv_product,
-    "weyl_scale": _prop_weyl_scale,
-    "weyl_sv": _prop_weyl_sv,
-    "ky_fan_extremality": _prop_ky_fan,
-    "interlacing": _prop_interlacing,
-    "scale_ordering": _prop_scale_ordering,
-    "spread_translation_invariance": _prop_translation,
-    "spread_homogeneity": _prop_scaling,
-    "spread_zero_block": _prop_zero_block,
-    "spread_vs_sv": _prop_spread_vs_sv,
-    "spread_doubling": _prop_doubling,
-    "spread_monotone": _prop_spread_monotone,
-    "spread_subadditive": _prop_additive_spread,
-    "updown_sum": _prop_lemma_updown_sum,
-    "abs_majorization": _prop_lemma_abs,
-    "sorted_sum": _prop_lemma_sorted_sum,
-    "interleave_pairs": _prop_lemma_interleave,
-    "product_sorting": _prop_lemma_product_sort,
-    "product_monotone": _prop_lemma_product_monotone,
-    "product_chain": _prop_product_rearranged_chain,
-    "weighted_sums": _prop_weighted_sum_order,
-    "gauge_monotone": _prop_gauge_monotone,
-    "generator_contracts": _prop_generate_contracts,
+    "eigh_residual": Property(_d_eigh, _j_eigh, hi=16),
+    "hat_trick": Property(lambda s, d: _whole(_crandn(s, d, d)), _j_hat),
+    "sv_unitary_invariance": Property(
+        lambda s, d: _whole(_crandn(s, d, d), _unitary(s, d), _unitary(s, d)), _j_sv_invariance),
+    "sv_product_bound": Property(
+        lambda s, d: _whole(*(_crandn(s, d, d) for _ in range(3))), _j_sv_product),
+    "weyl_scale": Property(_fam_herm_pair, _j_weyl_scale),
+    "weyl_sv": Property(_fam_control_bk, _relation(
+        "singular-value triangle submajorization failed",
+        lambda a, b: (_sv_array(a + b), _sv_array(a) + _sv_array(b)), lower=False)),
+    "ky_fan_extremality": Property(_d_ky_fan, _j_ky_fan),
+    "interlacing": Property(_d_interlacing, _j_interlacing, lo=2),
+    "scale_ordering": Property(lambda s, d: _whole(_hermitian(s, d)), _j_scale_ordering),
+    "spread_translation_invariance": Property(
+        lambda s, d: _whole(_hermitian(s, d), 4.0 * (s.uniform() - 0.5)), _j_translation),
+    "spread_homogeneity": Property(
+        lambda s, d: _whole(_hermitian(s, d), 4.0 * (s.uniform() - 0.5)), _j_homogeneity),
+    "spread_zero_block": Property(lambda s, d: _whole(_hermitian(s, d)), _j_zero_block),
+    "spread_vs_sv": Property(
+        lambda s, d: _whole(_hermitian(s, d), _positive(s, d)), _j_spread_vs_sv),
+    "spread_doubling": Property(lambda s, d: _whole(_hermitian(s, d)), _j_doubling),
+    "spread_monotone": Property(_d_monotone, _j_monotone),
+    "spread_subadditive": Property(_fam_herm_pair, _relation(
+        "spread subadditivity failed", _subadditive_sides, clip_a=True, clip_b=True)),
+    "updown_sum": Property(
+        lambda s, n: _whole(s.normals(2 * n), s.normals(2 * n)), _relation(
+            "x+y vs rearranged sum majorization failed", _updown_sum_sides,
+            clip_a=True, clip_b=True)),
+    "abs_majorization": Property(_d_abs, _relation(
+        "|x| submajorization failed", lambda x, y: (np.abs(x), np.abs(y)), lower=False)),
+    "sorted_sum": Property(_d_sorted_sum, _relation(
+        "sum of majorized pairs failed", lambda x, y, z, w: (x + y, z + w), sums=True)),
+    "interleave_pairs": Property(_d_interleave, _relation(
+        "interleaved pair submajorization failed",
+        lambda x, z, y, w: (np.concatenate([x, z], axis=-1), np.concatenate([y, w], axis=-1)),
+        clip_a=True, clip_b=True, lower=False)),
+    "product_sorting": Property(
+        lambda s, n: _whole(np.abs(s.normals(n)), np.abs(s.normals(n))), _relation(
+            "product vs sorted product failed",
+            lambda x, y: (x * y, _dec(x) * _dec(y)), lower=False)),
+    "product_monotone": Property(_d_product_monotone, _relation(
+        "product with a decreasing weight failed", lambda x, y, z: (x * z, y * z), lower=False)),
+    "product_chain": Property(
+        lambda s, n: _whole(np.abs(s.normals(n)), np.abs(s.normals(n))), _j_product_chain),
+    "weighted_sums": Property(_d_weighted, _j_weighted),
+    "gauge_monotone": Property(_d_gauge, _j_gauge),
+    "generator_contracts": Property(_d_contracts, _j_contracts),
 }
+
+
+def _property_rows(prop: Property, seeds: np.ndarray, dims: tuple[int, int]):
+    """(margins, messages) of these child seeds' trials, drawn and judged in groups as fuzz's."""
+    margin = np.empty(len(seeds))
+    detail = [None] * len(seeds)
+    hi = min(prop.hi, dims[1])
+    for index, args in _groups(prop, seeds, min(max(prop.lo, dims[0]), hi), hi):
+        margin[index], msgs = prop.judge(*args)
+        for t, msg in zip(index.tolist(), msgs):
+            detail[t] = msg
+    return margin, detail
 
 
 def property_suite(seed: int, trials: int = 500, dims: tuple[int, int] = (2, 8)) -> dict:
     """Run every module-level property `trials` times; report per-property.
 
-    Like fuzz, a dimension range with no d >= 2 or above MAX_DIM raises
-    ValueError.
+    Trial t of the property numbered i (in name order) uses the child seed
+    derive_seed(derive_seed(seed, i), t). A property fails at its first
+    failing trial, whose message is its detail; worst_margin is the smallest
+    margin of the trials before it. A lower bound below 1 is raised to 1;
+    like fuzz, it raises ValueError on a dimension range with no d >= 2 or
+    above MAX_DIM and on a trial count below 0 or above MAX_TRIALS.
     """
-    _check_dims(dims, "property_suite")
+    _check_dims(dims, "property_suite", trials)
     results = []
-    for idx, (name, fn) in enumerate(sorted(PROPERTIES.items())):
-        base = derive_seed(seed, idx)
-        worst = math.inf
-        fail = None
-        for t in range(trials):
-            stream = Stream(derive_seed(base, t))
-            try:
-                margin = fn(stream, dims)
-            except _PropertyFailure as exc:
-                fail = str(exc)
-                break
-            if margin < worst:
-                worst = margin
+    for idx, (name, prop) in enumerate(sorted(PROPERTIES.items())):
+        seeds = _splitmix64_block(derive_seed(seed, idx), 0, trials)
+        margin, detail = _property_rows(prop, seeds, dims)
+        fail = next((t for t, msg in enumerate(detail) if msg is not None), len(detail))
+        # the first smallest margin before the failure; a NaN margin never wins
+        head = np.where(np.isnan(margin[:fail]), math.inf, margin[:fail])
+        worst = float(head[np.argmin(head)]) if fail else math.inf
         results.append({
             "name": name,
-            "holds": fail is None,
-            "worst_margin": 0.0 if worst is math.inf else float(worst),
-            "detail": fail,
+            "holds": fail == len(detail),
+            "worst_margin": 0.0 if worst == math.inf else worst,
+            "detail": detail[fail] if fail < len(detail) else None,
         })
     return {
         "seed": seed,

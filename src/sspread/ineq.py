@@ -45,6 +45,8 @@ from .linalg import (
     _diag,
     _eigh,
     _eigvalsh,
+    _opnorm,
+    _pad,
     _sv_array,
     _unitary_exp,
 )
@@ -120,11 +122,6 @@ def _one(a) -> np.ndarray:
     first read, and a caller may change its own array before that.
     """
     return np.array(a, dtype=np.complex128)[None]
-
-
-def _pad(s: np.ndarray, k: int) -> np.ndarray:
-    """Zero-pad the last axis to length k."""
-    return np.concatenate([s, np.zeros(s.shape[:-1] + (k - s.shape[-1],))], axis=-1)
 
 
 def _spr_sum(*eigs: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -639,8 +636,7 @@ def _kittaneh_positive(c, d, x) -> Rows:
     if xm.shape[1:] != (cm.shape[-1], dm.shape[-1]):
         raise DimMismatch(f"X is {xm.shape[1:]}, expected {(cm.shape[-1], dm.shape[-1])}")
     lhs = _sv_array(cm @ xm - xm @ dm)
-    # s_1(X); singular values are non-negative and sorted, and X may be empty
-    top = np.max(_sv_array(xm), axis=-1, initial=0.0)
+    top = _opnorm(xm)
     s_cd = np.sort(np.concatenate([_sv_array(cm), _sv_array(dm)], axis=-1), axis=-1)[..., ::-1]
     rhs = top[:, None] * s_cd[:, : lhs.shape[-1]]  # ||X|| s(C oplus D)
     margins = rhs - lhs

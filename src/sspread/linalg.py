@@ -178,8 +178,12 @@ def _sv_array(m: np.ndarray) -> np.ndarray:
 
 def opnorm(x) -> float:
     """Operator (spectral) norm, i.e. s_1(X)."""
-    s = sv_array(x)
-    return float(s[0]) if s.size else 0.0
+    return float(_opnorm(as_cmatrix(x)))
+
+
+def _opnorm(m: np.ndarray) -> np.ndarray:
+    """s_1 of a matrix or of each of a stack (0.0 when empty)."""
+    return np.max(_sv_array(m), axis=-1, initial=0.0)
 
 
 def polar(x) -> tuple[np.ndarray, np.ndarray]:
@@ -206,22 +210,29 @@ def polar(x) -> tuple[np.ndarray, np.ndarray]:
 
 def direct_sum(a, b) -> np.ndarray:
     """Block-diagonal matrix diag(A, B)."""
-    ma, mb = as_cmatrix(a), as_cmatrix(b)
-    out = np.zeros(
-        (ma.shape[0] + mb.shape[0], ma.shape[1] + mb.shape[1]), dtype=np.complex128
-    )
-    out[: ma.shape[0], : ma.shape[1]] = ma
-    out[ma.shape[0] :, ma.shape[1] :] = mb
+    return _direct_sum(as_cmatrix(a), as_cmatrix(b))
+
+
+def _direct_sum(ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
+    """direct_sum of two matrices or of two stacks, member by member."""
+    (r, c), (p, q) = ma.shape[-2:], mb.shape[-2:]
+    out = np.zeros(ma.shape[:-2] + (r + p, c + q), dtype=np.complex128)
+    out[..., :r, :c] = ma
+    out[..., r:, c:] = mb
     return out
 
 
 def offdiag_embed(b) -> np.ndarray:
     """Hermitian embedding [[0, B], [B*, 0]] of an arbitrary matrix B."""
-    m = as_cmatrix(b)
-    rows, cols = m.shape
-    out = np.zeros((rows + cols, rows + cols), dtype=np.complex128)
-    out[:rows, rows:] = m
-    out[rows:, :rows] = m.conj().T
+    return _offdiag_embed(as_cmatrix(b))
+
+
+def _offdiag_embed(m: np.ndarray) -> np.ndarray:
+    """offdiag_embed of a matrix or of each of a stack."""
+    rows, cols = m.shape[-2:]
+    out = np.zeros(m.shape[:-2] + (rows + cols, rows + cols), dtype=np.complex128)
+    out[..., :rows, rows:] = m
+    out[..., rows:, :rows] = _ct(m)
     return out
 
 
@@ -260,10 +271,18 @@ def compress(a, p) -> CompressResult:
     mp = as_projection(p)
     if ma.shape != mp.shape:
         raise ValueError(f"dimension mismatch {ma.shape} vs {mp.shape}")
+    return CompressResult(_compressed(ma, mp), mp @ ma @ mp)
+
+
+def _compressed(ma: np.ndarray, mp: np.ndarray) -> np.ndarray:
+    """A_P of a matrix or of each of a stack, whose projections share one rank."""
     w, v = _eigh(mp)
-    basis = v[:, w > 0.5]
-    compressed = basis.conj().T @ ma @ basis
-    return CompressResult(compressed, mp @ ma @ mp)
+    # the eigenvalues fall, so those above 1/2 lead
+    rank = np.count_nonzero(w > 0.5, axis=-1)
+    if np.any(rank != rank.flat[0]):
+        raise ValueError("the projections of a stack must share one rank")
+    basis = v[..., : rank.flat[0]].copy()
+    return _ct(basis) @ ma @ basis
 
 
 def svd_values(x, horizon: int | None = None):
@@ -275,5 +294,9 @@ def svd_values(x, horizon: int | None = None):
         horizon = len(s)
     if horizon < len(s):
         raise ValueError(f"horizon {horizon} is below the value count {len(s)}")
-    vals = np.concatenate([s, np.zeros(horizon - len(s))])
-    return _presorted(SpreadSeq, values=vals, tail=0.0, mode="compact")
+    return _presorted(SpreadSeq, values=_pad(s, horizon), tail=0.0, mode="compact")
+
+
+def _pad(s: np.ndarray, k: int) -> np.ndarray:
+    """Zero-pad the last axis to length k."""
+    return np.concatenate([s, np.zeros(s.shape[:-1] + (k - s.shape[-1],))], axis=-1)

@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import HorizonMismatch, ModeError
+from .linalg import _pad
 from .spectra import TAIL_TOL, SpreadSeq, TwoSidedSeq, _presorted
 
 
@@ -100,37 +101,73 @@ def _dec(x: np.ndarray) -> np.ndarray:
     return np.sort(x, axis=-1)[..., ::-1]
 
 
-def _upper_margins(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sums of the k largest of b minus those of a, k = 1.., along the last axis."""
-    return np.cumsum(_dec(b), axis=-1) - np.cumsum(_dec(a), axis=-1)
+def _upper_sums(m: np.ndarray, clip: bool = False) -> np.ndarray:
+    """Sums of the k largest entries of each multiset m (..., n), k = 1..n.
+
+    clip counts a negative entry as 0: in the compact model a k-subset can
+    always take zeros from the infinite zero pool instead.
+    """
+    v = _dec(m)
+    return np.cumsum(np.maximum(v, 0.0) if clip else v, axis=-1)
+
+
+def _lower_sums(m: np.ndarray, clip: bool = False) -> np.ndarray:
+    """Sums of the k smallest entries, a positive entry counting as 0 under clip."""
+    v = np.sort(m, axis=-1)
+    return np.cumsum(np.minimum(v, 0.0) if clip else v, axis=-1)
 
 
 class SubRows(NamedTuple):
-    """Weak submajorization a <=_w b judged row by row over a stack.
+    """(Sub)majorization a vs b judged row by row over a stack.
 
-    upper is (B, k); tol, margin (the smallest entry of upper) and holds are
-    (B,). report(i) builds row i's MajorizationReport.
+    upper is (B, k), and so is lower for a majorization; tol, margin (the
+    smallest margin, as min_margin gives it), holds and a classic
+    majorization's total-sum defect are (B,). report(i) builds row i's
+    MajorizationReport: the public functions are this on a batch of one.
     """
 
     upper: np.ndarray
     tol: np.ndarray
     margin: np.ndarray
     holds: np.ndarray
+    lower: np.ndarray | None = None
+    defect: np.ndarray | None = None
 
-    def report(self, i: int) -> MajorizationReport:
-        return _finish("submajorization", self.upper[i], None, "conclusive", self.tol[i])
+    def report(self, i: int, verdict: str = "conclusive", tol=None) -> MajorizationReport:
+        lower = None if self.lower is None else self.lower[i]
+        defect = None if self.defect is None else float(self.defect[i])
+        return _finish("submajorization" if lower is None else "majorization", self.upper[i],
+                       lower, verdict, self.tol[i] if tol is None else tol, defect)
 
 
-def _sub_rows(a: np.ndarray, b: np.ndarray) -> SubRows:
-    """submajorizes on stacks (B, k) of non-negative sequences with zero tails.
+def _maj_rows(a: np.ndarray, b: np.ndarray, clip_a: bool = False, clip_b: bool = False,
+              b_inf=None, lower: bool = True, sums: bool = False) -> SubRows:
+    """Majorization a vs b on stacks of multisets (B, m) and (B, n).
 
-    Each row is judged at its own maj_tol, exactly as submajorizes judges the
-    pair of SpreadSeqs (or plain arrays) in that row.
+    Partial sums compare over the first k = min(m, n) indices, each row at
+    maj_tol(its b_inf, k), b_inf defaulting to the row's max|b|. A clip flag
+    reads its side as a two-sided sequence of a clipping model; lower=False
+    judges submajorization, sums=True adds the classic total-sum condition.
     """
-    upper = _upper_margins(a, b)
-    tol = maj_tol(np.max(np.abs(b), axis=-1, initial=0.0), b.shape[-1])
+    k = min(a.shape[-1], b.shape[-1])
+    upper = _upper_sums(b, clip_b)[..., :k] - _upper_sums(a, clip_a)[..., :k]
+    tol = maj_tol(np.max(np.abs(b), axis=-1, initial=0.0) if b_inf is None else b_inf, k)
     margin = np.min(upper, axis=-1, initial=math.inf)
-    return SubRows(upper, tol, margin, margin >= -tol)
+    low = defect = None
+    if lower:
+        low = _lower_sums(a, clip_a)[..., :k] - _lower_sums(b, clip_b)[..., :k]
+        least = np.min(low, axis=-1, initial=math.inf)
+        margin = np.where(least < margin, least, margin)
+    holds = margin >= -tol
+    if sums:
+        defect = np.sum(a, axis=-1) - np.sum(b, axis=-1)
+        holds &= np.abs(defect) <= tol
+    return SubRows(upper, tol, margin, holds, low, defect)
+
+
+def _sub_rows(a: np.ndarray, b: np.ndarray, b_inf=None) -> SubRows:
+    """submajorizes on stacks (B, k) of non-negative sequences or plain arrays."""
+    return _maj_rows(a, b, b_inf=b_inf, lower=False)
 
 
 def updown_rearrange(x, k: int | None = None) -> TwoSidedSeq:
@@ -151,13 +188,19 @@ def updown_rearrange(x, k: int | None = None) -> TwoSidedSeq:
         vals = np.asarray(x, dtype=float).ravel()
     if k is None:
         k = len(vals)
-    plus = np.sort(vals[vals > 0.0])[::-1]
-    minus = np.sort(vals[vals < 0.0])
-    if k < max(len(plus), len(minus)):
+    if k < max(np.count_nonzero(vals > 0.0), np.count_nonzero(vals < 0.0)):
         raise HorizonMismatch(f"horizon {k} cannot hold {len(vals)} signed entries")
-    pos = np.concatenate([plus, np.zeros(k - len(plus))])
-    neg = np.concatenate([minus, np.zeros(k - len(minus))])
+    pos, neg = _updown(vals, k)
     return TwoSidedSeq(pos=pos, neg=neg, pos_tail=0.0, neg_tail=0.0, K=k, mode="compact")
+
+
+def _updown(vals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, neg) of the up-down rearrangement of each multiset (..., n) at horizon k."""
+    pos = _dec(np.where(vals > 0.0, vals, 0.0))
+    neg = np.sort(np.where(vals < 0.0, vals, 0.0), axis=-1)
+    if k <= vals.shape[-1]:
+        return pos[..., :k], neg[..., :k]
+    return _pad(pos, k), _pad(neg, k)
 
 
 def interleave(a, b) -> Interleaved:
@@ -198,25 +241,15 @@ def _spread_pair(a: SpreadSeq, b: SpreadSeq) -> tuple[np.ndarray, np.ndarray]:
     return a.padded(k), b.padded(k)
 
 
-def _upper_sums_twosided(t: TwoSidedSeq | Interleaved) -> np.ndarray:
-    if isinstance(t, TwoSidedSeq) and t.mode == "matrix":
-        vals = np.sort(np.concatenate([t.pos, t.neg]))[::-1]
-    else:
-        vals = np.maximum(dec_rearrange(_multiset(t)), 0.0)
-    return np.cumsum(vals)
-
-def _lower_sums_twosided(t: TwoSidedSeq | Interleaved) -> np.ndarray:
-    if isinstance(t, TwoSidedSeq) and t.mode == "matrix":
-        vals = np.sort(np.concatenate([t.pos, t.neg]))
-    else:
-        vals = np.minimum(np.sort(_multiset(t)), 0.0)
-    return np.cumsum(vals)
-
-
 def _multiset(t: TwoSidedSeq | Interleaved) -> np.ndarray:
     if isinstance(t, Interleaved):
         return t.multiset()
     return np.concatenate([t.pos, t.neg])
+
+
+def _clips(t: TwoSidedSeq | Interleaved) -> bool:
+    """Matrix mode sums the plain 2K-entry multiset; the other models clip."""
+    return not (isinstance(t, TwoSidedSeq) and t.mode == "matrix")
 
 
 def _sup(v: np.ndarray) -> float:
@@ -285,29 +318,27 @@ def submajorizes(a, b, tol: float | None = None) -> MajorizationReport:
         av, bv = _spread_pair(a, b)
         verdict = _tail_verdict(a.tail, b.tail, a.settled(), b.settled())
         b_inf = max(_sup(bv), abs(b.tail))
-        t = maj_tol(b_inf, len(bv)) if tol is None else tol
-        return _finish("submajorization", _upper_margins(av, bv), None, verdict, t)
-    av = np.asarray(a, dtype=float).ravel()
-    bv = np.asarray(b, dtype=float).ravel()
+        return _sub_rows(av[None], bv[None], [b_inf]).report(0, verdict, tol)
+    av, bv = _plain_pair(np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel())
+    return _sub_rows(av[None], bv[None]).report(0, tol=tol)
+
+
+def _plain_pair(av: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(av) != len(bv):
         raise HorizonMismatch(
             f"plain arrays compare at equal length only ({len(av)} vs {len(bv)})"
         )
-    b_inf = float(np.max(np.abs(bv))) if len(bv) else 0.0
-    t = maj_tol(b_inf, len(bv)) if tol is None else tol
-    return _finish("submajorization", _upper_margins(av, bv), None, "conclusive", t)
+    return av, bv
 
 
 def _sub_twosided(a, b, tol) -> MajorizationReport:
     a, b = _align_twosided(a, b)
-    ua, ub = _upper_sums_twosided(a), _upper_sums_twosided(b)
-    k = min(len(ua), len(ub))
-    upper = ub[:k] - ua[:k]
+    mb = _multiset(b)
     at, bt = _pos_tail(a), _pos_tail(b)
     verdict = _tail_verdict(at, bt, _settled(a), _settled(b))
-    b_inf = max(_sup(_multiset(b)), abs(bt or 0.0))
-    t = maj_tol(b_inf, k) if tol is None else tol
-    return _finish("submajorization", upper, None, verdict, t)
+    rows = _maj_rows(_multiset(a)[None], mb[None], _clips(a), _clips(b),
+                     [max(_sup(mb), abs(bt or 0.0))], lower=False)
+    return rows.report(0, verdict, tol)
 
 
 def _align_twosided(a, b):
@@ -345,29 +376,14 @@ def majorizes(a, b, tol: float | None = None) -> MajorizationReport:
     """
     if isinstance(a, (TwoSidedSeq, Interleaved)) or isinstance(b, (TwoSidedSeq, Interleaved)):
         a, b = _align_twosided(a, b)
-        ua, ub = _upper_sums_twosided(a), _upper_sums_twosided(b)
-        la, lb = _lower_sums_twosided(a), _lower_sums_twosided(b)
-        k = min(len(ua), len(ub))
-        upper = ub[:k] - ua[:k]
-        lower = la[:k] - lb[:k]
-        t = maj_tol(_sup(_multiset(b)), k) if tol is None else tol
         verdict = "conclusive" if _settled(a) and _settled(b) else "horizon_limited"
         if _pos_tail(a) is not None and _pos_tail(b) is not None:
             if _pos_tail(a) > _pos_tail(b) + TAIL_TOL:
                 verdict = "tail_violated"
-        return _finish("majorization", upper, lower, verdict, t)
-    av, at_ = _values_and_tail(a)
-    bv, bt_ = _values_and_tail(b)
-    if len(av) != len(bv):
-        raise HorizonMismatch(
-            f"plain arrays compare at equal length only ({len(av)} vs {len(bv)})"
-        )
-    b_inf = float(np.max(np.abs(bv))) if len(bv) else 0.0
-    t = maj_tol(b_inf, len(bv)) if tol is None else tol
-    upper = _upper_margins(av, bv)
-    lower = np.cumsum(np.sort(av)) - np.cumsum(np.sort(bv))
-    defect = float(np.sum(av) - np.sum(bv))
-    return _finish("majorization", upper, lower, "conclusive", t, sum_defect=defect)
+        rows = _maj_rows(_multiset(a)[None], _multiset(b)[None], _clips(a), _clips(b))
+        return rows.report(0, verdict, tol)
+    av, bv = _plain_pair(_values_and_tail(a)[0], _values_and_tail(b)[0])
+    return _maj_rows(av[None], bv[None], sums=True).report(0, tol=tol)
 
 
 def ky_fan(a, k: int) -> float:

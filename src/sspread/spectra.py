@@ -216,12 +216,7 @@ def compact_scale(a, k: int | None = None) -> TwoSidedSeq:
         a: Hermitian matrix of dimension d.
         k: horizon, defaults to 2*d; must satisfy k >= d.
     """
-    return _eig_scale(linalg._eigvalsh(linalg.as_hermitian(a)), k)
-
-
-def _eig_scale(mu: np.ndarray, k: int | None = None) -> TwoSidedSeq:
-    """Compact-model scale from non-increasing eigenvalues mu (horizon 2*len(mu))."""
-    pos, neg = _eig_sides(mu, k)
+    pos, neg = _eig_sides(linalg._eigvalsh(linalg.as_hermitian(a)), k)
     return _presorted(
         TwoSidedSeq, pos=pos, neg=neg, pos_tail=0.0, neg_tail=0.0, K=len(pos), mode="compact"
     )

@@ -16,7 +16,7 @@ import pytest
 import sspread
 from sspread import harness
 from sspread.harness import EXAMPLE_IDS, PROPERTIES, VERIFIERS, fuzz, property_suite, repro
-from sspread.rng import Stream, derive_seed
+from sspread.rng import _splitmix64_block, derive_seed
 
 SEED = 1
 FUZZ_IDS = [v.id for v in VERIFIERS.values() if v.kind in ("theorem", "equivalent")]
@@ -66,15 +66,11 @@ def test_criterion_3_infrastructure_properties():
     rep = property_suite(SEED, trials=500, dims=(2, 8))
     bad = [p for p in rep["properties"] if not p["holds"]]
     # the eigenvalue-residual property must clear 1000 matrices in total:
-    # 500 above plus 500 more on a distinct seed schedule
-    fn = PROPERTIES["eigh_residual"]
-    extra_fail = None
-    for t in range(500):
-        try:
-            fn(Stream(derive_seed(SEED + 1, t)), (2, 8))
-        except harness._PropertyFailure as exc:
-            extra_fail = str(exc)
-            break
+    # 500 above plus 500 more on the child seeds derive_seed(SEED + 1, t)
+    seeds = _splitmix64_block(SEED + 1, 0, 500)
+    assert int(seeds[499]) == derive_seed(SEED + 1, 499)
+    _, detail = harness._property_rows(PROPERTIES["eigh_residual"], seeds, (2, 8))
+    extra_fail = next((msg for msg in detail if msg is not None), None)
     ok = not bad and extra_fail is None
     _line("criterion 3: infrastructure properties, 500 trials each "
           "(eigh residual on 1000 matrices)", ok)

@@ -382,6 +382,22 @@ def test_trials_below_one_exit_two(capsys):
             assert out == "" and "trials" in err
 
 
+@pytest.mark.parametrize("cmd", ["fuzz", "suite"])
+def test_trials_above_max_exit_two(capsys, monkeypatch, cmd):
+    # refused before any work: 10**13 trials' child seeds alone exhaust memory
+    def no_work(*a, **k):
+        raise AssertionError(f"{cmd} started work on an invalid --trials")
+
+    monkeypatch.setattr(cli.harness, "fuzz", no_work)
+    monkeypatch.setattr(cli.harness, "repro", no_work)
+    argv = ["fuzz", "key"] if cmd == "fuzz" else ["suite"]
+    for n in ("10000000000000", str(cli.harness.MAX_TRIALS + 1)):
+        code, out, err = run(capsys, *argv, "--trials", n, "--json")
+        assert code == 2, n
+        assert out == "" and str(cli.harness.MAX_TRIALS) in err
+    assert cli._parse_trials(str(cli.harness.MAX_TRIALS)) == cli.harness.MAX_TRIALS
+
+
 def test_diag_horizon_zero_exit_two(capsys):
     for cmd in ("spread", "scale"):
         for k in ("0", "-1"):

@@ -1,5 +1,6 @@
 """Generator determinism, fuzz reproducibility, and fixture reproduction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from sspread import UnknownExample, UnknownInequality, UnknownKind, harness, ineq
 from sspread.harness import (
     EXAMPLE_IDS,
+    PROPERTIES,
     VERIFIERS,
     GenSpec,
     _partition,
@@ -270,6 +272,77 @@ def test_property_suite_structure_and_determinism():
     for p in rep1["properties"]:
         assert p["holds"], p
         assert p["detail"] is None
+
+
+def test_property_suite_does_not_depend_on_chunking(monkeypatch):
+    ref = property_suite(6, trials=12, dims=(2, 8))
+    # a budget of one entry closes every chunk after its first trial
+    monkeypatch.setattr(harness, "FUZZ_CHUNK_ENTRIES", 1)
+    assert repr(property_suite(6, trials=12, dims=(2, 8))) == repr(ref)
+
+
+@pytest.mark.parametrize("dims", [(2, 8), (1, 12)])
+@pytest.mark.parametrize("name", sorted(PROPERTIES))
+def test_property_rows_equal_trials_judged_alone(name, dims):
+    # the suite draws and judges a property's trials in groups; each row must
+    # be, bit for bit, what the trial drawn and judged on its own gives
+    prop = PROPERTIES[name]
+    seeds = _splitmix64_block(derive_seed(3, 17), 0, 30)
+    margin, detail = harness._property_rows(prop, seeds, dims)
+    for t in range(len(seeds)):
+        one, msg = harness._property_rows(prop, seeds[t:t + 1], dims)
+        assert (one.tobytes(), msg) == (margin[t:t + 1].tobytes(), detail[t:t + 1]), t
+
+
+def test_property_failure_reports_its_first_failing_trial(monkeypatch):
+    name = "weyl_sv"
+    prop = PROPERTIES[name]
+    seeds = _splitmix64_block(derive_seed(4, sorted(PROPERTIES).index(name)), 0, 20)
+    margin, _ = harness._property_rows(prop, seeds, (2, 8))
+    # fail at the trial of the smallest margin, and at a later one
+    t = int(np.argmin(margin))
+    assert 0 < t < 19
+    failing = {int(seeds[t]): "first", int(seeds[19]): "later"}
+
+    def draw(stream, d):
+        return [(rows, (stream.seeds[rows], *args)) for rows, args in prop.draw(stream, d)]
+
+    def judge(trial_seeds, *args):
+        m, detail = prop.judge(*args)
+        return m, [failing.get(int(s), msg) for s, msg in zip(trial_seeds, detail)]
+
+    def report(trials):
+        return {p["name"]: p for p in property_suite(4, trials=trials)["properties"]}[name]
+
+    head = report(t)
+    monkeypatch.setitem(PROPERTIES, name, dataclasses.replace(prop, draw=draw, judge=judge))
+    got = report(20)
+    assert (got["holds"], got["detail"]) == (False, "first")
+    # worst_margin covers the trials before t only
+    assert got["worst_margin"] == head["worst_margin"] == float(np.min(margin[:t]))
+    assert got["worst_margin"] > margin[t]
+
+
+def test_property_suite_raises_lower_bound_to_one():
+    assert property_suite(2, trials=6, dims=(-3, 4)) == property_suite(2, trials=6, dims=(1, 4))
+
+
+def test_property_suite_runs_above_the_eigh_residual_cap():
+    # eigh_residual draws d <= 16, so a range above that draws d = 16
+    prop = PROPERTIES["eigh_residual"]
+    seeds = _splitmix64_block(5, 0, 3)
+    assert harness._property_rows(prop, seeds, (17, 18))[0].tobytes() == \
+        harness._property_rows(prop, seeds, (16, 16))[0].tobytes()
+    assert property_suite(5, trials=2, dims=(17, 18))["holds"]
+
+
+def test_trials_outside_range_are_refused():
+    # checked before any allocation: 10**13 trials' child seeds exhaust memory
+    for trials in (-1, harness.MAX_TRIALS + 1, 10**13):
+        with pytest.raises(ValueError, match=f"up to {harness.MAX_TRIALS} trials"):
+            fuzz("key", trials=trials)
+        with pytest.raises(ValueError, match=f"up to {harness.MAX_TRIALS} trials"):
+            property_suite(1, trials=trials)
 
 
 def test_registry_holds_the_paper_family():
