@@ -13,7 +13,6 @@ from .errors import (
     NotProjection,
     NotProjectionSum,
     ParseError,
-    RangeNotContained,
     SpreadError,
     UnknownExample,
     UnknownInequality,
@@ -51,18 +50,16 @@ from .linalg import (
     eigh,
     offdiag_embed,
     opnorm,
-    polar,
     sv_array,
     svd_values,
-    unitary_exp,
 )
-from .ineq import Verdict, douglas_factorize
+from .ineq import Verdict
 from .rng import Stream, derive_seed
 
 __all__ = [
     "__version__",
     "SpreadError", "NotHermitian", "NoConvergence", "NotProjection",
-    "NotPositive", "NotProjectionSum", "RangeNotContained", "ModeError",
+    "NotPositive", "NotProjectionSum", "ModeError",
     "HorizonMismatch", "DimMismatch", "InsufficientSampling", "UnknownKind",
     "UnknownExample", "UnknownInequality", "ParseError",
     "DiagSpec", "SpreadSeq", "TwoSidedSeq",
@@ -71,8 +68,7 @@ __all__ = [
     "interleave", "seq_product", "submajorizes", "majorizes",
     "ky_fan", "schatten", "gauge",
     "as_cmatrix", "as_hermitian", "as_projection", "eigh", "sv_array",
-    "svd_values", "opnorm", "polar", "direct_sum", "offdiag_embed",
-    "unitary_exp", "compress",
-    "Verdict", "douglas_factorize",
+    "svd_values", "opnorm", "direct_sum", "offdiag_embed", "compress",
+    "Verdict",
     "Stream", "derive_seed",
 ]

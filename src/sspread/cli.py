@@ -16,9 +16,11 @@ bytes. Exit codes: 0 holds, 1 fails, 2 parse or input-contract error,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from .errors import (
     NotProjection,
     NotProjectionSum,
     ParseError,
-    RangeNotContained,
     UnknownExample,
     UnknownInequality,
 )
@@ -48,7 +49,7 @@ EXIT_UNKNOWN = 4
 
 _PARSE_ERRORS = (
     ParseError, NotHermitian, NotPositive, NotProjection, NotProjectionSum,
-    DimMismatch, RangeNotContained, OSError, NoConvergence, ValueError,
+    DimMismatch, OSError, NoConvergence, ValueError,
 )
 _MODE_ERRORS = (ModeError, HorizonMismatch, InsufficientSampling)
 _UNKNOWN_ERRORS = (UnknownInequality, UnknownExample)
@@ -283,8 +284,6 @@ def _inputs_entry(paths: list[str]) -> list[dict]:
     out = []
     for p in paths:
         with open(p, "rb") as fh:
-            import hashlib
-
             out.append({"path": p, "digest": hashlib.sha256(fh.read()).hexdigest()})
     return out
 
@@ -420,8 +419,6 @@ def cmd_repro(args) -> tuple[dict, int]:
 
 
 def cmd_suite(args) -> tuple[dict, int]:
-    import time
-
     t0 = time.perf_counter()
     seed = _default_seed(args)
     repros = [harness.repro(ex) for ex in harness.EXAMPLE_IDS]

@@ -25,10 +25,6 @@ class NotProjectionSum(SpreadError):
     """C*C + S*S does not sum to an orthogonal projection."""
 
 
-class RangeNotContained(SpreadError):
-    """range(A) is not contained in range(B); no factor exists."""
-
-
 class ModeError(SpreadError):
     """Operation applied to a sequence in an unsupported operator model."""
 

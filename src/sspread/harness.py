@@ -272,7 +272,7 @@ def repro(example_id: str) -> dict:
             _item("F off-diagonal mass", float(np.max(np.abs(f2 - np.diag(np.diagonal(f2))))), 0.0, 1e-12)
         )
         w, v_ = linalg.eigh(f2)
-        froot = v_ @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v_.conj().T
+        froot = ineq._psd_root(w, v_)
         g = froot @ e @ froot
         wg = linalg.eigh(g).values
         checks.append(_item("eigenvalues of F^(1/2)EF^(1/2)", wg, (9.75, 2.0, -3.25), 1e-9))
@@ -633,11 +633,15 @@ def _norms(m: np.ndarray) -> np.ndarray:
 
 
 def _rand_perm(stream: Stream, n: int) -> np.ndarray:
-    """A Fisher-Yates permutation of range(n) per row."""
+    """A Fisher-Yates permutation of range(n) per row.
+
+    The swap partners of steps i = n-1 .. 1 are drawn at once, one word per
+    step in step order, as a randint(0, i) per step would draw them.
+    """
     perm = np.tile(np.arange(n), stream.shape + (1,))
     rows = np.arange(len(perm))
-    for i in range(n - 1, 0, -1):
-        j = stream.randint(0, i)
+    steps = np.arange(n - 1, 0, -1)
+    for i, j in zip(steps, stream.randint(0, steps).T):
         perm[rows, i], perm[rows, j] = perm[rows, j], perm[rows, i]
     return perm
 

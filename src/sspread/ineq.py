@@ -28,14 +28,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
 from .errors import (
     DimMismatch,
     NotHermitian,
     NotPositive,
     NotProjection,
     NotProjectionSum,
-    RangeNotContained,
 )
 from .linalg import (
     _as_cmatrices,
@@ -54,8 +52,6 @@ from .major import _gauge_rows, _schatten_rows, _sub_rows
 from .spectra import _eig_sides, _eig_spread, _matrix_spread
 
 POS_GATE = 1e-10
-DOUGLAS_TOL = 1e-8
-PINV_CUTOFF = 1e-10
 
 
 class Verdict:
@@ -801,9 +797,9 @@ def check_offdiag_projection(e, p) -> Verdict:
 
     This is the bounded-operator form: the spread is taken in the matrix
     model (no zero padding of the spectrum), and the comparison runs over
-    the ceil(d/2) entries that model carries. The corner PE(I-P) has rank
-    at most floor(d/2)-ish, never more than ceil(d/2); the discarded
-    singular values are asserted to vanish.
+    the ceil(d/2) entries that model carries. The corner PE(I-P) maps
+    range(I-P) into range(P), so rank PE(I-P) <= min(rank P, d - rank P)
+    <= floor(d/2); the discarded singular values are asserted to vanish.
     """
     return _offdiag_projection(_one(e), _one(p)).verdict(0)
 
@@ -855,47 +851,3 @@ KERNELS = {
     "control_bhatia_kittaneh": _bhatia_kittaneh,
     "control_strict_gap": _strict_gap,
 }
-
-
-# ---------------------------------------------------------------------------
-# Douglas factorization
-
-
-def _pinv(b, cutoff: float = PINV_CUTOFF) -> np.ndarray:
-    """Spectral pseudoinverse at a relative singular-value cutoff."""
-    m = linalg.as_cmatrix(b)
-    w, v = _eigh(m.conj().T @ m)
-    s = np.sqrt(np.clip(w, 0.0, None))
-    smax = float(s[0]) if s.size else 0.0
-    keep = s > cutoff * max(smax, 1e-300)
-    if not np.any(keep):
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    vr = v[:, keep]
-    sr = s[keep]
-    ur = m @ vr / sr
-    return vr @ np.diag(1.0 / sr) @ ur.conj().T
-
-
-def douglas_factorize(a, b, tol: float = DOUGLAS_TOL) -> np.ndarray:
-    """Solve A = BC for the unique C with range(C) orthogonal to ker(B).
-
-    Args:
-        a: matrix whose range must lie inside range(B).
-        b: factor matrix; its pseudoinverse is cut off at PINV_CUTOFF.
-        tol: residual gate, relative to max(1, ||A||_F).
-
-    Raises:
-        RangeNotContained: ||(I - BB+)A||_F exceeds the gate.
-    """
-    am = linalg.as_cmatrix(a)
-    bm = linalg.as_cmatrix(b)
-    if am.shape[0] != bm.shape[0]:
-        raise DimMismatch(f"row counts {am.shape[0]} and {bm.shape[0]} differ")
-    bp = _pinv(bm)
-    c = bp @ am
-    resid = float(np.linalg.norm(am - bm @ c))
-    if resid > tol * max(1.0, float(np.linalg.norm(am))):
-        raise RangeNotContained(f"projection residual {resid:.3e} exceeds the gate")
-    return c
-
-

@@ -1,6 +1,5 @@
 """Dense complex linear algebra: Hermitian eigenvalues and eigendecomposition,
-singular values, polar factorization, block constructions, and the unitary
-exponential.
+singular values, block constructions and compressions.
 
 Matrices are numpy complex128 arrays. Inputs that must be Hermitian or
 projections are validated and rejected (never symmetrized) at 1e-10 relative
@@ -17,9 +16,9 @@ per stack member, so each member gets the bits a lone call would give.
 
 Scales, spreads and positivity gates need eigenvalues only; they come from
 LAPACK's values-only Hermitian driver (`_eigvalsh`). Eigenvectors (`_eigh`)
-are computed only for functional calculus: square roots, e^{iX}, polar
-factors and compressions; a matrix whose root is taken only when it is
-positive is gated on its eigenvalues first.
+are computed only for functional calculus: square roots, the e^{iX} of the
+unitary-conjugation verifier, and compressions; a matrix whose root is taken
+only when it is positive is gated on its eigenvalues first.
 """
 
 from __future__ import annotations
@@ -28,13 +27,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, NotPositive, NotProjection
+from .errors import NoConvergence, NotHermitian, NotProjection
 
 HERM_TOL = 1e-10
 PROJ_TOL = 1e-10
 EIG_TOL = 1e-10
-# clamp floor for eigenvalues of X*X that should be >= 0 (polar factor)
-PSD_CLAMP = 1e-12
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -186,28 +183,6 @@ def _opnorm(m: np.ndarray) -> np.ndarray:
     return np.max(_sv_array(m), axis=-1, initial=0.0)
 
 
-def polar(x) -> tuple[np.ndarray, np.ndarray]:
-    """Polar decomposition X = U P.
-
-    P = (X*X)^(1/2) is positive semidefinite; U is a partial isometry whose
-    initial space is range(P). Rank deficiency is handled by a spectral
-    cutoff at 1e-10 relative to the largest singular value.
-    """
-    m = as_cmatrix(x)
-    h = m.conj().T @ m
-    w, v = _eigh(h)
-    scale = max(1.0, float(w[0]) if w.size else 0.0)
-    if w.size and float(w[-1]) < -PSD_CLAMP * scale:
-        raise NotPositive(f"X*X has eigenvalue {w[-1]:.3e} below clamp floor")
-    s = np.sqrt(np.clip(w, 0.0, None))
-    p = v @ np.diag(s.astype(np.complex128)) @ v.conj().T
-    p = (p + p.conj().T) / 2.0
-    cutoff = 1e-10 * max(1.0, float(s[0]) if s.size else 0.0)
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    u = m @ v @ np.diag(inv.astype(np.complex128)) @ v.conj().T
-    return u, p
-
-
 def direct_sum(a, b) -> np.ndarray:
     """Block-diagonal matrix diag(A, B)."""
     return _direct_sum(as_cmatrix(a), as_cmatrix(b))
@@ -234,11 +209,6 @@ def _offdiag_embed(m: np.ndarray) -> np.ndarray:
     out[..., :rows, rows:] = m
     out[..., rows:, :rows] = _ct(m)
     return out
-
-
-def unitary_exp(x) -> np.ndarray:
-    """U = e^{iX} for Hermitian X, via the eigendecomposition of X."""
-    return _unitary_exp(*_eigh(as_hermitian(x)))
 
 
 def _unitary_exp(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -287,14 +257,14 @@ def _compressed(ma: np.ndarray, mp: np.ndarray) -> np.ndarray:
 
 def svd_values(x, horizon: int | None = None):
     """Singular values as a compact-mode SpreadSeq, zero-padded to horizon."""
-    from .spectra import SpreadSeq, _presorted
+    from .spectra import SpreadSeq
 
     s = _sv_array(as_cmatrix(x))
     if horizon is None:
         horizon = len(s)
     if horizon < len(s):
         raise ValueError(f"horizon {horizon} is below the value count {len(s)}")
-    return _presorted(SpreadSeq, values=_pad(s, horizon), tail=0.0, mode="compact")
+    return SpreadSeq(values=_pad(s, horizon), tail=0.0, mode="compact")
 
 
 def _pad(s: np.ndarray, k: int) -> np.ndarray:

@@ -26,8 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import HorizonMismatch, ModeError
-from .linalg import _pad
-from .spectra import TAIL_TOL, SpreadSeq, TwoSidedSeq, _presorted
+from .spectra import TAIL_TOL, SpreadSeq, TwoSidedSeq, _eig_sides
 
 
 def maj_tol(b_inf, k: int):
@@ -195,12 +194,13 @@ def updown_rearrange(x, k: int | None = None) -> TwoSidedSeq:
 
 
 def _updown(vals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(pos, neg) of the up-down rearrangement of each multiset (..., n) at horizon k."""
-    pos = _dec(np.where(vals > 0.0, vals, 0.0))
-    neg = np.sort(np.where(vals < 0.0, vals, 0.0), axis=-1)
-    if k <= vals.shape[-1]:
-        return pos[..., :k], neg[..., :k]
-    return _pad(pos, k), _pad(neg, k)
+    """(pos, neg) of the up-down rearrangement of each multiset (..., n) at horizon k.
+
+    The sign split of the compact scale of the sorted multiset, cut to k: a
+    horizon below n drops only zeros.
+    """
+    pos, neg = _eig_sides(_dec(vals), max(k, vals.shape[-1]))
+    return pos[..., :k], neg[..., :k]
 
 
 def interleave(a, b) -> Interleaved:
@@ -222,9 +222,6 @@ def seq_product(a, b) -> SpreadSeq:
     for s in (a, b):
         if isinstance(s, SpreadSeq) and s.mode != "compact":
             mode = s.mode
-    if isinstance(a, SpreadSeq) and isinstance(b, SpreadSeq):
-        # products of non-negative non-increasing factors are sorted already
-        return _presorted(SpreadSeq, values=av * bv, tail=at * bt, mode=mode)
     return SpreadSeq(values=av * bv, tail=at * bt, mode=mode)
 
 
@@ -376,10 +373,7 @@ def majorizes(a, b, tol: float | None = None) -> MajorizationReport:
     """
     if isinstance(a, (TwoSidedSeq, Interleaved)) or isinstance(b, (TwoSidedSeq, Interleaved)):
         a, b = _align_twosided(a, b)
-        verdict = "conclusive" if _settled(a) and _settled(b) else "horizon_limited"
-        if _pos_tail(a) is not None and _pos_tail(b) is not None:
-            if _pos_tail(a) > _pos_tail(b) + TAIL_TOL:
-                verdict = "tail_violated"
+        verdict = _tail_verdict(_pos_tail(a), _pos_tail(b), _settled(a), _settled(b))
         rows = _maj_rows(_multiset(a)[None], _multiset(b)[None], _clips(a), _clips(b))
         return rows.report(0, verdict, tol)
     av, bv = _plain_pair(_values_and_tail(a)[0], _values_and_tail(b)[0])

@@ -8,10 +8,11 @@ standard 64-bit avalanche. Gaussians come from Box-Muller on consecutive
 
 A Stream carries a batch of seeds with one shared counter, so a draw takes
 the same counter words from every seed's stream and row b of a batch draw is
-bit for bit what a stream of seed b alone would draw. The counter words of a
-whole batch come from one numpy uint64 expression; the Box-Muller
-transcendentals stay on the math module, so every block yields the values of
-repeated normal_pair calls.
+bit for bit what a stream of seed b alone would draw. A stream of one int
+seed is a batch of one that returns Python numbers. Every draw has one body:
+the counter words of the whole batch come from one numpy uint64 expression,
+and the Box-Muller transcendentals of Stream.normals stay on the math
+module, so every block yields the values of repeated normal_pair calls.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ def _splitmix64_block(seed, counter: int, n: int) -> np.ndarray:
     """
     z = np.arange(n, dtype=np.uint64)
     z *= _U_GOLDEN
-    if isinstance(seed, np.ndarray):
-        z = seed[:, None] + (z + np.uint64(((counter + 1) * _GOLDEN) & _MASK))
-    else:
-        z += np.uint64((seed + (counter + 1) * _GOLDEN) & _MASK)
+    z += np.uint64(((counter + 1) * _GOLDEN) & _MASK)
+    if not isinstance(seed, np.ndarray):
+        seed = np.array(seed & _MASK, dtype=np.uint64)
+    z = seed[..., None] + z
     z ^= z >> _U30
     z *= _U_MIX1
     z ^= z >> _U27
@@ -70,12 +71,13 @@ class Stream:
     """Sequential view over the counter-based streams of a batch of seeds.
 
     Every seed of the batch shares one counter, so a draw takes the same
-    counter words from each seed's stream. Stream(seed) with an int seed is
-    the scalar stream, a batch of one: `shape` is (), next_u64, uniform and
-    randint return Python numbers, and uniforms and normals return lists.
-    Stream(seeds) with a 1-d uint64 array of B seeds has `shape` (B,): a
-    single draw returns a (B,) array and a draw of n values a (B, n) array,
-    row b being what Stream(int(seeds[b])) draws at the same counter.
+    counter words from each seed's stream. Stream(seeds) with a 1-d uint64
+    array of B seeds has `shape` (B,): a single draw returns a (B,) array and
+    a draw of n values a (B, n) array, row b being what Stream(int(seeds[b]))
+    draws at the same counter. Stream(seed) with an int seed is the scalar
+    stream: it draws as a batch of one and hands back row 0 as Python
+    numbers, so `shape` is (), next_u64, uniform and randint return Python
+    numbers, and uniforms and normals return lists.
     """
 
     def __init__(self, seed):
@@ -86,48 +88,52 @@ class Stream:
             self.seed = None
             self.shape = self.seeds.shape
         else:
-            self.seeds = None
             self.seed = seed & _MASK
+            self.seeds = np.array([self.seed], dtype=np.uint64)
             self.shape = ()
         self.counter = 0
 
     def take(self, rows) -> Stream:
         """The streams of these rows of the batch (an index array or a slice),
         at the current counter; on the scalar stream, a copy of it."""
-        sub = Stream(self.seed if self.seeds is None else self.seeds[rows])
+        sub = Stream(self.seeds[rows] if self.shape else self.seed)
         sub.counter = self.counter
         return sub
 
     def _words(self, n: int) -> np.ndarray:
-        """The next n counter words of every row: (n,) or (B, n) uint64."""
-        z = _splitmix64_block(self.seed if self.seeds is None else self.seeds, self.counter, n)
+        """The next n counter words of every row: (B, n) uint64."""
+        z = _splitmix64_block(self.seeds, self.counter, n)
         self.counter += n
         return z
 
+    def _out(self, x: np.ndarray):
+        """A draw (B, ...) as this stream returns it: row 0 as Python
+        numbers on the scalar stream."""
+        return x if self.shape else x[0].tolist()
+
     def next_u64(self):
-        if self.seeds is not None:
-            return self._words(1)[:, 0]
-        z = splitmix64(self.seed, self.counter)
-        self.counter += 1
-        return z
+        return self._out(self._words(1)[:, 0])
 
     def uniform(self):
         """Uniform in [0, 1) with 53-bit resolution."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        return self._out((self._words(1)[:, 0] >> _U11) * 2.0**-53)
 
     def uniforms(self, n: int):
         """n consecutive uniform() draws of every row."""
-        u = (self._words(max(n, 0)) >> _U11) * 2.0**-53
-        return u.tolist() if self.seeds is None else u
+        return self._out((self._words(max(n, 0)) >> _U11) * 2.0**-53)
 
-    def randint(self, lo: int, hi: int):
-        """Uniform integer in [lo, hi]. Modulo bias is irrelevant at our ranges."""
-        if hi < lo:
+    def randint(self, lo: int, hi):
+        """Uniform integer in [lo, hi]. Modulo bias is irrelevant at our ranges.
+
+        hi may be an array of upper bounds: one word is drawn per bound, in
+        order, as that many scalar-bound calls would draw them, and the
+        result carries the bounds' shape after the batch axis.
+        """
+        span = np.asarray(hi) - lo + 1
+        if np.any(span < 1):
             raise ValueError(f"empty range [{lo}, {hi}]")
-        z = self.next_u64()
-        if self.seeds is None:
-            return lo + z % (hi - lo + 1)
-        return lo + (z % np.uint64(hi - lo + 1)).astype(np.int64)
+        z = self._words(span.size).reshape(self.seeds.shape + span.shape)
+        return self._out(lo + (z % span.astype(np.uint64)).astype(np.int64))
 
     def normal_pair(self) -> tuple[float, float]:
         """Two standard Gaussians from the scalar stream."""
@@ -142,30 +148,17 @@ class Stream:
         """n standard Gaussians per row: the first n values of ceil(n/2)
         normal_pair draws, a list on the scalar stream.
 
-        A batch applies math.log/cos/sin by map over all its rows at once,
-        which pays once there are more than a few dozen values; the scalar
-        stream keeps a loop, which is faster on the short draws it serves.
-        np.sqrt is correctly rounded, as math.sqrt is, so both give the same
+        math.log/cos/sin are applied by map over all rows at once. np.sqrt is
+        correctly rounded, as math.sqrt is, so the values are normal_pair's
         bits.
         """
-        if n <= 0:
-            return [] if self.seeds is None else np.empty(self.shape + (0,))
+        n = max(n, 0)
         m = n + (n & 1)
         u = (self._words(m) >> _U11) * 2.0**-53
-        if self.seeds is None:
-            u = u.tolist()
-            log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
-            out: list[float] = []
-            for i in range(0, m, 2):
-                r = sqrt(-2.0 * log(1.0 - u[i]))
-                t = _TWO_PI * u[i + 1]
-                out.append(r * cos(t))
-                out.append(r * sin(t))
-            return out[:n]
         k = u.size // 2
         r = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[:, 0::2]).ravel().tolist()), float, k))
         t = (_TWO_PI * u[:, 1::2]).ravel().tolist()
         out = np.empty(u.shape)
-        out[:, 0::2] = (r * np.fromiter(map(math.cos, t), float, k)).reshape(-1, m // 2)
-        out[:, 1::2] = (r * np.fromiter(map(math.sin, t), float, k)).reshape(-1, m // 2)
-        return out[:, :n]
+        out[:, 0::2] = (r * np.fromiter(map(math.cos, t), float, k)).reshape(len(u), m // 2)
+        out[:, 1::2] = (r * np.fromiter(map(math.sin, t), float, k)).reshape(len(u), m // 2)
+        return self._out(out[:, :n])

@@ -187,25 +187,11 @@ def _absmax(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if len(a) else 0.0
 
 
-def _presorted(cls, **fields):
-    """A TwoSidedSeq or SpreadSeq whose invariants hold by construction.
-
-    Skips __post_init__: for float arrays the package has just built in
-    sorted order (eigenvalues, singular values, and their non-negative
-    scalings, products and sums). Every field must be given.
-    """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def matrix_scale(a) -> TwoSidedSeq:
     """Two-sided scale of a Hermitian matrix in the d-dimensional convention."""
     mu = linalg._eigvalsh(linalg.as_hermitian(a))
-    return _presorted(
-        TwoSidedSeq, pos=mu, neg=mu[::-1].copy(), pos_tail=None, neg_tail=None,
-        K=len(mu), mode="matrix",
+    return TwoSidedSeq(
+        pos=mu, neg=mu[::-1].copy(), pos_tail=None, neg_tail=None, K=len(mu), mode="matrix"
     )
 
 
@@ -217,9 +203,7 @@ def compact_scale(a, k: int | None = None) -> TwoSidedSeq:
         k: horizon, defaults to 2*d; must satisfy k >= d.
     """
     pos, neg = _eig_sides(linalg._eigvalsh(linalg.as_hermitian(a)), k)
-    return _presorted(
-        TwoSidedSeq, pos=pos, neg=neg, pos_tail=0.0, neg_tail=0.0, K=len(pos), mode="compact"
-    )
+    return TwoSidedSeq(pos=pos, neg=neg, pos_tail=0.0, neg_tail=0.0, K=len(pos), mode="compact")
 
 
 def _eig_sides(mu: np.ndarray, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -310,16 +294,11 @@ def spread_plus(scale: TwoSidedSeq) -> SpreadSeq:
     """Spectral spread Spr+, the positive-index part of the full spread.
 
     In matrix mode only the first ceil(d/2) entries are non-negative (the
-    rest mirror them with opposite sign), so only those are returned. In
-    compact mode the scale's own invariants (pos non-increasing, neg
-    non-decreasing, neg <= pos) make the spread sorted and non-negative, so
-    only a negative tail sends it through the SpreadSeq checks.
+    rest mirror them with opposite sign), so only those are returned.
     """
     vals = scale.pos - scale.neg
     if scale.mode == "matrix":
         half = math.ceil(scale.K / 2)
         return SpreadSeq(values=vals[:half], tail=0.0, mode="matrix")
     tail = 0.0 if scale.pos_tail is None else scale.pos_tail - scale.neg_tail
-    if scale.mode == "compact" and tail >= 0.0:
-        return _presorted(SpreadSeq, values=vals, tail=tail, mode="compact")
     return SpreadSeq(values=vals, tail=tail, mode=scale.mode)

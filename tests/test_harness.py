@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import sspread
 from sspread import UnknownExample, UnknownInequality, UnknownKind, harness, ineq
 from sspread.harness import (
     EXAMPLE_IDS,
@@ -357,6 +358,13 @@ def test_registry_holds_the_paper_family():
         assert not (v.split and v.files is None), v.id
 
 
+def test_public_names_resolve_and_tables_agree():
+    missing = [name for name in sspread.__all__ if not hasattr(sspread, name)]
+    assert missing == []
+    # every registry id runs a kernel, and every kernel has a registry id
+    assert {v.check for v in VERIFIERS.values()} == set(ineq.KERNELS)
+
+
 def test_aliases_rerun_their_target():
     aliases = {v.id: v.alias for v in VERIFIERS.values() if v.alias}
     assert aliases == {"equiv2": "commutator_sv", "equiv3": "mixed_commutator", "equiv4": "zhan"}
@@ -366,3 +374,36 @@ def test_aliases_rerun_their_target():
         sa = fuzz(fam, trials=30, seed=7)
         st = fuzz(target, trials=30, seed=7)
         assert (sa.failures, sa.worst_margin, sa.worst_seed) == (st.failures, st.worst_margin, st.worst_seed)
+
+
+def _rand_perm_per_step(seed: int, counter: int, n: int) -> list[int]:
+    """Fisher-Yates on the scalar stream, one randint(0, i) per step."""
+    stream = Stream(seed)
+    stream.counter = counter
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = stream.randint(0, i)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
+def test_rand_perm_matches_the_per_step_shuffle_row_by_row(n):
+    seeds = np.array([0, 9, derive_seed(5, 3), 2**64 - 1], dtype=np.uint64)
+    stream = Stream(seeds)
+    stream.counter = 11
+    perm = harness._rand_perm(stream, n)
+    assert stream.counter == 11 + n - 1
+    for b, seed in enumerate(seeds.tolist()):
+        assert perm[b].tolist() == _rand_perm_per_step(seed, 11, n)
+
+
+def test_randint_over_bounds_draws_one_word_per_bound():
+    bounds = np.array([5, 2, 2**40, 3])
+    batch, one = Stream(np.array([4, 2**63], dtype=np.uint64)), Stream(2**63)
+    got, alone = batch.randint(2, bounds), one.randint(2, bounds)
+    assert got.shape == (2, 4) and batch.counter == one.counter == 4
+    ref = Stream(2**63)
+    assert got[1].tolist() == alone == [ref.randint(2, int(h)) for h in bounds]
+    with pytest.raises(ValueError, match="empty range"):
+        one.randint(2, np.array([4, 1]))

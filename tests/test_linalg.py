@@ -17,10 +17,8 @@ from sspread import (
     eigh,
     offdiag_embed,
     opnorm,
-    polar,
     sv_array,
     svd_values,
-    unitary_exp,
 )
 from sspread import linalg
 from sspread.harness import GenSpec, generate
@@ -185,26 +183,6 @@ def test_opnorm_of_unitary_is_one():
     assert abs(opnorm(u) - 1.0) < 1e-10
 
 
-def test_polar_reconstructs_and_orders():
-    for seed in range(5):
-        x = _gen(4, seed)
-        u, p = polar(x)
-        assert np.allclose(u @ p, x, atol=1e-9)
-        assert np.allclose(p, p.conj().T, atol=1e-12)
-        assert eigh(p).values[-1] > -1e-10
-        assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-9)
-
-
-def test_polar_rank_deficient_partial_isometry():
-    x = np.diag([1.0, 0.0])
-    u, p = polar(x)
-    assert np.allclose(u @ p, x, atol=1e-12)
-    # U*U is the projection onto range(P), not the identity
-    proj = u.conj().T @ u
-    assert np.allclose(proj @ p, p, atol=1e-10)
-    assert abs(np.trace(proj).real - 1.0) < 1e-10
-
-
 def test_offdiag_embed_eigs_are_signed_singular_values():
     for seed in range(5):
         b = _gen(3, seed)
@@ -227,16 +205,20 @@ def test_direct_sum_blocks():
     assert np.allclose(w, [1.0, 1.0, -3.0], atol=1e-14)
 
 
+def _unitary_exp(x):
+    return linalg._unitary_exp(*linalg._eigh(x))
+
+
 def test_unitary_exp_diagonal_phases():
     theta = np.array([0.3, -1.2, 2.5])
-    u = unitary_exp(np.diag(theta))
+    u = _unitary_exp(np.diag(theta))
     assert np.allclose(np.diag(u), np.exp(1j * theta), atol=1e-12)
-    assert np.allclose(unitary_exp(np.zeros((3, 3))), np.eye(3), atol=1e-14)
+    assert np.allclose(_unitary_exp(np.zeros((3, 3))), np.eye(3), atol=1e-14)
 
 
 def test_unitary_exp_is_unitary():
     x = _herm(5, 23, scale=2.0)
-    u = unitary_exp(x)
+    u = _unitary_exp(x)
     assert np.allclose(u.conj().T @ u, np.eye(5), atol=1e-10)
 
 
@@ -270,14 +252,6 @@ def test_as_hermitian_symmetrizes_roundoff():
     a = np.array([[1.0, 2.0 + 1e-13], [2.0, 1.0]])
     h = as_hermitian(a)
     assert np.allclose(h, h.conj().T, atol=0.0)
-
-
-def test_polar_wrong_input_not_positive_guard():
-    # polar clamps tiny negatives of X*X; a wildly non-psd Gram cannot occur,
-    # so this only checks the clamp path stays quiet on near-singular input
-    x = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
-    u, p = polar(x)
-    assert np.allclose(u @ p, x, atol=1e-9)
 
 
 def test_not_positive_importable():

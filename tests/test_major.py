@@ -190,22 +190,24 @@ def test_interleaved_pairs_judged_with_zero_pool():
     assert rep.holds  # upper clipped sums of a are all 0, as are b's
 
 
-def test_diag_tail_violation():
+@pytest.mark.parametrize("relation", [submajorizes, majorizes])
+def test_diag_tail_violation(relation):
     a = TwoSidedSeq(pos=[3.0, 2.0], neg=[0.0, 0.0], pos_tail=2.0, neg_tail=0.0,
                     K=2, mode="diag")
     b = TwoSidedSeq(pos=[4.0, 1.0], neg=[0.0, 0.0], pos_tail=1.0, neg_tail=0.0,
                     K=2, mode="diag")
-    rep = submajorizes(a, b)
+    rep = relation(a, b)
     assert rep.tail_verdict == "tail_violated"
     assert not rep.holds
 
 
-def test_diag_horizon_limited():
+@pytest.mark.parametrize("relation", [submajorizes, majorizes])
+def test_diag_horizon_limited(relation):
     spike = TwoSidedSeq(pos=[3.0, 2.5], neg=[0.0, 0.0], pos_tail=2.0,
                         neg_tail=0.0, K=2, mode="diag")
     bound = TwoSidedSeq(pos=[4.0, 4.0], neg=[0.0, 0.0], pos_tail=4.0,
                         neg_tail=0.0, K=2, mode="diag")
-    rep = submajorizes(spike, bound)
+    rep = relation(spike, bound)
     assert rep.holds
     assert rep.tail_verdict == "horizon_limited"  # spike never settles
 
