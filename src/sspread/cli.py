@@ -54,6 +54,11 @@ _PARSE_ERRORS = (
 _MODE_ERRORS = (ModeError, HorizonMismatch, InsufficientSampling)
 _UNKNOWN_ERRORS = (UnknownInequality, UnknownExample)
 
+# the largest --horizon of scale and spread: a diagonal-operator file samples
+# 64 entries per horizon step in a Python loop (640,000 at this cap, about
+# 0.5 s and 110 MB at peak), and the report lists two numbers per step
+_MAX_HORIZON = 10_000
+
 
 # ---------------------------------------------------------------------------
 # complex literals and file formats
@@ -305,6 +310,8 @@ def _default_seed(args) -> int:
 
 
 def _scale_of(payload, declared: str | None, args):
+    if args.horizon is not None and args.horizon > _MAX_HORIZON:
+        raise ParseError(f"horizon goes up to {_MAX_HORIZON}, got {args.horizon}")
     if isinstance(payload, DiagSpec):
         if args.mode not in (None, "diag"):
             raise ModeError(f"a diagonal-operator file cannot be read in {args.mode} mode")

@@ -12,11 +12,14 @@ batch axis (B, rows, cols), every member of a stack has the same shape, and
 scalar arguments (a split, an absent E2) are shared by the whole batch. A
 kernel validates its stacks once, on entry, member by member, then works
 only through the private stacked helpers of linalg, spectra and major, and
-returns Rows: each row's verdict and judged margin as arrays, plus a builder
-for one row's full Verdict. The public check_*/control_* function is its
-kernel on a batch of one, and harness.fuzz runs the kernels on groups of
-trials of equal shape. numpy runs LAPACK, matmul, sorts and partial sums
-member by member, so a row's numbers do not depend on the batch around it.
+returns Rows: a record of per-row columns (verdict and judged margin as
+arrays, the validated input stacks, the SubRows of the submajorization, the
+entrywise margins, a per-row extras function), from which Rows.verdict(i)
+builds row i's Verdict for every kernel alike. The public check_*/control_*
+function is its kernel on a batch of one, and harness.fuzz runs the kernels
+on groups of trials of equal shape. numpy runs LAPACK, matmul, sorts and
+partial sums member by member, so a row's numbers do not depend on the batch
+around it.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .linalg import (
     _sv_array,
     _unitary_exp,
 )
-from .major import _gauge_rows, _schatten_rows, _sub_rows
+from .major import SubRows, _gauge_rows, _schatten_rows, _sub_rows
 from .spectra import _eig_sides, _eig_spread, _matrix_spread
 
 POS_GATE = 1e-10
@@ -89,17 +92,34 @@ class Verdict:
 
 
 class Rows(NamedTuple):
-    """A kernel's judgement of a batch, row by row.
+    """A kernel's judgement of a batch: one column per Verdict field.
 
     holds and margin are (B,) arrays. margin is the judged margin: the
     report's smallest margin, else the smallest entrywise margin, else
-    extras["margin"] (inf when there is none). verdict(i) builds row i's
-    Verdict.
+    extras["margin"]. inputs are the validated input stacks, whose row i is
+    the witness of row i; sub holds the submajorization claim's SubRows,
+    entrywise the (margins (B, n), holds (B,)) pair of an entrywise form,
+    and extras(i) row i's extras. verdict(i) builds row i's Verdict.
     """
 
+    ineq_id: str
+    mode: str
     holds: np.ndarray
     margin: np.ndarray
-    verdict: Callable[[int], Verdict]
+    inputs: tuple
+    sub: SubRows | None = None
+    entrywise: tuple[np.ndarray, np.ndarray] | None = None
+    extras: Callable[[int], dict] | None = None
+
+    def verdict(self, i: int) -> Verdict:
+        ew = self.entrywise
+        return Verdict(
+            self.ineq_id, bool(self.holds[i]), None if self.sub is None else self.sub.report(i),
+            tuple(m[i] for m in self.inputs), self.mode,
+            entrywise_margins=None if ew is None else ew[0][i],
+            entrywise_holds=None if ew is None else bool(ew[1][i]),
+            extras=None if self.extras is None else self.extras(i),
+        )
 
 
 def _digest(*mats) -> str:
@@ -227,15 +247,8 @@ def _tao_positive(f, split: int | None = None) -> Rows:
     sb = _sv_array(fm[:, :split, split:])
     margins = sf[:, : sb.shape[-1]] - 2.0 * sb
     ok, low = _entrywise(margins, sf)
-
-    def verdict(i: int) -> Verdict:
-        return Verdict(
-            "tao_positive", bool(ok[i]), None, (fm[i],), "matrix",
-            entrywise_margins=margins[i], entrywise_holds=bool(ok[i]),
-            extras={"split": split},
-        )
-
-    return Rows(ok, low, verdict)
+    return Rows("tao_positive", "matrix", ok, low, (fm,), entrywise=(margins, ok),
+                extras=lambda i: {"split": split})
 
 
 def _key(a, split: int | None = None) -> Rows:
@@ -244,12 +257,8 @@ def _key(a, split: int | None = None) -> Rows:
     split = _cut(split, d)
     lhs = 2.0 * _pad(_sv_array(am[:, :split, split:]), 2 * d)
     sub = _sub_rows(lhs, _eig_spread(_eigvalsh(am)))
-
-    def verdict(i: int) -> Verdict:
-        return Verdict("key", bool(sub.holds[i]), sub.report(i), (am[i],), "compact",
-                       extras={"split": split})
-
-    return Rows(sub.holds, sub.margin, verdict)
+    return Rows("key", "compact", sub.holds, sub.margin, (am,), sub,
+                extras=lambda i: {"split": split})
 
 
 def _trace_pairing(a, b) -> Rows:
@@ -269,15 +278,9 @@ def _trace_pairing(a, b) -> Rows:
     cutoff = 1e-10 * np.maximum(1.0, np.max(np.abs(wa), axis=-1))
     rank = np.sum(np.abs(wa) > cutoff[:, None], axis=-1)
     ok = margin >= -tol
-
-    def verdict(i: int) -> Verdict:
-        return Verdict(
-            "trace_pairing", bool(ok[i]), None, (am[i], bm[i]), "compact",
-            extras={"lhs": float(lhs[i]), "rhs": float(rhs[i]),
-                    "margin": float(margin[i]), "rank_a": int(rank[i])},
-        )
-
-    return Rows(ok, margin, verdict)
+    return Rows("trace_pairing", "compact", ok, margin, (am, bm), extras=lambda i: {
+        "lhs": float(lhs[i]), "rhs": float(rhs[i]),
+        "margin": float(margin[i]), "rank_a": int(rank[i])})
 
 
 def _commutator_scale(a, x) -> Rows:
@@ -288,12 +291,7 @@ def _commutator_scale(a, x) -> Rows:
     lhs = _eig_sides(_eigvalsh(comm))[0]
     rhs = 0.5 * (_eig_spread(_eigvalsh(am)) * _eig_spread(_eigvalsh(xm)))
     sub = _sub_rows(lhs, rhs)
-
-    def verdict(i: int) -> Verdict:
-        return Verdict("commutator_scale", bool(sub.holds[i]), sub.report(i),
-                       (am[i], xm[i]), "compact")
-
-    return Rows(sub.holds, sub.margin, verdict)
+    return Rows("commutator_scale", "compact", sub.holds, sub.margin, (am, xm), sub)
 
 
 def _commutator_sv(a, x) -> Rows:
@@ -306,13 +304,8 @@ def _commutator_sv(a, x) -> Rows:
     rhs = 0.5 * (_spr_sum(wa, wa) * _spr_sum(wx, wx))
     sub = _sub_rows(lhs, rhs)
     norms, norms_ok = _norm_forms(lhs, rhs)
-    ok = sub.holds & norms_ok
-
-    def verdict(i: int) -> Verdict:
-        return Verdict("commutator_sv", bool(ok[i]), sub.report(i), (am[i], xm[i]),
-                       "compact", extras={"norms": _norm_row(norms, i)})
-
-    return Rows(ok, sub.margin, verdict)
+    return Rows("commutator_sv", "compact", sub.holds & norms_ok, sub.margin, (am, xm), sub,
+                extras=lambda i: {"norms": _norm_row(norms, i)})
 
 
 def _mixed_commutator(a, b, x) -> Rows:
@@ -328,14 +321,8 @@ def _mixed_commutator(a, b, x) -> Rows:
     sub = _sub_rows(_pad(lhs_vals, k), rhs)
     margins = rhs[:, : lhs_vals.shape[-1]] - lhs_vals
     e_ok, _ = _entrywise(margins, rhs)
-
-    def verdict(i: int) -> Verdict:
-        return Verdict(
-            "mixed_commutator", bool(sub.holds[i]), sub.report(i), (am[i], bm[i], xm[i]),
-            "compact", entrywise_margins=margins[i], entrywise_holds=bool(e_ok[i]),
-        )
-
-    return Rows(sub.holds, sub.margin, verdict)
+    return Rows("mixed_commutator", "compact", sub.holds, sub.margin, (am, bm, xm), sub,
+                (margins, e_ok))
 
 
 def _herm_parts(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -365,16 +352,9 @@ def _general_commutator(a, b, x) -> Rows:
         + _pymax(w_a2[:, 0], w_b2[:, 0]) - _pymin(w_a2[:, -1], w_b2[:, -1])
     )
     corollary, coro_ok = _norm_forms(lhs, sx, scalar)
-    ok = sub.holds & coro_ok
-
-    def verdict(i: int) -> Verdict:
-        return Verdict(
-            "general_commutator", bool(ok[i]), sub.report(i), (am[i], bm[i], xm[i]),
-            "compact",
-            extras={"scalar": float(scalar[i]), "corollary": _norm_row(corollary, i)},
-        )
-
-    return Rows(ok, sub.margin, verdict)
+    return Rows("general_commutator", "compact", sub.holds & coro_ok, sub.margin, (am, bm, xm),
+                sub, extras=lambda i: {"scalar": float(scalar[i]),
+                                       "corollary": _norm_row(corollary, i)})
 
 
 def _unitary_conj(a, x) -> Rows:
@@ -388,12 +368,7 @@ def _unitary_conj(a, x) -> Rows:
     wa = _eigvalsh(am)
     rhs = 0.5 * (_spr_sum(wx, wx) * _spr_sum(wa, wa))
     sub = _sub_rows(lhs, rhs)
-
-    def verdict(i: int) -> Verdict:
-        return Verdict("unitary_conj", bool(sub.holds[i]), sub.report(i),
-                       (am[i], xm[i]), "compact")
-
-    return Rows(sub.holds, sub.margin, verdict)
+    return Rows("unitary_conj", "compact", sub.holds, sub.margin, (am, xm), sub)
 
 
 def _require_splitting(sm: np.ndarray, cm: np.ndarray, proj_tol: float = 1e-8) -> np.ndarray:
@@ -418,12 +393,7 @@ def _agm_projection(s, c, e) -> Rows:
     lhs = 2.0 * _pad(_sv_array(sm @ em @ _ct(cm)), k)
     rhs = _eig_spread(_eigvalsh(p @ em @ p), k)  # PEP oplus 0
     sub = _sub_rows(lhs, rhs)
-
-    def verdict(i: int) -> Verdict:
-        return Verdict("agm_projection", bool(sub.holds[i]), sub.report(i),
-                       (sm[i], cm[i], em[i]), "compact")
-
-    return Rows(sub.holds, sub.margin, verdict)
+    return Rows("agm_projection", "compact", sub.holds, sub.margin, (sm, cm, em), sub)
 
 
 def _agm_pair(s, c, e1, e2=None) -> Rows:
@@ -444,28 +414,20 @@ def _agm_pair(s, c, e1, e2=None) -> Rows:
     w1 = _eigvalsh(p @ e1m @ p)
     w2 = w1 if same else _eigvalsh(p @ e2m @ p)
     sub = _sub_rows(lhs, 0.5 * _spr_sum(w1, -w2, k=k))
-    ok = sub.holds
-    if same:
-        se = _sv_array(e1m)
-        coro = _sub_rows(_pad(_sv_array(pair / 2.0), 2 * d), 0.5 * _pad(se, 2 * d))
-        we = _eigvalsh(e1m)
-        doubled = 2.0 * _pad(se, 4 * d)
-        defect = np.max(np.abs(_spr_sum(we, -we, k=4 * d) - doubled), axis=-1)
-        id_ok = defect <= 1e-9 * np.maximum(1.0, np.max(doubled, axis=-1, initial=0.0))
-        ok = ok & coro.holds & id_ok
-
-    def verdict(i: int) -> Verdict:
-        extras = {}
-        if same:
-            extras = {
-                "coro_holds": bool(coro.holds[i]),
-                "identity_defect": float(defect[i]),
-                "identity_ok": bool(id_ok[i]),
-            }
-        return Verdict("agm_pair", bool(ok[i]), sub.report(i),
-                       (sm[i], cm[i], e1m[i], e2m[i]), "compact", extras=extras)
-
-    return Rows(ok, sub.margin, verdict)
+    rows = Rows("agm_pair", "compact", sub.holds, sub.margin, (sm, cm, e1m, e2m), sub)
+    if not same:
+        return rows
+    se = _sv_array(e1m)
+    coro = _sub_rows(_pad(_sv_array(pair / 2.0), 2 * d), 0.5 * _pad(se, 2 * d))
+    we = _eigvalsh(e1m)
+    doubled = 2.0 * _pad(se, 4 * d)
+    defect = np.max(np.abs(_spr_sum(we, -we, k=4 * d) - doubled), axis=-1)
+    id_ok = defect <= 1e-9 * np.maximum(1.0, np.max(doubled, axis=-1, initial=0.0))
+    return rows._replace(holds=sub.holds & coro.holds & id_ok, extras=lambda i: {
+        "coro_holds": bool(coro.holds[i]),
+        "identity_defect": float(defect[i]),
+        "identity_ok": bool(id_ok[i]),
+    })
 
 
 def _agm_compact(s, c, e) -> Rows:
@@ -490,8 +452,8 @@ def _agm_compact(s, c, e) -> Rows:
     pos_norms, pos_ok = _norm_forms(s_sec, s_e, 0.5)
     ok = sub.holds & sub_ok & compact_ok & (pos_ok | ~e_positive)
 
-    def verdict(i: int) -> Verdict:
-        extras = {
+    def extras(i: int) -> dict:
+        out = {
             "compression_monotone": bool(sub_ok[i]),
             "fro": {
                 "lhs": float(fro_lhs[i]),
@@ -503,13 +465,11 @@ def _agm_compact(s, c, e) -> Rows:
             "e_positive": bool(e_positive[i]),
         }
         if e_positive[i]:
-            extras["positive_norms"] = _norm_row(pos_norms, i)
-        return Verdict(
-            "agm_compact", bool(ok[i]), sub.report(i), (sm[i], cm[i], em[i]), "compact",
-            entrywise_margins=margins[i], entrywise_holds=bool(sub_ok[i]), extras=extras,
-        )
+            out["positive_norms"] = _norm_row(pos_norms, i)
+        return out
 
-    return Rows(ok, sub.margin, verdict)
+    return Rows("agm_compact", "compact", ok, sub.margin, (sm, cm, em), sub, (margins, sub_ok),
+                extras)
 
 
 def _agm_general(a, b, e) -> Rows:
@@ -544,16 +504,14 @@ def _agm_general(a, b, e) -> Rows:
         cross = dict(zip(positive.tolist(), rows.holds.tolist()))
         ok[positive] &= rows.holds
 
-    def verdict(i: int) -> Verdict:
-        extras = {"zero_block_holds": bool(sub0.holds[i])}
+    def extras(i: int) -> dict:
+        out = {"zero_block_holds": bool(sub0.holds[i])}
         if i in cross:
-            extras["positive_cross_holds"] = cross[i]
-        return Verdict(
-            "agm_general", bool(ok[i]), sub.report(i), (am[i], bm[i], em[i]), "compact",
-            entrywise_margins=margins[i], entrywise_holds=bool(e_ok[i]), extras=extras,
-        )
+            out["positive_cross_holds"] = cross[i]
+        return out
 
-    return Rows(ok, sub.margin, verdict)
+    return Rows("agm_general", "compact", ok, sub.margin, (am, bm, em), sub, (margins, e_ok),
+                extras)
 
 
 def _zhan(e, f) -> Rows:
@@ -562,11 +520,7 @@ def _zhan(e, f) -> Rows:
     _same_shape(em, fm)
     k = 4 * em.shape[-1]
     sub = _sub_rows(_pad(_sv_array(em - fm), k), _spr_sum(_eigvalsh(em), _eigvalsh(fm), k=k))
-
-    def verdict(i: int) -> Verdict:
-        return Verdict("zhan", bool(sub.holds[i]), sub.report(i), (em[i], fm[i]), "compact")
-
-    return Rows(sub.holds, sub.margin, verdict)
+    return Rows("zhan", "compact", sub.holds, sub.margin, (em, fm), sub)
 
 
 def _offdiag_projection(e, p) -> Rows:
@@ -580,13 +534,8 @@ def _offdiag_projection(e, p) -> Rows:
     dropped = np.max(sv[:, half:], axis=-1, initial=0.0)
     sub = _sub_rows(2.0 * sv[:, :half], _matrix_spread(_eigvalsh(em)))
     noise_ok = dropped <= 1e-7 * np.maximum(1.0, np.max(sv, axis=-1, initial=0.0))
-    ok = sub.holds & noise_ok
-
-    def verdict(i: int) -> Verdict:
-        return Verdict("equiv1", bool(ok[i]), sub.report(i), (em[i], pm[i]), "matrix",
-                       extras={"dropped_sv": float(dropped[i])})
-
-    return Rows(ok, sub.margin, verdict)
+    return Rows("equiv1", "matrix", sub.holds & noise_ok, sub.margin, (em, pm), sub,
+                extras=lambda i: {"dropped_sv": float(dropped[i])})
 
 
 def _offdiag_compact(e, p) -> Rows:
@@ -596,12 +545,7 @@ def _offdiag_compact(e, p) -> Rows:
     d = em.shape[-1]
     lhs = 2.0 * _pad(_sv_array(pm @ em @ (np.eye(d) - pm)), 2 * d)
     sub = _sub_rows(lhs, _eig_spread(_eigvalsh(em)))
-
-    def verdict(i: int) -> Verdict:
-        return Verdict("equiv_compact1", bool(sub.holds[i]), sub.report(i),
-                       (em[i], pm[i]), "compact")
-
-    return Rows(sub.holds, sub.margin, verdict)
+    return Rows("equiv_compact1", "compact", sub.holds, sub.margin, (em, pm), sub)
 
 
 def _identity_split(s, c, e) -> Rows:
@@ -615,12 +559,7 @@ def _identity_split(s, c, e) -> Rows:
     k = 4 * d
     lhs = 2.0 * _pad(_sv_array(sm @ em @ _ct(cm)), k)
     sub = _sub_rows(lhs, _eig_spread(_eigvalsh(em), k))  # E oplus 0
-
-    def verdict(i: int) -> Verdict:
-        return Verdict("equiv5", bool(sub.holds[i]), sub.report(i),
-                       (sm[i], cm[i], em[i]), "compact")
-
-    return Rows(sub.holds, sub.margin, verdict)
+    return Rows("equiv5", "compact", sub.holds, sub.margin, (sm, cm, em), sub)
 
 
 def _kittaneh_positive(c, d, x) -> Rows:
@@ -637,14 +576,7 @@ def _kittaneh_positive(c, d, x) -> Rows:
     rhs = top[:, None] * s_cd[:, : lhs.shape[-1]]  # ||X|| s(C oplus D)
     margins = rhs - lhs
     ok, low = _entrywise(margins, rhs)
-
-    def verdict(i: int) -> Verdict:
-        return Verdict(
-            "control_kittaneh", bool(ok[i]), None, (cm[i], dm[i], xm[i]), "matrix",
-            entrywise_margins=margins[i], entrywise_holds=bool(ok[i]),
-        )
-
-    return Rows(ok, low, verdict)
+    return Rows("control_kittaneh", "matrix", ok, low, (cm, dm, xm), entrywise=(margins, ok))
 
 
 def _bhatia_kittaneh(a, b) -> Rows:
@@ -655,14 +587,7 @@ def _bhatia_kittaneh(a, b) -> Rows:
     rhs = _sv_array(_ct(am) @ am + _ct(bm) @ bm)[:, : lhs.shape[-1]]
     margins = rhs - lhs
     ok, low = _entrywise(margins, rhs)
-
-    def verdict(i: int) -> Verdict:
-        return Verdict(
-            "control_bhatia_kittaneh", bool(ok[i]), None, (am[i], bm[i]), "matrix",
-            entrywise_margins=margins[i], entrywise_holds=bool(ok[i]),
-        )
-
-    return Rows(ok, low, verdict)
+    return Rows("control_bhatia_kittaneh", "matrix", ok, low, (am, bm), entrywise=(margins, ok))
 
 
 def _strict_gap(e) -> Rows:
@@ -673,15 +598,9 @@ def _strict_gap(e) -> Rows:
     fro = _schatten_rows(_sv_array(em), 2)
     g2 = _schatten_rows(_spr_sum(w), 2)
     margin = g2 - fro
-    ok = margin > 1e-9 * fro
-
-    def verdict(i: int) -> Verdict:
-        return Verdict(
-            "control_strict_gap", bool(ok[i]), None, (em[i],), "compact",
-            extras={"fro": float(fro[i]), "g2_spread": float(g2[i]), "margin": float(margin[i])},
-        )
-
-    return Rows(ok, margin, verdict)
+    return Rows("control_strict_gap", "compact", margin > 1e-9 * fro, margin, (em,),
+                extras=lambda i: {"fro": float(fro[i]), "g2_spread": float(g2[i]),
+                                  "margin": float(margin[i])})
 
 
 # ---------------------------------------------------------------------------

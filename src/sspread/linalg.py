@@ -31,7 +31,6 @@ from .errors import NoConvergence, NotHermitian, NotProjection
 
 HERM_TOL = 1e-10
 PROJ_TOL = 1e-10
-EIG_TOL = 1e-10
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -123,8 +122,9 @@ def eigh(a) -> EigenPair:
         a: Hermitian matrix (validated at HERM_TOL).
 
     Returns:
-        EigenPair(values, vectors) with A @ vectors == vectors @ diag(values)
-        up to EIG_TOL * max(1, ||A||_F).
+        EigenPair(values, vectors) with the residual
+        ||A @ vectors - vectors @ diag(values)||_F at most 1e-10 * max(1, ||A||_F),
+        the bound the eigh_residual property checks.
 
     Raises:
         NotHermitian: input fails the Hermiticity gate.

@@ -1,20 +1,26 @@
 """Rearrangements, partial-sum margins, and (sub)majorization verdicts.
 
-Conventions by input category:
-    raw 1-d arrays      - R^n convention: equal lengths required, plain sorted
-                          partial sums, classic majorization includes total-sum
-                          equality.
-    SpreadSeq           - non-negative one-sided sequences; zero-padding to a
-                          common horizon is legal in compact mode only; tails
-                          are compared and feed the tail verdict.
-    TwoSidedSeq         - two-sided sequences over Z0. Upper partial sums in
-                          compact/diag mode clip entries at 0 from below
-                          (an infinite zero pool is always available to a
-                          k-subset), lower sums clip at 0 from above. Matrix
-                          mode uses the plain 2K-entry multiset.
+submajorizes and majorizes read every operand the same way, as a multiset
+with a clipping flag, a tail and a mode:
+    raw 1-d arrays      - R^n convention: plain sorted partial sums; classic
+                          majorization includes total-sum equality.
+    SpreadSeq           - non-negative one-sided sequence; classic sums, like
+                          an array; its tail feeds the tail verdict.
+    TwoSidedSeq         - two-sided sequence over Z0, read as its 2K-entry
+                          multiset. Upper partial sums in compact/diag mode
+                          clip entries at 0 from below (an infinite zero pool
+                          is always available to a k-subset), lower sums clip
+                          at 0 from above; matrix mode sums the plain
+                          multiset. Majorization has no total-sum condition.
     Interleaved         - a pair (a, b) occupying the negative/positive index
-                          rays; flattened to its multiset and judged with the
-                          compact clipping rule.
+                          rays; a compact two-sided sequence of its multiset.
+
+One alignment rule applies to every pair. A one-sided operand (array,
+SpreadSeq) against a two-sided one, or two operands of different modes,
+raise ModeError. At unequal lengths, compact operands (compact SpreadSeq and
+TwoSidedSeq, Interleaved) are zero-padded to the longer length; plain arrays
+and matrix or diag operands raise HorizonMismatch. So every partial sum of
+both operands is compared.
 """
 
 from __future__ import annotations
@@ -231,42 +237,6 @@ def _values_and_tail(x) -> tuple[np.ndarray, float]:
     return np.asarray(x, dtype=float).ravel(), 0.0
 
 
-def _spread_pair(a: SpreadSeq, b: SpreadSeq) -> tuple[np.ndarray, np.ndarray]:
-    if len(a) == len(b):
-        return a.values, b.values
-    k = max(len(a), len(b))
-    return a.padded(k), b.padded(k)
-
-
-def _multiset(t: TwoSidedSeq | Interleaved) -> np.ndarray:
-    if isinstance(t, Interleaved):
-        return t.multiset()
-    return np.concatenate([t.pos, t.neg])
-
-
-def _clips(t: TwoSidedSeq | Interleaved) -> bool:
-    """Matrix mode sums the plain 2K-entry multiset; the other models clip."""
-    return not (isinstance(t, TwoSidedSeq) and t.mode == "matrix")
-
-
-def _sup(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v))) if len(v) else 0.0
-
-
-def _pad_twosided(t: TwoSidedSeq, k: int) -> TwoSidedSeq:
-    if t.K == k:
-        return t
-    if t.mode != "compact":
-        raise ModeError(f"zero-padding undefined in {t.mode} mode")
-    if k < t.K:
-        raise HorizonMismatch(f"cannot shrink horizon {t.K} to {k}")
-    z = np.zeros(k - t.K)
-    return TwoSidedSeq(
-        pos=np.concatenate([t.pos, z]), neg=np.concatenate([t.neg, z]),
-        pos_tail=0.0, neg_tail=0.0, K=k, mode="compact",
-    )
-
-
 def _tail_verdict(a_tail, b_tail, a_settled, b_settled) -> str:
     if a_tail is not None and b_tail is not None and a_tail > b_tail + TAIL_TOL:
         return "tail_violated"
@@ -301,83 +271,63 @@ def _finish(kind, upper, lower, verdict, tol, sum_defect=None) -> MajorizationRe
     )
 
 
+def _side(x) -> tuple:
+    """(multiset, clip, tail, settled, mode, two_sided) of one operand.
+
+    mode is None for a plain array; an Interleaved pair is compact.
+    """
+    if isinstance(x, TwoSidedSeq):
+        return (np.concatenate([x.pos, x.neg]), x.mode != "matrix", x.pos_tail,
+                x.settled(), x.mode, True)
+    if isinstance(x, Interleaved):
+        return x.multiset(), True, max(x.pos_tail, x.neg_tail), True, "compact", True
+    if isinstance(x, SpreadSeq):
+        return x.values, False, x.tail, x.settled(), x.mode, False
+    return np.asarray(x, dtype=float).ravel(), False, None, True, None, False
+
+
+def _relation(a, b, lower: bool, tol: float | None) -> MajorizationReport:
+    """The one alignment rule and judgement behind submajorizes and majorizes."""
+    ma, clip_a, ta, sa, mode_a, two_a = _side(a)
+    mb, clip_b, tb, sb, mode_b, two_b = _side(b)
+    if two_a != two_b:
+        raise ModeError("a one-sided operand cannot be compared with a two-sided one")
+    if None not in (mode_a, mode_b) and mode_a != mode_b:
+        raise ModeError(f"modes differ: {mode_a} vs {mode_b}")
+    if len(ma) != len(mb):
+        if mode_a is None or mode_b is None:
+            raise HorizonMismatch(
+                f"plain arrays compare at equal length only ({len(ma)} vs {len(mb)})")
+        if mode_a != "compact":
+            raise HorizonMismatch(f"lengths {len(ma)} and {len(mb)} differ in {mode_a} mode")
+        n = max(len(ma), len(mb))
+        ma, mb = np.pad(ma, (0, n - len(ma))), np.pad(mb, (0, n - len(mb)))
+    b_inf = max(float(np.max(np.abs(mb), initial=0.0)), abs(tb or 0.0))
+    rows = _maj_rows(ma[None], mb[None], clip_a, clip_b, [b_inf], lower,
+                     sums=lower and not two_a)
+    return rows.report(0, _tail_verdict(ta, tb, sa, sb), tol)
+
+
 def submajorizes(a, b, tol: float | None = None) -> MajorizationReport:
     """Weak submajorization a <=_w b with margin bookkeeping.
 
-    Accepts a pair of raw arrays (equal length), SpreadSeqs, TwoSidedSeqs
-    (same mode), or Interleaved pairs. Margins are the bound's partial sums
-    minus the candidate's; the relation holds when every margin clears -tol
-    and the tails are compatible.
+    Margins are the bound's upper partial sums minus the candidate's; the
+    relation holds when every margin clears -tol and the tails are
+    compatible. Operands align by the rule of the module docstring.
     """
-    if isinstance(a, (TwoSidedSeq, Interleaved)) or isinstance(b, (TwoSidedSeq, Interleaved)):
-        return _sub_twosided(a, b, tol)
-    if isinstance(a, SpreadSeq) and isinstance(b, SpreadSeq):
-        av, bv = _spread_pair(a, b)
-        verdict = _tail_verdict(a.tail, b.tail, a.settled(), b.settled())
-        b_inf = max(_sup(bv), abs(b.tail))
-        return _sub_rows(av[None], bv[None], [b_inf]).report(0, verdict, tol)
-    av, bv = _plain_pair(np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel())
-    return _sub_rows(av[None], bv[None]).report(0, tol=tol)
-
-
-def _plain_pair(av: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if len(av) != len(bv):
-        raise HorizonMismatch(
-            f"plain arrays compare at equal length only ({len(av)} vs {len(bv)})"
-        )
-    return av, bv
-
-
-def _sub_twosided(a, b, tol) -> MajorizationReport:
-    a, b = _align_twosided(a, b)
-    mb = _multiset(b)
-    at, bt = _pos_tail(a), _pos_tail(b)
-    verdict = _tail_verdict(at, bt, _settled(a), _settled(b))
-    rows = _maj_rows(_multiset(a)[None], mb[None], _clips(a), _clips(b),
-                     [max(_sup(mb), abs(bt or 0.0))], lower=False)
-    return rows.report(0, verdict, tol)
-
-
-def _align_twosided(a, b):
-    if isinstance(a, TwoSidedSeq) and isinstance(b, TwoSidedSeq):
-        if a.mode != b.mode:
-            raise ModeError(f"modes differ: {a.mode} vs {b.mode}")
-        if a.K != b.K:
-            if a.mode != "compact":
-                raise HorizonMismatch(f"horizons {a.K} and {b.K} differ in {a.mode} mode")
-            k = max(a.K, b.K)
-            a, b = _pad_twosided(a, k), _pad_twosided(b, k)
-    return a, b
-
-
-def _pos_tail(t) -> float | None:
-    if isinstance(t, Interleaved):
-        return max(t.pos_tail, t.neg_tail)
-    return t.pos_tail
-
-
-def _settled(t) -> bool:
-    if isinstance(t, Interleaved):
-        return True
-    return t.settled()
+    return _relation(a, b, False, tol)
 
 
 def majorizes(a, b, tol: float | None = None) -> MajorizationReport:
     """Majorization a <= b: upper and lower partial-sum conditions.
 
-    For raw equal-length arrays this is classic R^n majorization and the
-    total sums must agree (sum_defect tracks the difference). For
-    TwoSidedSeqs (or Interleaved pairs) it is the two-sided relation: b's
-    upper sums dominate and b's lower sums are dominated, with no total-sum
-    condition.
+    For one-sided operands (plain arrays, SpreadSeqs) this is classic
+    majorization and the total sums must agree (sum_defect tracks the
+    difference). For TwoSidedSeqs and Interleaved pairs it is the two-sided
+    relation: b's upper sums dominate and b's lower sums are dominated, with
+    no total-sum condition. Operands align as for submajorizes.
     """
-    if isinstance(a, (TwoSidedSeq, Interleaved)) or isinstance(b, (TwoSidedSeq, Interleaved)):
-        a, b = _align_twosided(a, b)
-        verdict = _tail_verdict(_pos_tail(a), _pos_tail(b), _settled(a), _settled(b))
-        rows = _maj_rows(_multiset(a)[None], _multiset(b)[None], _clips(a), _clips(b))
-        return rows.report(0, verdict, tol)
-    av, bv = _plain_pair(_values_and_tail(a)[0], _values_and_tail(b)[0])
-    return _maj_rows(av[None], bv[None], sums=True).report(0, tol=tol)
+    return _relation(a, b, True, tol)
 
 
 def ky_fan(a, k: int) -> float:

@@ -135,6 +135,9 @@ class DiagSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "head", tuple(float(x) for x in self.head))
+        if not all(map(math.isfinite, (*self.head, self.liminf, self.limsup,
+                                       *self.params.values()))):
+            raise ValueError("head, liminf, limsup and generator parameters must be finite")
         if self.liminf > self.limsup:
             raise ValueError("liminf must not exceed limsup")
         if self.generator is not None and self.generator not in GENERATORS:

@@ -409,6 +409,29 @@ def test_diag_horizon_zero_exit_two(capsys):
     assert code == 0 and json.loads(out)["K"] == 8
 
 
+def test_horizon_cap_exit_two(capsys):
+    # a horizon far above the cap once died allocating the scale arrays
+    big = str(cli._MAX_HORIZON + 1)
+    for cmd in ("spread", "scale"):
+        for path in (f"{FIX}/diag_scale.diag", f"{FIX}/kittaneh_fail_A.txt"):
+            for k in (big, "10000000000000"):
+                code, out, err = run(capsys, cmd, path, "--horizon", k, "--json")
+                assert code == 2, (cmd, path, k)
+                assert out == "" and str(cli._MAX_HORIZON) in err
+    code, out, _ = run(capsys, "scale", f"{FIX}/kittaneh_fail_A.txt",
+                       "--horizon", str(cli._MAX_HORIZON), "--json")
+    assert code == 0 and json.loads(out)["K"] == cli._MAX_HORIZON
+
+
+def test_non_finite_diag_file_exit_two(capsys, tmp_path):
+    for text in ("diag\nhead: 3 nan\nliminf: -inf\nlimsup: nan\n",
+                 "diag\nliminf: 0\nlimsup: 0\ngenerator: harmonic coef=nan\n"):
+        path = tmp_path / "bad.diag"
+        path.write_text(text)
+        code, out, err = run(capsys, "spread", str(path), "--horizon", "3", "--json")
+        assert code == 2 and out == "" and "finite" in err
+
+
 def test_suite_json_is_deterministic(capsys):
     code1, out1, _ = run(capsys, "suite", "--seed", "1", "--trials", "6", "--json")
     code2, out2, _ = run(capsys, "suite", "--seed", "1", "--trials", "6", "--json")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sspread
-from sspread import UnknownExample, UnknownInequality, UnknownKind, harness, ineq
+from sspread import UnknownExample, UnknownInequality, UnknownKind, cli, harness, ineq
 from sspread.harness import (
     EXAMPLE_IDS,
     PROPERTIES,
@@ -184,6 +184,23 @@ def test_grouped_draw_equals_batch_of_one_draw(ineq_id, dims):
                 assert _bits(row) == _bits(trial_args(ineq_id, int(seeds[t]), dims)), (seed, t)
             drawn.extend(index.tolist())
         assert sorted(drawn) == list(range(40))
+
+
+@pytest.mark.parametrize("ineq_id", list(VERIFIERS))
+def test_every_row_gets_its_own_verdict(ineq_id):
+    # row i of a kernel's Rows must build, witness included, the verdict the
+    # public verifier gives on that row's arguments alone
+    entry = VERIFIERS[ineq_id]
+    kernel, check = ineq.KERNELS[entry.check], getattr(ineq, entry.check)
+    largest = 0
+    for index, args in harness._groups(entry, _splitmix64_block(4, 0, 24), 2, 3):
+        rows = kernel(*args)
+        largest = max(largest, len(index))
+        for j in range(len(index)):
+            row = [a[j] if isinstance(a, np.ndarray) else a for a in args]
+            got = cli.canonical_json(cli.verdict_to_dict(rows.verdict(j)))
+            assert got == cli.canonical_json(cli.verdict_to_dict(check(*row))), (ineq_id, j)
+    assert largest >= 3
 
 
 def test_child_seeds_are_derive_seed():

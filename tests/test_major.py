@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 
 from sspread import (
+    DiagSpec,
     HorizonMismatch,
     Interleaved,
     ModeError,
     SpreadSeq,
     TwoSidedSeq,
     dec_rearrange,
+    diag_scale,
     gauge,
     interleave,
     ky_fan,
     majorizes,
+    matrix_scale,
     schatten,
     seq_product,
     submajorizes,
@@ -188,6 +191,91 @@ def test_interleaved_pairs_judged_with_zero_pool():
     pair_b = Interleaved(neg_values=np.array([0.0]), pos_values=np.array([0.0]))
     rep = submajorizes(pair_a, pair_b)
     assert rep.holds  # upper clipped sums of a are all 0, as are b's
+
+
+def test_interleaved_pairs_compare_every_partial_sum():
+    # a's total of 10 exceeds b's 5; comparing only the first 2 of a's 10
+    # partial sums missed it
+    rep = submajorizes(interleave([1.0] * 5, [1.0] * 5), interleave([5.0], [0.0]))
+    assert not rep.holds
+    assert len(rep.margins_upper) == 10
+    assert rep.margins_upper[-1] == pytest.approx(-5.0)
+
+
+def test_spreadseq_majorization_judges_tails():
+    a = SpreadSeq([2.0, 1.0], tail=1.0, mode="diag")
+    b = SpreadSeq([2.0, 1.0], tail=0.0, mode="diag")
+    for relation in (submajorizes, majorizes):
+        rep = relation(a, b)
+        assert rep.tail_verdict == "tail_violated" and not rep.holds
+
+
+def test_one_sided_against_two_sided_rejected():
+    one = (np.array([2.0, 1.0]), SpreadSeq([2.0, 1.0]))
+    two = (updown_rearrange([2.0, -1.0]), interleave([2.0], [1.0]))
+    for a in one:
+        for b in two:
+            for relation in (submajorizes, majorizes):
+                with pytest.raises(ModeError):
+                    relation(a, b)
+                with pytest.raises(ModeError):
+                    relation(b, a)
+
+
+KINDS = ("array", "spread_compact", "spread_diag", "matrix", "compact", "diag", "interleaved")
+
+
+def _operand(kind, vals, k, tail):
+    """An operand of this kind holding vals zero-padded to length k."""
+    v = np.concatenate([vals, np.zeros(k - len(vals))])
+    if kind == "array":
+        return v
+    if kind.startswith("spread"):
+        mode = kind.split("_")[1]
+        return SpreadSeq(dec_rearrange(np.abs(v)), tail=tail if mode == "diag" else 0.0, mode=mode)
+    if kind == "matrix":
+        return matrix_scale(np.diag(v))
+    if kind == "compact":
+        return updown_rearrange(v)
+    if kind == "diag":
+        return diag_scale(DiagSpec(head=tuple(v), liminf=-tail, limsup=tail), k)
+    return Interleaved(neg_values=v[: k // 2], pos_values=v[k // 2:])
+
+
+@pytest.mark.parametrize("kind_a, kind_b", [(k, k) for k in KINDS]
+                         + [("compact", "interleaved"), ("interleaved", "compact")])
+def test_majorization_implies_submajorization(kind_a, kind_b):
+    rng = np.random.default_rng(KINDS.index(kind_a) + 10 * KINDS.index(kind_b))
+    held = 0
+    for trial in range(80):
+        n = int(rng.integers(1, 5))
+        b_vals = rng.normal(size=n)
+        if kind_b.startswith("spread"):
+            b_vals = np.abs(b_vals)
+        if trial % 2:
+            # averaging two entries of b gives an a majorized by b in every model
+            a_vals = b_vals.copy()
+            i, j = rng.integers(0, n, size=2)
+            a_vals[[i, j]] = (b_vals[i] + b_vals[j]) / 2.0
+        else:
+            a_vals = rng.normal(size=n)
+        k_a, k_b = n + int(rng.integers(0, 3)), n + int(rng.integers(0, 3))
+        tail_a, tail_b = rng.uniform(0.0, 0.2, size=2)
+        a = _operand(kind_a, a_vals, k_a, tail_a)
+        b = _operand(kind_b, b_vals, k_b, tail_b)
+        try:
+            maj = majorizes(a, b)
+        except (HorizonMismatch, ModeError) as exc:
+            # both relations align their operands by one rule
+            with pytest.raises(type(exc)):
+                submajorizes(a, b)
+            continue
+        sub = submajorizes(a, b)
+        assert sub.tol == maj.tol and sub.tail_verdict == maj.tail_verdict
+        if maj.holds:
+            held += 1
+            assert sub.holds, (trial, a, b)
+    assert held >= 5
 
 
 @pytest.mark.parametrize("relation", [submajorizes, majorizes])

@@ -1,5 +1,7 @@
 """Scale construction in the three operator models."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,12 @@ def test_diag_spec_validation():
         DiagSpec(liminf=1.0, limsup=0.0)
     with pytest.raises(ValueError):
         DiagSpec(generator="nope")
+    # nan compares false with everything, so it would slip past the band
+    # checks and drop entries from the scale
+    for bad in ({"head": (3.0, math.nan)}, {"liminf": -math.inf}, {"limsup": math.nan},
+                {"generator": "harmonic", "params": {"coef": math.nan}}):
+        with pytest.raises(ValueError, match="finite"):
+            DiagSpec(**bad)
 
 
 def test_diag_scale_head_only():
