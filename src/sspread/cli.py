@@ -483,7 +483,7 @@ def _render_human(report: dict) -> str:
         if rep is not None:
             lines.append(
                 f"  worst margin {min(rep['margins']):.3e} at k={rep['worst_k']}"
-                f", tail {rep['tail_verdict']}"
+                f", tol {rep['tol']:.1e}, tail {rep['tail_verdict']}"
             )
         if c.get("entrywise_holds") is not None:
             lines.append(f"  entrywise: {'holds' if c['entrywise_holds'] else 'fails'}")

@@ -20,10 +20,14 @@ function is its kernel on a batch of one, and harness.fuzz runs the kernels
 on groups of trials of equal shape. numpy runs LAPACK, matmul, sorts and
 partial sums member by member, so a row's numbers do not depend on the batch
 around it.
+Every gate and comparison is made at linalg._tol of the input operands'
+size (e.g. ||A|| ||X|| for a commutator, read off a decomposition the kernel
+makes anyway), never of a computed bound, which can cancel.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from collections.abc import Callable
@@ -39,6 +43,7 @@ from .errors import (
     NotProjectionSum,
 )
 from .linalg import (
+    _absmax,
     _as_cmatrices,
     _as_hermitians,
     _as_projections,
@@ -49,12 +54,11 @@ from .linalg import (
     _opnorm,
     _pad,
     _sv_array,
+    _tol,
     _unitary_exp,
 )
 from .major import SubRows, _gauge_rows, _schatten_rows, _sub_rows
 from .spectra import _eig_sides, _eig_spread, _matrix_spread
-
-POS_GATE = 1e-10
 
 
 class Verdict:
@@ -155,16 +159,12 @@ def _spr_sum(*eigs: np.ndarray, k: int | None = None) -> np.ndarray:
 def _positive_gate(w: np.ndarray, fail: str | None = None):
     """Positivity gate on non-increasing eigenvalues w (..., d) of Hermitian matrices.
 
-    A spectrum passes when its smallest entry is at least -POS_GATE *
-    max(1, max|w|). Returns a bool for one spectrum and a bool array for a
-    stack. With a message template, a failing spectrum raises instead:
+    A spectrum passes when its smallest entry is at least -_tol(max|w|).
+    Returns a bool for one spectrum and a bool array for a stack. With a
+    message template, a failing spectrum raises instead:
     NotPositive(fail.format(smallest eigenvalue)) for the first that fails.
     """
-    if w.shape[-1]:
-        scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
-        ok = w[..., -1] >= -POS_GATE * scale
-    else:
-        ok = np.ones(w.shape[:-1], dtype=bool)
+    ok = np.min(w, axis=-1, initial=math.inf) >= -_tol(_absmax(w, -1))
     if fail is not None and not np.all(ok):
         first = np.flatnonzero(~np.ravel(ok))[0]
         raise NotPositive(fail.format(w.reshape(-1, w.shape[-1])[first, -1]))
@@ -176,14 +176,19 @@ def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v @ _diag(np.sqrt(np.clip(w, 0.0, None))) @ _ct(v)
 
 
-def _entrywise(margins: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(holds, smallest margin) per row: every margin clears -1e-9 * max(1, max|rhs|).
+def _entrywise(margins: np.ndarray, mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(holds, smallest margin) per row: every margin clears -_tol(operand size mag).
 
     A row with no margins holds, and its smallest margin is inf.
     """
-    tol = 1e-9 * np.maximum(1.0, np.max(np.abs(rhs), axis=-1, initial=0.0))
     low = np.min(margins, axis=-1, initial=math.inf)
-    return low >= -tol, low
+    return low >= -_tol(mag), low
+
+
+def _size(*stacks: np.ndarray) -> np.ndarray:
+    """Largest |entry| of each row over stacks (B, ...): an operand's size."""
+    return functools.reduce(np.maximum, [np.abs(s).max(axis=tuple(range(1, s.ndim)),
+                                                        initial=0.0) for s in stacks])
 
 
 def _same_shape(a: np.ndarray, b: np.ndarray) -> None:
@@ -212,8 +217,10 @@ def _pymin(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 _NORM_IDS = ("op", "schatten:1", "schatten:2")
 
 
-def _norm_forms(lhs: np.ndarray, rhs: np.ndarray, c=None) -> tuple[dict, np.ndarray]:
-    """The norm forms ||lhs|| <= c ||rhs|| for the _NORM_IDS, row by row.
+def _norm_forms(lhs: np.ndarray, rhs: np.ndarray, mag: np.ndarray,
+                c=1.0) -> tuple[dict, np.ndarray]:
+    """The norm forms ||lhs|| <= c ||rhs|| for the _NORM_IDS, row by row, at
+    _tol(operand size mag).
 
     Returns ({id: (lhs norms, bounds, ok)}, ok for every id).
     """
@@ -221,10 +228,8 @@ def _norm_forms(lhs: np.ndarray, rhs: np.ndarray, c=None) -> tuple[dict, np.ndar
     ok = np.ones(lhs.shape[0], dtype=bool)
     for nid in _NORM_IDS:
         lv = _gauge_rows(lhs, nid)
-        bv = _gauge_rows(rhs, nid)
-        if c is not None:
-            bv = c * bv
-        good = lv <= bv + 1e-9 * np.maximum(1.0, bv)
+        bv = c * _gauge_rows(rhs, nid)
+        good = lv <= bv + _tol(mag)
         forms[nid] = (lv, bv, good)
         ok &= good
     return forms, ok
@@ -246,7 +251,7 @@ def _tao_positive(f, split: int | None = None) -> Rows:
     split = _cut(split, fm.shape[-1])
     sb = _sv_array(fm[:, :split, split:])
     margins = sf[:, : sb.shape[-1]] - 2.0 * sb
-    ok, low = _entrywise(margins, sf)
+    ok, low = _entrywise(margins, _size(sf))
     return Rows("tao_positive", "matrix", ok, low, (fm,), entrywise=(margins, ok),
                 extras=lambda i: {"split": split})
 
@@ -256,7 +261,8 @@ def _key(a, split: int | None = None) -> Rows:
     d = am.shape[-1]
     split = _cut(split, d)
     lhs = 2.0 * _pad(_sv_array(am[:, :split, split:]), 2 * d)
-    sub = _sub_rows(lhs, _eig_spread(_eigvalsh(am)))
+    w = _eigvalsh(am)
+    sub = _sub_rows(lhs, _eig_spread(w), _size(w))
     return Rows("key", "compact", sub.holds, sub.margin, (am,), sub,
                 extras=lambda i: {"split": split})
 
@@ -267,17 +273,15 @@ def _trace_pairing(a, b) -> Rows:
     _same_shape(am, bm)
     d = am.shape[-1]
     lhs = np.trace(am @ bm, axis1=-2, axis2=-1).real
-    wa = _eigvalsh(am)
+    wa, wb = _eigvalsh(am), _eigvalsh(bm)
     a_pos, a_neg = _eig_sides(wa, 2 * d)
-    b_pos, b_neg = _eig_sides(_eigvalsh(bm), 2 * d)
+    b_pos, b_neg = _eig_sides(wb, 2 * d)
     # matmul of a (1 x k) row by a (k x 1) column runs BLAS's dot on each
     # row, the bits np.dot gives; an elementwise product summed would not
     rhs = (a_pos[:, None, :] @ b_pos[:, :, None] + a_neg[:, None, :] @ b_neg[:, :, None])[:, 0, 0]
     margin = rhs - lhs
-    tol = 1e-9 * np.maximum(np.maximum(1.0, np.abs(rhs)), np.abs(lhs))
-    cutoff = 1e-10 * np.maximum(1.0, np.max(np.abs(wa), axis=-1))
-    rank = np.sum(np.abs(wa) > cutoff[:, None], axis=-1)
-    ok = margin >= -tol
+    rank = np.sum(np.abs(wa) > _tol(_size(wa))[:, None], axis=-1)
+    ok = margin >= -_tol(_size(wa) * _size(wb), d)
     return Rows("trace_pairing", "compact", ok, margin, (am, bm), extras=lambda i: {
         "lhs": float(lhs[i]), "rhs": float(rhs[i]),
         "margin": float(margin[i]), "rank_a": int(rank[i])})
@@ -289,8 +293,9 @@ def _commutator_scale(a, x) -> Rows:
     _same_shape(am, xm)
     comm = 1j * (am @ xm - xm @ am)
     lhs = _eig_sides(_eigvalsh(comm))[0]
-    rhs = 0.5 * (_eig_spread(_eigvalsh(am)) * _eig_spread(_eigvalsh(xm)))
-    sub = _sub_rows(lhs, rhs)
+    wa, wx = _eigvalsh(am), _eigvalsh(xm)
+    rhs = 0.5 * (_eig_spread(wa) * _eig_spread(wx))
+    sub = _sub_rows(lhs, rhs, _size(wa) * _size(wx))
     return Rows("commutator_scale", "compact", sub.holds, sub.margin, (am, xm), sub)
 
 
@@ -302,8 +307,9 @@ def _commutator_sv(a, x) -> Rows:
     lhs = _pad(_sv_array(am @ xm - xm @ am), 4 * d)
     wa, wx = _eigvalsh(am), _eigvalsh(xm)
     rhs = 0.5 * (_spr_sum(wa, wa) * _spr_sum(wx, wx))
-    sub = _sub_rows(lhs, rhs)
-    norms, norms_ok = _norm_forms(lhs, rhs)
+    mag = _size(wa) * _size(wx)
+    sub = _sub_rows(lhs, rhs, mag)
+    norms, norms_ok = _norm_forms(lhs, rhs, mag)
     return Rows("commutator_sv", "compact", sub.holds & norms_ok, sub.margin, (am, xm), sub,
                 extras=lambda i: {"norms": _norm_row(norms, i)})
 
@@ -317,10 +323,12 @@ def _mixed_commutator(a, b, x) -> Rows:
         raise DimMismatch(f"X is {xm.shape[1:]}, expected {(m, n)}")
     k = 2 * (m + n)
     lhs_vals = _sv_array(am @ xm - xm @ bm)
-    rhs = _spr_sum(_eigvalsh(am), _eigvalsh(bm)) * _pad(_sv_array(xm), k)
-    sub = _sub_rows(_pad(lhs_vals, k), rhs)
+    wa, wb, sx = _eigvalsh(am), _eigvalsh(bm), _sv_array(xm)
+    rhs = _spr_sum(wa, wb) * _pad(sx, k)
+    mag = _size(wa, wb) * _size(sx)
+    sub = _sub_rows(_pad(lhs_vals, k), rhs, mag)
     margins = rhs[:, : lhs_vals.shape[-1]] - lhs_vals
-    e_ok, _ = _entrywise(margins, rhs)
+    e_ok, _ = _entrywise(margins, mag)
     return Rows("mixed_commutator", "compact", sub.holds, sub.margin, (am, bm, xm), sub,
                 (margins, e_ok))
 
@@ -346,12 +354,13 @@ def _general_commutator(a, b, x) -> Rows:
     w_a2, w_b2 = _eigvalsh(a2), _eigvalsh(b2)
     spread_sum = _spr_sum(w_a1, w_b1) + _spr_sum(w_a2, w_b2)
     sx = _sv_array(xm)
-    sub = _sub_rows(lhs, spread_sum * _pad(sx, k))
+    mag = (_size(w_a1, w_b1) + _size(w_a2, w_b2)) * _size(sx)
+    sub = _sub_rows(lhs, spread_sum * _pad(sx, k), mag)
     scalar = (
         _pymax(w_a1[:, 0], w_b1[:, 0]) - _pymin(w_a1[:, -1], w_b1[:, -1])
         + _pymax(w_a2[:, 0], w_b2[:, 0]) - _pymin(w_a2[:, -1], w_b2[:, -1])
     )
-    corollary, coro_ok = _norm_forms(lhs, sx, scalar)
+    corollary, coro_ok = _norm_forms(lhs, sx, mag, scalar)
     return Rows("general_commutator", "compact", sub.holds & coro_ok, sub.margin, (am, bm, xm),
                 sub, extras=lambda i: {"scalar": float(scalar[i]),
                                        "corollary": _norm_row(corollary, i)})
@@ -367,19 +376,21 @@ def _unitary_conj(a, x) -> Rows:
     lhs = _pad(_sv_array(am - _ct(u) @ am @ u), 4 * d)
     wa = _eigvalsh(am)
     rhs = 0.5 * (_spr_sum(wx, wx) * _spr_sum(wa, wa))
-    sub = _sub_rows(lhs, rhs)
+    # ||A|| alone: U = e^{iX} has norm 1 at every scale of X
+    sub = _sub_rows(lhs, rhs, _size(wa))
     return Rows("unitary_conj", "compact", sub.holds, sub.margin, (am, xm), sub)
 
 
-def _require_splitting(sm: np.ndarray, cm: np.ndarray, proj_tol: float = 1e-8) -> np.ndarray:
+def _require_splitting(sm: np.ndarray, cm: np.ndarray) -> np.ndarray:
     """Validate C*C + S*S as an orthogonal projection; return it.
 
-    S and C are already validated stacks; only their sum is checked here.
+    S and C are already validated stacks; only their sum is checked here, as
+    a sum of d products: its defects may reach _tol(max|P|, d).
     """
     _same_shape(sm, cm)
     p = _ct(cm) @ cm + _ct(sm) @ sm
     try:
-        return _as_projections(p, tol=proj_tol)
+        return _as_projections(p, k=p.shape[-1])
     except (NotProjection, NotHermitian) as exc:
         raise NotProjectionSum(f"C*C + S*S is not a projection: {exc}") from exc
 
@@ -392,7 +403,7 @@ def _agm_projection(s, c, e) -> Rows:
     k = 4 * em.shape[-1]
     lhs = 2.0 * _pad(_sv_array(sm @ em @ _ct(cm)), k)
     rhs = _eig_spread(_eigvalsh(p @ em @ p), k)  # PEP oplus 0
-    sub = _sub_rows(lhs, rhs)
+    sub = _sub_rows(lhs, rhs, _size(em))  # S and C are contractions
     return Rows("agm_projection", "compact", sub.holds, sub.margin, (sm, cm, em), sub)
 
 
@@ -413,16 +424,17 @@ def _agm_pair(s, c, e1, e2=None) -> Rows:
     lhs = _pad(_sv_array(pair), k)
     w1 = _eigvalsh(p @ e1m @ p)
     w2 = w1 if same else _eigvalsh(p @ e2m @ p)
-    sub = _sub_rows(lhs, 0.5 * _spr_sum(w1, -w2, k=k))
+    mag = _size(e1m, e2m)
+    sub = _sub_rows(lhs, 0.5 * _spr_sum(w1, -w2, k=k), mag)
     rows = Rows("agm_pair", "compact", sub.holds, sub.margin, (sm, cm, e1m, e2m), sub)
     if not same:
         return rows
     se = _sv_array(e1m)
-    coro = _sub_rows(_pad(_sv_array(pair / 2.0), 2 * d), 0.5 * _pad(se, 2 * d))
+    coro = _sub_rows(_pad(_sv_array(pair / 2.0), 2 * d), 0.5 * _pad(se, 2 * d), mag)
     we = _eigvalsh(e1m)
     doubled = 2.0 * _pad(se, 4 * d)
     defect = np.max(np.abs(_spr_sum(we, -we, k=4 * d) - doubled), axis=-1)
-    id_ok = defect <= 1e-9 * np.maximum(1.0, np.max(doubled, axis=-1, initial=0.0))
+    id_ok = defect <= _tol(_size(doubled))
     return rows._replace(holds=sub.holds & coro.holds & id_ok, extras=lambda i: {
         "coro_holds": bool(coro.holds[i]),
         "identity_defect": float(defect[i]),
@@ -439,17 +451,18 @@ def _agm_compact(s, c, e) -> Rows:
     s_sec = _sv_array(sm @ em @ _ct(cm))
     s_e = _sv_array(em)
     w_e = _eigvalsh(em)
+    mag = _size(w_e)
     rhs = _spr_sum(w_e, k=k)
-    sub = _sub_rows(2.0 * _pad(s_sec, k), rhs)
+    sub = _sub_rows(2.0 * _pad(s_sec, k), rhs, mag)
     margins = rhs - _eig_spread(_eigvalsh(p @ em @ p), k)
-    sub_ok, _ = _entrywise(margins, rhs)
+    sub_ok, _ = _entrywise(margins, mag)
     fro_lhs = _schatten_rows(s_sec, 2)
     compact_bound = 0.5 * _schatten_rows(rhs, 2)
     identity_bound = 0.5 * _schatten_rows(s_e, 2)
-    compact_ok = fro_lhs <= compact_bound + 1e-9 * np.maximum(1.0, compact_bound)
-    identity_ok = fro_lhs <= identity_bound + 1e-9 * np.maximum(1.0, identity_bound)
+    compact_ok = fro_lhs <= compact_bound + _tol(mag)
+    identity_ok = fro_lhs <= identity_bound + _tol(mag)
     e_positive = _positive_gate(w_e)
-    pos_norms, pos_ok = _norm_forms(s_sec, s_e, 0.5)
+    pos_norms, pos_ok = _norm_forms(s_sec, s_e, mag, 0.5)
     ok = sub.holds & sub_ok & compact_ok & (pos_ok | ~e_positive)
 
     def extras(i: int) -> dict:
@@ -482,25 +495,28 @@ def _agm_general(a, b, e) -> Rows:
     f2 = _ct(am) @ am + _ct(bm) @ bm
     w_f, v_f = _eigh(f2)
     _positive_gate(w_f, "square root of a non-positive matrix ({:.3e})")
+    we = _eigvalsh(em)
+    mag = _size(w_f) * _size(we)  # bounds G and AEB*, and cannot cancel
     froot = _psd_root(w_f, v_f)
-    gh = _as_hermitians(froot @ em @ froot, tol=1e-8)
+    gh = _as_hermitians(froot @ em @ froot, mag, d)
     s_aeb = _sv_array(am @ em @ _ct(bm))
     wg = _eigvalsh(gh)
     k = 2 * d
     lhs = _pad(s_aeb, k)
     spr_g = _spr_sum(wg, k=k)
-    sub = _sub_rows(lhs, 0.5 * spr_g)
-    sub0 = _sub_rows(_pad(s_aeb, 4 * d), 0.5 * _spr_sum(wg, k=4 * d))  # G oplus 0
+    sub = _sub_rows(lhs, 0.5 * spr_g, mag)
+    sub0 = _sub_rows(_pad(s_aeb, 4 * d), 0.5 * _spr_sum(wg, k=4 * d), mag)  # G oplus 0
     margins = spr_g[:, :d] - 2.0 * s_aeb
-    e_ok, _ = _entrywise(margins, spr_g)
+    e_ok, _ = _entrywise(margins, mag)
     ok = sub.holds & sub0.holds
     # E's eigenvectors feed E^(1/2), so they are computed only for the rows
     # whose E passes the gate
-    positive = np.flatnonzero(_positive_gate(_eigvalsh(em)))
+    positive = np.flatnonzero(_positive_gate(we))
     cross = {}
     if positive.size:
         eroot = _psd_root(*_eigh(em[positive]))
-        rows = _sub_rows(2.0 * lhs[positive], _pad(_sv_array(eroot @ f2[positive] @ eroot), k))
+        cross_rhs = _pad(_sv_array(eroot @ f2[positive] @ eroot), k)
+        rows = _sub_rows(2.0 * lhs[positive], cross_rhs, mag[positive])
         cross = dict(zip(positive.tolist(), rows.holds.tolist()))
         ok[positive] &= rows.holds
 
@@ -519,7 +535,8 @@ def _zhan(e, f) -> Rows:
     fm = _as_hermitians(f)
     _same_shape(em, fm)
     k = 4 * em.shape[-1]
-    sub = _sub_rows(_pad(_sv_array(em - fm), k), _spr_sum(_eigvalsh(em), _eigvalsh(fm), k=k))
+    we, wf = _eigvalsh(em), _eigvalsh(fm)
+    sub = _sub_rows(_pad(_sv_array(em - fm), k), _spr_sum(we, wf, k=k), _size(we, wf))
     return Rows("zhan", "compact", sub.holds, sub.margin, (em, fm), sub)
 
 
@@ -532,8 +549,9 @@ def _offdiag_projection(e, p) -> Rows:
     sv = _sv_array(pm @ em @ (np.eye(d) - pm))
     # rank(PE(I-P)) <= floor(d/2), so the discarded values are rounding noise
     dropped = np.max(sv[:, half:], axis=-1, initial=0.0)
-    sub = _sub_rows(2.0 * sv[:, :half], _matrix_spread(_eigvalsh(em)))
-    noise_ok = dropped <= 1e-7 * np.maximum(1.0, np.max(sv, axis=-1, initial=0.0))
+    we = _eigvalsh(em)
+    sub = _sub_rows(2.0 * sv[:, :half], _matrix_spread(we), _size(we))
+    noise_ok = dropped <= _tol(_size(we), d)
     return Rows("equiv1", "matrix", sub.holds & noise_ok, sub.margin, (em, pm), sub,
                 extras=lambda i: {"dropped_sv": float(dropped[i])})
 
@@ -544,7 +562,8 @@ def _offdiag_compact(e, p) -> Rows:
     _same_shape(em, pm)
     d = em.shape[-1]
     lhs = 2.0 * _pad(_sv_array(pm @ em @ (np.eye(d) - pm)), 2 * d)
-    sub = _sub_rows(lhs, _eig_spread(_eigvalsh(em)))
+    we = _eigvalsh(em)
+    sub = _sub_rows(lhs, _eig_spread(we), _size(we))
     return Rows("equiv_compact1", "compact", sub.holds, sub.margin, (em, pm), sub)
 
 
@@ -554,19 +573,22 @@ def _identity_split(s, c, e) -> Rows:
     p = _require_splitting(sm, cm)
     d = em.shape[-1]
     _same_shape(p, em)
-    if float(np.max(np.abs(p - np.eye(d)))) > 1e-8:
+    if np.any(_size(p - np.eye(d)) > _tol(_size(p), d)):
         raise NotProjectionSum("C*C + S*S must equal the identity here")
     k = 4 * d
     lhs = 2.0 * _pad(_sv_array(sm @ em @ _ct(cm)), k)
-    sub = _sub_rows(lhs, _eig_spread(_eigvalsh(em), k))  # E oplus 0
+    we = _eigvalsh(em)
+    sub = _sub_rows(lhs, _eig_spread(we, k), _size(we))  # E oplus 0
     return Rows("equiv5", "compact", sub.holds, sub.margin, (sm, cm, em), sub)
 
 
 def _kittaneh_positive(c, d, x) -> Rows:
     cm = _as_hermitians(c)
-    _positive_gate(_eigvalsh(cm), "C has eigenvalue {:.3e}")
+    wc = _eigvalsh(cm)
+    _positive_gate(wc, "C has eigenvalue {:.3e}")
     dm = _as_hermitians(d)
-    _positive_gate(_eigvalsh(dm), "D has eigenvalue {:.3e}")
+    wd = _eigvalsh(dm)
+    _positive_gate(wd, "D has eigenvalue {:.3e}")
     xm = _as_cmatrices(x)
     if xm.shape[1:] != (cm.shape[-1], dm.shape[-1]):
         raise DimMismatch(f"X is {xm.shape[1:]}, expected {(cm.shape[-1], dm.shape[-1])}")
@@ -575,7 +597,7 @@ def _kittaneh_positive(c, d, x) -> Rows:
     s_cd = np.sort(np.concatenate([_sv_array(cm), _sv_array(dm)], axis=-1), axis=-1)[..., ::-1]
     rhs = top[:, None] * s_cd[:, : lhs.shape[-1]]  # ||X|| s(C oplus D)
     margins = rhs - lhs
-    ok, low = _entrywise(margins, rhs)
+    ok, low = _entrywise(margins, _size(wc, wd) * top)
     return Rows("control_kittaneh", "matrix", ok, low, (cm, dm, xm), entrywise=(margins, ok))
 
 
@@ -584,21 +606,22 @@ def _bhatia_kittaneh(a, b) -> Rows:
     bm = _as_cmatrices(b)
     _same_shape(am, bm)
     lhs = 2.0 * _sv_array(am @ _ct(bm))
-    rhs = _sv_array(_ct(am) @ am + _ct(bm) @ bm)[:, : lhs.shape[-1]]
-    margins = rhs - lhs
-    ok, low = _entrywise(margins, rhs)
+    s_f = _sv_array(_ct(am) @ am + _ct(bm) @ bm)
+    margins = s_f[:, : lhs.shape[-1]] - lhs
+    ok, low = _entrywise(margins, _size(s_f))  # a sum of positives cannot cancel
     return Rows("control_bhatia_kittaneh", "matrix", ok, low, (am, bm), entrywise=(margins, ok))
 
 
 def _strict_gap(e) -> Rows:
     em = _as_hermitians(e)
     w = _eigvalsh(em)
-    if not (w.shape[-1] and np.all((w[:, 0] > 0.0) & (w[:, -1] < 0.0))):
+    edge = _tol(_size(w))
+    if not (w.shape[-1] and np.all((w[:, 0] > edge) & (w[:, -1] < -edge))):
         raise NotPositive("an indefinite operator (both signs present) is required")
     fro = _schatten_rows(_sv_array(em), 2)
     g2 = _schatten_rows(_spr_sum(w), 2)
     margin = g2 - fro
-    return Rows("control_strict_gap", "compact", margin > 1e-9 * fro, margin, (em,),
+    return Rows("control_strict_gap", "compact", margin > _tol(fro), margin, (em,),
                 extras=lambda i: {"fro": float(fro[i]), "g2_spread": float(g2[i]),
                                   "margin": float(margin[i])})
 

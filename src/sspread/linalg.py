@@ -2,11 +2,11 @@
 singular values, block constructions and compressions.
 
 Matrices are numpy complex128 arrays. Inputs that must be Hermitian or
-projections are validated and rejected (never symmetrized) at 1e-10 relative
-tolerance. Each public function validates its input once and then calls a
-private helper of the same name with a leading underscore; code inside the
-package calls those helpers directly on matrices it has built or already
-validated.
+projections are validated and rejected (never symmetrized) at `_tol`, the
+one tolerance of every gate and comparison in the package. Each public
+function validates its input once and then calls a private helper of the
+same name with a leading underscore; code inside the package calls those
+helpers directly on matrices it has built or already validated.
 
 The private helpers also take stacks (B, rows, cols) with a leading batch
 axis, and `_as_cmatrices`/`_as_hermitians`/`_as_projections` validate a stack
@@ -29,8 +29,12 @@ import numpy as np
 
 from .errors import NoConvergence, NotHermitian, NotProjection
 
-HERM_TOL = 1e-10
-PROJ_TOL = 1e-10
+
+def _tol(magnitude, k: int = 1):
+    """The one tolerance, 1e-12 * k * magnitude: magnitude is the size of the
+    operands (per row for an array), never of a result, which can cancel; k
+    counts the terms an error can pile up over. No verdict depends on scale."""
+    return 1e-12 * k * magnitude
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -38,13 +42,13 @@ def as_cmatrix(a) -> np.ndarray:
     return _as_cmatrices(np.asarray(a, dtype=np.complex128)[None])[0]
 
 
-def as_hermitian(a, tol: float = HERM_TOL) -> np.ndarray:
-    """Validate a square matrix as Hermitian at relative tolerance.
+def as_hermitian(a) -> np.ndarray:
+    """Validate a square matrix as Hermitian, relative to its own size.
 
     Raises:
-        NotHermitian: if the defect max|A - A*| exceeds tol * max(1, max|A|).
+        NotHermitian: if the defect max|A - A*| exceeds _tol(max|A|).
     """
-    return _as_hermitians(np.asarray(a, dtype=np.complex128)[None], tol)[0]
+    return _as_hermitians(np.asarray(a, dtype=np.complex128)[None])[0]
 
 
 def _ct(m: np.ndarray) -> np.ndarray:
@@ -66,12 +70,13 @@ def _as_cmatrices(a) -> np.ndarray:
     return m
 
 
-def _as_hermitians(a, tol: float = HERM_TOL) -> np.ndarray:
-    """as_hermitian over a stack; the message names the first failing member."""
+def _as_hermitians(a, magnitude=None, k: int = 1) -> np.ndarray:
+    """as_hermitian over a stack at _tol(magnitude, k), magnitude defaulting to
+    each member's max|entry|; the message names the first failing member."""
     m = _as_cmatrices(a)
     if m.shape[1] != m.shape[2]:
         raise NotHermitian(f"matrix is {m.shape[1]}x{m.shape[2]}, not square")
-    limit = tol * np.maximum(1.0, _absmax(m, (1, 2)))
+    limit = _tol(_absmax(m, (1, 2)) if magnitude is None else magnitude, k)
     defect = _absmax(m - _ct(m), (1, 2))
     bad = np.flatnonzero(defect > limit)
     if bad.size:
@@ -80,10 +85,11 @@ def _as_hermitians(a, tol: float = HERM_TOL) -> np.ndarray:
     return m
 
 
-def _as_projections(p, tol: float = PROJ_TOL) -> np.ndarray:
-    """as_projection over a stack; the message names the first failing member."""
-    m = _as_hermitians(p, tol)
-    limit = tol * np.maximum(1.0, _absmax(m, (1, 2)))
+def _as_projections(p, k: int = 1) -> np.ndarray:
+    """as_projection over a stack, both defects at _tol(max|P|, k); the message
+    names the first failing member."""
+    m = _as_hermitians(p, k=k)
+    limit = _tol(_absmax(m, (1, 2)), k)
     defect = np.max(np.abs(m @ m - m), axis=(1, 2))
     bad = np.flatnonzero(defect > limit)
     if bad.size:
@@ -119,7 +125,7 @@ def eigh(a) -> EigenPair:
     """Hermitian eigendecomposition with non-increasing eigenvalues.
 
     Args:
-        a: Hermitian matrix (validated at HERM_TOL).
+        a: Hermitian matrix (validated as by as_hermitian).
 
     Returns:
         EigenPair(values, vectors) with the residual
@@ -221,9 +227,9 @@ def _unitary_exp(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u
 
 
-def as_projection(p, tol: float = PROJ_TOL) -> np.ndarray:
-    """Validate P as an orthogonal projection (P = P* = P^2) at relative tol."""
-    return _as_projections(np.asarray(p, dtype=np.complex128)[None], tol)[0]
+def as_projection(p) -> np.ndarray:
+    """Validate P as an orthogonal projection (P = P* = P^2) at _tol(max|P|)."""
+    return _as_projections(np.asarray(p, dtype=np.complex128)[None])[0]
 
 
 def compress(a, p) -> CompressResult:

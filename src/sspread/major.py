@@ -21,6 +21,9 @@ raise ModeError. At unequal lengths, compact operands (compact SpreadSeq and
 TwoSidedSeq, Interleaved) are zero-padded to the longer length; plain arrays
 and matrix or diag operands raise HorizonMismatch. So every partial sum of
 both operands is compared.
+Every comparison is made at linalg._tol(size, k) over the k partial sums,
+size being the largest |entry| or |tail| of either operand, or the size of
+the matrices a verifier computed them from.
 """
 
 from __future__ import annotations
@@ -32,15 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import HorizonMismatch, ModeError
-from .spectra import TAIL_TOL, SpreadSeq, TwoSidedSeq, _eig_sides
-
-
-def maj_tol(b_inf, k: int):
-    """Comparison tolerance scaled to the bound's magnitude and horizon.
-
-    b_inf may be an array (one bound magnitude per row); so is the result.
-    """
-    return 1e-9 * np.maximum(1.0, np.abs(b_inf) * max(k, 1))
+from .linalg import _tol
+from .spectra import SpreadSeq, TwoSidedSeq, _eig_sides
 
 
 @dataclass(frozen=True)
@@ -86,15 +82,6 @@ class MajorizationReport:
             m = min(m, float(np.min(self.margins_lower)))
         return m
 
-    def holds_at(self, tol: float) -> bool:
-        """Re-judge the stored margins at a different tolerance."""
-        if self.tail_verdict == "tail_violated":
-            return False
-        ok = self.min_margin() >= -tol
-        if self.sum_defect is not None:
-            ok = ok and abs(self.sum_defect) <= tol
-        return ok
-
 
 def dec_rearrange(x) -> np.ndarray:
     """Decreasing rearrangement of a finite real multiset."""
@@ -138,25 +125,36 @@ class SubRows(NamedTuple):
     lower: np.ndarray | None = None
     defect: np.ndarray | None = None
 
-    def report(self, i: int, verdict: str = "conclusive", tol=None) -> MajorizationReport:
+    def report(self, i: int, verdict: str = "conclusive") -> MajorizationReport:
+        # argmin returns the first minimum and a lower margin must be strictly
+        # smaller to win, so ties go to the earliest upper index
+        upper = self.upper[i]
         lower = None if self.lower is None else self.lower[i]
-        defect = None if self.defect is None else float(self.defect[i])
-        return _finish("submajorization" if lower is None else "majorization", self.upper[i],
-                       lower, verdict, self.tol[i] if tol is None else tol, defect)
+        worst_k = int(np.argmin(upper)) + 1 if len(upper) else 1
+        worst = upper[worst_k - 1] if len(upper) else math.inf
+        if lower is not None and len(lower) and np.min(lower) < worst:
+            worst_k = -(int(np.argmin(lower)) + 1)
+        return MajorizationReport(
+            kind="submajorization" if lower is None else "majorization",
+            margins_upper=upper, margins_lower=lower,
+            holds=verdict != "tail_violated" and bool(self.holds[i]), worst_k=worst_k,
+            tail_verdict=verdict, tol=float(self.tol[i]),
+            sum_defect=None if self.defect is None else float(self.defect[i]),
+        )
 
 
 def _maj_rows(a: np.ndarray, b: np.ndarray, clip_a: bool = False, clip_b: bool = False,
-              b_inf=None, lower: bool = True, sums: bool = False) -> SubRows:
+              mag=None, lower: bool = True, sums: bool = False) -> SubRows:
     """Majorization a vs b on stacks of multisets (B, m) and (B, n).
 
     Partial sums compare over the first k = min(m, n) indices, each row at
-    maj_tol(its b_inf, k), b_inf defaulting to the row's max|b|. A clip flag
-    reads its side as a two-sided sequence of a clipping model; lower=False
-    judges submajorization, sums=True adds the classic total-sum condition.
+    _tol(mag, k), mag (B,) defaulting to the row's max|b|. A clip flag reads
+    its side as a two-sided sequence of a clipping model; lower=False judges
+    submajorization, sums=True adds the classic total-sum condition.
     """
     k = min(a.shape[-1], b.shape[-1])
     upper = _upper_sums(b, clip_b)[..., :k] - _upper_sums(a, clip_a)[..., :k]
-    tol = maj_tol(np.max(np.abs(b), axis=-1, initial=0.0) if b_inf is None else b_inf, k)
+    tol = _tol(np.max(np.abs(b), axis=-1, initial=0.0) if mag is None else mag, k)
     margin = np.min(upper, axis=-1, initial=math.inf)
     low = defect = None
     if lower:
@@ -170,9 +168,9 @@ def _maj_rows(a: np.ndarray, b: np.ndarray, clip_a: bool = False, clip_b: bool =
     return SubRows(upper, tol, margin, holds, low, defect)
 
 
-def _sub_rows(a: np.ndarray, b: np.ndarray, b_inf=None) -> SubRows:
+def _sub_rows(a: np.ndarray, b: np.ndarray, mag=None) -> SubRows:
     """submajorizes on stacks (B, k) of non-negative sequences or plain arrays."""
-    return _maj_rows(a, b, b_inf=b_inf, lower=False)
+    return _maj_rows(a, b, mag=mag, lower=False)
 
 
 def updown_rearrange(x, k: int | None = None) -> TwoSidedSeq:
@@ -237,40 +235,6 @@ def _values_and_tail(x) -> tuple[np.ndarray, float]:
     return np.asarray(x, dtype=float).ravel(), 0.0
 
 
-def _tail_verdict(a_tail, b_tail, a_settled, b_settled) -> str:
-    if a_tail is not None and b_tail is not None and a_tail > b_tail + TAIL_TOL:
-        return "tail_violated"
-    if a_settled and b_settled:
-        return "conclusive"
-    return "horizon_limited"
-
-
-def _finish(kind, upper, lower, verdict, tol, sum_defect=None) -> MajorizationReport:
-    # argmin returns the first minimum and a lower margin must be strictly
-    # smaller to win, so ties go to the earliest upper index
-    upper = np.asarray(upper, dtype=float)
-    worst_k = 1
-    worst = math.inf
-    if len(upper):
-        i = int(np.argmin(upper))
-        worst, worst_k = float(upper[i]), i + 1
-    if lower is not None:
-        lower = np.asarray(lower, dtype=float)
-        if len(lower):
-            i = int(np.argmin(lower))
-            if lower[i] < worst:
-                worst, worst_k = float(lower[i]), -(i + 1)
-    tol = float(tol)
-    holds = verdict != "tail_violated" and worst >= -tol
-    if sum_defect is not None:
-        holds = holds and abs(sum_defect) <= tol
-    return MajorizationReport(
-        kind=kind, margins_upper=upper, margins_lower=lower,
-        holds=bool(holds), worst_k=worst_k, tail_verdict=verdict, tol=tol,
-        sum_defect=sum_defect,
-    )
-
-
 def _side(x) -> tuple:
     """(multiset, clip, tail, settled, mode, two_sided) of one operand.
 
@@ -286,7 +250,7 @@ def _side(x) -> tuple:
     return np.asarray(x, dtype=float).ravel(), False, None, True, None, False
 
 
-def _relation(a, b, lower: bool, tol: float | None) -> MajorizationReport:
+def _relation(a, b, lower: bool) -> MajorizationReport:
     """The one alignment rule and judgement behind submajorizes and majorizes."""
     ma, clip_a, ta, sa, mode_a, two_a = _side(a)
     mb, clip_b, tb, sb, mode_b, two_b = _side(b)
@@ -302,23 +266,26 @@ def _relation(a, b, lower: bool, tol: float | None) -> MajorizationReport:
             raise HorizonMismatch(f"lengths {len(ma)} and {len(mb)} differ in {mode_a} mode")
         n = max(len(ma), len(mb))
         ma, mb = np.pad(ma, (0, n - len(ma))), np.pad(mb, (0, n - len(mb)))
-    b_inf = max(float(np.max(np.abs(mb), initial=0.0)), abs(tb or 0.0))
-    rows = _maj_rows(ma[None], mb[None], clip_a, clip_b, [b_inf], lower,
+    mag = max(float(np.max(np.abs(np.concatenate([ma, mb])), initial=0.0)),
+              abs(ta or 0.0), abs(tb or 0.0))
+    rows = _maj_rows(ma[None], mb[None], clip_a, clip_b, np.array([mag]), lower,
                      sums=lower and not two_a)
-    return rows.report(0, _tail_verdict(ta, tb, sa, sb), tol)
+    if ta is not None and tb is not None and ta > tb + _tol(mag):
+        return rows.report(0, "tail_violated")
+    return rows.report(0, "conclusive" if sa and sb else "horizon_limited")
 
 
-def submajorizes(a, b, tol: float | None = None) -> MajorizationReport:
+def submajorizes(a, b) -> MajorizationReport:
     """Weak submajorization a <=_w b with margin bookkeeping.
 
     Margins are the bound's upper partial sums minus the candidate's; the
     relation holds when every margin clears -tol and the tails are
-    compatible. Operands align by the rule of the module docstring.
+    compatible. Operands align, and tol follows, the module docstring.
     """
-    return _relation(a, b, False, tol)
+    return _relation(a, b, False)
 
 
-def majorizes(a, b, tol: float | None = None) -> MajorizationReport:
+def majorizes(a, b) -> MajorizationReport:
     """Majorization a <= b: upper and lower partial-sum conditions.
 
     For one-sided operands (plain arrays, SpreadSeqs) this is classic
@@ -327,7 +294,7 @@ def majorizes(a, b, tol: float | None = None) -> MajorizationReport:
     relation: b's upper sums dominate and b's lower sums are dominated, with
     no total-sum condition. Operands align as for submajorizes.
     """
-    return _relation(a, b, True, tol)
+    return _relation(a, b, True)
 
 
 def ky_fan(a, k: int) -> float:

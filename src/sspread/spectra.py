@@ -23,8 +23,6 @@ import numpy as np
 from . import linalg
 from .errors import HorizonMismatch, InsufficientSampling, ModeError
 
-TAIL_TOL = 1e-9
-
 MODES = ("matrix", "compact", "diag")
 
 
@@ -56,27 +54,26 @@ class TwoSidedSeq:
         _check_mode(self.mode)
         if len(self.pos) != self.K or len(self.neg) != self.K:
             raise ValueError(f"arrays must have length K={self.K}")
-        slack = 1e-12 * max(1.0, _absmax(self.pos), _absmax(self.neg))
+        slack = _slack(self.pos, self.neg, self.pos_tail, self.neg_tail)
         if np.any(np.diff(self.pos) > slack):
             raise ValueError("pos side must be non-increasing")
         if np.any(np.diff(self.neg) < -slack):
             raise ValueError("neg side must be non-decreasing")
         if self.mode != "matrix" and np.any(self.neg > self.pos + slack):
             raise ValueError("ordering neg[i] <= pos[i] violated")
-        if self.pos_tail is not None and self.K > 0:
-            if self.pos[-1] < self.pos_tail - TAIL_TOL:
-                raise ValueError("pos side dips below its declared tail")
-        if self.neg_tail is not None and self.K > 0:
-            if self.neg[-1] > self.neg_tail + TAIL_TOL:
-                raise ValueError("neg side rises above its declared tail")
+        if self.pos_tail is not None and self.K > 0 and self.pos[-1] < self.pos_tail - slack:
+            raise ValueError("pos side dips below its declared tail")
+        if self.neg_tail is not None and self.K > 0 and self.neg[-1] > self.neg_tail + slack:
+            raise ValueError("neg side rises above its declared tail")
 
     def settled(self) -> bool:
         """True when entries beyond the horizon are pinned to the tails."""
         if self.mode in ("matrix", "compact"):
             return True
+        slack = _slack(self.pos, self.neg, self.pos_tail, self.neg_tail)
         return bool(
-            self.pos[-1] <= self.pos_tail + TAIL_TOL
-            and self.neg[-1] >= self.neg_tail - TAIL_TOL
+            self.pos[-1] <= self.pos_tail + slack
+            and self.neg[-1] >= self.neg_tail - slack
         )
 
 
@@ -91,7 +88,7 @@ class SpreadSeq:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         _check_mode(self.mode)
-        slack = 1e-12 * max(1.0, _absmax(self.values))
+        slack = _slack(self.values, self.tail)
         if np.any(self.values < -slack):
             raise ValueError("spread values must be non-negative")
         if np.any(np.diff(self.values) > slack):
@@ -105,7 +102,8 @@ class SpreadSeq:
     def settled(self) -> bool:
         if self.mode in ("matrix", "compact"):
             return True
-        return bool(len(self.values) == 0 or self.values[-1] <= self.tail + TAIL_TOL)
+        return bool(len(self.values) == 0
+                    or self.values[-1] <= self.tail + _slack(self.values, self.tail))
 
     def padded(self, k: int) -> np.ndarray:
         """Values zero-padded to length k (compact mode only)."""
@@ -186,8 +184,9 @@ GENERATORS = {
 }
 
 
-def _absmax(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if len(a) else 0.0
+def _slack(*parts) -> float:
+    """linalg._tol of a sequence's size: the largest |entry| of its arrays and tails."""
+    return linalg._tol(max(float(np.max(np.abs(p), initial=0.0)) for p in parts if p is not None))
 
 
 def matrix_scale(a) -> TwoSidedSeq:

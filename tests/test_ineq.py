@@ -57,14 +57,16 @@ def test_positive_gate():
     gate = ineq._positive_gate
     assert gate(linalg._eigvalsh(_pos(4, 3))) is True
     assert gate(np.array([])) is True
-    # the gate is relative: -POS_GATE * max(1, max|w|) still passes
-    edge = ineq.POS_GATE * 100.0
+    # the gate is relative: -_tol(max|w|) still passes
+    edge = linalg._tol(100.0)
     assert gate(np.array([100.0, -edge])) is True
     assert gate(np.array([100.0, -0.9 * edge])) is True
     assert gate(np.array([100.0, -2.0 * edge])) is False
-    # below unit scale the edge is absolute
-    assert gate(np.array([0.5, -0.9 * ineq.POS_GATE])) is True
-    assert gate(np.array([0.5, -2.0 * ineq.POS_GATE])) is False
+    # below unit scale the edge stays relative, with no absolute floor
+    small = linalg._tol(0.5)
+    assert gate(np.array([0.5, -0.9 * small])) is True
+    assert gate(np.array([0.5, -2.0 * small])) is False
+    assert gate(1e-12 * np.array([0.5, -1e-3])) is False
     with pytest.raises(NotPositive, match=r"^root \(-2\.000e-08\)$"):
         gate(np.array([100.0, -2e-8]), "root ({:.3e})")
     # the same edge reached through a verifier's values-only spectrum

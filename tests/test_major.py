@@ -24,7 +24,7 @@ from sspread import (
     submajorizes,
     updown_rearrange,
 )
-from sspread.major import maj_tol
+from sspread.linalg import _tol
 from sspread.rng import Stream
 
 
@@ -41,10 +41,17 @@ def pooled_lower(multiset, k):
     return sum(pool[:k])
 
 
-def test_maj_tol_scaling():
-    assert maj_tol(2.0, 5) == pytest.approx(1e-8)
-    assert maj_tol(0.1, 3) == pytest.approx(1e-9)
-    assert maj_tol(0.0, 0) == pytest.approx(1e-9)
+def test_tol_scaling():
+    # one rule at every scale: proportional to magnitude and index count,
+    # with no absolute floor below unit scale
+    assert _tol(2.0, 5) == pytest.approx(1e-11)
+    assert _tol(0.1, 3) == pytest.approx(3e-13)
+    assert _tol(2e-10, 3) == pytest.approx(1e-9 * _tol(0.2, 3))
+    assert _tol(0.0, 0) == 0.0
+    assert np.allclose(_tol(np.array([1.0, 1e-8]), 4), [4e-12, 4e-20], rtol=1e-15, atol=0.0)
+    # a relation's report carries the tolerance of its operands' size
+    assert submajorizes([1.0, 0.5], [3.0, 0.0]).tol == pytest.approx(_tol(3.0, 2))
+    assert not submajorizes([2e-10], [1e-10]).holds
 
 
 def test_dec_rearrange():
@@ -298,13 +305,6 @@ def test_diag_horizon_limited(relation):
     rep = relation(spike, bound)
     assert rep.holds
     assert rep.tail_verdict == "horizon_limited"  # spike never settles
-
-
-def test_holds_at_rejudges_margins():
-    rep = submajorizes([1.0 + 5e-7, 0.0], [1.0, 0.0])
-    assert not rep.holds
-    assert rep.holds_at(1e-6)
-    assert not rep.holds_at(1e-8)
 
 
 def test_worst_k_signs():
