@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -99,7 +100,8 @@ def parse_complex(tok: str) -> complex:
 
 def format_complex(z: complex) -> str:
     re, im = float(z.real), float(z.imag)
-    sign = "+" if im >= 0 or im != im else "-"
+    # the sign bit, so that -0.0 survives a round trip through parse_complex
+    sign = "-" if math.copysign(1.0, im) < 0 else "+"
     return f"{re!r}{sign}{abs(im)!r}i"
 
 

@@ -51,6 +51,7 @@ from .linalg import (
     _diag,
     _eigh,
     _eigvalsh,
+    _herm_sv,
     _opnorm,
     _pad,
     _sv_array,
@@ -304,7 +305,8 @@ def _commutator_sv(a, x) -> Rows:
     xm = _as_hermitians(x)
     _same_shape(am, xm)
     d = am.shape[-1]
-    lhs = _pad(_sv_array(am @ xm - xm @ am), 4 * d)
+    # s(AX - XA) = s(i[A, X]), and i[A, X] is Hermitian
+    lhs = _pad(_herm_sv(_eigvalsh(1j * (am @ xm - xm @ am))), 4 * d)
     wa, wx = _eigvalsh(am), _eigvalsh(xm)
     rhs = 0.5 * (_spr_sum(wa, wa) * _spr_sum(wx, wx))
     mag = _size(wa) * _size(wx)
@@ -373,7 +375,7 @@ def _unitary_conj(a, x) -> Rows:
     d = am.shape[-1]
     wx, vx = _eigh(xm)
     u = _unitary_exp(wx, vx)
-    lhs = _pad(_sv_array(am - _ct(u) @ am @ u), 4 * d)
+    lhs = _pad(_herm_sv(_eigvalsh(am - _ct(u) @ am @ u)), 4 * d)
     wa = _eigvalsh(am)
     rhs = 0.5 * (_spr_sum(wx, wx) * _spr_sum(wa, wa))
     # ||A|| alone: U = e^{iX} has norm 1 at every scale of X
@@ -421,7 +423,9 @@ def _agm_pair(s, c, e1, e2=None) -> Rows:
     d = p.shape[-1]
     k = 4 * d
     pair = sm @ e1m @ cm + cm @ e2m @ sm
-    lhs = _pad(_sv_array(pair), k)
+    # with E2 = E1 the pair SEC + CES = SEC + (SEC)* is Hermitian
+    s_pair = _herm_sv(_eigvalsh(pair)) if same else _sv_array(pair)
+    lhs = _pad(s_pair, k)
     w1 = _eigvalsh(p @ e1m @ p)
     w2 = w1 if same else _eigvalsh(p @ e2m @ p)
     mag = _size(e1m, e2m)
@@ -429,9 +433,9 @@ def _agm_pair(s, c, e1, e2=None) -> Rows:
     rows = Rows("agm_pair", "compact", sub.holds, sub.margin, (sm, cm, e1m, e2m), sub)
     if not same:
         return rows
-    se = _sv_array(e1m)
-    coro = _sub_rows(_pad(_sv_array(pair / 2.0), 2 * d), 0.5 * _pad(se, 2 * d), mag)
     we = _eigvalsh(e1m)
+    se = _herm_sv(we)
+    coro = _sub_rows(_pad(s_pair / 2.0, 2 * d), 0.5 * _pad(se, 2 * d), mag)
     doubled = 2.0 * _pad(se, 4 * d)
     defect = np.max(np.abs(_spr_sum(we, -we, k=4 * d) - doubled), axis=-1)
     id_ok = defect <= _tol(_size(doubled))
@@ -449,8 +453,8 @@ def _agm_compact(s, c, e) -> Rows:
     _same_shape(p, em)
     k = 2 * em.shape[-1]
     s_sec = _sv_array(sm @ em @ _ct(cm))
-    s_e = _sv_array(em)
     w_e = _eigvalsh(em)
+    s_e = _herm_sv(w_e)
     mag = _size(w_e)
     rhs = _spr_sum(w_e, k=k)
     sub = _sub_rows(2.0 * _pad(s_sec, k), rhs, mag)
@@ -515,7 +519,7 @@ def _agm_general(a, b, e) -> Rows:
     cross = {}
     if positive.size:
         eroot = _psd_root(*_eigh(em[positive]))
-        cross_rhs = _pad(_sv_array(eroot @ f2[positive] @ eroot), k)
+        cross_rhs = _pad(_herm_sv(_eigvalsh(eroot @ f2[positive] @ eroot)), k)
         rows = _sub_rows(2.0 * lhs[positive], cross_rhs, mag[positive])
         cross = dict(zip(positive.tolist(), rows.holds.tolist()))
         ok[positive] &= rows.holds
@@ -536,7 +540,7 @@ def _zhan(e, f) -> Rows:
     _same_shape(em, fm)
     k = 4 * em.shape[-1]
     we, wf = _eigvalsh(em), _eigvalsh(fm)
-    sub = _sub_rows(_pad(_sv_array(em - fm), k), _spr_sum(we, wf, k=k), _size(we, wf))
+    sub = _sub_rows(_pad(_herm_sv(_eigvalsh(em - fm)), k), _spr_sum(we, wf, k=k), _size(we, wf))
     return Rows("zhan", "compact", sub.holds, sub.margin, (em, fm), sub)
 
 
@@ -594,7 +598,7 @@ def _kittaneh_positive(c, d, x) -> Rows:
         raise DimMismatch(f"X is {xm.shape[1:]}, expected {(cm.shape[-1], dm.shape[-1])}")
     lhs = _sv_array(cm @ xm - xm @ dm)
     top = _opnorm(xm)
-    s_cd = np.sort(np.concatenate([_sv_array(cm), _sv_array(dm)], axis=-1), axis=-1)[..., ::-1]
+    s_cd = _herm_sv(np.concatenate([wc, wd], axis=-1))
     rhs = top[:, None] * s_cd[:, : lhs.shape[-1]]  # ||X|| s(C oplus D)
     margins = rhs - lhs
     ok, low = _entrywise(margins, _size(wc, wd) * top)
@@ -606,7 +610,7 @@ def _bhatia_kittaneh(a, b) -> Rows:
     bm = _as_cmatrices(b)
     _same_shape(am, bm)
     lhs = 2.0 * _sv_array(am @ _ct(bm))
-    s_f = _sv_array(_ct(am) @ am + _ct(bm) @ bm)
+    s_f = _herm_sv(_eigvalsh(_ct(am) @ am + _ct(bm) @ bm))
     margins = s_f[:, : lhs.shape[-1]] - lhs
     ok, low = _entrywise(margins, _size(s_f))  # a sum of positives cannot cancel
     return Rows("control_bhatia_kittaneh", "matrix", ok, low, (am, bm), entrywise=(margins, ok))
@@ -618,7 +622,7 @@ def _strict_gap(e) -> Rows:
     edge = _tol(_size(w))
     if not (w.shape[-1] and np.all((w[:, 0] > edge) & (w[:, -1] < -edge))):
         raise NotPositive("an indefinite operator (both signs present) is required")
-    fro = _schatten_rows(_sv_array(em), 2)
+    fro = _schatten_rows(_herm_sv(w), 2)
     g2 = _schatten_rows(_spr_sum(w), 2)
     margin = g2 - fro
     return Rows("control_strict_gap", "compact", margin > _tol(fro), margin, (em,),

@@ -19,6 +19,14 @@ LAPACK's values-only Hermitian driver (`_eigvalsh`). Eigenvectors (`_eigh`)
 are computed only for functional calculus: square roots, the e^{iX} of the
 unitary-conjugation verifier, and compressions; a matrix whose root is taken
 only when it is positive is gated on its eigenvalues first.
+
+Singular values come from LAPACK's SVD (`_sv_array`), except that a
+Hermitian operand's singular values are |eigenvalues| from the values-only
+eigensolver (`_herm_sv(_eigvalsh(m))`), with the same absolute accuracy
+eps * s_1. An operand that is i times Hermitian goes there as i * m, and one
+that is Hermitian only up to rounding (a computed commutator, A - U*AU) goes
+there as it is, neither symmetrized nor gated: the eigensolver reads one
+triangle.
 """
 
 from __future__ import annotations
@@ -163,7 +171,9 @@ def sv_array(x) -> np.ndarray:
 
     Computed by LAPACK's SVD (values only), so small singular values are
     accurate to machine precision relative to s_1(X). Square roots of the
-    eigenvalues of X*X would only be accurate to sqrt(eps) * s_1(X).
+    eigenvalues of X*X would only be accurate to sqrt(eps) * s_1(X). Inside
+    the package a Hermitian operand takes |eigenvalues| from the values-only
+    Hermitian eigensolver instead, with the same absolute accuracy eps * s_1.
 
     Raises:
         NoConvergence: the SVD did not converge.
@@ -177,6 +187,12 @@ def _sv_array(m: np.ndarray) -> np.ndarray:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
+
+
+def _herm_sv(w: np.ndarray) -> np.ndarray:
+    """Singular values of Hermitian matrices from their eigenvalues w (..., d):
+    |w| in non-increasing order along the last axis, as _sv_array gives them."""
+    return np.sort(np.abs(w), axis=-1)[..., ::-1].copy()
 
 
 def opnorm(x) -> float:

@@ -37,9 +37,10 @@ def splitmix64(seed: int, counter: int) -> int:
 
 # normal_pair evaluates 2.0 * math.pi * u2 left to right, i.e. _TWO_PI * u2
 _TWO_PI = 2.0 * math.pi
-# numpy uint64 twins of the constants and shifts, built once
-_U_GOLDEN, _U_MIX1, _U_MIX2 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
-_U11, _U27, _U30, _U31 = (np.uint64(k) for k in (11, 27, 30, 31))
+# numpy uint64 twins of the constants and shifts, built once as 0-d arrays,
+# which numpy's ufuncs take faster than numpy scalars
+_U_GOLDEN, _U_MIX1, _U_MIX2, _U11, _U27, _U30, _U31 = (
+    np.array(k, dtype=np.uint64) for k in (_GOLDEN, _MIX1, _MIX2, 11, 27, 30, 31))
 
 
 def _splitmix64_block(seed, counter: int, n: int) -> np.ndarray:
@@ -48,17 +49,18 @@ def _splitmix64_block(seed, counter: int, n: int) -> np.ndarray:
     seed is an int, giving shape (n,), or a 1-d uint64 array of B seeds,
     giving (B, n) with row b the block of seed b.
     """
-    z = np.arange(n, dtype=np.uint64)
+    # (counter + 1 + i) * GOLDEN, wrapping mod 2^64 as the scalar form's mask
+    z = np.arange(counter + 1, counter + 1 + n, dtype=np.uint64)
     z *= _U_GOLDEN
-    z += np.uint64(((counter + 1) * _GOLDEN) & _MASK)
     if not isinstance(seed, np.ndarray):
         seed = np.array(seed & _MASK, dtype=np.uint64)
     z = seed[..., None] + z
-    z ^= z >> _U30
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, _U30, out=shifted)
     z *= _U_MIX1
-    z ^= z >> _U27
+    z ^= np.right_shift(z, _U27, out=shifted)
     z *= _U_MIX2
-    z ^= z >> _U31
+    z ^= np.right_shift(z, _U31, out=shifted)
     return z
 
 

@@ -46,6 +46,18 @@ def test_format_parse_roundtrip_random():
     assert np.array_equal(parsed, m)  # bit-exact via repr round-trip
 
 
+def test_format_parse_roundtrip_signed_zeros():
+    # a negative zero keeps its sign bit in the real and the imaginary part
+    zeros = (0.0, -0.0)
+    m = np.array([[complex(re, im) for re in zeros for im in zeros]] * 4)
+    assert cli.format_complex(complex(2.0, -0.0)) == "2.0-0.0i"
+    assert cli.format_complex(complex(-0.0, 0.0)) == "-0.0+0.0i"
+    parsed, _ = cli.parse_matrix_text(cli.write_matrix_text(m))
+    assert np.array_equal(np.signbit(parsed.real), np.signbit(m.real))
+    assert np.array_equal(np.signbit(parsed.imag), np.signbit(m.imag))
+    assert parsed.tobytes() == m.tobytes()
+
+
 def test_matrix_text_mode_directive_and_comments():
     text = "# a comment\nmode: matrix\ndim 2\n1 0 # trailing\n0 1\n"
     parsed, mode = cli.parse_matrix_text(text)

@@ -1,6 +1,7 @@
 """Inequality verifiers: equality cases, hand oracles, documented failures."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -212,6 +213,48 @@ def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
     assert seen["eigh"] and seen["svd"]
     # agm_general ran with both a positive and a non-positive E
     assert 0 in positive_e and 1 in positive_e
+
+
+def test_no_svd_of_a_hermitian_operand(monkeypatch):
+    # a Hermitian operand's singular values are |eigenvalues| from the
+    # values-only eigensolver, and s(iH) = s(H): no call site hands the SVD
+    # matrices that are all Hermitian, or all i times Hermitian, at
+    # _tol(max|entry|). A site is judged over every operand it is handed,
+    # because one instance can be Hermitian by accident: with a rank-1
+    # splitting (S, C sharing their left singular vector) SEC* is a real
+    # multiple of vv*
+    handed = {}
+    real_sv = linalg._sv_array
+
+    def sv_array(m):
+        caller = sys._getframe(1)
+        site = (caller.f_code.co_filename, caller.f_lineno)
+        handed.setdefault(site, []).extend(_members(m))
+        return real_sv(m)
+
+    for mod in (linalg, ineq):
+        monkeypatch.setattr(mod, "_sv_array", sv_array)
+    runs = [(entry.check, trial_args(entry.id, seed, (2, 8)))
+            for entry in VERIFIERS.values() for seed in range(5)]
+    # both branches of agm_pair (E2 given or not) and of the positive-E
+    # extras of agm_compact and agm_general
+    s, c, e1, _ = trial_args("agm_pair", 11, (6, 6))
+    runs += [("check_agm_pair", (s, c, e1, None)), ("check_agm_pair", (s, c, e1, _herm(6, 5)))]
+    s, c, _ = trial_args("agm_compact", 11, (6, 6))
+    runs += [("check_agm_compact", (s, c, _pos(6, 1))), ("check_agm_compact", (s, c, _herm(6, 2)))]
+    a, b, _ = trial_args("agm_general", 11, (6, 6))
+    runs += [("check_agm_general", (a, b, _pos(6, 3))), ("check_agm_general", (a, b, _herm(6, 4)))]
+    for name, args in runs:
+        getattr(ineq, name)(*args)
+    assert handed
+
+    def symmetric(m, sign):  # m = sign * m*, at the operand's own scale
+        return (m.shape[0] == m.shape[1]
+                and np.max(np.abs(m - sign * m.conj().T)) <= linalg._tol(np.max(np.abs(m))))
+
+    for site, mats in handed.items():
+        for sign in (1, -1):
+            assert not all(symmetric(m, sign) for m in mats), (site, sign, len(mats))
 
 
 def test_tao_positive_bad_split():

@@ -20,8 +20,9 @@ from sspread import (
     sv_array,
     svd_values,
 )
-from sspread import linalg
+from sspread import harness, linalg
 from sspread.harness import GenSpec, generate
+from sspread.rng import Stream
 
 
 def _herm(d, seed, scale=1.0):
@@ -90,6 +91,29 @@ def test_eigvalsh_matches_eigh_values(d):
         assert w.shape == (d,) and np.all(np.diff(w) <= 0.0)
         tol = 32 * np.finfo(float).eps * float(np.max(np.abs(ref)))
         assert float(np.max(np.abs(w - ref))) <= tol
+
+
+@pytest.mark.parametrize("d", [*range(2, 9), *range(32, 65)])
+def test_herm_sv_matches_sv_array(d):
+    # a Hermitian operand's singular values as |eigenvalues| from the
+    # values-only eigensolver agree with the SVD to 32 ulps of s_1 at every
+    # scale, the accuracy sv_array promises (not sqrt(eps) * s_1): on
+    # Hermitian stacks, on computed commutators [H, X] (skew-Hermitian up to
+    # rounding) through i[H, X], and on Gram sums A*A + B*B
+    stream = Stream(np.arange(3, dtype=np.uint64) + 1000 * d)
+    g, a, b = (harness._crandn(stream, d, d) for _ in range(3))
+    x = harness._hermitian(stream, d)
+    for scale in (1e-6, 1.0, 1e6):
+        herm = scale * (g + linalg._ct(g)) / 2.0
+        skew = herm @ x - x @ herm
+        gram = linalg._ct(scale * a) @ (scale * a) + linalg._ct(scale * b) @ (scale * b)
+        for m, h in ((herm, herm), (skew, 1j * skew), (gram, gram)):
+            got = linalg._herm_sv(linalg._eigvalsh(h))
+            ref = linalg._sv_array(m)
+            assert got.shape == ref.shape == (3, d)
+            assert np.all(np.diff(got, axis=-1) <= 0.0)
+            tol = 32 * np.finfo(float).eps * ref[:, :1]
+            assert np.all(np.abs(got - ref) <= tol), scale
 
 
 @pytest.mark.parametrize("d", [*range(2, 9), *range(32, 65)])

@@ -9,10 +9,11 @@ break across BLAS builds; criterion 5 only compares two runs with each other.
 """
 
 import json
+import math
 
 import pytest
 
-from sspread import cli
+from sspread import cli, harness, ineq, linalg
 
 # id: (failures, worst_seed, worst_margin)
 FUZZ = {
@@ -38,7 +39,7 @@ FUZZ = {
     "equiv_compact2": (0, 16391929014852575892, 0.008642609973949167),
     "control_kittaneh": (0, 12768544984176317161, 1.0421152035014902),
     "control_bhatia_kittaneh": (0, 9095065823743835211, 0.05836764729561561),
-    "control_strict_gap": (0, 9095065823743835211, 0.2928932188134523),
+    "control_strict_gap": (0, 5492700368183686452, 0.2928932188134523),
 }
 
 # name: worst_margin; every property holds
@@ -110,3 +111,16 @@ def test_suite_repros_and_verdict(report):
         (ex, True) for ex in REPROS
     ]
     assert report["holds"] is True
+
+
+def test_control_strict_gap_worst_seed_is_a_tie():
+    # every d = 2 trial whose eigenvalues both sit at the family's clamp,
+    # +-1/2, has margin 1 - 1/sqrt(2) in exact arithmetic, so rounding picks
+    # the worst_seed among them: the seed an SVD of E picked and the one
+    # |eigenvalues of E| pick are both such trials, as is the worst_seed of
+    # `fuzz control_strict_gap --trials 500 --seed 1`
+    for seed in (9095065823743835211, FUZZ["control_strict_gap"][1], 5224829058895712923):
+        (e,) = harness.trial_args("control_strict_gap", seed, (2, 8))
+        assert e.shape == (2, 2)
+        extras = ineq.control_strict_gap(e).extras
+        assert abs(extras["margin"] - (1.0 - 1.0 / math.sqrt(2.0))) <= linalg._tol(extras["fro"])

@@ -3,6 +3,7 @@
 Usage, from any directory:
 
     python3 tools/report_digests.py > digests.txt
+    python3 tools/report_digests.py --out DIR > digests.txt
 
 Runs, in this process and from the repository root:
 
@@ -13,10 +14,14 @@ Runs, in this process and from the repository root:
 and prints one line per command: the argv, the exit code and the sha256 of
 stdout. Two trees give the same reports when their outputs are equal, e.g.
 `diff <(python3 A/tools/report_digests.py) <(python3 B/tools/report_digests.py)`.
+With --out DIR, each command's stdout is also written to DIR, one file per
+command named after its argv (e.g. `fuzz_zhan_--trials_500_--seed_1_--json.txt`),
+so that two trees' reports can be compared field by field with `diff -r`.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -39,18 +44,33 @@ def commands() -> list[list[str]]:
     return out + [list(argv) for argv, _ in SHORT_COMMANDS]
 
 
-def digest(argv: list[str]) -> tuple[int, str]:
+def report(argv: list[str]) -> tuple[int, str]:
+    """The exit code and stdout of one in-process CLI call."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return code, buf.getvalue()
 
 
-def main() -> None:
+def file_name(argv: list[str]) -> str:
+    """A file name for argv's report: its words joined by '_', path
+    separators replaced."""
+    return "_".join(argv).replace("/", "-") + ".txt"
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, help="also write each command's stdout here")
+    args = parser.parse_args(argv)
+    out = None if args.out is None else args.out.resolve()
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     os.chdir(ROOT)
-    for argv in commands():
-        code, sha = digest(argv)
-        print(" ".join(argv), code, sha)
+    for cmd in commands():
+        code, text = report(cmd)
+        if out is not None:
+            (out / file_name(cmd)).write_text(text)
+        print(" ".join(cmd), code, hashlib.sha256(text.encode()).hexdigest())
 
 
 if __name__ == "__main__":
