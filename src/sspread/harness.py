@@ -72,37 +72,63 @@ class FuzzSummary:
     runtime_ms: float
 
 
-def _crandn(stream: Stream, rows: int, cols: int) -> np.ndarray:
-    """i.i.d. standard complex Gaussian entries, row-major draw order.
+def _crandns(stream: Stream, *shapes: tuple[int, int]) -> list[np.ndarray]:
+    """i.i.d. standard complex Gaussian matrices of these (rows, cols) shapes,
+    row-major draw order, from one normals call.
 
-    One block of 2m normals, m = n rounded up to even, is the stream that two
-    normals(n) calls (real parts, then imaginary parts) would consume. Like
-    every generator here, it returns one matrix on the scalar stream and a
-    stack (B, rows, cols) on a batch of B seeds.
+    A matrix of n entries takes a block of 2m normals, m = n rounded up to
+    even: the stream that two normals(n) calls (real parts, then imaginary
+    parts) would consume. Each block is a multiple of 4 words, so the
+    Box-Muller pairs of one call over all the blocks are those of one call
+    per block, and the matrices are those of _crandn calls in turn. Like
+    every generator here, each is one matrix on the scalar stream and a stack
+    (B, rows, cols) on a batch of B seeds.
     """
-    n = rows * cols
-    m = n + (n & 1)
-    z = np.asarray(stream.normals(2 * m))
-    g = (z[..., :n] + 1j * z[..., m:m + n]) / math.sqrt(2.0)
-    return g.reshape(stream.shape + (rows, cols))
+    sizes = [rows * cols for rows, cols in shapes]
+    evens = [n + (n & 1) for n in sizes]
+    z = np.asarray(stream.normals(2 * sum(evens)))
+    out = []
+    at = 0
+    for (rows, cols), n, m in zip(shapes, sizes, evens):
+        g = (z[..., at:at + n] + 1j * z[..., at + m:at + m + n]) / math.sqrt(2.0)
+        out.append(g.reshape(stream.shape + (rows, cols)))
+        at += 2 * m
+    return out
 
 
-def _hermitian(stream: Stream, d: int, scale: float = 1.0) -> np.ndarray:
-    g = _crandn(stream, d, d)
+def _crandn(stream: Stream, rows: int, cols: int) -> np.ndarray:
+    """One complex Gaussian matrix (or stack), as _crandns draws it."""
+    return _crandns(stream, (rows, cols))[0]
+
+
+def _herm(g: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """The Hermitian matrix of a Gaussian draw g."""
     return scale * (g + _ct(g)) / 2.0
 
 
-def _positive(stream: Stream, d: int, scale: float = 1.0) -> np.ndarray:
-    g = _crandn(stream, d, d)
+def _psd(g: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """The positive matrix of a Gaussian draw g."""
     return scale * (_ct(g) @ g)
 
 
-def _unitary(stream: Stream, d: int) -> np.ndarray:
-    g = _crandn(stream, d, d)
+def _hermitian(stream: Stream, d: int, scale: float = 1.0) -> np.ndarray:
+    return _herm(_crandn(stream, d, d), scale)
+
+
+def _positive(stream: Stream, d: int, scale: float = 1.0) -> np.ndarray:
+    return _psd(_crandn(stream, d, d), scale)
+
+
+def _haar(g: np.ndarray) -> np.ndarray:
+    """The unitary of a Gaussian draw g, or of a stack of draws."""
     q, r = np.linalg.qr(g)
     ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     ph = np.where(np.abs(ph) > 0, ph / np.abs(ph), 1.0)
     return q * ph[..., None, :]  # fixes the phase so the factorization is unique
+
+
+def _unitary(stream: Stream, d: int) -> np.ndarray:
+    return _haar(_crandn(stream, d, d))
 
 
 def _lead(rank, d: int) -> np.ndarray:
@@ -114,7 +140,7 @@ def _projection(stream: Stream, d: int, rank=None) -> np.ndarray:
     if rank is None:
         rank = 1 if d == 1 else stream.randint(1, d - 1)
     v = _unitary(stream, d)
-    return v @ _diag(_lead(rank, d)) @ _ct(v)
+    return (v * _lead(rank, d)[..., None, :]) @ _ct(v)
 
 
 def _partition(stream: Stream, d: int, rank=None,
@@ -126,13 +152,16 @@ def _partition(stream: Stream, d: int, rank=None,
     """
     if rank is None:
         rank = stream.randint(1, d)
-    v = _unitary(stream, d)
-    w = _ct(v) if positive else _unitary(stream, d)
+    if positive:
+        v = _unitary(stream, d)
+        w = _ct(v)
+    else:
+        v, w = _haar(np.stack(_crandns(stream, (d, d), (d, d))))
     theta = np.asarray(stream.uniforms(d)) * math.pi / 2.0
     mask = _lead(rank, d)
-    c = v @ _diag(np.cos(theta) * mask) @ w
-    s = v @ _diag(np.sin(theta) * mask) @ w
-    p = _ct(w) @ _diag(mask) @ w
+    c = (v * (np.cos(theta) * mask)[..., None, :]) @ w
+    s = (v * (np.sin(theta) * mask)[..., None, :]) @ w
+    p = (_ct(w) * mask[..., None, :]) @ w
     return c, s, p
 
 
@@ -344,27 +373,29 @@ def _fam_trace(stream: Stream, d: int):
     rank = stream.randint(1, d)
     v = _unitary(stream, d)
     w = np.where(_lead(rank, d) > 0.0, np.asarray(stream.normals(d)), 0.0)
-    a = v @ _diag(w) @ _ct(v)
+    a = (v * w[..., None, :]) @ _ct(v)
     return _whole(a, _hermitian(stream, d))
 
 
 def _fam_herm_pair(stream: Stream, d: int):
-    return _whole(_hermitian(stream, d), _hermitian(stream, d))
+    ga, gb = _crandns(stream, (d, d), (d, d))
+    return _whole(_herm(ga), _herm(gb))
 
 
 def _fam_mixed(stream: Stream, d: int):
-    return _by_n(stream, d, lambda sub, n: (
-        _hermitian(sub, d), _hermitian(sub, n), _crandn(sub, d, n)))
+    def draw(sub, n):
+        ga, gb, x = _crandns(sub, (d, d), (n, n), (d, n))
+        return _herm(ga), _herm(gb), x
+    return _by_n(stream, d, draw)
 
 
 def _fam_general_comm(stream: Stream, d: int):
-    return _by_n(stream, d, lambda sub, n: (
-        _crandn(sub, d, d), _crandn(sub, n, n), _crandn(sub, d, n)))
+    return _by_n(stream, d, lambda sub, n: tuple(_crandns(sub, (d, d), (n, n), (d, n))))
 
 
 def _fam_unitary(stream: Stream, d: int):
-    a = _hermitian(stream, d)
-    x = _hermitian(stream, d)
+    ga, gx = _crandns(stream, (d, d), (d, d))
+    a, x = _herm(ga), _herm(gx)
     nrm = _sv_array(x)[..., 0]
     # a zero X stays zero whatever it is scaled by
     scale = math.pi * np.asarray(stream.uniform()) / np.where(nrm > 0, nrm, 1.0)
@@ -385,8 +416,7 @@ def _fam_agm_pair(stream: Stream, d: int):
 
 
 def _fam_agm_general(stream: Stream, d: int):
-    a = _crandn(stream, d, d)
-    b = _crandn(stream, d, d)
+    a, b = _crandns(stream, (d, d), (d, d))
     e = np.empty_like(a)
     for positive, rows in _split(stream.uniform() < 0.5):
         e[rows] = (_positive if positive else _hermitian)(stream.take(rows), d)
@@ -403,23 +433,26 @@ def _fam_equiv5(stream: Stream, d: int):
 
 
 def _fam_equiv_c2(stream: Stream, d: int):
-    return _whole(_crandn(stream, d, d), _crandn(stream, d, d), _hermitian(stream, d))
+    a, b, ge = _crandns(stream, (d, d), (d, d), (d, d))
+    return _whole(a, b, _herm(ge))
 
 
 def _fam_control_kittaneh(stream: Stream, d: int):
-    return _by_n(stream, d, lambda sub, n: (
-        _positive(sub, d), _positive(sub, n), _crandn(sub, d, n)))
+    def draw(sub, n):
+        gc, gd, x = _crandns(sub, (d, d), (n, n), (d, n))
+        return _psd(gc), _psd(gd), x
+    return _by_n(stream, d, draw)
 
 
 def _fam_control_bk(stream: Stream, d: int):
-    return _whole(_crandn(stream, d, d), _crandn(stream, d, d))
+    return _whole(*_crandns(stream, (d, d), (d, d)))
 
 
 def _fam_control_gap(stream: Stream, d: int):
     w, v = linalg._eigh(_hermitian(stream, d))
     w[..., 0] = np.maximum(w[..., 0], 0.5)
     w[..., -1] = np.minimum(w[..., -1], -0.5)
-    return _whole(v @ _diag(w) @ _ct(v))
+    return _whole((v * w[..., None, :]) @ _ct(v))
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +700,7 @@ def _d_eigh(stream: Stream, d: int):
     if forced.size:
         # force eigenvalue multiplicities
         w, v = linalg._eigh(a[forced])
-        b = v @ _diag(np.round(w)) @ _ct(v)
+        b = (v * np.round(w)[..., None, :]) @ _ct(v)
         a[forced] = (b + _ct(b)) / 2.0
     return _whole(a)
 

@@ -19,7 +19,9 @@ builds row i's Verdict for every kernel alike. The public check_*/control_*
 function is its kernel on a batch of one, and harness.fuzz runs the kernels
 on groups of trials of equal shape. numpy runs LAPACK, matmul, sorts and
 partial sums member by member, so a row's numbers do not depend on the batch
-around it.
+around it, and a kernel that needs the eigenvalues of several stacks of one
+shape gets them from one _eigvalsh call over the stacks put together
+(_eigvalsh_each), after every gate and validation that precedes them.
 Every gate and comparison is made at linalg._tol of the input operands'
 size (e.g. ||A|| ||X|| for a commutator, read off a decomposition the kernel
 makes anyway), never of a computed bound, which can cancel.
@@ -48,7 +50,6 @@ from .linalg import (
     _as_hermitians,
     _as_projections,
     _ct,
-    _diag,
     _eigh,
     _eigvalsh,
     _herm_sv,
@@ -157,6 +158,15 @@ def _spr_sum(*eigs: np.ndarray, k: int | None = None) -> np.ndarray:
     return _eig_spread(merged, k)
 
 
+def _eigvalsh_each(*stacks: np.ndarray) -> np.ndarray:
+    """_eigvalsh of stacks of one shape (B, d, d) in one call, split back:
+    (len(stacks), B, d), to unpack one spectrum stack per input stack. numpy
+    decomposes a stack member by member, so each spectrum has the bits of a
+    lone call."""
+    w = _eigvalsh(np.concatenate(stacks))
+    return w.reshape((len(stacks),) + stacks[0].shape[:-1])
+
+
 def _positive_gate(w: np.ndarray, fail: str | None = None):
     """Positivity gate on non-increasing eigenvalues w (..., d) of Hermitian matrices.
 
@@ -165,8 +175,8 @@ def _positive_gate(w: np.ndarray, fail: str | None = None):
     message template, a failing spectrum raises instead:
     NotPositive(fail.format(smallest eigenvalue)) for the first that fails.
     """
-    ok = np.min(w, axis=-1, initial=math.inf) >= -_tol(_absmax(w, -1))
-    if fail is not None and not np.all(ok):
+    ok = w.min(axis=-1, initial=math.inf) >= -_tol(_absmax(w, -1))
+    if fail is not None and not ok.all():
         first = np.flatnonzero(~np.ravel(ok))[0]
         raise NotPositive(fail.format(w.reshape(-1, w.shape[-1])[first, -1]))
     return bool(ok) if w.ndim == 1 else ok
@@ -174,7 +184,7 @@ def _positive_gate(w: np.ndarray, fail: str | None = None):
 
 def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Square root of a gated positive matrix (or stack) from its eigenpair."""
-    return v @ _diag(np.sqrt(np.clip(w, 0.0, None))) @ _ct(v)
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _ct(v)
 
 
 def _entrywise(margins: np.ndarray, mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +192,7 @@ def _entrywise(margins: np.ndarray, mag: np.ndarray) -> tuple[np.ndarray, np.nda
 
     A row with no margins holds, and its smallest margin is inf.
     """
-    low = np.min(margins, axis=-1, initial=math.inf)
+    low = margins.min(axis=-1, initial=math.inf)
     return low >= -_tol(mag), low
 
 
@@ -274,7 +284,7 @@ def _trace_pairing(a, b) -> Rows:
     _same_shape(am, bm)
     d = am.shape[-1]
     lhs = np.trace(am @ bm, axis1=-2, axis2=-1).real
-    wa, wb = _eigvalsh(am), _eigvalsh(bm)
+    wa, wb = _eigvalsh_each(am, bm)
     a_pos, a_neg = _eig_sides(wa, 2 * d)
     b_pos, b_neg = _eig_sides(wb, 2 * d)
     # matmul of a (1 x k) row by a (k x 1) column runs BLAS's dot on each
@@ -292,9 +302,8 @@ def _commutator_scale(a, x) -> Rows:
     am = _as_hermitians(a)
     xm = _as_hermitians(x)
     _same_shape(am, xm)
-    comm = 1j * (am @ xm - xm @ am)
-    lhs = _eig_sides(_eigvalsh(comm))[0]
-    wa, wx = _eigvalsh(am), _eigvalsh(xm)
+    wc, wa, wx = _eigvalsh_each(1j * (am @ xm - xm @ am), am, xm)
+    lhs = _eig_sides(wc)[0]
     rhs = 0.5 * (_eig_spread(wa) * _eig_spread(wx))
     sub = _sub_rows(lhs, rhs, _size(wa) * _size(wx))
     return Rows("commutator_scale", "compact", sub.holds, sub.margin, (am, xm), sub)
@@ -306,8 +315,8 @@ def _commutator_sv(a, x) -> Rows:
     _same_shape(am, xm)
     d = am.shape[-1]
     # s(AX - XA) = s(i[A, X]), and i[A, X] is Hermitian
-    lhs = _pad(_herm_sv(_eigvalsh(1j * (am @ xm - xm @ am))), 4 * d)
-    wa, wx = _eigvalsh(am), _eigvalsh(xm)
+    wc, wa, wx = _eigvalsh_each(1j * (am @ xm - xm @ am), am, xm)
+    lhs = _pad(_herm_sv(wc), 4 * d)
     rhs = 0.5 * (_spr_sum(wa, wa) * _spr_sum(wx, wx))
     mag = _size(wa) * _size(wx)
     sub = _sub_rows(lhs, rhs, mag)
@@ -352,8 +361,8 @@ def _general_commutator(a, b, x) -> Rows:
         raise DimMismatch(f"X is {xm.shape[1:]}, expected {(m, n)}")
     k = 2 * (m + n)
     lhs = _pad(_sv_array(am @ xm - xm @ bm), k)
-    w_a1, w_b1 = _eigvalsh(a1), _eigvalsh(b1)
-    w_a2, w_b2 = _eigvalsh(a2), _eigvalsh(b2)
+    w_a1, w_a2 = _eigvalsh_each(a1, a2)
+    w_b1, w_b2 = _eigvalsh_each(b1, b2)
     spread_sum = _spr_sum(w_a1, w_b1) + _spr_sum(w_a2, w_b2)
     sx = _sv_array(xm)
     mag = (_size(w_a1, w_b1) + _size(w_a2, w_b2)) * _size(sx)
@@ -375,8 +384,8 @@ def _unitary_conj(a, x) -> Rows:
     d = am.shape[-1]
     wx, vx = _eigh(xm)
     u = _unitary_exp(wx, vx)
-    lhs = _pad(_herm_sv(_eigvalsh(am - _ct(u) @ am @ u)), 4 * d)
-    wa = _eigvalsh(am)
+    wc, wa = _eigvalsh_each(am - _ct(u) @ am @ u, am)
+    lhs = _pad(_herm_sv(wc), 4 * d)
     rhs = 0.5 * (_spr_sum(wx, wx) * _spr_sum(wa, wa))
     # ||A|| alone: U = e^{iX} has norm 1 at every scale of X
     sub = _sub_rows(lhs, rhs, _size(wa))
@@ -424,16 +433,18 @@ def _agm_pair(s, c, e1, e2=None) -> Rows:
     k = 4 * d
     pair = sm @ e1m @ cm + cm @ e2m @ sm
     # with E2 = E1 the pair SEC + CES = SEC + (SEC)* is Hermitian
-    s_pair = _herm_sv(_eigvalsh(pair)) if same else _sv_array(pair)
+    if same:
+        w_pair, w1, we = _eigvalsh_each(pair, p @ e1m @ p, e1m)
+        s_pair, w2 = _herm_sv(w_pair), w1
+    else:
+        s_pair = _sv_array(pair)
+        w1, w2 = _eigvalsh_each(p @ e1m @ p, p @ e2m @ p)
     lhs = _pad(s_pair, k)
-    w1 = _eigvalsh(p @ e1m @ p)
-    w2 = w1 if same else _eigvalsh(p @ e2m @ p)
     mag = _size(e1m, e2m)
     sub = _sub_rows(lhs, 0.5 * _spr_sum(w1, -w2, k=k), mag)
     rows = Rows("agm_pair", "compact", sub.holds, sub.margin, (sm, cm, e1m, e2m), sub)
     if not same:
         return rows
-    we = _eigvalsh(e1m)
     se = _herm_sv(we)
     coro = _sub_rows(_pad(s_pair / 2.0, 2 * d), 0.5 * _pad(se, 2 * d), mag)
     doubled = 2.0 * _pad(se, 4 * d)
@@ -453,12 +464,12 @@ def _agm_compact(s, c, e) -> Rows:
     _same_shape(p, em)
     k = 2 * em.shape[-1]
     s_sec = _sv_array(sm @ em @ _ct(cm))
-    w_e = _eigvalsh(em)
+    w_e, w_pep = _eigvalsh_each(em, p @ em @ p)
     s_e = _herm_sv(w_e)
     mag = _size(w_e)
     rhs = _spr_sum(w_e, k=k)
     sub = _sub_rows(2.0 * _pad(s_sec, k), rhs, mag)
-    margins = rhs - _eig_spread(_eigvalsh(p @ em @ p), k)
+    margins = rhs - _eig_spread(w_pep, k)
     sub_ok, _ = _entrywise(margins, mag)
     fro_lhs = _schatten_rows(s_sec, 2)
     compact_bound = 0.5 * _schatten_rows(rhs, 2)
@@ -539,8 +550,8 @@ def _zhan(e, f) -> Rows:
     fm = _as_hermitians(f)
     _same_shape(em, fm)
     k = 4 * em.shape[-1]
-    we, wf = _eigvalsh(em), _eigvalsh(fm)
-    sub = _sub_rows(_pad(_herm_sv(_eigvalsh(em - fm)), k), _spr_sum(we, wf, k=k), _size(we, wf))
+    we, wf, wd = _eigvalsh_each(em, fm, em - fm)
+    sub = _sub_rows(_pad(_herm_sv(wd), k), _spr_sum(we, wf, k=k), _size(we, wf))
     return Rows("zhan", "compact", sub.holds, sub.margin, (em, fm), sub)
 
 

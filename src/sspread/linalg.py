@@ -13,6 +13,10 @@ axis, and `_as_cmatrices`/`_as_hermitians`/`_as_projections` validate a stack
 member by member at the same tolerances as the public one-matrix checks,
 which are those checks on a stack of one. numpy runs LAPACK and matmul once
 per stack member, so each member gets the bits a lone call would give.
+A product with a real diagonal matrix is a column scaling,
+(v * x[..., None, :]) @ w: each entry of v D is the one rounded product
+v_ij x_j either way (a zero product may differ in sign, which a sum with a
+nonzero term absorbs), so the bits are those of v @ diag(x) @ w.
 
 Scales, spreads and positivity gates need eigenvalues only; they come from
 LAPACK's values-only Hermitian driver (`_eigvalsh`). Eigenvectors (`_eigh`)
@@ -65,30 +69,35 @@ def _ct(m: np.ndarray) -> np.ndarray:
 
 
 def _absmax(m: np.ndarray, axes) -> np.ndarray:
-    return np.max(np.abs(m), axis=axes, initial=0.0)
+    return np.abs(m).max(axis=axes, initial=0.0)
 
 
-def _as_cmatrices(a) -> np.ndarray:
-    """Validate a stack (B, rows, cols) of finite complex128 matrices."""
+def _as_cmatrices(a, sized: bool = False):
+    """Validate a stack (B, rows, cols) of finite complex128 matrices.
+
+    sized=True returns (stack, each member's max|entry|) and reads finiteness
+    off that maximum, through which NaN and inf propagate.
+    """
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 3:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape[1:]}")
-    if not np.isfinite(m).all():
+    size = _absmax(m, (1, 2)) if sized else None
+    if not np.isfinite(m if size is None else size).all():
         raise ValueError("matrix entries must be finite")
-    return m
+    return m if size is None else (m, size)
 
 
 def _as_hermitians(a, magnitude=None, k: int = 1) -> np.ndarray:
     """as_hermitian over a stack at _tol(magnitude, k), magnitude defaulting to
     each member's max|entry|; the message names the first failing member."""
-    m = _as_cmatrices(a)
+    m, size = _as_cmatrices(a, sized=True)
     if m.shape[1] != m.shape[2]:
         raise NotHermitian(f"matrix is {m.shape[1]}x{m.shape[2]}, not square")
-    limit = _tol(_absmax(m, (1, 2)) if magnitude is None else magnitude, k)
+    limit = _tol(size if magnitude is None else magnitude, k)
     defect = _absmax(m - _ct(m), (1, 2))
-    bad = np.flatnonzero(defect > limit)
-    if bad.size:
-        i = bad[0]
+    bad = defect > limit
+    if bad.any():
+        i = bad.argmax()  # the first True
         raise NotHermitian(f"Hermitian defect {defect[i]:.3e} exceeds {limit[i]:.3e}")
     return m
 
@@ -98,10 +107,10 @@ def _as_projections(p, k: int = 1) -> np.ndarray:
     names the first failing member."""
     m = _as_hermitians(p, k=k)
     limit = _tol(_absmax(m, (1, 2)), k)
-    defect = np.max(np.abs(m @ m - m), axis=(1, 2))
-    bad = np.flatnonzero(defect > limit)
-    if bad.size:
-        i = bad[0]
+    defect = np.abs(m @ m - m).max(axis=(1, 2))
+    bad = defect > limit
+    if bad.any():
+        i = bad.argmax()  # the first True
         raise NotProjection(f"idempotency defect {defect[i]:.3e} exceeds {limit[i]:.3e}")
     return m
 
@@ -202,7 +211,7 @@ def opnorm(x) -> float:
 
 def _opnorm(m: np.ndarray) -> np.ndarray:
     """s_1 of a matrix or of each of a stack (0.0 when empty)."""
-    return np.max(_sv_array(m), axis=-1, initial=0.0)
+    return _sv_array(m).max(axis=-1, initial=0.0)
 
 
 def direct_sum(a, b) -> np.ndarray:
@@ -235,6 +244,9 @@ def _offdiag_embed(m: np.ndarray) -> np.ndarray:
 
 def _unitary_exp(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """e^{iX} from the eigenpair (w, v) of a Hermitian X, or of a stack of them."""
+    # a matmul, not a column scaling: a BLAS kernel may form the complex
+    # products v_ij e^{iw_j} with fused multiply-adds (OpenBLAS does from
+    # d = 4), numpy's multiply does not, and the last bits of U would move
     u = v @ _diag(np.exp(1j * w)) @ _ct(v)
     # a gate only: the stacked norm sums in another order than the 2-d one
     d = _ct(u) @ u - np.eye(u.shape[-1])

@@ -100,13 +100,13 @@ def _upper_sums(m: np.ndarray, clip: bool = False) -> np.ndarray:
     always take zeros from the infinite zero pool instead.
     """
     v = _dec(m)
-    return np.cumsum(np.maximum(v, 0.0) if clip else v, axis=-1)
+    return (np.maximum(v, 0.0) if clip else v).cumsum(axis=-1)
 
 
 def _lower_sums(m: np.ndarray, clip: bool = False) -> np.ndarray:
     """Sums of the k smallest entries, a positive entry counting as 0 under clip."""
     v = np.sort(m, axis=-1)
-    return np.cumsum(np.minimum(v, 0.0) if clip else v, axis=-1)
+    return (np.minimum(v, 0.0) if clip else v).cumsum(axis=-1)
 
 
 class SubRows(NamedTuple):
@@ -154,16 +154,16 @@ def _maj_rows(a: np.ndarray, b: np.ndarray, clip_a: bool = False, clip_b: bool =
     """
     k = min(a.shape[-1], b.shape[-1])
     upper = _upper_sums(b, clip_b)[..., :k] - _upper_sums(a, clip_a)[..., :k]
-    tol = _tol(np.max(np.abs(b), axis=-1, initial=0.0) if mag is None else mag, k)
-    margin = np.min(upper, axis=-1, initial=math.inf)
+    tol = _tol(np.abs(b).max(axis=-1, initial=0.0) if mag is None else mag, k)
+    margin = upper.min(axis=-1, initial=math.inf)
     low = defect = None
     if lower:
         low = _lower_sums(a, clip_a)[..., :k] - _lower_sums(b, clip_b)[..., :k]
-        least = np.min(low, axis=-1, initial=math.inf)
+        least = low.min(axis=-1, initial=math.inf)
         margin = np.where(least < margin, least, margin)
     holds = margin >= -tol
     if sums:
-        defect = np.sum(a, axis=-1) - np.sum(b, axis=-1)
+        defect = a.sum(axis=-1) - b.sum(axis=-1)
         holds &= np.abs(defect) <= tol
     return SubRows(upper, tol, margin, holds, low, defect)
 
@@ -327,7 +327,7 @@ def _gauge_rows(v: np.ndarray, norm_id: str) -> np.ndarray:
 def _ky_fan_rows(v: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be >= 1")
-    return np.sum(_dec(v)[..., :k], axis=-1)
+    return _dec(v)[..., :k].sum(axis=-1)
 
 
 def _schatten_rows(v: np.ndarray, p: float) -> np.ndarray:
@@ -336,7 +336,7 @@ def _schatten_rows(v: np.ndarray, p: float) -> np.ndarray:
     if v.shape[-1] == 0:
         return np.zeros(v.shape[:-1])
     if p == math.inf:
-        return np.max(v, axis=-1)
+        return v.max(axis=-1)
     # the root is taken value by value: an array power of 0.5 would be a
     # square root, which can differ from the scalar power in the last bit
-    return np.array([s ** (1.0 / p) for s in np.sum(np.abs(v) ** p, axis=-1)])
+    return np.array([s ** (1.0 / p) for s in (np.abs(v) ** p).sum(axis=-1)])

@@ -9,10 +9,14 @@ standard 64-bit avalanche. Gaussians come from Box-Muller on consecutive
 A Stream carries a batch of seeds with one shared counter, so a draw takes
 the same counter words from every seed's stream and row b of a batch draw is
 bit for bit what a stream of seed b alone would draw. A stream of one int
-seed is a batch of one that returns Python numbers. Every draw has one body:
-the counter words of the whole batch come from one numpy uint64 expression,
-and the Box-Muller transcendentals of Stream.normals stay on the math
-module, so every block yields the values of repeated normal_pair calls.
+seed is a batch of one that returns Python numbers. Every draw has one body.
+Its words come from a block of counter words that the stream computes ahead,
+for the whole batch in one numpy uint64 expression, and computes again, at
+the current counter, when a draw runs past it or the counter was set outside
+it; a word is still splitmix64(seed, counter), whichever block served it.
+take() hands a sub-stream its rows of the block. The Box-Muller
+transcendentals of Stream.normals stay on the math module, so every block
+yields the values of repeated normal_pair calls.
 """
 
 from __future__ import annotations
@@ -64,6 +68,14 @@ def _splitmix64_block(seed, counter: int, n: int) -> np.ndarray:
     return z
 
 
+# a stream computes up to this many words ahead over its whole batch, and at
+# most _AHEAD_ROW per row: a block of B rows is max(n, min(_AHEAD_ROW,
+# _AHEAD // B)) words wide for a draw of n, so a stream over a million seeds
+# computes no word it does not draw
+_AHEAD = 1 << 15
+_AHEAD_ROW = 256
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Child seed for a numbered subtask (fuzz trial, generator draw)."""
     return splitmix64(seed & _MASK, index)
@@ -80,6 +92,10 @@ class Stream:
     stream: it draws as a batch of one and hands back row 0 as Python
     numbers, so `shape` is (), next_u64, uniform and randint return Python
     numbers, and uniforms and normals return lists.
+
+    counter may be set by hand: the words are a function of the counter
+    alone, and a draw whose words lie outside the block computes a new one.
+    No draw returns a view into the block.
     """
 
     def __init__(self, seed):
@@ -94,19 +110,33 @@ class Stream:
             self.seeds = np.array([self.seed], dtype=np.uint64)
             self.shape = ()
         self.counter = 0
+        # the words of counters _base .. _base + width - 1, (B, width)
+        self._block = None
+        self._base = 0
 
     def take(self, rows) -> Stream:
         """The streams of these rows of the batch (an index array or a slice),
-        at the current counter; on the scalar stream, a copy of it."""
+        at the current counter, with their rows of the word block; on the
+        scalar stream, a copy of it."""
         sub = Stream(self.seeds[rows] if self.shape else self.seed)
         sub.counter = self.counter
+        if self._block is not None:
+            sub._block = self._block[rows] if self.shape else self._block
+            sub._base = self._base
         return sub
 
     def _words(self, n: int) -> np.ndarray:
-        """The next n counter words of every row: (B, n) uint64."""
-        z = _splitmix64_block(self.seeds, self.counter, n)
+        """The next n counter words of every row: (B, n) uint64, a view into
+        the block, which no caller may hand out or write to."""
+        at = self.counter - self._base
+        block = self._block
+        if block is None or at < 0 or at + n > block.shape[1]:
+            width = max(n, min(_AHEAD_ROW, _AHEAD // max(len(self.seeds), 1)))
+            block = self._block = _splitmix64_block(self.seeds, self.counter, width)
+            self._base = self.counter
+            at = 0
         self.counter += n
-        return z
+        return block[:, at:at + n]
 
     def _out(self, x: np.ndarray):
         """A draw (B, ...) as this stream returns it: row 0 as Python
@@ -114,7 +144,7 @@ class Stream:
         return x if self.shape else x[0].tolist()
 
     def next_u64(self):
-        return self._out(self._words(1)[:, 0])
+        return self._out(self._words(1)[:, 0].copy())
 
     def uniform(self):
         """Uniform in [0, 1) with 53-bit resolution."""
@@ -150,17 +180,16 @@ class Stream:
         """n standard Gaussians per row: the first n values of ceil(n/2)
         normal_pair draws, a list on the scalar stream.
 
-        math.log/cos/sin are applied by map over all rows at once. np.sqrt is
-        correctly rounded, as math.sqrt is, so the values are normal_pair's
-        bits.
+        Box-Muller runs once over the (pairs, 2) view of every row's
+        uniforms, math.log/cos/sin by map. np.sqrt is correctly rounded, as
+        math.sqrt is, so the values are normal_pair's bits.
         """
         n = max(n, 0)
         m = n + (n & 1)
-        u = (self._words(m) >> _U11) * 2.0**-53
-        k = u.size // 2
-        r = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[:, 0::2]).ravel().tolist()), float, k))
-        t = (_TWO_PI * u[:, 1::2]).ravel().tolist()
-        out = np.empty(u.shape)
-        out[:, 0::2] = (r * np.fromiter(map(math.cos, t), float, k)).reshape(len(u), m // 2)
-        out[:, 1::2] = (r * np.fromiter(map(math.sin, t), float, k)).reshape(len(u), m // 2)
-        return self._out(out[:, :n])
+        u = ((self._words(m) >> _U11) * 2.0**-53).reshape(-1, 2)
+        k = len(u)
+        r = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[:, 0]).tolist()), float, k))
+        t = (_TWO_PI * u[:, 1]).tolist()
+        u[:, 0] = r * np.fromiter(map(math.cos, t), float, k)
+        u[:, 1] = r * np.fromiter(map(math.sin, t), float, k)
+        return self._out(u.reshape(len(self.seeds), m)[:, :n])

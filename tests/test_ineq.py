@@ -135,6 +135,38 @@ def test_positive_gate_one_eigh_per_matrix(monkeypatch):
     assert (count(e, seen), count(e, with_vectors)) == (1, 0)
 
 
+def test_one_eigvalsh_call_per_operand_shape(monkeypatch):
+    # a kernel that needs the eigenvalues of several stacks of one shape gets
+    # them from one call, each spectrum with the bits of a lone call; the
+    # positivity gates of agm_pair stay calls of their own
+    real = linalg._eigvalsh
+    calls = []
+
+    def eigvalsh(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(ineq, "_eigvalsh", eigvalsh)
+    stacks = [np.stack([_herm(5, 10 * j + i) for i in range(3)]) for j in range(3)]
+    got = ineq._eigvalsh_each(*stacks)
+    assert calls == [(9, 5, 5)] and got.shape == (3, 3, 5)
+    for w, m in zip(got, stacks):
+        assert all(w[i].tobytes() == real(m[i]).tobytes() for i in range(3))
+    expected = {"check_trace_pairing": 1, "check_commutator_scale": 1,
+                "check_commutator_sv": 1, "check_general_commutator": 2,
+                "check_unitary_conj": 1, "check_agm_compact": 1, "check_zhan": 1}
+    for name, count in expected.items():
+        entry = next(v for v in VERIFIERS.values() if v.check == name)
+        calls.clear()
+        getattr(ineq, name)(*trial_args(entry.id, 11, (6, 6)))
+        assert len(calls) == count, name
+    s, c, e1, _ = trial_args("agm_pair", 11, (6, 6))
+    for e2 in (None, _herm(6, 5)):
+        calls.clear()
+        ineq.check_agm_pair(s, c, e1, e2)
+        assert calls == [(1, 6, 6), (1, 6, 6), (3 if e2 is None else 2, 6, 6)]
+
+
 @pytest.mark.parametrize("d", [*range(2, 9), *range(32, 65, 8)])
 def test_direct_sum_spread_from_block_spectra(d):
     # the merged block spectra give the spread of the explicit block matrix
@@ -175,14 +207,17 @@ def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
         runs.setdefault(entry.check, [trial_args(entry.id, 11, (6, 6))])
     assert len(runs) == 19
     # both branches of agm_pair (E2 given or not) and of the positive-E
-    # extras of agm_compact and agm_general
+    # extras of agm_compact and agm_general; E2 is a generic Hermitian: S and
+    # C commute, so with E2 = E1 + I the pair would be exactly Hermitian
     s, c, e1, _ = runs["check_agm_pair"][0]
-    runs["check_agm_pair"] += [(s, c, e1, None), (s, c, e1, e1 + np.eye(6))]
+    e2 = _herm(6, 5)
+    runs["check_agm_pair"] += [(s, c, e1, None), (s, c, e1, e2)]
     s, c, _ = runs["check_agm_compact"][0]
     runs["check_agm_compact"] += [(s, c, _pos(6, 1)), (s, c, _herm(6, 2))]
     a, b, _ = runs["check_agm_general"][0]
     runs["check_agm_general"] += [(a, b, _pos(6, 3)), (a, b, _herm(6, 4))]
     positive_e = []
+    e2_svd = False
     for name, arg_sets in runs.items():
         for args in arg_sets:
             repeats_allowed = 0
@@ -210,7 +245,15 @@ def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
             got = with_vectors[start_vectors:]
             assert len(got) == len(expected), name
             assert all(np.array_equal(g, x) for g, x in zip(got, expected)), name
+            if name == "check_agm_pair" and args[3] is e2:
+                # the E2-given branch takes the pair's singular values by SVD
+                sa, ca, ea, _ = args
+                pair = sa @ ea @ ca + ca @ e2 @ sa
+                assert any(np.allclose(m, pair, rtol=0, atol=1e-13)
+                           for m in seen["svd"][start["svd"]:])
+                e2_svd = True
     assert seen["eigh"] and seen["svd"]
+    assert e2_svd
     # agm_general ran with both a positive and a non-positive E
     assert 0 in positive_e and 1 in positive_e
 

@@ -141,6 +141,10 @@ def test_stacked_calls_match_single_calls_bit_for_bit(d):
         "Q @ diag(x) @ A": (q @ dx @ gen, lambda i: q[i] @ np.diag(x[i]) @ gen[i]),
         "Q @ diag(x) @ Q*, x shared": (q @ linalg._diag(x[0]) @ linalg._ct(q),
                                        lambda i: q[i] @ np.diag(x[0]) @ q[i].conj().T),
+        # a real diagonal as a column scaling gives the matmul's bits
+        "(Q * x) @ Q*": ((q * x[:, None, :]) @ linalg._ct(q),
+                         lambda i: q[i] @ np.diag(x[i]) @ q[i].conj().T),
+        "(Q * x) @ A": ((q * x[:, None, :]) @ gen, lambda i: q[i] @ np.diag(x[i]) @ gen[i]),
     }
     for i in range(5):
         qi, ri = np.linalg.qr(gen[i])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from sspread.harness import _crandn
+from sspread.harness import _crandn, _crandns
 from sspread.rng import Stream, _splitmix64_block, derive_seed, splitmix64
 
 # splitmix64(seed, counter) literals: a change here is a stream-version break
@@ -75,6 +75,17 @@ def test_crandn_single_block_equals_two_draws(rows, cols):
 BATCH = np.array([0, 3, derive_seed(11, 4), 2**64 - 1, 3], dtype=np.uint64)
 
 
+@pytest.mark.parametrize("seed", [17, BATCH])
+def test_crandns_one_call_equals_crandn_calls_in_turn(seed):
+    # odd entry counts: each matrix still takes a multiple of 4 words
+    shapes = [(3, 3), (1, 1), (2, 3), (4, 4), (3, 2)]
+    one, turn = Stream(seed), Stream(seed)
+    got = _crandns(one, *shapes)
+    for g, (rows, cols) in zip(got, shapes):
+        assert g.tobytes() == _crandn(turn, rows, cols).tobytes()
+    assert one.counter == turn.counter
+
+
 @pytest.mark.parametrize("counter", [0, 5, 2**40 + 3])
 def test_batch_block_rows_are_the_seed_blocks(counter):
     block = _splitmix64_block(BATCH, counter, 9)
@@ -134,3 +145,132 @@ def test_crandn_batch_rows_are_scalar_draws(rows, cols):
     assert got.shape == (5, rows, cols)
     for b, seed in enumerate(BATCH.tolist()):
         assert got[b].tobytes() == _crandn(Stream(seed), rows, cols).tobytes()
+
+
+# -- the word block: every draw is the words of _splitmix64_block at its counter
+
+
+def _ref_uniforms(seeds, counter, n):
+    return (_splitmix64_block(seeds, counter, n) >> np.uint64(11)) * 2.0**-53
+
+
+def _ref_normals(seeds, counter, n):
+    """normal_pair's formula over the block's uniforms, pair by pair."""
+    m = n + (n & 1)
+    u = _ref_uniforms(seeds, counter, m).reshape(len(seeds), m // 2, 2).tolist()
+    rows = []
+    for pairs in u:
+        row = []
+        for u1, u2 in pairs:
+            r = math.sqrt(-2.0 * math.log(1.0 - u1))
+            t = 2.0 * math.pi * u2
+            row += [r * math.cos(t), r * math.sin(t)]
+        rows.append(row[:n])
+    return np.array(rows).reshape(len(seeds), n)
+
+
+def _draw_and_reference(stream, rnd):
+    """One random draw on stream and what _splitmix64_block gives for it at
+    the stream's counter, both as (B, ...) arrays."""
+    seeds = stream.seeds
+    counter = stream.counter
+    kind = rnd.choice(["next_u64", "uniform", "uniforms", "randint", "normals"])
+    n = rnd.choice([0, 1, 2, 3, rnd.randint(4, 60), rnd.randint(200, 700)])
+    if kind == "next_u64":
+        got, ref = stream.next_u64(), _splitmix64_block(seeds, counter, 1)[:, 0]
+    elif kind == "uniform":
+        got, ref = stream.uniform(), _ref_uniforms(seeds, counter, 1)[:, 0]
+    elif kind == "uniforms":
+        got, ref = stream.uniforms(n), _ref_uniforms(seeds, counter, n)
+    elif kind == "randint":
+        hi = np.array([rnd.randint(0, 2**40) for _ in range(n)]).reshape(-1, 1)
+        got = stream.randint(-3, hi)
+        span = (hi + 4).astype(np.uint64).ravel()
+        ref = -3 + (_splitmix64_block(seeds, counter, n) % span).astype(np.int64)
+        ref = ref.reshape((len(seeds),) + hi.shape)
+    else:
+        got, ref = stream.normals(n), _ref_normals(seeds, counter, n)
+    return kind, np.asarray(got).reshape(ref.shape), ref
+
+
+@pytest.mark.parametrize("seeds", [BATCH, np.array([9], dtype=np.uint64), 12345])
+def test_interleaved_draws_are_the_block_words(seeds):
+    import random
+
+    rnd = random.Random(4)
+    stream = Stream(seeds)
+    assert stream._block is None
+    widths = set()
+    for _ in range(120):
+        before = stream.counter
+        kind, got, ref = _draw_and_reference(stream, rnd)
+        assert got.tobytes() == ref.tobytes(), (kind, before)  # bitwise, not approx
+        widths.add(stream._block.shape[1])
+    # draws ran past the block, and some were longer than a whole block
+    assert stream._base > 0 and max(widths) > 256
+
+
+def test_take_shares_the_block_and_both_sides_keep_drawing():
+    import random
+
+    rnd = random.Random(8)
+    for rows in (slice(1, 4), np.array([4, 0, 2]), None):
+        parent = Stream(BATCH) if rows is not None else Stream(77)
+        parent.uniforms(250)
+        parent.normals(10)  # past the first block, in the middle of the second
+        assert 0 < parent._base < parent.counter < parent._base + parent._block.shape[1]
+        child = parent.take(slice(None) if rows is None else rows)
+        if rows is None:
+            assert child.shape == () and child._block is parent._block
+        else:
+            assert child.seeds.tolist() == BATCH[rows].tolist()
+            assert child._block.tolist() == parent._block[rows].tolist()
+        assert child.counter == parent.counter and child._base == parent._base
+        for _ in range(30):
+            for stream in (child, parent, parent, child):
+                kind, got, ref = _draw_and_reference(stream, rnd)
+                assert got.tobytes() == ref.tobytes(), kind
+
+
+def test_counter_set_by_hand():
+    s = Stream(BATCH)
+    s.uniforms(10)
+    for counter in (3, 0, 2**40 + 7, 2**40 + 9, 2**40 + 8, 2**40 + 300, 5):
+        s.counter = counter
+        assert s.uniforms(4).tobytes() == _ref_uniforms(BATCH, counter, 4).tobytes()
+        assert s.counter == counter + 4
+    scalar = Stream(3)
+    scalar.normals(9)
+    scalar.counter = 1
+    assert scalar.next_u64() == splitmix64(3, 1)
+    scalar.counter = 1000
+    assert scalar.next_u64() == splitmix64(3, 1000)
+
+
+def test_draws_are_not_views_of_the_block():
+    s = Stream(BATCH)
+    draws = [s.next_u64(), s.uniform(), s.uniforms(5), s.randint(0, np.array([9, 99])),
+             s.normals(6)]
+    assert not any(np.shares_memory(x, s._block) for x in draws)
+    for x in draws:
+        x[...] = 0
+    s.counter = 0
+    again = [s.next_u64(), s.uniform(), s.uniforms(5), s.randint(0, np.array([9, 99])),
+             s.normals(6)]
+    assert again[0].tolist() == _splitmix64_block(BATCH, 0, 1)[:, 0].tolist()
+    assert not np.any(again[2] == 0)
+
+
+def test_a_million_row_stream_computes_only_its_words():
+    import tracemalloc
+
+    seeds = np.arange(10**6, dtype=np.uint64)
+    s = Stream(seeds)
+    tracemalloc.start()
+    d = s.randint(2, 8)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert s._block.shape == (10**6, 1)
+    assert d.shape == (10**6,) and d[:3].tolist() == (2 + _splitmix64_block(seeds[:3], 0, 1)[:, 0] % np.uint64(7)).tolist()
+    # the one-word block and a few one-word temporaries of 8 MB each
+    assert peak <= 6 * seeds.nbytes

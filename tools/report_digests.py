@@ -1,4 +1,4 @@
-"""Digests of the CLI reports that a refactor must leave byte-identical.
+"""Digests of the reports and draws that a refactor must leave byte-identical.
 
 Usage, from any directory:
 
@@ -12,7 +12,16 @@ Runs, in this process and from the repository root:
     the short fixture commands of bench/workloads.py (SHORT_COMMANDS)
 
 and prints one line per command: the argv, the exit code and the sha256 of
-stdout. Two trees give the same reports when their outputs are equal, e.g.
+stdout. None of those reports draws on the scalar stream (a Stream of one int
+seed), so it then prints one line per scalar-stream draw:
+
+    trial_args ID S 2..8     harness.trial_args(ID, S, (2, 8)), S = 1..4
+    generate KIND D S        harness.generate(GenSpec(KIND, D, S)),
+                             D in 1, 2, 3, 6 and S = 1..3
+
+each with the sha256 over every returned matrix's shape and bytes, as
+ineq._digest hashes a witness (a shared scalar argument, a split or an
+absent E2, enters as its repr). Two trees give the same reports when their outputs are equal, e.g.
 `diff <(python3 A/tools/report_digests.py) <(python3 B/tools/report_digests.py)`.
 With --out DIR, each command's stdout is also written to DIR, one file per
 command named after its argv (e.g. `fuzz_zhan_--trials_500_--seed_1_--json.txt`),
@@ -29,10 +38,13 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from sspread import cli, harness  # noqa: E402
+from sspread.harness import GenSpec  # noqa: E402
 from workloads import SHORT_COMMANDS  # noqa: E402
 
 
@@ -50,6 +62,34 @@ def report(argv: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     return code, buf.getvalue()
+
+
+def draws() -> list[tuple[str, object]]:
+    """(label, value) of every scalar-stream draw the digest covers."""
+    out = []
+    for ineq_id in sorted(harness.VERIFIERS):
+        for seed in (1, 2, 3, 4):
+            out.append((f"trial_args {ineq_id} {seed} 2..8",
+                        harness.trial_args(ineq_id, seed, (2, 8))))
+    for kind in harness.GEN_KINDS:
+        for dim in (1, 2, 3, 6):
+            for seed in (1, 2, 3):
+                out.append((f"generate {kind} {dim} {seed}",
+                            harness.generate(GenSpec(kind, dim, seed))))
+    return out
+
+
+def digest(value) -> str:
+    """sha256 over the shape and bytes of each matrix of a draw, in order."""
+    h = hashlib.sha256()
+    for part in value if isinstance(value, tuple) else (value,):
+        if isinstance(part, np.ndarray):
+            a = np.ascontiguousarray(part, dtype=np.complex128)
+            h.update(repr(a.shape).encode())
+            h.update(a.tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()
 
 
 def file_name(argv: list[str]) -> str:
@@ -71,6 +111,8 @@ def main(argv: list[str] | None = None) -> None:
         if out is not None:
             (out / file_name(cmd)).write_text(text)
         print(" ".join(cmd), code, hashlib.sha256(text.encode()).hexdigest())
+    for label, value in draws():
+        print(label, digest(value))
 
 
 if __name__ == "__main__":
