@@ -29,8 +29,8 @@ import numpy as np
 
 from . import ineq, linalg, major
 from .errors import UnknownExample, UnknownInequality, UnknownKind
-from .ineq import _pymax, _pymin
-from .linalg import _ct, _diag, _pad, _sv_array
+from .ineq import _size
+from .linalg import _ct, _diag, _pad, _sv_array, _tol
 from .major import _dec
 from .rng import _MASK, Stream, _splitmix64_block, derive_seed
 from .spectra import (
@@ -627,8 +627,10 @@ def fuzz(ineq_id: str, trials: int = 500, dims: tuple[int, int] = (2, 8),
 #
 # A property draws its inputs for a stream's trials as the fuzz families do,
 # [(rows, args)], and judge(*args) returns the rows' margins and their
-# failure messages (None where a row holds). Judges work on stacks through
-# the same private helpers the public functions run on a batch of one.
+# failure messages (None where a row holds), through _judged, from checks
+# whose tol is linalg._tol of the size of the judge's inputs. Judges work on
+# stacks through the same private helpers the public functions run on a
+# batch of one.
 
 
 @dataclass(frozen=True)
@@ -641,28 +643,36 @@ class Property:
     hi: int = MAX_DIM
 
 
-def _judged(margin: np.ndarray, *checks) -> tuple[np.ndarray, list]:
-    """(margin, messages): a row's message is that of the first (ok, message)
-    check it fails, a message being a str or a function of the row."""
+def _judged(*checks) -> tuple[np.ndarray, list]:
+    """(margins, messages) of (message, margin, tol) checks over a stack's rows.
+
+    A margin is the bound minus the value, and a check holds on a row where
+    its margin is at least -tol. A row's margin is the smallest of its
+    checks', and its message names the first check it fails, with that
+    check's margin and tol.
+    """
+    margin = functools.reduce(np.minimum, (m for _, m, _ in checks))
     detail = [None] * len(margin)
-    for ok, msg in checks:
-        for i in np.flatnonzero(~ok):
-            if detail[i] is None:
-                detail[i] = msg if isinstance(msg, str) else msg(i)
+    for msg, m, tol in checks:
+        bad = ~np.greater_equal(m, -tol)
+        if bad.any():
+            m, tol, bad = (np.broadcast_to(x, margin.shape) for x in (m, tol, bad))
+            for i in np.flatnonzero(bad):
+                if detail[i] is None:
+                    detail[i] = f"{msg} (margin {m[i]:.3e}, tol {tol[i]:.3e})"
     return margin, detail
 
 
 def _relation(msg: str, sides: Callable, **how) -> Callable:
-    """The judge of one (sub)majorization, major._maj_rows(*sides(*args), **how)."""
+    """The judge of one (sub)majorization, major._maj_rows(*sides(*args), **how);
+    a classic majorization's total-sum defect is a check of its own."""
     def judge(*args):
-        rep = major._maj_rows(*sides(*args), **how)
-        return _judged(rep.margin, (rep.holds, msg))
+        rows = major._maj_rows(*sides(*args), **how)
+        checks = [(msg, rows.margin, rows.tol)]
+        if rows.defect is not None:
+            checks.append((f"{msg}: total sums differ", -np.abs(rows.defect), rows.tol))
+        return _judged(*checks)
     return judge
-
-
-def _norms(m: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each matrix, call by call: a stacked norm sums in another order."""
-    return np.array([np.linalg.norm(x) for x in m])
 
 
 def _rand_perm(stream: Stream, n: int) -> np.ndarray:
@@ -708,37 +718,35 @@ def _d_eigh(stream: Stream, d: int):
 def _j_eigh(a):
     d = a.shape[-1]
     w, v = linalg._eigh(a)
-    resid = _norms(a @ v - v @ _diag(w))
-    gate = 1e-10 * _pymax(1.0, _norms(a))
-    ortho = np.max(np.abs(_ct(v) @ v - np.eye(d)), axis=(-2, -1))
+    resid = np.linalg.norm(a @ v - v @ _diag(w), axis=(-2, -1))
     return _judged(
-        _pymin(gate - resid, 1e-12 * d - ortho),
-        (resid <= gate, lambda i: f"eigh residual {resid[i]:.3e} above {gate[i]:.3e}"),
-        (ortho <= 1e-12 * d, lambda i: f"eigenvector basis defect {ortho[i]:.3e}"),
-        (np.all(np.diff(w, axis=-1) <= 1e-12, axis=-1), "eigenvalues not sorted"),
+        ("eigh residual", -resid, _tol(_size(w), d)),
+        # the eigenvectors have norm 1 at every scale of A
+        ("eigenvector basis defect", -_size(_ct(v) @ v - np.eye(d)), _tol(1.0, d)),
+        ("eigenvalues not sorted", np.min(-np.diff(w, axis=-1), axis=-1, initial=math.inf), 0.0),
     )
 
 
 def _j_hat(e):
-    k = 4 * e.shape[-1]
-    pos, neg = _eig_sides(linalg._eigvalsh(linalg._offdiag_embed(e)), k)
+    d = e.shape[-1]
+    pos, neg = _eig_sides(linalg._eigvalsh(linalg._offdiag_embed(e)), 4 * d)
     s = _sv_array(e)
-    ref_pos, ref_neg = major._updown(np.concatenate([s, -s], axis=-1), k)
-    err = _pymax(np.max(np.abs(pos - ref_pos), axis=-1), np.max(np.abs(neg - ref_neg), axis=-1))
-    return _judged(1e-9 - err, (err <= 1e-9, lambda i: f"hat-trick mismatch {err[i]:.3e}"))
+    ref_pos, ref_neg = major._updown(np.concatenate([s, -s], axis=-1), 4 * d)
+    err = _size(pos - ref_pos, neg - ref_neg)
+    return _judged(("hat-trick mismatch", -err, _tol(s[:, 0], 2 * d)))
 
 
 def _j_sv_invariance(a, u, v):
-    err = np.max(np.abs(_sv_array(u @ a @ v) - _sv_array(a)), axis=-1)
-    return _judged(1e-9 - err, (err <= 1e-9, lambda i: f"s(UAV) != s(A): {err[i]:.3e}"))
+    s = _sv_array(a)
+    err = _size(_sv_array(u @ a @ v) - s)
+    return _judged(("s(UAV) != s(A)", -err, _tol(s[:, 0], a.shape[-1])))
 
 
 def _j_sv_product(a, x, y):
     lhs = _sv_array(x @ a @ y)
     bound = (linalg._opnorm(x) * linalg._opnorm(y))[:, None] * _sv_array(a)
-    margin = np.min(bound - lhs, axis=-1)
-    return _judged(margin, (margin >= -1e-9 * _pymax(1.0, bound[:, 0]),
-                            lambda i: f"s(XAY) bound violated by {margin[i]:.3e}"))
+    return _judged(("s(XAY) bound violated", np.min(bound - lhs, axis=-1),
+                    _tol(bound[:, 0], a.shape[-1])))
 
 
 def _j_weyl_scale(a, b):
@@ -747,8 +755,8 @@ def _j_weyl_scale(a, b):
     (pa, na), (pb, nb) = _eig_sides(wa), _eig_sides(wb)
     c = major._maj_rows(np.concatenate(_eig_sides(wab), axis=-1),
                         np.concatenate([pa + pb, na + nb], axis=-1), True, True)
-    return _judged(_pymin(m.margin, c.margin), (m.holds, "matrix-mode scale Weyl failed"),
-                   (c.holds, "compact-mode scale Weyl failed"))
+    return _judged(("matrix-mode scale Weyl failed", m.margin, m.tol),
+                   ("compact-mode scale Weyl failed", c.margin, c.tol))
 
 
 def _d_ky_fan(stream: Stream, d: int):
@@ -759,17 +767,18 @@ def _d_ky_fan(stream: Stream, d: int):
 
 
 def _j_ky_fan(a, k, *ps):
+    d = a.shape[-1]
     w, v = linalg._eigh(a)
     top = np.sum(w[:, :k], axis=-1)
     tr_top = np.trace(_ct(v[:, :, :k]) @ a @ v[:, :, :k], axis1=-2, axis2=-1).real
-    bottom = np.sum(w[:, a.shape[-1] - k:], axis=-1)
-    margin = np.full(len(a), math.inf)
+    bottom = np.sum(w[:, d - k:], axis=-1)
+    tol = _tol(_size(w), d)
+    checks = [("top-k eigenprojection trace mismatch", -np.abs(top - tr_top), tol)]
     for p in ps:
         tr = np.trace(p @ a, axis1=-2, axis2=-1).real
-        margin = _pymin(_pymin(margin, top - tr), tr - bottom)
-    gate = -1e-9 * _pymax(1.0, np.abs(top))
-    return _judged(margin, (np.abs(top - tr_top) <= -gate, "top-k eigenprojection trace mismatch"),
-                   (margin >= gate, lambda i: f"Ky Fan extremality violated by {margin[i]:.3e}"))
+        checks += [("Ky Fan extremality violated", top - tr, tol),
+                   ("Ky Fan extremality violated", tr - bottom, tol)]
+    return _judged(*checks)
 
 
 def _d_interlacing(stream: Stream, d: int):
@@ -782,12 +791,11 @@ def _j_interlacing(a, p):
     # A_P is Hermitian up to rounding only, so it is validated as eigh would
     comp = linalg._as_hermitians(linalg._compressed(a, p))
     wa, wc = linalg._eigh(a).values, linalg._eigh(comp).values
-    margin = np.full(len(a), math.inf)
-    for j in range(wc.shape[-1]):
-        margin = _pymin(margin, wa[:, j] - wc[:, j])  # lambda_j(A) >= lambda_j(A_P)
-        margin = _pymin(margin, wc[:, -1 - j] - wa[:, -1 - j])  # bottom interlacing
-    return _judged(margin, (margin >= -1e-9 * _pymax(1.0, np.max(np.abs(wa), axis=-1)),
-                            "interlacing violated"))
+    d, r = wa.shape[-1], wc.shape[-1]
+    tol = _tol(_size(wa), d)
+    # lambda_j(A) >= lambda_j(A_P), and at the bottom lambda_{r-j}(A_P) >= lambda_{d-j}(A)
+    return _judged(("interlacing violated", np.min(wa[:, :r] - wc, axis=-1), tol),
+                   ("interlacing violated", np.min(wc - wa[:, d - r:], axis=-1), tol))
 
 
 @functools.cache
@@ -800,61 +808,58 @@ def _alt_harmonic_gap() -> float:
 
 
 def _j_scale_ordering(a):
-    compact = np.min(_eig_spread(linalg._eigvalsh(a)), axis=-1)
-    margin = _pymin(compact, _alt_harmonic_gap())
-    return _judged(margin, (compact >= 0.0, "compact scale ordering violated"),
-                   (margin >= 0.0, "diag scale ordering violated"))
+    # exact: a spread is pos - neg of sides with pos >= 0 >= neg
+    return _judged(("compact scale ordering violated",
+                    np.min(_eig_spread(linalg._eigvalsh(a)), axis=-1), 0.0),
+                   ("diag scale ordering violated", _alt_harmonic_gap(), 0.0))
 
 
 def _j_translation(a, c):
-    base = _matrix_spread(linalg._eigvalsh(a))
-    shifted = _matrix_spread(linalg._eigvalsh(a + c[:, None, None] * np.eye(a.shape[-1])))
-    err = np.max(np.abs(base - shifted), axis=-1)
-    return _judged(1e-9 - err, (err <= 1e-9 * _pymax(1.0, np.max(base, axis=-1, initial=0.0)),
-                                lambda i: f"translation changed the spread by {err[i]:.3e}"))
+    w = linalg._eigvalsh(a)
+    shifted = linalg._eigvalsh(a + c[:, None, None] * np.eye(a.shape[-1]))
+    err = _size(_matrix_spread(w) - _matrix_spread(shifted))
+    return _judged(("translation changed the spread", -err,
+                    _tol(_size(w) + np.abs(c), a.shape[-1])))
 
 
 def _j_homogeneity(a, c):
     mu, mu_c = linalg._eigvalsh(a), linalg._eigvalsh(c[:, None, None] * a)
-    err = 0.0
-    for spread in (_matrix_spread, _eig_spread):
-        err = _pymax(err, np.max(np.abs(spread(mu_c) - np.abs(c)[:, None] * spread(mu)), axis=-1))
-    return _judged(1e-9 - err, (err <= 1e-9, lambda i: f"homogeneity defect {err[i]:.3e}"))
+    err = _size(*[spread(mu_c) - np.abs(c)[:, None] * spread(mu)
+                  for spread in (_matrix_spread, _eig_spread)])
+    return _judged(("homogeneity defect", -err, _tol(np.abs(c) * _size(mu), a.shape[-1])))
 
 
 def _j_zero_block(a):
     k = 2 * a.shape[-1]
-    base = _eig_spread(linalg._eigvalsh(a), k)
-    padded = _eig_spread(linalg._eigvalsh(linalg._direct_sum(a, np.zeros(a.shape))), k)
-    err = np.max(np.abs(base - padded), axis=-1)
-    return _judged(1e-12 - err, (
-        err <= 1e-12, lambda i: f"zero block changed the compact spread by {err[i]:.3e}"))
+    w = linalg._eigvalsh(a)
+    padded = linalg._eigvalsh(linalg._direct_sum(a, np.zeros(a.shape)))
+    err = _size(_eig_spread(w, k) - _eig_spread(padded, k))
+    return _judged(("zero block changed the compact spread", -err, _tol(_size(w), k)))
 
 
 def _j_spread_vs_sv(a, p):
-    k = 2 * a.shape[-1]
+    d = a.shape[-1]
     pos, neg = _eig_sides(linalg._eigvalsh(a))
-    s = _pad(_sv_array(a), k)
+    s, sp = _pad(_sv_array(a), 2 * d), _pad(_sv_array(p), 2 * d)
     size = np.abs(pos) + np.abs(neg)
-    margin = _pymin(np.min(size - (pos - neg), axis=-1), np.min(2.0 * s - size, axis=-1))
-    sp = _pad(_sv_array(p), k)
-    m3 = np.min(sp - _eig_spread(linalg._eigvalsh(p)), axis=-1)
     # each comparison at the scale of its own matrix: P = G*G is larger than A
-    tol = 1e-9 * _pymax(1.0, np.max(s, axis=-1, initial=0.0))
-    tol_p = 1e-9 * _pymax(1.0, np.max(sp, axis=-1, initial=0.0))
-    return _judged(_pymin(margin, m3), (margin >= -tol, "spread vs singular-value sandwich failed"),
-                   (m3 >= -tol_p, "positive case spread <= s failed"))
+    tol, tol_p = _tol(s[:, 0], d), _tol(sp[:, 0], d)
+    return _judged(
+        ("spread vs singular-value sandwich failed", np.min(size - (pos - neg), axis=-1), tol),
+        ("spread vs singular-value sandwich failed", np.min(2.0 * s - size, axis=-1), tol),
+        ("positive case spread <= s failed",
+         np.min(sp - _eig_spread(linalg._eigvalsh(p)), axis=-1), tol_p))
 
 
 def _j_doubling(a):
     d = a.shape[-1]
+    w = linalg._eigvalsh(a)
     dbl = _eig_spread(linalg._eigvalsh(linalg._direct_sum(a, a)), 4 * d)
-    single = _eig_spread(linalg._eigvalsh(a), 2 * d)
-    err = np.max(np.abs(dbl - _dec(np.concatenate([single, single], axis=-1))), axis=-1)
+    single = _eig_spread(w, 2 * d)
+    err = _size(dbl - _dec(np.concatenate([single, single], axis=-1)))
     rep = major._sub_rows(0.5 * dbl, _pad(_sv_array(a), 4 * d))
-    return _judged(_pymin(1e-9 - err, rep.margin),
-                   (err <= 1e-9, lambda i: f"doubled spread mismatch {err[i]:.3e}"),
-                   (rep.holds, "half doubled spread vs s(A) failed"))
+    return _judged(("doubled spread mismatch", -err, _tol(_size(w), 2 * d)),
+                   ("half doubled spread vs s(A) failed", rep.margin, rep.tol))
 
 
 def _d_monotone(stream: Stream, d: int):
@@ -872,9 +877,8 @@ def _j_monotone(a, b):
     wa, wb = linalg._eigvalsh(a), linalg._eigvalsh(b)
     prem = major._maj_rows(_matrix_multiset(wa), _matrix_multiset(wb))
     rep = major._sub_rows(_eig_spread(wa), _eig_spread(wb))
-    return _judged(_pymin(prem.margin, rep.margin),
-                   (prem.holds, "averaged conjugates failed the scale premise"),
-                   (rep.holds, "spread monotonicity under majorization failed"))
+    return _judged(("averaged conjugates failed the scale premise", prem.margin, prem.tol),
+                   ("spread monotonicity under majorization failed", rep.margin, rep.tol))
 
 
 def _subadditive_sides(a, b):
@@ -913,8 +917,8 @@ def _j_product_chain(x, y):
     mid = x * y
     low = major._sub_rows(_dec(x) * np.sort(y, axis=-1), mid)
     high = major._sub_rows(mid, _dec(x) * _dec(y))
-    return _judged(_pymin(low.margin, high.margin),
-                   (low.holds & high.holds, "rearranged product chain failed"))
+    return _judged(("rearranged product chain failed", low.margin, low.tol),
+                   ("rearranged product chain failed", high.margin, high.tol))
 
 
 def _d_weighted(stream: Stream, n: int):
@@ -926,10 +930,9 @@ def _d_weighted(stream: Stream, n: int):
 
 
 def _j_weighted(x, y, z):
-    # np.dot row by row: a stacked product sums in another order
-    margin = np.array([np.dot(yr, zr) - np.dot(xr, zr) for xr, yr, zr in zip(x, y, z)])
-    gate = -1e-9 * _pymax(1.0, np.max(np.abs(y), axis=-1) * y.shape[-1])
-    return _judged(margin, (margin >= gate, "weighted sum ordering failed"))
+    # z is non-negative and non-increasing, so z[:, 0] is its size
+    return _judged(("weighted sum ordering failed", np.sum((y - x) * z, axis=-1),
+                    _tol(_size(x, y) * z[:, 0], x.shape[-1])))
 
 
 def _d_gauge(stream: Stream, n: int):
@@ -938,12 +941,13 @@ def _d_gauge(stream: Stream, n: int):
 
 
 def _j_gauge(x, y):
+    n = x.shape[-1]
     xs, ys = _dec(x), _dec(y)
-    margin = np.full(len(x), math.inf)
-    for nid in ("op", "kyfan:2", "schatten:1", "schatten:2", "schatten:3"):
-        if nid != "kyfan:2" or x.shape[-1] >= 2:
-            margin = _pymin(margin, major._gauge_rows(ys, nid) - major._gauge_rows(xs, nid))
-    return _judged(margin, (margin >= -1e-9, "a symmetric gauge decreased under submajorization"))
+    tol = _tol(ys[:, 0], n)
+    return _judged(*((f"the {nid} gauge decreased under submajorization",
+                      major._gauge_rows(ys, nid) - major._gauge_rows(xs, nid), tol)
+                     for nid in ("op", "kyfan:2", "schatten:1", "schatten:2", "schatten:3")
+                     if nid != "kyfan:2" or n >= 2))
 
 
 def _d_contracts(stream: Stream, d: int):
@@ -955,15 +959,13 @@ def _d_contracts(stream: Stream, d: int):
 
 def _j_contracts(p, c, s, pp, u, again, first):
     d = p.shape[-1]
-    err = np.max(np.abs(p @ p - p), axis=(-2, -1))
-    err2 = _norms(_ct(c) @ c + _ct(s) @ s - pp)
-    err3 = np.max(np.abs(_ct(u) @ u - np.eye(d)), axis=(-2, -1))
+    # projections, contractions and unitaries: every operand has norm at most 1
+    tol = _tol(1.0, d)
     return _judged(
-        _pymin(1e-12 - err, 1e-12 - err2),
-        (err <= 1e-12, lambda i: f"projection residual {err[i]:.3e}"),
-        (err2 <= 1e-12, lambda i: f"partition residual {err2[i]:.3e}"),
-        (err3 <= 1e-12 * d, lambda i: f"unitary residual {err3[i]:.3e}"),
-        (np.all(again == first, axis=(-2, -1)), "generator is not deterministic"),
+        ("projection residual", -_size(p @ p - p), tol),
+        ("partition residual", -np.linalg.norm(_ct(c) @ c + _ct(s) @ s - pp, axis=(-2, -1)), tol),
+        ("unitary residual", -_size(_ct(u) @ u - np.eye(d)), tol),
+        ("generator is not deterministic", -_size(again - first), 0.0),
     )
 
 

@@ -216,15 +216,6 @@ def _cut(split: int | None, d: int) -> int:
     return split
 
 
-def _pymax(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """max(x, y) entry by entry, with Python's rule: x unless y is larger."""
-    return np.where(y > x, y, x)
-
-
-def _pymin(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.where(y < x, y, x)
-
-
 _NORM_IDS = ("op", "schatten:1", "schatten:2")
 
 
@@ -368,8 +359,8 @@ def _general_commutator(a, b, x) -> Rows:
     mag = (_size(w_a1, w_b1) + _size(w_a2, w_b2)) * _size(sx)
     sub = _sub_rows(lhs, spread_sum * _pad(sx, k), mag)
     scalar = (
-        _pymax(w_a1[:, 0], w_b1[:, 0]) - _pymin(w_a1[:, -1], w_b1[:, -1])
-        + _pymax(w_a2[:, 0], w_b2[:, 0]) - _pymin(w_a2[:, -1], w_b2[:, -1])
+        np.maximum(w_a1[:, 0], w_b1[:, 0]) - np.minimum(w_a1[:, -1], w_b1[:, -1])
+        + np.maximum(w_a2[:, 0], w_b2[:, 0]) - np.minimum(w_a2[:, -1], w_b2[:, -1])
     )
     corollary, coro_ok = _norm_forms(lhs, sx, mag, scalar)
     return Rows("general_commutator", "compact", sub.holds & coro_ok, sub.margin, (am, bm, xm),

@@ -87,9 +87,10 @@ def _as_cmatrices(a, sized: bool = False):
     return m if size is None else (m, size)
 
 
-def _as_hermitians(a, magnitude=None, k: int = 1) -> np.ndarray:
+def _as_hermitians(a, magnitude=None, k: int = 1, sized: bool = False):
     """as_hermitian over a stack at _tol(magnitude, k), magnitude defaulting to
-    each member's max|entry|; the message names the first failing member."""
+    each member's max|entry|; the message names the first failing member.
+    sized=True returns (stack, each member's max|entry|)."""
     m, size = _as_cmatrices(a, sized=True)
     if m.shape[1] != m.shape[2]:
         raise NotHermitian(f"matrix is {m.shape[1]}x{m.shape[2]}, not square")
@@ -99,14 +100,14 @@ def _as_hermitians(a, magnitude=None, k: int = 1) -> np.ndarray:
     if bad.any():
         i = bad.argmax()  # the first True
         raise NotHermitian(f"Hermitian defect {defect[i]:.3e} exceeds {limit[i]:.3e}")
-    return m
+    return (m, size) if sized else m
 
 
 def _as_projections(p, k: int = 1) -> np.ndarray:
     """as_projection over a stack, both defects at _tol(max|P|, k); the message
     names the first failing member."""
-    m = _as_hermitians(p, k=k)
-    limit = _tol(_absmax(m, (1, 2)), k)
+    m, size = _as_hermitians(p, k=k, sized=True)
+    limit = _tol(size, k)
     defect = np.abs(m @ m - m).max(axis=(1, 2))
     bad = defect > limit
     if bad.any():
@@ -146,8 +147,8 @@ def eigh(a) -> EigenPair:
 
     Returns:
         EigenPair(values, vectors) with the residual
-        ||A @ vectors - vectors @ diag(values)||_F at most 1e-10 * max(1, ||A||_F),
-        the bound the eigh_residual property checks.
+        ||A @ vectors - vectors @ diag(values)||_F at most _tol(||A||_2, d) for
+        a d x d A, the bound the eigh_residual property checks.
 
     Raises:
         NotHermitian: input fails the Hermiticity gate.

@@ -341,6 +341,20 @@ def test_property_failure_reports_its_first_failing_trial(monkeypatch):
     assert got["worst_margin"] > margin[t]
 
 
+def test_judged_names_the_first_failing_check():
+    margin, detail = harness._judged(
+        ("first", np.array([1.0, -2e-12, -1.0, np.nan]), np.array([0.0, 1e-12, 1e-12, 1.0])),
+        ("second", np.array([-0.5, 0.0, -3.0, 0.0]), 0.0),
+    )
+    # a row's margin is the smallest of its checks'; it holds where every
+    # margin clears -tol, and a NaN margin never does
+    assert margin[:3].tolist() == [-0.5, -2e-12, -3.0] and np.isnan(margin[3])
+    assert detail == ["second (margin -5.000e-01, tol 0.000e+00)",
+                      "first (margin -2.000e-12, tol 1.000e-12)",
+                      "first (margin -1.000e+00, tol 1.000e-12)",
+                      "first (margin nan, tol 1.000e+00)"]
+
+
 def test_property_suite_raises_lower_bound_to_one():
     assert property_suite(2, trials=6, dims=(-3, 4)) == property_suite(2, trials=6, dims=(1, 4))
 

@@ -2,17 +2,18 @@
 
 Every inequality of the family is positively homogeneous (Spr+(cA) =
 |c| Spr+(A), s(cX) = |c| s(X)), and every gate and comparison of the
-verifiers is made at linalg._tol of its operands' size, so a verdict read at
-c = 10^j, j = -12..12, must equal the one read at c = 1. Operands that
-scaling would take out of their hypothesis class stay fixed: a projection P,
-and the contractions S, C of a splitting C*C + S*S = P.
+verifiers and of the property judges is made at linalg._tol of its operands'
+size, so a verdict read at c = 10^j, j = -12..12, must equal the one read at
+c = 1. Operands that scaling would take out of their hypothesis class stay
+fixed: a projection P, a unitary, and the contractions S, C of a splitting
+C*C + S*S = P.
 """
 
 import numpy as np
 import pytest
 
 from sspread import NotHermitian, NotPositive, SpreadSeq, as_hermitian, ineq, submajorizes
-from sspread.harness import VERIFIERS, _groups, fixture_matrices
+from sspread.harness import PROPERTIES, VERIFIERS, _groups, fixture_matrices
 from sspread.linalg import _ct
 from sspread.rng import _splitmix64_block
 
@@ -39,7 +40,7 @@ def _scaled(args, fixed=()):
             continue
         tiled = np.concatenate([a] * len(SCALES))
         if i not in fixed:
-            tiled = tiled * np.repeat(SCALES, len(a))[:, None, None]
+            tiled = tiled * np.repeat(SCALES, len(a)).reshape((-1,) + (1,) * (a.ndim - 1))
         out.append(tiled)
     return out
 
@@ -67,6 +68,37 @@ def test_registry_verdicts_are_scale_free(ineq_id):
     flips = []
     for _, args in _groups(entry, seeds, 2, 8):
         flips += _flips(kernel, args, FIXED.get(ineq_id, ()))
+    assert not flips, f"{len(flips)} verdicts flip, e.g. (scale, row) {flips[:5]}"
+
+
+# argument positions each property keeps fixed: unitaries, projections and
+# the multiplier c of spread_homogeneity (translation's shift c scales
+# with A); an integer k is shared as it is
+PROPERTY_FIXED = {
+    "sv_unitary_invariance": {1, 2},
+    "ky_fan_extremality": {2, 3, 4, 5},
+    "interlacing": {1},
+    "spread_homogeneity": {1},
+}
+# its inputs are projections, splittings and unitaries: none is homogeneous
+NOT_HOMOGENEOUS = {"generator_contracts"}
+
+
+def _property_holds(judge, args):
+    return np.array([msg is None for msg in judge(*args)[1]])
+
+
+@pytest.mark.parametrize("name", sorted(set(PROPERTIES) - NOT_HOMOGENEOUS))
+def test_property_verdicts_are_scale_free(name):
+    prop = PROPERTIES[name]
+    seeds = _splitmix64_block(20211, 0, 50)
+    hi = min(prop.hi, 8)
+    flips = []
+    for _, args in _groups(prop, seeds, min(max(prop.lo, 2), hi), hi):
+        holds = _property_holds(prop.judge, args)
+        scaled = _property_holds(prop.judge, _scaled(args, PROPERTY_FIXED.get(name, ())))
+        bad = scaled.reshape(len(SCALES), -1) != holds
+        flips += [(float(SCALES[j]), int(r)) for j, r in zip(*np.nonzero(bad))]
     assert not flips, f"{len(flips)} verdicts flip, e.g. (scale, row) {flips[:5]}"
 
 

@@ -45,29 +45,29 @@ FUZZ = {
 # name: worst_margin; every property holds
 PROPERTIES = {
     "abs_majorization": -4.440892098500626e-16,
-    "eigh_residual": 1.9996662676111373e-12,
+    "eigh_residual": -4.722977304521997e-14,
     "gauge_monotone": 0.01589246056002014,
-    "generator_contracts": 9.985679678828975e-13,
-    "hat_trick": 9.999946709294819e-10,
+    "generator_contracts": -1.4320321171024282e-15,
+    "hat_trick": -6.217248937900877e-15,
     "interlacing": 0.003054972226406605,
     "interleave_pairs": 0.22046904488420904,
-    "ky_fan_extremality": -3.1086244689504383e-15,
+    "ky_fan_extremality": -5.329070518200751e-15,
     "product_chain": 0.0,
     "product_monotone": 0.03295453572873874,
     "product_sorting": 0.0,
     "scale_ordering": 0.0,
-    "sorted_sum": -1.7763568394002505e-15,
+    "sorted_sum": -2.6645352591003757e-15,
     "spread_doubling": -7.105427357601002e-15,
-    "spread_homogeneity": 9.999946709294819e-10,
+    "spread_homogeneity": -7.105427357601002e-15,
     "spread_monotone": -1.1546319456101628e-14,
     "spread_subadditive": 0.20187929379695602,
-    "spread_translation_invariance": 9.999937827510622e-10,
+    "spread_translation_invariance": -6.217248937900877e-15,
     "spread_vs_sv": -1.4210854715202004e-14,
-    "spread_zero_block": 9.964472863211995e-13,
+    "spread_zero_block": -3.552713678800501e-15,
     "sv_product_bound": 0.21265269741888337,
-    "sv_unitary_invariance": 9.999955591079016e-10,
+    "sv_unitary_invariance": -4.440892098500626e-15,
     "updown_sum": 0.0,
-    "weighted_sums": 0.1004027102594065,
+    "weighted_sums": 0.10040271025940647,
     "weyl_scale": -1.5987211554602254e-14,
     "weyl_sv": 0.1942012535880564,
 }

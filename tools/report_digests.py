@@ -21,7 +21,20 @@ seed), so it then prints one line per scalar-stream draw:
 
 each with the sha256 over every returned matrix's shape and bytes, as
 ineq._digest hashes a witness (a shared scalar argument, a split or an
-absent E2, enters as its repr). Two trees give the same reports when their outputs are equal, e.g.
+absent E2, enters as its repr). A campaign report keeps only its worst
+margin, so it then prints one line per whole verdict and per property row
+set, which see a margin that moves no campaign minimum:
+
+    verdict ID S A..B        cli.canonical_json(cli.verdict_to_dict(check(
+                             *harness.trial_args(ID, S, (A, B))))), S = 1..4,
+                             (A, B) = (2, 8) and (12, 16): every margin, the
+                             extras and the witness
+    property NAME S          the margins and details harness._property_rows
+                             gives the trials of NAME at `suite --seed S`,
+                             S = 1..3 (60 trials, dims 2..8)
+
+each with the sha256 of that text, or of the margins' bytes and the details'
+canonical JSON. Two trees give the same reports when their outputs are equal, e.g.
 `diff <(python3 A/tools/report_digests.py) <(python3 B/tools/report_digests.py)`.
 With --out DIR, each command's stdout is also written to DIR, one file per
 command named after its argv (e.g. `fuzz_zhan_--trials_500_--seed_1_--json.txt`),
@@ -43,8 +56,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from sspread import cli, harness  # noqa: E402
+from sspread import cli, harness, ineq  # noqa: E402
 from sspread.harness import GenSpec  # noqa: E402
+from sspread.rng import _splitmix64_block, derive_seed  # noqa: E402
 from workloads import SHORT_COMMANDS  # noqa: E402
 
 
@@ -76,6 +90,34 @@ def draws() -> list[tuple[str, object]]:
             for seed in (1, 2, 3):
                 out.append((f"generate {kind} {dim} {seed}",
                             harness.generate(GenSpec(kind, dim, seed))))
+    return out
+
+
+def verdicts() -> list[tuple[str, str]]:
+    """(label, sha256) of the whole verdict of every trial_args trial covered."""
+    out = []
+    for ineq_id in sorted(harness.VERIFIERS):
+        check = getattr(ineq, harness.VERIFIERS[ineq_id].check)
+        for dims in ((2, 8), (12, 16)):
+            for seed in (1, 2, 3, 4):
+                v = check(*harness.trial_args(ineq_id, seed, dims))
+                text = cli.canonical_json(cli.verdict_to_dict(v))
+                out.append((f"verdict {ineq_id} {seed} {dims[0]}..{dims[1]}",
+                            hashlib.sha256(text.encode()).hexdigest()))
+    return out
+
+
+def properties() -> list[tuple[str, str]]:
+    """(label, sha256) of every property's rows at `suite --seed S`, S = 1..3,
+    numbered as property_suite numbers them."""
+    out = []
+    for seed in (1, 2, 3):
+        for idx, (name, prop) in enumerate(sorted(harness.PROPERTIES.items())):
+            seeds = _splitmix64_block(derive_seed(seed, idx), 0, 60)
+            margin, detail = harness._property_rows(prop, seeds, (2, 8))
+            h = hashlib.sha256(margin.tobytes())
+            h.update(cli.canonical_json(detail).encode())
+            out.append((f"property {name} {seed}", h.hexdigest()))
     return out
 
 
@@ -113,6 +155,8 @@ def main(argv: list[str] | None = None) -> None:
         print(" ".join(cmd), code, hashlib.sha256(text.encode()).hexdigest())
     for label, value in draws():
         print(label, digest(value))
+    for label, sha in verdicts() + properties():
+        print(label, sha)
 
 
 if __name__ == "__main__":
