@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .errors import (
     DimMismatch,
     HorizonMismatch,
-    InsufficientSampling,
     ModeError,
     NoConvergence,
     NotHermitian,
@@ -60,7 +59,7 @@ __all__ = [
     "__version__",
     "SpreadError", "NotHermitian", "NoConvergence", "NotProjection",
     "NotPositive", "NotProjectionSum", "ModeError",
-    "HorizonMismatch", "DimMismatch", "InsufficientSampling", "UnknownKind",
+    "HorizonMismatch", "DimMismatch", "UnknownKind",
     "UnknownExample", "UnknownInequality", "ParseError",
     "DiagSpec", "SpreadSeq", "TwoSidedSeq",
     "matrix_scale", "compact_scale", "diag_scale", "spread_full", "spread_plus",

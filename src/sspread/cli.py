@@ -4,7 +4,7 @@ Matrix files: a header line "dim <n>", then n rows of n whitespace-separated
 complex entries written as a+bi (bare reals accepted on input), with optional
 "mode: matrix|compact" and "#" comment lines. Diagonal-operator files start
 with "diag" and carry "head:", "liminf:", "limsup:", and an optional
-"generator: <name> key=value ..." line.
+"generator: <name> key=value ..." line, each key at most once.
 
 The JSON report is the machine interface; the human text output is a
 rendering of the same report. Floats are serialized with 17 significant
@@ -29,7 +29,6 @@ from . import __version__, harness, ineq, linalg, major
 from .errors import (
     DimMismatch,
     HorizonMismatch,
-    InsufficientSampling,
     ModeError,
     NoConvergence,
     NotHermitian,
@@ -52,12 +51,10 @@ _PARSE_ERRORS = (
     ParseError, NotHermitian, NotPositive, NotProjection, NotProjectionSum,
     DimMismatch, OSError, NoConvergence, ValueError,
 )
-_MODE_ERRORS = (ModeError, HorizonMismatch, InsufficientSampling)
+_MODE_ERRORS = (ModeError, HorizonMismatch)
 _UNKNOWN_ERRORS = (UnknownInequality, UnknownExample)
 
-# the largest --horizon of scale and spread: a diagonal-operator file samples
-# 64 entries per horizon step in a Python loop (640,000 at this cap, about
-# 0.5 s and 110 MB at peak), and the report lists two numbers per step
+# the largest --horizon of scale and spread: the report lists two numbers per step
 _MAX_HORIZON = 10_000
 
 
@@ -160,11 +157,15 @@ def _parse_diag(lines: list[str]) -> DiagSpec:
     liminf = limsup = None
     generator = None
     params: dict[str, float] = {}
+    seen: set[str] = set()
     for line in lines:
         if ":" not in line:
             raise ParseError(f"malformed diag line {line!r}")
         key, rest = [x.strip() for x in line.split(":", 1)]
         key = key.lower()
+        if key in seen:
+            raise ParseError(f"diag key {key!r} given twice")
+        seen.add(key)
         try:
             if key == "head":
                 head = tuple(float(t) for t in rest.split())
@@ -181,7 +182,9 @@ def _parse_diag(lines: list[str]) -> DiagSpec:
                     if "=" not in t:
                         raise ParseError(f"bad generator parameter {t!r}")
                     k, v = t.split("=", 1)
-                    params[k.strip()] = float(v)
+                    if k in params:
+                        raise ParseError(f"generator parameter {k!r} given twice")
+                    params[k] = float(v)
             else:
                 raise ParseError(f"unknown diag key {key!r}")
         except ValueError as exc:

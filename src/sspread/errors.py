@@ -37,10 +37,6 @@ class DimMismatch(SpreadError):
     """Operator dimensions are incompatible."""
 
 
-class InsufficientSampling(SpreadError):
-    """Diagonal-model sampling budget cannot certify the requested scale entries."""
-
-
 class UnknownKind(SpreadError):
     """Unrecognized generator kind."""
 

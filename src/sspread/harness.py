@@ -798,20 +798,12 @@ def _j_interlacing(a, p):
                    ("interlacing violated", np.min(wc - wa[:, d - r:], axis=-1), tol))
 
 
-@functools.cache
-def _alt_harmonic_gap() -> float:
-    """min(pos - neg) of the alternating-harmonic diag scale at horizon 8, built once."""
-    spec = DiagSpec(head=(), liminf=-1.0, limsup=1.0, generator="alt_harmonic",
-                    params={"upper": 1.0, "lower": -1.0})
-    dsc = diag_scale(spec, 8)
-    return float(np.min(dsc.pos - dsc.neg))
-
-
 def _j_scale_ordering(a):
     # exact: a spread is pos - neg of sides with pos >= 0 >= neg
+    dsc = diag_scale(DiagSpec(liminf=-1.0, limsup=1.0, generator="alt_harmonic"), 8)
     return _judged(("compact scale ordering violated",
                     np.min(_eig_spread(linalg._eigvalsh(a)), axis=-1), 0.0),
-                   ("diag scale ordering violated", _alt_harmonic_gap(), 0.0))
+                   ("diag scale ordering violated", float(np.min(dsc.pos - dsc.neg)), 0.0))
 
 
 def _j_translation(a, c):

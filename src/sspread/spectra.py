@@ -10,18 +10,20 @@ Modes:
                 eigenvalues padded with zeros, both tails 0.
     "diag"    - bounded diagonal operator described by a DiagSpec; entries
                 outside the essential band [liminf, limsup] are listed, the
-                rest collapse to the tails.
+                rest collapse to the tails. The band of a generated sequence
+                is its rule's limits, and the scale is exact at every horizon.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from inspect import signature
 
 import numpy as np
 
 from . import linalg
-from .errors import HorizonMismatch, InsufficientSampling, ModeError
+from .errors import HorizonMismatch, ModeError
 
 MODES = ("matrix", "compact", "diag")
 
@@ -121,8 +123,9 @@ class DiagSpec:
     """Bounded real sequence a defining a diagonal operator D_a.
 
     head lists explicit leading entries; entries past the head come from the
-    named generator rule. Entries past the sampling window are assumed to lie
-    inside [liminf, limsup].
+    named GENERATORS rule, which declares its parameters' defaults. With a
+    generator, [liminf, limsup] must be the rule's (liminf a_n, limsup a_n);
+    without one, the head is the whole sequence and the band is as declared.
     """
 
     head: tuple[float, ...] = ()
@@ -138,8 +141,23 @@ class DiagSpec:
             raise ValueError("head, liminf, limsup and generator parameters must be finite")
         if self.liminf > self.limsup:
             raise ValueError("liminf must not exceed limsup")
-        if self.generator is not None and self.generator not in GENERATORS:
+        if self.generator is None:
+            if self.params:
+                raise ValueError("generator parameters given without a generator")
+            return
+        rule = GENERATORS.get(self.generator)
+        if rule is None:
             raise ValueError(f"unknown generator {self.generator!r}")
+        takes = list(signature(rule).parameters)[1:]
+        if not set(self.params) <= set(takes):
+            raise ValueError(f"generator {self.generator} takes {takes}, got {sorted(self.params)}")
+        band = rule(np.arange(0), **self.params)[1]
+        if (self.liminf, self.limsup) != band:
+            raise ValueError(f"generator {self.generator} has band [{band[0]!r}, {band[1]!r}], "
+                             f"not [{self.liminf!r}, {self.limsup!r}]")
+
+    def _generated(self, n: np.ndarray) -> np.ndarray:
+        return GENERATORS[self.generator](n, **self.params)[0]
 
     def entry(self, n: int) -> float:
         """n-th entry (1-based)."""
@@ -149,38 +167,29 @@ class DiagSpec:
             return self.head[n - 1]
         if self.generator is None:
             raise IndexError(f"entry {n} is beyond the head and no generator is set")
-        return GENERATORS[self.generator](n, self.params)
+        return float(self._generated(np.array([n]))[0])
 
     def sample(self, m: int) -> np.ndarray:
         """First min(m, available) entries."""
-        stop = m if self.generator is not None else min(m, len(self.head))
-        return np.array([self.entry(n) for n in range(1, stop + 1)])
+        head = np.array(self.head, dtype=float)
+        if self.generator is None or m <= len(head):
+            return head[:max(m, 0)]
+        return np.concatenate([head, self._generated(np.arange(len(head) + 1, m + 1))])
 
 
-def _gen_constant(n: int, p: dict) -> float:
-    return p.get("value", 0.0)
-
-
-def _gen_zero(n: int, p: dict) -> float:
-    return 0.0
-
-
-def _gen_harmonic(n: int, p: dict) -> float:
-    return p.get("limit", 0.0) + p.get("coef", 1.0) / n
-
-
-def _gen_alt_harmonic(n: int, p: dict) -> float:
+def _alt_harmonic(n: np.ndarray, upper: float = 1.0, lower: float = -1.0):
     # odd entries upper + 1/k, even entries lower + 1/k, k = ceil(n/2)
-    k = (n + 1) // 2
-    base = p.get("upper", 1.0) if n % 2 == 1 else p.get("lower", -1.0)
-    return base + 1.0 / k
+    entries = np.where(n % 2 == 1, upper, lower) + 1.0 / ((n + 1) // 2)
+    return entries, (min(upper, lower), max(upper, lower))
 
 
+# generator rules: each maps an array of 1-based indices n and its parameters,
+# whose defaults it declares, to (entries a_n, (liminf a_n, limsup a_n))
 GENERATORS = {
-    "constant": _gen_constant,
-    "zero": _gen_zero,
-    "harmonic": _gen_harmonic,
-    "alt_harmonic": _gen_alt_harmonic,
+    "constant": lambda n, value=0.0: (np.full(n.shape, value), (value, value)),
+    "zero": lambda n: (np.zeros(n.shape), (0.0, 0.0)),
+    "harmonic": lambda n, limit=0.0, coef=1.0: (limit + coef / n, (limit, limit)),
+    "alt_harmonic": _alt_harmonic,
 }
 
 
@@ -243,36 +252,29 @@ def _matrix_spread(mu: np.ndarray) -> np.ndarray:
     return mu[..., :half] - mu[..., ::-1][..., :half]
 
 
-def diag_scale(a: DiagSpec, k: int, m_factor: int = 64) -> TwoSidedSeq:
-    """Scale of the diagonal operator D_a, certified up to horizon k.
+def diag_scale(a: DiagSpec, k: int) -> TwoSidedSeq:
+    """Scale of the diagonal operator D_a up to horizon k, exact.
 
     Entries strictly above limsup (below liminf) rank on the positive
-    (negative) side; everything else collapses to the tails. The sampling
-    window is m_factor * k entries when a generator is present, otherwise the
-    head alone (which is then authoritative).
-
-    Raises:
-        InsufficientSampling: a generator-produced candidate that ranks among
-        the first k scale entries first appears in the late half of the
-        window, so the window cannot be trusted to have seen every ranking
-        candidate.
+    (negative) side, largest (smallest) first and ties in index order; the
+    rest collapse to the tails. Past the head, every rule is monotone toward
+    its limit along each parity of n: `constant` and `zero` put no entry
+    strictly outside the band, `harmonic` L + c/n moves toward L, and
+    `alt_harmonic` falls toward upper on odd n and toward lower on even n,
+    never below min(upper, lower). Rounding keeps each parity monotone, as a
+    correctly rounded quotient or sum is monotone in its operands. So an
+    entry that ranks among the first k lies in the head or among the first
+    k entries of its parity past it, and the head plus 2k generated entries
+    is an exact window. Without a generator the head is the whole sequence.
     """
     if k < 1:
         raise ValueError("horizon must be >= 1")
-    window = a.sample(m_factor * k)
-    up = [(v, i) for i, v in enumerate(window) if v > a.limsup]
-    down = [(v, i) for i, v in enumerate(window) if v < a.liminf]
-    up.sort(key=lambda t: (-t[0], t[1]))
-    down.sort(key=lambda t: (t[0], t[1]))
-    if a.generator is not None:
-        late = len(window) // 2
-        for v, i in up[:k] + down[:k]:
-            if i >= late:
-                raise InsufficientSampling(
-                    f"ranking entry {v!r} first appears at sample {i + 1} of {len(window)}"
-                )
-    pos = np.array([up[i][0] if i < len(up) else a.limsup for i in range(k)])
-    neg = np.array([down[i][0] if i < len(down) else a.liminf for i in range(k)])
+    window = a.sample(len(a.head) + 2 * k)
+    # a stable sort keeps ties, +0.0 against -0.0 included, in index order
+    up = -np.sort(-window[window > a.limsup], kind="stable")[:k]
+    down = np.sort(window[window < a.liminf], kind="stable")[:k]
+    pos = np.concatenate([up, np.full(k - len(up), a.limsup)])
+    neg = np.concatenate([down, np.full(k - len(down), a.liminf)])
     return TwoSidedSeq(
         pos=pos, neg=neg, pos_tail=a.limsup, neg_tail=a.liminf, K=k, mode="diag"
     )

@@ -83,10 +83,10 @@ def test_matrix_text_malformed():
 
 
 def test_diag_text_roundtrip():
-    text = "diag\nhead: 2.5 -1.0\nliminf: -1.0\nlimsup: 1.0\ngenerator: harmonic limit=0.0 coef=1.0\n"
+    text = "diag\nhead: 2.5 -1.0\nliminf: 0.0\nlimsup: 0.0\ngenerator: harmonic limit=0.0 coef=1.0\n"
     spec, mode = cli.parse_matrix_text(text)
     assert mode == "diag"
-    assert spec == DiagSpec(head=(2.5, -1.0), liminf=-1.0, limsup=1.0,
+    assert spec == DiagSpec(head=(2.5, -1.0), liminf=0.0, limsup=0.0,
                             generator="harmonic", params={"limit": 0.0, "coef": 1.0})
 
 
@@ -443,6 +443,22 @@ def test_non_finite_diag_file_exit_two(capsys, tmp_path):
         code, out, err = run(capsys, "spread", str(path), "--horizon", "3", "--json")
         assert code == 2 and out == "" and "finite" in err
 
+
+
+@pytest.mark.parametrize("text, why", [
+    # 5·I has spread 0: the band of `constant value=5` is [5, 5]
+    ("diag\nliminf: 0\nlimsup: 0\ngenerator: constant value=5\n", "band"),
+    ("diag\nliminf: 0\nlimsup: 0\ngenerator: harmonic limit=0 coeff=3\n", "coeff"),
+    ("diag\nliminf: -1\nlimsup: 1\nliminf: 0\n", "twice"),
+    ("diag\nliminf: 0\nlimsup: 0\ngenerator: harmonic coef=2\ngenerator: zero\n", "twice"),
+    ("diag\nliminf: 0\nlimsup: 0\ngenerator: harmonic coef=2 coef=3\n", "twice"),
+], ids=["constant-band", "coeff-typo", "repeated-key", "repeated-generator", "repeated-param"])
+def test_diag_file_it_cannot_mean_exit_two(capsys, tmp_path, text, why):
+    path = tmp_path / "bad.diag"
+    path.write_text(text)
+    for cmd in ("scale", "spread"):
+        code, out, err = run(capsys, cmd, str(path), "--horizon", "3", "--json")
+        assert code == 2 and out == "" and why in err, cmd
 
 def test_suite_json_is_deterministic(capsys):
     code1, out1, _ = run(capsys, "suite", "--seed", "1", "--trials", "6", "--json")

@@ -1,6 +1,7 @@
 """Scale construction in the three operator models."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from sspread import (
     DiagSpec,
     HorizonMismatch,
-    InsufficientSampling,
     ModeError,
     SpreadSeq,
     TwoSidedSeq,
@@ -18,7 +18,7 @@ from sspread import (
     spread_full,
     spread_plus,
 )
-from sspread import linalg, spectra
+from sspread import cli, linalg, spectra
 from sspread.harness import GenSpec, generate
 
 A3 = np.diag([3.0, 1.0, -2.0])
@@ -124,7 +124,7 @@ def test_spreadseq_contract():
 
 
 def test_diag_entry_and_sample():
-    spec = DiagSpec(head=(5.0, -3.0), liminf=-1.0, limsup=1.0,
+    spec = DiagSpec(head=(5.0, -3.0), liminf=0.0, limsup=0.0,
                     generator="harmonic", params={"limit": 0.0, "coef": 1.0})
     assert spec.entry(1) == 5.0
     assert spec.entry(2) == -3.0
@@ -174,28 +174,30 @@ def test_diag_scale_alternating_harmonic():
 
 
 def test_diag_scale_settles_when_band_absorbs_everything():
-    spec = DiagSpec(head=(), liminf=0.0, limsup=2.0,
-                    generator="harmonic", params={"limit": 0.0, "coef": 1.0})
-    sc = diag_scale(spec, 4)
-    assert np.allclose(sc.pos, [2.0] * 4)
-    assert np.allclose(sc.neg, [0.0] * 4)
-    assert sc.settled()
+    # a band wider than the harmonic rule's limits is not its band
+    with pytest.raises(ValueError, match="band"):
+        DiagSpec(head=(), liminf=0.0, limsup=2.0,
+                 generator="harmonic", params={"limit": 0.0, "coef": 1.0})
+    for spec in (DiagSpec(head=(1.5, 0.5), liminf=0.0, limsup=2.0),
+                 DiagSpec(head=(2.0,), liminf=2.0, limsup=2.0, generator="constant",
+                          params={"value": 2.0})):
+        sc = diag_scale(spec, 4)
+        assert np.array_equal(sc.pos, [2.0] * 4)
+        assert np.array_equal(sc.neg, [spec.liminf] * 4)
+        assert sc.settled()
 
 
 def test_diag_scale_flags_late_candidates():
-    # entries 2 - 1/n climb toward 2 > limsup, so the top candidates of any
-    # finite window sit at its very end: the window proves nothing
-    spec = DiagSpec(head=(), liminf=-1.0, limsup=1.0,
-                    generator="harmonic", params={"limit": 2.0, "coef": -1.0})
-    with pytest.raises(InsufficientSampling):
-        diag_scale(spec, 3)
+    # entries 2 - 1/n climb toward 2, so [-1, 1] is not their band
+    with pytest.raises(ValueError, match="band"):
+        DiagSpec(head=(), liminf=-1.0, limsup=1.0,
+                 generator="harmonic", params={"limit": 2.0, "coef": -1.0})
 
 
 def test_diag_scale_flags_late_negative_candidates():
-    spec = DiagSpec(head=(), liminf=-1.0, limsup=1.0,
-                    generator="harmonic", params={"limit": -2.0, "coef": 1.0})
-    with pytest.raises(InsufficientSampling):
-        diag_scale(spec, 3)
+    with pytest.raises(ValueError, match="band"):
+        DiagSpec(head=(), liminf=-1.0, limsup=1.0,
+                 generator="harmonic", params={"limit": -2.0, "coef": 1.0})
 
 
 def test_diag_scale_head_is_authoritative_without_generator():
@@ -205,16 +207,28 @@ def test_diag_scale_head_is_authoritative_without_generator():
     assert np.allclose(sc.pos, [4.0, 1.0])
 
 
+
+def test_diag_scale_reads_the_whole_head():
+    # a spike deep in a long head still ranks first
+    head = (0.0,) * 150 + (4.0,) + (0.0,) * 49
+    for spec in (DiagSpec(head=head, liminf=-1.0, limsup=1.0),
+                 DiagSpec(head=head, generator="harmonic", params={"coef": -1.0})):
+        assert diag_scale(spec, 1).pos[0] == 4.0
+
 def test_diag_scale_unsettled_single_spike():
-    spec = DiagSpec(head=(), liminf=0.0, limsup=0.5,
+    with pytest.raises(ValueError, match="band"):
+        DiagSpec(head=(), liminf=0.0, limsup=0.5,
+                 generator="harmonic", params={"limit": 0.0, "coef": 1.0})
+    spec = DiagSpec(head=(), liminf=0.0, limsup=0.0,
                     generator="harmonic", params={"limit": 0.0, "coef": 1.0})
-    sc = diag_scale(spec, 1)
-    assert sc.pos[0] == 1.0
+    sc = diag_scale(spec, 3)
+    assert np.array_equal(sc.pos, [1.0, 1.0 / 2.0, 1.0 / 3.0])
+    assert np.array_equal(sc.neg, [0.0] * 3)
     assert not sc.settled()
 
 
 def test_generator_formulas():
-    const = DiagSpec(liminf=0.0, limsup=3.0, generator="constant",
+    const = DiagSpec(liminf=3.0, limsup=3.0, generator="constant",
                      params={"value": 3.0})
     assert const.entry(7) == 3.0
     zero = DiagSpec(liminf=0.0, limsup=0.0, generator="zero")
@@ -226,6 +240,96 @@ def test_generator_formulas():
     assert alt.entry(3) == 1.5
     assert alt.entry(4) == -0.5
 
+
+
+def test_diag_spec_refuses_what_its_rule_cannot_mean():
+    for bad in (
+        {"generator": "harmonic", "params": {"limit": 0.0, "coeff": 3.0}},  # no such parameter
+        {"generator": "zero", "params": {"value": 0.0}},
+        {"params": {"value": 5.0}},  # parameters without a generator
+        {"liminf": 0.0, "limsup": 0.0, "generator": "constant", "params": {"value": 5.0}},
+        {"liminf": -1.0, "limsup": 1.0, "generator": "zero"},
+        {"liminf": 0.0, "limsup": 1.0, "generator": "alt_harmonic", "params": {"lower": 0.5}},
+    ):
+        with pytest.raises(ValueError):
+            DiagSpec(**bad)
+    # each rule's band is (liminf a_n, limsup a_n), and the defaults fill in
+    for spec in (DiagSpec(liminf=5.0, limsup=5.0, generator="constant", params={"value": 5.0}),
+                 DiagSpec(generator="constant"),
+                 DiagSpec(generator="zero"),
+                 DiagSpec(liminf=2.0, limsup=2.0, generator="harmonic", params={"limit": 2.0}),
+                 DiagSpec(liminf=-1.0, limsup=1.0, generator="alt_harmonic"),
+                 DiagSpec(liminf=0.5, limsup=3.0, generator="alt_harmonic",
+                          params={"upper": 0.5, "lower": 3.0})):
+        assert spec.entry(1) == spec.sample(1)[0]
+
+
+_SCALAR_RULES = {
+    "constant": lambda n, p: p.get("value", 0.0),
+    "zero": lambda n, p: 0.0,
+    "harmonic": lambda n, p: p.get("limit", 0.0) + p.get("coef", 1.0) / n,
+    "alt_harmonic": lambda n, p: ((p.get("upper", 1.0) if n % 2 == 1 else p.get("lower", -1.0))
+                                  + 1.0 / ((n + 1) // 2)),
+}
+
+
+def _reference_diag_scale(spec, k):
+    """(pos, neg) by a 64k-entry window of scalar-formula entries, ranked by
+    sorting (value, index) pairs; a ranking entry in the window's late half
+    would leave the window unproven."""
+    window = [spec.head[n - 1] if n <= len(spec.head)
+              else _SCALAR_RULES[spec.generator](n, spec.params)
+              for n in range(1, 64 * k + 1)]
+    up = sorted(((v, i) for i, v in enumerate(window) if v > spec.limsup),
+                key=lambda t: (-t[0], t[1]))
+    down = sorted(((v, i) for i, v in enumerate(window) if v < spec.liminf),
+                  key=lambda t: (t[0], t[1]))
+    assert all(i < len(window) // 2 for _, i in up[:k] + down[:k])
+    pos = np.array([up[i][0] if i < len(up) else spec.limsup for i in range(k)])
+    neg = np.array([down[i][0] if i < len(down) else spec.liminf for i in range(k)])
+    return pos, neg
+
+
+def _random_consistent_spec(rng, rule, head_len):
+    pool = (-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+
+    def draw():
+        return float(rng.choice(pool)) if rng.random() < 0.7 else float(rng.normal())
+
+    params = {"constant": lambda: {"value": draw()},
+              "zero": dict,
+              "harmonic": lambda: {"limit": draw(), "coef": draw()},
+              "alt_harmonic": lambda: {"upper": draw(), "lower": draw()}}[rule]()
+    # drop some parameters, so that their defaults are exercised too
+    params = {key: v for key, v in params.items() if rng.random() < 0.8}
+    lo, hi = spectra.GENERATORS[rule](np.arange(0), **params)[1]
+    # a zero band may be declared with either sign; it is the rule's band all the same
+    lo, hi = (-0.0 if v == 0.0 and rng.random() < 0.5 else v for v in (lo, hi))
+    head = tuple(draw() for _ in range(head_len))
+    return DiagSpec(head=head, liminf=lo, limsup=hi, generator=rule, params=params)
+
+
+def test_diag_scale_is_exact():
+    rng = np.random.default_rng(20261019)
+    for rule in sorted(spectra.GENERATORS):
+        for head_len in range(7):
+            for k in (1, 50, *rng.integers(2, 50, size=4)):
+                spec = _random_consistent_spec(rng, rule, head_len)
+                sc = diag_scale(spec, int(k))
+                pos, neg = _reference_diag_scale(spec, int(k))
+                assert sc.pos.tobytes() == pos.tobytes(), (spec, k)
+                assert sc.neg.tobytes() == neg.tobytes(), (spec, k)
+                assert (sc.pos_tail, sc.neg_tail) == (spec.limsup, spec.liminf)
+
+
+def test_diag_scale_fixture_at_the_horizon_cap():
+    spec, _ = cli.load_file(str(Path(__file__).resolve().parent.parent
+                                / "fixtures" / "diag_scale.diag"))
+    k = cli._MAX_HORIZON
+    sc = diag_scale(spec, k)
+    assert np.array_equal(sc.pos, 1.0 + 1.0 / np.arange(1, k + 1))
+    assert np.array_equal(sc.neg, np.full(k, -1.0))
+    assert (sc.pos_tail, sc.neg_tail) == (1.0, -1.0)
 
 def test_mode_gate():
     with pytest.raises(ModeError):

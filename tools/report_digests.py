@@ -10,6 +10,7 @@ Runs, in this process and from the repository root:
     suite --seed 1 --json
     fuzz ID --trials 500 --seed S --json     for every verifier id, S = 1..3
     the short fixture commands of bench/workloads.py (SHORT_COMMANDS)
+    scale|spread fixtures/diag_scale.diag --horizon H --json, H = 1, 50, 10000
 
 and prints one line per command: the argv, the exit code and the sha256 of
 stdout. None of those reports draws on the scalar stream (a Stream of one int
@@ -32,9 +33,11 @@ set, which see a margin that moves no campaign minimum:
     property NAME S          the margins and details harness._property_rows
                              gives the trials of NAME at `suite --seed S`,
                              S = 1..3 (60 trials, dims 2..8)
+    diag_scale RULE K        spectra.diag_scale of one spec with a head per
+                             generator rule, K = 1, 8, 50
 
-each with the sha256 of that text, or of the margins' bytes and the details'
-canonical JSON. Two trees give the same reports when their outputs are equal, e.g.
+each with the sha256 of that text, of the margins' bytes and the details'
+canonical JSON, or of the scale's sides and tails. Two trees give the same reports when their outputs are equal, e.g.
 `diff <(python3 A/tools/report_digests.py) <(python3 B/tools/report_digests.py)`.
 With --out DIR, each command's stdout is also written to DIR, one file per
 command named after its argv (e.g. `fuzz_zhan_--trials_500_--seed_1_--json.txt`),
@@ -56,7 +59,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from sspread import cli, harness, ineq  # noqa: E402
+from sspread import cli, harness, ineq, spectra  # noqa: E402
 from sspread.harness import GenSpec  # noqa: E402
 from sspread.rng import _splitmix64_block, derive_seed  # noqa: E402
 from workloads import SHORT_COMMANDS  # noqa: E402
@@ -67,7 +70,11 @@ def commands() -> list[list[str]]:
     for ineq_id in sorted(harness.VERIFIERS):
         for seed in (1, 2, 3):
             out.append(["fuzz", ineq_id, "--trials", "500", "--seed", str(seed), "--json"])
-    return out + [list(argv) for argv, _ in SHORT_COMMANDS]
+    out += [list(argv) for argv, _ in SHORT_COMMANDS]
+    for cmd in ("scale", "spread"):
+        for horizon in ("1", "50", "10000"):
+            out.append([cmd, "fixtures/diag_scale.diag", "--horizon", horizon, "--json"])
+    return out
 
 
 def report(argv: list[str]) -> tuple[int, str]:
@@ -121,6 +128,32 @@ def properties() -> list[tuple[str, str]]:
     return out
 
 
+# one spec per generator rule, each with a head that crosses its band; the
+# constant spec's head puts -0.0 and +0.0 below it, so their order shows
+DIAG_SPECS = {
+    "constant": spectra.DiagSpec(head=(3.0, -0.0, 1.0, 0.0, -1.0), liminf=1.0, limsup=1.0,
+                                 generator="constant", params={"value": 1.0}),
+    "zero": spectra.DiagSpec(head=(1.5, -0.0, 0.0, -2.0), generator="zero"),
+    "harmonic": spectra.DiagSpec(head=(0.5, 4.0, -1.0), liminf=1.0, limsup=1.0,
+                                 generator="harmonic", params={"limit": 1.0, "coef": -2.0}),
+    "alt_harmonic": spectra.DiagSpec(head=(2.5, -3.0), liminf=-0.5, limsup=0.25,
+                                     generator="alt_harmonic",
+                                     params={"upper": -0.5, "lower": 0.25}),
+}
+
+
+def diag_scales() -> list[tuple[str, str]]:
+    """(label, sha256) of the diag scale of each DIAG_SPECS spec at K = 1, 8, 50."""
+    out = []
+    for rule, spec in DIAG_SPECS.items():
+        for k in (1, 8, 50):
+            sc = spectra.diag_scale(spec, k)
+            h = hashlib.sha256(sc.pos.tobytes() + sc.neg.tobytes())
+            h.update(repr((sc.pos_tail, sc.neg_tail)).encode())
+            out.append((f"diag_scale {rule} {k}", h.hexdigest()))
+    return out
+
+
 def digest(value) -> str:
     """sha256 over the shape and bytes of each matrix of a draw, in order."""
     h = hashlib.sha256()
@@ -155,7 +188,7 @@ def main(argv: list[str] | None = None) -> None:
         print(" ".join(cmd), code, hashlib.sha256(text.encode()).hexdigest())
     for label, value in draws():
         print(label, digest(value))
-    for label, sha in verdicts() + properties():
+    for label, sha in verdicts() + properties() + diag_scales():
         print(label, sha)
 
 
