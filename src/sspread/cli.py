@@ -16,7 +16,9 @@ bytes. Exit codes: 0 holds, 1 fails, 2 parse or input-contract error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -215,11 +217,12 @@ def load_file(path: str) -> tuple[np.ndarray | DiagSpec, str | None]:
         return parse_matrix_text(fh.read())
 
 
-def _load_matrix(path: str, hermitian: bool) -> np.ndarray:
+def _load_matrix(path: str) -> np.ndarray:
+    """A matrix file's matrix as parsed; the verifier that takes it validates it."""
     payload, _ = load_file(path)
     if isinstance(payload, DiagSpec):
         raise ModeError(f"{path} holds a diagonal-operator description, not a matrix")
-    return linalg.as_hermitian(payload) if hermitian else payload
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +279,6 @@ def verdict_to_dict(v: ineq.Verdict) -> dict:
         "entrywise_margins": None if v.entrywise_margins is None else list(v.entrywise_margins),
         "entrywise_holds": v.entrywise_holds,
         "extras": v.extras,
-    }
-
-
-def summary_to_dict(s: harness.FuzzSummary) -> dict:
-    # runtime_ms deliberately omitted: reports must be byte-stable per seed
-    return {
-        "ineq_id": s.ineq_id,
-        "trials": s.trials,
-        "failures": s.failures,
-        "worst_margin": s.worst_margin,
-        "worst_seed": s.worst_seed,
     }
 
 
@@ -375,24 +367,18 @@ def cmd_check(args) -> tuple[dict, int]:
     entry = harness.VERIFIERS.get(args.ineq_id)
     if entry is None:
         raise UnknownInequality(f"unknown inequality {args.ineq_id!r}")
-    sig = entry.files
-    if sig is None:
-        raise UnknownInequality(f"{args.ineq_id} has no check form; run it with fuzz")
-    if args.split is not None and not entry.split:
+    check = getattr(ineq, entry.check)
+    # every parameter but split is a matrix file, optional where it has a default
+    params = inspect.signature(check).parameters
+    split = {} if args.split is None else {"split": args.split}
+    if split and "split" not in params:
         raise ParseError(f"{args.ineq_id} takes no --split")
-    required = len(sig.rstrip("?"))
-    optional = sig.endswith("?")
-    lo = required if not optional else required - 1
-    if not lo <= len(args.files) <= required:
-        want = str(required) if not optional else f"{lo} or {required}"
+    files = [p for name, p in params.items() if name != "split"]
+    lo = sum(p.default is p.empty for p in files)
+    if not lo <= len(args.files) <= len(files):
+        want = str(lo) if lo == len(files) else f"{lo} or {len(files)}"
         raise ParseError(f"{args.ineq_id} takes {want} matrix files, got {len(args.files)}")
-    mats = [
-        _load_matrix(p, kind == "H")
-        for p, kind in zip(args.files, sig)
-    ]
-    if entry.split:
-        mats.append(args.split)
-    v = getattr(ineq, entry.check)(*mats)
+    v = check(*map(_load_matrix, args.files), **split)
     report = {
         "command": "check",
         "inputs": _inputs_entry(args.files),
@@ -404,15 +390,17 @@ def cmd_check(args) -> tuple[dict, int]:
 
 
 def cmd_fuzz(args) -> tuple[dict, int]:
+    t0 = time.perf_counter()
     seed = _default_seed(args)
     s = harness.fuzz(args.ineq_id, trials=args.trials, dims=args.dims, seed=seed)
-    print(f"fuzz {args.ineq_id}: {s.trials} trials in {s.runtime_ms:.0f} ms", file=sys.stderr)
+    dt = (time.perf_counter() - t0) * 1e3
+    print(f"fuzz {args.ineq_id}: {s.trials} trials in {dt:.0f} ms", file=sys.stderr)
     report = {
         "command": "fuzz",
         "inputs": [],
         "seed": seed,
         "dims": list(args.dims),
-        "summary": summary_to_dict(s),
+        "summary": dataclasses.asdict(s),
         "versions": {"sspread": __version__},
     }
     return report, EXIT_HOLDS if s.failures == 0 else EXIT_FAILS
@@ -435,7 +423,7 @@ def cmd_suite(args) -> tuple[dict, int]:
     seed = _default_seed(args)
     repros = [harness.repro(ex) for ex in harness.EXAMPLE_IDS]
     fuzzes = [
-        summary_to_dict(harness.fuzz(f, trials=args.trials, dims=args.dims, seed=seed))
+        dataclasses.asdict(harness.fuzz(f, trials=args.trials, dims=args.dims, seed=seed))
         for f in harness.VERIFIERS
     ]
     props = harness.property_suite(seed, trials=args.trials, dims=args.dims)

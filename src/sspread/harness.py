@@ -3,7 +3,8 @@ fuzz campaigns, and the property suite.
 
 All randomness flows through the counter-based stream in rng.py: a campaign
 at seed s gives trial t the child seed derive_seed(s, t), so any failing
-instance can be rebuilt from its reported worst_seed alone.
+instance can be rebuilt from its reported worst_seed alone. Nothing here
+reads a clock, so every result is a function of the arguments alone.
 
 A fuzz campaign, and each property of the property suite, derives all child
 seeds in one expression and draws every trial's d at counter 0 of its stream.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -69,7 +69,6 @@ class FuzzSummary:
     failures: int
     worst_margin: float
     worst_seed: int
-    runtime_ms: float
 
 
 def _crandns(stream: Stream, *shapes: tuple[int, int]) -> list[np.ndarray]:
@@ -465,47 +464,41 @@ class Verifier:
 
     `check` names the public ineq function that judges it; `sspread check`
     looks it up on the module at call time, so a wrapped or patched ineq
-    function is the one that runs, and fuzz runs its kernel,
-    `ineq.KERNELS[check]`, on stacks of trials. `draw(stream, d)` draws the
-    verifier's arguments for the trials of a stream at dimension d, as the
-    groups of the fuzz families above; `trial_args` rebuilds one trial's
-    public arguments. `files` is the `sspread
-    check` file signature, one letter per matrix file ("H" Hermitian, "G"
-    general complex, a trailing "?" makes the last file optional), or None
-    when the id is fuzzed only; `split` appends the `--split` value to the
-    call. An alias re-runs another id's generator
-    and verifier under the name of one of the equivalent formulations.
+    function is the one that runs, and reads its file list off that
+    function's parameters. fuzz runs its kernel, `ineq.KERNELS[check]`, on
+    stacks of trials. `draw(stream, d)` draws the verifier's arguments for
+    the trials of a stream at dimension d, as the groups of the fuzz
+    families above; `trial_args` rebuilds one trial's public arguments. A
+    row that shares its check and draw with a theorem row re-runs that
+    theorem under the name of one of the equivalent formulations.
     """
 
     id: str
     kind: str  # "theorem", "equivalent" or "control"
     check: str
     draw: Callable[[Stream, int], list]
-    files: str | None = None
-    split: bool = False
-    alias: str | None = None
 
 
 VERIFIERS = {v.id: v for v in (
-    Verifier("tao_positive", "theorem", "check_tao_positive", _fam_tao, "H", split=True),
-    Verifier("key", "theorem", "check_key", _fam_key, "H", split=True),
-    Verifier("trace_pairing", "theorem", "check_trace_pairing", _fam_trace, "HH"),
-    Verifier("commutator_scale", "theorem", "check_commutator_scale", _fam_herm_pair, "HH"),
-    Verifier("commutator_sv", "theorem", "check_commutator_sv", _fam_herm_pair, "HH"),
-    Verifier("mixed_commutator", "theorem", "check_mixed_commutator", _fam_mixed, "HHG"),
-    Verifier("general_commutator", "theorem", "check_general_commutator", _fam_general_comm, "GGG"),
-    Verifier("unitary_conj", "theorem", "check_unitary_conj", _fam_unitary, "HH"),
-    Verifier("agm_projection", "theorem", "check_agm_projection", _fam_agm_split, "GGH"),
-    Verifier("agm_pair", "theorem", "check_agm_pair", _fam_agm_pair, "HHHH?"),
-    Verifier("agm_compact", "theorem", "check_agm_compact", _fam_agm_split, "GGH"),
-    Verifier("agm_general", "theorem", "check_agm_general", _fam_agm_general, "GGH"),
-    Verifier("zhan", "theorem", "check_zhan", _fam_herm_pair, "HH"),
-    Verifier("equiv1", "equivalent", "check_offdiag_projection", _fam_offdiag, "HG"),
-    Verifier("equiv2", "equivalent", "check_commutator_sv", _fam_herm_pair, alias="commutator_sv"),
-    Verifier("equiv3", "equivalent", "check_mixed_commutator", _fam_mixed, alias="mixed_commutator"),
-    Verifier("equiv4", "equivalent", "check_zhan", _fam_herm_pair, alias="zhan"),
-    Verifier("equiv5", "equivalent", "check_identity_split", _fam_equiv5, "GGH"),
-    Verifier("equiv_compact1", "equivalent", "check_offdiag_compact", _fam_offdiag, "HG"),
+    Verifier("tao_positive", "theorem", "check_tao_positive", _fam_tao),
+    Verifier("key", "theorem", "check_key", _fam_key),
+    Verifier("trace_pairing", "theorem", "check_trace_pairing", _fam_trace),
+    Verifier("commutator_scale", "theorem", "check_commutator_scale", _fam_herm_pair),
+    Verifier("commutator_sv", "theorem", "check_commutator_sv", _fam_herm_pair),
+    Verifier("mixed_commutator", "theorem", "check_mixed_commutator", _fam_mixed),
+    Verifier("general_commutator", "theorem", "check_general_commutator", _fam_general_comm),
+    Verifier("unitary_conj", "theorem", "check_unitary_conj", _fam_unitary),
+    Verifier("agm_projection", "theorem", "check_agm_projection", _fam_agm_split),
+    Verifier("agm_pair", "theorem", "check_agm_pair", _fam_agm_pair),
+    Verifier("agm_compact", "theorem", "check_agm_compact", _fam_agm_split),
+    Verifier("agm_general", "theorem", "check_agm_general", _fam_agm_general),
+    Verifier("zhan", "theorem", "check_zhan", _fam_herm_pair),
+    Verifier("equiv1", "equivalent", "check_offdiag_projection", _fam_offdiag),
+    Verifier("equiv2", "equivalent", "check_commutator_sv", _fam_herm_pair),
+    Verifier("equiv3", "equivalent", "check_mixed_commutator", _fam_mixed),
+    Verifier("equiv4", "equivalent", "check_zhan", _fam_herm_pair),
+    Verifier("equiv5", "equivalent", "check_identity_split", _fam_equiv5),
+    Verifier("equiv_compact1", "equivalent", "check_offdiag_compact", _fam_offdiag),
     # not an alias of agm_general: E here is always Hermitian, never drawn positive
     Verifier("equiv_compact2", "equivalent", "check_agm_general", _fam_equiv_c2),
     Verifier("control_kittaneh", "control", "control_kittaneh_positive", _fam_control_kittaneh),
@@ -598,7 +591,6 @@ def fuzz(ineq_id: str, trials: int = 500, dims: tuple[int, int] = (2, 8),
     _check_dims(dims, "fuzz", trials)
     entry = VERIFIERS[ineq_id]
     kernel = ineq.KERNELS[entry.check]
-    t0 = time.perf_counter()
     # derive_seed(seed, t) for every t at once
     seeds = _splitmix64_block(seed & _MASK, 0, trials)
     holds = np.ones(trials, dtype=bool)
@@ -614,11 +606,9 @@ def fuzz(ineq_id: str, trials: int = 500, dims: tuple[int, int] = (2, 8),
         i = int(np.argmin(np.where(np.isnan(margin), math.inf, margin)))
         if margin[i] < worst:
             worst, worst_seed = float(margin[i]), int(seeds[i])
-    runtime_ms = (time.perf_counter() - t0) * 1000.0
     return FuzzSummary(
         ineq_id=ineq_id, trials=trials, failures=int(trials - np.count_nonzero(holds)),
-        worst_margin=0.0 if trials == 0 else worst,
-        worst_seed=worst_seed, runtime_ms=runtime_ms,
+        worst_margin=0.0 if trials == 0 else worst, worst_seed=worst_seed,
     )
 
 

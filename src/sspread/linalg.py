@@ -249,9 +249,8 @@ def _unitary_exp(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     # products v_ij e^{iw_j} with fused multiply-adds (OpenBLAS does from
     # d = 4), numpy's multiply does not, and the last bits of U would move
     u = v @ _diag(np.exp(1j * w)) @ _ct(v)
-    # a gate only: the stacked norm sums in another order than the 2-d one
-    d = _ct(u) @ u - np.eye(u.shape[-1])
-    if np.any(np.linalg.norm(d, axis=(-2, -1)) > 1e-10):
+    d = u.shape[-1]
+    if np.any(_absmax(_ct(u) @ u - np.eye(d), (-2, -1)) > _tol(1.0, d)):
         raise NoConvergence("e^{iX} failed the unitarity residual")
     return u
 

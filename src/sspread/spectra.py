@@ -17,7 +17,7 @@ Modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from inspect import signature
 
 import numpy as np
@@ -126,18 +126,23 @@ class DiagSpec:
     named GENERATORS rule, which declares its parameters' defaults. With a
     generator, [liminf, limsup] must be the rule's (liminf a_n, limsup a_n);
     without one, the head is the whole sequence and the band is as declared.
+    params takes a mapping of the rule's parameters and keeps them as
+    (name, value) pairs sorted by name, so a spec cannot change after its
+    checks and hashes as a whole.
     """
 
     head: tuple[float, ...] = ()
     liminf: float = 0.0
     limsup: float = 0.0
     generator: str | None = None
-    params: dict[str, float] = field(default_factory=dict)
+    params: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "head", tuple(float(x) for x in self.head))
+        params = dict(self.params)
+        object.__setattr__(self, "params", tuple(sorted(params.items())))
         if not all(map(math.isfinite, (*self.head, self.liminf, self.limsup,
-                                       *self.params.values()))):
+                                       *params.values()))):
             raise ValueError("head, liminf, limsup and generator parameters must be finite")
         if self.liminf > self.limsup:
             raise ValueError("liminf must not exceed limsup")
@@ -149,15 +154,15 @@ class DiagSpec:
         if rule is None:
             raise ValueError(f"unknown generator {self.generator!r}")
         takes = list(signature(rule).parameters)[1:]
-        if not set(self.params) <= set(takes):
-            raise ValueError(f"generator {self.generator} takes {takes}, got {sorted(self.params)}")
-        band = rule(np.arange(0), **self.params)[1]
+        if not set(params) <= set(takes):
+            raise ValueError(f"generator {self.generator} takes {takes}, got {sorted(params)}")
+        band = rule(np.arange(0), **params)[1]
         if (self.liminf, self.limsup) != band:
             raise ValueError(f"generator {self.generator} has band [{band[0]!r}, {band[1]!r}], "
                              f"not [{self.liminf!r}, {self.limsup!r}]")
 
     def _generated(self, n: np.ndarray) -> np.ndarray:
-        return GENERATORS[self.generator](n, **self.params)[0]
+        return GENERATORS[self.generator](n, **dict(self.params))[0]
 
     def entry(self, n: int) -> float:
         """n-th entry (1-based)."""

@@ -1,5 +1,6 @@
 """CLI: file formats, exit codes, JSON stability."""
 
+import inspect
 import json
 import re
 from pathlib import Path
@@ -7,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sspread import ParseError, Verdict, cli
-from sspread.harness import EXAMPLE_IDS, VERIFIERS, GenSpec, fixture_matrices, generate
+from sspread import ParseError, Verdict, cli, ineq
+from sspread.harness import (
+    EXAMPLE_IDS, VERIFIERS, GenSpec, fixture_matrices, generate, trial_args,
+)
 from sspread.spectra import DiagSpec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -265,18 +268,54 @@ def test_exit_code_fails_path(capsys, monkeypatch):
     assert "FAILS" in out
 
 
-@pytest.mark.parametrize("ineq_id", [v.id for v in VERIFIERS.values() if v.files])
+@pytest.mark.parametrize("ineq_id", list(VERIFIERS))
 def test_check_without_files_exit_two(capsys, ineq_id):
     code, out, err = run(capsys, "check", ineq_id)
     assert code == 2
     assert out == "" and "matrix files" in err
 
 
-@pytest.mark.parametrize("ineq_id", [v.id for v in VERIFIERS.values() if v.files is None])
-def test_check_fuzz_only_id_exit_four(capsys, ineq_id):
-    code, out, err = run(capsys, "check", ineq_id, f"{FIX}/kittaneh_fail_A.txt")
-    assert code == 4
-    assert out == "" and ineq_id in err
+@pytest.mark.parametrize("ineq_id", list(VERIFIERS))
+def test_check_round_trips_fuzz_trials(capsys, tmp_path, ineq_id):
+    # a fuzz trial written as matrix files gives check the verdict of the
+    # direct call, bit for bit; matrix files are square, so a trial with a
+    # rectangular X cannot be written and is skipped
+    check = getattr(ineq, VERIFIERS[ineq_id].check)
+    ran = 0
+    for seed in range(1, 5):
+        for dims in ((2, 8), (12, 16)):
+            args = trial_args(ineq_id, seed, dims)
+            named = dict(zip(inspect.signature(check).parameters, args))
+            split = named.pop("split", None)
+            mats = [m for m in named.values() if m is not None]
+            if any(m.shape[0] != m.shape[1] for m in mats):
+                continue
+            files = []
+            for i, m in enumerate(mats):
+                path = tmp_path / f"{seed}_{dims[0]}_{i}.txt"
+                path.write_text(cli.write_matrix_text(m))
+                files.append(str(path))
+            argv = ["check", ineq_id, *files, "--json"]
+            if split is not None:
+                argv += ["--split", str(split)]
+            code, out, err = run(capsys, *argv)
+            v = check(*args)
+            assert code == (0 if v.holds else 1), err
+            assert json.loads(out)["check"] == json.loads(cli.canonical_json(cli.verdict_to_dict(v)))
+            ran += 1
+    assert ran
+
+
+def _file_column(check: str) -> str:
+    """The README's check column: one upper-cased name per matrix file, an
+    optional one in brackets, and a split parameter as (`--split N`)."""
+    toks = []
+    for name, p in inspect.signature(getattr(ineq, check)).parameters.items():
+        if name == "split":
+            toks.append("(`--split N`)")
+        else:
+            toks.append(name.upper() if p.default is p.empty else f"[{name.upper()}]")
+    return " ".join(toks)
 
 
 def test_readme_id_table_matches_registry():
@@ -285,16 +324,12 @@ def test_readme_id_table_matches_registry():
     table = {}
     for ident, cls, files in rows:
         alias = re.search(r"alias of `(\w+)`", cls)
-        shape = None
-        if files.strip() != "fuzz only":
-            # one token per file, an optional one in brackets; "(`--split N`)" is no file
-            toks = re.sub(r"\(.*?\)", "", files).split()
-            shape = len(toks), any(t.startswith("[") for t in toks), "--split" in files
-        table[ident] = (cls.split()[0].rstrip(","), alias and alias.group(1), shape)
+        table[ident] = (cls.split()[0].rstrip(","), alias and alias.group(1), files.strip())
+    # an alias is a non-theorem row that shares check and draw with a theorem row
+    theorems = {(v.check, v.draw): v.id for v in VERIFIERS.values() if v.kind == "theorem"}
     registry = {
-        v.id: (v.kind, v.alias,
-               None if v.files is None
-               else (len(v.files.rstrip("?")), v.files.endswith("?"), v.split))
+        v.id: (v.kind, None if v.kind == "theorem" else theorems.get((v.check, v.draw)),
+               _file_column(v.check))
         for v in VERIFIERS.values()
     }
     assert table == registry

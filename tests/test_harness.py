@@ -1,6 +1,7 @@
 """Generator determinism, fuzz reproducibility, and fixture reproduction."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -377,16 +378,43 @@ def test_trials_outside_range_are_refused():
             property_suite(1, trials=trials)
 
 
+# each verifier's public parameters: sspread check takes one matrix file per
+# parameter but split, in this order, and reads --split into split
+CHECK_PARAMS = {
+    "check_tao_positive": ("f", "split"),
+    "check_key": ("a", "split"),
+    "check_trace_pairing": ("a", "b"),
+    "check_commutator_scale": ("a", "x"),
+    "check_commutator_sv": ("a", "x"),
+    "check_mixed_commutator": ("a", "b", "x"),
+    "check_general_commutator": ("a", "b", "x"),
+    "check_unitary_conj": ("a", "x"),
+    "check_agm_projection": ("s", "c", "e"),
+    "check_agm_pair": ("s", "c", "e1", "e2"),
+    "check_agm_compact": ("s", "c", "e"),
+    "check_agm_general": ("a", "b", "e"),
+    "check_zhan": ("e", "f"),
+    "check_offdiag_projection": ("e", "p"),
+    "check_offdiag_compact": ("e", "p"),
+    "check_identity_split": ("s", "c", "e"),
+    "control_kittaneh_positive": ("c", "d", "x"),
+    "control_bhatia_kittaneh": ("a", "b"),
+    "control_strict_gap": ("e",),
+}
+
+
 def test_registry_holds_the_paper_family():
     kinds = [v.kind for v in VERIFIERS.values()]
     assert len(VERIFIERS) == 23
     assert (kinds.count("theorem"), kinds.count("equivalent"), kinds.count("control")) == (13, 7, 3)
     # theorems first, then equivalents, then controls: the suite reports in this order
     assert kinds == sorted(kinds, key=("theorem", "equivalent", "control").index)
+    assert [f.name for f in dataclasses.fields(harness.Verifier)] == ["id", "kind", "check", "draw"]
     for v in VERIFIERS.values():
-        assert callable(getattr(ineq, v.check)), v.id
-        assert v.files is None or v.files.rstrip("?") and set(v.files.rstrip("?")) <= {"H", "G"}
-        assert not (v.split and v.files is None), v.id
+        params = inspect.signature(getattr(ineq, v.check)).parameters
+        assert tuple(params) == CHECK_PARAMS[v.check], v.id
+        # only split and agm_pair's E2 may be left out
+        assert {n for n, p in params.items() if p.default is not p.empty} <= {"split", "e2"}, v.id
 
 
 def test_public_names_resolve_and_tables_agree():
@@ -397,11 +425,13 @@ def test_public_names_resolve_and_tables_agree():
 
 
 def test_aliases_rerun_their_target():
-    aliases = {v.id: v.alias for v in VERIFIERS.values() if v.alias}
+    # an alias is a non-theorem row that shares check and draw with a theorem row
+    theorems = {(v.check, v.draw): v.id for v in VERIFIERS.values() if v.kind == "theorem"}
+    aliases = {v.id: theorems[v.check, v.draw] for v in VERIFIERS.values()
+               if v.kind != "theorem" and (v.check, v.draw) in theorems}
     assert aliases == {"equiv2": "commutator_sv", "equiv3": "mixed_commutator", "equiv4": "zhan"}
     for fam, target in aliases.items():
-        a, t = VERIFIERS[fam], VERIFIERS[target]
-        assert (a.check, a.draw, a.kind, a.files) == (t.check, t.draw, "equivalent", None)
+        assert VERIFIERS[fam].kind == "equivalent"
         sa = fuzz(fam, trials=30, seed=7)
         st = fuzz(target, trials=30, seed=7)
         assert (sa.failures, sa.worst_margin, sa.worst_seed) == (st.failures, st.worst_margin, st.worst_seed)

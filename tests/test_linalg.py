@@ -250,6 +250,19 @@ def test_unitary_exp_is_unitary():
     assert np.allclose(u.conj().T @ u, np.eye(5), atol=1e-10)
 
 
+def test_unitary_exp_gate_at_the_one_tolerance():
+    # a basis that is orthonormal only to ~1e-11 gives a U whose max|U*U - I|
+    # is far above _tol(1, 2) = 2e-12; the Frobenius gate at 1e-10 let it by
+    w = np.array([0.7, -0.4])
+    v = np.eye(2, dtype=complex)
+    v[1, 0] = 1e-11
+    u = v @ np.diag(np.exp(1j * w)) @ v.conj().T
+    assert 1e-11 < np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-10
+    with pytest.raises(NoConvergence, match="unitarity"):
+        linalg._unitary_exp(w[None], v[None])
+    assert linalg._unitary_exp(w[None], np.eye(2)[None]).shape == (1, 2, 2)
+
+
 def test_as_projection_accepts_and_rejects():
     p = generate(GenSpec(kind="projection", dim=4, seed=5))
     q = as_projection(p)

@@ -264,6 +264,19 @@ def test_diag_spec_refuses_what_its_rule_cannot_mean():
         assert spec.entry(1) == spec.sample(1)[0]
 
 
+def test_diag_spec_is_immutable_and_hashable():
+    spec = DiagSpec(generator="harmonic", params={"coef": 1.0, "limit": 0.0})
+    # the checks of construction cannot be bypassed afterwards
+    with pytest.raises(TypeError):
+        spec.params["limit"] = 5.0
+    assert spec.params == (("coef", 1.0), ("limit", 0.0))
+    # equal whatever the key order, and usable as a key
+    same = DiagSpec(generator="harmonic", params={"limit": 0.0, "coef": 1.0})
+    assert spec == same and hash(spec) == hash(same)
+    assert len({spec, same, DiagSpec(generator="harmonic")}) == 2
+    assert diag_scale(spec, 3).pos.tolist() == [1.0, 0.5, 1.0 / 3.0]
+
+
 _SCALAR_RULES = {
     "constant": lambda n, p: p.get("value", 0.0),
     "zero": lambda n, p: 0.0,
@@ -278,7 +291,7 @@ def _reference_diag_scale(spec, k):
     sorting (value, index) pairs; a ranking entry in the window's late half
     would leave the window unproven."""
     window = [spec.head[n - 1] if n <= len(spec.head)
-              else _SCALAR_RULES[spec.generator](n, spec.params)
+              else _SCALAR_RULES[spec.generator](n, dict(spec.params))
               for n in range(1, 64 * k + 1)]
     up = sorted(((v, i) for i, v in enumerate(window) if v > spec.limsup),
                 key=lambda t: (-t[0], t[1]))
