@@ -217,12 +217,13 @@ def load_file(path: str) -> tuple[np.ndarray | DiagSpec, str | None]:
         return parse_matrix_text(fh.read())
 
 
-def _load_matrix(path: str) -> np.ndarray:
-    """A matrix file's matrix as parsed; the verifier that takes it validates it."""
-    payload, _ = load_file(path)
+def _load_matrix(path: str) -> tuple[np.ndarray, str | None]:
+    """A matrix file's matrix as parsed, and its declared mode or None; the
+    verifier that takes the matrix validates it."""
+    payload, declared = load_file(path)
     if isinstance(payload, DiagSpec):
         raise ModeError(f"{path} holds a diagonal-operator description, not a matrix")
-    return payload
+    return payload, declared
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +283,15 @@ def verdict_to_dict(v: ineq.Verdict) -> dict:
     }
 
 
-def _inputs_entry(paths: list[str]) -> list[dict]:
-    out = []
+def _report(command: str, paths=(), seed: int | None = None, **body) -> dict:
+    """A command's report: its own fields in the envelope every report
+    carries (command, input files with their sha256, seed, versions)."""
+    inputs = []
     for p in paths:
         with open(p, "rb") as fh:
-            out.append({"path": p, "digest": hashlib.sha256(fh.read()).hexdigest()})
-    return out
+            inputs.append({"path": p, "digest": hashlib.sha256(fh.read()).hexdigest()})
+    return {"command": command, "inputs": inputs, "seed": seed,
+            "versions": {"sspread": __version__}, **body}
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +330,8 @@ def _scale_of(payload, declared: str | None, args):
 def cmd_scale(args) -> tuple[dict, int]:
     payload, declared = load_file(args.file)
     sc = _scale_of(payload, declared, args)
-    report = {
-        "command": "scale",
-        "inputs": _inputs_entry([args.file]),
-        "seed": None,
-        "mode": sc.mode,
-        "K": sc.K,
-        "pos": list(sc.pos),
-        "neg": list(sc.neg),
-        "pos_tail": sc.pos_tail,
-        "neg_tail": sc.neg_tail,
-        "versions": {"sspread": __version__},
-    }
+    report = _report("scale", [args.file], mode=sc.mode, K=sc.K, pos=list(sc.pos),
+                     neg=list(sc.neg), pos_tail=sc.pos_tail, neg_tail=sc.neg_tail)
     return report, EXIT_HOLDS
 
 
@@ -345,15 +339,8 @@ def cmd_spread(args) -> tuple[dict, int]:
     payload, declared = load_file(args.file)
     sc = _scale_of(payload, declared, args)
     spr = spread_plus(sc)
-    report = {
-        "command": "spread",
-        "inputs": _inputs_entry([args.file]),
-        "seed": None,
-        "mode": sc.mode,
-        "values": list(spr.values),
-        "tail": spr.tail,
-        "versions": {"sspread": __version__},
-    }
+    report = _report("spread", [args.file], mode=sc.mode, values=list(spr.values),
+                     tail=spr.tail)
     if args.full:
         full = spread_full(sc)
         report["full_pos"] = list(full.pos)
@@ -368,24 +355,23 @@ def cmd_check(args) -> tuple[dict, int]:
     if entry is None:
         raise UnknownInequality(f"unknown inequality {args.ineq_id!r}")
     check = getattr(ineq, entry.check)
-    # every parameter but split is a matrix file, optional where it has a default
-    params = inspect.signature(check).parameters
+    # one file per matrix parameter, optional where it has a default
+    sig = inspect.signature(check)
+    files = ineq._matrix_params(sig)
     split = {} if args.split is None else {"split": args.split}
-    if split and "split" not in params:
+    if split and "split" not in sig.parameters:
         raise ParseError(f"{args.ineq_id} takes no --split")
-    files = [p for name, p in params.items() if name != "split"]
     lo = sum(p.default is p.empty for p in files)
     if not lo <= len(args.files) <= len(files):
         want = str(lo) if lo == len(files) else f"{lo} or {len(files)}"
         raise ParseError(f"{args.ineq_id} takes {want} matrix files, got {len(args.files)}")
-    v = check(*map(_load_matrix, args.files), **split)
-    report = {
-        "command": "check",
-        "inputs": _inputs_entry(args.files),
-        "seed": None,
-        "check": verdict_to_dict(v),
-        "versions": {"sspread": __version__},
-    }
+    loaded = [_load_matrix(p) for p in args.files]
+    v = check(*(m for m, _ in loaded), **split)
+    for path, (_, declared) in zip(args.files, loaded):
+        if declared not in (None, v.mode):
+            raise ModeError(f"{path} declares mode {declared}, but {v.ineq_id} is judged"
+                            f" in {v.mode} mode")
+    report = _report("check", args.files, check=verdict_to_dict(v))
     return report, EXIT_HOLDS if v.holds else EXIT_FAILS
 
 
@@ -395,27 +381,13 @@ def cmd_fuzz(args) -> tuple[dict, int]:
     s = harness.fuzz(args.ineq_id, trials=args.trials, dims=args.dims, seed=seed)
     dt = (time.perf_counter() - t0) * 1e3
     print(f"fuzz {args.ineq_id}: {s.trials} trials in {dt:.0f} ms", file=sys.stderr)
-    report = {
-        "command": "fuzz",
-        "inputs": [],
-        "seed": seed,
-        "dims": list(args.dims),
-        "summary": dataclasses.asdict(s),
-        "versions": {"sspread": __version__},
-    }
+    report = _report("fuzz", seed=seed, dims=list(args.dims), summary=dataclasses.asdict(s))
     return report, EXIT_HOLDS if s.failures == 0 else EXIT_FAILS
 
 
 def cmd_repro(args) -> tuple[dict, int]:
     rep = harness.repro(args.example_id)
-    report = {
-        "command": "repro",
-        "inputs": [],
-        "seed": None,
-        "repro": rep,
-        "versions": {"sspread": __version__},
-    }
-    return report, EXIT_HOLDS if rep["holds"] else EXIT_FAILS
+    return _report("repro", repro=rep), EXIT_HOLDS if rep["holds"] else EXIT_FAILS
 
 
 def cmd_suite(args) -> tuple[dict, int]:
@@ -432,18 +404,8 @@ def cmd_suite(args) -> tuple[dict, int]:
         and all(f["failures"] == 0 for f in fuzzes)
         and props["holds"]
     )
-    report = {
-        "command": "suite",
-        "inputs": [],
-        "seed": seed,
-        "trials": args.trials,
-        "dims": list(args.dims),
-        "repro": repros,
-        "fuzz": fuzzes,
-        "properties": props,
-        "holds": ok,
-        "versions": {"sspread": __version__},
-    }
+    report = _report("suite", seed=seed, trials=args.trials, dims=list(args.dims),
+                     repro=repros, fuzz=fuzzes, properties=props, holds=ok)
     # timing goes to stderr only, keeping the report byte-stable per seed
     dt = (time.perf_counter() - t0) * 1e3
     print(f"suite: {len(fuzzes)} families, {args.trials} trials each, {dt:.0f} ms", file=sys.stderr)

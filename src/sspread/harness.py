@@ -21,6 +21,7 @@ generators on the scalar stream, a batch of one.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -465,12 +466,13 @@ class Verifier:
     `check` names the public ineq function that judges it; `sspread check`
     looks it up on the module at call time, so a wrapped or patched ineq
     function is the one that runs, and reads its file list off that
-    function's parameters. fuzz runs its kernel, `ineq.KERNELS[check]`, on
-    stacks of trials. `draw(stream, d)` draws the verifier's arguments for
-    the trials of a stream at dimension d, as the groups of the fuzz
-    families above; `trial_args` rebuilds one trial's public arguments. A
-    row that shares its check and draw with a theorem row re-runs that
-    theorem under the name of one of the equivalent formulations.
+    function's parameters (ineq._matrix_params). fuzz runs the kernel
+    behind it, `inspect.unwrap(getattr(ineq, check))`, on stacks of trials.
+    `draw(stream, d)` draws the verifier's arguments for the trials of a
+    stream at dimension d, as the groups of the fuzz families above;
+    `trial_args` rebuilds one trial's public arguments. A row that shares
+    its check and draw with a theorem row re-runs that theorem under the
+    name of one of the equivalent formulations.
     """
 
     id: str
@@ -590,7 +592,7 @@ def fuzz(ineq_id: str, trials: int = 500, dims: tuple[int, int] = (2, 8),
         raise UnknownInequality(f"no fuzz family for {ineq_id!r}")
     _check_dims(dims, "fuzz", trials)
     entry = VERIFIERS[ineq_id]
-    kernel = ineq.KERNELS[entry.check]
+    kernel = inspect.unwrap(getattr(ineq, entry.check))
     # derive_seed(seed, t) for every t at once
     seeds = _splitmix64_block(seed & _MASK, 0, trials)
     holds = np.ones(trials, dtype=bool)

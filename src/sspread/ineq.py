@@ -15,13 +15,15 @@ only through the private stacked helpers of linalg, spectra and major, and
 returns Rows: a record of per-row columns (verdict and judged margin as
 arrays, the validated input stacks, the SubRows of the submajorization, the
 entrywise margins, a per-row extras function), from which Rows.verdict(i)
-builds row i's Verdict for every kernel alike. The public check_*/control_*
-function is its kernel on a batch of one, and harness.fuzz runs the kernels
-on groups of trials of equal shape. numpy runs LAPACK, matmul, sorts and
-partial sums member by member, so a row's numbers do not depend on the batch
-around it, and a kernel that needs the eigenvalues of several stacks of one
-shape gets them from one _eigvalsh call over the stacks put together
-(_eigvalsh_each), after every gate and validation that precedes them.
+builds row i's Verdict for every kernel alike. Each kernel is written once,
+under its public check_*/control_* name, and _verifier turns it into the
+public function, the kernel on a batch of one; harness.fuzz reaches the
+kernel behind the public name with inspect.unwrap and runs it on groups of
+trials of equal shape. numpy runs LAPACK, matmul, sorts and partial sums
+member by member, so a row's numbers do not depend on the batch around it,
+and a kernel that needs the eigenvalues of several stacks of one shape gets
+them from one _eigvalsh call over the stacks put together (_eigvalsh_each),
+after every gate and validation that precedes them.
 Every gate and comparison is made at linalg._tol of the input operands'
 size (e.g. ||A|| ||X|| for a commutator, read off a decomposition the kernel
 makes anyway), never of a computed bound, which can cancel.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import inspect
 import math
 from collections.abc import Callable
 from typing import NamedTuple
@@ -242,11 +245,56 @@ def _norm_row(forms: dict, i: int) -> dict:
             for nid, (lv, bv, good) in forms.items()}
 
 
+def _matrix_params(sig: inspect.Signature) -> list[inspect.Parameter]:
+    """A verifier's matrix parameters, in order: every parameter but split.
+
+    One with a default (agm_pair's E2) may be left out; `sspread check`
+    takes one file for each.
+    """
+    return [p for p in sig.parameters.values() if p.name != "split"]
+
+
+def _verifier(kernel: Callable[..., Rows]) -> Callable[..., Verdict]:
+    """The public verifier of a kernel: the kernel on a batch of one.
+
+    Each matrix argument becomes a stack of one (a None, agm_pair's absent
+    E2, stays None), a split passes as given, and the result is row 0's
+    Verdict. The roles are read off the kernel's parameters here, once, so a
+    call binds nothing. The public function keeps the kernel's name,
+    docstring and parameters, and its __wrapped__ is the kernel, which
+    inspect.unwrap reaches through any wrapper that sets __wrapped__ too.
+    """
+    sig = inspect.signature(kernel)
+    matrices = frozenset(p.name for p in _matrix_params(sig))
+    roles = tuple(name in matrices for name in sig.parameters)
+
+    def stack(a):
+        return None if a is None else _one(a)
+
+    @functools.wraps(kernel)
+    def public(*args, **kwargs):
+        return kernel(*[stack(a) if m else a for m, a in zip(roles, args)], *args[len(roles):],
+                      **{k: stack(v) if k in matrices else v for k, v in kwargs.items()}
+                      ).verdict(0)
+
+    public.__signature__ = sig.replace(return_annotation="Verdict")
+    public.__annotations__ = {**kernel.__annotations__, "return": "Verdict"}
+    return public
+
+
 # ---------------------------------------------------------------------------
-# kernels: each takes stacks and returns Rows
+# verifiers: each is written as its kernel, which takes stacks and returns
+# Rows, under the public name that _verifier gives its batch-of-one form
 
 
-def _tao_positive(f, split: int | None = None) -> Rows:
+@_verifier
+def check_tao_positive(f, split: int | None = None) -> Rows:
+    """Off-diagonal block bound for a positive 2x2 block matrix.
+
+    For F = [[A, B], [B*, C]] >= 0 with top-left block of size `split`,
+    checks 2 s_i(B) <= s_i(F) for every i up to the number of singular
+    values of B.
+    """
     fm = _as_hermitians(f)
     sf = _eigvalsh(fm)
     _positive_gate(sf, "F has eigenvalue {:.3e}")
@@ -258,7 +306,13 @@ def _tao_positive(f, split: int | None = None) -> Rows:
                 extras=lambda i: {"split": split})
 
 
-def _key(a, split: int | None = None) -> Rows:
+@_verifier
+def check_key(a, split: int | None = None) -> Rows:
+    """Doubled off-diagonal block of a Hermitian matrix vs its spread.
+
+    For Hermitian A with corner block B (rows < split, columns >= split):
+    2 s(B) weakly submajorized by the compact-model spread of A.
+    """
     am = _as_hermitians(a)
     d = am.shape[-1]
     split = _cut(split, d)
@@ -269,7 +323,9 @@ def _key(a, split: int | None = None) -> Rows:
                 extras=lambda i: {"split": split})
 
 
-def _trace_pairing(a, b) -> Rows:
+@_verifier
+def check_trace_pairing(a, b) -> Rows:
+    """tr(AB) bounded by the index-paired product of the two-sided scales."""
     am = _as_hermitians(a)
     bm = _as_hermitians(b)
     _same_shape(am, bm)
@@ -289,7 +345,9 @@ def _trace_pairing(a, b) -> Rows:
         "margin": float(margin[i]), "rank_a": int(rank[i])})
 
 
-def _commutator_scale(a, x) -> Rows:
+@_verifier
+def check_commutator_scale(a, x) -> Rows:
+    """Positive scale of i[A,X] vs half the product of the two spreads."""
     am = _as_hermitians(a)
     xm = _as_hermitians(x)
     _same_shape(am, xm)
@@ -300,7 +358,9 @@ def _commutator_scale(a, x) -> Rows:
     return Rows("commutator_scale", "compact", sub.holds, sub.margin, (am, xm), sub)
 
 
-def _commutator_sv(a, x) -> Rows:
+@_verifier
+def check_commutator_sv(a, x) -> Rows:
+    """s([A,X]) vs half the product of the doubled spreads, plus norm forms."""
     am = _as_hermitians(a)
     xm = _as_hermitians(x)
     _same_shape(am, xm)
@@ -316,7 +376,13 @@ def _commutator_sv(a, x) -> Rows:
                 extras=lambda i: {"norms": _norm_row(norms, i)})
 
 
-def _mixed_commutator(a, b, x) -> Rows:
+@_verifier
+def check_mixed_commutator(a, b, x) -> Rows:
+    """s(AX-XB) vs spread-of-direct-sum times s(X); entrywise form recorded.
+
+    The submajorization is the claim; the entrywise comparison is kept in the
+    verdict because it can fail (and does, on the documented fixture).
+    """
     am = _as_hermitians(a)
     bm = _as_hermitians(b)
     xm = _as_cmatrices(x)
@@ -341,7 +407,15 @@ def _herm_parts(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (c + _ct(c)) / 2.0, (c - _ct(c)) / 2j
 
 
-def _general_commutator(a, b, x) -> Rows:
+@_verifier
+def check_general_commutator(a, b, x) -> Rows:
+    """s(AX-XB) for non-normal A, B via their Hermitian parts.
+
+    Bound: (spread of the real parts' direct sum plus spread of the
+    imaginary parts') times s(X). Also evaluates the scalar corollary
+    using the extreme eigenvalues of each part, for the op, trace, and
+    Frobenius norms.
+    """
     am = _as_cmatrices(a)
     bm = _as_cmatrices(b)
     xm = _as_cmatrices(x)
@@ -368,7 +442,9 @@ def _general_commutator(a, b, x) -> Rows:
                                        "corollary": _norm_row(corollary, i)})
 
 
-def _unitary_conj(a, x) -> Rows:
+@_verifier
+def check_unitary_conj(a, x) -> Rows:
+    """s(A - U*AU) with U = e^{iX}, against the doubled-spread product."""
     am = _as_hermitians(a)
     xm = _as_hermitians(x)
     _same_shape(am, xm)
@@ -397,7 +473,9 @@ def _require_splitting(sm: np.ndarray, cm: np.ndarray) -> np.ndarray:
         raise NotProjectionSum(f"C*C + S*S is not a projection: {exc}") from exc
 
 
-def _agm_projection(s, c, e) -> Rows:
+@_verifier
+def check_agm_projection(s, c, e) -> Rows:
+    """Doubled s(SEC*) vs the spread of the compressed operator plus a zero block."""
     em = _as_hermitians(e)
     sm, cm = _as_cmatrices(s), _as_cmatrices(c)
     p = _require_splitting(sm, cm)
@@ -409,7 +487,14 @@ def _agm_projection(s, c, e) -> Rows:
     return Rows("agm_projection", "compact", sub.holds, sub.margin, (sm, cm, em), sub)
 
 
-def _agm_pair(s, c, e1, e2=None) -> Rows:
+@_verifier
+def check_agm_pair(s, c, e1, e2=None) -> Rows:
+    """s(S E1 C + C E2 S) for a positive splitting pair C^2 + S^2 = P.
+
+    With E1 = E2 = E the arithmetic-geometric-mean corollary
+    s(Re(SEC)) weakly below s(E)/2 is evaluated as well, along with the
+    identity spread(E oplus -E) = 2 s(E) it rests on.
+    """
     sm = _as_hermitians(s)
     _positive_gate(_eigvalsh(sm), "S has eigenvalue {:.3e}")
     cm = _as_hermitians(c)
@@ -448,7 +533,15 @@ def _agm_pair(s, c, e1, e2=None) -> Rows:
     })
 
 
-def _agm_compact(s, c, e) -> Rows:
+@_verifier
+def check_agm_compact(s, c, e) -> Rows:
+    """Doubled s(SEC*) vs the compact-model spread of E itself.
+
+    Also records: the compression monotonicity spread(PEP) <= spread(E)
+    entrywise, the Frobenius comparison against the compact bound, and the
+    identity-model Frobenius bound ||SEC*||_2 <= ||E||_2 / 2, which is only a
+    theorem for positive E and fails on the documented indefinite fixture.
+    """
     em = _as_hermitians(e)
     sm, cm = _as_cmatrices(s), _as_cmatrices(c)
     p = _require_splitting(sm, cm)
@@ -491,7 +584,18 @@ def _agm_compact(s, c, e) -> Rows:
                 extras)
 
 
-def _agm_general(a, b, e) -> Rows:
+@_verifier
+def check_agm_general(a, b, e) -> Rows:
+    """s(AEB*) vs half the spread of F^(1/2) E F^(1/2), F = A*A + B*B.
+
+    Verified in the compact model and again with a zero block appended. The
+    spectrum of G oplus 0 is G's plus zeros, so that second spread comes
+    from G's eigenvalues at the doubled horizon; the property suite checks
+    the union on explicit block matrices. The entrywise comparison is
+    recorded because it fails on the documented 3x3 fixture. For positive E
+    the equivalent formulation 2 s(AEB*) weakly below s(E^(1/2) F E^(1/2))
+    is cross-checked.
+    """
     am = _as_cmatrices(a)
     bm = _as_cmatrices(b)
     em = _as_hermitians(e)
@@ -536,7 +640,9 @@ def _agm_general(a, b, e) -> Rows:
                 extras)
 
 
-def _zhan(e, f) -> Rows:
+@_verifier
+def check_zhan(e, f) -> Rows:
+    """s(E - F) vs the compact-model spread of E oplus F."""
     em = _as_hermitians(e)
     fm = _as_hermitians(f)
     _same_shape(em, fm)
@@ -546,7 +652,16 @@ def _zhan(e, f) -> Rows:
     return Rows("zhan", "compact", sub.holds, sub.margin, (em, fm), sub)
 
 
-def _offdiag_projection(e, p) -> Rows:
+@_verifier
+def check_offdiag_projection(e, p) -> Rows:
+    """Doubled corner s-values vs the d-dimensional spread of E.
+
+    This is the bounded-operator form: the spread is taken in the matrix
+    model (no zero padding of the spectrum), and the comparison runs over
+    the ceil(d/2) entries that model carries. The corner PE(I-P) maps
+    range(I-P) into range(P), so rank PE(I-P) <= min(rank P, d - rank P)
+    <= floor(d/2); the discarded singular values are asserted to vanish.
+    """
     em = _as_hermitians(e)
     pm = _as_projections(p)
     _same_shape(em, pm)
@@ -562,7 +677,9 @@ def _offdiag_projection(e, p) -> Rows:
                 extras=lambda i: {"dropped_sv": float(dropped[i])})
 
 
-def _offdiag_compact(e, p) -> Rows:
+@_verifier
+def check_offdiag_compact(e, p) -> Rows:
+    """Doubled corner s-values vs the compact-model spread of E."""
     em = _as_hermitians(e)
     pm = _as_projections(p)
     _same_shape(em, pm)
@@ -573,7 +690,9 @@ def _offdiag_compact(e, p) -> Rows:
     return Rows("equiv_compact1", "compact", sub.holds, sub.margin, (em, pm), sub)
 
 
-def _identity_split(s, c, e) -> Rows:
+@_verifier
+def check_identity_split(s, c, e) -> Rows:
+    """Full splitting C*C + S*S = I: doubled s(SEC*) vs spread of E plus a zero block."""
     em = _as_hermitians(e)
     sm, cm = _as_cmatrices(s), _as_cmatrices(c)
     p = _require_splitting(sm, cm)
@@ -588,7 +707,9 @@ def _identity_split(s, c, e) -> Rows:
     return Rows("equiv5", "compact", sub.holds, sub.margin, (sm, cm, em), sub)
 
 
-def _kittaneh_positive(c, d, x) -> Rows:
+@_verifier
+def control_kittaneh_positive(c, d, x) -> Rows:
+    """Entrywise s_i(CX - XD) <= ||X|| s_i(C oplus D) for positive C, D."""
     cm = _as_hermitians(c)
     wc = _eigvalsh(cm)
     _positive_gate(wc, "C has eigenvalue {:.3e}")
@@ -607,7 +728,9 @@ def _kittaneh_positive(c, d, x) -> Rows:
     return Rows("control_kittaneh", "matrix", ok, low, (cm, dm, xm), entrywise=(margins, ok))
 
 
-def _bhatia_kittaneh(a, b) -> Rows:
+@_verifier
+def control_bhatia_kittaneh(a, b) -> Rows:
+    """Entrywise 2 s_i(AB*) <= s_i(A*A + B*B)."""
     am = _as_cmatrices(a)
     bm = _as_cmatrices(b)
     _same_shape(am, bm)
@@ -618,7 +741,9 @@ def _bhatia_kittaneh(a, b) -> Rows:
     return Rows("control_bhatia_kittaneh", "matrix", ok, low, (am, bm), entrywise=(margins, ok))
 
 
-def _strict_gap(e) -> Rows:
+@_verifier
+def control_strict_gap(e) -> Rows:
+    """Strict Frobenius gap ||E||_2 < g_2(spread(E)) for indefinite E."""
     em = _as_hermitians(e)
     w = _eigvalsh(em)
     edge = _tol(_size(w))
@@ -630,172 +755,3 @@ def _strict_gap(e) -> Rows:
     return Rows("control_strict_gap", "compact", margin > _tol(fro), margin, (em,),
                 extras=lambda i: {"fro": float(fro[i]), "g2_spread": float(g2[i]),
                                   "margin": float(margin[i])})
-
-
-# ---------------------------------------------------------------------------
-# public verifiers: each is its kernel on a batch of one
-
-
-def check_tao_positive(f, split: int | None = None) -> Verdict:
-    """Off-diagonal block bound for a positive 2x2 block matrix.
-
-    For F = [[A, B], [B*, C]] >= 0 with top-left block of size `split`,
-    checks 2 s_i(B) <= s_i(F) for every i up to the number of singular
-    values of B.
-    """
-    return _tao_positive(_one(f), split).verdict(0)
-
-
-def check_key(a, split: int | None = None) -> Verdict:
-    """Doubled off-diagonal block of a Hermitian matrix vs its spread.
-
-    For Hermitian A with corner block B (rows < split, columns >= split):
-    2 s(B) weakly submajorized by the compact-model spread of A.
-    """
-    return _key(_one(a), split).verdict(0)
-
-
-def check_trace_pairing(a, b) -> Verdict:
-    """tr(AB) bounded by the index-paired product of the two-sided scales."""
-    return _trace_pairing(_one(a), _one(b)).verdict(0)
-
-
-def check_commutator_scale(a, x) -> Verdict:
-    """Positive scale of i[A,X] vs half the product of the two spreads."""
-    return _commutator_scale(_one(a), _one(x)).verdict(0)
-
-
-def check_commutator_sv(a, x) -> Verdict:
-    """s([A,X]) vs half the product of the doubled spreads, plus norm forms."""
-    return _commutator_sv(_one(a), _one(x)).verdict(0)
-
-
-def check_mixed_commutator(a, b, x) -> Verdict:
-    """s(AX-XB) vs spread-of-direct-sum times s(X); entrywise form recorded.
-
-    The submajorization is the claim; the entrywise comparison is kept in the
-    verdict because it can fail (and does, on the documented fixture).
-    """
-    return _mixed_commutator(_one(a), _one(b), _one(x)).verdict(0)
-
-
-def check_general_commutator(a, b, x) -> Verdict:
-    """s(AX-XB) for non-normal A, B via their Hermitian parts.
-
-    Bound: (spread of the real parts' direct sum plus spread of the
-    imaginary parts') times s(X). Also evaluates the scalar corollary
-    using the extreme eigenvalues of each part, for the op, trace, and
-    Frobenius norms.
-    """
-    return _general_commutator(_one(a), _one(b), _one(x)).verdict(0)
-
-
-def check_unitary_conj(a, x) -> Verdict:
-    """s(A - U*AU) with U = e^{iX}, against the doubled-spread product."""
-    return _unitary_conj(_one(a), _one(x)).verdict(0)
-
-
-def check_agm_projection(s, c, e) -> Verdict:
-    """Doubled s(SEC*) vs the spread of the compressed operator plus a zero block."""
-    return _agm_projection(_one(s), _one(c), _one(e)).verdict(0)
-
-
-def check_agm_pair(s, c, e1, e2=None) -> Verdict:
-    """s(S E1 C + C E2 S) for a positive splitting pair C^2 + S^2 = P.
-
-    With E1 = E2 = E the arithmetic-geometric-mean corollary
-    s(Re(SEC)) weakly below s(E)/2 is evaluated as well, along with the
-    identity spread(E oplus -E) = 2 s(E) it rests on.
-    """
-    return _agm_pair(_one(s), _one(c), _one(e1), None if e2 is None else _one(e2)).verdict(0)
-
-
-def check_agm_compact(s, c, e) -> Verdict:
-    """Doubled s(SEC*) vs the compact-model spread of E itself.
-
-    Also records: the compression monotonicity spread(PEP) <= spread(E)
-    entrywise, the Frobenius comparison against the compact bound, and the
-    identity-model Frobenius bound ||SEC*||_2 <= ||E||_2 / 2, which is only a
-    theorem for positive E and fails on the documented indefinite fixture.
-    """
-    return _agm_compact(_one(s), _one(c), _one(e)).verdict(0)
-
-
-def check_agm_general(a, b, e) -> Verdict:
-    """s(AEB*) vs half the spread of F^(1/2) E F^(1/2), F = A*A + B*B.
-
-    Verified in the compact model and again with a zero block appended. The
-    spectrum of G oplus 0 is G's plus zeros, so that second spread comes
-    from G's eigenvalues at the doubled horizon; the property suite checks
-    the union on explicit block matrices. The entrywise comparison is
-    recorded because it fails on the documented 3x3 fixture. For positive E
-    the equivalent formulation 2 s(AEB*) weakly below s(E^(1/2) F E^(1/2))
-    is cross-checked.
-    """
-    return _agm_general(_one(a), _one(b), _one(e)).verdict(0)
-
-
-def check_zhan(e, f) -> Verdict:
-    """s(E - F) vs the compact-model spread of E oplus F."""
-    return _zhan(_one(e), _one(f)).verdict(0)
-
-
-def check_offdiag_projection(e, p) -> Verdict:
-    """Doubled corner s-values vs the d-dimensional spread of E.
-
-    This is the bounded-operator form: the spread is taken in the matrix
-    model (no zero padding of the spectrum), and the comparison runs over
-    the ceil(d/2) entries that model carries. The corner PE(I-P) maps
-    range(I-P) into range(P), so rank PE(I-P) <= min(rank P, d - rank P)
-    <= floor(d/2); the discarded singular values are asserted to vanish.
-    """
-    return _offdiag_projection(_one(e), _one(p)).verdict(0)
-
-
-def check_offdiag_compact(e, p) -> Verdict:
-    """Doubled corner s-values vs the compact-model spread of E."""
-    return _offdiag_compact(_one(e), _one(p)).verdict(0)
-
-
-def check_identity_split(s, c, e) -> Verdict:
-    """Full splitting C*C + S*S = I: doubled s(SEC*) vs spread of E plus a zero block."""
-    return _identity_split(_one(s), _one(c), _one(e)).verdict(0)
-
-
-def control_kittaneh_positive(c, d, x) -> Verdict:
-    """Entrywise s_i(CX - XD) <= ||X|| s_i(C oplus D) for positive C, D."""
-    return _kittaneh_positive(_one(c), _one(d), _one(x)).verdict(0)
-
-
-def control_bhatia_kittaneh(a, b) -> Verdict:
-    """Entrywise 2 s_i(AB*) <= s_i(A*A + B*B)."""
-    return _bhatia_kittaneh(_one(a), _one(b)).verdict(0)
-
-
-def control_strict_gap(e) -> Verdict:
-    """Strict Frobenius gap ||E||_2 < g_2(spread(E)) for indefinite E."""
-    return _strict_gap(_one(e)).verdict(0)
-
-
-# public verifier name -> its kernel over stacks
-KERNELS = {
-    "check_tao_positive": _tao_positive,
-    "check_key": _key,
-    "check_trace_pairing": _trace_pairing,
-    "check_commutator_scale": _commutator_scale,
-    "check_commutator_sv": _commutator_sv,
-    "check_mixed_commutator": _mixed_commutator,
-    "check_general_commutator": _general_commutator,
-    "check_unitary_conj": _unitary_conj,
-    "check_agm_projection": _agm_projection,
-    "check_agm_pair": _agm_pair,
-    "check_agm_compact": _agm_compact,
-    "check_agm_general": _agm_general,
-    "check_zhan": _zhan,
-    "check_offdiag_projection": _offdiag_projection,
-    "check_offdiag_compact": _offdiag_compact,
-    "check_identity_split": _identity_split,
-    "control_kittaneh_positive": _kittaneh_positive,
-    "control_bhatia_kittaneh": _bhatia_kittaneh,
-    "control_strict_gap": _strict_gap,
-}

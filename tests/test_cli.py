@@ -550,6 +550,30 @@ def test_check_key_diagonal_matrix(capsys, tmp_path):
     assert rep["check"]["ineq_id"] == "key"
 
 
+@pytest.mark.parametrize("ineq_id, judged, other", [
+    ("key", "compact", "matrix"), ("tao_positive", "matrix", "compact"),
+])
+def test_check_honours_a_declared_mode(capsys, tmp_path, ineq_id, judged, other):
+    # a mode: directive that differs from the verdict's mode is a mode
+    # violation, as a wrong model is for scale; the verdict's own mode, or
+    # none, is not
+    m = np.array([[2.0, 1.0], [1.0, 2.0]])
+    for declared, want in ((other, 3), (judged, 0), (None, 0)):
+        path = tmp_path / f"{declared}.txt"
+        path.write_text(cli.write_matrix_text(m, mode=declared))
+        code, out, err = run(capsys, "check", ineq_id, str(path), "--json")
+        assert code == want, (declared, err)
+        if want == 3:
+            assert out == "" and f"declares mode {other}" in err
+        else:
+            assert json.loads(out)["check"]["mode"] == judged
+    # a directive on any of the files counts
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(cli.write_matrix_text(m))
+    marked.write_text(cli.write_matrix_text(m, mode="matrix"))
+    assert run(capsys, "check", "zhan", str(plain), str(marked))[0] == 3
+
+
 def test_spread_of_scalar_matrix_is_zero(capsys, tmp_path):
     path = tmp_path / "scalar.txt"
     path.write_text(cli.write_matrix_text(2.5 * np.eye(3), mode="matrix"))

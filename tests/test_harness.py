@@ -192,7 +192,8 @@ def test_every_row_gets_its_own_verdict(ineq_id):
     # row i of a kernel's Rows must build, witness included, the verdict the
     # public verifier gives on that row's arguments alone
     entry = VERIFIERS[ineq_id]
-    kernel, check = ineq.KERNELS[entry.check], getattr(ineq, entry.check)
+    check = getattr(ineq, entry.check)
+    kernel = inspect.unwrap(check)
     largest = 0
     for index, args in harness._groups(entry, _splitmix64_block(4, 0, 24), 2, 3):
         rows = kernel(*args)
@@ -378,6 +379,8 @@ def test_trials_outside_range_are_refused():
             property_suite(1, trials=trials)
 
 
+PUBLIC_VERIFIERS = sorted(n for n in vars(ineq) if n.startswith(("check_", "control_")))
+
 # each verifier's public parameters: sspread check takes one matrix file per
 # parameter but split, in this order, and reads --split into split
 CHECK_PARAMS = {
@@ -420,8 +423,43 @@ def test_registry_holds_the_paper_family():
 def test_public_names_resolve_and_tables_agree():
     missing = [name for name in sspread.__all__ if not hasattr(sspread, name)]
     assert missing == []
-    # every registry id runs a kernel, and every kernel has a registry id
-    assert {v.check for v in VERIFIERS.values()} == set(ineq.KERNELS)
+    # every registry id names a public verifier, and every public verifier
+    # has a registry id
+    assert {v.check for v in VERIFIERS.values()} == set(PUBLIC_VERIFIERS)
+    for name in PUBLIC_VERIFIERS:
+        check = getattr(ineq, name)
+        assert check.__name__ == name
+        assert inspect.unwrap(check) is not check, name
+
+
+def _traced(name, fn, calls):
+    # a span wrapper as bench/tracer.py makes one: no functools.wraps, only
+    # __wrapped__, so no attribute of fn shows through it
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    wrapper.__wrapped__ = fn
+    return wrapper
+
+
+def test_fuzz_and_check_run_through_a_tracing_wrapper(monkeypatch, tmp_path, capsys):
+    plain = {i: harness.fuzz(i, trials=30, seed=8) for i in VERIFIERS}
+    calls = []
+    for name in PUBLIC_VERIFIERS:
+        monkeypatch.setattr(ineq, name, _traced(name, getattr(ineq, name), calls))
+    # fuzz runs the kernel behind the wrapper, so the wrapper sees no call
+    assert {i: harness.fuzz(i, trials=30, seed=8) for i in VERIFIERS} == plain
+    assert calls == []
+    # check reads its files off the wrapper's signature and calls the wrapper
+    s, c, e1 = trial_args("agm_pair", 5)[:3]
+    files = []
+    for name, m in (("S", s), ("C", c), ("E1", e1)):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(cli.write_matrix_text(m))
+        files.append(str(path))
+    assert cli.main(["check", "agm_pair", *files]) == 0, capsys.readouterr().err
+    assert calls == ["check_agm_pair"]
 
 
 def test_aliases_rerun_their_target():

@@ -9,6 +9,8 @@ fixed: a projection P, a unitary, and the contractions S, C of a splitting
 C*C + S*S = P.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -60,10 +62,15 @@ def _flips(kernel, args, fixed=()):
     return [(float(SCALES[j]), int(r)) for j, r in zip(*np.nonzero(bad))]
 
 
+def _kernel(name):
+    """The kernel over stacks behind a public verifier."""
+    return inspect.unwrap(getattr(ineq, name))
+
+
 @pytest.mark.parametrize("ineq_id", sorted(VERIFIERS))
 def test_registry_verdicts_are_scale_free(ineq_id):
     entry = VERIFIERS[ineq_id]
-    kernel = ineq.KERNELS[entry.check]
+    kernel = _kernel(entry.check)
     seeds = _splitmix64_block(20211, 0, 50)
     flips = []
     for _, args in _groups(entry, seeds, 2, 8):
@@ -108,15 +115,15 @@ def _stack(*mats):
 
 def test_fixture_failures_hold_at_every_scale():
     m = fixture_matrices("kittaneh-fail")
-    rows = ineq._mixed_commutator(*_scaled(_stack(m["A"], m["B"], m["X"])))
+    rows = _kernel("check_mixed_commutator")(*_scaled(_stack(m["A"], m["B"], m["X"])))
     assert rows.holds.all() and not rows.entrywise[1].any()
 
     m = fixture_matrices("agm-fail-3x3")
-    rows = ineq._agm_general(*_scaled(_stack(m["A"], m["B"], m["E"])))
+    rows = _kernel("check_agm_general")(*_scaled(_stack(m["A"], m["B"], m["E"])))
     assert rows.holds.all() and not rows.entrywise[1].any()
 
     m = fixture_matrices("agm-fail-2x2")
-    rows = ineq._agm_compact(*_scaled(_stack(m["S"], m["C"], m["E"]), {0, 1}))
+    rows = _kernel("check_agm_compact")(*_scaled(_stack(m["S"], m["C"], m["E"]), {0, 1}))
     assert rows.holds.all()
     assert not any(rows.verdict(i).extras["fro"]["identity_ok"] for i in range(len(SCALES)))
 
@@ -187,7 +194,7 @@ def _trace_null_product(rng, d):
     w = rng.uniform(0.5, 2.0, size=(DRAWS, d))
     a = v @ _diag(w * mask) @ _ct(v)
     b = -(v @ _diag(w[:, ::-1] * (1.0 - mask)) @ _ct(v))
-    return ineq._trace_pairing, (a, b), ()
+    return _kernel("check_trace_pairing"), (a, b), ()
 
 
 def _splitting_off_support(rng, d, positive):
@@ -200,8 +207,8 @@ def _splitting_off_support(rng, d, positive):
     q = _ct(w) @ _diag(1.0 - mask)
     e = q @ _hermitians(rng, DRAWS, d) @ _ct(q)
     if positive:
-        return ineq._agm_pair, (s, c, e), (0, 1)
-    return ineq._agm_projection, (s, c, e), (0, 1)
+        return _kernel("check_agm_pair"), (s, c, e), (0, 1)
+    return _kernel("check_agm_projection"), (s, c, e), (0, 1)
 
 
 def _agm_common_null(rng, d):
@@ -212,7 +219,7 @@ def _agm_common_null(rng, d):
     a = _hermitians(rng, DRAWS, d) @ keep
     b = (rng.standard_normal((DRAWS, d, d)) + 0j) @ keep
     e = null @ _hermitians(rng, DRAWS, d) @ _ct(null)
-    return ineq._agm_general, (a, b, e), ()
+    return _kernel("check_agm_general"), (a, b, e), ()
 
 
 def _key_offdiag(rng, d):
@@ -223,7 +230,7 @@ def _key_offdiag(rng, d):
     a = np.zeros((DRAWS, d, d), dtype=np.complex128)
     a[:, :split, split:] = g
     a[:, split:, :split] = _ct(g)
-    return ineq._key, (a, split), ()
+    return _kernel("check_key"), (a, split), ()
 
 
 DEGENERATE = {
