@@ -35,6 +35,7 @@ from .linalg import _ct, _diag, _pad, _sv_array, _tol
 from .major import _dec
 from .rng import _MASK, Stream, _splitmix64_block, derive_seed
 from .spectra import (
+    GENERATORS,
     DiagSpec,
     _eig_sides,
     _eig_spread,
@@ -90,7 +91,14 @@ def _crandns(stream: Stream, *shapes: tuple[int, int]) -> list[np.ndarray]:
     out = []
     at = 0
     for (rows, cols), n, m in zip(shapes, sizes, evens):
-        g = (z[..., at:at + n] + 1j * z[..., at + m:at + m + n]) / math.sqrt(2.0)
+        g = np.empty(z.shape[:-1] + (n,), dtype=np.complex128)
+        g.real = z[..., at:at + n]
+        # the bits of (re + 1j * im) / sqrt(2) without its temporaries: that
+        # sum's imaginary parts are im + 0.0 (a -0.0 becomes +0.0), and its
+        # real parts differ from re only in the sign of a zero next to an
+        # imaginary part of sign +, which the division's re + im*0 erases
+        np.add(z[..., at + m:at + m + n], 0.0, out=g.imag)
+        g /= math.sqrt(2.0)
         out.append(g.reshape(stream.shape + (rows, cols)))
         at += 2 * m
     return out
@@ -102,28 +110,39 @@ def _crandn(stream: Stream, rows: int, cols: int) -> np.ndarray:
 
 
 def _herm(g: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """The Hermitian matrix of a Gaussian draw g."""
-    return scale * (g + _ct(g)) / 2.0
+    """The Hermitian matrix of a Gaussian draw g: scale * (g + g*) / 2.0.
+
+    The product by scale is kept at 1.0 too, as it can flip the sign of a
+    zero part, which the division keeps.
+    """
+    h = g + _ct(g)
+    h *= scale
+    h /= 2.0
+    return h
 
 
-def _psd(g: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """The positive matrix of a Gaussian draw g."""
-    return scale * (_ct(g) @ g)
+def _psd(g: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """The positive matrix of a Gaussian draw g: scale * (g* g), or g* g
+    without a scale. A product by 1.0 changes only a -0.0 part, and a
+    matmul, whose sums start at +0.0, gives none."""
+    p = _ct(g) @ g
+    return p if scale is None else scale * p
 
 
 def _hermitian(stream: Stream, d: int, scale: float = 1.0) -> np.ndarray:
     return _herm(_crandn(stream, d, d), scale)
 
 
-def _positive(stream: Stream, d: int, scale: float = 1.0) -> np.ndarray:
+def _positive(stream: Stream, d: int, scale: float | None = None) -> np.ndarray:
     return _psd(_crandn(stream, d, d), scale)
 
 
 def _haar(g: np.ndarray) -> np.ndarray:
     """The unitary of a Gaussian draw g, or of a stack of draws."""
     q, r = np.linalg.qr(g)
-    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    ph = np.where(np.abs(ph) > 0, ph / np.abs(ph), 1.0)
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    size = np.abs(ph)
+    ph = np.where(size > 0, ph / size, 1.0)
     return q * ph[..., None, :]  # fixes the phase so the factorization is unique
 
 
@@ -343,9 +362,14 @@ def _split(values) -> list[tuple]:
     row of the scalar stream always does."""
     if np.ndim(values) == 0:
         return [(values, slice(None))]
-    if np.all(values == values[0]):
-        return [(values[0].item(), slice(None))]
-    return [(v.item(), np.flatnonzero(values == v)) for v in np.unique(values)]
+    # a stable sort keeps each value's rows in increasing order
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    cuts = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
+    if not cuts:
+        return [(ranked[0].item(), slice(None))]
+    bounds = [0, *cuts, len(order)]
+    return [(ranked[a].item(), order[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _whole(*args) -> list[tuple]:
@@ -790,12 +814,46 @@ def _j_interlacing(a, p):
                    ("interlacing violated", np.min(wc - wa[:, d - r:], axis=-1), tol))
 
 
-def _j_scale_ordering(a):
-    # exact: a spread is pos - neg of sides with pos >= 0 >= neg
-    dsc = diag_scale(DiagSpec(liminf=-1.0, limsup=1.0, generator="alt_harmonic"), 8)
+# each generator rule with the names of its parameters
+_RULES = tuple((name, tuple(inspect.signature(rule).parameters)[1:])
+               for name, rule in GENERATORS.items())
+
+
+def _d_scale_ordering(stream: Stream, d: int):
+    """A Hermitian matrix, then a consistent DiagSpec and a horizon per row,
+    as a stack of each (the specs in an object array).
+
+    Every row draws the same words: a rule, two parameters in [-2, 2) of
+    which the rule takes its first ones, a head length 0..3, three head
+    entries in [-3, 3) of which the head takes the first ones, and a horizon
+    1..8. The band is the one the rule declares for its parameters. An
+    affine map of a uniform gives no -0.0, so no side of a scale is -0.0.
+    """
+    a = _hermitian(stream, d)
+    rule = stream.randint(0, len(_RULES) - 1)
+    params = 4.0 * stream.uniforms(2) - 2.0
+    size = stream.randint(0, 3)
+    head = 6.0 * stream.uniforms(3) - 3.0
+    horizon = stream.randint(1, 8)
+    specs = np.empty(len(rule), dtype=object)
+    for i, (r, values, n, entries) in enumerate(zip(rule.tolist(), params.tolist(),
+                                                    size.tolist(), head.tolist())):
+        name, takes = _RULES[r]
+        kw = dict(zip(takes, values))
+        liminf, limsup = GENERATORS[name](np.arange(0), **kw)[1]
+        specs[i] = DiagSpec(head=entries[:n], liminf=liminf, limsup=limsup,
+                            generator=name, params=kw)
+    return _whole(a, specs, horizon)
+
+
+def _j_scale_ordering(a, specs, horizons):
+    # exact: a spread is pos - neg of sides with pos >= 0 >= neg, and a diag
+    # scale's pos >= limsup >= liminf >= neg
+    diag = [float(np.min(sc.pos - sc.neg))
+            for sc in map(diag_scale, specs, horizons.tolist())]
     return _judged(("compact scale ordering violated",
                     np.min(_eig_spread(linalg._eigvalsh(a)), axis=-1), 0.0),
-                   ("diag scale ordering violated", float(np.min(dsc.pos - dsc.neg)), 0.0))
+                   ("diag scale ordering violated", np.array(diag), 0.0))
 
 
 def _j_translation(a, c):
@@ -966,7 +1024,7 @@ PROPERTIES = {
         lambda a, b: (_sv_array(a + b), _sv_array(a) + _sv_array(b)), lower=False)),
     "ky_fan_extremality": Property(_d_ky_fan, _j_ky_fan),
     "interlacing": Property(_d_interlacing, _j_interlacing, lo=2),
-    "scale_ordering": Property(lambda s, d: _whole(_hermitian(s, d)), _j_scale_ordering),
+    "scale_ordering": Property(_d_scale_ordering, _j_scale_ordering),
     "spread_translation_invariance": Property(
         lambda s, d: _whole(_hermitian(s, d), 4.0 * (s.uniform() - 0.5)), _j_translation),
     "spread_homogeneity": Property(

@@ -201,8 +201,11 @@ def _entrywise(margins: np.ndarray, mag: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _size(*stacks: np.ndarray) -> np.ndarray:
     """Largest |entry| of each row over stacks (B, ...): an operand's size."""
-    return functools.reduce(np.maximum, [np.abs(s).max(axis=tuple(range(1, s.ndim)),
-                                                        initial=0.0) for s in stacks])
+    size = None
+    for s in stacks:
+        m = np.abs(s).max(axis=tuple(range(1, s.ndim)), initial=0.0)
+        size = m if size is None else np.maximum(size, m)
+    return size
 
 
 def _same_shape(a: np.ndarray, b: np.ndarray) -> None:

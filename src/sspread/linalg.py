@@ -302,5 +302,7 @@ def svd_values(x, horizon: int | None = None):
 
 
 def _pad(s: np.ndarray, k: int) -> np.ndarray:
-    """Zero-pad the last axis to length k."""
-    return np.concatenate([s, np.zeros(s.shape[:-1] + (k - s.shape[-1],))], axis=-1)
+    """Zero-pad the last axis to length k, in a new array."""
+    out = np.zeros(s.shape[:-1] + (k,))
+    out[..., :s.shape[-1]] = s
+    return out

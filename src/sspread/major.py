@@ -337,6 +337,8 @@ def _schatten_rows(v: np.ndarray, p: float) -> np.ndarray:
         return np.zeros(v.shape[:-1])
     if p == math.inf:
         return v.max(axis=-1)
-    # the root is taken value by value: an array power of 0.5 would be a
-    # square root, which can differ from the scalar power in the last bit
-    return np.array([s ** (1.0 / p) for s in (np.abs(v) ** p).sum(axis=-1)])
+    # the root is taken value by value with the C library's pow, which
+    # math.pow calls: an array power of 0.5 would be a square root, which
+    # can differ from pow in the last bit
+    e = 1.0 / p
+    return np.array([math.pow(s, e) for s in (np.abs(v) ** p).sum(axis=-1).tolist()])

@@ -15,12 +15,15 @@ for the whole batch in one numpy uint64 expression, and computes again, at
 the current counter, when a draw runs past it or the counter was set outside
 it; a word is still splitmix64(seed, counter), whichever block served it.
 take() hands a sub-stream its rows of the block. The Box-Muller
-transcendentals of Stream.normals stay on the math module, so every block
-yields the values of repeated normal_pair calls.
+transcendentals of Stream.normals stay on the C library's log, cos and sin:
+math.log by map, then cos and sin together through one map of cmath.rect,
+which computes r*cos(phi) and r*sin(phi) as normal_pair does. So every
+block yields the values of repeated normal_pair calls, bit for bit.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -161,6 +164,10 @@ class Stream:
         order, as that many scalar-bound calls would draw them, and the
         result carries the bounds' shape after the batch axis.
         """
+        if isinstance(hi, int):
+            if hi < lo:
+                raise ValueError(f"empty range [{lo}, {hi}]")
+            return self._out(lo + (self._words(1)[:, 0] % (hi - lo + 1)).astype(np.int64))
         span = np.asarray(hi) - lo + 1
         if np.any(span < 1):
             raise ValueError(f"empty range [{lo}, {hi}]")
@@ -181,15 +188,18 @@ class Stream:
         normal_pair draws, a list on the scalar stream.
 
         Box-Muller runs once over the (pairs, 2) view of every row's
-        uniforms, math.log/cos/sin by map. np.sqrt is correctly rounded, as
-        math.sqrt is, so the values are normal_pair's bits.
+        uniforms: math.log by map, then one map of cmath.rect(r, t), whose
+        complex value read as two floats is the pair. np.sqrt is correctly
+        rounded, as math.sqrt is. For finite r and t, CPython's rect returns
+        r*cos(t) + r*sin(t)j from the C library's cos and sin, which math.cos
+        and math.sin call too; at t == 0 it returns r + (r*t)j, the same bits,
+        as cos(0) = 1 and sin(0) = 0 exactly. So the values are normal_pair's
+        bits, the r = -0.0 of u1 = 1 and the t = 0 of u2 = 0 included.
         """
         n = max(n, 0)
         m = n + (n & 1)
         u = ((self._words(m) >> _U11) * 2.0**-53).reshape(-1, 2)
         k = len(u)
         r = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[:, 0]).tolist()), float, k))
-        t = (_TWO_PI * u[:, 1]).tolist()
-        u[:, 0] = r * np.fromiter(map(math.cos, t), float, k)
-        u[:, 1] = r * np.fromiter(map(math.sin, t), float, k)
-        return self._out(u.reshape(len(self.seeds), m)[:, :n])
+        z = np.fromiter(map(cmath.rect, r.tolist(), (_TWO_PI * u[:, 1]).tolist()), complex, k)
+        return self._out(z.view(float).reshape(len(self.seeds), m)[:, :n])

@@ -234,9 +234,11 @@ def _eig_sides(mu: np.ndarray, k: int | None = None) -> tuple[np.ndarray, np.nda
         k = 2 * d
     if k < d:
         raise HorizonMismatch(f"horizon {k} is below the dimension {d}")
-    pad = np.zeros(mu.shape[:-1] + (k - d,))
-    pos = np.concatenate([np.where(mu > 0.0, mu, 0.0), pad], axis=-1)
-    neg = np.concatenate([np.where(mu < 0.0, mu, 0.0)[..., ::-1], pad], axis=-1)
+    pos = np.zeros(mu.shape[:-1] + (k,))
+    neg = np.zeros(mu.shape[:-1] + (k,))
+    np.copyto(pos[..., :d], mu, where=mu > 0.0)
+    up = mu[..., ::-1]
+    np.copyto(neg[..., :d], up, where=up < 0.0)
     return pos, neg
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sspread
-from sspread import UnknownExample, UnknownInequality, UnknownKind, cli, harness, ineq
+from sspread import UnknownExample, UnknownInequality, UnknownKind, cli, harness, ineq, spectra
 from sspread.harness import (
     EXAMPLE_IDS,
     PROPERTIES,
@@ -312,6 +312,25 @@ def test_property_rows_equal_trials_judged_alone(name, dims):
     for t in range(len(seeds)):
         one, msg = harness._property_rows(prop, seeds[t:t + 1], dims)
         assert (one.tobytes(), msg) == (margin[t:t + 1].tobytes(), detail[t:t + 1]), t
+
+
+def test_scale_ordering_judges_a_drawn_spec_per_trial(monkeypatch):
+    # each trial draws a DiagSpec and a horizon after its Hermitian matrix,
+    # so the diag half judges many scales, and every row's margin stays 0.0
+    seen = []
+
+    def record(spec, k):
+        seen.append((spec, k))
+        return spectra.diag_scale(spec, k)
+
+    monkeypatch.setattr(harness, "diag_scale", record)
+    seeds = _splitmix64_block(derive_seed(2, 8), 0, 40)
+    margin, detail = harness._property_rows(PROPERTIES["scale_ordering"], seeds, (2, 8))
+    assert len(seen) == 40 and len(set(seen)) > 1
+    assert {spec.generator for spec, _ in seen} == set(spectra.GENERATORS)
+    assert {len(spec.head) for spec, _ in seen} == {0, 1, 2, 3}
+    assert {k for _, k in seen} <= set(range(1, 9)) and len({k for _, k in seen}) > 1
+    assert detail == [None] * 40 and margin.tobytes() == np.zeros(40).tobytes()
 
 
 def test_property_failure_reports_its_first_failing_trial(monkeypatch):

@@ -1,0 +1,291 @@
+"""Helpers rewritten for fewer numpy calls, each against the formulation it
+replaced, which is kept here as the reference. Results are compared bit for
+bit through .view(np.uint64), so a signed zero counts, and draws also by the
+words they consume."""
+
+import cmath
+import functools
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from sspread import harness, ineq, linalg, major, spectra
+from sspread.harness import _crandns, _split
+from sspread.rng import _TWO_PI, _U11, Stream, derive_seed
+
+
+def _bits(x) -> np.ndarray:
+    a = np.ascontiguousarray(x)
+    return a.view(np.uint64) if a.dtype != np.complex128 else a.view(np.float64).view(np.uint64)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
+
+
+# ---------------------------------------------------------------------------
+# harness._split
+
+
+def _split_ref(values):
+    if np.ndim(values) == 0:
+        return [(values, slice(None))]
+    if np.all(values == values[0]):
+        return [(values[0].item(), slice(None))]
+    return [(v.item(), np.flatnonzero(values == v)) for v in np.unique(values)]
+
+
+SPLIT_CASES = {
+    "0-d": np.int64(4),
+    "python int": 4,
+    "one value": np.full(7, 3),
+    "one row": np.array([6]),
+    "all distinct": np.array([5, 2, 9, 3, 7]),
+    "unsorted rows": np.array([3, 1, 3, 2, 1, 3, 2, 2, 1]),
+    "bools": np.array([True, False, False, True, True]),
+    # long enough that an unstable sort would reorder a value's rows
+    "long": np.random.default_rng(5).integers(2, 9, 600),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_split_matches_the_unique_form(case):
+    values = SPLIT_CASES[case]
+    got, ref = _split(values), _split_ref(values)
+    assert [v for v, _ in got] == [v for v, _ in ref]
+    assert [type(v) for v, _ in got] == [type(v) for v, _ in ref]
+    for (_, rows), (_, want) in zip(got, ref):
+        if isinstance(want, slice):
+            assert rows == want
+        else:
+            assert rows.dtype == want.dtype and rows.tolist() == want.tolist()
+    if np.ndim(values) and len(got) > 1:
+        # ascending values, and every row in exactly one group
+        assert [v for v, _ in got] == sorted({v for v, _ in got})
+        covered = np.concatenate([rows for _, rows in got]).tolist()
+        assert sorted(covered) == list(range(len(values)))
+
+
+# ---------------------------------------------------------------------------
+# Stream.randint with an int bound
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 8), (1, 1), (0, 3), (5, 5), (1, 2**40)])
+@pytest.mark.parametrize("seeds", [None, np.array([0, 9, derive_seed(5, 3), 2**64 - 1],
+                                                   dtype=np.uint64)])
+def test_randint_int_bound_matches_the_0d_bound(seeds, lo, hi):
+    a, b = (Stream(3 if seeds is None else seeds) for _ in range(2))
+    a.counter = b.counter = 7
+    got, ref = a.randint(lo, hi), b.randint(lo, np.array(hi))
+    assert type(got) is type(ref)
+    if seeds is None:
+        assert isinstance(got, int) and got == ref
+    else:
+        assert _same_bits(got, ref)
+    assert lo <= np.min(got) and np.max(got) <= hi
+    assert a.counter == b.counter == 8
+    assert np.array_equal(a.next_u64(), b.next_u64())
+
+
+def test_randint_int_bound_refuses_an_empty_range():
+    s = Stream(1)
+    with pytest.raises(ValueError, match="empty range"):
+        s.randint(3, 2)
+    with pytest.raises(ValueError, match="empty range"):
+        s.randint(3, np.array(2))
+    assert s.counter == 0
+
+
+# ---------------------------------------------------------------------------
+# Stream.normals
+
+
+def _normals_ref(words: np.ndarray) -> np.ndarray:
+    """Box-Muller over (B, m) words by three math maps and two multiplies."""
+    u = ((words >> _U11) * 2.0**-53).reshape(-1, 2)
+    k = len(u)
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[:, 0]).tolist()), float, k))
+    t = (_TWO_PI * u[:, 1]).tolist()
+    u[:, 0] = r * np.fromiter(map(math.cos, t), float, k)
+    u[:, 1] = r * np.fromiter(map(math.sin, t), float, k)
+    return u.reshape(words.shape)
+
+
+def _patched(seed, words: np.ndarray) -> Stream:
+    """A stream whose next words are these (B, m) words."""
+    s = Stream(seed)
+    s._block, s._base = words.copy(), s.counter
+    return s
+
+
+# word 0 gives u = 0: u1 = 1 - 0 = 1, so r = sqrt(-2 * 0.0) = -0.0, and u2 = 0
+# gives t = 0; words below 2**11 give u = 0 too, and 2**64 - 1 the largest u
+EDGE_WORDS = [0, 1, 2**11 - 1, 2**11, 2**63, 2**64 - 1]
+
+
+def test_normals_match_the_word_0_edge():
+    pairs = np.array(list(itertools.product(EDGE_WORDS, repeat=2)), dtype=np.uint64)
+    words = pairs.reshape(1, -1)
+    ref = _normals_ref(words)
+    # the edge is where the signed zeros are: (-0.0, -0.0) from words (0, 0)
+    assert np.signbit(ref[0, :2]).all() and (ref[0, :2] == 0.0).all()
+    scalar = _patched(7, words)
+    assert _same_bits(np.array(scalar.normals(words.shape[1])), ref[0])
+    batch = _patched(np.array([7], dtype=np.uint64), words)
+    assert _same_bits(batch.normals(words.shape[1]), ref)
+    pair = _patched(7, words)
+    got = [x for _ in range(len(pairs)) for x in pair.normal_pair()]
+    assert _same_bits(np.array(got), ref[0])
+
+
+def test_normals_match_the_three_map_form_on_random_words():
+    words = np.random.default_rng(11).integers(0, 2**64, (4, 2 * 50_000), dtype=np.uint64)
+    s = _patched(np.arange(4, dtype=np.uint64), words)
+    assert _same_bits(s.normals(words.shape[1]), _normals_ref(words))
+    # an odd count keeps the first n of the pairs' values
+    s = _patched(np.arange(4, dtype=np.uint64), words[:, :8])
+    assert _same_bits(s.normals(7), _normals_ref(words[:, :8])[:, :7])
+
+
+def test_rect_is_cos_and_sin_at_zero_phase():
+    # the phi == 0 branch of cmath.rect returns (r, r * phi)
+    for r in (-0.0, 0.0, 1.5, 2.0**-1074):
+        z = cmath.rect(r, 0.0)
+        assert _same_bits(np.array([z.real, z.imag]), np.array([r * math.cos(0.0),
+                                                                r * math.sin(0.0)]))
+
+
+# ---------------------------------------------------------------------------
+# harness._crandns
+
+
+def _crandns_ref(stream, *shapes):
+    sizes = [rows * cols for rows, cols in shapes]
+    evens = [n + (n & 1) for n in sizes]
+    z = np.asarray(stream.normals(2 * sum(evens)))
+    out = []
+    at = 0
+    for (rows, cols), n, m in zip(shapes, sizes, evens):
+        g = (z[..., at:at + n] + 1j * z[..., at + m:at + m + n]) / math.sqrt(2.0)
+        out.append(g.reshape(stream.shape + (rows, cols)))
+        at += 2 * m
+    return out
+
+
+CRANDNS_SHAPES = [[(3, 3)], [(1, 1)], [(2, 2), (3, 1), (2, 3)], [(4, 4), (4, 4)]]
+
+
+@pytest.mark.parametrize("shapes", CRANDNS_SHAPES)
+@pytest.mark.parametrize("seed", [5, np.array([0, 5, 2**64 - 1], dtype=np.uint64)])
+def test_crandns_matches_the_complex_sum_form(seed, shapes):
+    a, b = Stream(seed), Stream(seed)
+    got, ref = _crandns(a, *shapes), _crandns_ref(b, *shapes)
+    assert a.counter == b.counter
+    assert all(_same_bits(g, r) for g, r in zip(got, ref))
+
+
+@pytest.mark.parametrize("shapes", CRANDNS_SHAPES)
+def test_crandns_matches_at_signed_zero_normals(shapes):
+    # rows of edge words, so the normals take -0.0 and +0.0 in real and
+    # imaginary positions, against each other and against nonzero values
+    n = 2 * sum(2 * ((r * c + 1) // 2) for r, c in shapes)
+    words = np.random.default_rng(n).choice(np.array(EDGE_WORDS, dtype=np.uint64), (500, n))
+    seeds = np.arange(len(words), dtype=np.uint64)
+    got = _crandns(_patched(seeds, words), *shapes)
+    ref = _crandns_ref(_patched(seeds, words), *shapes)
+    assert all(_same_bits(g, r) for g, r in zip(got, ref))
+    assert any(np.signbit(g.view(float)[g.view(float) == 0.0]).any() for g in ref)
+
+
+# ---------------------------------------------------------------------------
+# spectra._eig_sides, linalg._pad
+
+
+def _eig_sides_ref(mu, k=None):
+    d = mu.shape[-1]
+    if k is None:
+        k = 2 * d
+    pad = np.zeros(mu.shape[:-1] + (k - d,))
+    pos = np.concatenate([np.where(mu > 0.0, mu, 0.0), pad], axis=-1)
+    neg = np.concatenate([np.where(mu < 0.0, mu, 0.0)[..., ::-1], pad], axis=-1)
+    return pos, neg
+
+
+EIGS = np.array([[2.5, 0.0, -0.0, -1.0], [0.0, -0.0, -0.0, -3.0], [-0.0, -0.0, 0.0, 0.0],
+                 [4.0, 1.0, 0.5, 0.0], [np.nan, 1.0, -0.0, -2.0]])
+
+
+@pytest.mark.parametrize("k", [None, 4, 5, 9])
+def test_eig_sides_matches_the_where_form(k):
+    for mu in (EIGS, EIGS[0], EIGS[:, :1]):
+        kk = k if k is None else max(k, mu.shape[-1])
+        got, ref = spectra._eig_sides(mu, kk), _eig_sides_ref(mu, kk)
+        assert _same_bits(got[0], ref[0]) and _same_bits(got[1], ref[1])
+
+
+@pytest.mark.parametrize("k", [3, 4, 7])
+def test_pad_matches_the_concatenate_form(k):
+    s = np.array([[3.0, -0.0, 0.0], [2.0, 1.0, -0.0]])
+    got = linalg._pad(s, k)
+    ref = np.concatenate([s, np.zeros(s.shape[:-1] + (k - s.shape[-1],))], axis=-1)
+    assert _same_bits(got, ref)
+    got[...] = 9.0  # a new array even at k == n
+    assert s[0, 0] == 3.0
+
+
+# ---------------------------------------------------------------------------
+# the generator and kernel trims
+
+
+def _ct(m):
+    return m.conj().swapaxes(-1, -2)
+
+
+# every complex entry from {+0, -0, 1.5, -1.5}^2 in every position of a 2x2 matrix
+_SIGNED = [complex(a, b) for a, b in itertools.product([0.0, -0.0, 1.5, -1.5], repeat=2)]
+G_EDGE = np.array(list(itertools.product(_SIGNED, repeat=4))).reshape(-1, 2, 2)
+
+
+def test_herm_and_psd_match_their_scaled_forms():
+    g = np.concatenate([G_EDGE.reshape(-1, 4, 4),
+                        _crandns(Stream(np.arange(9, dtype=np.uint64)), (4, 4))[0]])
+    for scale in (1.0, 2.5, np.linspace(1.0, 10.0, len(g))[:, None, None]):
+        assert _same_bits(harness._herm(g, scale), scale * (g + _ct(g)) / 2.0)
+    assert _same_bits(harness._herm(g), 1.0 * (g + _ct(g)) / 2.0)
+    assert _same_bits(harness._psd(g, 2.5), 2.5 * (_ct(g) @ g))
+    for m in (g, G_EDGE):
+        assert _same_bits(harness._psd(m), 1.0 * (_ct(m) @ m))
+
+
+def test_haar_matches_the_copied_phase_form():
+    g = np.concatenate([_crandns(Stream(np.arange(5, dtype=np.uint64)), (4, 4))[0],
+                        np.zeros((1, 4, 4), dtype=np.complex128)])
+    q, r = np.linalg.qr(g)
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    with np.errstate(invalid="ignore"):
+        ph = np.where(np.abs(ph) > 0, ph / np.abs(ph), 1.0)
+        got = harness._haar(g)
+    assert _same_bits(got, q * ph[..., None, :])
+
+
+def test_size_matches_the_reduce_form():
+    stacks = [np.array([[1.0, -3.0], [-0.0, 0.0]]), np.array([[[2.0j]], [[-0.0]]]),
+              np.array([[0.5, np.nan], [1.0, 2.0]])]
+    for k in range(1, 4):
+        for chosen in itertools.combinations(stacks, k):
+            ref = functools.reduce(np.maximum, [np.abs(s).max(axis=tuple(range(1, s.ndim)),
+                                                               initial=0.0) for s in chosen])
+            assert _same_bits(ineq._size(*chosen), ref)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_schatten_rows_matches_the_scalar_power_form(p):
+    rng = np.random.default_rng(3)
+    v = np.abs(rng.standard_normal((400, 5))) * 10.0 ** rng.uniform(-200, 200, (400, 1))
+    v[:3] = [[0.0] * 5, [2.0**-1074] * 5, [1.0, 0.0, 0.0, 0.0, 0.0]]
+    with np.errstate(over="ignore"):  # a sum of powers may overflow to inf
+        ref = np.array([s ** (1.0 / p) for s in (np.abs(v) ** p).sum(axis=-1)])
+        assert _same_bits(major._schatten_rows(v, p), ref)

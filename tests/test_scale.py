@@ -78,13 +78,15 @@ def test_registry_verdicts_are_scale_free(ineq_id):
     assert not flips, f"{len(flips)} verdicts flip, e.g. (scale, row) {flips[:5]}"
 
 
-# argument positions each property keeps fixed: unitaries, projections and
+# argument positions each property keeps fixed: unitaries, projections,
 # the multiplier c of spread_homogeneity (translation's shift c scales
-# with A); an integer k is shared as it is
+# with A), and scale_ordering's diagonal operators and horizons, whose check
+# reads no matrix; an integer k is shared as it is
 PROPERTY_FIXED = {
     "sv_unitary_invariance": {1, 2},
     "ky_fan_extremality": {2, 3, 4, 5},
     "interlacing": {1},
+    "scale_ordering": {1, 2},
     "spread_homogeneity": {1},
 }
 # its inputs are projections, splittings and unitaries: none is homogeneous

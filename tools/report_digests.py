@@ -35,9 +35,15 @@ set, which see a margin that moves no campaign minimum:
                              S = 1..3 (60 trials, dims 2..8)
     diag_scale RULE K        spectra.diag_scale of one spec with a head per
                              generator rule, K = 1, 8, 50
+    fuzz-rows ID S           every trial of `fuzz ID --trials 500 --seed S`
+                             (dims 2..8), S = 1..3, drawn by harness._groups
+                             and judged by the kernel behind the public name,
+                             as fuzz runs them
 
 each with the sha256 of that text, of the margins' bytes and the details'
-canonical JSON, or of the scale's sides and tails. Two trees give the same reports when their outputs are equal, e.g.
+canonical JSON, of the scale's sides and tails, or of the trials' holds
+bytes then margin bytes in trial order. Two trees give the same reports when
+their outputs are equal (run one tree's copy of this file in both), e.g.
 `diff <(python3 A/tools/report_digests.py) <(python3 B/tools/report_digests.py)`.
 With --out DIR, each command's stdout is also written to DIR, one file per
 command named after its argv (e.g. `fuzz_zhan_--trials_500_--seed_1_--json.txt`),
@@ -49,6 +55,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import os
 import sys
@@ -154,6 +161,26 @@ def diag_scales() -> list[tuple[str, str]]:
     return out
 
 
+def fuzz_rows() -> list[tuple[str, str]]:
+    """(label, sha256) of every trial's holds and margin in the fuzz campaigns
+    covered, which see a margin that moves no campaign minimum."""
+    out = []
+    trials = 500
+    for ineq_id in sorted(harness.VERIFIERS):
+        entry = harness.VERIFIERS[ineq_id]
+        kernel = inspect.unwrap(getattr(ineq, entry.check))
+        for seed in (1, 2, 3):
+            holds = np.ones(trials, dtype=bool)
+            margin = np.empty(trials)
+            for index, args in harness._groups(entry, _splitmix64_block(seed, 0, trials), 2, 8):
+                rows = kernel(*args)
+                holds[index] = rows.holds
+                margin[index] = rows.margin
+            out.append((f"fuzz-rows {ineq_id} {seed}",
+                        hashlib.sha256(holds.tobytes() + margin.tobytes()).hexdigest()))
+    return out
+
+
 def digest(value) -> str:
     """sha256 over the shape and bytes of each matrix of a draw, in order."""
     h = hashlib.sha256()
@@ -188,7 +215,7 @@ def main(argv: list[str] | None = None) -> None:
         print(" ".join(cmd), code, hashlib.sha256(text.encode()).hexdigest())
     for label, value in draws():
         print(label, digest(value))
-    for label, sha in verdicts() + properties() + diag_scales():
+    for label, sha in verdicts() + properties() + diag_scales() + fuzz_rows():
         print(label, sha)
 
 
