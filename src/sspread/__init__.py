@@ -36,7 +36,6 @@ from .major import (
     ky_fan,
     majorizes,
     schatten,
-    seq_product,
     submajorizes,
     updown_rearrange,
 )
@@ -64,7 +63,7 @@ __all__ = [
     "DiagSpec", "SpreadSeq", "TwoSidedSeq",
     "matrix_scale", "compact_scale", "diag_scale", "spread_full", "spread_plus",
     "Interleaved", "MajorizationReport", "dec_rearrange", "updown_rearrange",
-    "interleave", "seq_product", "submajorizes", "majorizes",
+    "interleave", "submajorizes", "majorizes",
     "ky_fan", "schatten", "gauge",
     "as_cmatrix", "as_hermitian", "as_projection", "eigh", "sv_array",
     "svd_values", "opnorm", "direct_sum", "offdiag_embed", "compress",

@@ -69,28 +69,10 @@ def parse_complex(tok: str) -> complex:
     if not t:
         raise ParseError("empty entry")
     if t[-1] in "iI":
-        body = t[:-1]
-        split = -1
-        for j in range(len(body) - 1, 0, -1):
-            if body[j] in "+-" and body[j - 1] not in "eE":
-                split = j
-                break
         try:
-            if split > 0:
-                re = float(body[:split])
-                imag_txt = body[split:]
-            else:
-                re = 0.0
-                imag_txt = body
-            if imag_txt in ("", "+"):
-                im = 1.0
-            elif imag_txt == "-":
-                im = -1.0
-            else:
-                im = float(imag_txt)
+            return complex(t[:-1] + "j")
         except ValueError as exc:
             raise ParseError(f"bad complex literal {tok!r}") from exc
-        return complex(re, im)
     try:
         return complex(float(t), 0.0)
     except ValueError as exc:

@@ -24,6 +24,11 @@ member by member, so a row's numbers do not depend on the batch around it,
 and a kernel that needs the eigenvalues of several stacks of one shape gets
 them from one _eigvalsh call over the stacks put together (_eigvalsh_each),
 after every gate and validation that precedes them.
+Each hypothesis class has one gate, which a kernel calls in its order of
+validation: _positive (a positive operand, validated, decomposed and gated;
+NotPositive names it), _splitting (C*C + S*S = P with an E on its space),
+_coupling (an X from one space to another) and _same_shape (operands on one
+space). Every DimMismatch comes from these, from _cut or from _herm_parts.
 Every gate and comparison is made at linalg._tol of the input operands'
 size (e.g. ||A|| ||X|| for a commutator, read off a decomposition the kernel
 makes anyway), never of a computed bound, which can cancel.
@@ -208,9 +213,28 @@ def _size(*stacks: np.ndarray) -> np.ndarray:
     return size
 
 
-def _same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[1:] != b.shape[1:]:
-        raise DimMismatch(f"shapes {a.shape[1:]} and {b.shape[1:]} differ")
+def _same_shape(first: np.ndarray, *others: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Validated stacks of operators on one space, returned as given; raises
+    DimMismatch naming the first member shape that differs from first's."""
+    for o in others:
+        if o.shape[1:] != first.shape[1:]:
+            raise DimMismatch(f"shapes {first.shape[1:]} and {o.shape[1:]} differ")
+    return (first, *others)
+
+
+def _positive(x, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A positive operand: its validated stack and non-increasing eigenvalues,
+    gated; NotPositive names the operand and its smallest eigenvalue."""
+    m = _as_hermitians(x)
+    w = _eigvalsh(m)
+    _positive_gate(w, name + " has eigenvalue {:.3e}")
+    return m, w
+
+
+def _coupling(xm: np.ndarray, m: int, n: int) -> None:
+    """Shape gate of a validated X from an n- to an m-dimensional space."""
+    if xm.shape[1:] != (m, n):
+        raise DimMismatch(f"X is {xm.shape[1:]}, expected {(m, n)}")
 
 
 def _cut(split: int | None, d: int) -> int:
@@ -298,9 +322,7 @@ def check_tao_positive(f, split: int | None = None) -> Rows:
     checks 2 s_i(B) <= s_i(F) for every i up to the number of singular
     values of B.
     """
-    fm = _as_hermitians(f)
-    sf = _eigvalsh(fm)
-    _positive_gate(sf, "F has eigenvalue {:.3e}")
+    fm, sf = _positive(f, "F")
     split = _cut(split, fm.shape[-1])
     sb = _sv_array(fm[:, :split, split:])
     margins = sf[:, : sb.shape[-1]] - 2.0 * sb
@@ -329,9 +351,7 @@ def check_key(a, split: int | None = None) -> Rows:
 @_verifier
 def check_trace_pairing(a, b) -> Rows:
     """tr(AB) bounded by the index-paired product of the two-sided scales."""
-    am = _as_hermitians(a)
-    bm = _as_hermitians(b)
-    _same_shape(am, bm)
+    am, bm = _same_shape(_as_hermitians(a), _as_hermitians(b))
     d = am.shape[-1]
     lhs = np.trace(am @ bm, axis1=-2, axis2=-1).real
     wa, wb = _eigvalsh_each(am, bm)
@@ -351,9 +371,7 @@ def check_trace_pairing(a, b) -> Rows:
 @_verifier
 def check_commutator_scale(a, x) -> Rows:
     """Positive scale of i[A,X] vs half the product of the two spreads."""
-    am = _as_hermitians(a)
-    xm = _as_hermitians(x)
-    _same_shape(am, xm)
+    am, xm = _same_shape(_as_hermitians(a), _as_hermitians(x))
     wc, wa, wx = _eigvalsh_each(1j * (am @ xm - xm @ am), am, xm)
     lhs = _eig_sides(wc)[0]
     rhs = 0.5 * (_eig_spread(wa) * _eig_spread(wx))
@@ -364,9 +382,7 @@ def check_commutator_scale(a, x) -> Rows:
 @_verifier
 def check_commutator_sv(a, x) -> Rows:
     """s([A,X]) vs half the product of the doubled spreads, plus norm forms."""
-    am = _as_hermitians(a)
-    xm = _as_hermitians(x)
-    _same_shape(am, xm)
+    am, xm = _same_shape(_as_hermitians(a), _as_hermitians(x))
     d = am.shape[-1]
     # s(AX - XA) = s(i[A, X]), and i[A, X] is Hermitian
     wc, wa, wx = _eigvalsh_each(1j * (am @ xm - xm @ am), am, xm)
@@ -386,12 +402,9 @@ def check_mixed_commutator(a, b, x) -> Rows:
     The submajorization is the claim; the entrywise comparison is kept in the
     verdict because it can fail (and does, on the documented fixture).
     """
-    am = _as_hermitians(a)
-    bm = _as_hermitians(b)
-    xm = _as_cmatrices(x)
+    am, bm, xm = _as_hermitians(a), _as_hermitians(b), _as_cmatrices(x)
     m, n = am.shape[-1], bm.shape[-1]
-    if xm.shape[1:] != (m, n):
-        raise DimMismatch(f"X is {xm.shape[1:]}, expected {(m, n)}")
+    _coupling(xm, m, n)
     k = 2 * (m + n)
     lhs_vals = _sv_array(am @ xm - xm @ bm)
     wa, wb, sx = _eigvalsh(am), _eigvalsh(bm), _sv_array(xm)
@@ -419,14 +432,11 @@ def check_general_commutator(a, b, x) -> Rows:
     using the extreme eigenvalues of each part, for the op, trace, and
     Frobenius norms.
     """
-    am = _as_cmatrices(a)
-    bm = _as_cmatrices(b)
-    xm = _as_cmatrices(x)
+    am, bm, xm = _as_cmatrices(a), _as_cmatrices(b), _as_cmatrices(x)
     a1, a2 = _herm_parts(am)
     b1, b2 = _herm_parts(bm)
     m, n = a1.shape[-1], b1.shape[-1]
-    if xm.shape[1:] != (m, n):
-        raise DimMismatch(f"X is {xm.shape[1:]}, expected {(m, n)}")
+    _coupling(xm, m, n)
     k = 2 * (m + n)
     lhs = _pad(_sv_array(am @ xm - xm @ bm), k)
     w_a1, w_a2 = _eigvalsh_each(a1, a2)
@@ -448,9 +458,7 @@ def check_general_commutator(a, b, x) -> Rows:
 @_verifier
 def check_unitary_conj(a, x) -> Rows:
     """s(A - U*AU) with U = e^{iX}, against the doubled-spread product."""
-    am = _as_hermitians(a)
-    xm = _as_hermitians(x)
-    _same_shape(am, xm)
+    am, xm = _same_shape(_as_hermitians(a), _as_hermitians(x))
     d = am.shape[-1]
     wx, vx = _eigh(xm)
     u = _unitary_exp(wx, vx)
@@ -462,11 +470,11 @@ def check_unitary_conj(a, x) -> Rows:
     return Rows("unitary_conj", "compact", sub.holds, sub.margin, (am, xm), sub)
 
 
-def _require_splitting(sm: np.ndarray, cm: np.ndarray) -> np.ndarray:
-    """Validate C*C + S*S as an orthogonal projection; return it.
+def _projection_sum(sm: np.ndarray, cm: np.ndarray) -> np.ndarray:
+    """C*C + S*S of validated S and C, validated as an orthogonal projection.
 
-    S and C are already validated stacks; only their sum is checked here, as
-    a sum of d products: its defects may reach _tol(max|P|, d).
+    Only the sum is checked here, as a sum of d products: its defects may
+    reach _tol(max|P|, d).
     """
     _same_shape(sm, cm)
     p = _ct(cm) @ cm + _ct(sm) @ sm
@@ -476,13 +484,19 @@ def _require_splitting(sm: np.ndarray, cm: np.ndarray) -> np.ndarray:
         raise NotProjectionSum(f"C*C + S*S is not a projection: {exc}") from exc
 
 
+def _splitting(s, c, e) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A splitting C*C + S*S = P and a Hermitian E on its space, as validated
+    stacks (S, C, E, P): E first, then S and C, then P, then E against P."""
+    em = _as_hermitians(e)
+    sm, cm = _as_cmatrices(s), _as_cmatrices(c)
+    p, em = _same_shape(_projection_sum(sm, cm), em)
+    return sm, cm, em, p
+
+
 @_verifier
 def check_agm_projection(s, c, e) -> Rows:
     """Doubled s(SEC*) vs the spread of the compressed operator plus a zero block."""
-    em = _as_hermitians(e)
-    sm, cm = _as_cmatrices(s), _as_cmatrices(c)
-    p = _require_splitting(sm, cm)
-    _same_shape(p, em)
+    sm, cm, em, p = _splitting(s, c, e)
     k = 4 * em.shape[-1]
     lhs = 2.0 * _pad(_sv_array(sm @ em @ _ct(cm)), k)
     rhs = _eig_spread(_eigvalsh(p @ em @ p), k)  # PEP oplus 0
@@ -498,16 +512,12 @@ def check_agm_pair(s, c, e1, e2=None) -> Rows:
     s(Re(SEC)) weakly below s(E)/2 is evaluated as well, along with the
     identity spread(E oplus -E) = 2 s(E) it rests on.
     """
-    sm = _as_hermitians(s)
-    _positive_gate(_eigvalsh(sm), "S has eigenvalue {:.3e}")
-    cm = _as_hermitians(c)
-    _positive_gate(_eigvalsh(cm), "C has eigenvalue {:.3e}")
-    p = _require_splitting(sm, cm)
+    sm, _ = _positive(s, "S")
+    cm, _ = _positive(c, "C")
+    p = _projection_sum(sm, cm)
     same = e2 is None
     e1m = _as_hermitians(e1)
-    e2m = e1m if same else _as_hermitians(e2)
-    if e1m.shape[1:] != p.shape[1:] or e2m.shape[1:] != p.shape[1:]:
-        raise DimMismatch("operator dimensions do not match the splitting")
+    p, e1m, e2m = _same_shape(p, e1m, e1m if same else _as_hermitians(e2))
     d = p.shape[-1]
     k = 4 * d
     pair = sm @ e1m @ cm + cm @ e2m @ sm
@@ -545,16 +555,13 @@ def check_agm_compact(s, c, e) -> Rows:
     identity-model Frobenius bound ||SEC*||_2 <= ||E||_2 / 2, which is only a
     theorem for positive E and fails on the documented indefinite fixture.
     """
-    em = _as_hermitians(e)
-    sm, cm = _as_cmatrices(s), _as_cmatrices(c)
-    p = _require_splitting(sm, cm)
-    _same_shape(p, em)
+    sm, cm, em, p = _splitting(s, c, e)
     k = 2 * em.shape[-1]
     s_sec = _sv_array(sm @ em @ _ct(cm))
     w_e, w_pep = _eigvalsh_each(em, p @ em @ p)
     s_e = _herm_sv(w_e)
     mag = _size(w_e)
-    rhs = _spr_sum(w_e, k=k)
+    rhs = _eig_spread(w_e, k)
     sub = _sub_rows(2.0 * _pad(s_sec, k), rhs, mag)
     margins = rhs - _eig_spread(w_pep, k)
     sub_ok, _ = _entrywise(margins, mag)
@@ -599,12 +606,8 @@ def check_agm_general(a, b, e) -> Rows:
     the equivalent formulation 2 s(AEB*) weakly below s(E^(1/2) F E^(1/2))
     is cross-checked.
     """
-    am = _as_cmatrices(a)
-    bm = _as_cmatrices(b)
-    em = _as_hermitians(e)
+    am, bm, em = _same_shape(_as_cmatrices(a), _as_cmatrices(b), _as_hermitians(e))
     d = em.shape[-1]
-    if am.shape[1:] != (d, d) or bm.shape[1:] != (d, d):
-        raise DimMismatch("A, B, E must share one square dimension")
     f2 = _ct(am) @ am + _ct(bm) @ bm
     w_f, v_f = _eigh(f2)
     _positive_gate(w_f, "square root of a non-positive matrix ({:.3e})")
@@ -616,9 +619,9 @@ def check_agm_general(a, b, e) -> Rows:
     wg = _eigvalsh(gh)
     k = 2 * d
     lhs = _pad(s_aeb, k)
-    spr_g = _spr_sum(wg, k=k)
+    spr_g = _eig_spread(wg, k)
     sub = _sub_rows(lhs, 0.5 * spr_g, mag)
-    sub0 = _sub_rows(_pad(s_aeb, 4 * d), 0.5 * _spr_sum(wg, k=4 * d), mag)  # G oplus 0
+    sub0 = _sub_rows(_pad(s_aeb, 4 * d), 0.5 * _eig_spread(wg, 4 * d), mag)  # G oplus 0
     margins = spr_g[:, :d] - 2.0 * s_aeb
     e_ok, _ = _entrywise(margins, mag)
     ok = sub.holds & sub0.holds
@@ -646,9 +649,7 @@ def check_agm_general(a, b, e) -> Rows:
 @_verifier
 def check_zhan(e, f) -> Rows:
     """s(E - F) vs the compact-model spread of E oplus F."""
-    em = _as_hermitians(e)
-    fm = _as_hermitians(f)
-    _same_shape(em, fm)
+    em, fm = _same_shape(_as_hermitians(e), _as_hermitians(f))
     k = 4 * em.shape[-1]
     we, wf, wd = _eigvalsh_each(em, fm, em - fm)
     sub = _sub_rows(_pad(_herm_sv(wd), k), _spr_sum(we, wf, k=k), _size(we, wf))
@@ -665,9 +666,7 @@ def check_offdiag_projection(e, p) -> Rows:
     range(I-P) into range(P), so rank PE(I-P) <= min(rank P, d - rank P)
     <= floor(d/2); the discarded singular values are asserted to vanish.
     """
-    em = _as_hermitians(e)
-    pm = _as_projections(p)
-    _same_shape(em, pm)
+    em, pm = _same_shape(_as_hermitians(e), _as_projections(p))
     d = em.shape[-1]
     half = math.ceil(d / 2)
     sv = _sv_array(pm @ em @ (np.eye(d) - pm))
@@ -683,9 +682,7 @@ def check_offdiag_projection(e, p) -> Rows:
 @_verifier
 def check_offdiag_compact(e, p) -> Rows:
     """Doubled corner s-values vs the compact-model spread of E."""
-    em = _as_hermitians(e)
-    pm = _as_projections(p)
-    _same_shape(em, pm)
+    em, pm = _same_shape(_as_hermitians(e), _as_projections(p))
     d = em.shape[-1]
     lhs = 2.0 * _pad(_sv_array(pm @ em @ (np.eye(d) - pm)), 2 * d)
     we = _eigvalsh(em)
@@ -696,11 +693,8 @@ def check_offdiag_compact(e, p) -> Rows:
 @_verifier
 def check_identity_split(s, c, e) -> Rows:
     """Full splitting C*C + S*S = I: doubled s(SEC*) vs spread of E plus a zero block."""
-    em = _as_hermitians(e)
-    sm, cm = _as_cmatrices(s), _as_cmatrices(c)
-    p = _require_splitting(sm, cm)
+    sm, cm, em, p = _splitting(s, c, e)
     d = em.shape[-1]
-    _same_shape(p, em)
     if np.any(_size(p - np.eye(d)) > _tol(_size(p), d)):
         raise NotProjectionSum("C*C + S*S must equal the identity here")
     k = 4 * d
@@ -713,15 +707,10 @@ def check_identity_split(s, c, e) -> Rows:
 @_verifier
 def control_kittaneh_positive(c, d, x) -> Rows:
     """Entrywise s_i(CX - XD) <= ||X|| s_i(C oplus D) for positive C, D."""
-    cm = _as_hermitians(c)
-    wc = _eigvalsh(cm)
-    _positive_gate(wc, "C has eigenvalue {:.3e}")
-    dm = _as_hermitians(d)
-    wd = _eigvalsh(dm)
-    _positive_gate(wd, "D has eigenvalue {:.3e}")
+    cm, wc = _positive(c, "C")
+    dm, wd = _positive(d, "D")
     xm = _as_cmatrices(x)
-    if xm.shape[1:] != (cm.shape[-1], dm.shape[-1]):
-        raise DimMismatch(f"X is {xm.shape[1:]}, expected {(cm.shape[-1], dm.shape[-1])}")
+    _coupling(xm, cm.shape[-1], dm.shape[-1])
     lhs = _sv_array(cm @ xm - xm @ dm)
     top = _opnorm(xm)
     s_cd = _herm_sv(np.concatenate([wc, wd], axis=-1))
@@ -734,9 +723,7 @@ def control_kittaneh_positive(c, d, x) -> Rows:
 @_verifier
 def control_bhatia_kittaneh(a, b) -> Rows:
     """Entrywise 2 s_i(AB*) <= s_i(A*A + B*B)."""
-    am = _as_cmatrices(a)
-    bm = _as_cmatrices(b)
-    _same_shape(am, bm)
+    am, bm = _same_shape(_as_cmatrices(a), _as_cmatrices(b))
     lhs = 2.0 * _sv_array(am @ _ct(bm))
     s_f = _herm_sv(_eigvalsh(_ct(am) @ am + _ct(bm) @ bm))
     margins = s_f[:, : lhs.shape[-1]] - lhs
@@ -753,7 +740,7 @@ def control_strict_gap(e) -> Rows:
     if not (w.shape[-1] and np.all((w[:, 0] > edge) & (w[:, -1] < -edge))):
         raise NotPositive("an indefinite operator (both signs present) is required")
     fro = _schatten_rows(_herm_sv(w), 2)
-    g2 = _schatten_rows(_spr_sum(w), 2)
+    g2 = _schatten_rows(_eig_spread(w), 2)
     margin = g2 - fro
     return Rows("control_strict_gap", "compact", margin > _tol(fro), margin, (em,),
                 extras=lambda i: {"fro": float(fro[i]), "g2_spread": float(g2[i]),

@@ -216,19 +216,6 @@ def interleave(a, b) -> Interleaved:
     return Interleaved(neg_values=av, pos_values=bv, neg_tail=at, pos_tail=bt)
 
 
-def seq_product(a, b) -> SpreadSeq:
-    """Entrywise product of two non-negative non-increasing sequences."""
-    av, at = _values_and_tail(a)
-    bv, bt = _values_and_tail(b)
-    if len(av) != len(bv):
-        raise HorizonMismatch(f"lengths {len(av)} and {len(bv)} differ")
-    mode = "compact"
-    for s in (a, b):
-        if isinstance(s, SpreadSeq) and s.mode != "compact":
-            mode = s.mode
-    return SpreadSeq(values=av * bv, tail=at * bt, mode=mode)
-
-
 def _values_and_tail(x) -> tuple[np.ndarray, float]:
     if isinstance(x, SpreadSeq):
         return x.values, x.tail

@@ -107,16 +107,6 @@ class SpreadSeq:
         return bool(len(self.values) == 0
                     or self.values[-1] <= self.tail + _slack(self.values, self.tail))
 
-    def padded(self, k: int) -> np.ndarray:
-        """Values zero-padded to length k (compact mode only)."""
-        if k < len(self.values):
-            raise HorizonMismatch(f"cannot shrink horizon {len(self.values)} to {k}")
-        if k == len(self.values):
-            return self.values
-        if self.mode != "compact":
-            raise ModeError(f"zero-padding undefined in {self.mode} mode")
-        return np.concatenate([self.values, np.zeros(k - len(self.values))])
-
 
 @dataclass(frozen=True)
 class DiagSpec:

@@ -39,6 +39,10 @@ def test_parse_complex_forms():
         cli.parse_complex("banana")
     with pytest.raises(ParseError):
         cli.parse_complex("1+2j+3i")
+    # Python's complex grammar takes no inner whitespace; a matrix row is
+    # split on whitespace, so no file holds such a token
+    with pytest.raises(ParseError, match="bad complex literal"):
+        cli.parse_complex("1 i")
 
 
 def test_format_parse_roundtrip_random():

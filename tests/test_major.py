@@ -20,7 +20,6 @@ from sspread import (
     majorizes,
     matrix_scale,
     schatten,
-    seq_product,
     submajorizes,
     updown_rearrange,
 )
@@ -74,14 +73,12 @@ def test_updown_rearrange_rejects_diag_input():
         updown_rearrange(t)
 
 
-def test_interleave_and_product():
+def test_interleave():
     a = SpreadSeq(values=[2.0, 1.0])
     b = SpreadSeq(values=[4.0, 3.0])
     pair = interleave(a, b)
     assert isinstance(pair, Interleaved)
     assert np.allclose(pair.multiset(), [2.0, 1.0, 4.0, 3.0])
-    prod = seq_product(a, b)
-    assert np.allclose(prod.values, [8.0, 3.0])
     with pytest.raises(HorizonMismatch):
         interleave(a, SpreadSeq(values=[1.0, 1.0, 1.0]))
 

@@ -7,11 +7,14 @@ import cmath
 import functools
 import itertools
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sspread import harness, ineq, linalg, major, spectra
+from sspread import cli, harness, ineq, linalg, major, spectra
+from sspread.errors import ParseError
 from sspread.harness import _crandns, _split
 from sspread.rng import _TWO_PI, _U11, Stream, derive_seed
 
@@ -289,3 +292,83 @@ def test_schatten_rows_matches_the_scalar_power_form(p):
     with np.errstate(over="ignore"):  # a sum of powers may overflow to inf
         ref = np.array([s ** (1.0 / p) for s in (np.abs(v) ** p).sum(axis=-1)])
         assert _same_bits(major._schatten_rows(v, p), ref)
+
+
+# ---------------------------------------------------------------------------
+# cli.parse_complex
+
+
+def _parse_complex_ref(tok: str) -> complex:
+    t = tok.strip()
+    if not t:
+        raise ParseError("empty entry")
+    if t[-1] in "iI":
+        body = t[:-1]
+        split = -1
+        for j in range(len(body) - 1, 0, -1):
+            if body[j] in "+-" and body[j - 1] not in "eE":
+                split = j
+                break
+        try:
+            if split > 0:
+                re = float(body[:split])
+                imag_txt = body[split:]
+            else:
+                re = 0.0
+                imag_txt = body
+            if imag_txt in ("", "+"):
+                im = 1.0
+            elif imag_txt == "-":
+                im = -1.0
+            else:
+                im = float(imag_txt)
+        except ValueError as exc:
+            raise ParseError(f"bad complex literal {tok!r}") from exc
+        return complex(re, im)
+    try:
+        return complex(float(t), 0.0)
+    except ValueError as exc:
+        raise ParseError(f"bad number {tok!r}") from exc
+
+
+def _parsed(parse, tok: str):
+    """The bits of the parsed number, or the ParseError message."""
+    try:
+        z = parse(tok)
+    except ParseError as exc:
+        return str(exc)
+    assert type(z) is complex
+    return tuple(_bits(np.array([z.real, z.imag])).tolist())
+
+
+EDGE_TOKENS = ["-0.0i", "0.0-0.0i", "i", "-i", "+i", "1e+5i", "1-1e-3i", "infi", "1_0i",
+               "1+-2i", "e5i", "(1+2i)", "1+2j", "1j+2i", "", "  ", " 2.5-i ", "-nani",
+               "nan-infI", "-0.0", "1e309i", "4.9e-324-4.9e-324i"]
+
+# pieces of number syntax, joined at random into tokens without whitespace
+_PIECES = ["0", "1", "7", "25", "3.5", ".", ".5", "1.", "e", "E", "e5", "e-3", "E+2", "-",
+           "+", "_", "inf", "nan", "infinity", "i", "I", "j", "J", "(", ")", "x", "-0.0"]
+
+
+def _random_tokens(seed: int, n: int) -> list[str]:
+    rnd = random.Random(seed)
+    return ["".join(rnd.choices(_PIECES, k=rnd.randint(1, 5))) + rnd.choice(["", "i", "I"])
+            for _ in range(n)]
+
+
+def test_parse_complex_matches_the_sign_scan_form():
+    root = Path(__file__).resolve().parent.parent
+    fixture = [t for f in sorted(root.glob("fixtures/*.txt")) for t in f.read_text().split()]
+    assert fixture
+    randoms = _random_tokens(19, 100_000)
+    outcomes = []
+    for tok in fixture + EDGE_TOKENS + randoms:
+        want = _parsed(_parse_complex_ref, tok)
+        assert _parsed(cli.parse_complex, tok) == want, tok
+        outcomes.append(want)
+    # the random tokens reach every outcome: reals, non-real numbers, both errors
+    outcomes = outcomes[-len(randoms):]
+    numbers = [o for o in outcomes if isinstance(o, tuple)]
+    errors = [o for o in outcomes if isinstance(o, str)]
+    assert sum(o[1] != 0 for o in numbers) > 5000 and sum(o[1] == 0 for o in numbers) > 2000
+    assert sum("literal" in o for o in errors) > 5000 and sum("number" in o for o in errors) > 5000

@@ -116,11 +116,6 @@ def test_spreadseq_contract():
         SpreadSeq(values=[0.5, 1.0])
     seq = SpreadSeq(values=[2.0, 1.0])
     assert len(seq) == 2
-    assert np.allclose(seq.padded(4), [2.0, 1.0, 0.0, 0.0])
-    with pytest.raises(HorizonMismatch):
-        seq.padded(1)
-    with pytest.raises(ModeError):
-        SpreadSeq(values=[2.0, 1.0], tail=1.0, mode="diag").padded(4)
 
 
 def test_diag_entry_and_sample():

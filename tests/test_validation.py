@@ -4,7 +4,8 @@ The verifiers and the linalg/spectra entry points check their arguments once
 and then run on unchecked private helpers. These tests feed each public entry
 point one bad argument at a time: a non-finite entry must raise ValueError,
 and a non-Hermitian matrix where a Hermitian one (or a projection, or a
-positive operator) is required must raise NotHermitian.
+positive operator) is required must raise NotHermitian. Given two bad
+arguments, a verifier reports the one its validation order reaches first.
 """
 
 import inspect
@@ -12,7 +13,7 @@ import inspect
 import numpy as np
 import pytest
 
-from sspread import NotHermitian, compact_scale, eigh, ineq, sv_array
+from sspread import NotHermitian, NotPositive, compact_scale, eigh, ineq, sv_array
 from sspread.harness import GenSpec, _partition, generate
 from sspread.rng import Stream
 
@@ -205,3 +206,98 @@ def test_stack_shape_mismatch_raises_like_the_member(name):
         assert _outcome(inspect.unwrap(getattr(ineq, name)), *stacks) == expected
     if len(args) > 1:
         assert checked, "some argument of a multi-argument verifier must be size-checked"
+
+
+# -- error precedence ------------------------------------------------------------
+# Two bad arguments at once: each verifier's validation order decides which
+# fault it reports, and these outcomes, class and message, are pinned, so a
+# merge of its validations must keep that order.
+
+_MULTI = sorted(n for n, (make, _) in _KERNEL_CASES.items() if len(make()) > 1)
+_FINITE = (ValueError, "matrix entries must be finite")
+
+
+def _faulted(name, faults):
+    """CASES[name]'s valid arguments with the faults ((index, kind), ...)."""
+    args = CASES[name][0]()
+    for i, kind in faults:
+        m = np.array(args[i], dtype=np.complex128)
+        if kind == "non-hermitian":
+            m[0, 1] += 0.5
+        elif kind == "non-finite":
+            m[0, 0] = np.nan
+        elif kind == "mis-shaped":
+            m = np.pad(m, ((0, 1), (0, 1)))  # a zero row and column keep every class
+        else:
+            m = -m  # non-positive
+        args[i] = m
+    return args
+
+
+def _defect(limit):
+    return NotHermitian, f"Hermitian defect 5.000e-01 exceeds {limit}"
+
+
+PRECEDENCE = {
+    # a non-Hermitian first argument with a non-finite second one: arguments
+    # that need not be Hermitian (S, A, a general B) pass the first fault
+    **{(name, ((0, "non-hermitian"), (1, "non-finite"))): out for name, out in {
+        "check_agm_compact": _FINITE,
+        "check_agm_general": _FINITE,
+        "check_agm_pair": _defect("4.342e-13"),
+        "check_agm_projection": _FINITE,
+        "check_commutator_scale": _defect("9.764e-13"),
+        "check_commutator_sv": _defect("9.764e-13"),
+        "check_general_commutator": _FINITE,
+        "check_identity_split": _FINITE,
+        "check_mixed_commutator": _defect("9.764e-13"),
+        "check_offdiag_compact": _defect("9.764e-13"),
+        "check_offdiag_projection": _defect("9.764e-13"),
+        "check_trace_pairing": _defect("9.764e-13"),
+        "check_unitary_conj": _defect("9.764e-13"),
+        "check_zhan": _defect("9.764e-13"),
+        "control_bhatia_kittaneh": _FINITE,
+        "control_kittaneh_positive": _defect("4.168e-12"),
+    }.items()},
+    # a non-Hermitian third argument with a non-finite first one: a splitting
+    # validates its E before S and C
+    **{(name, ((2, "non-hermitian"), (0, "non-finite"))): out for name, out in {
+        "check_agm_compact": _defect("1.523e-12"),
+        "check_agm_general": _FINITE,
+        "check_agm_pair": _FINITE,
+        "check_agm_projection": _defect("1.523e-12"),
+        "check_general_commutator": _FINITE,
+        "check_identity_split": _defect("1.523e-12"),
+        "check_mixed_commutator": _FINITE,
+        "control_kittaneh_positive": _FINITE,
+    }.items()},
+    # a non-finite argument with a mis-shaped one, in either order: shapes are
+    # compared only after every argument they involve is validated
+    **{(name, faults): _FINITE for name in _MULTI
+       for faults in (((0, "non-finite"), (1, "mis-shaped")),
+                      ((0, "mis-shaped"), (1, "non-finite")))},
+    # a non-positive S, C or D with a wrongly shaped E1 or X: the gate comes first
+    ("check_agm_pair", ((0, "non-positive"), (2, "mis-shaped"))):
+        (NotPositive, "S has eigenvalue -4.728e-01"),
+    ("check_agm_pair", ((1, "non-positive"), (2, "mis-shaped"))):
+        (NotPositive, "C has eigenvalue -9.696e-01"),
+    ("control_kittaneh_positive", ((0, "non-positive"), (2, "mis-shaped"))):
+        (NotPositive, "C has eigenvalue -5.676e+00"),
+    ("control_kittaneh_positive", ((1, "non-positive"), (2, "mis-shaped"))):
+        (NotPositive, "D has eigenvalue -7.552e+00"),
+}
+
+
+def test_precedence_covers_every_multi_argument_verifier():
+    assert {name for name, _ in PRECEDENCE} == set(_MULTI)
+
+
+@pytest.mark.parametrize("name, faults", sorted(PRECEDENCE),
+                         ids=[f"{n}-" + "-".join(f"{k}{i}" for i, k in f)
+                              for n, f in sorted(PRECEDENCE)])
+def test_two_faults_raise_in_validation_order(name, faults):
+    args = _faulted(name, faults)
+    assert _outcome(_fn(name), *args) == PRECEDENCE[name, faults]
+    # a stack of one raises it too, through the kernel
+    stacks = [np.asarray(a, dtype=np.complex128)[None] for a in args]
+    assert _outcome(inspect.unwrap(getattr(ineq, name)), *stacks) == PRECEDENCE[name, faults]

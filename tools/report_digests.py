@@ -13,7 +13,14 @@ Runs, in this process and from the repository root:
     scale|spread fixtures/diag_scale.diag --horizon H --json, H = 1, 50, 10000
 
 and prints one line per command: the argv, the exit code and the sha256 of
-stdout. None of those reports draws on the scalar stream (a Stream of one int
+stdout. It then runs a fixed list of invalid `check` commands (ERRORS) that
+trips every input gate, on matrix files it writes to a temporary directory
+and names relative to it, so that no message holds a path, and prints one
+line per command:
+
+    error ARGV CODE SHA      the exit code and the sha256 of stderr
+
+None of those reports draws on the scalar stream (a Stream of one int
 seed), so it then prints one line per scalar-stream draw:
 
     trial_args ID S 2..8     harness.trial_args(ID, S, (2, 8)), S = 1..4
@@ -59,6 +66,7 @@ import inspect
 import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -84,12 +92,57 @@ def commands() -> list[list[str]]:
     return out
 
 
-def report(argv: list[str]) -> tuple[int, str]:
-    """The exit code and stdout of one in-process CLI call."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+def report(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, buf.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+I2 = ("1 0", "0 1")
+I3 = ("1 0 0", "0 1 0", "0 0 1")
+E11 = ("1 0", "0 0")
+E22 = ("0 0", "0 1")
+
+# (id, {file: rows}): each command trips one input gate; a file holds
+# `dim n` and its n rows
+ERRORS = (
+    ("zhan", {"E": I2, "F": I3}),  # a mis-shaped pair
+    ("key", {"A": ("1 1", "0 1")}),  # a non-Hermitian operand
+    ("tao_positive", {"F": ("1 0", "0 -1")}),  # a non-positive F
+    ("agm_pair", {"S": ("-1 0", "0 0"), "C": E22, "E": I2}),  # a non-positive S
+    ("agm_pair", {"S": E11, "C": ("0 0", "0 -1"), "E": I2}),  # a non-positive C
+    ("control_kittaneh", {"C": ("1 0", "0 -1"), "D": I2, "X": I2}),  # a non-positive C
+    ("control_kittaneh", {"C": I2, "D": ("1 0", "0 -1"), "X": I2}),  # a non-positive D
+    ("control_kittaneh", {"C": I2, "D": I2, "X": I3}),  # a wrongly shaped X
+    ("agm_projection", {"S": ("2 0", "0 0"), "C": E22, "E": I2}),  # C*C + S*S no projection
+    ("agm_compact", {"S": E11, "C": E22, "E": I3}),  # E off the splitting's space
+    ("agm_pair", {"S": E11, "C": E22, "E": I3}),  # agm_pair's shape mismatch
+    ("agm_general", {"A": I2, "B": I2, "E": I3}),  # agm_general's shape mismatch
+    ("key", {"A": ("1 2ii", "0 1")}),  # a bad complex literal
+    ("key", {"A": ("1 1.2.3", "0 1")}),  # a bad number
+    ("no_such_id", {"A": I2}),  # an unknown id
+)
+
+
+def errors() -> list[tuple[list[str], int, str]]:
+    """(argv, exit code, stderr) of every ERRORS command; each command's files
+    go to its own numbered directory, named relative to the temporary one."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for n, (ineq_id, files) in enumerate(ERRORS):
+                os.mkdir(str(n))
+                for name, rows in files.items():
+                    Path(f"{n}/{name}.txt").write_text(f"dim {len(rows)}\n" + "\n".join(rows))
+                argv = ["check", ineq_id, *(f"{n}/{name}.txt" for name in files)]
+                code, _, err = report(argv)
+                out.append((argv, code, err))
+        finally:
+            os.chdir(ROOT)
+    return out
 
 
 def draws() -> list[tuple[str, object]]:
@@ -209,10 +262,12 @@ def main(argv: list[str] | None = None) -> None:
         out.mkdir(parents=True, exist_ok=True)
     os.chdir(ROOT)
     for cmd in commands():
-        code, text = report(cmd)
+        code, text, _ = report(cmd)
         if out is not None:
             (out / file_name(cmd)).write_text(text)
         print(" ".join(cmd), code, hashlib.sha256(text.encode()).hexdigest())
+    for cmd, code, err in errors():
+        print("error", " ".join(cmd), code, hashlib.sha256(err.encode()).hexdigest())
     for label, value in draws():
         print(label, digest(value))
     for label, sha in verdicts() + properties() + diag_scales() + fuzz_rows():
