@@ -11,6 +11,10 @@ rendering of the same report. Floats are serialized with 17 significant
 digits and dictionary keys are sorted, so identical runs produce identical
 bytes. Exit codes: 0 holds, 1 fails, 2 parse or input-contract error,
 3 mode violation, 4 unknown identifier.
+
+Each subcommand imports the modules it runs when it runs: `scale` and
+`spread` need only spectra and linalg, so they load no verifier, generator or
+random stream.
 """
 
 from __future__ import annotations
@@ -24,10 +28,11 @@ import math
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, harness, ineq, linalg, major
+from . import __version__, linalg
 from .errors import (
     DimMismatch,
     HorizonMismatch,
@@ -42,6 +47,10 @@ from .errors import (
     UnknownInequality,
 )
 from .spectra import DiagSpec, diag_scale, compact_scale, matrix_scale, spread_full, spread_plus
+
+if TYPE_CHECKING:
+    from .ineq import Verdict
+    from .major import MajorizationReport
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -86,18 +95,20 @@ def format_complex(z: complex) -> str:
     return f"{re!r}{sign}{abs(im)!r}i"
 
 
-def _content_lines(text: str) -> list[str]:
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based file line, content) of each line left once comments are cut."""
     out = []
-    for raw in text.splitlines():
+    for no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.append(line)
+            out.append((no, line))
     return out
 
 
 def parse_matrix_text(text: str) -> tuple[np.ndarray | DiagSpec, str | None]:
     """Parse a matrix or diag file; returns (payload, declared mode or None)."""
-    lines = _content_lines(text)
+    numbered = _content_lines(text)
+    lines = [line for _, line in numbered]
     if not lines:
         raise ParseError("empty file")
     if lines[0].lower() == "diag":
@@ -121,11 +132,15 @@ def parse_matrix_text(text: str) -> tuple[np.ndarray | DiagSpec, str | None]:
     if len(lines) != n:
         raise ParseError(f"expected {n} rows, found {len(lines)}")
     rows = []
-    for line in lines:
+    # the rows are the last n content lines
+    for no, line in numbered[-n:]:
         toks = line.split()
         if len(toks) != n:
-            raise ParseError(f"expected {n} entries per row, found {len(toks)}")
-        rows.append([parse_complex(t) for t in toks])
+            raise ParseError(f"line {no}: expected {n} entries per row, found {len(toks)}")
+        try:
+            rows.append([parse_complex(t) for t in toks])
+        except ParseError as exc:
+            raise ParseError(f"line {no}: {exc}") from exc
     return np.array(rows, dtype=np.complex128), mode
 
 
@@ -195,8 +210,13 @@ def write_matrix_text(m, mode: str | None = None) -> str:
 
 
 def load_file(path: str) -> tuple[np.ndarray | DiagSpec, str | None]:
+    """parse_matrix_text of a file; a ParseError names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix_text(fh.read())
+        text = fh.read()
+    try:
+        return parse_matrix_text(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _load_matrix(path: str) -> tuple[np.ndarray, str | None]:
@@ -238,7 +258,7 @@ def canonical_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def report_to_dict(rep: major.MajorizationReport | None) -> dict | None:
+def report_to_dict(rep: MajorizationReport | None) -> dict | None:
     if rep is None:
         return None
     return {
@@ -252,7 +272,7 @@ def report_to_dict(rep: major.MajorizationReport | None) -> dict | None:
     }
 
 
-def verdict_to_dict(v: ineq.Verdict) -> dict:
+def verdict_to_dict(v: Verdict) -> dict:
     return {
         "ineq_id": v.ineq_id,
         "holds": v.holds,
@@ -333,6 +353,8 @@ def cmd_spread(args) -> tuple[dict, int]:
 
 
 def cmd_check(args) -> tuple[dict, int]:
+    from . import harness, ineq
+
     entry = harness.VERIFIERS.get(args.ineq_id)
     if entry is None:
         raise UnknownInequality(f"unknown inequality {args.ineq_id!r}")
@@ -358,6 +380,8 @@ def cmd_check(args) -> tuple[dict, int]:
 
 
 def cmd_fuzz(args) -> tuple[dict, int]:
+    from . import harness
+
     t0 = time.perf_counter()
     seed = _default_seed(args)
     s = harness.fuzz(args.ineq_id, trials=args.trials, dims=args.dims, seed=seed)
@@ -368,19 +392,23 @@ def cmd_fuzz(args) -> tuple[dict, int]:
 
 
 def cmd_repro(args) -> tuple[dict, int]:
-    rep = harness.repro(args.example_id)
+    from . import examples
+
+    rep = examples.repro(args.example_id)
     return _report("repro", repro=rep), EXIT_HOLDS if rep["holds"] else EXIT_FAILS
 
 
 def cmd_suite(args) -> tuple[dict, int]:
+    from . import examples, harness, properties
+
     t0 = time.perf_counter()
     seed = _default_seed(args)
-    repros = [harness.repro(ex) for ex in harness.EXAMPLE_IDS]
+    repros = [examples.repro(ex) for ex in examples.EXAMPLE_IDS]
     fuzzes = [
         dataclasses.asdict(harness.fuzz(f, trials=args.trials, dims=args.dims, seed=seed))
         for f in harness.VERIFIERS
     ]
-    props = harness.property_suite(seed, trials=args.trials, dims=args.dims)
+    props = properties.property_suite(seed, trials=args.trials, dims=args.dims)
     ok = (
         all(r["holds"] for r in repros)
         and all(f["failures"] == 0 for f in fuzzes)
@@ -453,6 +481,8 @@ def _render_human(report: dict) -> str:
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
+    from .harness import MAX_DIM
+
     if ".." not in text:
         raise ParseError(f"dims must look like a..b, got {text!r}")
     lo_s, hi_s = text.split("..", 1)
@@ -464,18 +494,20 @@ def _parse_dims(text: str) -> tuple[int, int]:
         raise ParseError(f"empty dimension range {text!r}")
     if hi < 2:
         raise ParseError(f"fuzz families need dimension 2 or more, got {text!r}")
-    if hi > harness.MAX_DIM:
-        raise ParseError(f"dimensions go up to {harness.MAX_DIM}, got {text!r}")
+    if hi > MAX_DIM:
+        raise ParseError(f"dimensions go up to {MAX_DIM}, got {text!r}")
     return lo, hi
 
 
 def _parse_trials(text: str) -> int:
+    from .harness import MAX_TRIALS
+
     try:
         n = int(text)
     except ValueError as exc:
         raise ParseError(f"trials must be an integer, got {text!r}") from exc
-    if not 1 <= n <= harness.MAX_TRIALS:
-        raise ParseError(f"trials must be in [1, {harness.MAX_TRIALS}], got {n}")
+    if not 1 <= n <= MAX_TRIALS:
+        raise ParseError(f"trials must be in [1, {MAX_TRIALS}], got {n}")
     return n
 
 

@@ -1,5 +1,6 @@
-"""Deterministic generators, fixture reproductions, the verifier registry,
-fuzz campaigns, and the property suite.
+"""Deterministic generators, the fuzz families, the verifier registry and
+fuzz campaigns. The fixture reproductions live in examples.py and the
+property suite, which draws through _groups here, in properties.py.
 
 All randomness flows through the counter-based stream in rng.py: a campaign
 at seed s gives trial t the child seed derive_seed(s, t), so any failing
@@ -20,7 +21,6 @@ generators on the scalar stream, a batch of one.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import math
 from collections.abc import Callable
@@ -28,22 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ineq, linalg, major
-from .errors import UnknownExample, UnknownInequality, UnknownKind
-from .ineq import _size
-from .linalg import _ct, _diag, _pad, _sv_array, _tol
-from .major import _dec
-from .rng import _MASK, Stream, _splitmix64_block, derive_seed
-from .spectra import (
-    GENERATORS,
-    DiagSpec,
-    _eig_sides,
-    _eig_spread,
-    _matrix_spread,
-    compact_scale,
-    diag_scale,
-    spread_plus,
-)
+from . import ineq, linalg
+from .errors import UnknownInequality, UnknownKind
+from .linalg import _ct, _sv_array
+from .rng import _MASK, Stream, _splitmix64_block
 
 
 @dataclass(frozen=True)
@@ -199,150 +187,6 @@ GEN_KINDS = tuple(_KINDS)
 def generate(spec: GenSpec):
     """Build the matrix (or (C, S, P) triple) a GenSpec describes."""
     return _KINDS[spec.kind](Stream(spec.seed), spec)
-
-
-# ---------------------------------------------------------------------------
-# fixture reproductions
-
-
-def fixture_matrices(example_id: str) -> dict:
-    """Exact inputs for the documented examples, by construction."""
-    if example_id == "kittaneh-fail":
-        return {
-            "A": np.eye(2, dtype=np.complex128),
-            "B": np.array([[1.0, 2.0], [2.0, 1.0]], dtype=np.complex128),
-            "X": np.array([[2.0, 1.0], [1.0, 2.0]], dtype=np.complex128),
-        }
-    if example_id == "agm-fail-2x2":
-        t1, t2 = math.pi / 3.0, math.pi / 5.0
-        return {
-            "S": np.diag([math.sin(t1), math.sin(t2)]).astype(np.complex128),
-            "C": np.diag([math.cos(t1), math.cos(t2)]).astype(np.complex128),
-            "E": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
-        }
-    if example_id == "agm-fail-3x3":
-        return {
-            "A": np.array(
-                [[1.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]],
-                dtype=np.complex128,
-            ),
-            "B": np.array(
-                [[-1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 1.0]],
-                dtype=np.complex128,
-            ),
-            "E": np.array(
-                [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]],
-                dtype=np.complex128,
-            ),
-        }
-    if example_id == "diag-scale":
-        return {
-            "spec": DiagSpec(
-                head=(), liminf=-1.0, limsup=1.0,
-                generator="alt_harmonic", params={"upper": 1.0, "lower": -1.0},
-            )
-        }
-    raise UnknownExample(f"unknown example id {example_id!r}")
-
-
-EXAMPLE_IDS = ("diag-scale", "kittaneh-fail", "agm-fail-2x2", "agm-fail-3x3")
-
-
-def _plain(value):
-    if np.isscalar(value):
-        return float(value)
-    return [float(x) for x in np.asarray(value, dtype=float)]
-
-
-def _item(name: str, computed, expected, tol: float) -> dict:
-    if np.isscalar(expected):
-        err = abs(float(computed) - float(expected))
-    else:
-        c = np.asarray(computed, dtype=float)
-        e = np.asarray(expected, dtype=float)
-        err = float(np.max(np.abs(c - e))) if c.shape == e.shape else math.inf
-    return {
-        "name": name,
-        "computed": _plain(computed),
-        "expected": _plain(expected),
-        "tol": tol,
-        "pass": bool(err <= tol),
-    }
-
-
-def _flag(name: str, value: bool, expected: bool = True) -> dict:
-    return {
-        "name": name, "computed": bool(value), "expected": expected,
-        "tol": 0.0, "pass": bool(value) == expected,
-    }
-
-
-def repro(example_id: str) -> dict:
-    """Recompute every quoted number of one documented example."""
-    mats = fixture_matrices(example_id)
-    checks: list[dict] = []
-    if example_id == "kittaneh-fail":
-        a, b, x = mats["A"], mats["B"], mats["X"]
-        checks.append(_item("s(AX-XB)", linalg.sv_array(a @ x - x @ b), (6.0, 2.0), 1e-9))
-        sc = compact_scale(linalg.direct_sum(a, b), 8)
-        checks.append(_item("scale(A+B) pos head", sc.pos[:4], (3.0, 1.0, 1.0, 0.0), 1e-9))
-        checks.append(_item("scale(A+B) neg head", sc.neg[:4], (-1.0, 0.0, 0.0, 0.0), 1e-9))
-        checks.append(_item("s(X)", linalg.sv_array(x), (3.0, 1.0), 1e-9))
-        spr = spread_plus(sc)
-        checks.append(_item("spread(A+B) head", spr.values[:4], (4.0, 1.0, 1.0, 0.0), 1e-9))
-        sx = linalg.sv_array(x)
-        checks.append(
-            _item("spread_2(A+B) * s_2(X)", float(spr.values[1] * sx[1]), 1.0, 1e-9)
-        )
-        v = ineq.check_mixed_commutator(a, b, x)
-        checks.append(_flag("submajorization holds", v.holds))
-        checks.append(_flag("entrywise fails at i=2", not v.entrywise_holds))
-        checks.append(
-            _item("entrywise slack at i=2", float(v.entrywise_margins[1]), -1.0, 1e-9)
-        )
-    elif example_id == "agm-fail-2x2":
-        s, c, e = mats["S"], mats["C"], mats["E"]
-        sec = s @ e @ c.conj().T
-        fro = major.schatten(linalg.sv_array(sec), 2)
-        checks.append(_item("|SEC*|_2", fro, 0.7598, 5e-4))
-        half_e = 0.5 * major.schatten(linalg.sv_array(e), 2)
-        checks.append(_item("|E|_2 / 2", half_e, math.sqrt(2.0) / 2.0, 1e-9))
-        checks.append(_flag("identity-model norm bound fails", fro > half_e))
-        checks.append(_item("spread(E)", spread_plus(compact_scale(e)).values, (2.0, 0.0, 0.0, 0.0), 1e-9))
-        v = ineq.check_agm_compact(s, c, e)
-        checks.append(_flag("compact-model bound holds", v.holds))
-        checks.append(_flag("identity-model flag in verdict", not v.extras["fro"]["identity_ok"]))
-    elif example_id == "agm-fail-3x3":
-        a, b, e = mats["A"], mats["B"], mats["E"]
-        f2 = a.conj().T @ a + b.conj().T @ b
-        checks.append(_item("F = A*A+B*B diagonal", np.diagonal(f2).real, (3.25, 2.0, 3.25), 1e-9))
-        checks.append(
-            _item("F off-diagonal mass", float(np.max(np.abs(f2 - np.diag(np.diagonal(f2))))), 0.0, 1e-12)
-        )
-        w, v_ = linalg.eigh(f2)
-        froot = ineq._psd_root(w, v_)
-        g = froot @ e @ froot
-        wg = linalg.eigh(g).values
-        checks.append(_item("eigenvalues of F^(1/2)EF^(1/2)", wg, (9.75, 2.0, -3.25), 1e-9))
-        spr_g = spread_plus(compact_scale(g))
-        checks.append(_item("spread head", spr_g.values[:3], (13.0, 2.0, 0.0), 1e-9))
-        s_aeb = linalg.sv_array(a @ e @ b.conj().T)
-        checks.append(_item("s(AEB*)", s_aeb, (4.74, 1.58, 1.0), 5e-2))
-        checks.append(_item("2 s_2(AEB*) - 2 > 0 gap", float(2.0 * s_aeb[1] - 2.0), 1.16, 5e-2))
-        v = ineq.check_agm_general(a, b, e)
-        checks.append(_flag("submajorization holds", v.holds))
-        checks.append(_flag("entrywise fails at i=2", not v.entrywise_holds))
-    elif example_id == "diag-scale":
-        spec = mats["spec"]
-        k = 50
-        sc = diag_scale(spec, k)
-        checks.append(_item("lambda_i = 1 + 1/i", sc.pos, [1.0 + 1.0 / i for i in range(1, k + 1)], 1e-12))
-        checks.append(_item("lambda_-i = -1", sc.neg, [-1.0] * k, 1e-12))
-        checks.append(_item("tails", (sc.pos_tail, sc.neg_tail), (1.0, -1.0), 0.0))
-        spr = spread_plus(sc)
-        checks.append(_item("spread_i = 2 + 1/i", spr.values, [2.0 + 1.0 / i for i in range(1, k + 1)], 1e-12))
-        checks.append(_item("spread tail", spr.tail, 2.0, 0.0))
-    return {"example_id": example_id, "checks": checks, "holds": all(c["pass"] for c in checks)}
 
 
 # ---------------------------------------------------------------------------
@@ -636,472 +480,3 @@ def fuzz(ineq_id: str, trials: int = 500, dims: tuple[int, int] = (2, 8),
         ineq_id=ineq_id, trials=trials, failures=int(trials - np.count_nonzero(holds)),
         worst_margin=0.0 if trials == 0 else worst, worst_seed=worst_seed,
     )
-
-
-# ---------------------------------------------------------------------------
-# property suite
-#
-# A property draws its inputs for a stream's trials as the fuzz families do,
-# [(rows, args)], and judge(*args) returns the rows' margins and their
-# failure messages (None where a row holds), through _judged, from checks
-# whose tol is linalg._tol of the size of the judge's inputs. Judges work on
-# stacks through the same private helpers the public functions run on a
-# batch of one.
-
-
-@dataclass(frozen=True)
-class Property:
-    """One property; d is drawn from the suite's dims cut to [lo, hi], or is hi above it."""
-
-    draw: Callable[[Stream, int], list]
-    judge: Callable[..., tuple]
-    lo: int = 1
-    hi: int = MAX_DIM
-
-
-def _judged(*checks) -> tuple[np.ndarray, list]:
-    """(margins, messages) of (message, margin, tol) checks over a stack's rows.
-
-    A margin is the bound minus the value, and a check holds on a row where
-    its margin is at least -tol. A row's margin is the smallest of its
-    checks', and its message names the first check it fails, with that
-    check's margin and tol.
-    """
-    margin = functools.reduce(np.minimum, (m for _, m, _ in checks))
-    detail = [None] * len(margin)
-    for msg, m, tol in checks:
-        bad = ~np.greater_equal(m, -tol)
-        if bad.any():
-            m, tol, bad = (np.broadcast_to(x, margin.shape) for x in (m, tol, bad))
-            for i in np.flatnonzero(bad):
-                if detail[i] is None:
-                    detail[i] = f"{msg} (margin {m[i]:.3e}, tol {tol[i]:.3e})"
-    return margin, detail
-
-
-def _relation(msg: str, sides: Callable, **how) -> Callable:
-    """The judge of one (sub)majorization, major._maj_rows(*sides(*args), **how);
-    a classic majorization's total-sum defect is a check of its own."""
-    def judge(*args):
-        rows = major._maj_rows(*sides(*args), **how)
-        checks = [(msg, rows.margin, rows.tol)]
-        if rows.defect is not None:
-            checks.append((f"{msg}: total sums differ", -np.abs(rows.defect), rows.tol))
-        return _judged(*checks)
-    return judge
-
-
-def _rand_perm(stream: Stream, n: int) -> np.ndarray:
-    """A Fisher-Yates permutation of range(n) per row.
-
-    The swap partners of steps i = n-1 .. 1 are drawn at once, one word per
-    step in step order, as a randint(0, i) per step would draw them.
-    """
-    perm = np.tile(np.arange(n), stream.shape + (1,))
-    rows = np.arange(len(perm))
-    steps = np.arange(n - 1, 0, -1)
-    for i, j in zip(steps, stream.randint(0, steps).T):
-        perm[rows, i], perm[rows, j] = perm[rows, j], perm[rows, i]
-    return perm
-
-
-def _mix(stream: Stream, y: np.ndarray, rounds: int = 6) -> np.ndarray:
-    """A vector classically majorized by each row of y: a convex mix of its permutations."""
-    weights = stream.uniforms(rounds) + 1e-3
-    weights /= weights.sum(axis=-1, keepdims=True)
-    acc = np.zeros(y.shape)
-    for w in weights.T:
-        acc = acc + w[:, None] * np.take_along_axis(y, _rand_perm(stream, y.shape[-1]), -1)
-    return acc
-
-
-def _matrix_multiset(mu: np.ndarray) -> np.ndarray:
-    """The matrix-mode scale of eigenvalues mu as a multiset (pos, then neg)."""
-    return np.concatenate([mu, mu[..., ::-1]], axis=-1)
-
-
-def _d_eigh(stream: Stream, d: int):
-    a = _hermitian(stream, d, (1.0 + 9.0 * stream.uniform())[:, None, None])
-    forced = np.flatnonzero(stream.uniform() < 0.25)
-    if forced.size:
-        # force eigenvalue multiplicities
-        w, v = linalg._eigh(a[forced])
-        b = (v * np.round(w)[..., None, :]) @ _ct(v)
-        a[forced] = (b + _ct(b)) / 2.0
-    return _whole(a)
-
-
-def _j_eigh(a):
-    d = a.shape[-1]
-    w, v = linalg._eigh(a)
-    resid = np.linalg.norm(a @ v - v @ _diag(w), axis=(-2, -1))
-    return _judged(
-        ("eigh residual", -resid, _tol(_size(w), d)),
-        # the eigenvectors have norm 1 at every scale of A
-        ("eigenvector basis defect", -_size(_ct(v) @ v - np.eye(d)), _tol(1.0, d)),
-        ("eigenvalues not sorted", np.min(-np.diff(w, axis=-1), axis=-1, initial=math.inf), 0.0),
-    )
-
-
-def _j_hat(e):
-    d = e.shape[-1]
-    pos, neg = _eig_sides(linalg._eigvalsh(linalg._offdiag_embed(e)), 4 * d)
-    s = _sv_array(e)
-    ref_pos, ref_neg = major._updown(np.concatenate([s, -s], axis=-1), 4 * d)
-    err = _size(pos - ref_pos, neg - ref_neg)
-    return _judged(("hat-trick mismatch", -err, _tol(s[:, 0], 2 * d)))
-
-
-def _j_sv_invariance(a, u, v):
-    s = _sv_array(a)
-    err = _size(_sv_array(u @ a @ v) - s)
-    return _judged(("s(UAV) != s(A)", -err, _tol(s[:, 0], a.shape[-1])))
-
-
-def _j_sv_product(a, x, y):
-    lhs = _sv_array(x @ a @ y)
-    bound = (linalg._opnorm(x) * linalg._opnorm(y))[:, None] * _sv_array(a)
-    return _judged(("s(XAY) bound violated", np.min(bound - lhs, axis=-1),
-                    _tol(bound[:, 0], a.shape[-1])))
-
-
-def _j_weyl_scale(a, b):
-    wa, wb, wab = linalg._eigvalsh(a), linalg._eigvalsh(b), linalg._eigvalsh(a + b)
-    m = major._maj_rows(_matrix_multiset(wab), _matrix_multiset(wa) + _matrix_multiset(wb))
-    (pa, na), (pb, nb) = _eig_sides(wa), _eig_sides(wb)
-    c = major._maj_rows(np.concatenate(_eig_sides(wab), axis=-1),
-                        np.concatenate([pa + pb, na + nb], axis=-1), True, True)
-    return _judged(("matrix-mode scale Weyl failed", m.margin, m.tol),
-                   ("compact-mode scale Weyl failed", c.margin, c.tol))
-
-
-def _d_ky_fan(stream: Stream, d: int):
-    a = _hermitian(stream, d)
-    k = stream.randint(1, d)
-    ps = [_projection(stream, d, rank=k) for _ in range(4)]
-    return [(rows, (a[rows], kv, *(p[rows] for p in ps))) for kv, rows in _split(k)]
-
-
-def _j_ky_fan(a, k, *ps):
-    d = a.shape[-1]
-    w, v = linalg._eigh(a)
-    top = np.sum(w[:, :k], axis=-1)
-    tr_top = np.trace(_ct(v[:, :, :k]) @ a @ v[:, :, :k], axis1=-2, axis2=-1).real
-    bottom = np.sum(w[:, d - k:], axis=-1)
-    tol = _tol(_size(w), d)
-    checks = [("top-k eigenprojection trace mismatch", -np.abs(top - tr_top), tol)]
-    for p in ps:
-        tr = np.trace(p @ a, axis1=-2, axis2=-1).real
-        checks += [("Ky Fan extremality violated", top - tr, tol),
-                   ("Ky Fan extremality violated", tr - bottom, tol)]
-    return _judged(*checks)
-
-
-def _d_interlacing(stream: Stream, d: int):
-    a, r = _hermitian(stream, d), stream.randint(1, d - 1)
-    p = _projection(stream, d, rank=r)
-    return [(rows, (a[rows], p[rows])) for _, rows in _split(r)]
-
-
-def _j_interlacing(a, p):
-    # A_P is Hermitian up to rounding only, so it is validated as eigh would
-    comp = linalg._as_hermitians(linalg._compressed(a, p))
-    wa, wc = linalg._eigh(a).values, linalg._eigh(comp).values
-    d, r = wa.shape[-1], wc.shape[-1]
-    tol = _tol(_size(wa), d)
-    # lambda_j(A) >= lambda_j(A_P), and at the bottom lambda_{r-j}(A_P) >= lambda_{d-j}(A)
-    return _judged(("interlacing violated", np.min(wa[:, :r] - wc, axis=-1), tol),
-                   ("interlacing violated", np.min(wc - wa[:, d - r:], axis=-1), tol))
-
-
-# each generator rule with the names of its parameters
-_RULES = tuple((name, tuple(inspect.signature(rule).parameters)[1:])
-               for name, rule in GENERATORS.items())
-
-
-def _d_scale_ordering(stream: Stream, d: int):
-    """A Hermitian matrix, then a consistent DiagSpec and a horizon per row,
-    as a stack of each (the specs in an object array).
-
-    Every row draws the same words: a rule, two parameters in [-2, 2) of
-    which the rule takes its first ones, a head length 0..3, three head
-    entries in [-3, 3) of which the head takes the first ones, and a horizon
-    1..8. The band is the one the rule declares for its parameters. An
-    affine map of a uniform gives no -0.0, so no side of a scale is -0.0.
-    """
-    a = _hermitian(stream, d)
-    rule = stream.randint(0, len(_RULES) - 1)
-    params = 4.0 * stream.uniforms(2) - 2.0
-    size = stream.randint(0, 3)
-    head = 6.0 * stream.uniforms(3) - 3.0
-    horizon = stream.randint(1, 8)
-    specs = np.empty(len(rule), dtype=object)
-    for i, (r, values, n, entries) in enumerate(zip(rule.tolist(), params.tolist(),
-                                                    size.tolist(), head.tolist())):
-        name, takes = _RULES[r]
-        kw = dict(zip(takes, values))
-        liminf, limsup = GENERATORS[name](np.arange(0), **kw)[1]
-        specs[i] = DiagSpec(head=entries[:n], liminf=liminf, limsup=limsup,
-                            generator=name, params=kw)
-    return _whole(a, specs, horizon)
-
-
-def _j_scale_ordering(a, specs, horizons):
-    # exact: a spread is pos - neg of sides with pos >= 0 >= neg, and a diag
-    # scale's pos >= limsup >= liminf >= neg
-    diag = [float(np.min(sc.pos - sc.neg))
-            for sc in map(diag_scale, specs, horizons.tolist())]
-    return _judged(("compact scale ordering violated",
-                    np.min(_eig_spread(linalg._eigvalsh(a)), axis=-1), 0.0),
-                   ("diag scale ordering violated", np.array(diag), 0.0))
-
-
-def _j_translation(a, c):
-    w = linalg._eigvalsh(a)
-    shifted = linalg._eigvalsh(a + c[:, None, None] * np.eye(a.shape[-1]))
-    err = _size(_matrix_spread(w) - _matrix_spread(shifted))
-    return _judged(("translation changed the spread", -err,
-                    _tol(_size(w) + np.abs(c), a.shape[-1])))
-
-
-def _j_homogeneity(a, c):
-    mu, mu_c = linalg._eigvalsh(a), linalg._eigvalsh(c[:, None, None] * a)
-    err = _size(*[spread(mu_c) - np.abs(c)[:, None] * spread(mu)
-                  for spread in (_matrix_spread, _eig_spread)])
-    return _judged(("homogeneity defect", -err, _tol(np.abs(c) * _size(mu), a.shape[-1])))
-
-
-def _j_zero_block(a):
-    k = 2 * a.shape[-1]
-    w = linalg._eigvalsh(a)
-    padded = linalg._eigvalsh(linalg._direct_sum(a, np.zeros(a.shape)))
-    err = _size(_eig_spread(w, k) - _eig_spread(padded, k))
-    return _judged(("zero block changed the compact spread", -err, _tol(_size(w), k)))
-
-
-def _j_spread_vs_sv(a, p):
-    d = a.shape[-1]
-    pos, neg = _eig_sides(linalg._eigvalsh(a))
-    s, sp = _pad(_sv_array(a), 2 * d), _pad(_sv_array(p), 2 * d)
-    size = np.abs(pos) + np.abs(neg)
-    # each comparison at the scale of its own matrix: P = G*G is larger than A
-    tol, tol_p = _tol(s[:, 0], d), _tol(sp[:, 0], d)
-    return _judged(
-        ("spread vs singular-value sandwich failed", np.min(size - (pos - neg), axis=-1), tol),
-        ("spread vs singular-value sandwich failed", np.min(2.0 * s - size, axis=-1), tol),
-        ("positive case spread <= s failed",
-         np.min(sp - _eig_spread(linalg._eigvalsh(p)), axis=-1), tol_p))
-
-
-def _j_doubling(a):
-    d = a.shape[-1]
-    w = linalg._eigvalsh(a)
-    dbl = _eig_spread(linalg._eigvalsh(linalg._direct_sum(a, a)), 4 * d)
-    single = _eig_spread(w, 2 * d)
-    err = _size(dbl - _dec(np.concatenate([single, single], axis=-1)))
-    rep = major._sub_rows(0.5 * dbl, _pad(_sv_array(a), 4 * d))
-    return _judged(("doubled spread mismatch", -err, _tol(_size(w), 2 * d)),
-                   ("half doubled spread vs s(A) failed", rep.margin, rep.tol))
-
-
-def _d_monotone(stream: Stream, d: int):
-    b = _hermitian(stream, d)
-    weights = stream.uniforms(3) + 1e-3
-    weights /= weights.sum(axis=-1, keepdims=True)
-    a = np.zeros(b.shape, dtype=np.complex128)
-    for w in weights.T:
-        u = _unitary(stream, d)
-        a = a + w[:, None, None] * (_ct(u) @ b @ u)
-    return _whole((a + _ct(a)) / 2.0, b)
-
-
-def _j_monotone(a, b):
-    wa, wb = linalg._eigvalsh(a), linalg._eigvalsh(b)
-    prem = major._maj_rows(_matrix_multiset(wa), _matrix_multiset(wb))
-    rep = major._sub_rows(_eig_spread(wa), _eig_spread(wb))
-    return _judged(("averaged conjugates failed the scale premise", prem.margin, prem.tol),
-                   ("spread monotonicity under majorization failed", rep.margin, rep.tol))
-
-
-def _subadditive_sides(a, b):
-    k = 2 * a.shape[-1]
-    va, vb, vab = (_eig_spread(linalg._eigvalsh(m), k) for m in (a, b, a + b))
-    return np.concatenate([vab, -vab], axis=-1), np.concatenate([va + vb, -va + -vb], axis=-1)
-
-
-def _updown_sum_sides(x, y):
-    (xp, xn), (yp, yn) = major._updown(x, x.shape[-1]), major._updown(y, y.shape[-1])
-    return x + y, np.concatenate([xp + yp, xn + yn], axis=-1)
-
-
-def _d_abs(stream: Stream, n: int):
-    y = stream.normals(n)
-    return _whole(_mix(stream, y), y)
-
-
-def _d_sorted_sum(stream: Stream, n: int):
-    z, w = _dec(stream.normals(n)), _dec(stream.normals(n))
-    return _whole(_mix(stream, z), _mix(stream, w), z, w)
-
-
-def _d_interleave(stream: Stream, n: int):
-    y, w = np.abs(stream.normals(n)), np.abs(stream.normals(n))
-    x = stream.uniform()[:, None] * _mix(stream, y)
-    return _whole(x, stream.uniform()[:, None] * _mix(stream, w), y, w)
-
-
-def _d_product_monotone(stream: Stream, n: int):
-    y, z = _dec(np.abs(stream.normals(n))), _dec(np.abs(stream.normals(n)))
-    return _whole(stream.uniform()[:, None] * _mix(stream, y), y, z)
-
-
-def _j_product_chain(x, y):
-    mid = x * y
-    low = major._sub_rows(_dec(x) * np.sort(y, axis=-1), mid)
-    high = major._sub_rows(mid, _dec(x) * _dec(y))
-    return _judged(("rearranged product chain failed", low.margin, low.tol),
-                   ("rearranged product chain failed", high.margin, high.tol))
-
-
-def _d_weighted(stream: Stream, n: int):
-    y = _dec(stream.normals(n))
-    # lowering entries of a mixed copy keeps x weakly below y, signs and all
-    drop = stream.uniform()[:, None] * np.abs(stream.normals(n))
-    x = _dec(_mix(stream, y) - drop)
-    return _whole(x, y, _dec(np.abs(stream.normals(n))))
-
-
-def _j_weighted(x, y, z):
-    # z is non-negative and non-increasing, so z[:, 0] is its size
-    return _judged(("weighted sum ordering failed", np.sum((y - x) * z, axis=-1),
-                    _tol(_size(x, y) * z[:, 0], x.shape[-1])))
-
-
-def _d_gauge(stream: Stream, n: int):
-    y = np.abs(stream.normals(n))
-    return _whole(stream.uniform()[:, None] * _mix(stream, y), y)
-
-
-def _j_gauge(x, y):
-    n = x.shape[-1]
-    xs, ys = _dec(x), _dec(y)
-    tol = _tol(ys[:, 0], n)
-    return _judged(*((f"the {nid} gauge decreased under submajorization",
-                      major._gauge_rows(ys, nid) - major._gauge_rows(xs, nid), tol)
-                     for nid in ("op", "kyfan:2", "schatten:1", "schatten:2", "schatten:3")
-                     if nid != "kyfan:2" or n >= 2))
-
-
-def _d_contracts(stream: Stream, d: int):
-    seeds = stream.next_u64()
-    c, s, pp = _partition(Stream(seeds), d)
-    twice = [_hermitian(Stream(seeds), d) for _ in range(2)]
-    return _whole(_projection(Stream(seeds), d), c, s, pp, _unitary(Stream(seeds), d), *twice)
-
-
-def _j_contracts(p, c, s, pp, u, again, first):
-    d = p.shape[-1]
-    # projections, contractions and unitaries: every operand has norm at most 1
-    tol = _tol(1.0, d)
-    return _judged(
-        ("projection residual", -_size(p @ p - p), tol),
-        ("partition residual", -np.linalg.norm(_ct(c) @ c + _ct(s) @ s - pp, axis=(-2, -1)), tol),
-        ("unitary residual", -_size(_ct(u) @ u - np.eye(d)), tol),
-        ("generator is not deterministic", -_size(again - first), 0.0),
-    )
-
-
-PROPERTIES = {
-    "eigh_residual": Property(_d_eigh, _j_eigh, hi=16),
-    "hat_trick": Property(lambda s, d: _whole(_crandn(s, d, d)), _j_hat),
-    "sv_unitary_invariance": Property(
-        lambda s, d: _whole(_crandn(s, d, d), _unitary(s, d), _unitary(s, d)), _j_sv_invariance),
-    "sv_product_bound": Property(
-        lambda s, d: _whole(*(_crandn(s, d, d) for _ in range(3))), _j_sv_product),
-    "weyl_scale": Property(_fam_herm_pair, _j_weyl_scale),
-    "weyl_sv": Property(_fam_control_bk, _relation(
-        "singular-value triangle submajorization failed",
-        lambda a, b: (_sv_array(a + b), _sv_array(a) + _sv_array(b)), lower=False)),
-    "ky_fan_extremality": Property(_d_ky_fan, _j_ky_fan),
-    "interlacing": Property(_d_interlacing, _j_interlacing, lo=2),
-    "scale_ordering": Property(_d_scale_ordering, _j_scale_ordering),
-    "spread_translation_invariance": Property(
-        lambda s, d: _whole(_hermitian(s, d), 4.0 * (s.uniform() - 0.5)), _j_translation),
-    "spread_homogeneity": Property(
-        lambda s, d: _whole(_hermitian(s, d), 4.0 * (s.uniform() - 0.5)), _j_homogeneity),
-    "spread_zero_block": Property(lambda s, d: _whole(_hermitian(s, d)), _j_zero_block),
-    "spread_vs_sv": Property(
-        lambda s, d: _whole(_hermitian(s, d), _positive(s, d)), _j_spread_vs_sv),
-    "spread_doubling": Property(lambda s, d: _whole(_hermitian(s, d)), _j_doubling),
-    "spread_monotone": Property(_d_monotone, _j_monotone),
-    "spread_subadditive": Property(_fam_herm_pair, _relation(
-        "spread subadditivity failed", _subadditive_sides, clip_a=True, clip_b=True)),
-    "updown_sum": Property(
-        lambda s, n: _whole(s.normals(2 * n), s.normals(2 * n)), _relation(
-            "x+y vs rearranged sum majorization failed", _updown_sum_sides,
-            clip_a=True, clip_b=True)),
-    "abs_majorization": Property(_d_abs, _relation(
-        "|x| submajorization failed", lambda x, y: (np.abs(x), np.abs(y)), lower=False)),
-    "sorted_sum": Property(_d_sorted_sum, _relation(
-        "sum of majorized pairs failed", lambda x, y, z, w: (x + y, z + w), sums=True)),
-    "interleave_pairs": Property(_d_interleave, _relation(
-        "interleaved pair submajorization failed",
-        lambda x, z, y, w: (np.concatenate([x, z], axis=-1), np.concatenate([y, w], axis=-1)),
-        clip_a=True, clip_b=True, lower=False)),
-    "product_sorting": Property(
-        lambda s, n: _whole(np.abs(s.normals(n)), np.abs(s.normals(n))), _relation(
-            "product vs sorted product failed",
-            lambda x, y: (x * y, _dec(x) * _dec(y)), lower=False)),
-    "product_monotone": Property(_d_product_monotone, _relation(
-        "product with a decreasing weight failed", lambda x, y, z: (x * z, y * z), lower=False)),
-    "product_chain": Property(
-        lambda s, n: _whole(np.abs(s.normals(n)), np.abs(s.normals(n))), _j_product_chain),
-    "weighted_sums": Property(_d_weighted, _j_weighted),
-    "gauge_monotone": Property(_d_gauge, _j_gauge),
-    "generator_contracts": Property(_d_contracts, _j_contracts),
-}
-
-
-def _property_rows(prop: Property, seeds: np.ndarray, dims: tuple[int, int]):
-    """(margins, messages) of these child seeds' trials, drawn and judged in groups as fuzz's."""
-    margin = np.empty(len(seeds))
-    detail = [None] * len(seeds)
-    hi = min(prop.hi, dims[1])
-    for index, args in _groups(prop, seeds, min(max(prop.lo, dims[0]), hi), hi):
-        margin[index], msgs = prop.judge(*args)
-        for t, msg in zip(index.tolist(), msgs):
-            detail[t] = msg
-    return margin, detail
-
-
-def property_suite(seed: int, trials: int = 500, dims: tuple[int, int] = (2, 8)) -> dict:
-    """Run every module-level property `trials` times; report per-property.
-
-    Trial t of the property numbered i (in name order) uses the child seed
-    derive_seed(derive_seed(seed, i), t). A property fails at its first
-    failing trial, whose message is its detail; worst_margin is the smallest
-    margin of the trials before it. A lower bound below 1 is raised to 1;
-    like fuzz, it raises ValueError on a dimension range with no d >= 2 or
-    above MAX_DIM and on a trial count below 0 or above MAX_TRIALS.
-    """
-    _check_dims(dims, "property_suite", trials)
-    results = []
-    for idx, (name, prop) in enumerate(sorted(PROPERTIES.items())):
-        seeds = _splitmix64_block(derive_seed(seed, idx), 0, trials)
-        margin, detail = _property_rows(prop, seeds, dims)
-        fail = next((t for t, msg in enumerate(detail) if msg is not None), len(detail))
-        # the first smallest margin before the failure; a NaN margin never wins
-        head = np.where(np.isnan(margin[:fail]), math.inf, margin[:fail])
-        worst = float(head[np.argmin(head)]) if fail else math.inf
-        results.append({
-            "name": name,
-            "holds": fail == len(detail),
-            "worst_margin": 0.0 if worst == math.inf else worst,
-            "detail": detail[fail] if fail < len(detail) else None,
-        })
-    return {
-        "seed": seed,
-        "trials": trials,
-        "properties": results,
-        "holds": all(r["holds"] for r in results),
-    }

@@ -2,16 +2,19 @@
 
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sspread import ParseError, Verdict, cli, ineq
-from sspread.harness import (
-    EXAMPLE_IDS, VERIFIERS, GenSpec, fixture_matrices, generate, trial_args,
-)
+import sspread
+from sspread import ParseError, Verdict, cli, examples, harness, ineq
+from sspread.examples import EXAMPLE_IDS, fixture_matrices
+from sspread.harness import VERIFIERS, GenSpec, generate, trial_args
 from sspread.spectra import DiagSpec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -258,6 +261,20 @@ def test_exit_codes_parse_and_mode_and_unknown(capsys, tmp_path):
     assert run(capsys, "nosuchcommand")[0] == 2
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("1 0\n\n1x 1\n", "line 5: bad number '1x'"),
+    ("1 0\n# a comment\n2ii 1\n", "line 5: bad complex literal '2ii'"),
+    ("1 0 0\n0 1\n", "line 3: expected 2 entries per row, found 3"),
+], ids=["bad-number", "bad-complex-literal", "row-length"])
+def test_parse_error_names_file_and_line(capsys, tmp_path, monkeypatch, rows, message):
+    # the second of two files is the bad one; its line counts blank and comment lines
+    monkeypatch.chdir(tmp_path)
+    Path("B.txt").write_text("# B\ndim 2\n" + rows)
+    code, out, err = run(capsys, "check", "zhan", f"{FIX}/kittaneh_fail_A.txt", "B.txt")
+    assert code == 2 and out == ""
+    assert err == f"sspread: B.txt: {message}\n"
+
+
 def test_exit_code_fails_path(capsys, monkeypatch):
     # judged-false plumbing: patch in a verifier that always rejects; the CLI
     # looks the verifier up on sspread.ineq at call time
@@ -384,14 +401,14 @@ def test_dims_above_max_exit_two(capsys, monkeypatch, cmd):
     def no_work(*a, **k):
         raise AssertionError(f"{cmd} started work on an invalid --dims")
 
-    monkeypatch.setattr(cli.harness, "fuzz", no_work)
-    monkeypatch.setattr(cli.harness, "repro", no_work)
+    monkeypatch.setattr(harness, "fuzz", no_work)
+    monkeypatch.setattr(examples, "repro", no_work)
     argv = ["fuzz", "key"] if cmd == "fuzz" else ["suite"]
-    for dims in ("2..100000", f"2..{cli.harness.MAX_DIM + 1}"):
+    for dims in ("2..100000", f"2..{harness.MAX_DIM + 1}"):
         code, out, err = run(capsys, *argv, "--trials", "3", "--dims", dims, "--json")
         assert code == 2, dims
-        assert out == "" and f"up to {cli.harness.MAX_DIM}" in err
-    assert cli._parse_dims(f"2..{cli.harness.MAX_DIM}") == (2, cli.harness.MAX_DIM)
+        assert out == "" and f"up to {harness.MAX_DIM}" in err
+    assert cli._parse_dims(f"2..{harness.MAX_DIM}") == (2, harness.MAX_DIM)
 
 
 # reports of fuzz key --trials 40 --json at seeds outside [0, 2**64): the seed
@@ -418,7 +435,7 @@ def test_suite_dims_without_d2_exit_two(capsys, monkeypatch):
     def no_work(*a, **k):
         raise AssertionError("suite started work on an invalid --dims")
 
-    monkeypatch.setattr(cli.harness, "repro", no_work)
+    monkeypatch.setattr(examples, "repro", no_work)
     code, out, err = run(capsys, "suite", "--dims", "1..1", "--json")
     assert code == 2
     assert out == "" and "dimension 2" in err
@@ -439,14 +456,14 @@ def test_trials_above_max_exit_two(capsys, monkeypatch, cmd):
     def no_work(*a, **k):
         raise AssertionError(f"{cmd} started work on an invalid --trials")
 
-    monkeypatch.setattr(cli.harness, "fuzz", no_work)
-    monkeypatch.setattr(cli.harness, "repro", no_work)
+    monkeypatch.setattr(harness, "fuzz", no_work)
+    monkeypatch.setattr(examples, "repro", no_work)
     argv = ["fuzz", "key"] if cmd == "fuzz" else ["suite"]
-    for n in ("10000000000000", str(cli.harness.MAX_TRIALS + 1)):
+    for n in ("10000000000000", str(harness.MAX_TRIALS + 1)):
         code, out, err = run(capsys, *argv, "--trials", n, "--json")
         assert code == 2, n
-        assert out == "" and str(cli.harness.MAX_TRIALS) in err
-    assert cli._parse_trials(str(cli.harness.MAX_TRIALS)) == cli.harness.MAX_TRIALS
+        assert out == "" and str(harness.MAX_TRIALS) in err
+    assert cli._parse_trials(str(harness.MAX_TRIALS)) == harness.MAX_TRIALS
 
 
 def test_diag_horizon_zero_exit_two(capsys):
@@ -512,7 +529,7 @@ def test_suite_json_is_deterministic(capsys):
 
 
 def test_repro_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(cli.harness, "repro",
+    monkeypatch.setattr(examples, "repro",
                         lambda ex: {"example_id": ex, "checks": [], "holds": False})
     code, out, _ = run(capsys, "repro", "diag-scale")
     assert code == 1
@@ -604,3 +621,36 @@ def test_report_field_set_is_uniform(capsys):
     rep = json.loads(run(capsys, "repro", "diag-scale", "--json")[1])
     for field in ("command", "inputs", "seed", "versions"):
         assert field in rep
+
+
+# -- what each command imports -------------------------------------------------
+
+# run argv through cli.main in a fresh interpreter, then print the sspread
+# modules it loaded as the last line of stdout
+_IMPORT_PROBE = (
+    "import json, sys\n"
+    "from sspread import cli\n"
+    "cli.main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('sspread.'))))\n"
+)
+_HEAVY = {"harness", "ineq", "major", "rng", "examples", "properties"}
+
+
+@pytest.mark.parametrize("argv, never", [
+    (["scale", f"{FIX}/kittaneh_fail_A.txt", "--json"], _HEAVY),
+    (["spread", f"{FIX}/diag_scale.diag", "--full", "--json"], _HEAVY),
+    (["check", "mixed_commutator", f"{FIX}/kittaneh_fail_A.txt", f"{FIX}/kittaneh_fail_B.txt",
+      f"{FIX}/kittaneh_fail_X.txt", "--json"], {"examples", "properties"}),
+    (["repro", "agm-fail-3x3", "--json"], {"harness", "rng", "properties"}),
+    (["fuzz", "zhan", "--trials", "3", "--dims", "2..3", "--json"], {"examples", "properties"}),
+], ids=["scale", "spread", "check", "repro", "fuzz"])
+def test_command_imports_only_what_it_runs(argv, never):
+    # the child imports the package under test, installed or not
+    src = str(Path(sspread.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True,
+                         text=True, timeout=120, env=env)
+    assert out.returncode == 0, out.stderr
+    loaded = {m.removeprefix("sspread.") for m in json.loads(out.stdout.splitlines()[-1])}
+    assert "cli" in loaded and not loaded & never, sorted(loaded & never)

@@ -8,20 +8,12 @@ import numpy as np
 import pytest
 
 import sspread
-from sspread import UnknownExample, UnknownInequality, UnknownKind, cli, harness, ineq, spectra
-from sspread.harness import (
-    EXAMPLE_IDS,
-    PROPERTIES,
-    VERIFIERS,
-    GenSpec,
-    _partition,
-    fixture_matrices,
-    fuzz,
-    generate,
-    property_suite,
-    repro,
-    trial_args,
+from sspread import (
+    UnknownExample, UnknownInequality, UnknownKind, cli, harness, ineq, properties, spectra,
 )
+from sspread.examples import EXAMPLE_IDS, fixture_matrices, repro
+from sspread.harness import VERIFIERS, GenSpec, _partition, fuzz, generate, trial_args
+from sspread.properties import PROPERTIES, property_suite
 from sspread.rng import Stream, _splitmix64_block, derive_seed
 
 
@@ -308,9 +300,9 @@ def test_property_rows_equal_trials_judged_alone(name, dims):
     # be, bit for bit, what the trial drawn and judged on its own gives
     prop = PROPERTIES[name]
     seeds = _splitmix64_block(derive_seed(3, 17), 0, 30)
-    margin, detail = harness._property_rows(prop, seeds, dims)
+    margin, detail = properties._property_rows(prop, seeds, dims)
     for t in range(len(seeds)):
-        one, msg = harness._property_rows(prop, seeds[t:t + 1], dims)
+        one, msg = properties._property_rows(prop, seeds[t:t + 1], dims)
         assert (one.tobytes(), msg) == (margin[t:t + 1].tobytes(), detail[t:t + 1]), t
 
 
@@ -323,9 +315,9 @@ def test_scale_ordering_judges_a_drawn_spec_per_trial(monkeypatch):
         seen.append((spec, k))
         return spectra.diag_scale(spec, k)
 
-    monkeypatch.setattr(harness, "diag_scale", record)
+    monkeypatch.setattr(properties, "diag_scale", record)
     seeds = _splitmix64_block(derive_seed(2, 8), 0, 40)
-    margin, detail = harness._property_rows(PROPERTIES["scale_ordering"], seeds, (2, 8))
+    margin, detail = properties._property_rows(PROPERTIES["scale_ordering"], seeds, (2, 8))
     assert len(seen) == 40 and len(set(seen)) > 1
     assert {spec.generator for spec, _ in seen} == set(spectra.GENERATORS)
     assert {len(spec.head) for spec, _ in seen} == {0, 1, 2, 3}
@@ -337,7 +329,7 @@ def test_property_failure_reports_its_first_failing_trial(monkeypatch):
     name = "weyl_sv"
     prop = PROPERTIES[name]
     seeds = _splitmix64_block(derive_seed(4, sorted(PROPERTIES).index(name)), 0, 20)
-    margin, _ = harness._property_rows(prop, seeds, (2, 8))
+    margin, _ = properties._property_rows(prop, seeds, (2, 8))
     # fail at the trial of the smallest margin, and at a later one
     t = int(np.argmin(margin))
     assert 0 < t < 19
@@ -363,7 +355,7 @@ def test_property_failure_reports_its_first_failing_trial(monkeypatch):
 
 
 def test_judged_names_the_first_failing_check():
-    margin, detail = harness._judged(
+    margin, detail = properties._judged(
         ("first", np.array([1.0, -2e-12, -1.0, np.nan]), np.array([0.0, 1e-12, 1e-12, 1.0])),
         ("second", np.array([-0.5, 0.0, -3.0, 0.0]), 0.0),
     )
@@ -384,8 +376,8 @@ def test_property_suite_runs_above_the_eigh_residual_cap():
     # eigh_residual draws d <= 16, so a range above that draws d = 16
     prop = PROPERTIES["eigh_residual"]
     seeds = _splitmix64_block(5, 0, 3)
-    assert harness._property_rows(prop, seeds, (17, 18))[0].tobytes() == \
-        harness._property_rows(prop, seeds, (16, 16))[0].tobytes()
+    assert properties._property_rows(prop, seeds, (17, 18))[0].tobytes() == \
+        properties._property_rows(prop, seeds, (16, 16))[0].tobytes()
     assert property_suite(5, trials=2, dims=(17, 18))["holds"]
 
 
@@ -510,7 +502,7 @@ def test_rand_perm_matches_the_per_step_shuffle_row_by_row(n):
     seeds = np.array([0, 9, derive_seed(5, 3), 2**64 - 1], dtype=np.uint64)
     stream = Stream(seeds)
     stream.counter = 11
-    perm = harness._rand_perm(stream, n)
+    perm = properties._rand_perm(stream, n)
     assert stream.counter == 11 + n - 1
     for b, seed in enumerate(seeds.tolist()):
         assert perm[b].tolist() == _rand_perm_per_step(seed, 11, n)

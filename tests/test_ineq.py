@@ -19,7 +19,8 @@ from sspread import (
 from sspread import ineq, linalg
 from sspread import eigh as linalg_eigh
 from sspread import sv_array as linalg_sv
-from sspread.harness import VERIFIERS, GenSpec, fixture_matrices, generate, _partition, trial_args
+from sspread.examples import fixture_matrices
+from sspread.harness import VERIFIERS, GenSpec, generate, _partition, trial_args
 from sspread.rng import Stream
 
 

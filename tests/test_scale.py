@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from sspread import NotHermitian, NotPositive, SpreadSeq, as_hermitian, ineq, submajorizes
-from sspread.harness import PROPERTIES, VERIFIERS, _groups, fixture_matrices
+from sspread.examples import fixture_matrices
+from sspread.harness import VERIFIERS, _groups
+from sspread.properties import PROPERTIES
 from sspread.linalg import _ct
 from sspread.rng import _splitmix64_block
 

@@ -37,7 +37,7 @@ set, which see a margin that moves no campaign minimum:
                              *harness.trial_args(ID, S, (A, B))))), S = 1..4,
                              (A, B) = (2, 8) and (12, 16): every margin, the
                              extras and the witness
-    property NAME S          the margins and details harness._property_rows
+    property NAME S          the margins and details properties._property_rows
                              gives the trials of NAME at `suite --seed S`,
                              S = 1..3 (60 trials, dims 2..8)
     diag_scale RULE K        spectra.diag_scale of one spec with a head per
@@ -76,6 +76,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from sspread import cli, harness, ineq, spectra  # noqa: E402
 from sspread.harness import GenSpec  # noqa: E402
+from sspread.properties import PROPERTIES, _property_rows  # noqa: E402
 from sspread.rng import _splitmix64_block, derive_seed  # noqa: E402
 from workloads import SHORT_COMMANDS  # noqa: E402
 
@@ -179,9 +180,9 @@ def properties() -> list[tuple[str, str]]:
     numbered as property_suite numbers them."""
     out = []
     for seed in (1, 2, 3):
-        for idx, (name, prop) in enumerate(sorted(harness.PROPERTIES.items())):
+        for idx, (name, prop) in enumerate(sorted(PROPERTIES.items())):
             seeds = _splitmix64_block(derive_seed(seed, idx), 0, 60)
-            margin, detail = harness._property_rows(prop, seeds, (2, 8))
+            margin, detail = _property_rows(prop, seeds, (2, 8))
             h = hashlib.sha256(margin.tobytes())
             h.update(cli.canonical_json(detail).encode())
             out.append((f"property {name} {seed}", h.hexdigest()))
