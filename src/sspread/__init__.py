@@ -9,7 +9,7 @@ import importlib
 
 from . import errors
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # public name -> the submodule that defines it
 _HOMES = {

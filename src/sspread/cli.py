@@ -211,8 +211,13 @@ def write_matrix_text(m, mode: str | None = None) -> str:
 
 def load_file(path: str) -> tuple[np.ndarray | DiagSpec, str | None]:
     """parse_matrix_text of a file; a ParseError names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: byte {data[exc.start]:#04x} "
+                         f"at offset {exc.start}") from exc
     try:
         return parse_matrix_text(text)
     except ParseError as exc:

@@ -2,9 +2,12 @@
 
 The generator is SplitMix64 (Steele, Lea, Flood 2014) used in counter mode:
 output(seed, n) = finalize(seed + (n+1) * GOLDEN) where finalize is the
-standard 64-bit avalanche. Gaussians come from Box-Muller on consecutive
-53-bit uniforms. The stream for a given seed is therefore a pure function of
-(seed, counter), reproducible across processes and platforms.
+standard 64-bit avalanche. Each Gaussian is the inverse normal CDF of one
+word's 53-bit uniform, read off a committed table of Phi^-1 knots by integer
+shifts and masks and one multiply-add (Stream.normals). Every step is an
+integer op or a correctly rounded IEEE operation, with no call into the C
+library's log, cos or sin, so the stream for a given seed is a pure function
+of (seed, counter), bit for bit on every platform.
 
 A Stream carries a batch of seeds with one shared counter, so a draw takes
 the same counter words from every seed's stream and row b of a batch draw is
@@ -14,17 +17,13 @@ Its words come from a block of counter words that the stream computes ahead,
 for the whole batch in one numpy uint64 expression, and computes again, at
 the current counter, when a draw runs past it or the counter was set outside
 it; a word is still splitmix64(seed, counter), whichever block served it.
-take() hands a sub-stream its rows of the block. The Box-Muller
-transcendentals of Stream.normals stay on the C library's log, cos and sin:
-math.log by map, then cos and sin together through one map of cmath.rect,
-which computes r*cos(phi) and r*sin(phi) as normal_pair does. So every
-block yields the values of repeated normal_pair calls, bit for bit.
+take() hands a sub-stream its rows of the block.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
+import functools
+from pathlib import Path
 
 import numpy as np
 
@@ -42,12 +41,33 @@ def splitmix64(seed: int, counter: int) -> int:
     return z ^ (z >> 31)
 
 
-# normal_pair evaluates 2.0 * math.pi * u2 left to right, i.e. _TWO_PI * u2
-_TWO_PI = 2.0 * math.pi
 # numpy uint64 twins of the constants and shifts, built once as 0-d arrays,
 # which numpy's ufuncs take faster than numpy scalars
-_U_GOLDEN, _U_MIX1, _U_MIX2, _U11, _U27, _U30, _U31 = (
-    np.array(k, dtype=np.uint64) for k in (_GOLDEN, _MIX1, _MIX2, 11, 27, 30, 31))
+_U_GOLDEN, _U_MIX1, _U_MIX2, _U1, _U10, _U11, _U27, _U30, _U31 = (
+    np.array(k, dtype=np.uint64) for k in (_GOLDEN, _MIX1, _MIX2, 1, 10, 11, 27, 30, 31))
+_I63 = np.array(63, dtype=np.int64)
+
+# the inverse-CDF table (tools/make_normal_table.py): 53 binary octaves of
+# p in (0, 1/2), 128 cells each. The float bits of v = p * 2^54 shifted right
+# by _CELL_SHIFT are v's exponent and top 7 mantissa bits; less those of
+# v = 1 (_I_BASE), they index v's cell, and the low bits place v across it
+_TABLE_FILE = Path(__file__).with_name("normal_table.npy")
+_CELL_SHIFT = 45
+_U_SHIFT, _I_BASE, _U_FRAC, _U_SIGN = (
+    np.array(k, dtype=dt) for k, dt in ((_CELL_SHIFT, np.uint64),
+                                        (1023 << (52 - _CELL_SHIFT), np.int64),
+                                        ((1 << _CELL_SHIFT) - 1, np.uint64),
+                                        (1 << 63, np.uint64)))
+
+
+@functools.cache
+def _normal_table() -> tuple[np.ndarray, np.ndarray]:
+    """(knot, slope) of every cell, read from the package's table on first
+    use: Phi^-1 at the cell's left end, and the step to the next knot times
+    2^-_CELL_SHIFT, the weight of one unit of a cell's offset bits (a power
+    of two, so the product is exact)."""
+    knots = np.load(_TABLE_FILE, allow_pickle=False)
+    return knots[:-1], np.diff(knots) * 2.0**-_CELL_SHIFT
 
 
 def _splitmix64_block(seed, counter: int, n: int) -> np.ndarray:
@@ -174,32 +194,34 @@ class Stream:
         z = self._words(span.size).reshape(self.seeds.shape + span.shape)
         return self._out(lo + (z % span.astype(np.uint64)).astype(np.int64))
 
-    def normal_pair(self) -> tuple[float, float]:
-        """Two standard Gaussians from the scalar stream."""
-        # u1 shifted into (0, 1] so log() is safe
-        u1 = 1.0 - self.uniform()
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        t = 2.0 * math.pi * u2
-        return r * math.cos(t), r * math.sin(t)
-
     def normals(self, n: int):
-        """n standard Gaussians per row: the first n values of ceil(n/2)
-        normal_pair draws, a list on the scalar stream.
+        """n standard Gaussians per row, one per word, a list on the scalar
+        stream; n + (n & 1) words are drawn, the last one unused for odd n.
 
-        Box-Muller runs once over the (pairs, 2) view of every row's
-        uniforms: math.log by map, then one map of cmath.rect(r, t), whose
-        complex value read as two floats is the pair. np.sqrt is correctly
-        rounded, as math.sqrt is. For finite r and t, CPython's rect returns
-        r*cos(t) + r*sin(t)j from the C library's cos and sin, which math.cos
-        and math.sin call too; at t == 0 it returns r + (r*t)j, the same bits,
-        as cos(0) = 1 and sin(0) = 0 exactly. So the values are normal_pair's
-        bits, the r = -0.0 of u1 = 1 and the t = 0 of u2 = 0 included.
+        Word w gives u = (m + 1/2) * 2^-53 with m = w >> 11, so u lies in
+        (0, 1) and w and ~w give u and 1 - u. p = min(u, 1 - u) = v * 2^-54
+        with v = 2m' + 1 odd, m' being m or, when u > 1/2 (the top bit of w),
+        m with its 53 bits flipped. v < 2^53 is exact as a float: its
+        exponent and its top 7 mantissa bits name the cell of the table, and
+        its other 45 bits the offset t in [0, 1) across the cell. The value
+        knot + t * slope is Phi^-1(p) to within 4e-6 (a knot itself for
+        v < 2^8, as deep as p = 2^-54), and its sign is flipped when
+        u > 1/2, so x(~w) = -x(w) bit for bit.
         """
         n = max(n, 0)
-        m = n + (n & 1)
-        u = ((self._words(m) >> _U11) * 2.0**-53).reshape(-1, 2)
-        k = len(u)
-        r = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[:, 0]).tolist()), float, k))
-        z = np.fromiter(map(cmath.rect, r.tolist(), (_TWO_PI * u[:, 1]).tolist()), complex, k)
-        return self._out(z.view(float).reshape(len(self.seeds), m)[:, :n])
+        w = self._words(n + (n & 1))[:, :n]
+        knot, slope = _normal_table()
+        # flipping all 64 bits of w when its top bit is set leaves that bit 0
+        # and m' in bits 11..63, so bits 10..63 with bit 0 set are v = 2m' + 1
+        v = w ^ (w.view(np.int64) >> _I63).view(np.uint64)
+        v >>= _U10
+        v |= _U1
+        bits = v.astype(np.float64).view(np.uint64)
+        cell = (bits >> _U_SHIFT).view(np.int64)
+        cell -= _I_BASE
+        bits &= _U_FRAC
+        x = bits.astype(np.float64)
+        x *= slope.take(cell)
+        x += knot.take(cell)
+        x.view(np.uint64)[...] ^= w & _U_SIGN
+        return self._out(x)

@@ -265,14 +265,28 @@ def test_exit_codes_parse_and_mode_and_unknown(capsys, tmp_path):
     ("1 0\n\n1x 1\n", "line 5: bad number '1x'"),
     ("1 0\n# a comment\n2ii 1\n", "line 5: bad complex literal '2ii'"),
     ("1 0 0\n0 1\n", "line 3: expected 2 entries per row, found 3"),
-], ids=["bad-number", "bad-complex-literal", "row-length"])
+    (b"1 0\n\xff 1\n", "not UTF-8 text: byte 0xff at offset 14"),
+], ids=["bad-number", "bad-complex-literal", "row-length", "not-utf8"])
 def test_parse_error_names_file_and_line(capsys, tmp_path, monkeypatch, rows, message):
     # the second of two files is the bad one; its line counts blank and comment lines
     monkeypatch.chdir(tmp_path)
-    Path("B.txt").write_text("# B\ndim 2\n" + rows)
+    if isinstance(rows, bytes):
+        Path("B.txt").write_bytes(b"# B\ndim 2\n" + rows)
+    else:
+        Path("B.txt").write_text("# B\ndim 2\n" + rows)
     code, out, err = run(capsys, "check", "zhan", f"{FIX}/kittaneh_fail_A.txt", "B.txt")
     assert code == 2 and out == ""
     assert err == f"sspread: B.txt: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["scale", "spread"])
+def test_non_utf8_file_is_a_parse_error(capsys, tmp_path, monkeypatch, command):
+    # a diag file too: the bytes are refused before the format is looked at
+    monkeypatch.chdir(tmp_path)
+    Path("BAD.diag").write_bytes(b"liminf: 0\nlimsup: 1\npos: 1 \xfe\n")
+    code, out, err = run(capsys, command, "BAD.diag")
+    assert code == 2 and out == ""
+    assert err == "sspread: BAD.diag: not UTF-8 text: byte 0xfe at offset 27\n"
 
 
 def test_exit_code_fails_path(capsys, monkeypatch):
@@ -411,24 +425,21 @@ def test_dims_above_max_exit_two(capsys, monkeypatch, cmd):
     assert cli._parse_dims(f"2..{harness.MAX_DIM}") == (2, harness.MAX_DIM)
 
 
-# reports of fuzz key --trials 40 --json at seeds outside [0, 2**64): the seed
-# is taken mod 2**64 before the child seeds are derived
-MASKED_SEED_REPORTS = {
-    "-5": '{"command":"fuzz","dims":[2,8],"inputs":[],"seed":-5,"summary":{"failures":0,'
-          '"ineq_id":"key","trials":40,"worst_margin":0.38317425027666085,'
-          '"worst_seed":1937302766700010895},"versions":{"sspread":"0.1.0"}}\n',
-    "123456789012345678901234567890":
-          '{"command":"fuzz","dims":[2,8],"inputs":[],"seed":123456789012345678901234567890,'
-          '"summary":{"failures":0,"ineq_id":"key","trials":40,"worst_margin":0.0013101176080642096,'
-          '"worst_seed":16384839876569067587},"versions":{"sspread":"0.1.0"}}\n',
-}
-
-
-@pytest.mark.parametrize("seed", sorted(MASKED_SEED_REPORTS))
+@pytest.mark.parametrize("seed", ["-5", "123456789012345678901234567890"])
 def test_fuzz_seed_outside_uint64_is_masked(capsys, seed):
-    code, out, _ = run(capsys, "fuzz", "key", "--trials", "40", "--seed", seed, "--json")
-    assert code == 0
-    assert out == MASKED_SEED_REPORTS[seed]
+    # the seed is taken mod 2**64 before the child seeds are derived: the
+    # report is that of its residue but for the seed as given (and for -5
+    # not that of 5)
+    def report(s):
+        code, out, _ = run(capsys, "fuzz", "key", "--trials", "40", "--seed", str(s), "--json")
+        assert code == 0
+        return json.loads(out)
+
+    masked, residue = report(seed), report(int(seed) % 2**64)
+    assert masked.pop("seed") == int(seed) and residue.pop("seed") == int(seed) % 2**64
+    assert masked == residue
+    if int(seed) < 0:
+        assert report(-int(seed))["summary"] != masked["summary"]
 
 
 def test_suite_dims_without_d2_exit_two(capsys, monkeypatch):
@@ -626,12 +637,15 @@ def test_report_field_set_is_uniform(capsys):
 # -- what each command imports -------------------------------------------------
 
 # run argv through cli.main in a fresh interpreter, then print the sspread
-# modules it loaded as the last line of stdout
+# modules it loaded, and whether it read the Gaussian table, as the last line
+# of stdout
 _IMPORT_PROBE = (
     "import json, sys\n"
     "from sspread import cli\n"
     "cli.main(sys.argv[1:])\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('sspread.'))))\n"
+    "rng = sys.modules.get('sspread.rng')\n"
+    "table = rng is not None and rng._normal_table.cache_info().currsize > 0\n"
+    "print(json.dumps([sorted(m for m in sys.modules if m.startswith('sspread.')), table]))\n"
 )
 _HEAVY = {"harness", "ineq", "major", "rng", "examples", "properties"}
 
@@ -652,5 +666,8 @@ def test_command_imports_only_what_it_runs(argv, never):
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True,
                          text=True, timeout=120, env=env)
     assert out.returncode == 0, out.stderr
-    loaded = {m.removeprefix("sspread.") for m in json.loads(out.stdout.splitlines()[-1])}
+    modules, table = json.loads(out.stdout.splitlines()[-1])
+    loaded = {m.removeprefix("sspread.") for m in modules}
     assert "cli" in loaded and not loaded & never, sorted(loaded & never)
+    # only a command that draws Gaussians reads the table
+    assert table == (argv[0] == "fuzz")

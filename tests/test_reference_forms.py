@@ -3,7 +3,6 @@ replaced, which is kept here as the reference. Results are compared bit for
 bit through .view(np.uint64), so a signed zero counts, and draws also by the
 words they consume."""
 
-import cmath
 import functools
 import itertools
 import math
@@ -13,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from normal_ref import KNOTS, lookups, word_of
 from sspread import cli, harness, ineq, linalg, major, spectra
 from sspread.errors import ParseError
 from sspread.harness import _crandns, _split
-from sspread.rng import _TWO_PI, _U11, Stream, derive_seed
+from sspread.rng import Stream, derive_seed
 
 
 def _bits(x) -> np.ndarray:
@@ -106,17 +106,6 @@ def test_randint_int_bound_refuses_an_empty_range():
 # Stream.normals
 
 
-def _normals_ref(words: np.ndarray) -> np.ndarray:
-    """Box-Muller over (B, m) words by three math maps and two multiplies."""
-    u = ((words >> _U11) * 2.0**-53).reshape(-1, 2)
-    k = len(u)
-    r = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[:, 0]).tolist()), float, k))
-    t = (_TWO_PI * u[:, 1]).tolist()
-    u[:, 0] = r * np.fromiter(map(math.cos, t), float, k)
-    u[:, 1] = r * np.fromiter(map(math.sin, t), float, k)
-    return u.reshape(words.shape)
-
-
 def _patched(seed, words: np.ndarray) -> Stream:
     """A stream whose next words are these (B, m) words."""
     s = Stream(seed)
@@ -124,41 +113,56 @@ def _patched(seed, words: np.ndarray) -> Stream:
     return s
 
 
-# word 0 gives u = 0: u1 = 1 - 0 = 1, so r = sqrt(-2 * 0.0) = -0.0, and u2 = 0
-# gives t = 0; words below 2**11 give u = 0 too, and 2**64 - 1 the largest u
-EDGE_WORDS = [0, 1, 2**11 - 1, 2**11, 2**63, 2**64 - 1]
+def _edge_words() -> list[int]:
+    """Words at the ends of the unit interval, on either side of 1/2, and on
+    both sides of every octave and of cell boundaries in every octave, for
+    u below and above 1/2."""
+    ws = {0, 1, 2**11 - 1, 2**11, 2**63 - 2**11, 2**63 - 1, 2**63, 2**63 + 2**11,
+          2**64 - 2**11, 2**64 - 1}
+    for e in range(1, 54):
+        vs = {2**e - 1, 2**e + 1}
+        if e >= 8:  # the first and the middle cell boundaries of the octave
+            vs |= {2**e + (2**e >> 7) + d for d in (-1, 1)}
+            vs |= {2**e + (2**e >> 1) + d for d in (-1, 1)}
+        ws |= {word_of(v, up) for v in vs if v < 2**53 for up in (False, True)}
+    return sorted(ws)
 
 
-def test_normals_match_the_word_0_edge():
-    pairs = np.array(list(itertools.product(EDGE_WORDS, repeat=2)), dtype=np.uint64)
-    words = pairs.reshape(1, -1)
-    ref = _normals_ref(words)
-    # the edge is where the signed zeros are: (-0.0, -0.0) from words (0, 0)
-    assert np.signbit(ref[0, :2]).all() and (ref[0, :2] == 0.0).all()
+EDGE_WORDS = _edge_words()
+
+
+def test_normals_match_the_lookup_at_edge_words():
+    n = len(EDGE_WORDS)
+    words = np.array([EDGE_WORDS + [0]], dtype=np.uint64)  # an odd n draws one more
+    ref = lookups(words[:, :n])
     scalar = _patched(7, words)
-    assert _same_bits(np.array(scalar.normals(words.shape[1])), ref[0])
+    assert _same_bits(np.array(scalar.normals(n)), ref[0])
     batch = _patched(np.array([7], dtype=np.uint64), words)
-    assert _same_bits(batch.normals(words.shape[1]), ref)
-    pair = _patched(7, words)
-    got = [x for _ in range(len(pairs)) for x in pair.normal_pair()]
-    assert _same_bits(np.array(got), ref[0])
+    assert _same_bits(batch.normals(n), ref)
+    # the ends are the first knot, u = 1/2 - 2^-54 and 1/2 + 2^-54 give the
+    # two values nearest 0, and words in order of u give values in order
+    x = ref[0]
+    assert x[0] == KNOTS[0] < -8.0 and x[-1] == -KNOTS[0]
+    below, above = EDGE_WORDS.index(2**63 - 1), EDGE_WORDS.index(2**63)
+    assert -1e-15 < x[below] < 0.0 < x[above] < 1e-15
+    assert np.all(np.diff(x) >= 0.0) and np.all(x != 0.0)
 
 
-def test_normals_match_the_three_map_form_on_random_words():
-    words = np.random.default_rng(11).integers(0, 2**64, (4, 2 * 50_000), dtype=np.uint64)
+def test_normals_match_the_lookup_on_random_words():
+    words = np.random.default_rng(11).integers(0, 2**64, (4, 25_000), dtype=np.uint64)
     s = _patched(np.arange(4, dtype=np.uint64), words)
-    assert _same_bits(s.normals(words.shape[1]), _normals_ref(words))
-    # an odd count keeps the first n of the pairs' values
+    assert _same_bits(s.normals(words.shape[1]), lookups(words))
+    # an odd count keeps the first n values
     s = _patched(np.arange(4, dtype=np.uint64), words[:, :8])
-    assert _same_bits(s.normals(7), _normals_ref(words[:, :8])[:, :7])
+    assert _same_bits(s.normals(7), lookups(words[:, :7]))
 
 
-def test_rect_is_cos_and_sin_at_zero_phase():
-    # the phi == 0 branch of cmath.rect returns (r, r * phi)
-    for r in (-0.0, 0.0, 1.5, 2.0**-1074):
-        z = cmath.rect(r, 0.0)
-        assert _same_bits(np.array([z.real, z.imag]), np.array([r * math.cos(0.0),
-                                                                r * math.sin(0.0)]))
+def test_normals_are_odd_in_the_word():
+    # ~w gives 1 - u, and its value is the negated value, bit for bit
+    words = np.random.default_rng(12).integers(0, 2**64, (3, 5_000), dtype=np.uint64)
+    x = _patched(np.arange(3, dtype=np.uint64), words).normals(words.shape[1])
+    y = _patched(np.arange(3, dtype=np.uint64), ~words).normals(words.shape[1])
+    assert _same_bits(x, -y)
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +194,26 @@ def test_crandns_matches_the_complex_sum_form(seed, shapes):
     assert all(_same_bits(g, r) for g, r in zip(got, ref))
 
 
+class _FixedNormals:
+    """A stand-in stream whose normals are given values: no word makes a
+    zero, but _crandns keeps the bits of the complex-sum form for any."""
+
+    def __init__(self, z: np.ndarray):
+        self.z = z
+        self.shape = z.shape[:1]
+
+    def normals(self, n: int) -> np.ndarray:
+        return self.z[:, :n].copy()
+
+
 @pytest.mark.parametrize("shapes", CRANDNS_SHAPES)
 def test_crandns_matches_at_signed_zero_normals(shapes):
-    # rows of edge words, so the normals take -0.0 and +0.0 in real and
-    # imaginary positions, against each other and against nonzero values
+    # normals of -0.0 and +0.0 in real and imaginary positions, against each
+    # other and against nonzero values
     n = 2 * sum(2 * ((r * c + 1) // 2) for r, c in shapes)
-    words = np.random.default_rng(n).choice(np.array(EDGE_WORDS, dtype=np.uint64), (500, n))
-    seeds = np.arange(len(words), dtype=np.uint64)
-    got = _crandns(_patched(seeds, words), *shapes)
-    ref = _crandns_ref(_patched(seeds, words), *shapes)
+    z = np.random.default_rng(n).choice(np.array([0.0, -0.0, 1.5, -1.5]), (500, n))
+    got = _crandns(_FixedNormals(z), *shapes)
+    ref = _crandns_ref(_FixedNormals(z), *shapes)
     assert all(_same_bits(g, r) for g, r in zip(got, ref))
     assert any(np.signbit(g.view(float)[g.view(float) == 0.0]).any() for g in ref)
 

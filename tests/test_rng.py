@@ -1,12 +1,19 @@
-"""The SplitMix64 stream is pinned: literal outputs, the block draw of
-Stream.normals against the scalar normal_pair reference, and every row of a
-batch stream against the scalar stream of its seed."""
+"""The SplitMix64 stream is pinned: literal outputs, the draws of
+Stream.normals against the pure-Python lookup of tests/normal_ref.py, their
+distribution and their distance from Phi^-1, and every row of a batch stream
+against the scalar stream of its seed."""
 
+import cmath
+import importlib.util
 import math
+import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from normal_ref import lookup, lookups, word_of
+from sspread import rng
 from sspread.harness import _crandn, _crandns
 from sspread.rng import Stream, _splitmix64_block, derive_seed, splitmix64
 
@@ -30,35 +37,129 @@ def test_normals_pinned_values():
     s = Stream(7)
     got = [float.hex(x) for x in s.normals(5)]
     assert got == [
-        "-0x1.834028079bc4cp-1", "0x1.4649096c3fb9ap-2", "-0x1.cba84ce448d97p-1",
-        "0x1.9e52776e02ba7p-1", "-0x1.ed26e2e962ae7p-1",
+        "-0x1.216af3c3c34b9p-1", "-0x1.47277adfacc4ep-3", "0x1.77b958e5412cfp-5",
+        "-0x1.301696e7bead8p-2", "0x1.ba066541b7cd6p-3",
     ]
     assert s.counter == 6
     assert s.uniform().hex() == "0x1.047837886a587p-1"
 
 
-def _scalar_normals(stream: Stream, n: int) -> list[float]:
-    out: list[float] = []
-    while len(out) < n:
-        out.extend(stream.normal_pair())
-    return out[:n]
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 63, 64, 129])
 @pytest.mark.parametrize("counter", [0, 1, 5, 2**40 + 3])
 @pytest.mark.parametrize("seed", [0, 3, derive_seed(11, 4), 2**64 - 1])
-def test_block_normals_match_normal_pair(seed, counter, n):
-    block, scalar = Stream(seed), Stream(seed)
-    block.counter = scalar.counter = counter
-    assert block.normals(n) == _scalar_normals(scalar, n)  # bitwise, not approx
-    assert block.counter == scalar.counter
-    assert block.uniform() == scalar.uniform()
+def test_block_normals_match_the_scalar_lookup(seed, counter, n):
+    block = Stream(seed)
+    block.counter = counter
+    want = [lookup(splitmix64(seed, counter + i)) for i in range(n)]
+    assert block.normals(n) == want  # bitwise, not approx
+    # one word per value, and an odd count skips a word
+    assert block.counter == counter + n + (n & 1)
+    assert block.next_u64() == splitmix64(seed, block.counter - 1)
 
 
 def test_normals_nonpositive_count_draws_nothing():
     s = Stream(5)
     assert s.normals(0) == [] and s.normals(-4) == []
     assert s.counter == 0
+
+
+# -- the inverse-CDF lookup against the normal distribution
+
+DRAWS = np.asarray(Stream(np.arange(100, dtype=np.uint64)).normals(10_000)).ravel()
+
+
+def test_normals_moments():
+    n = len(DRAWS)
+    assert n == 10**6
+    x = DRAWS
+    mean = x.mean()
+    var = ((x - mean) ** 2).mean()
+    skew = ((x - mean) ** 3).mean() / var**1.5
+    kurt = ((x - mean) ** 4).mean() / var**2
+    # within 5 standard errors of N(0, 1): sqrt(1/n), sqrt(2/n), sqrt(6/n),
+    # sqrt(24/n); a table without finer tail cells puts kurtosis near 3.04
+    assert abs(mean) < 5 * (1 / n) ** 0.5
+    assert abs(var - 1.0) < 5 * (2 / n) ** 0.5
+    assert abs(skew) < 5 * (6 / n) ** 0.5
+    assert abs(kurt - 3.0) < 5 * (24 / n) ** 0.5
+    # the deepest draws of a million sit near Phi^-1(1e-6) = -4.75
+    assert 4.0 < -x.min() < 6.0 and 4.0 < x.max() < 6.0
+
+
+def test_normals_ks_distance():
+    x = np.sort(DRAWS)
+    n = len(x)
+    cdf = 0.5 * (1.0 + np.frompyfunc(math.erf, 1, 1)(x / math.sqrt(2.0)).astype(float))
+    i = np.arange(1, n + 1)
+    ks = max((i / n - cdf).max(), (cdf - (i - 1) / n).max())
+    # the 1% critical value of the Kolmogorov-Smirnov statistic
+    assert ks < 1.63 / n**0.5
+
+
+def _grid():
+    """(v, upper) on a dense grid of every octave of p = v * 2^-54, p from
+    2^-54 to just below 1/2: both ends and 16 points across each cell."""
+    vs = {1, 3, 5, 7, 2**53 - 1}
+    for e in range(53):
+        for j in range(16 * 128):
+            vs.add(int(2**e + j * 2**e / 2048) | 1)
+    vs = sorted(v for v in vs if v < 2**53)
+    return [(v, up) for v in vs for up in (False, True)]
+
+
+def test_normals_track_inv_cdf_into_the_tails():
+    inv = statistics.NormalDist().inv_cdf
+    grid = _grid()
+    words = np.array([[word_of(v, up) for v, up in grid]], dtype=np.uint64)
+    s = Stream(1)
+    s._block, s._base = words, 0
+    got = s.normals(words.shape[1])
+    err = 0.0
+    for x, (v, up) in zip(got, grid):
+        p = v * 2.0**-54
+        want = -inv(p) if up else inv(p)
+        err = max(err, abs(x - want))
+    assert err <= 1e-5
+    # both sides of 1/2 at u = 2^-54 and 1 - 2^-54
+    assert got[0] == -got[1] < -8.0
+
+
+def _generator():
+    path = Path(__file__).resolve().parent.parent / "tools" / "make_normal_table.py"
+    spec = importlib.util.spec_from_file_location("make_normal_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_committed_table_is_the_generator_output():
+    gen = _generator()
+    fresh = gen.knots()
+    committed = np.load(rng._TABLE_FILE)
+    assert committed.dtype == np.dtype("<f8") and committed.shape == fresh.shape
+    assert fresh.shape == (gen.OCTAVES * gen.CELLS + 1,) and gen.CELLS == 128
+    # inv_cdf calls the C library's log and sqrt, which may round otherwise
+    # elsewhere; the draws read the committed file, never the generator
+    assert np.all(np.abs(committed - fresh) <= 4 * np.spacing(np.abs(fresh)))
+    # knots rise to Phi^-1(1/2) = 0, the top of the last cell
+    assert np.all(np.diff(committed) > 0) and committed[-1] == 0.0
+
+
+def test_a_draw_calls_no_transcendental(monkeypatch):
+    seeds = np.array([0, 3, 2**64 - 1], dtype=np.uint64)
+    want = Stream(seeds).normals(300)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw called a transcendental function")
+
+    for module, names in ((math, ("log", "exp", "cos", "sin", "sqrt", "pow")),
+                          (cmath, ("rect", "exp", "log")),
+                          (np, ("log", "exp", "cos", "sin", "sqrt", "power"))):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+    rng._normal_table.cache_clear()  # the table is read under the patch too
+    got = Stream(seeds).normals(300)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 3), (2, 4), (5, 3)])
@@ -155,18 +256,8 @@ def _ref_uniforms(seeds, counter, n):
 
 
 def _ref_normals(seeds, counter, n):
-    """normal_pair's formula over the block's uniforms, pair by pair."""
-    m = n + (n & 1)
-    u = _ref_uniforms(seeds, counter, m).reshape(len(seeds), m // 2, 2).tolist()
-    rows = []
-    for pairs in u:
-        row = []
-        for u1, u2 in pairs:
-            r = math.sqrt(-2.0 * math.log(1.0 - u1))
-            t = 2.0 * math.pi * u2
-            row += [r * math.cos(t), r * math.sin(t)]
-        rows.append(row[:n])
-    return np.array(rows).reshape(len(seeds), n)
+    """The scalar lookup of each of the block's words."""
+    return lookups(_splitmix64_block(seeds, counter, n))
 
 
 def _draw_and_reference(stream, rnd):
