@@ -10,7 +10,8 @@ class NotHermitian(SpreadError):
 
 
 class NoConvergence(SpreadError):
-    """Eigensolver failed to converge."""
+    """A LAPACK routine failed: an eigensolver or the SVD did not converge, or
+    a QR factorization failed."""
 
 
 class NotProjection(SpreadError):

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import ineq, linalg
 from .errors import UnknownInequality, UnknownKind
-from .linalg import _ct, _sv_array
+from .linalg import _ct, _haar, _sv_array
 from .rng import _MASK, Stream, _splitmix64_block
 
 
@@ -123,15 +123,6 @@ def _hermitian(stream: Stream, d: int, scale: float = 1.0) -> np.ndarray:
 
 def _positive(stream: Stream, d: int, scale: float | None = None) -> np.ndarray:
     return _psd(_crandn(stream, d, d), scale)
-
-
-def _haar(g: np.ndarray) -> np.ndarray:
-    """The unitary of a Gaussian draw g, or of a stack of draws."""
-    q, r = np.linalg.qr(g)
-    ph = np.diagonal(r, axis1=-2, axis2=-1)
-    size = np.abs(ph)
-    ph = np.where(size > 0, ph / size, 1.0)
-    return q * ph[..., None, :]  # fixes the phase so the factorization is unique
 
 
 def _unitary(stream: Stream, d: int) -> np.ndarray:

@@ -18,6 +18,13 @@ A product with a real diagonal matrix is a column scaling,
 v_ij x_j either way (a zero product may differ in sign, which a sum with a
 nonzero term absorbs), so the bits are those of v @ diag(x) @ w.
 
+This module is the package's one doorway to LAPACK. It calls numpy's LAPACK
+gufuncs (numpy.linalg._umath_linalg, numpy 2.x names) directly, at their
+complex signatures, under numpy.linalg's error state: these are the calls
+numpy.linalg.eigvalsh, eigh, svd (values only) and qr make on a complex128
+stack, so the bits are theirs, and a failure raises NoConvergence with
+numpy's message. (A real stack is cast and goes to the complex routine.)
+
 Scales, spreads and positivity gates need eigenvalues only; they come from
 LAPACK's values-only Hermitian driver (`_eigvalsh`). Eigenvectors (`_eigh`)
 are computed only for functional calculus: square roots, the e^{iX} of the
@@ -38,6 +45,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NoConvergence, NotHermitian, NotProjection
 
@@ -125,6 +133,28 @@ def _diag(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lapack(gufunc, signature: str, message: str):
+    """gufunc(*args) at this complex signature, as numpy.linalg calls it: under
+    numpy.linalg's error state, where a failure LAPACK reports raises
+    NoConvergence with numpy's own message."""
+
+    def failed(err, flag):
+        raise NoConvergence(message)
+
+    @np.errstate(call=failed, invalid="call", over="ignore", divide="ignore", under="ignore")
+    def call(*args):
+        return gufunc(*args, signature=signature)
+
+    return call
+
+
+_eigvalsh_lo = _lapack(_umath_linalg.eigvalsh_lo, "D->d", "Eigenvalues did not converge")
+_eigh_lo = _lapack(_umath_linalg.eigh_lo, "D->dD", "Eigenvalues did not converge")
+_QR_FAILED = "Incorrect argument found while performing QR factorization"
+_qr_r_raw = _lapack(_umath_linalg.qr_r_raw, "D->D", _QR_FAILED)
+_qr_reduced = _lapack(_umath_linalg.qr_reduced, "DD->D", _QR_FAILED)
+
+
 class EigenPair(NamedTuple):
     """Eigenvalues (non-increasing) and matching orthonormal eigenvectors."""
 
@@ -159,21 +189,14 @@ def eigh(a) -> EigenPair:
 
 def _eigh(m: np.ndarray) -> EigenPair:
     """eigh of a matrix or of a stack of them (..., d, d), not re-checked."""
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    w, v = _eigh_lo(m)
     return EigenPair(w[..., ::-1].copy(), v[..., ::-1].copy())
 
 
 def _eigvalsh(m: np.ndarray) -> np.ndarray:
     """Non-increasing eigenvalues of a Hermitian matrix or of a stack of them,
     without eigenvectors."""
-    try:
-        w = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return w[..., ::-1].copy()
+    return _eigvalsh_lo(m)[..., ::-1].copy()
 
 
 def sv_array(x) -> np.ndarray:
@@ -191,12 +214,8 @@ def sv_array(x) -> np.ndarray:
     return _sv_array(as_cmatrix(x))
 
 
-def _sv_array(m: np.ndarray) -> np.ndarray:
-    """sv_array of a matrix or of a stack of them, along the last axis."""
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+# sv_array of a matrix or of a stack of them, along the last axis
+_sv_array = _lapack(_umath_linalg.svd, "D->d", "SVD did not converge")
 
 
 def _herm_sv(w: np.ndarray) -> np.ndarray:
@@ -241,6 +260,20 @@ def _offdiag_embed(m: np.ndarray) -> np.ndarray:
     out[..., :rows, rows:] = m
     out[..., rows:, :rows] = _ct(m)
     return out
+
+
+def _haar(g: np.ndarray) -> np.ndarray:
+    """The unitary of a Gaussian draw g, or of a stack of draws: Q of g = QR
+    with the phase of each diagonal entry of R moved into its column of Q,
+    which makes the factorization unique. These are numpy.linalg.qr's calls,
+    but R's diagonal is read where qr_r_raw leaves it, in the factored copy."""
+    a = g.astype(np.complex128, copy=True)
+    tau = _qr_r_raw(a)  # factors a in place: R on and above the diagonal
+    q = _qr_reduced(a, tau)
+    ph = np.diagonal(a, axis1=-2, axis2=-1)
+    size = np.abs(ph)
+    ph = np.where(size > 0, ph / size, 1.0)
+    return q * ph[..., None, :]
 
 
 def _unitary_exp(w: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -158,13 +158,14 @@ def test_stacked_calls_match_single_calls_bit_for_bit(d):
             assert np.array_equal(stacked[i], single(i)), name
 
 
-def test_eigvalsh_no_convergence(monkeypatch):
-    def broken(m):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", broken)
-    with pytest.raises(NoConvergence, match="did not converge"):
-        linalg._eigvalsh(np.eye(2))
+@pytest.mark.parametrize("entry, message", [("_eigvalsh", "Eigenvalues did not converge"),
+                                            ("_eigh", "Eigenvalues did not converge"),
+                                            ("_sv_array", "SVD did not converge")])
+def test_nan_member_raises_no_convergence(entry, message):
+    # LAPACK fails on the NaN member; the message is numpy.linalg's own
+    m = np.stack([np.eye(3, dtype=complex), np.full((3, 3), np.nan, dtype=complex)])
+    with pytest.raises(NoConvergence, match=f"^{message}$"):
+        getattr(linalg, entry)(m)
 
 
 def test_sv_two_by_two_closed_form():

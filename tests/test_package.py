@@ -1,5 +1,6 @@
 """The package root: every public name resolves lazily to its module's object."""
 
+import ast
 import json
 import os
 import subprocess
@@ -41,3 +42,30 @@ def test_bare_import_loads_only_the_errors():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          timeout=60, env=env, check=True)
     assert json.loads(out.stdout) == ["sspread", "sspread.errors"]
+
+
+def test_lapack_is_reached_only_through_linalg():
+    # one doorway: no module but linalg calls numpy.linalg's eigensolvers,
+    # SVD or QR, or names numpy's gufunc module; norm runs no LAPACK factorization
+    solvers = {"eigh", "eigvalsh", "svd", "qr"}
+    found = []
+    for path in sorted(Path(sspread.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                owner = ast.unparse(node.value)
+                bad = node.attr == "_umath_linalg" or (
+                    node.attr in solvers and owner in ("np.linalg", "numpy.linalg"))
+            elif isinstance(node, ast.Name):
+                bad = node.id == "_umath_linalg"
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {a.name for a in node.names}
+                module = getattr(node, "module", None) or ""
+                bad = "_umath_linalg" in f"{module} {names}" or (
+                    module == "numpy.linalg" and bool(solvers & names))
+            else:
+                bad = False
+            if bad:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []

@@ -285,7 +285,7 @@ def test_haar_matches_the_copied_phase_form():
     ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     with np.errstate(invalid="ignore"):
         ph = np.where(np.abs(ph) > 0, ph / np.abs(ph), 1.0)
-        got = harness._haar(g)
+        got = linalg._haar(g)
     assert _same_bits(got, q * ph[..., None, :])
 
 
@@ -307,6 +307,52 @@ def test_schatten_rows_matches_the_scalar_power_form(p):
     with np.errstate(over="ignore"):  # a sum of powers may overflow to inf
         ref = np.array([s ** (1.0 / p) for s in (np.abs(v) ** p).sum(axis=-1)])
         assert _same_bits(major._schatten_rows(v, p), ref)
+
+
+# ---------------------------------------------------------------------------
+# linalg's LAPACK doorway against the public numpy.linalg calls it replaced
+
+
+def _haar_phase_form(g):
+    q, r = np.linalg.qr(g)
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.where(np.abs(ph) > 0, ph / np.abs(ph), 1.0)[..., None, :]
+
+
+# entry -> (the doorway call, the numpy.linalg call whose bits it gives)
+DOORWAY = {
+    "eigvalsh": (linalg._eigvalsh, lambda m: np.linalg.eigvalsh(m)[..., ::-1]),
+    "eigh": (lambda m: tuple(linalg._eigh(m)),
+             lambda m: tuple(x[..., ::-1] for x in np.linalg.eigh(m))),
+    "sv_array": (linalg._sv_array, lambda m: np.linalg.svd(m, compute_uv=False)),
+    "haar": (linalg._haar, _haar_phase_form),
+}
+
+
+def _doorway_stacks(entry, d):
+    """Stacks of one and of four members, one member all zero, Hermitian for
+    the eigensolvers; sv_array also takes d x n and n x d ones."""
+    rng = np.random.default_rng(d)
+    shapes = [(d, d)]
+    if entry == "sv_array":
+        shapes += [(d, d + 2), (d + 2, d)]
+    for rows, cols in shapes:
+        g = rng.standard_normal((4, rows, cols)) + 1j * rng.standard_normal((4, rows, cols))
+        g[2] = 0.0
+        if entry.startswith("eig"):
+            g = g + _ct(g)
+        yield from (g[:1], g[2:3], g)
+
+
+@pytest.mark.parametrize("d", range(9))
+@pytest.mark.parametrize("entry", DOORWAY)
+def test_doorway_matches_numpys_public_call(entry, d):
+    ours, numpys = DOORWAY[entry]
+    for m in _doorway_stacks(entry, d):
+        with np.errstate(invalid="ignore"):  # the zero member's 0/0 phase
+            got, ref = ours(m), numpys(m)
+        for a, b in zip(*(x if isinstance(x, tuple) else (x,) for x in (got, ref))):
+            assert _same_bits(a, b), m.shape
 
 
 # ---------------------------------------------------------------------------
