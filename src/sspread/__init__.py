@@ -16,8 +16,8 @@ _HOMES = {
     **dict.fromkeys((
         "SpreadError", "NotHermitian", "NoConvergence", "NotProjection",
         "NotPositive", "NotProjectionSum", "ModeError",
-        "HorizonMismatch", "DimMismatch", "UnknownKind",
-        "UnknownExample", "UnknownInequality", "ParseError",
+        "HorizonMismatch", "DimMismatch", "UnknownExample",
+        "UnknownInequality", "ParseError",
     ), "errors"),
     **dict.fromkeys((
         "DiagSpec", "SpreadSeq", "TwoSidedSeq",

@@ -209,8 +209,9 @@ def write_matrix_text(m, mode: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_file(path: str) -> tuple[np.ndarray | DiagSpec, str | None]:
-    """parse_matrix_text of a file; a ParseError names the file."""
+def load_file(path: str) -> tuple[np.ndarray | DiagSpec, str | None, str]:
+    """parse_matrix_text of a file, and the sha256 of the bytes it parsed,
+    which the report gives as the file's digest; a ParseError names the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -219,18 +220,19 @@ def load_file(path: str) -> tuple[np.ndarray | DiagSpec, str | None]:
         raise ParseError(f"{path}: not UTF-8 text: byte {data[exc.start]:#04x} "
                          f"at offset {exc.start}") from exc
     try:
-        return parse_matrix_text(text)
+        payload, declared = parse_matrix_text(text)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    return payload, declared, hashlib.sha256(data).hexdigest()
 
 
-def _load_matrix(path: str) -> tuple[np.ndarray, str | None]:
-    """A matrix file's matrix as parsed, and its declared mode or None; the
-    verifier that takes the matrix validates it."""
-    payload, declared = load_file(path)
+def _load_matrix(path: str) -> tuple[np.ndarray, str | None, str]:
+    """load_file of a matrix file; the verifier that takes the matrix
+    validates it."""
+    payload, declared, digest = load_file(path)
     if isinstance(payload, DiagSpec):
         raise ModeError(f"{path} holds a diagonal-operator description, not a matrix")
-    return payload, declared
+    return payload, declared, digest
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +292,12 @@ def verdict_to_dict(v: Verdict) -> dict:
     }
 
 
-def _report(command: str, paths=(), seed: int | None = None, **body) -> dict:
+def _report(command: str, inputs=(), seed: int | None = None, **body) -> dict:
     """A command's report: its own fields in the envelope every report
-    carries (command, input files with their sha256, seed, versions)."""
-    inputs = []
-    for p in paths:
-        with open(p, "rb") as fh:
-            inputs.append({"path": p, "digest": hashlib.sha256(fh.read()).hexdigest()})
-    return {"command": command, "inputs": inputs, "seed": seed,
-            "versions": {"sspread": __version__}, **body}
+    carries (command, input files as the (path, sha256) pairs load_file
+    gave, seed, versions)."""
+    return {"command": command, "inputs": [{"path": p, "digest": h} for p, h in inputs],
+            "seed": seed, "versions": {"sspread": __version__}, **body}
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +334,18 @@ def _scale_of(payload, declared: str | None, args):
 
 
 def cmd_scale(args) -> tuple[dict, int]:
-    payload, declared = load_file(args.file)
+    payload, declared, digest = load_file(args.file)
     sc = _scale_of(payload, declared, args)
-    report = _report("scale", [args.file], mode=sc.mode, K=sc.K, pos=list(sc.pos),
+    report = _report("scale", [(args.file, digest)], mode=sc.mode, K=sc.K, pos=list(sc.pos),
                      neg=list(sc.neg), pos_tail=sc.pos_tail, neg_tail=sc.neg_tail)
     return report, EXIT_HOLDS
 
 
 def cmd_spread(args) -> tuple[dict, int]:
-    payload, declared = load_file(args.file)
+    payload, declared, digest = load_file(args.file)
     sc = _scale_of(payload, declared, args)
     spr = spread_plus(sc)
-    report = _report("spread", [args.file], mode=sc.mode, values=list(spr.values),
+    report = _report("spread", [(args.file, digest)], mode=sc.mode, values=list(spr.values),
                      tail=spr.tail)
     if args.full:
         full = spread_full(sc)
@@ -374,13 +373,13 @@ def cmd_check(args) -> tuple[dict, int]:
     if not lo <= len(args.files) <= len(files):
         want = str(lo) if lo == len(files) else f"{lo} or {len(files)}"
         raise ParseError(f"{args.ineq_id} takes {want} matrix files, got {len(args.files)}")
-    loaded = [_load_matrix(p) for p in args.files]
-    v = check(*(m for m, _ in loaded), **split)
-    for path, (_, declared) in zip(args.files, loaded):
+    mats, modes, digests = zip(*(_load_matrix(p) for p in args.files))
+    v = check(*mats, **split)
+    for path, declared in zip(args.files, modes):
         if declared not in (None, v.mode):
             raise ModeError(f"{path} declares mode {declared}, but {v.ineq_id} is judged"
                             f" in {v.mode} mode")
-    report = _report("check", args.files, check=verdict_to_dict(v))
+    report = _report("check", zip(args.files, digests), check=verdict_to_dict(v))
     return report, EXIT_HOLDS if v.holds else EXIT_FAILS
 
 

@@ -38,10 +38,6 @@ class DimMismatch(SpreadError):
     """Operator dimensions are incompatible."""
 
 
-class UnknownKind(SpreadError):
-    """Unrecognized generator kind."""
-
-
 class UnknownExample(SpreadError):
     """Unrecognized reproduction fixture id."""
 

@@ -15,8 +15,8 @@ what the scalar stream of seed b draws alone, and a family or property splits
 its rows further where a draw sets a shape or a shared scalar argument. Each
 group goes to one call of the verifier's kernel or the property's judge over
 stacks, and the rows are reduced in trial order, so a report does not depend
-on grouping or chunking. generate() and trial_args() call the same
-generators on the scalar stream, a batch of one.
+on grouping or chunking. trial_args() calls the same generators on the
+scalar stream, a batch of one.
 """
 
 from __future__ import annotations
@@ -29,25 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ineq, linalg
-from .errors import UnknownInequality, UnknownKind
+from .errors import UnknownInequality
 from .linalg import _ct, _haar, _sv_array
 from .rng import _MASK, Stream, _splitmix64_block
-
-
-@dataclass(frozen=True)
-class GenSpec:
-    """Recipe for one random matrix (or matrix family)."""
-
-    kind: str
-    dim: int
-    seed: int
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in GEN_KINDS:
-            raise UnknownKind(f"unknown generator kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -109,20 +93,17 @@ def _herm(g: np.ndarray, scale: float = 1.0) -> np.ndarray:
     return h
 
 
-def _psd(g: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """The positive matrix of a Gaussian draw g: scale * (g* g), or g* g
-    without a scale. A product by 1.0 changes only a -0.0 part, and a
-    matmul, whose sums start at +0.0, gives none."""
-    p = _ct(g) @ g
-    return p if scale is None else scale * p
+def _psd(g: np.ndarray) -> np.ndarray:
+    """The positive matrix of a Gaussian draw g: g* g."""
+    return _ct(g) @ g
 
 
 def _hermitian(stream: Stream, d: int, scale: float = 1.0) -> np.ndarray:
     return _herm(_crandn(stream, d, d), scale)
 
 
-def _positive(stream: Stream, d: int, scale: float | None = None) -> np.ndarray:
-    return _psd(_crandn(stream, d, d), scale)
+def _positive(stream: Stream, d: int) -> np.ndarray:
+    return _psd(_crandn(stream, d, d))
 
 
 def _unitary(stream: Stream, d: int) -> np.ndarray:
@@ -161,23 +142,6 @@ def _partition(stream: Stream, d: int, rank=None,
     s = (v * (np.sin(theta) * mask)[..., None, :]) @ w
     p = (_ct(w) * mask[..., None, :]) @ w
     return c, s, p
-
-
-# generator kind -> its draw on a stream for a GenSpec
-_KINDS = {
-    "hermitian": lambda stream, spec: _hermitian(stream, spec.dim, spec.scale),
-    "positive": lambda stream, spec: _positive(stream, spec.dim, spec.scale),
-    "unitary": lambda stream, spec: _unitary(stream, spec.dim),
-    "projection": lambda stream, spec: _projection(stream, spec.dim),
-    "partition_isometry": lambda stream, spec: _partition(stream, spec.dim),
-    "complex_general": lambda stream, spec: spec.scale * _crandn(stream, spec.dim, spec.dim),
-}
-GEN_KINDS = tuple(_KINDS)
-
-
-def generate(spec: GenSpec):
-    """Build the matrix (or (C, S, P) triple) a GenSpec describes."""
-    return _KINDS[spec.kind](Stream(spec.seed), spec)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ from .errors import (
     NotProjectionSum,
 )
 from .linalg import (
-    _absmax,
     _as_cmatrices,
     _as_hermitians,
     _as_projections,
@@ -63,6 +62,7 @@ from .linalg import (
     _herm_sv,
     _opnorm,
     _pad,
+    _size,
     _sv_array,
     _tol,
     _unitary_exp,
@@ -175,19 +175,20 @@ def _eigvalsh_each(*stacks: np.ndarray) -> np.ndarray:
     return w.reshape((len(stacks),) + stacks[0].shape[:-1])
 
 
-def _positive_gate(w: np.ndarray, fail: str | None = None):
-    """Positivity gate on non-increasing eigenvalues w (..., d) of Hermitian matrices.
+def _positive_gate(w: np.ndarray, fail: str | None = None) -> np.ndarray:
+    """Positivity gate on a stack (B, d) of non-increasing eigenvalues of
+    Hermitian matrices.
 
-    A spectrum passes when its smallest entry is at least -_tol(max|w|).
-    Returns a bool for one spectrum and a bool array for a stack. With a
-    message template, a failing spectrum raises instead:
-    NotPositive(fail.format(smallest eigenvalue)) for the first that fails.
+    A spectrum passes when its smallest entry is at least -_tol(max|w|);
+    returns the bool per row. With a message template, a failing spectrum
+    raises instead: NotPositive(fail.format(smallest eigenvalue)) for the
+    first that fails.
     """
-    ok = w.min(axis=-1, initial=math.inf) >= -_tol(_absmax(w, -1))
+    ok = w.min(axis=-1, initial=math.inf) >= -_tol(_size(w))
     if fail is not None and not ok.all():
-        first = np.flatnonzero(~np.ravel(ok))[0]
-        raise NotPositive(fail.format(w.reshape(-1, w.shape[-1])[first, -1]))
-    return bool(ok) if w.ndim == 1 else ok
+        first = ok.argmin()  # the first False
+        raise NotPositive(fail.format(w[first, -1]))
+    return ok
 
 
 def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -202,15 +203,6 @@ def _entrywise(margins: np.ndarray, mag: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     low = margins.min(axis=-1, initial=math.inf)
     return low >= -_tol(mag), low
-
-
-def _size(*stacks: np.ndarray) -> np.ndarray:
-    """Largest |entry| of each row over stacks (B, ...): an operand's size."""
-    size = None
-    for s in stacks:
-        m = np.abs(s).max(axis=tuple(range(1, s.ndim)), initial=0.0)
-        size = m if size is None else np.maximum(size, m)
-    return size
 
 
 def _same_shape(first: np.ndarray, *others: np.ndarray) -> tuple[np.ndarray, ...]:

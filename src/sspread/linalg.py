@@ -57,6 +57,15 @@ def _tol(magnitude, k: int = 1):
     return 1e-12 * k * magnitude
 
 
+def _size(*stacks: np.ndarray) -> np.ndarray:
+    """Largest |entry| of each row over stacks (B, ...): an operand's size."""
+    size = None
+    for s in stacks:
+        m = np.abs(s).max(axis=tuple(range(1, s.ndim)), initial=0.0)
+        size = m if size is None else np.maximum(size, m)
+    return size
+
+
 def as_cmatrix(a) -> np.ndarray:
     """Validate and return a 2-d complex128 matrix with finite entries."""
     return _as_cmatrices(np.asarray(a, dtype=np.complex128)[None])[0]
@@ -76,10 +85,6 @@ def _ct(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _absmax(m: np.ndarray, axes) -> np.ndarray:
-    return np.abs(m).max(axis=axes, initial=0.0)
-
-
 def _as_cmatrices(a, sized: bool = False):
     """Validate a stack (B, rows, cols) of finite complex128 matrices.
 
@@ -89,7 +94,7 @@ def _as_cmatrices(a, sized: bool = False):
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 3:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape[1:]}")
-    size = _absmax(m, (1, 2)) if sized else None
+    size = _size(m) if sized else None
     if not np.isfinite(m if size is None else size).all():
         raise ValueError("matrix entries must be finite")
     return m if size is None else (m, size)
@@ -103,7 +108,7 @@ def _as_hermitians(a, magnitude=None, k: int = 1, sized: bool = False):
     if m.shape[1] != m.shape[2]:
         raise NotHermitian(f"matrix is {m.shape[1]}x{m.shape[2]}, not square")
     limit = _tol(size if magnitude is None else magnitude, k)
-    defect = _absmax(m - _ct(m), (1, 2))
+    defect = _size(m - _ct(m))
     bad = defect > limit
     if bad.any():
         i = bad.argmax()  # the first True
@@ -116,7 +121,7 @@ def _as_projections(p, k: int = 1) -> np.ndarray:
     names the first failing member."""
     m, size = _as_hermitians(p, k=k, sized=True)
     limit = _tol(size, k)
-    defect = np.abs(m @ m - m).max(axis=(1, 2))
+    defect = _size(m @ m - m)
     bad = defect > limit
     if bad.any():
         i = bad.argmax()  # the first True
@@ -283,7 +288,7 @@ def _unitary_exp(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     # d = 4), numpy's multiply does not, and the last bits of U would move
     u = v @ _diag(np.exp(1j * w)) @ _ct(v)
     d = u.shape[-1]
-    if np.any(_absmax(_ct(u) @ u - np.eye(d), (-2, -1)) > _tol(1.0, d)):
+    if np.any(_size(_ct(u) @ u - np.eye(d)) > _tol(1.0, d)):
         raise NoConvergence("e^{iX} failed the unitarity residual")
     return u
 

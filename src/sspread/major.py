@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import HorizonMismatch, ModeError
-from .linalg import _tol
+from .linalg import _size, _tol
 from .spectra import SpreadSeq, TwoSidedSeq, _eig_sides
 
 
@@ -143,22 +143,22 @@ class SubRows(NamedTuple):
         )
 
 
-def _maj_rows(a: np.ndarray, b: np.ndarray, clip_a: bool = False, clip_b: bool = False,
-              mag=None, lower: bool = True, sums: bool = False) -> SubRows:
+def _maj_rows(a: np.ndarray, b: np.ndarray, clip: bool = False, mag=None,
+              lower: bool = True, sums: bool = False) -> SubRows:
     """Majorization a vs b on stacks of multisets (B, m) and (B, n).
 
     Partial sums compare over the first k = min(m, n) indices, each row at
-    _tol(mag, k), mag (B,) defaulting to the row's max|b|. A clip flag reads
-    its side as a two-sided sequence of a clipping model; lower=False judges
+    _tol(mag, k), mag (B,) defaulting to the row's max|b|. clip reads both
+    sides as two-sided sequences of a clipping model; lower=False judges
     submajorization, sums=True adds the classic total-sum condition.
     """
     k = min(a.shape[-1], b.shape[-1])
-    upper = _upper_sums(b, clip_b)[..., :k] - _upper_sums(a, clip_a)[..., :k]
-    tol = _tol(np.abs(b).max(axis=-1, initial=0.0) if mag is None else mag, k)
+    upper = _upper_sums(b, clip)[..., :k] - _upper_sums(a, clip)[..., :k]
+    tol = _tol(_size(b) if mag is None else mag, k)
     margin = upper.min(axis=-1, initial=math.inf)
     low = defect = None
     if lower:
-        low = _lower_sums(a, clip_a)[..., :k] - _lower_sums(b, clip_b)[..., :k]
+        low = _lower_sums(a, clip)[..., :k] - _lower_sums(b, clip)[..., :k]
         least = low.min(axis=-1, initial=math.inf)
         margin = np.where(least < margin, least, margin)
     holds = margin >= -tol
@@ -239,8 +239,9 @@ def _side(x) -> tuple:
 
 def _relation(a, b, lower: bool) -> MajorizationReport:
     """The one alignment rule and judgement behind submajorizes and majorizes."""
-    ma, clip_a, ta, sa, mode_a, two_a = _side(a)
-    mb, clip_b, tb, sb, mode_b, two_b = _side(b)
+    # clip follows sidedness and mode, which the checks below make equal
+    ma, clip, ta, sa, mode_a, two_a = _side(a)
+    mb, _, tb, sb, mode_b, two_b = _side(b)
     if two_a != two_b:
         raise ModeError("a one-sided operand cannot be compared with a two-sided one")
     if None not in (mode_a, mode_b) and mode_a != mode_b:
@@ -255,7 +256,7 @@ def _relation(a, b, lower: bool) -> MajorizationReport:
         ma, mb = np.pad(ma, (0, n - len(ma))), np.pad(mb, (0, n - len(mb)))
     mag = max(float(np.max(np.abs(np.concatenate([ma, mb])), initial=0.0)),
               abs(ta or 0.0), abs(tb or 0.0))
-    rows = _maj_rows(ma[None], mb[None], clip_a, clip_b, np.array([mag]), lower,
+    rows = _maj_rows(ma[None], mb[None], clip, np.array([mag]), lower,
                      sums=lower and not two_a)
     if ta is not None and tb is not None and ta > tb + _tol(mag):
         return rows.report(0, "tail_violated")

@@ -37,8 +37,7 @@ from .harness import (
     _unitary,
     _whole,
 )
-from .ineq import _size
-from .linalg import _ct, _diag, _pad, _sv_array, _tol
+from .linalg import _ct, _diag, _pad, _size, _sv_array, _tol
 from .major import _dec
 from .rng import Stream, _splitmix64_block, derive_seed
 from .spectra import (
@@ -172,7 +171,7 @@ def _j_weyl_scale(a, b):
     m = major._maj_rows(_matrix_multiset(wab), _matrix_multiset(wa) + _matrix_multiset(wb))
     (pa, na), (pb, nb) = _eig_sides(wa), _eig_sides(wb)
     c = major._maj_rows(np.concatenate(_eig_sides(wab), axis=-1),
-                        np.concatenate([pa + pb, na + nb], axis=-1), True, True)
+                        np.concatenate([pa + pb, na + nb], axis=-1), True)
     return _judged(("matrix-mode scale Weyl failed", m.margin, m.tol),
                    ("compact-mode scale Weyl failed", c.margin, c.tol))
 
@@ -437,11 +436,10 @@ PROPERTIES = {
     "spread_doubling": Property(lambda s, d: _whole(_hermitian(s, d)), _j_doubling),
     "spread_monotone": Property(_d_monotone, _j_monotone),
     "spread_subadditive": Property(_fam_herm_pair, _relation(
-        "spread subadditivity failed", _subadditive_sides, clip_a=True, clip_b=True)),
+        "spread subadditivity failed", _subadditive_sides, clip=True)),
     "updown_sum": Property(
         lambda s, n: _whole(s.normals(2 * n), s.normals(2 * n)), _relation(
-            "x+y vs rearranged sum majorization failed", _updown_sum_sides,
-            clip_a=True, clip_b=True)),
+            "x+y vs rearranged sum majorization failed", _updown_sum_sides, clip=True)),
     "abs_majorization": Property(_d_abs, _relation(
         "|x| submajorization failed", lambda x, y: (np.abs(x), np.abs(y)), lower=False)),
     "sorted_sum": Property(_d_sorted_sum, _relation(
@@ -449,7 +447,7 @@ PROPERTIES = {
     "interleave_pairs": Property(_d_interleave, _relation(
         "interleaved pair submajorization failed",
         lambda x, z, y, w: (np.concatenate([x, z], axis=-1), np.concatenate([y, w], axis=-1)),
-        clip_a=True, clip_b=True, lower=False)),
+        clip=True, lower=False)),
     "product_sorting": Property(
         lambda s, n: _whole(np.abs(s.normals(n)), np.abs(s.normals(n))), _relation(
             "product vs sorted product failed",

@@ -151,25 +151,13 @@ class DiagSpec:
             raise ValueError(f"generator {self.generator} has band [{band[0]!r}, {band[1]!r}], "
                              f"not [{self.liminf!r}, {self.limsup!r}]")
 
-    def _generated(self, n: np.ndarray) -> np.ndarray:
-        return GENERATORS[self.generator](n, **dict(self.params))[0]
-
-    def entry(self, n: int) -> float:
-        """n-th entry (1-based)."""
-        if n < 1:
-            raise ValueError("indices are 1-based")
-        if n <= len(self.head):
-            return self.head[n - 1]
-        if self.generator is None:
-            raise IndexError(f"entry {n} is beyond the head and no generator is set")
-        return float(self._generated(np.array([n]))[0])
-
     def sample(self, m: int) -> np.ndarray:
         """First min(m, available) entries."""
         head = np.array(self.head, dtype=float)
         if self.generator is None or m <= len(head):
             return head[:max(m, 0)]
-        return np.concatenate([head, self._generated(np.arange(len(head) + 1, m + 1))])
+        n = np.arange(len(head) + 1, m + 1)
+        return np.concatenate([head, GENERATORS[self.generator](n, **dict(self.params))[0]])
 
 
 def _alt_harmonic(n: np.ndarray, upper: float = 1.0, lower: float = -1.0):

@@ -1,5 +1,6 @@
 """CLI: file formats, exit codes, JSON stability."""
 
+import hashlib
 import inspect
 import json
 import os
@@ -14,7 +15,8 @@ import pytest
 import sspread
 from sspread import ParseError, Verdict, cli, examples, harness, ineq
 from sspread.examples import EXAMPLE_IDS, fixture_matrices
-from sspread.harness import VERIFIERS, GenSpec, generate, trial_args
+from sspread.harness import VERIFIERS, _crandn, _hermitian, trial_args
+from sspread.rng import Stream
 from sspread.spectra import DiagSpec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,7 +51,7 @@ def test_parse_complex_forms():
 
 
 def test_format_parse_roundtrip_random():
-    m = generate(GenSpec(kind="complex_general", dim=5, seed=42))
+    m = _crandn(Stream(42), 5, 5)
     text = cli.write_matrix_text(m)
     parsed, mode = cli.parse_matrix_text(text)
     assert mode is None
@@ -125,9 +127,9 @@ def test_fixture_files_match_programmatic_values():
     for ex, files in names.items():
         mats = fixture_matrices(ex)
         for key, fname in files.items():
-            payload, _ = cli.load_file(f"{FIX}/{fname}")
+            payload, _, _ = cli.load_file(f"{FIX}/{fname}")
             assert np.array_equal(payload, mats[key]), (ex, key)
-    payload, _ = cli.load_file(f"{FIX}/diag_scale.diag")
+    payload, _, _ = cli.load_file(f"{FIX}/diag_scale.diag")
     assert payload == fixture_matrices("diag-scale")["spec"]
 
 
@@ -150,6 +152,25 @@ def test_scale_json_fields(capsys):
     assert rep["neg"] == [-1.0, 0.0, 0.0, 0.0]
     assert rep["inputs"][0]["path"].endswith("kittaneh_fail_B.txt")
     assert len(rep["inputs"][0]["digest"]) == 64
+
+
+def test_check_reads_each_input_once(capsys, monkeypatch):
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    files = [f"{FIX}/kittaneh_fail_{name}.txt" for name in "ABX"]
+    code, out, _ = run(capsys, "check", "mixed_commutator", *files, "--json")
+    assert code == 0
+    assert opened == files
+    # the digest is of the bytes the verdict was judged on
+    rep = json.loads(out)
+    assert [i["path"] for i in rep["inputs"]] == files
+    assert [i["digest"] for i in rep["inputs"]] == [
+        hashlib.sha256(Path(f).read_bytes()).hexdigest() for f in files]
 
 
 def test_scale_matrix_mode(capsys):
@@ -560,7 +581,7 @@ def test_scale_identity_matrix_mode(capsys, tmp_path):
 
 
 def test_scale_survives_file_roundtrip(capsys, tmp_path):
-    m = generate(GenSpec(kind="hermitian", dim=5, seed=77))
+    m = _hermitian(Stream(77), 5)
     direct = tmp_path / "direct.txt"
     direct.write_text(cli.write_matrix_text(m))
     copy = tmp_path / "copy.txt"
@@ -615,7 +636,7 @@ def test_spread_of_scalar_matrix_is_zero(capsys, tmp_path):
 
 
 def test_spread_translation_invariant_via_cli(capsys, tmp_path):
-    m = generate(GenSpec(kind="hermitian", dim=4, seed=5))
+    m = _hermitian(Stream(5), 4)
     before = tmp_path / "a.txt"
     after = tmp_path / "b.txt"
     before.write_text(cli.write_matrix_text(m, mode="matrix"))

@@ -9,38 +9,37 @@ import pytest
 
 import sspread
 from sspread import (
-    UnknownExample, UnknownInequality, UnknownKind, cli, harness, ineq, properties, spectra,
+    UnknownExample, UnknownInequality, cli, harness, ineq, properties, spectra,
 )
 from sspread.examples import EXAMPLE_IDS, fixture_matrices, repro
-from sspread.harness import VERIFIERS, GenSpec, _partition, fuzz, generate, trial_args
+from sspread.harness import (
+    VERIFIERS, _crandn, _hermitian, _partition, _positive, _projection, _unitary, fuzz,
+    trial_args,
+)
 from sspread.properties import PROPERTIES, property_suite
 from sspread.rng import Stream, _splitmix64_block, derive_seed
 
 
-def test_genspec_validates():
-    with pytest.raises(UnknownKind):
-        GenSpec(kind="banana", dim=3, seed=0)
-    with pytest.raises(ValueError):
-        GenSpec(kind="hermitian", dim=0, seed=0)
-
-
 def test_generate_is_deterministic():
-    for kind in ("hermitian", "positive", "unitary", "projection", "complex_general"):
-        a = generate(GenSpec(kind=kind, dim=5, seed=123))
-        b = generate(GenSpec(kind=kind, dim=5, seed=123))
-        assert np.array_equal(a, b), kind
-        c = generate(GenSpec(kind=kind, dim=5, seed=124))
-        assert not np.array_equal(a, c), kind
+    def gen_general(stream, d):
+        return _crandn(stream, d, d)
+
+    for gen in (_hermitian, _positive, _unitary, _projection, gen_general):
+        a = gen(Stream(123), 5)
+        b = gen(Stream(123), 5)
+        assert np.array_equal(a, b), gen.__name__
+        c = gen(Stream(124), 5)
+        assert not np.array_equal(a, c), gen.__name__
 
 
 def test_generator_contracts():
-    h = generate(GenSpec(kind="hermitian", dim=6, seed=1))
+    h = _hermitian(Stream(1), 6)
     assert np.allclose(h, h.conj().T, atol=0.0)
-    p = generate(GenSpec(kind="positive", dim=6, seed=2))
+    p = _positive(Stream(2), 6)
     assert np.min(np.linalg.eigvalsh(p)) >= -1e-12
-    u = generate(GenSpec(kind="unitary", dim=6, seed=3))
+    u = _unitary(Stream(3), 6)
     assert np.allclose(u.conj().T @ u, np.eye(6), atol=1e-12)
-    q = generate(GenSpec(kind="projection", dim=6, seed=4))
+    q = _projection(Stream(4), 6)
     assert np.allclose(q @ q, q, atol=1e-12)
     r = int(round(float(np.trace(q).real)))
     assert 1 <= r <= 5
@@ -57,8 +56,8 @@ def test_partition_isometry_contract():
 
 
 def test_scale_parameter():
-    a = generate(GenSpec(kind="hermitian", dim=4, seed=5, scale=1.0))
-    b = generate(GenSpec(kind="hermitian", dim=4, seed=5, scale=3.0))
+    a = _hermitian(Stream(5), 4, 1.0)
+    b = _hermitian(Stream(5), 4, 3.0)
     assert np.allclose(3.0 * a, b, atol=1e-12)
 
 

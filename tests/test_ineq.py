@@ -20,20 +20,22 @@ from sspread import ineq, linalg
 from sspread import eigh as linalg_eigh
 from sspread import sv_array as linalg_sv
 from sspread.examples import fixture_matrices
-from sspread.harness import VERIFIERS, GenSpec, generate, _partition, trial_args
+from sspread.harness import (
+    VERIFIERS, _crandn, _hermitian, _partition, _positive, _projection, trial_args,
+)
 from sspread.rng import Stream
 
 
 def _herm(d, seed, scale=1.0):
-    return generate(GenSpec(kind="hermitian", dim=d, seed=seed, scale=scale))
+    return _hermitian(Stream(seed), d, scale)
 
 
 def _pos(d, seed):
-    return generate(GenSpec(kind="positive", dim=d, seed=seed))
+    return _positive(Stream(seed), d)
 
 
 def _gen(d, seed):
-    return generate(GenSpec(kind="complex_general", dim=d, seed=seed))
+    return _crandn(Stream(seed), d, d)
 
 
 # -- tao_positive ------------------------------------------------------------
@@ -57,20 +59,19 @@ def test_tao_positive_rejects_indefinite():
 
 def test_positive_gate():
     gate = ineq._positive_gate
-    assert gate(linalg._eigvalsh(_pos(4, 3))) is True
-    assert gate(np.array([])) is True
-    # the gate is relative: -_tol(max|w|) still passes
+    assert gate(linalg._eigvalsh(_pos(4, 3)[None])).tolist() == [True]
+    assert gate(np.empty((1, 0))).tolist() == [True]
+    # the gate is relative, per row: -_tol(max|w|) still passes
     edge = linalg._tol(100.0)
-    assert gate(np.array([100.0, -edge])) is True
-    assert gate(np.array([100.0, -0.9 * edge])) is True
-    assert gate(np.array([100.0, -2.0 * edge])) is False
+    assert gate(np.array([[100.0, -edge], [100.0, -0.9 * edge],
+                          [100.0, -2.0 * edge]])).tolist() == [True, True, False]
     # below unit scale the edge stays relative, with no absolute floor
     small = linalg._tol(0.5)
-    assert gate(np.array([0.5, -0.9 * small])) is True
-    assert gate(np.array([0.5, -2.0 * small])) is False
-    assert gate(1e-12 * np.array([0.5, -1e-3])) is False
+    assert gate(np.array([[0.5, -0.9 * small], [0.5, -2.0 * small],
+                          1e-12 * np.array([0.5, -1e-3])])).tolist() == [True, False, False]
+    # a message names the first failing row's smallest eigenvalue
     with pytest.raises(NotPositive, match=r"^root \(-2\.000e-08\)$"):
-        gate(np.array([100.0, -2e-8]), "root ({:.3e})")
+        gate(np.array([[1.0, 0.0], [100.0, -2e-8], [1.0, -1.0]]), "root ({:.3e})")
     # the same edge reached through a verifier's values-only spectrum
     assert ineq.check_tao_positive(np.diag([100.0, -0.9 * edge])).holds
     with pytest.raises(NotPositive, match=r"^F has eigenvalue -2\.000e-08$"):
@@ -227,7 +228,7 @@ def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
             elif name == "check_agm_general":
                 a, b, e = args
                 expected = [a.conj().T @ a + b.conj().T @ b]
-                if ineq._positive_gate(np.linalg.eigvalsh(e)[::-1]):
+                if ineq._positive_gate(np.linalg.eigvalsh(e)[None, ::-1])[0]:
                     expected.append(e)
                     repeats_allowed = 1
                 positive_e.append(repeats_allowed)
@@ -454,7 +455,7 @@ def test_douglas_agm_factor():
     a, b = _gen(3, 11), _gen(3, 12)
     f2 = a.conj().T @ a + b.conj().T @ b
     wf, vf = linalg._eigh(f2)
-    ineq._positive_gate(wf, "F^2 has eigenvalue {:.3e}")
+    ineq._positive_gate(wf[None], "F^2 has eigenvalue {:.3e}")
     froot = ineq._psd_root(wf, vf)
     # the least-norm solution of F W = A*, the quotient Douglas's lemma names
     w = np.linalg.lstsq(froot, a.conj().T, rcond=None)[0]
@@ -574,7 +575,7 @@ def test_zhan_random():
 
 def test_offdiag_projection_matrix_model():
     e = _herm(5, 81, scale=2.0)
-    p = generate(GenSpec(kind="projection", dim=5, seed=82))
+    p = _projection(Stream(82), 5)
     v = ineq.check_offdiag_projection(e, p)
     assert v.holds
     assert v.mode == "matrix"
@@ -592,7 +593,7 @@ def test_offdiag_projection_zero_corner():
 def test_offdiag_compact_random():
     for seed in range(5):
         e = _herm(4, seed, scale=2.0)
-        p = generate(GenSpec(kind="projection", dim=4, seed=90 + seed))
+        p = _projection(Stream(90 + seed), 4)
         assert ineq.check_offdiag_compact(e, p).holds
 
 

@@ -21,16 +21,16 @@ from sspread import (
     svd_values,
 )
 from sspread import harness, linalg
-from sspread.harness import GenSpec, generate
+from sspread.harness import _crandn, _hermitian, _projection, _unitary
 from sspread.rng import Stream
 
 
 def _herm(d, seed, scale=1.0):
-    return generate(GenSpec(kind="hermitian", dim=d, seed=seed, scale=scale))
+    return _hermitian(Stream(seed), d, scale)
 
 
 def _gen(d, seed):
-    return generate(GenSpec(kind="complex_general", dim=d, seed=seed))
+    return _crandn(Stream(seed), d, d)
 
 
 def test_eigh_identity():
@@ -208,7 +208,7 @@ def test_svd_values_padding_and_horizon():
 
 
 def test_opnorm_of_unitary_is_one():
-    u = generate(GenSpec(kind="unitary", dim=5, seed=11))
+    u = _unitary(Stream(11), 5)
     assert abs(opnorm(u) - 1.0) < 1e-10
 
 
@@ -265,18 +265,24 @@ def test_unitary_exp_gate_at_the_one_tolerance():
 
 
 def test_as_projection_accepts_and_rejects():
-    p = generate(GenSpec(kind="projection", dim=4, seed=5))
+    p = _projection(Stream(5), 4)
     q = as_projection(p)
     assert np.allclose(q @ q, q, atol=1e-9)
     with pytest.raises(NotProjection):
         as_projection(np.diag([1.0, 0.5]))
 
 
+def test_empty_matrix_is_a_projection_as_it_is_hermitian():
+    # a 0x0 matrix has no entry, so no defect: both gates accept it alike
+    for gate in (as_hermitian, as_projection):
+        assert gate(np.zeros((0, 0))).shape == (0, 0)
+
+
 def test_compress_interlaces():
     # Cauchy interlacing: lambda_{j+d-r}(A) <= lambda_j(A_P) <= lambda_j(A)
     for seed in range(6):
         a = _herm(6, 100 + seed, scale=2.0)
-        p = generate(GenSpec(kind="projection", dim=6, seed=200 + seed))
+        p = _projection(Stream(200 + seed), 6)
         comp = compress(a, p)
         r = comp.compressed.shape[0]
         wa = eigh(a).values

@@ -26,6 +26,13 @@ def test_star_import_binds_every_public_name():
     assert all(scope[name] is getattr(sspread, name) for name in sspread.__all__)
 
 
+def test_readme_names_every_public_name():
+    # the documented API: each export appears in README.md as a code span
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    missing = [name for name in sspread.__all__ if f"`{name}`" not in readme]
+    assert missing == []
+
+
 def test_unknown_name_and_submodule_import():
     with pytest.raises(AttributeError, match="nope"):
         sspread.nope  # noqa: B018

@@ -19,7 +19,8 @@ from sspread import (
     spread_plus,
 )
 from sspread import cli, linalg, spectra
-from sspread.harness import GenSpec, generate
+from sspread.harness import _hermitian
+from sspread.rng import Stream
 
 A3 = np.diag([3.0, 1.0, -2.0])
 
@@ -63,7 +64,7 @@ def test_spread_matrix_mode_truncates_to_half():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 33, 64])
 def test_matrix_spread_from_eigenvalues_is_the_public_spread(d):
-    a = generate(GenSpec(kind="hermitian", dim=d, seed=d))
+    a = _hermitian(Stream(d), d)
     mu = linalg._eigvalsh(a)
     got = spectra._matrix_spread(mu)
     ref = spread_plus(matrix_scale(a))
@@ -121,17 +122,13 @@ def test_spreadseq_contract():
 def test_diag_entry_and_sample():
     spec = DiagSpec(head=(5.0, -3.0), liminf=0.0, limsup=0.0,
                     generator="harmonic", params={"limit": 0.0, "coef": 1.0})
-    assert spec.entry(1) == 5.0
-    assert spec.entry(2) == -3.0
-    assert spec.entry(3) == pytest.approx(1.0 / 3.0)
+    assert spec.sample(1)[0] == 5.0
+    assert spec.sample(2)[1] == -3.0
+    assert spec.sample(3)[2] == pytest.approx(1.0 / 3.0)
     assert np.allclose(spec.sample(4), [5.0, -3.0, 1.0 / 3.0, 0.25])
 
     head_only = DiagSpec(head=(2.0,), liminf=0.0, limsup=0.0)
     assert np.allclose(head_only.sample(10), [2.0])
-    with pytest.raises(IndexError):
-        head_only.entry(2)
-    with pytest.raises(ValueError):
-        head_only.entry(0)
 
 
 def test_diag_spec_validation():
@@ -225,15 +222,15 @@ def test_diag_scale_unsettled_single_spike():
 def test_generator_formulas():
     const = DiagSpec(liminf=3.0, limsup=3.0, generator="constant",
                      params={"value": 3.0})
-    assert const.entry(7) == 3.0
+    assert const.sample(7)[6] == 3.0
     zero = DiagSpec(liminf=0.0, limsup=0.0, generator="zero")
-    assert zero.entry(2) == 0.0
+    assert zero.sample(2)[1] == 0.0
     alt = DiagSpec(liminf=-1.0, limsup=1.0, generator="alt_harmonic",
                    params={"upper": 1.0, "lower": -1.0})
-    assert alt.entry(1) == 2.0
-    assert alt.entry(2) == 0.0
-    assert alt.entry(3) == 1.5
-    assert alt.entry(4) == -0.5
+    assert alt.sample(1)[0] == 2.0
+    assert alt.sample(2)[1] == 0.0
+    assert alt.sample(3)[2] == 1.5
+    assert alt.sample(4)[3] == -0.5
 
 
 
@@ -249,14 +246,12 @@ def test_diag_spec_refuses_what_its_rule_cannot_mean():
         with pytest.raises(ValueError):
             DiagSpec(**bad)
     # each rule's band is (liminf a_n, limsup a_n), and the defaults fill in
-    for spec in (DiagSpec(liminf=5.0, limsup=5.0, generator="constant", params={"value": 5.0}),
-                 DiagSpec(generator="constant"),
-                 DiagSpec(generator="zero"),
-                 DiagSpec(liminf=2.0, limsup=2.0, generator="harmonic", params={"limit": 2.0}),
-                 DiagSpec(liminf=-1.0, limsup=1.0, generator="alt_harmonic"),
-                 DiagSpec(liminf=0.5, limsup=3.0, generator="alt_harmonic",
-                          params={"upper": 0.5, "lower": 3.0})):
-        assert spec.entry(1) == spec.sample(1)[0]
+    DiagSpec(liminf=5.0, limsup=5.0, generator="constant", params={"value": 5.0})
+    DiagSpec(generator="constant")
+    DiagSpec(generator="zero")
+    DiagSpec(liminf=2.0, limsup=2.0, generator="harmonic", params={"limit": 2.0})
+    DiagSpec(liminf=-1.0, limsup=1.0, generator="alt_harmonic")
+    DiagSpec(liminf=0.5, limsup=3.0, generator="alt_harmonic", params={"upper": 0.5, "lower": 3.0})
 
 
 def test_diag_spec_is_immutable_and_hashable():
@@ -331,7 +326,7 @@ def test_diag_scale_is_exact():
 
 
 def test_diag_scale_fixture_at_the_horizon_cap():
-    spec, _ = cli.load_file(str(Path(__file__).resolve().parent.parent
+    spec, _, _ = cli.load_file(str(Path(__file__).resolve().parent.parent
                                 / "fixtures" / "diag_scale.diag"))
     k = cli._MAX_HORIZON
     sc = diag_scale(spec, k)

@@ -14,26 +14,27 @@ import numpy as np
 import pytest
 
 from sspread import NotHermitian, NotPositive, compact_scale, eigh, ineq, sv_array
-from sspread.harness import GenSpec, _partition, generate
+from sspread.harness import _crandn, _hermitian, _partition, _positive, _projection
 from sspread.rng import Stream
 
 D = 4
 
 
 def _herm(seed, d=D):
-    return generate(GenSpec(kind="hermitian", dim=d, seed=seed))
+    return _hermitian(Stream(seed), d)
 
 
 def _pos(seed, d=D):
-    return generate(GenSpec(kind="positive", dim=d, seed=seed))
+    return _positive(Stream(seed), d)
 
 
 def _gen(seed, rows=D, cols=D):
-    return generate(GenSpec(kind="complex_general", dim=max(rows, cols), seed=seed))[:rows, :cols]
+    n = max(rows, cols)
+    return _crandn(Stream(seed), n, n)[:rows, :cols]
 
 
 def _proj(seed):
-    return generate(GenSpec(kind="projection", dim=D, seed=seed))
+    return _projection(Stream(seed), D)
 
 
 def _split(positive=False, rank=None):

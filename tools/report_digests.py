@@ -24,8 +24,9 @@ None of those reports draws on the scalar stream (a Stream of one int
 seed), so it then prints one line per scalar-stream draw:
 
     trial_args ID S 2..8     harness.trial_args(ID, S, (2, 8)), S = 1..4
-    generate KIND D S        harness.generate(GenSpec(KIND, D, S)),
-                             D in 1, 2, 3, 6 and S = 1..3
+    generate KIND D S        the harness generator of KIND (GENERATORS) on
+                             Stream(S) at dimension D, D in 1, 2, 3, 6 and
+                             S = 1..3
 
 each with the sha256 over every returned matrix's shape and bytes, as
 ineq._digest hashes a witness (a shared scalar argument, a split or an
@@ -75,9 +76,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from sspread import cli, harness, ineq, spectra  # noqa: E402
-from sspread.harness import GenSpec  # noqa: E402
 from sspread.properties import PROPERTIES, _property_rows  # noqa: E402
-from sspread.rng import _splitmix64_block, derive_seed  # noqa: E402
+from sspread.rng import Stream, _splitmix64_block, derive_seed  # noqa: E402
 from workloads import SHORT_COMMANDS  # noqa: E402
 
 
@@ -146,6 +146,18 @@ def errors() -> list[tuple[list[str], int, str]]:
     return out
 
 
+# generator kind -> its draw on a stream at dimension d; the kind names keep
+# the labels of earlier digests, so two versions' outputs compare line by line
+GENERATORS = {
+    "hermitian": harness._hermitian,
+    "positive": harness._positive,
+    "unitary": harness._unitary,
+    "projection": harness._projection,
+    "partition_isometry": harness._partition,
+    "complex_general": lambda stream, d: harness._crandn(stream, d, d),
+}
+
+
 def draws() -> list[tuple[str, object]]:
     """(label, value) of every scalar-stream draw the digest covers."""
     out = []
@@ -153,11 +165,10 @@ def draws() -> list[tuple[str, object]]:
         for seed in (1, 2, 3, 4):
             out.append((f"trial_args {ineq_id} {seed} 2..8",
                         harness.trial_args(ineq_id, seed, (2, 8))))
-    for kind in harness.GEN_KINDS:
+    for kind, gen in GENERATORS.items():
         for dim in (1, 2, 3, 6):
             for seed in (1, 2, 3):
-                out.append((f"generate {kind} {dim} {seed}",
-                            harness.generate(GenSpec(kind, dim, seed))))
+                out.append((f"generate {kind} {dim} {seed}", gen(Stream(seed), dim)))
     return out
 
 
