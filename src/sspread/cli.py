@@ -328,9 +328,7 @@ def _scale_of(payload, declared: str | None, args):
         if args.horizon is not None:
             raise ModeError("matrix mode has no horizon parameter")
         return matrix_scale(payload)
-    if mode == "compact":
-        return compact_scale(payload, args.horizon)
-    raise ModeError(f"unknown mode {mode!r}")
+    return compact_scale(payload, args.horizon)
 
 
 def cmd_scale(args) -> tuple[dict, int]:
@@ -386,6 +384,7 @@ def cmd_check(args) -> tuple[dict, int]:
 def cmd_fuzz(args) -> tuple[dict, int]:
     from . import harness
 
+    harness._check_dims(args.dims, "fuzz", args.trials)
     t0 = time.perf_counter()
     seed = _default_seed(args)
     s = harness.fuzz(args.ineq_id, trials=args.trials, dims=args.dims, seed=seed)
@@ -405,6 +404,7 @@ def cmd_repro(args) -> tuple[dict, int]:
 def cmd_suite(args) -> tuple[dict, int]:
     from . import examples, harness, properties
 
+    harness._check_dims(args.dims, "suite", args.trials)
     t0 = time.perf_counter()
     seed = _default_seed(args)
     repros = [examples.repro(ex) for ex in examples.EXAMPLE_IDS]
@@ -479,14 +479,10 @@ def _render_human(report: dict) -> str:
         p = report["properties"]
         mark = "ok" if p["holds"] else "FAIL"
         lines.append(f"  properties: {mark} ({len(p['properties'])} properties)")
-    else:
-        lines.append(canonical_json(report))
     return "\n".join(lines)
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
-    from .harness import MAX_DIM
-
     if ".." not in text:
         raise ParseError(f"dims must look like a..b, got {text!r}")
     lo_s, hi_s = text.split("..", 1)
@@ -496,22 +492,17 @@ def _parse_dims(text: str) -> tuple[int, int]:
         raise ParseError(f"dims must be integers, got {text!r}") from exc
     if lo < 1 or hi < lo:
         raise ParseError(f"empty dimension range {text!r}")
-    if hi < 2:
-        raise ParseError(f"fuzz families need dimension 2 or more, got {text!r}")
-    if hi > MAX_DIM:
-        raise ParseError(f"dimensions go up to {MAX_DIM}, got {text!r}")
     return lo, hi
 
 
 def _parse_trials(text: str) -> int:
-    from .harness import MAX_TRIALS
-
     try:
         n = int(text)
     except ValueError as exc:
         raise ParseError(f"trials must be an integer, got {text!r}") from exc
-    if not 1 <= n <= MAX_TRIALS:
-        raise ParseError(f"trials must be in [1, {MAX_TRIALS}], got {n}")
+    # a campaign of 0 trials would hold vacuously
+    if n < 1:
+        raise ParseError(f"trials must be 1 or more, got {n}")
     return n
 
 

@@ -351,7 +351,7 @@ def _check_dims(dims: tuple[int, int], what: str, trials: int = 0) -> None:
     if not 0 <= trials <= MAX_TRIALS:
         raise ValueError(f"{what} runs from 0 up to {MAX_TRIALS} trials, got {trials}")
     if dims[1] < max(2, dims[0]):
-        raise ValueError(f"{what} needs a dimension range containing d >= 2, got {dims}")
+        raise ValueError(f"{what} needs dimension 2 or more in its range (d >= 2), got {dims}")
     if dims[1] > MAX_DIM:
         raise ValueError(f"{what} draws dimensions up to {MAX_DIM}, got {dims}")
 

@@ -67,7 +67,7 @@ from .linalg import (
     _tol,
     _unitary_exp,
 )
-from .major import SubRows, _gauge_rows, _schatten_rows, _sub_rows
+from .major import SubRows, _dec, _gauge_rows, _schatten_rows, _sub_rows
 from .spectra import _eig_sides, _eig_spread, _matrix_spread
 
 
@@ -162,8 +162,7 @@ def _spr_sum(*eigs: np.ndarray, k: int | None = None) -> np.ndarray:
     compact model drops: its size enters through the horizon k alone. Works
     along the last axis, so stacks of spectra give stacks of spreads.
     """
-    merged = np.sort(np.concatenate(eigs, axis=-1), axis=-1)[..., ::-1]
-    return _eig_spread(merged, k)
+    return _eig_spread(_dec(np.concatenate(eigs, axis=-1)), k)
 
 
 def _eigvalsh_each(*stacks: np.ndarray) -> np.ndarray:
@@ -433,14 +432,15 @@ def check_general_commutator(a, b, x) -> Rows:
     lhs = _pad(_sv_array(am @ xm - xm @ bm), k)
     w_a1, w_a2 = _eigvalsh_each(a1, a2)
     w_b1, w_b2 = _eigvalsh_each(b1, b2)
-    spread_sum = _spr_sum(w_a1, w_b1) + _spr_sum(w_a2, w_b2)
+    # each part's direct-sum spectrum, non-increasing, merged as _spr_sum merges it
+    s1 = _dec(np.concatenate([w_a1, w_b1], axis=-1))
+    s2 = _dec(np.concatenate([w_a2, w_b2], axis=-1))
+    spread_sum = _eig_spread(s1) + _eig_spread(s2)
     sx = _sv_array(xm)
     mag = (_size(w_a1, w_b1) + _size(w_a2, w_b2)) * _size(sx)
     sub = _sub_rows(lhs, spread_sum * _pad(sx, k), mag)
-    scalar = (
-        np.maximum(w_a1[:, 0], w_b1[:, 0]) - np.minimum(w_a1[:, -1], w_b1[:, -1])
-        + np.maximum(w_a2[:, 0], w_b2[:, 0]) - np.minimum(w_a2[:, -1], w_b2[:, -1])
-    )
+    # the scalar corollary's diameters of those spectra; an empty direct sum has 0
+    scalar = np.zeros(len(s1)) if m + n == 0 else s1[:, 0] - s1[:, -1] + s2[:, 0] - s2[:, -1]
     corollary, coro_ok = _norm_forms(lhs, sx, mag, scalar)
     return Rows("general_commutator", "compact", sub.holds & coro_ok, sub.margin, (am, bm, xm),
                 sub, extras=lambda i: {"scalar": float(scalar[i]),
@@ -529,7 +529,7 @@ def check_agm_pair(s, c, e1, e2=None) -> Rows:
     se = _herm_sv(we)
     coro = _sub_rows(_pad(s_pair / 2.0, 2 * d), 0.5 * _pad(se, 2 * d), mag)
     doubled = 2.0 * _pad(se, 4 * d)
-    defect = np.max(np.abs(_spr_sum(we, -we, k=4 * d) - doubled), axis=-1)
+    defect = np.max(np.abs(_spr_sum(we, -we, k=4 * d) - doubled), axis=-1, initial=0.0)
     id_ok = defect <= _tol(_size(doubled))
     return rows._replace(holds=sub.holds & coro.holds & id_ok, extras=lambda i: {
         "coro_holds": bool(coro.holds[i]),

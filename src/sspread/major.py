@@ -231,7 +231,8 @@ def _side(x) -> tuple:
         return (np.concatenate([x.pos, x.neg]), x.mode != "matrix", x.pos_tail,
                 x.settled(), x.mode, True)
     if isinstance(x, Interleaved):
-        return x.multiset(), True, max(x.pos_tail, x.neg_tail), True, "compact", True
+        # np.max, unlike max, keeps a NaN tail for _relation to refuse
+        return x.multiset(), True, np.max([x.pos_tail, x.neg_tail]), True, "compact", True
     if isinstance(x, SpreadSeq):
         return x.values, False, x.tail, x.settled(), x.mode, False
     return np.asarray(x, dtype=float).ravel(), False, None, True, None, False
@@ -254,8 +255,10 @@ def _relation(a, b, lower: bool) -> MajorizationReport:
             raise HorizonMismatch(f"lengths {len(ma)} and {len(mb)} differ in {mode_a} mode")
         n = max(len(ma), len(mb))
         ma, mb = np.pad(ma, (0, n - len(ma))), np.pad(mb, (0, n - len(mb)))
-    mag = max(float(np.max(np.abs(np.concatenate([ma, mb])), initial=0.0)),
-              abs(ta or 0.0), abs(tb or 0.0))
+    # one max over entries and tails, through which NaN and inf propagate
+    mag = float(np.max(np.abs(np.concatenate([ma, mb, [ta or 0.0, tb or 0.0]]))))
+    if not math.isfinite(mag):
+        raise ValueError("operand entries and tails must be finite")
     rows = _maj_rows(ma[None], mb[None], clip, np.array([mag]), lower,
                      sums=lower and not two_a)
     if ta is not None and tb is not None and ta > tb + _tol(mag):
@@ -319,8 +322,8 @@ def _ky_fan_rows(v: np.ndarray, k: int) -> np.ndarray:
 
 
 def _schatten_rows(v: np.ndarray, p: float) -> np.ndarray:
-    if p != math.inf and p < 1.0:
-        raise ValueError(f"p = {p} is below 1, not a norm")
+    if not p >= 1.0:
+        raise ValueError(f"p = {p} is not >= 1, not a norm")
     if v.shape[-1] == 0:
         return np.zeros(v.shape[:-1])
     if p == math.inf:

@@ -205,9 +205,7 @@ def _d_interlacing(stream: Stream, d: int):
 
 
 def _j_interlacing(a, p):
-    # A_P is Hermitian up to rounding only, so it is validated as eigh would
-    comp = linalg._as_hermitians(linalg._compressed(a, p))
-    wa, wc = linalg._eigh(a).values, linalg._eigh(comp).values
+    wa, wc = linalg._eigh(a).values, linalg._eigh(linalg._compressed(a, p)).values
     d, r = wa.shape[-1], wc.shape[-1]
     tol = _tol(_size(wa), d)
     # lambda_j(A) >= lambda_j(A_P), and at the bottom lambda_{r-j}(A_P) >= lambda_{d-j}(A)

@@ -178,7 +178,10 @@ GENERATORS = {
 
 def _slack(*parts) -> float:
     """linalg._tol of a sequence's size: the largest |entry| of its arrays and tails."""
-    return linalg._tol(max(float(np.max(np.abs(p), initial=0.0)) for p in parts if p is not None))
+    sizes = [float(np.max(np.abs(p), initial=0.0)) for p in parts if p is not None]
+    if not all(map(math.isfinite, sizes)):
+        raise ValueError("sequence entries and tails must be finite")
+    return linalg._tol(max(sizes))
 
 
 def matrix_scale(a) -> TwoSidedSeq:

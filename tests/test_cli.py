@@ -498,6 +498,35 @@ def test_trials_above_max_exit_two(capsys, monkeypatch, cmd):
     assert cli._parse_trials(str(harness.MAX_TRIALS)) == harness.MAX_TRIALS
 
 
+class _Started(Exception):
+    """Raised in place of a campaign's first step, which the CLI lets through."""
+
+
+@pytest.mark.parametrize("cmd", ["fuzz", "suite"])
+def test_range_errors_are_the_librarys(capsys, monkeypatch, cmd):
+    # harness._check_dims alone judges the dimension and trial ranges: the
+    # CLI exits 2 with its message exactly when it raises, and starts work
+    # otherwise
+    def started(*a, **k):
+        raise _Started
+
+    monkeypatch.setattr(harness, "fuzz", started)
+    monkeypatch.setattr(examples, "repro", started)
+    argv = ["fuzz", "key"] if cmd == "fuzz" else ["suite"]
+    edges = (1, 2, 3, harness.MAX_DIM, harness.MAX_DIM + 1)
+    for lo in edges:
+        for hi in (h for h in edges if h >= lo):
+            for trials in (1, 2, harness.MAX_TRIALS, harness.MAX_TRIALS + 1):
+                call = [*argv, "--dims", f"{lo}..{hi}", "--trials", str(trials), "--json"]
+                try:
+                    harness._check_dims((lo, hi), cmd, trials)
+                except ValueError as exc:
+                    assert run(capsys, *call) == (2, "", f"sspread: {exc}\n"), call
+                else:
+                    with pytest.raises(_Started):
+                        cli.main(call)
+
+
 def test_diag_horizon_zero_exit_two(capsys):
     for cmd in ("spread", "scale"):
         for k in ("0", "-1"):

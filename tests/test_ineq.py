@@ -1,5 +1,6 @@
 """Inequality verifiers: equality cases, hand oracles, documented failures."""
 
+import inspect
 import math
 import sys
 
@@ -434,6 +435,30 @@ def test_general_commutator_non_normal():
     for seed in range(5):
         v = ineq.check_general_commutator(_gen(3, seed), _gen(3, 40 + seed), _gen(3, 80 + seed))
         assert v.holds
+
+
+def test_every_verifier_takes_empty_operands():
+    # 0x0 operands, and an X from a 2- to a 0-dimensional space, give a
+    # Verdict or a SpreadError, never a bare numpy error
+    from sspread import SpreadError, Verdict
+
+    empty, b = np.zeros((0, 0)), np.diag([1.0, 2.0])
+    for entry in VERIFIERS.values():
+        check = getattr(ineq, entry.check)
+        params = ineq._matrix_params(inspect.signature(check))
+        cases = [[empty] * len(params)]
+        if [p.name for p in params] in (["a", "b", "x"], ["c", "d", "x"]):
+            cases.append([empty, b, np.zeros((0, 2))])
+        for args in cases:
+            try:
+                v = check(*args)
+            except SpreadError:
+                continue
+            assert isinstance(v, Verdict), entry.id
+    # the scalar corollary's diameters: 0 for an empty direct sum, and
+    # max - min of B's spectrum when A is empty
+    assert ineq.check_general_commutator(empty, empty, empty).extras["scalar"] == 0.0
+    assert ineq.check_general_commutator(empty, b, np.zeros((0, 2))).extras["scalar"] == 1.0
 
 
 def test_unitary_conj_zero_generator():

@@ -329,6 +329,31 @@ def test_ky_fan_and_schatten_oracles():
         schatten(v, 0.5)
 
 
+def test_nan_schatten_exponent_is_refused():
+    # nan compares false with everything, so it would slip past p < 1
+    with pytest.raises(ValueError, match="not a norm"):
+        schatten([3.0, 1.0], math.nan)
+    with pytest.raises(ValueError, match="not a norm"):
+        gauge([3.0, 1.0], "schatten:nan")
+
+
+def test_non_finite_operands_are_refused():
+    # a NaN margin compares false with every tolerance, so a NaN operand
+    # would come back as a failing report rather than an error
+    for bad in ([math.nan], [math.inf], [1.0, -math.inf]):
+        for relation in (submajorizes, majorizes):
+            with pytest.raises(ValueError, match="finite"):
+                relation(bad, [1.0] * len(bad))
+            with pytest.raises(ValueError, match="finite"):
+                relation([1.0] * len(bad), bad)
+    for tails in ((math.nan, 0.0), (0.0, math.inf)):
+        pair = Interleaved([1.0], [2.0], *tails)
+        with pytest.raises(ValueError, match="finite"):
+            submajorizes(pair, interleave([1.0], [2.0]))
+    with pytest.raises(ValueError, match="finite"):
+        submajorizes(Interleaved([math.nan], [2.0]), interleave([1.0], [2.0]))
+
+
 def test_gauge_dispatch():
     v = SpreadSeq(values=[3.0, 2.0, 1.0])
     assert gauge(v, "op") == pytest.approx(3.0)

@@ -334,6 +334,21 @@ def test_diag_scale_fixture_at_the_horizon_cap():
     assert np.array_equal(sc.neg, np.full(k, -1.0))
     assert (sc.pos_tail, sc.neg_tail) == (1.0, -1.0)
 
+
+def test_sequences_refuse_non_finite_values():
+    # nan compares false with every ordering check, so it would pass them all
+    for bad in ({"values": [math.nan]}, {"values": [2.0, math.inf]},
+                {"values": [1.0], "tail": math.nan}, {"values": [], "tail": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            SpreadSeq(**bad)
+    good = {"pos": [1.0], "neg": [-1.0], "pos_tail": 0.0, "neg_tail": 0.0, "K": 1}
+    for key, value in (("pos", [math.nan]), ("neg", [-math.inf]), ("pos_tail", math.nan),
+                       ("neg_tail", -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            TwoSidedSeq(**{**good, key: value})
+    TwoSidedSeq(**good)
+
+
 def test_mode_gate():
     with pytest.raises(ModeError):
         SpreadSeq(values=[1.0], mode="banana")

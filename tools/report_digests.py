@@ -15,8 +15,10 @@ Runs, in this process and from the repository root:
 and prints one line per command: the argv, the exit code and the sha256 of
 stdout. It then runs a fixed list of invalid `check` commands (ERRORS) that
 trips every input gate, on matrix files it writes to a temporary directory
-and names relative to it, so that no message holds a path, and prints one
-line per command:
+and names relative to it, so that no message holds a path, then a fixed
+list of `fuzz`, `suite` and `scale` commands whose --dims, --trials or
+--horizon is refused before any work (BOUNDARY), and prints one line per
+command:
 
     error ARGV CODE SHA      the exit code and the sha256 of stderr
 
@@ -127,9 +129,27 @@ ERRORS = (
 )
 
 
+# commands refused at the CLI boundary: a --dims range without d >= 2, above
+# MAX_DIM, empty or malformed; --trials below 1 or above MAX_TRIALS; and a
+# compact horizon below d, a diag horizon of 0 or above 10,000, a matrix-mode
+# horizon
+BOUNDARY = tuple(
+    [cmd, *(["key"] if cmd == "fuzz" else []), flag, value, "--json"]
+    for cmd in ("fuzz", "suite")
+    for flag, value in (("--dims", "1..1"), ("--dims", "2..1025"), ("--dims", "4..2"),
+                        ("--dims", "3"), ("--trials", "0"), ("--trials", "1000001"))
+) + (
+    ["scale", "fixtures/agm_fail_2x2_S.txt", "--horizon", "1", "--json"],
+    ["scale", "fixtures/diag_scale.diag", "--horizon", "0", "--json"],
+    ["scale", "fixtures/diag_scale.diag", "--horizon", "10001", "--json"],
+    ["scale", "fixtures/agm_fail_2x2_S.txt", "--mode", "matrix", "--horizon", "2", "--json"],
+)
+
+
 def errors() -> list[tuple[list[str], int, str]]:
-    """(argv, exit code, stderr) of every ERRORS command; each command's files
-    go to its own numbered directory, named relative to the temporary one."""
+    """(argv, exit code, stderr) of every ERRORS command, then of every
+    BOUNDARY command; each ERRORS command's files go to its own numbered
+    directory, named relative to the temporary one."""
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -143,6 +163,9 @@ def errors() -> list[tuple[list[str], int, str]]:
                 out.append((argv, code, err))
         finally:
             os.chdir(ROOT)
+    for argv in BOUNDARY:
+        code, _, err = report(argv)
+        out.append((argv, code, err))
     return out
 
 
