@@ -9,8 +9,8 @@ with "diag" and carry "head:", "liminf:", "limsup:", and an optional
 The JSON report is the machine interface; the human text output is a
 rendering of the same report. Floats are serialized with 17 significant
 digits and dictionary keys are sorted, so identical runs produce identical
-bytes. Exit codes: 0 holds, 1 fails, 2 parse or input-contract error,
-3 mode violation, 4 unknown identifier.
+bytes. Exit codes: 0 holds, 1 fails; an error exits with its type's
+exit_code (sspread.errors), an OSError or ValueError as a SpreadError does.
 
 Each subcommand imports the modules it runs when it runs: `scale` and
 `spread` need only spectra and linalg, so they load no verifier, generator or
@@ -33,19 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__, linalg
-from .errors import (
-    DimMismatch,
-    HorizonMismatch,
-    ModeError,
-    NoConvergence,
-    NotHermitian,
-    NotPositive,
-    NotProjection,
-    NotProjectionSum,
-    ParseError,
-    UnknownExample,
-    UnknownInequality,
-)
+from .errors import ModeError, ParseError, SpreadError
 from .spectra import DiagSpec, diag_scale, compact_scale, matrix_scale, spread_full, spread_plus
 
 if TYPE_CHECKING:
@@ -54,16 +42,6 @@ if TYPE_CHECKING:
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
-EXIT_PARSE = 2
-EXIT_MODE = 3
-EXIT_UNKNOWN = 4
-
-_PARSE_ERRORS = (
-    ParseError, NotHermitian, NotPositive, NotProjection, NotProjectionSum,
-    DimMismatch, OSError, NoConvergence, ValueError,
-)
-_MODE_ERRORS = (ModeError, HorizonMismatch)
-_UNKNOWN_ERRORS = (UnknownInequality, UnknownExample)
 
 # the largest --horizon of scale and spread: the report lists two numbers per step
 _MAX_HORIZON = 10_000
@@ -357,10 +335,7 @@ def cmd_spread(args) -> tuple[dict, int]:
 def cmd_check(args) -> tuple[dict, int]:
     from . import harness, ineq
 
-    entry = harness.VERIFIERS.get(args.ineq_id)
-    if entry is None:
-        raise UnknownInequality(f"unknown inequality {args.ineq_id!r}")
-    check = getattr(ineq, entry.check)
+    check = getattr(ineq, harness._lookup(args.ineq_id).check)
     # one file per matrix parameter, optional where it has a default
     sig = inspect.signature(check)
     files = ineq._matrix_params(sig)
@@ -567,15 +542,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         report, code = args.func(args)
-    except _MODE_ERRORS as exc:
-        print(f"sspread: mode violation: {exc}", file=sys.stderr)
-        return EXIT_MODE
-    except _UNKNOWN_ERRORS as exc:
-        print(f"sspread: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
-    except _PARSE_ERRORS as exc:
-        print(f"sspread: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except (SpreadError, OSError, ValueError) as exc:
+        # an OSError or ValueError exits as an input-contract error
+        code = exc.exit_code if isinstance(exc, SpreadError) else SpreadError.exit_code
+        kind = "mode violation: " if code == ModeError.exit_code else ""
+        print(f"sspread: {kind}{exc}", file=sys.stderr)
+        return code
     if args.json:
         print(canonical_json(report))
     else:

@@ -1,8 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. Each carries, as exit_code, the
+exit status the CLI gives it: 2 a parse or input-contract error, 3 a mode
+violation, 4 an unknown id."""
 
 
 class SpreadError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; a subclass exits 2
+    unless it sets its own exit_code."""
+    exit_code = 2
 
 
 class NotHermitian(SpreadError):
@@ -28,10 +32,12 @@ class NotProjectionSum(SpreadError):
 
 class ModeError(SpreadError):
     """Operation applied to a sequence in an unsupported operator model."""
+    exit_code = 3
 
 
 class HorizonMismatch(SpreadError):
     """Sequences have incompatible truncation horizons."""
+    exit_code = 3
 
 
 class DimMismatch(SpreadError):
@@ -40,10 +46,12 @@ class DimMismatch(SpreadError):
 
 class UnknownExample(SpreadError):
     """Unrecognized reproduction fixture id."""
+    exit_code = 4
 
 
 class UnknownInequality(SpreadError):
     """Unrecognized inequality id."""
+    exit_code = 4
 
 
 class ParseError(SpreadError):

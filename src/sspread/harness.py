@@ -332,6 +332,14 @@ VERIFIERS = {v.id: v for v in (
 )}
 
 
+def _lookup(ineq_id: str) -> Verifier:
+    """The registry row of an inequality id; raises UnknownInequality."""
+    try:
+        return VERIFIERS[ineq_id]
+    except KeyError:
+        raise UnknownInequality(f"unknown inequality {ineq_id!r}") from None
+
+
 # the largest dimension fuzz and the property suite draw; a matrix of it
 # holds 16 MiB of complex128
 MAX_DIM = 1024
@@ -389,11 +397,10 @@ def trial_args(ineq_id: str, child_seed: int, dims: tuple[int, int] = (2, 8)) ->
     getattr(ineq, VERIFIERS[id].check)(*trial_args(id, worst_seed, dims)).
     It draws through the family on the scalar stream, a batch of one.
     """
-    if ineq_id not in VERIFIERS:
-        raise UnknownInequality(f"no fuzz family for {ineq_id!r}")
+    entry = _lookup(ineq_id)
     _check_dims(dims, "trial_args")
     stream = Stream(child_seed)
-    ((_, args),) = VERIFIERS[ineq_id].draw(stream, stream.randint(max(2, dims[0]), dims[1]))
+    ((_, args),) = entry.draw(stream, stream.randint(max(2, dims[0]), dims[1]))
     return args
 
 
@@ -412,10 +419,8 @@ def fuzz(ineq_id: str, trials: int = 500, dims: tuple[int, int] = (2, 8),
     one kernel call, and the rows are put back in trial order before the
     reduction, so the report does not depend on the grouping.
     """
-    if ineq_id not in VERIFIERS:
-        raise UnknownInequality(f"no fuzz family for {ineq_id!r}")
+    entry = _lookup(ineq_id)
     _check_dims(dims, "fuzz", trials)
-    entry = VERIFIERS[ineq_id]
     kernel = inspect.unwrap(getattr(ineq, entry.check))
     # derive_seed(seed, t) for every t at once
     seeds = _splitmix64_block(seed & _MASK, 0, trials)

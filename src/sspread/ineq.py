@@ -20,10 +20,9 @@ under its public check_*/control_* name, and _verifier turns it into the
 public function, the kernel on a batch of one; harness.fuzz reaches the
 kernel behind the public name with inspect.unwrap and runs it on groups of
 trials of equal shape. numpy runs LAPACK, matmul, sorts and partial sums
-member by member, so a row's numbers do not depend on the batch around it,
-and a kernel that needs the eigenvalues of several stacks of one shape gets
-them from one _eigvalsh call over the stacks put together (_eigvalsh_each),
-after every gate and validation that precedes them.
+member by member, so a row's numbers do not depend on the batch around it.
+A kernel decomposes each operand stack by a call of its own, after every
+gate and validation that precedes it.
 Each hypothesis class has one gate, which a kernel calls in its order of
 validation: _positive (a positive operand, validated, decomposed and gated;
 NotPositive names it), _splitting (C*C + S*S = P with an E on its space),
@@ -163,15 +162,6 @@ def _spr_sum(*eigs: np.ndarray, k: int | None = None) -> np.ndarray:
     along the last axis, so stacks of spectra give stacks of spreads.
     """
     return _eig_spread(_dec(np.concatenate(eigs, axis=-1)), k)
-
-
-def _eigvalsh_each(*stacks: np.ndarray) -> np.ndarray:
-    """_eigvalsh of stacks of one shape (B, d, d) in one call, split back:
-    (len(stacks), B, d), to unpack one spectrum stack per input stack. numpy
-    decomposes a stack member by member, so each spectrum has the bits of a
-    lone call."""
-    w = _eigvalsh(np.concatenate(stacks))
-    return w.reshape((len(stacks),) + stacks[0].shape[:-1])
 
 
 def _positive_gate(w: np.ndarray, fail: str | None = None) -> np.ndarray:
@@ -345,7 +335,7 @@ def check_trace_pairing(a, b) -> Rows:
     am, bm = _same_shape(_as_hermitians(a), _as_hermitians(b))
     d = am.shape[-1]
     lhs = np.trace(am @ bm, axis1=-2, axis2=-1).real
-    wa, wb = _eigvalsh_each(am, bm)
+    wa, wb = _eigvalsh(am), _eigvalsh(bm)
     a_pos, a_neg = _eig_sides(wa, 2 * d)
     b_pos, b_neg = _eig_sides(wb, 2 * d)
     # matmul of a (1 x k) row by a (k x 1) column runs BLAS's dot on each
@@ -363,7 +353,7 @@ def check_trace_pairing(a, b) -> Rows:
 def check_commutator_scale(a, x) -> Rows:
     """Positive scale of i[A,X] vs half the product of the two spreads."""
     am, xm = _same_shape(_as_hermitians(a), _as_hermitians(x))
-    wc, wa, wx = _eigvalsh_each(1j * (am @ xm - xm @ am), am, xm)
+    wc, wa, wx = _eigvalsh(1j * (am @ xm - xm @ am)), _eigvalsh(am), _eigvalsh(xm)
     lhs = _eig_sides(wc)[0]
     rhs = 0.5 * (_eig_spread(wa) * _eig_spread(wx))
     sub = _sub_rows(lhs, rhs, _size(wa) * _size(wx))
@@ -376,7 +366,7 @@ def check_commutator_sv(a, x) -> Rows:
     am, xm = _same_shape(_as_hermitians(a), _as_hermitians(x))
     d = am.shape[-1]
     # s(AX - XA) = s(i[A, X]), and i[A, X] is Hermitian
-    wc, wa, wx = _eigvalsh_each(1j * (am @ xm - xm @ am), am, xm)
+    wc, wa, wx = _eigvalsh(1j * (am @ xm - xm @ am)), _eigvalsh(am), _eigvalsh(xm)
     lhs = _pad(_herm_sv(wc), 4 * d)
     rhs = 0.5 * (_spr_sum(wa, wa) * _spr_sum(wx, wx))
     mag = _size(wa) * _size(wx)
@@ -430,8 +420,7 @@ def check_general_commutator(a, b, x) -> Rows:
     _coupling(xm, m, n)
     k = 2 * (m + n)
     lhs = _pad(_sv_array(am @ xm - xm @ bm), k)
-    w_a1, w_a2 = _eigvalsh_each(a1, a2)
-    w_b1, w_b2 = _eigvalsh_each(b1, b2)
+    w_a1, w_a2, w_b1, w_b2 = _eigvalsh(a1), _eigvalsh(a2), _eigvalsh(b1), _eigvalsh(b2)
     # each part's direct-sum spectrum, non-increasing, merged as _spr_sum merges it
     s1 = _dec(np.concatenate([w_a1, w_b1], axis=-1))
     s2 = _dec(np.concatenate([w_a2, w_b2], axis=-1))
@@ -454,7 +443,7 @@ def check_unitary_conj(a, x) -> Rows:
     d = am.shape[-1]
     wx, vx = _eigh(xm)
     u = _unitary_exp(wx, vx)
-    wc, wa = _eigvalsh_each(am - _ct(u) @ am @ u, am)
+    wc, wa = _eigvalsh(am - _ct(u) @ am @ u), _eigvalsh(am)
     lhs = _pad(_herm_sv(wc), 4 * d)
     rhs = 0.5 * (_spr_sum(wx, wx) * _spr_sum(wa, wa))
     # ||A|| alone: U = e^{iX} has norm 1 at every scale of X
@@ -515,11 +504,11 @@ def check_agm_pair(s, c, e1, e2=None) -> Rows:
     pair = sm @ e1m @ cm + cm @ e2m @ sm
     # with E2 = E1 the pair SEC + CES = SEC + (SEC)* is Hermitian
     if same:
-        w_pair, w1, we = _eigvalsh_each(pair, p @ e1m @ p, e1m)
+        w_pair, w1, we = _eigvalsh(pair), _eigvalsh(p @ e1m @ p), _eigvalsh(e1m)
         s_pair, w2 = _herm_sv(w_pair), w1
     else:
         s_pair = _sv_array(pair)
-        w1, w2 = _eigvalsh_each(p @ e1m @ p, p @ e2m @ p)
+        w1, w2 = _eigvalsh(p @ e1m @ p), _eigvalsh(p @ e2m @ p)
     lhs = _pad(s_pair, k)
     mag = _size(e1m, e2m)
     sub = _sub_rows(lhs, 0.5 * _spr_sum(w1, -w2, k=k), mag)
@@ -550,7 +539,7 @@ def check_agm_compact(s, c, e) -> Rows:
     sm, cm, em, p = _splitting(s, c, e)
     k = 2 * em.shape[-1]
     s_sec = _sv_array(sm @ em @ _ct(cm))
-    w_e, w_pep = _eigvalsh_each(em, p @ em @ p)
+    w_e, w_pep = _eigvalsh(em), _eigvalsh(p @ em @ p)
     s_e = _herm_sv(w_e)
     mag = _size(w_e)
     rhs = _eig_spread(w_e, k)
@@ -643,7 +632,7 @@ def check_zhan(e, f) -> Rows:
     """s(E - F) vs the compact-model spread of E oplus F."""
     em, fm = _same_shape(_as_hermitians(e), _as_hermitians(f))
     k = 4 * em.shape[-1]
-    we, wf, wd = _eigvalsh_each(em, fm, em - fm)
+    we, wf, wd = _eigvalsh(em), _eigvalsh(fm), _eigvalsh(em - fm)
     sub = _sub_rows(_pad(_herm_sv(wd), k), _spr_sum(we, wf, k=k), _size(we, wf))
     return Rows("zhan", "compact", sub.holds, sub.margin, (em, fm), sub)
 

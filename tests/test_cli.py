@@ -1,5 +1,6 @@
 """CLI: file formats, exit codes, JSON stability."""
 
+import builtins
 import hashlib
 import inspect
 import json
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import sspread
-from sspread import ParseError, Verdict, cli, examples, harness, ineq
+from sspread import ParseError, Verdict, cli, errors, examples, harness, ineq
 from sspread.examples import EXAMPLE_IDS, fixture_matrices
 from sspread.harness import VERIFIERS, _crandn, _hermitian, trial_args
 from sspread.rng import Stream
@@ -280,6 +281,25 @@ def test_exit_codes_parse_and_mode_and_unknown(capsys, tmp_path):
     assert run(capsys, "fuzz", "nope")[0] == 4
     assert run(capsys, "repro", "nope")[0] == 4
     assert run(capsys, "nosuchcommand")[0] == 2
+
+
+def test_every_error_type_exits_as_the_readme_table_says(capsys, monkeypatch):
+    # README's table: exit code | error types | stderr prefix, then the message
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| (\d) \| ([^|]+) \| `([^`]+)` message \|$", text, flags=re.M)
+    table = {name: (int(code), prefix)
+             for code, names, prefix in rows for name in re.findall(r"`(\w+)`", names)}
+    spread_errors = {name for name, obj in vars(errors).items()
+                     if isinstance(obj, type) and issubclass(obj, errors.SpreadError)}
+    assert set(table) == spread_errors | {"OSError", "ValueError"}
+    for name, (code, prefix) in table.items():
+        exc = getattr(errors, name, None) or getattr(builtins, name)
+
+        def raise_it(example_id, exc=exc):
+            raise exc("boom")
+
+        monkeypatch.setattr(examples, "repro", raise_it)
+        assert run(capsys, "repro", "x") == (code, "", prefix + "boom\n"), name
 
 
 @pytest.mark.parametrize("rows, message", [

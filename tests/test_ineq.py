@@ -138,38 +138,6 @@ def test_positive_gate_one_eigh_per_matrix(monkeypatch):
     assert (count(e, seen), count(e, with_vectors)) == (1, 0)
 
 
-def test_one_eigvalsh_call_per_operand_shape(monkeypatch):
-    # a kernel that needs the eigenvalues of several stacks of one shape gets
-    # them from one call, each spectrum with the bits of a lone call; the
-    # positivity gates of agm_pair stay calls of their own
-    real = linalg._eigvalsh
-    calls = []
-
-    def eigvalsh(m):
-        calls.append(m.shape)
-        return real(m)
-
-    monkeypatch.setattr(ineq, "_eigvalsh", eigvalsh)
-    stacks = [np.stack([_herm(5, 10 * j + i) for i in range(3)]) for j in range(3)]
-    got = ineq._eigvalsh_each(*stacks)
-    assert calls == [(9, 5, 5)] and got.shape == (3, 3, 5)
-    for w, m in zip(got, stacks):
-        assert all(w[i].tobytes() == real(m[i]).tobytes() for i in range(3))
-    expected = {"check_trace_pairing": 1, "check_commutator_scale": 1,
-                "check_commutator_sv": 1, "check_general_commutator": 2,
-                "check_unitary_conj": 1, "check_agm_compact": 1, "check_zhan": 1}
-    for name, count in expected.items():
-        entry = next(v for v in VERIFIERS.values() if v.check == name)
-        calls.clear()
-        getattr(ineq, name)(*trial_args(entry.id, 11, (6, 6)))
-        assert len(calls) == count, name
-    s, c, e1, _ = trial_args("agm_pair", 11, (6, 6))
-    for e2 in (None, _herm(6, 5)):
-        calls.clear()
-        ineq.check_agm_pair(s, c, e1, e2)
-        assert calls == [(1, 6, 6), (1, 6, 6), (3 if e2 is None else 2, 6, 6)]
-
-
 @pytest.mark.parametrize("d", [*range(2, 9), *range(32, 65, 8)])
 def test_direct_sum_spread_from_block_spectra(d):
     # the merged block spectra give the spread of the explicit block matrix

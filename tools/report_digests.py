@@ -16,9 +16,9 @@ and prints one line per command: the argv, the exit code and the sha256 of
 stdout. It then runs a fixed list of invalid `check` commands (ERRORS) that
 trips every input gate, on matrix files it writes to a temporary directory
 and names relative to it, so that no message holds a path, then a fixed
-list of `fuzz`, `suite` and `scale` commands whose --dims, --trials or
---horizon is refused before any work (BOUNDARY), and prints one line per
-command:
+list of `fuzz`, `suite`, `scale` and `repro` commands whose --dims, --trials,
+--horizon or id is refused before any work (BOUNDARY), and prints one line
+per command:
 
     error ARGV CODE SHA      the exit code and the sha256 of stderr
 
@@ -130,9 +130,9 @@ ERRORS = (
 
 
 # commands refused at the CLI boundary: a --dims range without d >= 2, above
-# MAX_DIM, empty or malformed; --trials below 1 or above MAX_TRIALS; and a
+# MAX_DIM, empty or malformed; --trials below 1 or above MAX_TRIALS; a
 # compact horizon below d, a diag horizon of 0 or above 10,000, a matrix-mode
-# horizon
+# horizon; and an unknown fuzz or repro id
 BOUNDARY = tuple(
     [cmd, *(["key"] if cmd == "fuzz" else []), flag, value, "--json"]
     for cmd in ("fuzz", "suite")
@@ -143,6 +143,8 @@ BOUNDARY = tuple(
     ["scale", "fixtures/diag_scale.diag", "--horizon", "0", "--json"],
     ["scale", "fixtures/diag_scale.diag", "--horizon", "10001", "--json"],
     ["scale", "fixtures/agm_fail_2x2_S.txt", "--mode", "matrix", "--horizon", "2", "--json"],
+    ["fuzz", "no_such_id", "--json"],
+    ["repro", "no_such_example", "--json"],
 )
 
 
