@@ -10,7 +10,8 @@ The JSON report is the machine interface; the human text output is a
 rendering of the same report. Floats are serialized with 17 significant
 digits and dictionary keys are sorted, so identical runs produce identical
 bytes. Exit codes: 0 holds, 1 fails; an error exits with its type's
-exit_code (sspread.errors), an OSError or ValueError as a SpreadError does.
+exit_code (sspread.errors), an OSError or ValueError as a SpreadError does,
+and so does a report that cannot be written (run()).
 
 Each subcommand imports the modules it runs when it runs: `scale` and
 `spread` need only spectra and linalg, so they load no verifier, generator or
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import inspect
 import json
@@ -548,12 +550,24 @@ def main(argv=None) -> int:
         kind = "mode violation: " if code == ModeError.exit_code else ""
         print(f"sspread: {kind}{exc}", file=sys.stderr)
         return code
-    if args.json:
-        print(canonical_json(report))
-    else:
-        print(_render_human(report))
+    # an OSError from writing the report reaches the caller
+    print(canonical_json(report) if args.json else _render_human(report), flush=True)
     return code
 
 
 def run() -> None:
-    sys.exit(main())
+    """The exit of a `sspread` process: main(), then a shutdown that skips
+    the collector's passes over what the imports built. main() is the
+    in-process entry and leaves the collector as it found it."""
+    try:
+        code = main()
+    except OSError as exc:
+        # the report cannot be written (a closed pipe, a full disk); shutdown
+        # flushes stdout once more, so what is left of it goes to devnull
+        print(f"sspread: writing the report: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = SpreadError.exit_code
+    # every object alive now lives until exit: freezing them spares the
+    # shutdown collections from walking numpy's and sspread's ~22k objects
+    gc.freeze()
+    sys.exit(code)

@@ -1,6 +1,8 @@
 """CLI: file formats, exit codes, JSON stability."""
 
+import ast
 import builtins
+import gc
 import hashlib
 import inspect
 import json
@@ -706,6 +708,15 @@ def test_report_field_set_is_uniform(capsys):
 
 # -- what each command imports -------------------------------------------------
 
+
+def _child_env(**extra) -> dict:
+    """os.environ with extra, for a child that imports the package under
+    test, installed or not."""
+    src = str(Path(sspread.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src, **extra}
+
+
 # run argv through cli.main in a fresh interpreter, then print the sspread
 # modules it loaded, and whether it read the Gaussian table, as the last line
 # of stdout
@@ -729,15 +740,88 @@ _HEAVY = {"harness", "ineq", "major", "rng", "examples", "properties"}
     (["fuzz", "zhan", "--trials", "3", "--dims", "2..3", "--json"], {"examples", "properties"}),
 ], ids=["scale", "spread", "check", "repro", "fuzz"])
 def test_command_imports_only_what_it_runs(argv, never):
-    # the child imports the package under test, installed or not
-    src = str(Path(sspread.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True,
-                         text=True, timeout=120, env=env)
+                         text=True, timeout=120, env=_child_env())
     assert out.returncode == 0, out.stderr
     modules, table = json.loads(out.stdout.splitlines()[-1])
     loaded = {m.removeprefix("sspread.") for m in modules}
     assert "cli" in loaded and not loaded & never, sorted(loaded & never)
     # only a command that draws Gaussians reads the table
     assert table == (argv[0] == "fuzz")
+
+
+# -- the process exit ----------------------------------------------------------
+
+
+def _sspread(argv, env=None, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "sspread", *argv], timeout=120,
+                          env=env or _child_env(), **kwargs)
+
+
+def test_every_process_enters_through_run():
+    # `python -m sspread` and the installed console script both exit through cli.run
+    tree = ast.parse((Path(cli.__file__).parent / "__main__.py").read_text(encoding="utf-8"))
+    assert [ast.unparse(node) for node in tree.body] == ["from .cli import run", "run()"]
+    toml = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = toml.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'sspread = "sspread.cli:run"'
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["scale", f"{FIX}/kittaneh_fail_A.txt", "--json"], 0),
+    (["spread", f"{FIX}/diag_scale.diag", "--full"], 0),
+    (["check", "zhan", f"{FIX}/kittaneh_fail_A.txt", f"{FIX}/kittaneh_fail_B.txt"], 0),
+    (["repro", "kittaneh-fail", "--json"], 0),
+    (["check", "nope", f"{FIX}/kittaneh_fail_A.txt"], 4),
+], ids=["scale", "spread", "check", "repro", "error"])
+def test_main_leaves_the_collector_alone(capsys, argv, code):
+    # only run(), the exit of a process, freezes the collector's objects
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert run(capsys, *argv)[0] == code
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "agm_compact", f"{FIX}/agm_fail_2x2_S.txt", f"{FIX}/agm_fail_2x2_C.txt",
+      f"{FIX}/agm_fail_2x2_E.txt", "--json"], 0),
+    (["check", "control_kittaneh", f"{FIX}/kittaneh_fail_A.txt", f"{FIX}/kittaneh_fail_B.txt",
+      f"{FIX}/kittaneh_fail_X.txt"], 2),
+    (["scale", f"{FIX}/diag_scale.diag", "--mode", "matrix"], 3),
+    (["check", "nope", f"{FIX}/kittaneh_fail_A.txt"], 4),
+], ids=["holds", "input-error", "mode-violation", "unknown-id"])
+def test_process_exits_as_main_returns(capsys, argv, code):
+    out = _sspread(argv, capture_output=True)
+    assert run(capsys, *argv) == (code, out.stdout.decode(), out.stderr.decode())
+    assert out.returncode == code
+
+
+@pytest.fixture(params=["unbuffered", "buffered"])
+def stream_env(request):
+    """A child's environment with and without PYTHONUNBUFFERED: a buffered
+    stdout fails at its flush, an unbuffered one at the write itself."""
+    env = _child_env(PYTHONUNBUFFERED="1")
+    if request.param == "buffered":
+        del env["PYTHONUNBUFFERED"]
+    return env
+
+
+def test_report_into_a_closed_pipe_exits_two(stream_env):
+    # the reader is gone before the report is written; the verdict itself holds
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        out = _sspread(["repro", "kittaneh-fail", "--json"], stdout=w, stderr=subprocess.PIPE,
+                       env=stream_env)
+    finally:
+        os.close(w)
+    assert out.returncode == 2
+    assert out.stderr == b"sspread: writing the report: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_report_onto_a_full_disk_exits_two(stream_env):
+    with open("/dev/full", "wb") as full:
+        out = _sspread(["scale", f"{FIX}/kittaneh_fail_A.txt"], stdout=full,
+                       stderr=subprocess.PIPE, env=stream_env)
+    assert out.returncode == 2
+    assert out.stderr == b"sspread: writing the report: [Errno 28] No space left on device\n"
