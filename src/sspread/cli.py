@@ -11,7 +11,7 @@ rendering of the same report. Floats are serialized with 17 significant
 digits and dictionary keys are sorted, so identical runs produce identical
 bytes. Exit codes: 0 holds, 1 fails; an error exits with its type's
 exit_code (sspread.errors), an OSError or ValueError as a SpreadError does,
-and so does a report that cannot be written (run()).
+and so does a report or a message that cannot be written (run()).
 
 Each subcommand imports the modules it runs when it runs: `scale` and
 `spread` need only spectra and linalg, so they load no verifier, generator or
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import gc
 import hashlib
 import inspect
@@ -311,6 +312,15 @@ def _scale_of(payload, declared: str | None, args):
     return compact_scale(payload, args.horizon)
 
 
+def _open(stream):
+    """A standard stream to print to, or the OSError of a write to a closed
+    one: Python sets a stream closed at start to None, and print(file=None)
+    writes to stdout, or nowhere when stdout is None too."""
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return stream
+
+
 def cmd_scale(args) -> tuple[dict, int]:
     payload, declared, digest = load_file(args.file)
     sc = _scale_of(payload, declared, args)
@@ -366,7 +376,7 @@ def cmd_fuzz(args) -> tuple[dict, int]:
     seed = _default_seed(args)
     s = harness.fuzz(args.ineq_id, trials=args.trials, dims=args.dims, seed=seed)
     dt = (time.perf_counter() - t0) * 1e3
-    print(f"fuzz {args.ineq_id}: {s.trials} trials in {dt:.0f} ms", file=sys.stderr)
+    print(f"fuzz {args.ineq_id}: {s.trials} trials in {dt:.0f} ms", file=_open(sys.stderr))
     report = _report("fuzz", seed=seed, dims=list(args.dims), summary=dataclasses.asdict(s))
     return report, EXIT_HOLDS if s.failures == 0 else EXIT_FAILS
 
@@ -399,7 +409,8 @@ def cmd_suite(args) -> tuple[dict, int]:
                      repro=repros, fuzz=fuzzes, properties=props, holds=ok)
     # timing goes to stderr only, keeping the report byte-stable per seed
     dt = (time.perf_counter() - t0) * 1e3
-    print(f"suite: {len(fuzzes)} families, {args.trials} trials each, {dt:.0f} ms", file=sys.stderr)
+    print(f"suite: {len(fuzzes)} families, {args.trials} trials each, {dt:.0f} ms",
+          file=_open(sys.stderr))
     return report, EXIT_HOLDS if ok else EXIT_FAILS
 
 
@@ -548,10 +559,11 @@ def main(argv=None) -> int:
         # an OSError or ValueError exits as an input-contract error
         code = exc.exit_code if isinstance(exc, SpreadError) else SpreadError.exit_code
         kind = "mode violation: " if code == ModeError.exit_code else ""
-        print(f"sspread: {kind}{exc}", file=sys.stderr)
+        print(f"sspread: {kind}{exc}", file=_open(sys.stderr))
         return code
-    # an OSError from writing the report reaches the caller
-    print(canonical_json(report) if args.json else _render_human(report), flush=True)
+    # an OSError from writing the report, or a message, reaches the caller
+    print(canonical_json(report) if args.json else _render_human(report), file=_open(sys.stdout),
+          flush=True)
     return code
 
 
@@ -562,10 +574,18 @@ def run() -> None:
     try:
         code = main()
     except OSError as exc:
-        # the report cannot be written (a closed pipe, a full disk); shutdown
-        # flushes stdout once more, so what is left of it goes to devnull
-        print(f"sspread: writing the report: {exc}", file=sys.stderr)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the report or a message on stderr cannot be written (a closed
+        # stream or pipe, a full disk), and the message about it may fail in
+        # turn; shutdown flushes both streams once more, so what is left of
+        # them goes to devnull
+        try:
+            print(f"sspread: writing the report: {exc}", file=_open(sys.stderr))
+        except OSError:
+            pass
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                os.dup2(devnull, stream.fileno())
         code = SpreadError.exit_code
     # every object alive now lives until exit: freezing them spares the
     # shutdown collections from walking numpy's and sspread's ~22k objects

@@ -825,3 +825,43 @@ def test_report_onto_a_full_disk_exits_two(stream_env):
                        stderr=subprocess.PIPE, env=stream_env)
     assert out.returncode == 2
     assert out.stderr == b"sspread: writing the report: [Errno 28] No space left on device\n"
+
+
+def _closing(fd: int):
+    """A preexec_fn that closes fd in the child before Python starts there."""
+    return lambda: os.close(fd)
+
+
+def test_report_onto_a_closed_stdout_exits_two():
+    # with fd 1 closed at start Python sets sys.stdout to None, and print to
+    # None would drop the report without an error
+    out = _sspread(["scale", f"{FIX}/kittaneh_fail_A.txt"], stderr=subprocess.PIPE,
+                   preexec_fn=_closing(1))
+    assert out.returncode == 2
+    assert out.stderr == b"sspread: writing the report: [Errno 9] Bad file descriptor\n"
+
+
+# commands that write to stderr: a campaign that holds (its timing line), an
+# input error and a mode violation (their messages)
+_MESSAGES = pytest.mark.parametrize("argv", [
+    ["fuzz", "zhan", "--trials", "3", "--dims", "2..3"],
+    ["scale", f"{FIX}/no_such_file.txt"],
+    ["scale", f"{FIX}/diag_scale.diag", "--mode", "matrix"],
+], ids=["holds", "input-error", "mode-violation"])
+
+
+@_MESSAGES
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_message_onto_a_full_disk_exits_two(stream_env, argv):
+    # a failed write to stderr is an error (2), never the FAILS code (1)
+    with open("/dev/full", "wb") as full:
+        out = _sspread(argv, stdout=subprocess.PIPE, stderr=full, env=stream_env)
+    assert (out.returncode, out.stdout) == (2, b"")
+
+
+@_MESSAGES
+def test_message_onto_a_closed_stderr_exits_two(argv):
+    # Python sets sys.stderr to None, and print to None would write the
+    # message into the report on stdout
+    out = _sspread(argv, stdout=subprocess.PIPE, preexec_fn=_closing(2))
+    assert (out.returncode, out.stdout) == (2, b"")
