@@ -4,7 +4,7 @@ The generator is SplitMix64 (Steele, Lea, Flood 2014) used in counter mode:
 output(seed, n) = finalize(seed + (n+1) * GOLDEN) where finalize is the
 standard 64-bit avalanche. Each Gaussian is the inverse normal CDF of one
 word's 53-bit uniform, read off a committed table of Phi^-1 knots by integer
-shifts and masks and one multiply-add (Stream.normals). Every step is an
+shifts and masks and one multiply-add (_normals_of). Every step is an
 integer op or a correctly rounded IEEE operation, with no call into the C
 library's log, cos or sin, so the stream for a given seed is a pure function
 of (seed, counter), bit for bit on every platform.
@@ -12,12 +12,9 @@ of (seed, counter), bit for bit on every platform.
 A Stream carries a batch of seeds with one shared counter, so a draw takes
 the same counter words from every seed's stream and row b of a batch draw is
 bit for bit what a stream of seed b alone would draw. A stream of one int
-seed is a batch of one that returns Python numbers. Every draw has one body.
-Its words come from a block of counter words that the stream computes ahead,
-for the whole batch in one numpy uint64 expression, and computes again, at
-the current counter, when a draw runs past it or the counter was set outside
-it; a word is still splitmix64(seed, counter), whichever block served it.
-take() hands a sub-stream its rows of the block.
+seed is a batch of one that returns Python numbers. Every draw has one body,
+and computes its own words for the whole batch in one numpy uint64
+expression.
 """
 
 from __future__ import annotations
@@ -91,12 +88,34 @@ def _splitmix64_block(seed, counter: int, n: int) -> np.ndarray:
     return z
 
 
-# a stream computes up to this many words ahead over its whole batch, and at
-# most _AHEAD_ROW per row: a block of B rows is max(n, min(_AHEAD_ROW,
-# _AHEAD // B)) words wide for a draw of n, so a stream over a million seeds
-# computes no word it does not draw
-_AHEAD = 1 << 15
-_AHEAD_ROW = 256
+def _normals_of(w: np.ndarray) -> np.ndarray:
+    """The standard Gaussian of each word of a (B, n) uint64 array.
+
+    Word w gives u = (m + 1/2) * 2^-53 with m = w >> 11, so u lies in
+    (0, 1) and w and ~w give u and 1 - u. p = min(u, 1 - u) = v * 2^-54
+    with v = 2m' + 1 odd, m' being m or, when u > 1/2 (the top bit of w),
+    m with its 53 bits flipped. v < 2^53 is exact as a float: its
+    exponent and its top 7 mantissa bits name the cell of the table, and
+    its other 45 bits the offset t in [0, 1) across the cell. The value
+    knot + t * slope is Phi^-1(p) to within 4e-6 (a knot itself for
+    v < 2^8, as deep as p = 2^-54), and its sign is flipped when
+    u > 1/2, so x(~w) = -x(w) bit for bit.
+    """
+    knot, slope = _normal_table()
+    # flipping all 64 bits of w when its top bit is set leaves that bit 0
+    # and m' in bits 11..63, so bits 10..63 with bit 0 set are v = 2m' + 1
+    v = w ^ (w.view(np.int64) >> _I63).view(np.uint64)
+    v >>= _U10
+    v |= _U1
+    bits = v.astype(np.float64).view(np.uint64)
+    cell = (bits >> _U_SHIFT).view(np.int64)
+    cell -= _I_BASE
+    bits &= _U_FRAC
+    x = bits.astype(np.float64)
+    x *= slope.take(cell)
+    x += knot.take(cell)
+    x.view(np.uint64)[...] ^= w & _U_SIGN
+    return x
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -117,8 +136,7 @@ class Stream:
     numbers, and uniforms and normals return lists.
 
     counter may be set by hand: the words are a function of the counter
-    alone, and a draw whose words lie outside the block computes a new one.
-    No draw returns a view into the block.
+    alone.
     """
 
     def __init__(self, seed):
@@ -133,33 +151,19 @@ class Stream:
             self.seeds = np.array([self.seed], dtype=np.uint64)
             self.shape = ()
         self.counter = 0
-        # the words of counters _base .. _base + width - 1, (B, width)
-        self._block = None
-        self._base = 0
 
     def take(self, rows) -> Stream:
         """The streams of these rows of the batch (an index array or a slice),
-        at the current counter, with their rows of the word block; on the
-        scalar stream, a copy of it."""
+        at the current counter; on the scalar stream, a copy of it."""
         sub = Stream(self.seeds[rows] if self.shape else self.seed)
         sub.counter = self.counter
-        if self._block is not None:
-            sub._block = self._block[rows] if self.shape else self._block
-            sub._base = self._base
         return sub
 
     def _words(self, n: int) -> np.ndarray:
-        """The next n counter words of every row: (B, n) uint64, a view into
-        the block, which no caller may hand out or write to."""
-        at = self.counter - self._base
-        block = self._block
-        if block is None or at < 0 or at + n > block.shape[1]:
-            width = max(n, min(_AHEAD_ROW, _AHEAD // max(len(self.seeds), 1)))
-            block = self._block = _splitmix64_block(self.seeds, self.counter, width)
-            self._base = self.counter
-            at = 0
+        """The next n counter words of every row: (B, n) uint64."""
+        words = _splitmix64_block(self.seeds, self.counter, n)
         self.counter += n
-        return block[:, at:at + n]
+        return words
 
     def _out(self, x: np.ndarray):
         """A draw (B, ...) as this stream returns it: row 0 as Python
@@ -167,7 +171,7 @@ class Stream:
         return x if self.shape else x[0].tolist()
 
     def next_u64(self):
-        return self._out(self._words(1)[:, 0].copy())
+        return self._out(self._words(1)[:, 0])
 
     def uniform(self):
         """Uniform in [0, 1) with 53-bit resolution."""
@@ -195,33 +199,8 @@ class Stream:
         return self._out(lo + (z % span.astype(np.uint64)).astype(np.int64))
 
     def normals(self, n: int):
-        """n standard Gaussians per row, one per word, a list on the scalar
-        stream; n + (n & 1) words are drawn, the last one unused for odd n.
-
-        Word w gives u = (m + 1/2) * 2^-53 with m = w >> 11, so u lies in
-        (0, 1) and w and ~w give u and 1 - u. p = min(u, 1 - u) = v * 2^-54
-        with v = 2m' + 1 odd, m' being m or, when u > 1/2 (the top bit of w),
-        m with its 53 bits flipped. v < 2^53 is exact as a float: its
-        exponent and its top 7 mantissa bits name the cell of the table, and
-        its other 45 bits the offset t in [0, 1) across the cell. The value
-        knot + t * slope is Phi^-1(p) to within 4e-6 (a knot itself for
-        v < 2^8, as deep as p = 2^-54), and its sign is flipped when
-        u > 1/2, so x(~w) = -x(w) bit for bit.
-        """
+        """n standard Gaussians per row, the _normals_of n words, a list on
+        the scalar stream; n + (n & 1) words are drawn, the last one unused
+        for odd n."""
         n = max(n, 0)
-        w = self._words(n + (n & 1))[:, :n]
-        knot, slope = _normal_table()
-        # flipping all 64 bits of w when its top bit is set leaves that bit 0
-        # and m' in bits 11..63, so bits 10..63 with bit 0 set are v = 2m' + 1
-        v = w ^ (w.view(np.int64) >> _I63).view(np.uint64)
-        v >>= _U10
-        v |= _U1
-        bits = v.astype(np.float64).view(np.uint64)
-        cell = (bits >> _U_SHIFT).view(np.int64)
-        cell -= _I_BASE
-        bits &= _U_FRAC
-        x = bits.astype(np.float64)
-        x *= slope.take(cell)
-        x += knot.take(cell)
-        x.view(np.uint64)[...] ^= w & _U_SIGN
-        return self._out(x)
+        return self._out(_normals_of(self._words(n + (n & 1))[:, :n]))

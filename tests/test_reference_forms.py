@@ -16,7 +16,7 @@ from normal_ref import KNOTS, lookups, word_of
 from sspread import cli, harness, linalg, major, spectra
 from sspread.errors import ParseError
 from sspread.harness import _crandns, _split
-from sspread.rng import Stream, derive_seed
+from sspread.rng import Stream, _normals_of, _splitmix64_block, derive_seed
 
 
 def _bits(x) -> np.ndarray:
@@ -103,14 +103,7 @@ def test_randint_int_bound_refuses_an_empty_range():
 
 
 # ---------------------------------------------------------------------------
-# Stream.normals
-
-
-def _patched(seed, words: np.ndarray) -> Stream:
-    """A stream whose next words are these (B, m) words."""
-    s = Stream(seed)
-    s._block, s._base = words.copy(), s.counter
-    return s
+# rng._normals_of, the Gaussian map of Stream.normals
 
 
 def _edge_words() -> list[int]:
@@ -132,13 +125,9 @@ EDGE_WORDS = _edge_words()
 
 
 def test_normals_match_the_lookup_at_edge_words():
-    n = len(EDGE_WORDS)
-    words = np.array([EDGE_WORDS + [0]], dtype=np.uint64)  # an odd n draws one more
-    ref = lookups(words[:, :n])
-    scalar = _patched(7, words)
-    assert _same_bits(np.array(scalar.normals(n)), ref[0])
-    batch = _patched(np.array([7], dtype=np.uint64), words)
-    assert _same_bits(batch.normals(n), ref)
+    words = np.array([EDGE_WORDS], dtype=np.uint64)
+    ref = lookups(words)
+    assert _same_bits(_normals_of(words), ref)
     # the ends are the first knot, u = 1/2 - 2^-54 and 1/2 + 2^-54 give the
     # two values nearest 0, and words in order of u give values in order
     x = ref[0]
@@ -150,19 +139,17 @@ def test_normals_match_the_lookup_at_edge_words():
 
 def test_normals_match_the_lookup_on_random_words():
     words = np.random.default_rng(11).integers(0, 2**64, (4, 25_000), dtype=np.uint64)
-    s = _patched(np.arange(4, dtype=np.uint64), words)
-    assert _same_bits(s.normals(words.shape[1]), lookups(words))
-    # an odd count keeps the first n values
-    s = _patched(np.arange(4, dtype=np.uint64), words[:, :8])
-    assert _same_bits(s.normals(7), lookups(words[:, :7]))
+    assert _same_bits(_normals_of(words), lookups(words))
+    # an odd count keeps the first n values of n + 1 words
+    s = Stream(np.arange(4, dtype=np.uint64))
+    assert _same_bits(s.normals(7), lookups(_splitmix64_block(s.seeds, 0, 8)[:, :7]))
+    assert s.counter == 8
 
 
 def test_normals_are_odd_in_the_word():
     # ~w gives 1 - u, and its value is the negated value, bit for bit
     words = np.random.default_rng(12).integers(0, 2**64, (3, 5_000), dtype=np.uint64)
-    x = _patched(np.arange(3, dtype=np.uint64), words).normals(words.shape[1])
-    y = _patched(np.arange(3, dtype=np.uint64), ~words).normals(words.shape[1])
-    assert _same_bits(x, -y)
+    assert _same_bits(_normals_of(words), -_normals_of(~words))
 
 
 # ---------------------------------------------------------------------------

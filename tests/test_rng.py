@@ -111,9 +111,7 @@ def test_normals_track_inv_cdf_into_the_tails():
     inv = statistics.NormalDist().inv_cdf
     grid = _grid()
     words = np.array([[word_of(v, up) for v, up in grid]], dtype=np.uint64)
-    s = Stream(1)
-    s._block, s._base = words, 0
-    got = s.normals(words.shape[1])
+    got = rng._normals_of(words)[0].tolist()
     err = 0.0
     for x, (v, up) in zip(got, grid):
         p = v * 2.0**-54
@@ -248,7 +246,7 @@ def test_crandn_batch_rows_are_scalar_draws(rows, cols):
         assert got[b].tobytes() == _crandn(Stream(seed), rows, cols).tobytes()
 
 
-# -- the word block: every draw is the words of _splitmix64_block at its counter
+# -- every draw is the words of _splitmix64_block at its counter
 
 
 def _ref_uniforms(seeds, counter, n):
@@ -256,7 +254,7 @@ def _ref_uniforms(seeds, counter, n):
 
 
 def _ref_normals(seeds, counter, n):
-    """The scalar lookup of each of the block's words."""
+    """The scalar lookup of each of these words."""
     return lookups(_splitmix64_block(seeds, counter, n))
 
 
@@ -290,15 +288,10 @@ def test_interleaved_draws_are_the_block_words(seeds):
 
     rnd = random.Random(4)
     stream = Stream(seeds)
-    assert stream._block is None
-    widths = set()
     for _ in range(120):
         before = stream.counter
         kind, got, ref = _draw_and_reference(stream, rnd)
         assert got.tobytes() == ref.tobytes(), (kind, before)  # bitwise, not approx
-        widths.add(stream._block.shape[1])
-    # draws ran past the block, and some were longer than a whole block
-    assert stream._base > 0 and max(widths) > 256
 
 
 def test_take_shares_the_block_and_both_sides_keep_drawing():
@@ -308,15 +301,13 @@ def test_take_shares_the_block_and_both_sides_keep_drawing():
     for rows in (slice(1, 4), np.array([4, 0, 2]), None):
         parent = Stream(BATCH) if rows is not None else Stream(77)
         parent.uniforms(250)
-        parent.normals(10)  # past the first block, in the middle of the second
-        assert 0 < parent._base < parent.counter < parent._base + parent._block.shape[1]
+        parent.normals(10)
         child = parent.take(slice(None) if rows is None else rows)
         if rows is None:
-            assert child.shape == () and child._block is parent._block
+            assert child.shape == () and child.seed == parent.seed
         else:
             assert child.seeds.tolist() == BATCH[rows].tolist()
-            assert child._block.tolist() == parent._block[rows].tolist()
-        assert child.counter == parent.counter and child._base == parent._base
+        assert child.counter == parent.counter
         for _ in range(30):
             for stream in (child, parent, parent, child):
                 kind, got, ref = _draw_and_reference(stream, rnd)
@@ -342,7 +333,8 @@ def test_draws_are_not_views_of_the_block():
     s = Stream(BATCH)
     draws = [s.next_u64(), s.uniform(), s.uniforms(5), s.randint(0, np.array([9, 99])),
              s.normals(6)]
-    assert not any(np.shares_memory(x, s._block) for x in draws)
+    assert not any(np.shares_memory(x, y) for i, x in enumerate(draws) for y in draws[i + 1:])
+    assert not any(np.shares_memory(x, s.seeds) for x in draws)
     for x in draws:
         x[...] = 0
     s.counter = 0
@@ -361,7 +353,36 @@ def test_a_million_row_stream_computes_only_its_words():
     d = s.randint(2, 8)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert s._block.shape == (10**6, 1)
     assert d.shape == (10**6,) and d[:3].tolist() == (2 + _splitmix64_block(seeds[:3], 0, 1)[:, 0] % np.uint64(7)).tolist()
-    # the one-word block and a few one-word temporaries of 8 MB each
+    # the one word per row and a few one-word temporaries of 8 MB each
     assert peak <= 6 * seeds.nbytes
+
+
+@pytest.mark.parametrize("seeds", [7, np.array([7], dtype=np.uint64), np.arange(40, dtype=np.uint64)])
+def test_each_draw_computes_exactly_the_words_it_consumes(seeds, monkeypatch):
+    computed = []
+
+    def counting(seed, counter, n):
+        words = _splitmix64_block(seed, counter, n)
+        computed.append(words.size)
+        return words
+
+    monkeypatch.setattr(rng, "_splitmix64_block", counting)
+    s = Stream(seeds)
+    draws = [
+        (lambda: s.next_u64(), 1), (lambda: s.uniform(), 1), (lambda: s.uniforms(5), 5),
+        (lambda: s.uniforms(0), 0), (lambda: s.randint(2, 9), 1),
+        (lambda: s.randint(0, np.array([[3, 4, 5], [6, 7, 8]])), 6),
+        (lambda: s.normals(4), 4), (lambda: s.normals(3), 4), (lambda: s.normals(0), 0),
+    ]
+    for draw, words in draws:
+        computed.clear()
+        before = s.counter
+        draw()
+        assert sum(computed) == len(s.seeds) * words and s.counter == before + words
+    last = len(s.seeds) - 1
+    for rows in (slice(None), slice(last, None), np.array([last, 0])):
+        computed.clear()
+        sub = s.take(rows)
+        sub.uniforms(300)
+        assert sum(computed) == len(sub.seeds) * 300 and sub.counter == s.counter + 300
