@@ -30,7 +30,7 @@ import numpy as np
 
 from . import ineq, linalg
 from .errors import UnknownInequality
-from .linalg import _ct, _haar, _sv_array
+from .linalg import _ct, _haar
 from .rng import _MASK, Stream, _splitmix64_block
 
 
@@ -219,7 +219,7 @@ def _fam_general_comm(stream: Stream, d: int):
 def _fam_unitary(stream: Stream, d: int):
     ga, gx = _crandns(stream, (d, d), (d, d))
     a, x = _herm(ga), _herm(gx)
-    nrm = _sv_array(x)[..., 0]
+    nrm = np.abs(linalg._eigvalsh(x)).max(-1)
     # a zero X stays zero whatever it is scaled by
     scale = math.pi * np.asarray(stream.uniform()) / np.where(nrm > 0, nrm, 1.0)
     return _whole(a, x * scale[..., None, None])

@@ -28,8 +28,7 @@ numpy's message. (A real stack is cast and goes to the complex routine.)
 Scales, spreads and positivity gates need eigenvalues only; they come from
 LAPACK's values-only Hermitian driver (`_eigvalsh`). Eigenvectors (`_eigh`)
 are computed only for functional calculus: square roots, the e^{iX} of the
-unitary-conjugation verifier, and compressions; a matrix whose root is taken
-only when it is positive is gated on its eigenvalues first.
+unitary-conjugation verifier, and compressions.
 
 Singular values come from LAPACK's SVD (`_sv_array`), except that a
 Hermitian operand's singular values are |eigenvalues| from the values-only

@@ -205,7 +205,7 @@ def _d_interlacing(stream: Stream, d: int):
 
 
 def _j_interlacing(a, p):
-    wa, wc = linalg._eigh(a).values, linalg._eigh(linalg._compressed(a, p)).values
+    wa, wc = linalg._eigvalsh(a), linalg._eigvalsh(linalg._compressed(a, p))
     d, r = wa.shape[-1], wc.shape[-1]
     tol = _tol(_size(wa), d)
     # lambda_j(A) >= lambda_j(A_P), and at the bottom lambda_{r-j}(A_P) >= lambda_{d-j}(A)

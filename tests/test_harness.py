@@ -3,13 +3,14 @@
 import dataclasses
 import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import sspread
 from sspread import (
-    UnknownExample, UnknownInequality, cli, harness, ineq, properties, spectra,
+    UnknownExample, UnknownInequality, cli, harness, ineq, linalg, properties, spectra,
 )
 from sspread.examples import EXAMPLE_IDS, fixture_matrices, repro
 from sspread.harness import (
@@ -516,3 +517,64 @@ def test_randint_over_bounds_draws_one_word_per_bound():
     assert got[1].tolist() == alone == [ref.randint(2, int(h)) for h in bounds]
     with pytest.raises(ValueError, match="empty range"):
         one.randint(2, np.array([4, 1]))
+
+
+# -- the linalg policy outside the verifiers ------------------------------------
+
+# the properties whose reference form is the SVD of a Hermitian matrix: each
+# compares a spread with the singular values of the same operand
+HERMITIAN_SVD = {"spread_vs_sv", "spread_doubling"}
+# the functions that may compute eigenvectors: functional calculus on a drawn
+# spectrum (control_strict_gap's family, eigh_residual's draw), the two
+# properties about eigenvectors (eigh_residual, ky_fan_extremality), and the
+# basis of a projection's range in linalg._compressed
+EIGH_SITES = {"_fam_control_gap", "_d_eigh", "_j_eigh", "_j_ky_fan", "_compressed"}
+
+
+def test_linalg_policy_outside_the_verifiers(monkeypatch):
+    # no fuzz family and no property but HERMITIAN_SVD hands the SVD a
+    # Hermitian (or i times Hermitian) matrix, whose singular values are
+    # |eigenvalues| from the values-only solver, and eigenvectors are
+    # computed only at EIGH_SITES
+    label = None
+    svd, eigh = {}, {}
+    real_sv, real_eigh = linalg._sv_array, linalg._eigh
+
+    def members(m):
+        return [np.array(x) for x in np.reshape(m, (-1, *np.shape(m)[-2:]))]
+
+    def sv_array(m):
+        svd.setdefault(label, []).extend(members(m))
+        return real_sv(m)
+
+    def eigh_(m):
+        eigh.setdefault(sys._getframe(1).f_code.co_name, []).extend(members(m))
+        return real_eigh(m)
+
+    for mod in (linalg, harness, properties):
+        for name, fn in (("_sv_array", sv_array), ("_eigh", eigh_)):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, fn)
+    # enough trials that eigh_residual's draw forces multiplicities in some
+    seeds = _splitmix64_block(30, 0, 32)
+    for entry in VERIFIERS.values():
+        label = entry.id
+        assert entry.draw(Stream(seeds), 6)
+    for name, prop in PROPERTIES.items():
+        label = name
+        for _, args in prop.draw(Stream(seeds), 6):
+            prop.judge(*args)
+
+    def symmetric(m, sign):  # m = sign * m*, at the operand's own scale
+        return (m.shape[0] == m.shape[1]
+                and np.max(np.abs(m - sign * m.conj().T)) <= linalg._tol(np.max(np.abs(m))))
+
+    hermitian = {who for who, mats in svd.items()
+                 if any(symmetric(m, sign) for m in mats for sign in (1, -1))}
+    assert HERMITIAN_SVD <= PROPERTIES.keys()
+    assert hermitian == HERMITIAN_SVD
+    assert len(svd) > len(HERMITIAN_SVD)
+    assert eigh.keys() == EIGH_SITES
+    # _compressed decomposes the projection only
+    assert all(symmetric(p, 1) and np.allclose(p @ p, p, rtol=0.0, atol=1e-12)
+               for p in eigh["_compressed"])

@@ -126,16 +126,12 @@ def test_positive_gate_one_eigh_per_matrix(monkeypatch):
     p, q = _pos(3, 12), _pos(2, 13)
     ineq.control_kittaneh_positive(p, q, _gen(3, 14)[:, :2])
     assert [(count(m, seen), count(m, with_vectors)) for m in (p, q)] == [(1, 0)] * 2
-    # agm_general gates E on its eigenvalues and decomposes it again, with
-    # vectors, only when E passes and its square root is built
-    e = _pos(3, 6)
-    v = ineq.check_agm_general(_gen(3, 7), _gen(3, 8), e)
-    assert "positive_cross_holds" in v.extras
-    assert (count(e, seen), count(e, with_vectors)) == (2, 1)
-    e = _herm(3, 6)
-    v = ineq.check_agm_general(_gen(3, 7), _gen(3, 8), e)
-    assert "positive_cross_holds" not in v.extras
-    assert (count(e, seen), count(e, with_vectors)) == (1, 0)
+    # agm_general decomposes E once, values only, whether E is positive or
+    # not: the one square root it takes is F's
+    for e in (_pos(3, 6), _herm(3, 6)):
+        v = ineq.check_agm_general(_gen(3, 7), _gen(3, 8), e)
+        assert v.holds and v.extras == {}
+        assert (count(e, seen), count(e, with_vectors)) == (1, 0)
 
 
 @pytest.mark.parametrize("d", [*range(2, 9), *range(32, 65, 8)])
@@ -160,9 +156,8 @@ def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
     # every verifier decomposes each matrix at most once per kind (Hermitian
     # eigenvalues with or without vectors, SVD), none decomposes a matrix
     # larger than its largest input, and eigenvectors are computed only for
-    # e^{iX} (unitary_conj) and the square roots of F and of a positive E
-    # (agm_general); a positive E is the one matrix decomposed twice, values
-    # first for its gate, then with vectors for its root
+    # e^{iX} (unitary_conj) and the square root of F (agm_general), whether
+    # E is positive or not
     eighs, with_vectors = _count_eigh(monkeypatch)
     seen = {"eigh": eighs, "svd": []}
     real_sv = linalg._sv_array
@@ -177,9 +172,10 @@ def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
     for entry in VERIFIERS.values():
         runs.setdefault(entry.check, [trial_args(entry.id, 11, (6, 6))])
     assert len(runs) == 19
-    # both branches of agm_pair (E2 given or not) and of the positive-E
-    # extras of agm_compact and agm_general; E2 is a generic Hermitian: S and
-    # C commute, so with E2 = E1 + I the pair would be exactly Hermitian
+    # both branches of agm_pair (E2 given or not), and a positive and an
+    # indefinite E for agm_compact and agm_general; E2 is a generic
+    # Hermitian: S and C commute, so with E2 = E1 + I the pair would be
+    # exactly Hermitian
     s, c, e1, _ = runs["check_agm_pair"][0]
     e2 = _herm(6, 5)
     runs["check_agm_pair"] += [(s, c, e1, None), (s, c, e1, e2)]
@@ -191,16 +187,12 @@ def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
     e2_svd = False
     for name, arg_sets in runs.items():
         for args in arg_sets:
-            repeats_allowed = 0
             if name == "check_unitary_conj":
                 expected = [args[1]]
             elif name == "check_agm_general":
                 a, b, e = args
                 expected = [a.conj().T @ a + b.conj().T @ b]
-                if ineq._positive_gate(np.linalg.eigvalsh(e)[None, ::-1])[0]:
-                    expected.append(e)
-                    repeats_allowed = 1
-                positive_e.append(repeats_allowed)
+                positive_e.append(bool(ineq._positive_gate(np.linalg.eigvalsh(e)[None, ::-1])[0]))
             else:
                 expected = []
             start = {kind: len(calls) for kind, calls in seen.items()}
@@ -211,8 +203,7 @@ def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
                 mats = calls[start[kind]:]
                 too_large = sum(max(m.shape) > largest for m in mats)
                 repeats = len(mats) - len({(m.shape, m.tobytes()) for m in mats})
-                allowed = repeats_allowed if kind == "eigh" else 0
-                assert (too_large, repeats) == (0, allowed), (name, kind)
+                assert (too_large, repeats) == (0, 0), (name, kind)
             got = with_vectors[start_vectors:]
             assert len(got) == len(expected), name
             assert all(np.array_equal(g, x) for g, x in zip(got, expected)), name
@@ -226,7 +217,7 @@ def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
     assert seen["eigh"] and seen["svd"]
     assert e2_svd
     # agm_general ran with both a positive and a non-positive E
-    assert 0 in positive_e and 1 in positive_e
+    assert True in positive_e and False in positive_e
 
 
 def test_no_svd_of_a_hermitian_operand(monkeypatch):
@@ -250,8 +241,8 @@ def test_no_svd_of_a_hermitian_operand(monkeypatch):
         monkeypatch.setattr(mod, "_sv_array", sv_array)
     runs = [(entry.check, trial_args(entry.id, seed, (2, 8)))
             for entry in VERIFIERS.values() for seed in range(5)]
-    # both branches of agm_pair (E2 given or not) and of the positive-E
-    # extras of agm_compact and agm_general
+    # both branches of agm_pair (E2 given or not), and a positive and an
+    # indefinite E for agm_compact and agm_general
     s, c, e1, _ = trial_args("agm_pair", 11, (6, 6))
     runs += [("check_agm_pair", (s, c, e1, None)), ("check_agm_pair", (s, c, e1, _herm(6, 5)))]
     s, c, _ = trial_args("agm_compact", 11, (6, 6))
@@ -523,7 +514,6 @@ def test_agm_compact_fixture_dual_verdict():
     m = fixture_matrices("agm-fail-2x2")
     v = ineq.check_agm_compact(m["S"], m["C"], m["E"])
     assert v.holds  # compact-model bound
-    assert v.extras["compression_monotone"]
     assert not v.extras["fro"]["identity_ok"]  # identity-model bound fails
     assert not v.extras["e_positive"]
     assert v.entrywise_holds  # compression monotonicity is intact here
@@ -546,16 +536,8 @@ def test_agm_general_fixture_dual_verdict():
     m = fixture_matrices("agm-fail-3x3")
     v = ineq.check_agm_general(m["A"], m["B"], m["E"])
     assert v.holds
-    assert v.extras == {}  # E is indefinite: no positive cross-check
+    assert v.extras == {}
     assert not v.entrywise_holds  # 2 s_2(AEB*) > Spr_2 on this instance
-
-
-def test_agm_general_positive_cross_check():
-    a, b = _gen(3, 51), _gen(3, 52)
-    e = _pos(3, 53)
-    v = ineq.check_agm_general(a, b, e)
-    assert v.holds
-    assert v.extras["positive_cross_holds"]
 
 
 def test_agm_general_dim_mismatch():
@@ -667,9 +649,8 @@ def test_control_strict_gap_requires_indefinite():
 
 # -- extras --------------------------------------------------------------------
 
-# the extras keys each verifier records, by check function; the keys of the
-# agm kernels depend on the case, and test_agm_extras_keys_in_each_case pins
-# each case
+# the extras keys each verifier records, by check function; agm_pair's keys
+# depend on the case, and test_agm_extras_keys_in_each_case pins each case
 EXTRAS = {
     "check_tao_positive": {"split"},
     "check_key": {"split"},
@@ -680,6 +661,8 @@ EXTRAS = {
     "check_general_commutator": {"scalar", "coro_holds"},
     "check_unitary_conj": set(),
     "check_agm_projection": set(),
+    "check_agm_compact": {"fro", "e_positive"},
+    "check_agm_general": set(),
     "check_zhan": set(),
     "check_offdiag_projection": {"dropped_sv"},
     "check_offdiag_compact": set(),
@@ -688,7 +671,7 @@ EXTRAS = {
     "control_bhatia_kittaneh": set(),
     "control_strict_gap": {"fro", "g2_spread", "margin"},
 }
-AGM_CASES = {"check_agm_pair", "check_agm_compact", "check_agm_general"}
+AGM_CASES = {"check_agm_pair"}
 
 
 def test_every_verifier_has_its_extras_pinned():
@@ -714,11 +697,10 @@ def test_agm_extras_keys_in_each_case():
     a, b = _gen(3, 51), _gen(3, 52)
     for op, positive in ((e, False), (_pos(3, 42), True)):
         v = ineq.check_agm_compact(s, c, op)
-        assert v.extras.keys() == {"compression_monotone", "fro", "e_positive"}
+        assert v.extras.keys() == EXTRAS["check_agm_compact"]
         assert v.extras["fro"].keys() == {"lhs", "identity_bound", "identity_ok"}
         assert v.extras["e_positive"] is positive
-        v = ineq.check_agm_general(a, b, op)
-        assert v.extras.keys() == ({"positive_cross_holds"} if positive else set())
+        assert ineq.check_agm_general(a, b, op).extras.keys() == EXTRAS["check_agm_general"]
 
 
 # -- witnesses -----------------------------------------------------------------

@@ -25,7 +25,7 @@ FUZZ = {
     "commutator_sv": (0, 16391929014852575892, 0.0168053169764808),
     "mixed_commutator": (0, 6209254782910845600, 0.37024663521735723),
     "general_commutator": (0, 9095065823743835211, 2.114885619917158),
-    "unitary_conj": (0, 11902882338924681093, 0.027426926630065948),
+    "unitary_conj": (0, 11902882338924681093, 0.02742692663006524),
     "agm_projection": (0, 9601295706578493983, 0.004511268239096311),
     "agm_pair": (0, 13100655183177219101, 0.0029368774061815373),
     "agm_compact": (0, 9953069616274762764, 0.0058911130747754115),

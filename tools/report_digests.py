@@ -1,11 +1,15 @@
 """Digests of the reports and draws that a refactor must leave byte-identical.
 
-Usage, from any directory:
+Usage, from inside the checkout to digest:
 
     python3 tools/report_digests.py > digests.txt
     python3 tools/report_digests.py --out DIR > digests.txt
 
-Runs, in this process and from the repository root:
+It digests the checkout that holds the working directory (the nearest of it
+and its ancestors with a src/sspread directory), not the one that holds this
+file; from a directory outside every checkout it exits with status 2 before
+it imports numpy or sspread. It runs, in this process and from that
+checkout's root:
 
     suite --seed 1 --json
     fuzz ID --trials 500 --seed S --json     for every verifier id, S = 1..3
@@ -53,8 +57,8 @@ set, which see a margin that moves no campaign minimum:
 each with the sha256 of that text, of the margins' bytes and the details'
 canonical JSON, of the scale's sides and tails, or of the trials' holds
 bytes then margin bytes in trial order. Two trees give the same reports when
-their outputs are equal (run one tree's copy of this file in both), e.g.
-`diff <(python3 A/tools/report_digests.py) <(python3 B/tools/report_digests.py)`.
+their outputs are equal. Run one copy of this file in both, e.g. with T its
+absolute path, `diff <(cd A && python3 T) <(cd B && python3 T)`.
 With --out DIR, each command's stdout is also written to DIR, one file per
 command named after its argv (e.g. `fuzz_zhan_--trials_500_--seed_1_--json.txt`),
 so that two trees' reports can be compared field by field with `diff -r`.
@@ -72,10 +76,20 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
+def checkout(start: Path) -> Path | None:
+    """The nearest of start and its ancestors that holds src/sspread, or None."""
+    return next((p for p in (start, *start.parents) if (p / "src" / "sspread").is_dir()), None)
+
+
+ROOT = checkout(Path.cwd().resolve())
+if ROOT is None:
+    print(f"report_digests: no directory from {Path.cwd()} up holds src/sspread; "
+          "run it from inside the checkout to digest", file=sys.stderr)
+    sys.exit(2)
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import numpy as np  # noqa: E402
 
 from sspread import cli, harness, ineq, spectra  # noqa: E402
 from sspread.properties import PROPERTIES, _property_rows  # noqa: E402
