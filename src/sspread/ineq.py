@@ -13,10 +13,9 @@ entrywise failures are recorded, not judged.
 Every verifier is a kernel over stacks: its matrix arguments carry a leading
 batch axis (B, rows, cols), every member of a stack has the same shape, and
 scalar arguments (a split, an absent E2) are shared by the whole batch. A
-kernel validates its stacks once, on entry, member by member, then works
-only through the private stacked helpers of linalg, spectra and major, and
-returns Rows: a record of per-row columns (verdict and judged margin as
-arrays, the validated input stacks, the SubRows of the submajorization, the
+kernel works only through the private stacked helpers of linalg, spectra
+and major, and returns Rows: a record of per-row columns (verdict and judged
+margin as arrays, the input stacks, the SubRows of the submajorization, the
 entrywise margins, a per-row extras function), from which Rows.verdict(i)
 builds row i's Verdict for every kernel alike. Each kernel is written once,
 under its public check_*/control_* name, and _verifier turns it into the
@@ -25,15 +24,21 @@ kernel behind the public name with inspect.unwrap and runs it on groups of
 trials of equal shape. numpy runs LAPACK, matmul, sorts and partial sums
 member by member, so a row's numbers do not depend on the batch around it.
 A kernel decomposes each operand stack by a call of its own, after every
-gate and validation that precedes it.
-Each hypothesis class has one gate, which a kernel calls in its order of
-validation: _positive (a positive operand, validated, decomposed and gated;
-NotPositive names it), _splitting (C*C + S*S = P with an E on its space),
-_coupling (an X from one space to another) and _same_shape (operands on one
-space). Every DimMismatch comes from these, from _cut or from _herm_parts.
-Every gate and comparison is made at linalg._tol of the input operands'
-size (e.g. ||A|| ||X|| for a commutator, read off a decomposition the kernel
-makes anyway), never of a computed bound, which can cancel.
+gate that precedes it.
+
+Input is validated once, at the public boundary: each kernel parameter's
+annotation names its operand's class (Matrix, Hermitian, Positive or
+Projection), and the public function runs that class's gate on every
+operand, in parameter order, naming the operand in a gate's error. Kernels,
+which harness.fuzz also feeds stacks drawn in class by construction, then
+run only the gates of what they compute: _positive (a positive operand's
+eigenvalues; NotPositive names it), _projection_sum (C*C + S*S = P, with
+the operators on its space), agm_general's G, _coupling (an X from one
+space to another) and _same_shape (operands on one space); every
+DimMismatch comes from these, _cut or _herm_parts. Every gate and
+comparison is made at linalg._tol of the input operands' size (e.g.
+||A|| ||X|| for a commutator, read off a decomposition the kernel makes
+anyway), never of a computed bound, which can cancel.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .errors import (
     NotPositive,
     NotProjection,
     NotProjectionSum,
+    SpreadError,
 )
 from .linalg import (
     _as_cmatrices,
@@ -197,28 +203,26 @@ def _entrywise(margins: np.ndarray, mag: np.ndarray) -> tuple[np.ndarray, np.nda
     return low >= -_tol(mag), low
 
 
-def _same_shape(first: np.ndarray, *others: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Validated stacks of operators on one space, returned as given; raises
-    DimMismatch naming the first member shape that differs from first's."""
+def _same_shape(first: np.ndarray, *others: np.ndarray) -> None:
+    """Shape gate of stacks of operators on one space; raises DimMismatch
+    naming the first member shape that differs from first's."""
     for o in others:
         if o.shape[1:] != first.shape[1:]:
             raise DimMismatch(f"shapes {first.shape[1:]} and {o.shape[1:]} differ")
-    return (first, *others)
 
 
-def _positive(x, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """A positive operand: its validated stack and non-increasing eigenvalues,
-    gated; NotPositive names the operand and its smallest eigenvalue."""
-    m = _as_hermitians(x)
+def _positive(m: np.ndarray, name: str) -> np.ndarray:
+    """The non-increasing eigenvalues of a positive operand's stack, gated;
+    NotPositive names the operand and its smallest eigenvalue."""
     w = _eigvalsh(m)
     _positive_gate(w, name + " has eigenvalue {:.3e}")
-    return m, w
+    return w
 
 
-def _coupling(xm: np.ndarray, m: int, n: int) -> None:
-    """Shape gate of a validated X from an n- to an m-dimensional space."""
-    if xm.shape[1:] != (m, n):
-        raise DimMismatch(f"X is {xm.shape[1:]}, expected {(m, n)}")
+def _coupling(x: np.ndarray, m: int, n: int) -> None:
+    """Shape gate of a stack of X from an n- to an m-dimensional space."""
+    if x.shape[1:] != (m, n):
+        raise DimMismatch(f"X is {x.shape[1:]}, expected {(m, n)}")
 
 
 def _cut(split: int | None, d: int) -> int:
@@ -230,37 +234,55 @@ def _cut(split: int | None, d: int) -> int:
     return split
 
 
-def _matrix_params(sig: inspect.Signature) -> list[inspect.Parameter]:
-    """A verifier's matrix parameters, in order: every parameter but split.
+# an operand's class, as its kernel parameter's annotation names it ("| None"
+# where it may be left out), and the boundary gate of that class; a positive
+# operand's kernel gates the eigenvalues it computes anyway (_positive)
+Matrix = Hermitian = Positive = Projection = np.ndarray  # each a stack
+_GATES = {"Matrix": _as_cmatrices, "Hermitian": _as_hermitians, "Positive": _as_hermitians,
+          "Projection": _as_projections}
 
-    One with a default (agm_pair's E2) may be left out; `sspread check`
-    takes one file for each.
-    """
+
+def _matrix_params(sig: inspect.Signature) -> list[inspect.Parameter]:
+    """A verifier's matrix parameters, in order: every parameter but split. One
+    with a default (agm_pair's E2) may be left out; `sspread check` takes one
+    file for each."""
     return [p for p in sig.parameters.values() if p.name != "split"]
+
+
+def _operand(role: tuple, a):
+    """An argument at the public boundary: an operand as a stack of one passed
+    by its gate, whose error is raised again prefixed by the operand's name
+    in upper case; a split, or an absent E2 (None), as given."""
+    gate, name = role
+    if gate is None or a is None:
+        return a
+    try:
+        return gate(_one(a))
+    except (ValueError, SpreadError) as exc:
+        raise type(exc)(f"{name.upper()}: {exc}") from None
 
 
 def _verifier(kernel: Callable[..., Rows]) -> Callable[..., Verdict]:
     """The public verifier of a kernel: the kernel on a batch of one.
 
-    Each matrix argument becomes a stack of one (a None, agm_pair's absent
-    E2, stays None), a split passes as given, and the result is row 0's
-    Verdict. The roles are read off the kernel's parameters here, once, so a
-    call binds nothing. The public function keeps the kernel's name,
+    Each matrix argument, as a stack of one, passes the gate of its class in
+    parameter order; the kernel then runs its own gates, and the result is
+    row 0's Verdict. The roles are read off the kernel's parameters here,
+    once, so a call binds nothing. The public function keeps the kernel's name,
     docstring and parameters, and its __wrapped__ is the kernel, which
     inspect.unwrap reaches through any wrapper that sets __wrapped__ too.
     """
     sig = inspect.signature(kernel)
-    matrices = frozenset(p.name for p in _matrix_params(sig))
-    roles = tuple(name in matrices for name in sig.parameters)
-
-    def stack(a):
-        return None if a is None else _one(a)
+    matrices = {p.name for p in _matrix_params(sig)}
+    roles = tuple((_GATES[p.annotation.removesuffix(" | None")] if p.name in matrices else None,
+                   p.name) for p in sig.parameters.values())
 
     @functools.wraps(kernel)
     def public(*args, **kwargs):
-        return kernel(*[stack(a) if m else a for m, a in zip(roles, args)], *args[len(roles):],
-                      **{k: stack(v) if k in matrices else v for k, v in kwargs.items()}
-                      ).verdict(0)
+        # positional arguments precede keyword ones in parameter order
+        given = [*map(_operand, roles, args), *args[len(roles):]]
+        kwargs.update({r[1]: _operand(r, kwargs[r[1]]) for r in roles if r[1] in kwargs})
+        return kernel(*given, **kwargs).verdict(0)
 
     public.__signature__ = sig.replace(return_annotation="Verdict")
     public.__annotations__ = {**kernel.__annotations__, "return": "Verdict"}
@@ -273,46 +295,45 @@ def _verifier(kernel: Callable[..., Rows]) -> Callable[..., Verdict]:
 
 
 @_verifier
-def check_tao_positive(f, split: int | None = None) -> Rows:
+def check_tao_positive(f: Positive, split: int | None = None) -> Rows:
     """Off-diagonal block bound for a positive 2x2 block matrix.
 
     For F = [[A, B], [B*, C]] >= 0 with top-left block of size `split`,
     checks 2 s_i(B) <= s_i(F) for every i up to the number of singular
     values of B.
     """
-    fm, sf = _positive(f, "F")
-    split = _cut(split, fm.shape[-1])
-    sb = _sv_array(fm[:, :split, split:])
+    sf = _positive(f, "F")
+    split = _cut(split, f.shape[-1])
+    sb = _sv_array(f[:, :split, split:])
     margins = sf[:, : sb.shape[-1]] - 2.0 * sb
     ok, low = _entrywise(margins, _size(sf))
-    return Rows("tao_positive", "matrix", ok, low, (fm,), entrywise=(margins, ok),
+    return Rows("tao_positive", "matrix", ok, low, (f,), entrywise=(margins, ok),
                 extras=lambda i: {"split": split})
 
 
 @_verifier
-def check_key(a, split: int | None = None) -> Rows:
+def check_key(a: Hermitian, split: int | None = None) -> Rows:
     """Doubled off-diagonal block of a Hermitian matrix vs its spread.
 
     For Hermitian A with corner block B (rows < split, columns >= split):
     2 s(B) weakly submajorized by the compact-model spread of A.
     """
-    am = _as_hermitians(a)
-    d = am.shape[-1]
+    d = a.shape[-1]
     split = _cut(split, d)
-    lhs = 2.0 * _pad(_sv_array(am[:, :split, split:]), 2 * d)
-    w = _eigvalsh(am)
+    lhs = 2.0 * _pad(_sv_array(a[:, :split, split:]), 2 * d)
+    w = _eigvalsh(a)
     sub = _sub_rows(lhs, _eig_spread(w), _size(w))
-    return Rows("key", "compact", sub.holds, sub.margin, (am,), sub,
+    return Rows("key", "compact", sub.holds, sub.margin, (a,), sub,
                 extras=lambda i: {"split": split})
 
 
 @_verifier
-def check_trace_pairing(a, b) -> Rows:
+def check_trace_pairing(a: Hermitian, b: Hermitian) -> Rows:
     """tr(AB) bounded by the index-paired product of the two-sided scales."""
-    am, bm = _same_shape(_as_hermitians(a), _as_hermitians(b))
-    d = am.shape[-1]
-    lhs = np.trace(am @ bm, axis1=-2, axis2=-1).real
-    wa, wb = _eigvalsh(am), _eigvalsh(bm)
+    _same_shape(a, b)
+    d = a.shape[-1]
+    lhs = np.trace(a @ b, axis1=-2, axis2=-1).real
+    wa, wb = _eigvalsh(a), _eigvalsh(b)
     a_pos, a_neg = _eig_sides(wa, 2 * d)
     b_pos, b_neg = _eig_sides(wb, 2 * d)
     # matmul of a (1 x k) row by a (k x 1) column runs BLAS's dot on each
@@ -321,54 +342,53 @@ def check_trace_pairing(a, b) -> Rows:
     margin = rhs - lhs
     rank = np.sum(np.abs(wa) > _tol(_size(wa))[:, None], axis=-1)
     ok = margin >= -_tol(_size(wa) * _size(wb), d)
-    return Rows("trace_pairing", "compact", ok, margin, (am, bm), extras=lambda i: {
+    return Rows("trace_pairing", "compact", ok, margin, (a, b), extras=lambda i: {
         "lhs": float(lhs[i]), "rhs": float(rhs[i]),
         "margin": float(margin[i]), "rank_a": int(rank[i])})
 
 
 @_verifier
-def check_commutator_scale(a, x) -> Rows:
+def check_commutator_scale(a: Hermitian, x: Hermitian) -> Rows:
     """Positive scale of i[A,X] vs half the product of the two spreads."""
-    am, xm = _same_shape(_as_hermitians(a), _as_hermitians(x))
-    wc, wa, wx = _eigvalsh(1j * (am @ xm - xm @ am)), _eigvalsh(am), _eigvalsh(xm)
+    _same_shape(a, x)
+    wc, wa, wx = _eigvalsh(1j * (a @ x - x @ a)), _eigvalsh(a), _eigvalsh(x)
     lhs = _eig_sides(wc)[0]
     rhs = 0.5 * (_eig_spread(wa) * _eig_spread(wx))
     sub = _sub_rows(lhs, rhs, _size(wa) * _size(wx))
-    return Rows("commutator_scale", "compact", sub.holds, sub.margin, (am, xm), sub)
+    return Rows("commutator_scale", "compact", sub.holds, sub.margin, (a, x), sub)
 
 
 @_verifier
-def check_commutator_sv(a, x) -> Rows:
+def check_commutator_sv(a: Hermitian, x: Hermitian) -> Rows:
     """s([A,X]) vs half the product of the doubled spreads."""
-    am, xm = _same_shape(_as_hermitians(a), _as_hermitians(x))
-    d = am.shape[-1]
+    _same_shape(a, x)
+    d = a.shape[-1]
     # s(AX - XA) = s(i[A, X]), and i[A, X] is Hermitian
-    wc, wa, wx = _eigvalsh(1j * (am @ xm - xm @ am)), _eigvalsh(am), _eigvalsh(xm)
+    wc, wa, wx = _eigvalsh(1j * (a @ x - x @ a)), _eigvalsh(a), _eigvalsh(x)
     lhs = _pad(_herm_sv(wc), 4 * d)
     rhs = 0.5 * (_spr_sum(wa, wa) * _spr_sum(wx, wx))
     sub = _sub_rows(lhs, rhs, _size(wa) * _size(wx))
-    return Rows("commutator_sv", "compact", sub.holds, sub.margin, (am, xm), sub)
+    return Rows("commutator_sv", "compact", sub.holds, sub.margin, (a, x), sub)
 
 
 @_verifier
-def check_mixed_commutator(a, b, x) -> Rows:
+def check_mixed_commutator(a: Hermitian, b: Hermitian, x: Matrix) -> Rows:
     """s(AX-XB) vs spread-of-direct-sum times s(X); entrywise form recorded.
 
     The submajorization is the claim; the entrywise comparison is kept in the
     verdict because it can fail (and does, on the documented fixture).
     """
-    am, bm, xm = _as_hermitians(a), _as_hermitians(b), _as_cmatrices(x)
-    m, n = am.shape[-1], bm.shape[-1]
-    _coupling(xm, m, n)
+    m, n = a.shape[-1], b.shape[-1]
+    _coupling(x, m, n)
     k = 2 * (m + n)
-    lhs_vals = _sv_array(am @ xm - xm @ bm)
-    wa, wb, sx = _eigvalsh(am), _eigvalsh(bm), _sv_array(xm)
+    lhs_vals = _sv_array(a @ x - x @ b)
+    wa, wb, sx = _eigvalsh(a), _eigvalsh(b), _sv_array(x)
     rhs = _spr_sum(wa, wb) * _pad(sx, k)
     mag = _size(wa, wb) * _size(sx)
     sub = _sub_rows(_pad(lhs_vals, k), rhs, mag)
     margins = rhs[:, : lhs_vals.shape[-1]] - lhs_vals
     e_ok, _ = _entrywise(margins, mag)
-    return Rows("mixed_commutator", "compact", sub.holds, sub.margin, (am, bm, xm), sub,
+    return Rows("mixed_commutator", "compact", sub.holds, sub.margin, (a, b, x), sub,
                 (margins, e_ok))
 
 
@@ -379,7 +399,7 @@ def _herm_parts(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @_verifier
-def check_general_commutator(a, b, x) -> Rows:
+def check_general_commutator(a: Matrix, b: Matrix, x: Matrix) -> Rows:
     """s(AX-XB) for non-normal A, B via their Hermitian parts.
 
     Bound: (spread of the real parts' direct sum plus spread of the
@@ -388,117 +408,99 @@ def check_general_commutator(a, b, x) -> Rows:
     which the bound does not imply: a spread's first entry can exceed the
     diameter.
     """
-    am, bm, xm = _as_cmatrices(a), _as_cmatrices(b), _as_cmatrices(x)
-    a1, a2 = _herm_parts(am)
-    b1, b2 = _herm_parts(bm)
+    a1, a2 = _herm_parts(a)
+    b1, b2 = _herm_parts(b)
     m, n = a1.shape[-1], b1.shape[-1]
-    _coupling(xm, m, n)
+    _coupling(x, m, n)
     k = 2 * (m + n)
-    lhs = _pad(_sv_array(am @ xm - xm @ bm), k)
+    lhs = _pad(_sv_array(a @ x - x @ b), k)
     w_a1, w_a2, w_b1, w_b2 = _eigvalsh(a1), _eigvalsh(a2), _eigvalsh(b1), _eigvalsh(b2)
     # each part's direct-sum spectrum, non-increasing, merged as _spr_sum merges it
     s1 = _dec(np.concatenate([w_a1, w_b1], axis=-1))
     s2 = _dec(np.concatenate([w_a2, w_b2], axis=-1))
     spread_sum = _eig_spread(s1) + _eig_spread(s2)
-    sx = _sv_array(xm)
+    sx = _sv_array(x)
     mag = (_size(w_a1, w_b1) + _size(w_a2, w_b2)) * _size(sx)
     sub = _sub_rows(lhs, spread_sum * _pad(sx, k), mag)
     # the scalar corollary's diameters of those spectra; an empty direct sum has 0
     scalar = np.zeros(len(s1)) if m + n == 0 else s1[:, 0] - s1[:, -1] + s2[:, 0] - s2[:, -1]
     coro = _sub_rows(lhs, scalar[:, None] * _pad(sx, k), mag)
     return Rows("general_commutator", "compact", sub.holds & coro.holds, sub.margin,
-                (am, bm, xm), sub, extras=lambda i: {"scalar": float(scalar[i]),
-                                                     "coro_holds": bool(coro.holds[i])})
+                (a, b, x), sub, extras=lambda i: {"scalar": float(scalar[i]),
+                                                  "coro_holds": bool(coro.holds[i])})
 
 
 @_verifier
-def check_unitary_conj(a, x) -> Rows:
+def check_unitary_conj(a: Hermitian, x: Hermitian) -> Rows:
     """s(A - U*AU) with U = e^{iX}, against the doubled-spread product."""
-    am, xm = _same_shape(_as_hermitians(a), _as_hermitians(x))
-    d = am.shape[-1]
-    wx, vx = _eigh(xm)
+    _same_shape(a, x)
+    d = a.shape[-1]
+    wx, vx = _eigh(x)
     u = _unitary_exp(wx, vx)
-    wc, wa = _eigvalsh(am - _ct(u) @ am @ u), _eigvalsh(am)
+    wc, wa = _eigvalsh(a - _ct(u) @ a @ u), _eigvalsh(a)
     lhs = _pad(_herm_sv(wc), 4 * d)
     rhs = 0.5 * (_spr_sum(wx, wx) * _spr_sum(wa, wa))
     # ||A|| alone: U = e^{iX} has norm 1 at every scale of X
     sub = _sub_rows(lhs, rhs, _size(wa))
-    return Rows("unitary_conj", "compact", sub.holds, sub.margin, (am, xm), sub)
+    return Rows("unitary_conj", "compact", sub.holds, sub.margin, (a, x), sub)
 
 
-def _projection_sum(sm: np.ndarray, cm: np.ndarray) -> np.ndarray:
-    """C*C + S*S of validated S and C, validated as an orthogonal projection.
+def _projection_sum(s: np.ndarray, c: np.ndarray, *on: np.ndarray) -> np.ndarray:
+    """P = C*C + S*S of a splitting, validated as an orthogonal projection,
+    with the operators `on` checked to act on its space.
 
     Only the sum is checked here, as a sum of d products: its defects may
     reach _tol(max|P|, d).
     """
-    _same_shape(sm, cm)
-    p = _ct(cm) @ cm + _ct(sm) @ sm
+    _same_shape(s, c)
+    p = _ct(c) @ c + _ct(s) @ s
     try:
-        return _as_projections(p, k=p.shape[-1])
+        _as_projections(p, k=p.shape[-1])
     except (NotProjection, NotHermitian) as exc:
         raise NotProjectionSum(f"C*C + S*S is not a projection: {exc}") from exc
-
-
-def _splitting(s, c, e) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A splitting C*C + S*S = P and a Hermitian E on its space, as validated
-    stacks (S, C, E, P): E first, then S and C, then P, then E against P."""
-    em = _as_hermitians(e)
-    sm, cm = _as_cmatrices(s), _as_cmatrices(c)
-    p, em = _same_shape(_projection_sum(sm, cm), em)
-    return sm, cm, em, p
+    _same_shape(p, *on)
+    return p
 
 
 @_verifier
-def check_agm_projection(s, c, e) -> Rows:
+def check_agm_projection(s: Matrix, c: Matrix, e: Hermitian) -> Rows:
     """Doubled s(SEC*) vs the spread of the compressed operator plus a zero block."""
-    sm, cm, em, p = _splitting(s, c, e)
-    k = 4 * em.shape[-1]
-    lhs = 2.0 * _pad(_sv_array(sm @ em @ _ct(cm)), k)
-    rhs = _eig_spread(_eigvalsh(p @ em @ p), k)  # PEP oplus 0
-    sub = _sub_rows(lhs, rhs, _size(em))  # S and C are contractions
-    return Rows("agm_projection", "compact", sub.holds, sub.margin, (sm, cm, em), sub)
+    p = _projection_sum(s, c, e)
+    k = 4 * e.shape[-1]
+    lhs = 2.0 * _pad(_sv_array(s @ e @ _ct(c)), k)
+    rhs = _eig_spread(_eigvalsh(p @ e @ p), k)  # PEP oplus 0
+    sub = _sub_rows(lhs, rhs, _size(e))  # S and C are contractions
+    return Rows("agm_projection", "compact", sub.holds, sub.margin, (s, c, e), sub)
 
 
 @_verifier
-def check_agm_pair(s, c, e1, e2=None) -> Rows:
+def check_agm_pair(s: Positive, c: Positive, e1: Hermitian,
+                  e2: Hermitian | None = None) -> Rows:
     """s(S E1 C + C E2 S) for a positive splitting pair C^2 + S^2 = P.
 
-    With E1 = E2 = E the arithmetic-geometric-mean corollary
-    s(Re(SEC)) weakly below s(E)/2 is judged as well. The identity
-    spread(E oplus -E) = 2 s(E) it rests on is exact in floating point (both
-    sides are the sorted 2|w|), so it is not checked.
+    E2 left out is E1 = E. The arithmetic-geometric-mean corollary
+    s(Re(SEC)) weakly below s(E)/2 is then implied by the judged claim, so
+    it is not judged again: Spr(PEP oplus -PEP)/2 = s(PEP), and
+    s_i(PEP) <= s_i(E) for the contraction P.
     """
-    sm, _ = _positive(s, "S")
-    cm, _ = _positive(c, "C")
-    p = _projection_sum(sm, cm)
+    _positive(s, "S")
+    _positive(c, "C")
     same = e2 is None
-    e1m = _as_hermitians(e1)
-    p, e1m, e2m = _same_shape(p, e1m, e1m if same else _as_hermitians(e2))
-    d = p.shape[-1]
-    k = 4 * d
-    pair = sm @ e1m @ cm + cm @ e2m @ sm
-    # with E2 = E1 the pair SEC + CES = SEC + (SEC)* is Hermitian
-    if same:
-        w_pair, w1, we = _eigvalsh(pair), _eigvalsh(p @ e1m @ p), _eigvalsh(e1m)
-        s_pair, w2 = _herm_sv(w_pair), w1
+    e2 = e1 if same else e2
+    p = _projection_sum(s, c, e1, e2)
+    k = 4 * p.shape[-1]
+    pair = s @ e1 @ c + c @ e2 @ s
+    w1 = _eigvalsh(p @ e1 @ p)
+    if same:  # the pair SEC + CES = SEC + (SEC)* is Hermitian
+        s_pair, w2 = _herm_sv(_eigvalsh(pair)), w1
     else:
-        s_pair = _sv_array(pair)
-        w1, w2 = _eigvalsh(p @ e1m @ p), _eigvalsh(p @ e2m @ p)
-    lhs = _pad(s_pair, k)
-    mag = _size(e1m, e2m)
-    sub = _sub_rows(lhs, 0.5 * _spr_sum(w1, -w2, k=k), mag)
-    rows = Rows("agm_pair", "compact", sub.holds, sub.margin, (sm, cm, e1m, e2m), sub)
-    if not same:
-        return rows
-    se = _herm_sv(we)
-    coro = _sub_rows(_pad(s_pair / 2.0, 2 * d), 0.5 * _pad(se, 2 * d), mag)
-    return rows._replace(holds=sub.holds & coro.holds,
-                         extras=lambda i: {"coro_holds": bool(coro.holds[i])})
+        s_pair, w2 = _sv_array(pair), _eigvalsh(p @ e2 @ p)
+    sub = _sub_rows(_pad(s_pair, k), 0.5 * _spr_sum(w1, -w2, k=k), _size(e1, e2))
+    return Rows("agm_pair", "compact", sub.holds, sub.margin, (s, c, e1, e2), sub)
 
 
 @_verifier
-def check_agm_compact(s, c, e) -> Rows:
+def check_agm_compact(s: Matrix, c: Matrix, e: Hermitian) -> Rows:
     """Doubled s(SEC*) vs the compact-model spread of E itself.
 
     Also judges the compression monotonicity spread(PEP) <= spread(E)
@@ -508,10 +510,10 @@ def check_agm_compact(s, c, e) -> Rows:
     For positive E the compact spread of E is s(E), so the judged
     submajorization is then that bound in every unitarily invariant norm.
     """
-    sm, cm, em, p = _splitting(s, c, e)
-    k = 2 * em.shape[-1]
-    s_sec = _sv_array(sm @ em @ _ct(cm))
-    w_e, w_pep = _eigvalsh(em), _eigvalsh(p @ em @ p)
+    p = _projection_sum(s, c, e)
+    k = 2 * e.shape[-1]
+    s_sec = _sv_array(s @ e @ _ct(c))
+    w_e, w_pep = _eigvalsh(e), _eigvalsh(p @ e @ p)
     s_e = _herm_sv(w_e)
     mag = _size(w_e)
     rhs = _eig_spread(w_e, k)
@@ -522,7 +524,7 @@ def check_agm_compact(s, c, e) -> Rows:
     identity_bound = 0.5 * _schatten_rows(s_e, 2)
     identity_ok = fro_lhs <= identity_bound + _tol(mag)
     e_positive = _positive_gate(w_e)
-    return Rows("agm_compact", "compact", sub.holds & sub_ok, sub.margin, (sm, cm, em), sub,
+    return Rows("agm_compact", "compact", sub.holds & sub_ok, sub.margin, (s, c, e), sub,
                 (margins, sub_ok), lambda i: {
                     "fro": {"lhs": float(fro_lhs[i]), "identity_bound": float(identity_bound[i]),
                             "identity_ok": bool(identity_ok[i])},
@@ -531,7 +533,7 @@ def check_agm_compact(s, c, e) -> Rows:
 
 
 @_verifier
-def check_agm_general(a, b, e) -> Rows:
+def check_agm_general(a: Matrix, b: Matrix, e: Hermitian) -> Rows:
     """s(AEB*) vs half the spread of F^(1/2) E F^(1/2), F = A*A + B*B.
 
     Verified in the compact model, where a zero block appended to G changes
@@ -542,36 +544,36 @@ def check_agm_general(a, b, e) -> Rows:
     eigenvalues of X*X = E^(1/2) F E^(1/2): the formulation 2 s(AEB*) weakly
     below s(E^(1/2) F E^(1/2)) is the judged claim itself, not another one.
     """
-    am, bm, em = _same_shape(_as_cmatrices(a), _as_cmatrices(b), _as_hermitians(e))
-    d = em.shape[-1]
-    w_f, v_f = _eigh(_ct(am) @ am + _ct(bm) @ bm)
+    _same_shape(a, b, e)
+    d = e.shape[-1]
+    w_f, v_f = _eigh(_ct(a) @ a + _ct(b) @ b)
     _positive_gate(w_f, "square root of a non-positive matrix ({:.3e})")
-    we = _eigvalsh(em)
+    we = _eigvalsh(e)
     mag = _size(w_f) * _size(we)  # bounds G and AEB*, and cannot cancel
     froot = _psd_root(w_f, v_f)
-    gh = _as_hermitians(froot @ em @ froot, mag, d)
-    s_aeb = _sv_array(am @ em @ _ct(bm))
+    gh = _as_hermitians(froot @ e @ froot, mag, d)
+    s_aeb = _sv_array(a @ e @ _ct(b))
     k = 2 * d
     spr_g = _eig_spread(_eigvalsh(gh), k)
     sub = _sub_rows(_pad(s_aeb, k), 0.5 * spr_g, mag)
     margins = spr_g[:, :d] - 2.0 * s_aeb
     e_ok, _ = _entrywise(margins, mag)
-    return Rows("agm_general", "compact", sub.holds, sub.margin, (am, bm, em), sub,
+    return Rows("agm_general", "compact", sub.holds, sub.margin, (a, b, e), sub,
                 (margins, e_ok))
 
 
 @_verifier
-def check_zhan(e, f) -> Rows:
+def check_zhan(e: Hermitian, f: Hermitian) -> Rows:
     """s(E - F) vs the compact-model spread of E oplus F."""
-    em, fm = _same_shape(_as_hermitians(e), _as_hermitians(f))
-    k = 4 * em.shape[-1]
-    we, wf, wd = _eigvalsh(em), _eigvalsh(fm), _eigvalsh(em - fm)
+    _same_shape(e, f)
+    k = 4 * e.shape[-1]
+    we, wf, wd = _eigvalsh(e), _eigvalsh(f), _eigvalsh(e - f)
     sub = _sub_rows(_pad(_herm_sv(wd), k), _spr_sum(we, wf, k=k), _size(we, wf))
-    return Rows("zhan", "compact", sub.holds, sub.margin, (em, fm), sub)
+    return Rows("zhan", "compact", sub.holds, sub.margin, (e, f), sub)
 
 
 @_verifier
-def check_offdiag_projection(e, p) -> Rows:
+def check_offdiag_projection(e: Hermitian, p: Projection) -> Rows:
     """Doubled corner s-values vs the d-dimensional spread of E.
 
     This is the bounded-operator form: the spread is taken in the matrix
@@ -580,82 +582,79 @@ def check_offdiag_projection(e, p) -> Rows:
     range(I-P) into range(P), so rank PE(I-P) <= min(rank P, d - rank P)
     <= floor(d/2); the discarded singular values are asserted to vanish.
     """
-    em, pm = _same_shape(_as_hermitians(e), _as_projections(p))
-    d = em.shape[-1]
+    _same_shape(e, p)
+    d = e.shape[-1]
     half = math.ceil(d / 2)
-    sv = _sv_array(pm @ em @ (np.eye(d) - pm))
+    sv = _sv_array(p @ e @ (np.eye(d) - p))
     # rank(PE(I-P)) <= floor(d/2), so the discarded values are rounding noise
     dropped = np.max(sv[:, half:], axis=-1, initial=0.0)
-    we = _eigvalsh(em)
+    we = _eigvalsh(e)
     sub = _sub_rows(2.0 * sv[:, :half], _matrix_spread(we), _size(we))
     noise_ok = dropped <= _tol(_size(we), d)
-    return Rows("equiv1", "matrix", sub.holds & noise_ok, sub.margin, (em, pm), sub,
+    return Rows("equiv1", "matrix", sub.holds & noise_ok, sub.margin, (e, p), sub,
                 extras=lambda i: {"dropped_sv": float(dropped[i])})
 
 
 @_verifier
-def check_offdiag_compact(e, p) -> Rows:
+def check_offdiag_compact(e: Hermitian, p: Projection) -> Rows:
     """Doubled corner s-values vs the compact-model spread of E."""
-    em, pm = _same_shape(_as_hermitians(e), _as_projections(p))
-    d = em.shape[-1]
-    lhs = 2.0 * _pad(_sv_array(pm @ em @ (np.eye(d) - pm)), 2 * d)
-    we = _eigvalsh(em)
+    _same_shape(e, p)
+    d = e.shape[-1]
+    lhs = 2.0 * _pad(_sv_array(p @ e @ (np.eye(d) - p)), 2 * d)
+    we = _eigvalsh(e)
     sub = _sub_rows(lhs, _eig_spread(we), _size(we))
-    return Rows("equiv_compact1", "compact", sub.holds, sub.margin, (em, pm), sub)
+    return Rows("equiv_compact1", "compact", sub.holds, sub.margin, (e, p), sub)
 
 
 @_verifier
-def check_identity_split(s, c, e) -> Rows:
+def check_identity_split(s: Matrix, c: Matrix, e: Hermitian) -> Rows:
     """Full splitting C*C + S*S = I: doubled s(SEC*) vs spread of E plus a zero block."""
-    sm, cm, em, p = _splitting(s, c, e)
-    d = em.shape[-1]
+    p = _projection_sum(s, c, e)
+    d = e.shape[-1]
     if np.any(_size(p - np.eye(d)) > _tol(_size(p), d)):
         raise NotProjectionSum("C*C + S*S must equal the identity here")
     k = 4 * d
-    lhs = 2.0 * _pad(_sv_array(sm @ em @ _ct(cm)), k)
-    we = _eigvalsh(em)
+    lhs = 2.0 * _pad(_sv_array(s @ e @ _ct(c)), k)
+    we = _eigvalsh(e)
     sub = _sub_rows(lhs, _eig_spread(we, k), _size(we))  # E oplus 0
-    return Rows("equiv5", "compact", sub.holds, sub.margin, (sm, cm, em), sub)
+    return Rows("equiv5", "compact", sub.holds, sub.margin, (s, c, e), sub)
 
 
 @_verifier
-def control_kittaneh_positive(c, d, x) -> Rows:
+def control_kittaneh_positive(c: Positive, d: Positive, x: Matrix) -> Rows:
     """Entrywise s_i(CX - XD) <= ||X|| s_i(C oplus D) for positive C, D."""
-    cm, wc = _positive(c, "C")
-    dm, wd = _positive(d, "D")
-    xm = _as_cmatrices(x)
-    _coupling(xm, cm.shape[-1], dm.shape[-1])
-    lhs = _sv_array(cm @ xm - xm @ dm)
-    top = _opnorm(xm)
+    wc, wd = _positive(c, "C"), _positive(d, "D")
+    _coupling(x, c.shape[-1], d.shape[-1])
+    lhs = _sv_array(c @ x - x @ d)
+    top = _opnorm(x)
     s_cd = _herm_sv(np.concatenate([wc, wd], axis=-1))
     rhs = top[:, None] * s_cd[:, : lhs.shape[-1]]  # ||X|| s(C oplus D)
     margins = rhs - lhs
     ok, low = _entrywise(margins, _size(wc, wd) * top)
-    return Rows("control_kittaneh", "matrix", ok, low, (cm, dm, xm), entrywise=(margins, ok))
+    return Rows("control_kittaneh", "matrix", ok, low, (c, d, x), entrywise=(margins, ok))
 
 
 @_verifier
-def control_bhatia_kittaneh(a, b) -> Rows:
+def control_bhatia_kittaneh(a: Matrix, b: Matrix) -> Rows:
     """Entrywise 2 s_i(AB*) <= s_i(A*A + B*B)."""
-    am, bm = _same_shape(_as_cmatrices(a), _as_cmatrices(b))
-    lhs = 2.0 * _sv_array(am @ _ct(bm))
-    s_f = _herm_sv(_eigvalsh(_ct(am) @ am + _ct(bm) @ bm))
+    _same_shape(a, b)
+    lhs = 2.0 * _sv_array(a @ _ct(b))
+    s_f = _herm_sv(_eigvalsh(_ct(a) @ a + _ct(b) @ b))
     margins = s_f[:, : lhs.shape[-1]] - lhs
     ok, low = _entrywise(margins, _size(s_f))  # a sum of positives cannot cancel
-    return Rows("control_bhatia_kittaneh", "matrix", ok, low, (am, bm), entrywise=(margins, ok))
+    return Rows("control_bhatia_kittaneh", "matrix", ok, low, (a, b), entrywise=(margins, ok))
 
 
 @_verifier
-def control_strict_gap(e) -> Rows:
+def control_strict_gap(e: Hermitian) -> Rows:
     """Strict Frobenius gap ||E||_2 < g_2(spread(E)) for indefinite E."""
-    em = _as_hermitians(e)
-    w = _eigvalsh(em)
+    w = _eigvalsh(e)
     edge = _tol(_size(w))
     if not (w.shape[-1] and np.all((w[:, 0] > edge) & (w[:, -1] < -edge))):
         raise NotPositive("an indefinite operator (both signs present) is required")
     fro = _schatten_rows(_herm_sv(w), 2)
     g2 = _schatten_rows(_eig_spread(w), 2)
     margin = g2 - fro
-    return Rows("control_strict_gap", "compact", margin > _tol(fro), margin, (em,),
+    return Rows("control_strict_gap", "compact", margin > _tol(fro), margin, (e,),
                 extras=lambda i: {"fro": float(fro[i]), "g2_spread": float(g2[i]),
                                   "margin": float(margin[i])})

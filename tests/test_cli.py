@@ -265,9 +265,23 @@ def test_check_optional_fourth_file(capsys, tmp_path):
         assert code == 0, err
         rep = json.loads(out)["check"]
         assert rep["holds"] is True
-        # the corollary extras are evaluated only when E2 is omitted
-        assert ("coro_holds" in rep["extras"]) == (n == 3)
+        # with E2 omitted the AGM corollary is implied by the judged claim,
+        # so neither case records extras
+        assert rep["extras"] == {}
     assert run(capsys, "check", "agm_pair", files[0], files[1])[0] == 2
+
+
+def test_check_error_names_the_operand(capsys, tmp_path):
+    # a gate at the verifier's boundary names the parameter it rejects
+    nh, nf = tmp_path / "nh.txt", tmp_path / "nf.txt"
+    nh.write_text("dim 2\n1 2\n0 1\n")
+    nf.write_text("dim 2\n1 nan\n0 1\n")
+    for argv, message in (
+            (["zhan", f"{FIX}/kittaneh_fail_A.txt", str(nh)],
+             "F: Hermitian defect 2.000e+00 exceeds 2.000e-12"),
+            (["mixed_commutator", f"{FIX}/kittaneh_fail_A.txt", f"{FIX}/kittaneh_fail_B.txt",
+              str(nf)], "X: matrix entries must be finite")):
+        assert run(capsys, "check", *argv) == (2, "", f"sspread: {message}\n")
 
 
 def test_exit_codes_parse_and_mode_and_unknown(capsys, tmp_path):

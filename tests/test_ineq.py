@@ -482,18 +482,19 @@ def test_agm_pair_same_operator_extras():
     e = _herm(3, 22)
     v = ineq.check_agm_pair(s, c, e)
     assert v.holds
-    assert v.extras == {"coro_holds": True}
+    # the AGM corollary is implied by the judged claim, so it is not recorded
+    assert v.extras == {}
 
 
 def test_agm_pair_near_the_largest_float():
-    # 2 s(E) overflows at this scale; the verdict judges the pair and the
-    # corollary only, and neither compares a difference of infinities
+    # 2 s(E) overflows at this scale; the verdict judges the pair only, and
+    # compares no difference of infinities
     s, c, e, e2 = trial_args("agm_pair", 1, (3, 3))
     assert e2 is None
     with np.errstate(over="ignore"):
         v = ineq.check_agm_pair(s, c, 6e307 * e)
     assert v.holds
-    assert v.extras == {"coro_holds": True}
+    assert v.extras == {}
 
 
 def test_agm_pair_two_operators():
@@ -649,8 +650,9 @@ def test_control_strict_gap_requires_indefinite():
 
 # -- extras --------------------------------------------------------------------
 
-# the extras keys each verifier records, by check function; agm_pair's keys
-# depend on the case, and test_agm_extras_keys_in_each_case pins each case
+# the extras keys each verifier records, by check function; agm_compact's
+# and agm_general's keys are pinned with E both indefinite and positive, and
+# agm_pair's with E2 left out and given, by test_agm_extras_keys_in_each_case
 EXTRAS = {
     "check_tao_positive": {"split"},
     "check_key": {"split"},
@@ -661,6 +663,7 @@ EXTRAS = {
     "check_general_commutator": {"scalar", "coro_holds"},
     "check_unitary_conj": set(),
     "check_agm_projection": set(),
+    "check_agm_pair": set(),
     "check_agm_compact": {"fro", "e_positive"},
     "check_agm_general": set(),
     "check_zhan": set(),
@@ -671,15 +674,14 @@ EXTRAS = {
     "control_bhatia_kittaneh": set(),
     "control_strict_gap": {"fro", "g2_spread", "margin"},
 }
-AGM_CASES = {"check_agm_pair"}
 
 
 def test_every_verifier_has_its_extras_pinned():
     checks = {entry.check for entry in VERIFIERS.values()}
-    assert checks == EXTRAS.keys() | AGM_CASES
+    assert checks == EXTRAS.keys()
 
 
-@pytest.mark.parametrize("ineq_id", [i for i, e in VERIFIERS.items() if e.check in EXTRAS])
+@pytest.mark.parametrize("ineq_id", list(VERIFIERS))
 def test_extras_keys_are_pinned(ineq_id):
     # a claim restated in extras, or a key dropped, shows up here
     check = getattr(ineq, VERIFIERS[ineq_id].check)
@@ -691,8 +693,8 @@ def test_agm_extras_keys_in_each_case():
     c, s, _ = _splitting(3, 21, positive=True)
     e, e2 = _herm(3, 22), _herm(3, 23)
     assert np.linalg.eigvalsh(e)[0] < 0.0  # indefinite
-    assert ineq.check_agm_pair(s, c, e).extras.keys() == {"coro_holds"}
-    assert ineq.check_agm_pair(s, c, e, e2).extras.keys() == set()
+    assert ineq.check_agm_pair(s, c, e).extras.keys() == EXTRAS["check_agm_pair"]
+    assert ineq.check_agm_pair(s, c, e, e2).extras.keys() == EXTRAS["check_agm_pair"]
     c, s, _ = _splitting(3, 41)
     a, b = _gen(3, 51), _gen(3, 52)
     for op, positive in ((e, False), (_pos(3, 42), True)):

@@ -4,8 +4,12 @@ The verifiers and the linalg/spectra entry points check their arguments once
 and then run on unchecked private helpers. These tests feed each public entry
 point one bad argument at a time: a non-finite entry must raise ValueError,
 and a non-Hermitian matrix where a Hermitian one (or a projection, or a
-positive operator) is required must raise NotHermitian. Given two bad
-arguments, a verifier reports the one its validation order reaches first.
+positive operator) is required must raise NotHermitian. A verifier validates
+its operands in parameter order, naming the one that fails, and then runs
+its kernel's own gates (positivity, a splitting's sum, shapes), so given two
+bad arguments it reports the one that order reaches first. A kernel
+validates none of its stacks again: on the fuzz path only the gates of the
+operands it computes run.
 """
 
 import inspect
@@ -13,7 +17,7 @@ import inspect
 import numpy as np
 import pytest
 
-from sspread import NotHermitian, NotPositive, compact_scale, eigh, ineq, sv_array
+from sspread import NotHermitian, NotPositive, compact_scale, eigh, harness, ineq, linalg, sv_array
 from sspread.harness import _crandn, _hermitian, _partition, _positive, _projection
 from sspread.rng import Stream
 
@@ -119,8 +123,9 @@ def test_non_hermitian_raises_not_hermitian(name, index):
 
 
 # -- stacks ----------------------------------------------------------------------
-# A kernel validates a stack member by member: a stack whose member 1 is bad
-# raises what the public call on that member raises, message included.
+# A kernel's own gates (positivity, a splitting's sum) run member by member:
+# a stack whose member 1 is bad raises what the public call on that member
+# raises, message included.
 
 _KERNEL_CASES = {n: c for n, c in CASES.items() if n not in _LINALG}
 
@@ -133,14 +138,13 @@ def _outcome(fn, *args):
     return None
 
 
-def _stacked_outcome(name, bad_args, bad_too=None):
-    """Outcome of the kernel on three-member stacks: member 0 is the valid
-    instance, member 1 the bad one, member 2 valid or `bad_too`."""
+def _stacked_outcome(name, bad_args):
+    """Outcome of the kernel on three-member stacks: members 0 and 2 are the
+    valid instance, member 1 the bad one."""
     good = CASES[name][0]()
-    last = good if bad_too is None else bad_too
     stacks = [np.stack([np.asarray(g, dtype=np.complex128), np.asarray(b, dtype=np.complex128),
-                        np.asarray(z, dtype=np.complex128)])
-              for g, b, z in zip(good, bad_args, last)]
+                        np.asarray(g, dtype=np.complex128)])
+              for g, b in zip(good, bad_args)]
     return _outcome(inspect.unwrap(getattr(ineq, name)), *stacks)
 
 
@@ -151,43 +155,28 @@ def _with(args, index, m):
 
 
 def _bad_members():
-    """(name, bad args, second bad args or None) for every kind of bad member."""
-    for name, (make, herm) in _KERNEL_CASES.items():
-        args = make()
-        for i in range(len(args)):
-            m = np.array(args[i], dtype=np.complex128)
-            m[0, 0] = np.nan
-            yield f"{name}-nan-{i}", name, _with(args, i, m), None
-        for i in herm:
-            m1 = np.array(args[i], dtype=np.complex128)
-            m2 = m1.copy()
-            m1[0, 1] += 0.5
-            m2[0, 1] += 0.9
-            yield f"{name}-hermitian-{i}", name, _with(args, i, m1), _with(args, i, m2)
+    """(id, name, bad args) for every member that fails a kernel's own gate."""
     pos = {"check_tao_positive": [0], "check_agm_pair": [0, 1],
            "control_kittaneh_positive": [0, 1], "control_strict_gap": [0]}
     for name, indices in pos.items():
         args = CASES[name][0]()
         for i in indices:
             flipped = -np.asarray(args[i]) if name != "control_strict_gap" else np.abs(args[i])
-            yield f"{name}-gate-{i}", name, _with(args, i, flipped), None
+            yield f"{name}-gate-{i}", name, _with(args, i, flipped)
     for name in ("check_agm_projection", "check_agm_pair", "check_agm_compact",
                  "check_identity_split"):
         args = CASES[name][0]()
-        yield f"{name}-splitting", name, _with(args, 0, 2.0 * np.asarray(args[0])), None
-    for name in ("check_offdiag_projection", "check_offdiag_compact"):
-        args = CASES[name][0]()
-        yield f"{name}-projection", name, _with(args, 1, np.diag([1.0, 0.5, 0.0, 0.0])), None
+        yield f"{name}-splitting", name, _with(args, 0, 2.0 * np.asarray(args[0]))
 
 
 _BAD = list(_bad_members())
 
 
-@pytest.mark.parametrize("name, bad, bad_too", [c[1:] for c in _BAD], ids=[c[0] for c in _BAD])
-def test_stack_with_one_bad_member_raises_like_the_member(name, bad, bad_too):
+@pytest.mark.parametrize("name, bad", [c[1:] for c in _BAD], ids=[c[0] for c in _BAD])
+def test_stack_with_one_bad_member_raises_like_the_member(name, bad):
     expected = _outcome(_fn(name), *bad)
     assert expected is not None, "the bad member must be rejected on its own"
-    assert _stacked_outcome(name, bad, bad_too) == expected
+    assert _stacked_outcome(name, bad) == expected
 
 
 @pytest.mark.parametrize("name", sorted(_KERNEL_CASES))
@@ -209,13 +198,48 @@ def test_stack_shape_mismatch_raises_like_the_member(name):
         assert checked, "some argument of a multi-argument verifier must be size-checked"
 
 
+# the ids whose kernels validate an operand they compute, once per call: G
+# for agm_general's, C*C + S*S as a projection for a splitting's
+COMPUTED_GATES = {"agm_general", "equiv_compact2", "agm_projection", "agm_pair", "agm_compact",
+                  "equiv5"}
+
+
+@pytest.mark.parametrize("ineq_id", sorted(harness.VERIFIERS))
+def test_fuzz_validates_only_computed_operands(monkeypatch, ineq_id):
+    # fuzz draws every operand in its class, so no kernel validates one again;
+    # every validator enters linalg._as_cmatrices, under any name it is called
+    entered, kernel_calls = [], []
+    real = linalg._as_cmatrices
+
+    def as_cmatrices(*args, **kwargs):
+        entered.append(1)
+        return real(*args, **kwargs)
+
+    for mod in (linalg, ineq):
+        monkeypatch.setattr(mod, "_as_cmatrices", as_cmatrices, raising=False)
+    name = harness.VERIFIERS[ineq_id].check
+    kernel = inspect.unwrap(getattr(ineq, name))
+
+    def counted(*args):
+        kernel_calls.append(1)
+        return kernel(*args)
+
+    def public(*args, **kwargs):
+        raise AssertionError("fuzz runs the kernel, not the public verifier")
+
+    public.__wrapped__ = counted
+    monkeypatch.setattr(ineq, name, public)
+    harness.fuzz(ineq_id, trials=20)
+    assert kernel_calls
+    assert len(entered) == (len(kernel_calls) if ineq_id in COMPUTED_GATES else 0)
+
+
 # -- error precedence ------------------------------------------------------------
-# Two bad arguments at once: each verifier's validation order decides which
-# fault it reports, and these outcomes, class and message, are pinned, so a
-# merge of its validations must keep that order.
+# Two bad arguments at once: the operands are validated in parameter order,
+# then the kernel's own gates run, and these outcomes, class and message, are
+# pinned.
 
 _MULTI = sorted(n for n, (make, _) in _KERNEL_CASES.items() if len(make()) > 1)
-_FINITE = (ValueError, "matrix entries must be finite")
 
 
 def _faulted(name, faults):
@@ -235,48 +259,57 @@ def _faulted(name, faults):
     return args
 
 
-def _defect(limit):
-    return NotHermitian, f"Hermitian defect 5.000e-01 exceeds {limit}"
+def _finite(operand):
+    return ValueError, f"{operand}: matrix entries must be finite"
+
+
+def _defect(operand, limit):
+    return NotHermitian, f"{operand}: Hermitian defect 5.000e-01 exceeds {limit}"
+
+
+def _operand(name, i):
+    """The upper-case name of a verifier's argument i, as its errors give it."""
+    return list(inspect.signature(_fn(name)).parameters)[i].upper()
 
 
 PRECEDENCE = {
     # a non-Hermitian first argument with a non-finite second one: arguments
     # that need not be Hermitian (S, A, a general B) pass the first fault
     **{(name, ((0, "non-hermitian"), (1, "non-finite"))): out for name, out in {
-        "check_agm_compact": _FINITE,
-        "check_agm_general": _FINITE,
-        "check_agm_pair": _defect("5.421e-13"),
-        "check_agm_projection": _FINITE,
-        "check_commutator_scale": _defect("1.805e-12"),
-        "check_commutator_sv": _defect("1.805e-12"),
-        "check_general_commutator": _FINITE,
-        "check_identity_split": _FINITE,
-        "check_mixed_commutator": _defect("1.805e-12"),
-        "check_offdiag_compact": _defect("1.805e-12"),
-        "check_offdiag_projection": _defect("1.805e-12"),
-        "check_trace_pairing": _defect("1.805e-12"),
-        "check_unitary_conj": _defect("1.805e-12"),
-        "check_zhan": _defect("1.805e-12"),
-        "control_bhatia_kittaneh": _FINITE,
-        "control_kittaneh_positive": _defect("6.842e-12"),
+        "check_agm_compact": _finite("C"),
+        "check_agm_general": _finite("B"),
+        "check_agm_pair": _defect("S", "5.421e-13"),
+        "check_agm_projection": _finite("C"),
+        "check_commutator_scale": _defect("A", "1.805e-12"),
+        "check_commutator_sv": _defect("A", "1.805e-12"),
+        "check_general_commutator": _finite("B"),
+        "check_identity_split": _finite("C"),
+        "check_mixed_commutator": _defect("A", "1.805e-12"),
+        "check_offdiag_compact": _defect("E", "1.805e-12"),
+        "check_offdiag_projection": _defect("E", "1.805e-12"),
+        "check_trace_pairing": _defect("A", "1.805e-12"),
+        "check_unitary_conj": _defect("A", "1.805e-12"),
+        "check_zhan": _defect("E", "1.805e-12"),
+        "control_bhatia_kittaneh": _finite("B"),
+        "control_kittaneh_positive": _defect("C", "6.842e-12"),
     }.items()},
-    # a non-Hermitian third argument with a non-finite first one: a splitting
-    # validates its E before S and C
+    # a non-Hermitian third argument with a non-finite first one: the first
+    # is validated first
     **{(name, ((2, "non-hermitian"), (0, "non-finite"))): out for name, out in {
-        "check_agm_compact": _defect("1.003e-12"),
-        "check_agm_general": _FINITE,
-        "check_agm_pair": _FINITE,
-        "check_agm_projection": _defect("1.003e-12"),
-        "check_general_commutator": _FINITE,
-        "check_identity_split": _defect("1.003e-12"),
-        "check_mixed_commutator": _FINITE,
-        "control_kittaneh_positive": _FINITE,
+        "check_agm_compact": _finite("S"),
+        "check_agm_general": _finite("A"),
+        "check_agm_pair": _finite("S"),
+        "check_agm_projection": _finite("S"),
+        "check_general_commutator": _finite("A"),
+        "check_identity_split": _finite("S"),
+        "check_mixed_commutator": _finite("A"),
+        "control_kittaneh_positive": _finite("C"),
     }.items()},
     # a non-finite argument with a mis-shaped one, in either order: shapes are
-    # compared only after every argument they involve is validated
-    **{(name, faults): _FINITE for name in _MULTI
-       for faults in (((0, "non-finite"), (1, "mis-shaped")),
-                      ((0, "mis-shaped"), (1, "non-finite")))},
+    # compared only after every operand is validated
+    **{(name, faults): _finite(_operand(name, bad)) for name in _MULTI
+       for bad, faults in ((0, ((0, "non-finite"), (1, "mis-shaped"))),
+                           (1, ((0, "mis-shaped"), (1, "non-finite"))))},
     # a non-positive S, C or D with a wrongly shaped E1 or X: the gate comes first
     ("check_agm_pair", ((0, "non-positive"), (2, "mis-shaped"))):
         (NotPositive, "S has eigenvalue -4.728e-01"),
@@ -297,8 +330,10 @@ def test_precedence_covers_every_multi_argument_verifier():
                          ids=[f"{n}-" + "-".join(f"{k}{i}" for i, k in f)
                               for n, f in sorted(PRECEDENCE)])
 def test_two_faults_raise_in_validation_order(name, faults):
-    args = _faulted(name, faults)
-    assert _outcome(_fn(name), *args) == PRECEDENCE[name, faults]
-    # a stack of one raises it too, through the kernel
-    stacks = [np.asarray(a, dtype=np.complex128)[None] for a in args]
-    assert _outcome(inspect.unwrap(getattr(ineq, name)), *stacks) == PRECEDENCE[name, faults]
+    assert _outcome(_fn(name), *_faulted(name, faults)) == PRECEDENCE[name, faults]
+
+
+def test_keyword_operands_are_validated_in_parameter_order():
+    faults = ((0, "non-hermitian"), (1, "non-finite"))
+    e, f = _faulted("check_zhan", faults)
+    assert _outcome(lambda: ineq.check_zhan(f=f, e=e)) == PRECEDENCE["check_zhan", faults]

@@ -117,8 +117,9 @@ def test_suite_repros_and_verdict(report):
 def test_control_strict_gap_worst_seed_is_a_tie():
     # every d = 2 trial whose eigenvalues both sit at the family's clamp,
     # +-1/2, has margin 1 - 1/sqrt(2) in exact arithmetic, so rounding alone
-    # orders them; `fuzz control_strict_gap --trials 500 --seed 2` has three,
-    # and names the first of them, not the one whose last bits are smallest
+    # orders them, and which rounds lowest depends on the BLAS kernel;
+    # `fuzz control_strict_gap --trials 500 --seed 2` has three, and names
+    # the first of them, not the one whose last bits are smallest
     trials, seed = 500, 2
     summary = harness.fuzz("control_strict_gap", trials=trials, seed=seed)
     seeds = [derive_seed(seed, t) for t in range(trials)]
@@ -127,7 +128,7 @@ def test_control_strict_gap_worst_seed_is_a_tie():
     worst = min(margins)
     assert summary.worst_margin == worst
     tied = [t for t, m in enumerate(margins) if m <= worst + linalg._tol(abs(worst))]
-    assert tied == [112, 205, 260] and margins.index(worst) == 205
+    assert tied == [112, 205, 260] and margins.index(worst) in tied
     assert summary.worst_seed == seeds[tied[0]]
     for t in tied:
         (e,) = harness.trial_args("control_strict_gap", seeds[t], (2, 8))
