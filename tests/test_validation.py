@@ -17,7 +17,8 @@ import inspect
 import numpy as np
 import pytest
 
-from sspread import NotHermitian, NotPositive, compact_scale, eigh, harness, ineq, linalg, sv_array
+from sspread import (NotHermitian, NotPositive, SpreadError, compact_scale, eigh, harness, ineq,
+                     linalg, sv_array)
 from sspread.harness import _crandn, _hermitian, _partition, _positive, _projection
 from sspread.rng import Stream
 
@@ -123,9 +124,10 @@ def test_non_hermitian_raises_not_hermitian(name, index):
 
 
 # -- stacks ----------------------------------------------------------------------
-# A kernel's own gates (positivity, a splitting's sum) run member by member:
-# a stack whose member 1 is bad raises what the public call on that member
-# raises, message included.
+# Every gate runs member by member: a stack whose member 1 is bad, passed
+# through the gate its kernel's signature declares for it and then through
+# the kernel's own gates (positivity, a splitting's sum), raises what the
+# public call on that member raises, message and operand name included.
 
 _KERNEL_CASES = {n: c for n, c in CASES.items() if n not in _LINALG}
 
@@ -138,14 +140,29 @@ def _outcome(fn, *args):
     return None
 
 
-def _stacked_outcome(name, bad_args):
-    """Outcome of the kernel on three-member stacks: members 0 and 2 are the
-    valid instance, member 1 the bad one."""
+def _gated(kernel, *stacks):
+    """The kernel on stacks that first pass, in parameter order, the gate of
+    the class each parameter's annotation declares, a gate's error prefixed
+    by the operand's name in upper case."""
+    checked = []
+    for p, stack in zip(inspect.signature(kernel).parameters.values(), stacks):
+        gate = ineq._GATES[p.annotation.removesuffix(" | None")]
+        try:
+            checked.append(gate(stack))
+        except (ValueError, SpreadError) as exc:
+            raise type(exc)(f"{p.name.upper()}: {exc}") from None
+    return kernel(*checked)
+
+
+def _stacked_outcome(name, bad_args, bad_too=None):
+    """Outcome of the gated kernel on three-member stacks: member 0 is the
+    valid instance, member 1 the bad one, member 2 valid or `bad_too`."""
     good = CASES[name][0]()
+    last = good if bad_too is None else bad_too
     stacks = [np.stack([np.asarray(g, dtype=np.complex128), np.asarray(b, dtype=np.complex128),
-                        np.asarray(g, dtype=np.complex128)])
-              for g, b in zip(good, bad_args)]
-    return _outcome(inspect.unwrap(getattr(ineq, name)), *stacks)
+                        np.asarray(z, dtype=np.complex128)])
+              for g, b, z in zip(good, bad_args, last)]
+    return _outcome(_gated, inspect.unwrap(getattr(ineq, name)), *stacks)
 
 
 def _with(args, index, m):
@@ -155,28 +172,44 @@ def _with(args, index, m):
 
 
 def _bad_members():
-    """(id, name, bad args) for every member that fails a kernel's own gate."""
+    """(id, name, bad args, second bad args or None) for every kind of bad
+    member: one each operand's class gate rejects, or a kernel's own gate."""
+    for name, (make, herm) in _KERNEL_CASES.items():
+        args = make()
+        for i in range(len(args)):
+            m = np.array(args[i], dtype=np.complex128)
+            m[0, 0] = np.nan
+            yield f"{name}-nan-{i}", name, _with(args, i, m), None
+        for i in herm:
+            m1 = np.array(args[i], dtype=np.complex128)
+            m2 = m1.copy()
+            m1[0, 1] += 0.5
+            m2[0, 1] += 0.9
+            yield f"{name}-hermitian-{i}", name, _with(args, i, m1), _with(args, i, m2)
     pos = {"check_tao_positive": [0], "check_agm_pair": [0, 1],
            "control_kittaneh_positive": [0, 1], "control_strict_gap": [0]}
     for name, indices in pos.items():
         args = CASES[name][0]()
         for i in indices:
             flipped = -np.asarray(args[i]) if name != "control_strict_gap" else np.abs(args[i])
-            yield f"{name}-gate-{i}", name, _with(args, i, flipped)
+            yield f"{name}-gate-{i}", name, _with(args, i, flipped), None
     for name in ("check_agm_projection", "check_agm_pair", "check_agm_compact",
                  "check_identity_split"):
         args = CASES[name][0]()
-        yield f"{name}-splitting", name, _with(args, 0, 2.0 * np.asarray(args[0]))
+        yield f"{name}-splitting", name, _with(args, 0, 2.0 * np.asarray(args[0])), None
+    for name in ("check_offdiag_projection", "check_offdiag_compact"):
+        args = CASES[name][0]()
+        yield f"{name}-projection", name, _with(args, 1, np.diag([1.0, 0.5, 0.0, 0.0])), None
 
 
 _BAD = list(_bad_members())
 
 
-@pytest.mark.parametrize("name, bad", [c[1:] for c in _BAD], ids=[c[0] for c in _BAD])
-def test_stack_with_one_bad_member_raises_like_the_member(name, bad):
+@pytest.mark.parametrize("name, bad, bad_too", [c[1:] for c in _BAD], ids=[c[0] for c in _BAD])
+def test_stack_with_one_bad_member_raises_like_the_member(name, bad, bad_too):
     expected = _outcome(_fn(name), *bad)
     assert expected is not None, "the bad member must be rejected on its own"
-    assert _stacked_outcome(name, bad) == expected
+    assert _stacked_outcome(name, bad, bad_too) == expected
 
 
 @pytest.mark.parametrize("name", sorted(_KERNEL_CASES))
