@@ -1,22 +1,22 @@
 """Deterministic generators, the fuzz families, the verifier registry and
-fuzz campaigns. The fixture reproductions live in examples.py and the
-property suite, which draws through _groups here, in properties.py.
+the campaign engine of fuzz and the property suite (properties.py). The
+fixture reproductions live in examples.py.
 
 All randomness flows through the counter-based stream in rng.py: a campaign
 at seed s gives trial t the child seed derive_seed(s, t), so any failing
 instance can be rebuilt from its reported worst_seed alone. Nothing here
 reads a clock, so every result is a function of the arguments alone.
 
-A fuzz campaign, and each property of the property suite, derives all child
-seeds in one expression and draws every trial's d at counter 0 of its stream.
-It then draws the trials of one d together, on one Stream over their seeds:
-every generator builds a stack (B, rows, cols) whose row b is bit for bit
-what the scalar stream of seed b draws alone, and a family or property splits
-its rows further where a draw sets a shape or a shared scalar argument. Each
-group goes to one call of the verifier's kernel or the property's judge over
-stacks, and the rows are reduced in trial order, so a report does not depend
-on grouping or chunking. trial_args() calls the same generators on the
-scalar stream, a batch of one.
+A campaign (a fuzz run, or one property) derives all child seeds in one
+expression and draws every trial's d at counter 0 of its stream. It then
+draws the trials of one d together, on one Stream over their seeds: every
+generator builds a stack (B, rows, cols) whose row b is bit for bit what the
+scalar stream of seed b draws alone, and a family or property splits its
+rows further where a draw sets a shape or a shared scalar argument. Each
+group goes to one judge call over stacks, and _rows puts the rows back in
+trial order for _campaign's one reduction, so a report does not depend on
+grouping or chunking. trial_args() draws as a batch of one; the scalar
+stream serves direct calls of the generators.
 """
 
 from __future__ import annotations
@@ -151,16 +151,12 @@ def _partition(stream: Stream, d: int, rank=None,
 # [(rows, args)], rows indexing the stream's batch (slice(None) for all of
 # them) and args the kernel's arguments for those rows. A per-row draw that
 # sets a shape (n) or a shared scalar argument (a split, an absent E2) splits
-# the rows by its value. On the scalar stream there is one group, and args
-# are the public verifier's arguments for that one trial.
+# the rows by its value. Families run on batch streams only.
 
 
 def _split(values) -> list[tuple]:
     """(value, rows) for each distinct value of a per-row draw, in increasing
-    order; rows is slice(None) when every row shares the value, as the one
-    row of the scalar stream always does."""
-    if np.ndim(values) == 0:
-        return [(values, slice(None))]
+    order; rows is slice(None) when every row shares the value."""
     # a stable sort keeps each value's rows in increasing order
     order = np.argsort(values, kind="stable")
     ranked = values[order]
@@ -195,7 +191,7 @@ def _fam_key(stream: Stream, d: int):
 def _fam_trace(stream: Stream, d: int):
     rank = stream.randint(1, d)
     v = _unitary(stream, d)
-    w = np.where(_lead(rank, d) > 0.0, np.asarray(stream.normals(d)), 0.0)
+    w = np.where(_lead(rank, d) > 0.0, stream.normals(d), 0.0)
     a = (v * w[..., None, :]) @ _ct(v)
     return _whole(a, _hermitian(stream, d))
 
@@ -221,7 +217,7 @@ def _fam_unitary(stream: Stream, d: int):
     a, x = _herm(ga), _herm(gx)
     nrm = np.abs(linalg._eigvalsh(x)).max(-1)
     # a zero X stays zero whatever it is scaled by
-    scale = math.pi * np.asarray(stream.uniform()) / np.where(nrm > 0, nrm, 1.0)
+    scale = math.pi * stream.uniform() / np.where(nrm > 0, nrm, 1.0)
     return _whole(a, x * scale[..., None, None])
 
 
@@ -282,6 +278,21 @@ def _fam_control_gap(stream: Stream, d: int):
 # the verifier registry
 
 
+# the largest dimension fuzz and the property suite draw; a matrix of it
+# holds 16 MiB of complex128
+MAX_DIM = 1024
+
+# the most trials fuzz and the property suite run at once: each holds a
+# seed, a d, a margin and a verdict or message per trial, about 25 MB here
+MAX_TRIALS = 10**6
+
+# a fuzz chunk takes trials until the sum of their d*d reaches this many
+# entries (a family draws one to four matrices of about that size per
+# trial), so a campaign at large dims never holds all of its trials'
+# matrices at once
+FUZZ_CHUNK_ENTRIES = 1 << 18
+
+
 @dataclass(frozen=True)
 class Verifier:
     """One member of the paper's inequality family.
@@ -289,7 +300,7 @@ class Verifier:
     `check` names the public ineq function that judges it; `sspread check`
     looks it up on the module at call time, so a wrapped or patched ineq
     function is the one that runs, and reads its file list off that
-    function's parameters (ineq._matrix_params). fuzz runs the kernel
+    function's parameters (ineq._matrix_params). `judge` runs the kernel
     behind it, `inspect.unwrap(getattr(ineq, check))`, on stacks of trials.
     `draw(stream, d)` draws the verifier's arguments for the trials of a
     stream at dimension d, as the groups of the fuzz families above;
@@ -302,6 +313,11 @@ class Verifier:
     kind: str  # "theorem", "equivalent" or "control"
     check: str
     draw: Callable[[Stream, int], list]
+    lo, hi = 2, MAX_DIM  # every family needs d >= 2; not fields
+
+    def judge(self, *args) -> tuple:
+        rows = inspect.unwrap(getattr(ineq, self.check))(*args)
+        return rows.holds, rows.margin, None
 
 
 VERIFIERS = {v.id: v for v in (
@@ -340,28 +356,19 @@ def _lookup(ineq_id: str) -> Verifier:
         raise UnknownInequality(f"unknown inequality {ineq_id!r}") from None
 
 
-# the largest dimension fuzz and the property suite draw; a matrix of it
-# holds 16 MiB of complex128
-MAX_DIM = 1024
-
-# the most trials fuzz and the property suite run at once: each holds a
-# seed, a d, a margin and a verdict or message per trial, about 25 MB here
-MAX_TRIALS = 10**6
-
-# a fuzz chunk takes trials until the sum of their d*d reaches this many
-# entries (a family draws one to four matrices of about that size per
-# trial), so a campaign at large dims never holds all of its trials'
-# matrices at once
-FUZZ_CHUNK_ENTRIES = 1 << 18
-
-
 def _check_dims(dims: tuple[int, int], what: str, trials: int = 0) -> None:
     if not 0 <= trials <= MAX_TRIALS:
         raise ValueError(f"{what} runs from 0 up to {MAX_TRIALS} trials, got {trials}")
-    if dims[1] < max(2, dims[0]):
+    if dims[1] < 2 or dims[1] < dims[0]:
         raise ValueError(f"{what} needs dimension 2 or more in its range (d >= 2), got {dims}")
     if dims[1] > MAX_DIM:
         raise ValueError(f"{what} draws dimensions up to {MAX_DIM}, got {dims}")
+
+
+def _d_range(entry: Verifier, dims: tuple[int, int]) -> tuple[int, int]:
+    """dims cut to [entry.lo, entry.hi]: the range the entry's trials draw d from."""
+    hi = min(entry.hi, dims[1])
+    return min(max(entry.lo, dims[0]), hi), hi
 
 
 def _groups(entry: Verifier, seeds: np.ndarray, lo: int, hi: int):
@@ -388,6 +395,34 @@ def _groups(entry: Verifier, seeds: np.ndarray, lo: int, hi: int):
         start = stop
 
 
+def _rows(entry: Verifier, judge: Callable, seeds: np.ndarray, dims: tuple[int, int]):
+    """(holds, margins, messages) of these child seeds' trials in trial order,
+    drawn in groups (_groups) and each group judged by one judge(*args) call."""
+    holds = np.ones(len(seeds), dtype=bool)
+    margin = np.empty(len(seeds))
+    detail = [None] * len(seeds)
+    for index, args in _groups(entry, seeds, *_d_range(entry, dims)):
+        holds[index], margin[index], msgs = judge(*args)
+        for t, msg in zip(index.tolist(), msgs or ()):
+            detail[t] = msg
+    return holds, margin, detail
+
+
+def _campaign(entry: Verifier, judge: Callable, seeds: np.ndarray, dims: tuple[int, int]):
+    """(failures, worst margin, worst seed, first failure's message) of these
+    child seeds' trials. A NaN margin never wins, and the first trial within
+    _tol(|worst|) of the smallest margin names it, so a tie broken by
+    rounding names the same trial on every BLAS build."""
+    holds, margin, detail = _rows(entry, judge, seeds, dims)
+    margin = np.where(np.isnan(margin), math.inf, margin)
+    worst = float(margin.min(initial=math.inf))
+    worst_seed = 0
+    if worst < math.inf:
+        worst_seed = int(seeds[np.argmax(margin <= worst + linalg._tol(abs(worst)))])
+    failed = np.flatnonzero(~holds)
+    return len(failed), worst, worst_seed, detail[failed[0]] if len(failed) else None
+
+
 def trial_args(ineq_id: str, child_seed: int, dims: tuple[int, int] = (2, 8)) -> tuple:
     """The arguments of the fuzz trial with this child seed, in the order
     the id's public verifier takes them.
@@ -395,52 +430,32 @@ def trial_args(ineq_id: str, child_seed: int, dims: tuple[int, int] = (2, 8)) ->
     A trial is fixed by its child seed and the dimension range, so a
     campaign's worst_seed rebuilds its worst instance:
     getattr(ineq, VERIFIERS[id].check)(*trial_args(id, worst_seed, dims)).
-    It draws through the family on the scalar stream, a batch of one.
+    It draws through _groups, as fuzz does, on a batch of one seed, and
+    returns row 0 of each stacked argument.
     """
-    entry = _lookup(ineq_id)
     _check_dims(dims, "trial_args")
-    stream = Stream(child_seed)
-    ((_, args),) = entry.draw(stream, stream.randint(max(2, dims[0]), dims[1]))
-    return args
+    entry = _lookup(ineq_id)
+    seeds = np.array([child_seed & _MASK], dtype=np.uint64)
+    ((_, args),) = _groups(entry, seeds, *_d_range(entry, dims))
+    return tuple(a[0] if isinstance(a, np.ndarray) else a for a in args)
 
 
 def fuzz(ineq_id: str, trials: int = 500, dims: tuple[int, int] = (2, 8),
          seed: int = 0) -> FuzzSummary:
     """Run one inequality family on `trials` generated instances.
 
-    Trial t uses the child seed derive_seed(seed, t); worst_margin is the
-    smallest judged margin seen, worst_seed the child seed of the first trial
-    whose margin is within _tol(|worst_margin|) of it. Every family needs
+    Trial t uses the child seed derive_seed(seed, t). The trials are judged
+    by the verifier's kernel and reduced by _campaign. Every family needs
     d >= 2: a lower bound of 1 is raised to 2, and a range with no d >= 2 or
     above MAX_DIM raises ValueError, as does a trial count below 0 or above
     MAX_TRIALS.
-
-    The trials are drawn in groups (see _groups), each group is judged by
-    one kernel call, and the rows are put back in trial order before the
-    reduction, so the report does not depend on the grouping.
     """
-    entry = _lookup(ineq_id)
     _check_dims(dims, "fuzz", trials)
-    kernel = inspect.unwrap(getattr(ineq, entry.check))
+    entry = _lookup(ineq_id)
     # derive_seed(seed, t) for every t at once
     seeds = _splitmix64_block(seed & _MASK, 0, trials)
-    holds = np.ones(trials, dtype=bool)
-    margin = np.empty(trials)
-    for index, args in _groups(entry, seeds, max(2, dims[0]), dims[1]):
-        rows = kernel(*args)
-        holds[index] = rows.holds
-        margin[index] = rows.margin
-    worst = math.inf
-    worst_seed = 0
-    if trials:
-        # a NaN margin never wins; the first trial within tol of the smallest
-        # margin names it, so a tie broken by rounding names the same trial
-        # on every BLAS build
-        margin = np.where(np.isnan(margin), math.inf, margin)
-        worst = float(margin.min())
-        if worst < math.inf:
-            worst_seed = int(seeds[np.argmax(margin <= worst + linalg._tol(abs(worst)))])
+    failures, worst, worst_seed, _ = _campaign(entry, entry.judge, seeds, dims)
     return FuzzSummary(
-        ineq_id=ineq_id, trials=trials, failures=int(trials - np.count_nonzero(holds)),
+        ineq_id=ineq_id, trials=trials, failures=failures,
         worst_margin=0.0 if trials == 0 else worst, worst_seed=worst_seed,
     )

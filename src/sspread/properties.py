@@ -3,12 +3,12 @@ verifiers rest on (eigensolver residuals, Weyl and Ky Fan bounds, the spread's
 invariances, the majorization calculus, the generators' contracts).
 
 A property draws its inputs for a stream's trials as the fuzz families of
-harness.py do, [(rows, args)], and judge(*args) returns the rows' margins and
-their failure messages (None where a row holds), through _judged, from checks
-whose tol is linalg._tol of the size of the judge's inputs. Judges work on
-stacks through the same private helpers the public functions run on a batch
-of one, and the trials are drawn and grouped by harness._groups, as fuzz
-draws them.
+harness.py do, [(rows, args)], and judge(*args) returns the rows' verdicts,
+margins and failure messages (None where a row holds), through _judged, from
+checks whose tol is linalg._tol of the size of the judge's inputs. Judges
+work on stacks through the same private helpers the public functions run on
+a batch of one. The suite runs each property through fuzz's campaign engine
+(harness._campaign): the same grouped draw and the same reduction.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import numpy as np
 from . import linalg, major
 from .harness import (
     MAX_DIM,
+    _campaign,
     _check_dims,
     _crandn,
     _fam_control_bk,
     _fam_herm_pair,
-    _groups,
     _hermitian,
     _partition,
     _positive,
@@ -52,7 +52,7 @@ from .spectra import (
 
 @dataclass(frozen=True)
 class Property:
-    """One property; d is drawn from the suite's dims cut to [lo, hi], or is hi above it."""
+    """One property; d is drawn from the suite's dims cut to [lo, hi] (harness._d_range)."""
 
     draw: Callable[[Stream, int], list]
     judge: Callable[..., tuple]
@@ -60,13 +60,13 @@ class Property:
     hi: int = MAX_DIM
 
 
-def _judged(*checks) -> tuple[np.ndarray, list]:
-    """(margins, messages) of (message, margin, tol) checks over a stack's rows.
+def _judged(*checks) -> tuple[np.ndarray, np.ndarray, list]:
+    """(holds, margins, messages) of (message, margin, tol) checks over a stack's rows.
 
     A margin is the bound minus the value, and a check holds on a row where
-    its margin is at least -tol. A row's margin is the smallest of its
-    checks', and its message names the first check it fails, with that
-    check's margin and tol.
+    its margin is at least -tol. A row holds where every check does; its
+    margin is the smallest of its checks', and its message names the first
+    check it fails, with that check's margin and tol.
     """
     margin = functools.reduce(np.minimum, (m for _, m, _ in checks))
     detail = [None] * len(margin)
@@ -77,7 +77,7 @@ def _judged(*checks) -> tuple[np.ndarray, list]:
             for i in np.flatnonzero(bad):
                 if detail[i] is None:
                     detail[i] = f"{msg} (margin {m[i]:.3e}, tol {tol[i]:.3e})"
-    return margin, detail
+    return np.array([msg is None for msg in detail], dtype=bool), margin, detail
 
 
 def _relation(msg: str, sides: Callable, **how) -> Callable:
@@ -460,42 +460,27 @@ PROPERTIES = {
 }
 
 
-def _property_rows(prop: Property, seeds: np.ndarray, dims: tuple[int, int]):
-    """(margins, messages) of these child seeds' trials, drawn and judged in groups as fuzz's."""
-    margin = np.empty(len(seeds))
-    detail = [None] * len(seeds)
-    hi = min(prop.hi, dims[1])
-    for index, args in _groups(prop, seeds, min(max(prop.lo, dims[0]), hi), hi):
-        margin[index], msgs = prop.judge(*args)
-        for t, msg in zip(index.tolist(), msgs):
-            detail[t] = msg
-    return margin, detail
-
-
 def property_suite(seed: int, trials: int = 500, dims: tuple[int, int] = (2, 8)) -> dict:
     """Run every module-level property `trials` times; report per-property.
 
     Trial t of the property numbered i (in name order) uses the child seed
-    derive_seed(derive_seed(seed, i), t). A property fails at its first
-    failing trial, whose message is its detail; worst_margin is the smallest
-    margin of the trials before it. A lower bound below 1 is raised to 1;
-    like fuzz, it raises ValueError on a dimension range with no d >= 2 or
-    above MAX_DIM and on a trial count below 0 or above MAX_TRIALS.
+    derive_seed(derive_seed(seed, i), t), reduced by harness._campaign as
+    fuzz's trials are: detail is the first failing trial's message and
+    worst_margin the smallest margin of every trial. A lower bound below 1
+    is raised to 1; like fuzz, it raises ValueError on a dimension range
+    with no d >= 2 or above MAX_DIM and on a trial count below 0 or above
+    MAX_TRIALS.
     """
     _check_dims(dims, "property_suite", trials)
     results = []
     for idx, (name, prop) in enumerate(sorted(PROPERTIES.items())):
         seeds = _splitmix64_block(derive_seed(seed, idx), 0, trials)
-        margin, detail = _property_rows(prop, seeds, dims)
-        fail = next((t for t, msg in enumerate(detail) if msg is not None), len(detail))
-        # the first smallest margin before the failure; a NaN margin never wins
-        head = np.where(np.isnan(margin[:fail]), math.inf, margin[:fail])
-        worst = float(head[np.argmin(head)]) if fail else math.inf
+        failures, worst, _, detail = _campaign(prop, prop.judge, seeds, dims)
         results.append({
             "name": name,
-            "holds": fail == len(detail),
+            "holds": failures == 0,
             "worst_margin": 0.0 if worst == math.inf else worst,
-            "detail": detail[fail] if fail < len(detail) else None,
+            "detail": detail,
         })
     return {
         "seed": seed,

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import sspread
-from sspread import properties
+from sspread import harness
 from sspread.examples import EXAMPLE_IDS, repro
 from sspread.harness import VERIFIERS, fuzz
 from sspread.properties import PROPERTIES, property_suite
@@ -71,7 +71,8 @@ def test_criterion_3_infrastructure_properties():
     # 500 above plus 500 more on the child seeds derive_seed(SEED + 1, t)
     seeds = _splitmix64_block(SEED + 1, 0, 500)
     assert int(seeds[499]) == derive_seed(SEED + 1, 499)
-    _, detail = properties._property_rows(PROPERTIES["eigh_residual"], seeds, (2, 8))
+    prop = PROPERTIES["eigh_residual"]
+    _, _, detail = harness._rows(prop, prop.judge, seeds, (2, 8))
     extra_fail = next((msg for msg in detail if msg is not None), None)
     ok = not bad and extra_fail is None
     _line("criterion 3: infrastructure properties, 500 trials each "

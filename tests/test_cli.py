@@ -472,7 +472,7 @@ def test_dims_above_max_exit_two(capsys, monkeypatch, cmd):
     def no_work(*a, **k):
         raise AssertionError(f"{cmd} started work on an invalid --dims")
 
-    monkeypatch.setattr(harness, "fuzz", no_work)
+    monkeypatch.setattr(harness, "_campaign", no_work)
     monkeypatch.setattr(examples, "repro", no_work)
     argv = ["fuzz", "key"] if cmd == "fuzz" else ["suite"]
     for dims in ("2..100000", f"2..{harness.MAX_DIM + 1}"):
@@ -524,7 +524,7 @@ def test_trials_above_max_exit_two(capsys, monkeypatch, cmd):
     def no_work(*a, **k):
         raise AssertionError(f"{cmd} started work on an invalid --trials")
 
-    monkeypatch.setattr(harness, "fuzz", no_work)
+    monkeypatch.setattr(harness, "_campaign", no_work)
     monkeypatch.setattr(examples, "repro", no_work)
     argv = ["fuzz", "key"] if cmd == "fuzz" else ["suite"]
     for n in ("10000000000000", str(harness.MAX_TRIALS + 1)):
@@ -546,7 +546,7 @@ def test_range_errors_are_the_librarys(capsys, monkeypatch, cmd):
     def started(*a, **k):
         raise _Started
 
-    monkeypatch.setattr(harness, "fuzz", started)
+    monkeypatch.setattr(harness, "_campaign", started)
     monkeypatch.setattr(examples, "repro", started)
     argv = ["fuzz", "key"] if cmd == "fuzz" else ["suite"]
     edges = (1, 2, 3, harness.MAX_DIM, harness.MAX_DIM + 1)

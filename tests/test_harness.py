@@ -165,13 +165,13 @@ def _bits(args) -> list:
 @pytest.mark.parametrize("ineq_id", list(VERIFIERS))
 def test_grouped_draw_equals_batch_of_one_draw(ineq_id, dims):
     # fuzz draws each group of trials as one stack; row j of every stacked
-    # argument must be, bit for bit, what the scalar stream of that trial's
-    # child seed draws on its own
+    # argument must be, bit for bit, what trial_args draws for that trial's
+    # child seed alone, as a batch of one
     entry = VERIFIERS[ineq_id]
     for seed in (1, 2, 3):
         seeds = _splitmix64_block(seed, 0, 40)
         drawn = []
-        for index, args in harness._groups(entry, seeds, max(2, dims[0]), dims[1]):
+        for index, args in harness._groups(entry, seeds, *harness._d_range(entry, dims)):
             for j, t in enumerate(index):
                 row = tuple(a[j] if isinstance(a, np.ndarray) else a for a in args)
                 assert _bits(row) == _bits(trial_args(ineq_id, int(seeds[t]), dims)), (seed, t)
@@ -207,6 +207,11 @@ def test_trial_args_rejects_what_fuzz_rejects():
         trial_args("nope", 1)
     with pytest.raises(ValueError, match="d >= 2"):
         trial_args("zhan", 1, (1, 1))
+    # the range is judged before the id is looked up, as the CLI's exit 2 needs
+    with pytest.raises(ValueError, match="d >= 2"):
+        trial_args("nope", 1, (1, 1))
+    with pytest.raises(ValueError, match="d >= 2"):
+        fuzz("nope", trials=1, dims=(1, 1))
 
 
 def test_fuzz_report_does_not_depend_on_chunking(monkeypatch):
@@ -223,6 +228,10 @@ def test_fuzz_zero_trials():
     s = fuzz("zhan", trials=0, seed=1)
     assert s.trials == 0 and s.failures == 0
     assert s.worst_margin == 0.0
+    # the property suite reduces an empty campaign by the same rule
+    rep = property_suite(1, trials=0)
+    assert rep["holds"] and len(rep["properties"]) == len(PROPERTIES)
+    assert all((p["worst_margin"], p["detail"]) == (0.0, None) for p in rep["properties"])
 
 
 def test_fuzz_unknown_family():
@@ -300,10 +309,11 @@ def test_property_rows_equal_trials_judged_alone(name, dims):
     # be, bit for bit, what the trial drawn and judged on its own gives
     prop = PROPERTIES[name]
     seeds = _splitmix64_block(derive_seed(3, 17), 0, 30)
-    margin, detail = properties._property_rows(prop, seeds, dims)
+    holds, margin, detail = harness._rows(prop, prop.judge, seeds, dims)
     for t in range(len(seeds)):
-        one, msg = properties._property_rows(prop, seeds[t:t + 1], dims)
-        assert (one.tobytes(), msg) == (margin[t:t + 1].tobytes(), detail[t:t + 1]), t
+        ok, one, msg = harness._rows(prop, prop.judge, seeds[t:t + 1], dims)
+        assert (ok.tolist(), one.tobytes(), msg) == \
+            (holds[t:t + 1].tolist(), margin[t:t + 1].tobytes(), detail[t:t + 1]), t
 
 
 def test_scale_ordering_judges_a_drawn_spec_per_trial(monkeypatch):
@@ -317,7 +327,8 @@ def test_scale_ordering_judges_a_drawn_spec_per_trial(monkeypatch):
 
     monkeypatch.setattr(properties, "diag_scale", record)
     seeds = _splitmix64_block(derive_seed(2, 8), 0, 40)
-    margin, detail = properties._property_rows(PROPERTIES["scale_ordering"], seeds, (2, 8))
+    prop = PROPERTIES["scale_ordering"]
+    _, margin, detail = harness._rows(prop, prop.judge, seeds, (2, 8))
     assert len(seen) == 40 and len(set(seen)) > 1
     assert {spec.generator for spec, _ in seen} == set(spectra.GENERATORS)
     assert {len(spec.head) for spec, _ in seen} == {0, 1, 2, 3}
@@ -329,7 +340,7 @@ def test_property_failure_reports_its_first_failing_trial(monkeypatch):
     name = "weyl_sv"
     prop = PROPERTIES[name]
     seeds = _splitmix64_block(derive_seed(4, sorted(PROPERTIES).index(name)), 0, 20)
-    margin, _ = properties._property_rows(prop, seeds, (2, 8))
+    margin = harness._rows(prop, prop.judge, seeds, (2, 8))[1]
     # fail at the trial of the smallest margin, and at a later one
     t = int(np.argmin(margin))
     assert 0 < t < 19
@@ -339,33 +350,34 @@ def test_property_failure_reports_its_first_failing_trial(monkeypatch):
         return [(rows, (stream.seeds[rows], *args)) for rows, args in prop.draw(stream, d)]
 
     def judge(trial_seeds, *args):
-        m, detail = prop.judge(*args)
-        return m, [failing.get(int(s), msg) for s, msg in zip(trial_seeds, detail)]
+        holds, m, detail = prop.judge(*args)
+        bad = np.array([int(s) in failing for s in trial_seeds])
+        return holds & ~bad, m, [failing.get(int(s), msg) for s, msg in zip(trial_seeds, detail)]
 
-    def report(trials):
-        return {p["name"]: p for p in property_suite(4, trials=trials)["properties"]}[name]
-
-    head = report(t)
     monkeypatch.setitem(PROPERTIES, name, dataclasses.replace(prop, draw=draw, judge=judge))
-    got = report(20)
+    got = {p["name"]: p for p in property_suite(4, trials=20)["properties"]}[name]
     assert (got["holds"], got["detail"]) == (False, "first")
-    # worst_margin covers the trials before t only
-    assert got["worst_margin"] == head["worst_margin"] == float(np.min(margin[:t]))
-    assert got["worst_margin"] > margin[t]
+    # worst_margin is the smallest margin over every trial, as fuzz's is:
+    # the failing trial's own margin counts
+    assert got["worst_margin"] == float(margin[t]) < float(np.min(margin[:t]))
 
 
 def test_judged_names_the_first_failing_check():
-    margin, detail = properties._judged(
-        ("first", np.array([1.0, -2e-12, -1.0, np.nan]), np.array([0.0, 1e-12, 1e-12, 1.0])),
-        ("second", np.array([-0.5, 0.0, -3.0, 0.0]), 0.0),
+    holds, margin, detail = properties._judged(
+        ("first", np.array([1.0, -2e-12, -1.0, np.nan, -1e-12]),
+         np.array([0.0, 1e-12, 1e-12, 1.0, 1e-12])),
+        ("second", np.array([-0.5, 0.0, -3.0, 0.0, 2.0]), 0.0),
     )
     # a row's margin is the smallest of its checks'; it holds where every
     # margin clears -tol, and a NaN margin never does
-    assert margin[:3].tolist() == [-0.5, -2e-12, -3.0] and np.isnan(margin[3])
+    assert holds.tolist() == [False, False, False, False, True]
+    assert margin.tolist()[:3] + margin.tolist()[4:] == [-0.5, -2e-12, -3.0, -1e-12]
+    assert np.isnan(margin[3])
     assert detail == ["second (margin -5.000e-01, tol 0.000e+00)",
                       "first (margin -2.000e-12, tol 1.000e-12)",
                       "first (margin -1.000e+00, tol 1.000e-12)",
-                      "first (margin nan, tol 1.000e+00)"]
+                      "first (margin nan, tol 1.000e+00)",
+                      None]
 
 
 def test_property_suite_raises_lower_bound_to_one():
@@ -376,8 +388,8 @@ def test_property_suite_runs_above_the_eigh_residual_cap():
     # eigh_residual draws d <= 16, so a range above that draws d = 16
     prop = PROPERTIES["eigh_residual"]
     seeds = _splitmix64_block(5, 0, 3)
-    assert properties._property_rows(prop, seeds, (17, 18))[0].tobytes() == \
-        properties._property_rows(prop, seeds, (16, 16))[0].tobytes()
+    assert harness._rows(prop, prop.judge, seeds, (17, 18))[1].tobytes() == \
+        harness._rows(prop, prop.judge, seeds, (16, 16))[1].tobytes()
     assert property_suite(5, trials=2, dims=(17, 18))["holds"]
 
 

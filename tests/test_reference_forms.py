@@ -34,16 +34,12 @@ def _same_bits(a, b) -> bool:
 
 
 def _split_ref(values):
-    if np.ndim(values) == 0:
-        return [(values, slice(None))]
     if np.all(values == values[0]):
         return [(values[0].item(), slice(None))]
     return [(v.item(), np.flatnonzero(values == v)) for v in np.unique(values)]
 
 
 SPLIT_CASES = {
-    "0-d": np.int64(4),
-    "python int": 4,
     "one value": np.full(7, 3),
     "one row": np.array([6]),
     "all distinct": np.array([5, 2, 9, 3, 7]),
@@ -65,7 +61,7 @@ def test_split_matches_the_unique_form(case):
             assert rows == want
         else:
             assert rows.dtype == want.dtype and rows.tolist() == want.tolist()
-    if np.ndim(values) and len(got) > 1:
+    if len(got) > 1:
         # ascending values, and every row in exactly one group
         assert [v for v, _ in got] == sorted({v for v, _ in got})
         covered = np.concatenate([rows for _, rows in got]).tolist()

@@ -16,7 +16,7 @@ import pytest
 
 from sspread import NotHermitian, NotPositive, SpreadSeq, as_hermitian, ineq, submajorizes
 from sspread.examples import fixture_matrices
-from sspread.harness import VERIFIERS, _groups
+from sspread.harness import VERIFIERS, _d_range, _groups
 from sspread.properties import PROPERTIES
 from sspread.linalg import _ct
 from sspread.rng import _splitmix64_block
@@ -95,19 +95,14 @@ PROPERTY_FIXED = {
 NOT_HOMOGENEOUS = {"generator_contracts"}
 
 
-def _property_holds(judge, args):
-    return np.array([msg is None for msg in judge(*args)[1]])
-
-
 @pytest.mark.parametrize("name", sorted(set(PROPERTIES) - NOT_HOMOGENEOUS))
 def test_property_verdicts_are_scale_free(name):
     prop = PROPERTIES[name]
     seeds = _splitmix64_block(20211, 0, 50)
-    hi = min(prop.hi, 8)
     flips = []
-    for _, args in _groups(prop, seeds, min(max(prop.lo, 2), hi), hi):
-        holds = _property_holds(prop.judge, args)
-        scaled = _property_holds(prop.judge, _scaled(args, PROPERTY_FIXED.get(name, ())))
+    for _, args in _groups(prop, seeds, *_d_range(prop, (2, 8))):
+        holds = prop.judge(*args)[0]
+        scaled = prop.judge(*_scaled(args, PROPERTY_FIXED.get(name, ())))[0]
         bad = scaled.reshape(len(SCALES), -1) != holds
         flips += [(float(SCALES[j]), int(r)) for j, r in zip(*np.nonzero(bad))]
     assert not flips, f"{len(flips)} verdicts flip, e.g. (scale, row) {flips[:5]}"

@@ -26,8 +26,9 @@ per command:
 
     error ARGV CODE SHA      the exit code and the sha256 of stderr
 
-None of those reports draws on the scalar stream (a Stream of one int
-seed), so it then prints one line per scalar-stream draw:
+None of those reports returns one trial's draw, and none draws on the
+scalar stream (a Stream of one int seed), so it then prints one line per
+single-trial draw:
 
     trial_args ID S 2..8     harness.trial_args(ID, S, (2, 8)), S = 1..4
     generate KIND D S        the harness generator of KIND (GENERATORS) on
@@ -44,15 +45,14 @@ set, which see a margin that moves no campaign minimum:
                              *harness.trial_args(ID, S, (A, B))))), S = 1..4,
                              (A, B) = (2, 8) and (12, 16): every margin, the
                              extras and the witness
-    property NAME S          the margins and details properties._property_rows
-                             gives the trials of NAME at `suite --seed S`,
-                             S = 1..3 (60 trials, dims 2..8)
+    property NAME S          the margins and details harness._rows gives the
+                             trials of NAME at `suite --seed S`, S = 1..3
+                             (60 trials, dims 2..8)
     diag_scale RULE K        spectra.diag_scale of one spec with a head per
                              generator rule, K = 1, 8, 50
     fuzz-rows ID S           every trial of `fuzz ID --trials 500 --seed S`
-                             (dims 2..8), S = 1..3, drawn by harness._groups
-                             and judged by the kernel behind the public name,
-                             as fuzz runs them
+                             (dims 2..8), S = 1..3, as harness._rows gives
+                             them to fuzz's reduction
 
 each with the sha256 of that text, of the margins' bytes and the details'
 canonical JSON, of the scale's sides and tails, or of the trials' holds
@@ -69,7 +69,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import inspect
 import io
 import os
 import sys
@@ -92,7 +91,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import numpy as np  # noqa: E402
 
 from sspread import cli, harness, ineq, spectra  # noqa: E402
-from sspread.properties import PROPERTIES, _property_rows  # noqa: E402
+from sspread.properties import PROPERTIES  # noqa: E402
 from sspread.rng import Stream, _splitmix64_block, derive_seed  # noqa: E402
 from workloads import SHORT_COMMANDS  # noqa: E402
 
@@ -198,7 +197,7 @@ GENERATORS = {
 
 
 def draws() -> list[tuple[str, object]]:
-    """(label, value) of every scalar-stream draw the digest covers."""
+    """(label, value) of every single-trial draw the digest covers."""
     out = []
     for ineq_id in sorted(harness.VERIFIERS):
         for seed in (1, 2, 3, 4):
@@ -232,7 +231,7 @@ def properties() -> list[tuple[str, str]]:
     for seed in (1, 2, 3):
         for idx, (name, prop) in enumerate(sorted(PROPERTIES.items())):
             seeds = _splitmix64_block(derive_seed(seed, idx), 0, 60)
-            margin, detail = _property_rows(prop, seeds, (2, 8))
+            _, margin, detail = harness._rows(prop, prop.judge, seeds, (2, 8))
             h = hashlib.sha256(margin.tobytes())
             h.update(cli.canonical_json(detail).encode())
             out.append((f"property {name} {seed}", h.hexdigest()))
@@ -269,17 +268,11 @@ def fuzz_rows() -> list[tuple[str, str]]:
     """(label, sha256) of every trial's holds and margin in the fuzz campaigns
     covered, which see a margin that moves no campaign minimum."""
     out = []
-    trials = 500
     for ineq_id in sorted(harness.VERIFIERS):
         entry = harness.VERIFIERS[ineq_id]
-        kernel = inspect.unwrap(getattr(ineq, entry.check))
         for seed in (1, 2, 3):
-            holds = np.ones(trials, dtype=bool)
-            margin = np.empty(trials)
-            for index, args in harness._groups(entry, _splitmix64_block(seed, 0, trials), 2, 8):
-                rows = kernel(*args)
-                holds[index] = rows.holds
-                margin[index] = rows.margin
+            seeds = _splitmix64_block(seed, 0, 500)
+            holds, margin, _ = harness._rows(entry, entry.judge, seeds, (2, 8))
             out.append((f"fuzz-rows {ineq_id} {seed}",
                         hashlib.sha256(holds.tobytes() + margin.tobytes()).hexdigest()))
     return out
