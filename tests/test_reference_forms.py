@@ -47,6 +47,9 @@ SPLIT_CASES = {
     "bools": np.array([True, False, False, True, True]),
     # long enough that an unstable sort would reorder a value's rows
     "long": np.random.default_rng(5).integers(2, 9, 600),
+    # the draws the families split on: a per-row dimension and a per-row coin
+    "randint draw": Stream(np.arange(40, dtype=np.uint64)).randint(2, 6),
+    "coin draw": Stream(np.arange(40, dtype=np.uint64)).uniform() < 0.5,
 }
 
 
