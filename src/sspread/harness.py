@@ -301,7 +301,8 @@ class Verifier:
     looks it up on the module at call time, so a wrapped or patched ineq
     function is the one that runs, and reads its file list off that
     function's parameters (ineq._matrix_params). `judge` runs the kernel
-    behind it, `inspect.unwrap(getattr(ineq, check))`, on stacks of trials.
+    behind it, `inspect.unwrap(getattr(ineq, check))`, on stacks of trials;
+    each campaign looks the kernel up once, when it reads `judge`.
     `draw(stream, d)` draws the verifier's arguments for the trials of a
     stream at dimension d, as the groups of the fuzz families above;
     `trial_args` rebuilds one trial's public arguments. A row that shares
@@ -315,9 +316,16 @@ class Verifier:
     draw: Callable[[Stream, int], list]
     lo, hi = 2, MAX_DIM  # every family needs d >= 2; not fields
 
-    def judge(self, *args) -> tuple:
-        rows = inspect.unwrap(getattr(ineq, self.check))(*args)
-        return rows.holds, rows.margin, None
+    @property
+    def judge(self) -> Callable[..., tuple]:
+        """The judge of a campaign's groups: the kernel behind `check`, looked
+        up once, when the campaign reads this."""
+        kernel = inspect.unwrap(getattr(ineq, self.check))
+
+        def judge(*args) -> tuple:
+            rows = kernel(*args)
+            return rows.holds, rows.margin, None
+        return judge
 
 
 VERIFIERS = {v.id: v for v in (

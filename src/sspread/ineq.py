@@ -33,12 +33,15 @@ operand, in parameter order, naming the operand in a gate's error. Kernels,
 which harness.fuzz also feeds stacks drawn in class by construction, then
 run only the gates of what they compute: _positive (a positive operand's
 eigenvalues; NotPositive names it), _projection_sum (C*C + S*S = P, with
-the operators on its space), agm_general's G, _coupling (an X from one
-space to another) and _same_shape (operands on one space); every
-DimMismatch comes from these, _cut or _herm_parts. Every gate and
-comparison is made at linalg._tol of the input operands' size (e.g.
+the operators on its space), agm_general's R E R* (G up to a unitary),
+_coupling (an X from one space to another) and _same_shape (operands on one
+space); every DimMismatch comes from these, _cut or _herm_parts. Every gate
+and comparison is made at linalg._tol of the input operands' size (e.g.
 ||A|| ||X|| for a commutator, read off a decomposition the kernel makes
-anyway), never of a computed bound, which can cancel.
+anyway, or tr F max|E| for agm_general, which decomposes neither), never of
+a computed bound, which can cancel. Only unitary_conj computes eigenvectors,
+for e^{iX}. A public verifier raises ValueError, naming the claim, where the
+judged margin of finite operands is NaN or infinite (_finite_margin).
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ from .linalg import (
     _herm_sv,
     _opnorm,
     _pad,
+    _qr_r,
     _size,
     _sv_array,
     _tol,
@@ -189,9 +193,12 @@ def _positive_gate(w: np.ndarray, fail: str | None = None) -> np.ndarray:
     return ok
 
 
-def _psd_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Square root of a gated positive matrix (or stack) from its eigenpair."""
-    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _ct(v)
+def _gram_trace(m: np.ndarray) -> np.ndarray:
+    """tr M*M = ||M||_F^2 of each member of a stack, with its max|entry|
+    factored out of the squares, so that it overflows no earlier than ||M*M||."""
+    size = _size(m)
+    unit = np.where(size > 0, size, 1.0)[:, None, None]
+    return size * size * np.sum(np.abs(m / unit) ** 2, axis=(-2, -1))
 
 
 def _entrywise(margins: np.ndarray, mag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,13 +269,32 @@ def _operand(role: tuple, a):
         raise type(exc)(f"{name.upper()}: {exc}") from None
 
 
+def _finite_margin(rows: Rows) -> Rows:
+    """rows, when row 0's judged margin and its submajorization's tol are
+    finite. The operands are finite here, so a NaN or an infinity means that
+    their scale overflowed the claim's arithmetic, and a verdict on it would
+    be undefined (NaN) or vacuous (inf): ValueError names the claim instead.
+    A claim that compares nothing (empty operands) keeps its margin inf, the
+    smallest of no margins."""
+    sub, ew = rows.sub, rows.entrywise
+    margin = float(rows.margin[0])
+    tol = 0.0 if sub is None else float(sub.tol[0])
+    compared = sub.upper.shape[-1] if sub is not None else 1 if ew is None else ew[0].shape[-1]
+    if math.isnan(margin) or (compared and math.isinf(margin)) or not math.isfinite(tol):
+        at = "" if sub is None else f" at tol {tol:.3e}"
+        raise ValueError(f"{rows.ineq_id}: the judged margin is {margin:.3e}{at}: "
+                         "the operands' scale overflows the claim")
+    return rows
+
+
 def _verifier(kernel: Callable[..., Rows]) -> Callable[..., Verdict]:
     """The public verifier of a kernel: the kernel on a batch of one.
 
     Each matrix argument, as a stack of one, passes the gate of its class in
     parameter order; the kernel then runs its own gates, and the result is
-    row 0's Verdict. The roles are read off the kernel's parameters here,
-    once, so a call binds nothing. The public function keeps the kernel's name,
+    row 0's Verdict, once _finite_margin has passed it (kernels stay
+    unguarded). The roles are read off the kernel's parameters here, once, so
+    a call binds nothing. The public function keeps the kernel's name,
     docstring and parameters, and its __wrapped__ is the kernel, which
     inspect.unwrap reaches through any wrapper that sets __wrapped__ too.
     """
@@ -282,7 +308,7 @@ def _verifier(kernel: Callable[..., Rows]) -> Callable[..., Verdict]:
         # positional arguments precede keyword ones in parameter order
         given = [*map(_operand, roles, args), *args[len(roles):]]
         kwargs.update({r[1]: _operand(r, kwargs[r[1]]) for r in roles if r[1] in kwargs})
-        return kernel(*given, **kwargs).verdict(0)
+        return _finite_margin(kernel(*given, **kwargs)).verdict(0)
 
     public.__signature__ = sig.replace(return_annotation="Verdict")
     public.__annotations__ = {**kernel.__annotations__, "return": "Verdict"}
@@ -543,18 +569,20 @@ def check_agm_general(a: Matrix, b: Matrix, e: Hermitian) -> Rows:
     X = F^(1/2) E^(1/2) is positive, so its spread is s(G), the nonzero
     eigenvalues of X*X = E^(1/2) F E^(1/2): the formulation 2 s(AEB*) weakly
     below s(E^(1/2) F E^(1/2)) is the judged claim itself, not another one.
+
+    Neither G nor F is formed: the R factor of the stacked [A; B] = QR has
+    R*R = F, so R = W F^(1/2) for a unitary W, and R E R* = W G W* has G's
+    eigenvalues. The size is tr F max|E|, tr F = ||A||_F^2 + ||B||_F^2 >= ||F||.
     """
     _same_shape(a, b, e)
     d = e.shape[-1]
-    w_f, v_f = _eigh(_ct(a) @ a + _ct(b) @ b)
-    _positive_gate(w_f, "square root of a non-positive matrix ({:.3e})")
-    we = _eigvalsh(e)
-    mag = _size(w_f) * _size(we)  # bounds G and AEB*, and cannot cancel
-    froot = _psd_root(w_f, v_f)
-    gh = _as_hermitians(froot @ e @ froot, mag, d)
+    m = np.concatenate([a, b], axis=-2)  # M = [A; B], F = M*M
+    mag = _gram_trace(m) * _size(e)  # bounds G and AEB*, and cannot cancel
+    r = _qr_r(m)
+    g = _as_hermitians(r @ e @ _ct(r), mag, d)
     s_aeb = _sv_array(a @ e @ _ct(b))
     k = 2 * d
-    spr_g = _eig_spread(_eigvalsh(gh), k)
+    spr_g = _eig_spread(_eigvalsh(g), k)
     sub = _sub_rows(_pad(s_aeb, k), 0.5 * spr_g, mag)
     margins = spr_g[:, :d] - 2.0 * s_aeb
     e_ok, _ = _entrywise(margins, mag)

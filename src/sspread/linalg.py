@@ -27,8 +27,12 @@ numpy's message. (A real stack is cast and goes to the complex routine.)
 
 Scales, spreads and positivity gates need eigenvalues only; they come from
 LAPACK's values-only Hermitian driver (`_eigvalsh`). Eigenvectors (`_eigh`)
-are computed only for functional calculus: square roots, the e^{iX} of the
-unitary-conjugation verifier, and compressions.
+are computed only where the vectors are used: in a verifier only for the
+e^{iX} of unitary conjugation, and outside the verifiers for compressions,
+a generator, the property suite and a reproduction. No verifier takes a
+square root: agm_general takes the spectrum of G = F^(1/2) E F^(1/2) from
+R E R*, where R (`_qr_r`, no Q formed) is the R factor of [A; B], so that
+R*R = F and R = W F^(1/2) for a unitary W.
 
 Singular values come from LAPACK's SVD (`_sv_array`), except that a
 Hermitian operand's singular values are |eigenvalues| from the values-only
@@ -278,6 +282,15 @@ def _haar(g: np.ndarray) -> np.ndarray:
     size = np.abs(ph)
     ph = np.where(size > 0, ph / size, 1.0)
     return q * ph[..., None, :]
+
+
+def _qr_r(m: np.ndarray) -> np.ndarray:
+    """R of m = QR for a matrix or a stack (..., rows, cols), as
+    numpy.linalg.qr(m, mode="r") computes it: (..., min(rows, cols), cols),
+    upper triangular. Q is never formed."""
+    a = m.astype(np.complex128, copy=True)
+    _qr_r_raw(a)  # factors a in place: R on and above the diagonal
+    return np.triu(a[..., :min(a.shape[-2:]), :])
 
 
 def _unitary_exp(w: np.ndarray, v: np.ndarray) -> np.ndarray:

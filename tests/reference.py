@@ -55,17 +55,22 @@ def psd_root(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ _ct(v)
 
 
+def agm_size(a, b, e) -> float:
+    """The size of an agm_general instance: tr F max|E|, F = A*A + B*B, where
+    tr F = ||A||_F^2 + ||B||_F^2 bounds ||F||."""
+    return (np.linalg.norm(a) ** 2 + np.linalg.norm(b) ** 2) * np.abs(e).max()
+
+
 def agm_general(a, b, e) -> tuple[Claim, np.ndarray]:
     """s(AEB*) weakly below half the compact spread of G = F^(1/2) E F^(1/2),
     F = A*A + B*B, at horizon 2d; and the entrywise margins
-    Spr_j(G) - 2 s_j(AEB*), j <= d. The size is ||F|| ||E||."""
+    Spr_j(G) - 2 s_j(AEB*), j <= d. The size is agm_size."""
     d = e.shape[0]
     f = _ct(a) @ a + _ct(b) @ b
     root = psd_root(f)
     spr_g = spread(root @ e @ root, 2 * d)
     s_aeb = np.linalg.svd(a @ e @ _ct(b), compute_uv=False)
-    size = np.linalg.norm(f, 2) * np.linalg.norm(e, 2)
-    return submajorized(padded(s_aeb, 2 * d), spr_g / 2.0, size), spr_g[:d] - 2.0 * s_aeb
+    return submajorized(padded(s_aeb, 2 * d), spr_g / 2.0, agm_size(a, b, e)), spr_g[:d] - 2.0 * s_aeb
 
 
 def agm_general_positive(a, b, e) -> Claim:
@@ -77,8 +82,7 @@ def agm_general_positive(a, b, e) -> Claim:
     root = psd_root(e)
     s_efe = np.linalg.svd(root @ f @ root, compute_uv=False)
     s_aeb = np.linalg.svd(a @ e @ _ct(b), compute_uv=False)
-    size = np.linalg.norm(f, 2) * np.linalg.norm(e, 2)
-    return submajorized(padded(s_aeb, 2 * d), padded(s_efe, 2 * d) / 2.0, size)
+    return submajorized(padded(s_aeb, 2 * d), padded(s_efe, 2 * d) / 2.0, agm_size(a, b, e))
 
 
 def is_positive(e: np.ndarray) -> bool:

@@ -219,6 +219,20 @@ def test_check_holds_exit_zero(capsys):
     assert rep["check"]["report"]["tail_verdict"] == "conclusive"
 
 
+def test_check_of_an_overflowing_margin_exits_two(capsys, tmp_path):
+    # finite operands whose scale overflows the claim: an input error naming
+    # it, never a NaN verdict
+    files = []
+    for name, m in zip("AB", trial_args("trace_pairing", 3, (4, 4))):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(cli.write_matrix_text(1e200 * m))
+        files.append(str(path))
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, "check", "trace_pairing", *files, "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("sspread: trace_pairing: the judged margin is nan: ")
+
+
 def test_check_split_flag(capsys, tmp_path):
     p = tmp_path / "f.txt"
     p.write_text("dim 2\n1 1\n1 1\n")

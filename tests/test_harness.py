@@ -485,6 +485,34 @@ def test_fuzz_and_check_run_through_a_tracing_wrapper(monkeypatch, tmp_path, cap
     assert calls == ["check_agm_pair"]
 
 
+def test_fuzz_looks_its_kernel_up_once(monkeypatch):
+    # a campaign reads its kernel off ineq once, however many trial groups it
+    # judges; a wrapper set before the campaign is the one it unwraps
+    plain = fuzz("key", trials=40, seed=3)
+    kernel = inspect.unwrap(ineq.check_key)
+    groups, lookups = [], []
+
+    def counted(*args):
+        groups.append(len(args[0]))
+        return kernel(*args)
+
+    def public(*args, **kwargs):
+        raise AssertionError("fuzz runs the kernel, not the public verifier")
+
+    public.__wrapped__ = counted
+    monkeypatch.setattr(ineq, "check_key", public)
+    real_unwrap = inspect.unwrap
+
+    def unwrap(fn, **kwargs):
+        lookups.append(fn)
+        return real_unwrap(fn, **kwargs)
+
+    monkeypatch.setattr(inspect, "unwrap", unwrap)
+    assert fuzz("key", trials=40, seed=3) == plain
+    assert sum(groups) == 40 and len(groups) > 1
+    assert lookups == [public]
+
+
 def test_aliases_rerun_their_target():
     # an alias is a non-theorem row that shares check and draw with a theorem row
     theorems = {(v.check, v.draw): v.id for v in VERIFIERS.values() if v.kind == "theorem"}

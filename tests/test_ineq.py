@@ -17,10 +17,10 @@ from sspread import (
     offdiag_embed,
     spread_plus,
 )
-from sspread import ineq, linalg
+from sspread import examples, ineq, linalg
 from sspread import eigh as linalg_eigh
 from sspread import sv_array as linalg_sv
-from sspread.examples import fixture_matrices
+from sspread.examples import _psd_root, fixture_matrices
 from sspread.harness import (
     VERIFIERS, _crandn, _hermitian, _partition, _positive, _projection, trial_args,
 )
@@ -126,12 +126,42 @@ def test_positive_gate_one_eigh_per_matrix(monkeypatch):
     p, q = _pos(3, 12), _pos(2, 13)
     ineq.control_kittaneh_positive(p, q, _gen(3, 14)[:, :2])
     assert [(count(m, seen), count(m, with_vectors)) for m in (p, q)] == [(1, 0)] * 2
-    # agm_general decomposes E once, values only, whether E is positive or
-    # not: the one square root it takes is F's
-    for e in (_pos(3, 6), _herm(3, 6)):
-        v = ineq.check_agm_general(_gen(3, 7), _gen(3, 8), e)
+
+
+def test_agm_general_decomposes_neither_e_nor_f(monkeypatch):
+    # G's spectrum is R E R*'s, R the R factor of [A; B]: no eigenvectors,
+    # no square root, and no decomposition of E or F, whether E is positive
+    # or not; the one Hermitian decomposition is values-only, of R E R*
+    a, b = _gen(3, 7), _gen(3, 8)
+    f = a.conj().T @ a + b.conj().T @ b
+    es = (_pos(3, 6), _herm(3, 6))
+    seen, with_vectors = _count_eigh(monkeypatch)
+    factored, factors = [], []
+    real_qr_r = linalg._qr_r
+
+    def qr_r(m):
+        factored.extend(_members(m))
+        factors.extend(_members(real_qr_r(m)))
+        return real_qr_r(m)
+
+    def no_root(*args, **kwargs):
+        raise AssertionError("agm_general takes no square root")
+
+    monkeypatch.setattr(ineq, "_qr_r", qr_r)
+    monkeypatch.setattr(np, "sqrt", no_root)
+    monkeypatch.setattr(math, "sqrt", no_root)
+    monkeypatch.setattr(examples, "_psd_root", no_root)
+    for e in es:
+        start = len(seen)
+        v = ineq.check_agm_general(a, b, e)
         assert v.holds and v.extras == {}
-        assert (count(e, seen), count(e, with_vectors)) == (1, 0)
+        assert with_vectors == []
+        assert len(seen) - start == 1
+        assert not any(np.allclose(m, x) for m in seen[start:] for x in (e, f))
+        r = factors[-1]
+        assert np.array_equal(seen[-1], r @ e @ r.conj().T)
+    assert len(factored) == 2
+    assert all(np.array_equal(m, np.concatenate([a, b])) for m in factored)
 
 
 @pytest.mark.parametrize("d", [*range(2, 9), *range(32, 65, 8)])
@@ -156,8 +186,8 @@ def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
     # every verifier decomposes each matrix at most once per kind (Hermitian
     # eigenvalues with or without vectors, SVD), none decomposes a matrix
     # larger than its largest input, and eigenvectors are computed only for
-    # e^{iX} (unitary_conj) and the square root of F (agm_general), whether
-    # E is positive or not
+    # e^{iX} (unitary_conj): agm_general takes G's spectrum from R E R*, R
+    # the R factor of [A; B], whether E is positive or not
     eighs, with_vectors = _count_eigh(monkeypatch)
     seen = {"eigh": eighs, "svd": []}
     real_sv = linalg._sv_array
@@ -191,7 +221,7 @@ def test_one_decomposition_per_matrix_and_no_block_matrix(monkeypatch):
                 expected = [args[1]]
             elif name == "check_agm_general":
                 a, b, e = args
-                expected = [a.conj().T @ a + b.conj().T @ b]
+                expected = []
                 positive_e.append(bool(ineq._positive_gate(np.linalg.eigvalsh(e)[None, ::-1])[0]))
             else:
                 expected = []
@@ -448,7 +478,7 @@ def test_douglas_agm_factor():
     f2 = a.conj().T @ a + b.conj().T @ b
     wf, vf = linalg._eigh(f2)
     ineq._positive_gate(wf[None], "F^2 has eigenvalue {:.3e}")
-    froot = ineq._psd_root(wf, vf)
+    froot = _psd_root(wf, vf)
     # the least-norm solution of F W = A*, the quotient Douglas's lemma names
     w = np.linalg.lstsq(froot, a.conj().T, rcond=None)[0]
     assert np.allclose(froot @ w, a.conj().T, atol=1e-8)
@@ -487,14 +517,13 @@ def test_agm_pair_same_operator_extras():
 
 
 def test_agm_pair_near_the_largest_float():
-    # 2 s(E) overflows at this scale; the verdict judges the pair only, and
-    # compares no difference of infinities
+    # the spread of E overflows at this scale, so every upper margin is inf:
+    # no vacuous pass, an input error that names the claim
     s, c, e, e2 = trial_args("agm_pair", 1, (3, 3))
     assert e2 is None
-    with np.errstate(over="ignore"):
-        v = ineq.check_agm_pair(s, c, 6e307 * e)
-    assert v.holds
-    assert v.extras == {}
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"^agm_pair: the judged margin is inf at tol "):
+        ineq.check_agm_pair(s, c, 6e307 * e)
 
 
 def test_agm_pair_two_operators():

@@ -311,16 +311,20 @@ DOORWAY = {
              lambda m: tuple(x[..., ::-1] for x in np.linalg.eigh(m))),
     "sv_array": (linalg._sv_array, lambda m: np.linalg.svd(m, compute_uv=False)),
     "haar": (linalg._haar, _haar_phase_form),
+    "qr_r": (linalg._qr_r, lambda m: np.linalg.qr(m, mode="r")),
 }
 
 
 def _doorway_stacks(entry, d):
     """Stacks of one and of four members, one member all zero, Hermitian for
-    the eigensolvers; sv_array also takes d x n and n x d ones."""
+    the eigensolvers; sv_array and qr_r also take d x n and n x d ones, and
+    qr_r the 2d x d of a stacked [A; B]."""
     rng = np.random.default_rng(d)
     shapes = [(d, d)]
-    if entry == "sv_array":
+    if entry in ("sv_array", "qr_r"):
         shapes += [(d, d + 2), (d + 2, d)]
+    if entry == "qr_r":
+        shapes.append((2 * d, d))
     for rows, cols in shapes:
         g = rng.standard_normal((4, rows, cols)) + 1j * rng.standard_normal((4, rows, cols))
         g[2] = 0.0

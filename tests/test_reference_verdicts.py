@@ -6,7 +6,8 @@ import pytest
 
 import reference
 from sspread import ineq
-from sspread.harness import _crandn, _positive, trial_args
+from sspread.examples import fixture_matrices
+from sspread.harness import _crandn, _hermitian, _positive, _projection, trial_args
 from sspread.rng import Stream
 
 
@@ -43,3 +44,21 @@ def test_agm_general_positive_instance_matches_both_forms():
     e = _positive(Stream(53), 3)
     assert ineq.check_agm_general(a, b, e).holds
     assert _agm_general_agrees(a, b, e)
+
+
+@pytest.mark.parametrize("positive", [True, False], ids=["positive E", "indefinite E"])
+def test_agm_general_singular_f_matches_its_literal_forms(positive):
+    # A and B vanish on one subspace, the kernel of a projection P, so
+    # F = P (A*A + B*B) P is singular and G = F^(1/2) E F^(1/2) vanishes there
+    draw = _positive if positive else _hermitian
+    for seed in range(1, 11):
+        d = 2 + seed % 6
+        p = _projection(Stream(seed), d, rank=1 + seed % (d - 1))
+        a, b = _crandn(Stream(100 + seed), d, d) @ p, _crandn(Stream(200 + seed), d, d) @ p
+        e = draw(Stream(300 + seed), d)
+        assert _agm_general_agrees(a, b, e) == positive
+
+
+def test_agm_general_fixture_matches_its_literal_form():
+    m = fixture_matrices("agm-fail-3x3")
+    assert not _agm_general_agrees(m["A"], m["B"], m["E"])  # E is indefinite

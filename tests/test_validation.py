@@ -370,3 +370,32 @@ def test_keyword_operands_are_validated_in_parameter_order():
     faults = ((0, "non-hermitian"), (1, "non-finite"))
     e, f = _faulted("check_zhan", faults)
     assert _outcome(lambda: ineq.check_zhan(f=f, e=e)) == PRECEDENCE["check_zhan", faults]
+
+
+# -- non-finite margins ------------------------------------------------------------
+# Finite operands whose scale overflows a claim's arithmetic: the judged margin
+# (or its tol) comes out NaN or infinite, and the public verifier raises an
+# input error naming the claim instead of a NaN or a vacuous verdict. The
+# kernels stay unguarded; fuzz draws at unit scale.
+
+# id: (the trial rebuilt, the operands scaled, their scale, the kernel's margin)
+OVERFLOWS = {
+    "trace_pairing": (("trace_pairing", 3, (4, 4)), (0, 1), 1e200, "nan"),
+    "control_strict_gap": (("control_strict_gap", 3, (4, 4)), (0,), 1e200, "nan"),
+    "unitary_conj": (("unitary_conj", 3, (4, 4)), (0, 1), 1e200, "inf"),
+    "agm_pair": (("agm_pair", 1, (3, 3)), (2,), 6e307, "inf"),  # E1; S, C a splitting
+}
+
+
+@pytest.mark.parametrize("claim", sorted(OVERFLOWS))
+def test_overflowing_scale_names_the_claim(claim):
+    trial, scaled, scale, margin = OVERFLOWS[claim]
+    args = list(harness.trial_args(*trial))
+    for i in scaled:
+        args[i] = scale * args[i]
+    check = getattr(ineq, harness.VERIFIERS[claim].check)
+    with np.errstate(all="ignore"):
+        rows = inspect.unwrap(check)(*(None if a is None else a[None] for a in args))
+        assert str(rows.margin[0]) == margin
+        with pytest.raises(ValueError, match=f"^{claim}: the judged margin is {margin}[ :]"):
+            check(*args)

@@ -37,7 +37,7 @@ FUZZ = {
     "equiv4": (0, 9095065823743835211, 0.07178119700259655),
     "equiv5": (0, 9095065823743835211, 0.014694550641908055),
     "equiv_compact1": (0, 16391929014852575892, 0.01125428133774209),
-    "equiv_compact2": (0, 6209254782910845600, 0.0005950569830548424),
+    "equiv_compact2": (0, 6209254782910845600, 0.0005950569830517338),
     "control_kittaneh": (0, 10411298932273842707, 0.6931556744921314),
     "control_bhatia_kittaneh": (0, 9095065823743835211, 0.22593969908035283),
     "control_strict_gap": (0, 10411298932273842707, 0.29741499586931086),
