@@ -477,8 +477,6 @@ def _parse_dims(text: str) -> tuple[int, int]:
         lo, hi = int(lo_s), int(hi_s)
     except ValueError as exc:
         raise ParseError(f"dims must be integers, got {text!r}") from exc
-    if lo < 1 or hi < lo:
-        raise ParseError(f"empty dimension range {text!r}")
     return lo, hi
 
 

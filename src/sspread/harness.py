@@ -1,6 +1,7 @@
-"""Deterministic generators, the fuzz families, the verifier registry and
-the campaign engine of fuzz and the property suite (properties.py). The
-fixture reproductions live in examples.py.
+"""Deterministic generators, the fuzz families (four draw recipes, each
+stating a hypothesis class once, and six draws of their own), the verifier
+registry and the campaign engine of fuzz and the property suite
+(properties.py). The fixture reproductions live in examples.py.
 
 All randomness flows through the counter-based stream in rng.py: a campaign
 at seed s gives trial t the child seed derive_seed(s, t), so any failing
@@ -151,7 +152,10 @@ def _partition(stream: Stream, d: int, rank=None,
 # [(rows, args)], rows indexing the stream's batch (slice(None) for all of
 # them) and args the kernel's arguments for those rows. A per-row draw that
 # sets a shape (n) or a shared scalar argument (a split, an absent E2) splits
-# the rows by its value. Families run on batch streams only.
+# the rows by its value. Families run on batch streams only. A recipe below
+# builds a family from the one thing its members vary in; one that two rows
+# share is bound to one name, as an alias row shares its theorem's (check,
+# draw) objects.
 
 
 def _split(values) -> list[tuple]:
@@ -172,20 +176,46 @@ def _whole(*args) -> list[tuple]:
     return [(slice(None), args)]
 
 
-def _by_n(stream: Stream, d: int, draw) -> list[tuple]:
-    """Draw a second dimension n in [2, d] per row, then each n's rows on
-    their own stream: draw(stream of those rows, n) gives their arguments."""
-    return [(rows, draw(stream.take(rows), n)) for n, rows in _split(stream.randint(2, d))]
+def _operands(*maps) -> Callable[[Stream, int], list]:
+    """Operands on one space: one _crandns call of d x d Gaussian blocks, each
+    taken through its map (_herm, _psd or _haar; None keeps the Gaussian)."""
+    def draw(stream: Stream, d: int):
+        gs = _crandns(stream, *[(d, d)] * len(maps))
+        return _whole(*(g if m is None else m(g) for m, g in zip(maps, gs)))
+    return draw
 
 
-def _fam_tao(stream: Stream, d: int):
-    f = _positive(stream, d)
-    return [(rows, (f[rows], k)) for k, rows in _split(stream.randint(1, d - 1))]
+def _with_split(gen) -> Callable[[Stream, int], list]:
+    """The matrix gen(stream, d), then a split in [1, d - 1] per row."""
+    def draw(stream: Stream, d: int):
+        f = gen(stream, d)
+        return [(rows, (f[rows], k)) for k, rows in _split(stream.randint(1, d - 1))]
+    return draw
 
 
-def _fam_key(stream: Stream, d: int):
-    a = _hermitian(stream, d)
-    return [(rows, (a[rows], k)) for k, rows in _split(stream.randint(1, d - 1))]
+def _coupling(m) -> Callable[[Stream, int], list]:
+    """A (d x d) and B (n x n) through the class map m (None keeps the Gaussian),
+    n in [2, d] drawn per row, and X (d x n), each n's rows on their own stream."""
+    def draw(stream: Stream, d: int):
+        groups = []
+        for n, rows in _split(stream.randint(2, d)):
+            a, b, x = _crandns(stream.take(rows), (d, d), (n, n), (d, n))
+            groups.append((rows, (a, b, x) if m is None else (m(a), m(b), x)))
+        return groups
+    return draw
+
+
+def _splitting(identity: bool = False) -> Callable[[Stream, int], list]:
+    """S and C of a splitting of a random projection (or the identity), then E."""
+    def draw(stream: Stream, d: int):
+        c, s, _ = _partition(stream, d, rank=d if identity else None)
+        return _whole(s, c, _hermitian(stream, d))
+    return draw
+
+
+_herm_pair = _operands(_herm, _herm)
+_herm_coupling = _coupling(_herm)
+_agm_split = _splitting()
 
 
 def _fam_trace(stream: Stream, d: int):
@@ -196,22 +226,6 @@ def _fam_trace(stream: Stream, d: int):
     return _whole(a, _hermitian(stream, d))
 
 
-def _fam_herm_pair(stream: Stream, d: int):
-    ga, gb = _crandns(stream, (d, d), (d, d))
-    return _whole(_herm(ga), _herm(gb))
-
-
-def _fam_mixed(stream: Stream, d: int):
-    def draw(sub, n):
-        ga, gb, x = _crandns(sub, (d, d), (n, n), (d, n))
-        return _herm(ga), _herm(gb), x
-    return _by_n(stream, d, draw)
-
-
-def _fam_general_comm(stream: Stream, d: int):
-    return _by_n(stream, d, lambda sub, n: tuple(_crandns(sub, (d, d), (n, n), (d, n))))
-
-
 def _fam_unitary(stream: Stream, d: int):
     ga, gx = _crandns(stream, (d, d), (d, d))
     a, x = _herm(ga), _herm(gx)
@@ -219,11 +233,6 @@ def _fam_unitary(stream: Stream, d: int):
     # a zero X stays zero whatever it is scaled by
     scale = math.pi * stream.uniform() / np.where(nrm > 0, nrm, 1.0)
     return _whole(a, x * scale[..., None, None])
-
-
-def _fam_agm_split(stream: Stream, d: int):
-    c, s, _ = _partition(stream, d)
-    return _whole(s, c, _hermitian(stream, d))
 
 
 def _fam_agm_pair(stream: Stream, d: int):
@@ -244,27 +253,6 @@ def _fam_agm_general(stream: Stream, d: int):
 
 def _fam_offdiag(stream: Stream, d: int):
     return _whole(_hermitian(stream, d), _projection(stream, d))
-
-
-def _fam_equiv5(stream: Stream, d: int):
-    c, s, _ = _partition(stream, d, rank=d)
-    return _whole(s, c, _hermitian(stream, d))
-
-
-def _fam_equiv_c2(stream: Stream, d: int):
-    a, b, ge = _crandns(stream, (d, d), (d, d), (d, d))
-    return _whole(a, b, _herm(ge))
-
-
-def _fam_control_kittaneh(stream: Stream, d: int):
-    def draw(sub, n):
-        gc, gd, x = _crandns(sub, (d, d), (n, n), (d, n))
-        return _psd(gc), _psd(gd), x
-    return _by_n(stream, d, draw)
-
-
-def _fam_control_bk(stream: Stream, d: int):
-    return _whole(*_crandns(stream, (d, d), (d, d)))
 
 
 def _fam_control_gap(stream: Stream, d: int):
@@ -303,11 +291,11 @@ class Verifier:
     function's parameters (ineq._matrix_params). `judge` runs the kernel
     behind it, `inspect.unwrap(getattr(ineq, check))`, on stacks of trials;
     each campaign looks the kernel up once, when it reads `judge`.
-    `draw(stream, d)` draws the verifier's arguments for the trials of a
-    stream at dimension d, as the groups of the fuzz families above;
-    `trial_args` rebuilds one trial's public arguments. A row that shares
-    its check and draw with a theorem row re-runs that theorem under the
-    name of one of the equivalent formulations.
+    `draw(stream, d)`, a recipe's family or one of its own above, draws the
+    verifier's arguments for the trials of a stream at dimension d, as
+    groups; `trial_args` rebuilds one trial's public arguments. A row that
+    shares its check and draw objects with a theorem row re-runs that
+    theorem under the name of one of the equivalent formulations.
     """
 
     id: str
@@ -329,29 +317,30 @@ class Verifier:
 
 
 VERIFIERS = {v.id: v for v in (
-    Verifier("tao_positive", "theorem", "check_tao_positive", _fam_tao),
-    Verifier("key", "theorem", "check_key", _fam_key),
+    Verifier("tao_positive", "theorem", "check_tao_positive", _with_split(_positive)),
+    Verifier("key", "theorem", "check_key", _with_split(_hermitian)),
     Verifier("trace_pairing", "theorem", "check_trace_pairing", _fam_trace),
-    Verifier("commutator_scale", "theorem", "check_commutator_scale", _fam_herm_pair),
-    Verifier("commutator_sv", "theorem", "check_commutator_sv", _fam_herm_pair),
-    Verifier("mixed_commutator", "theorem", "check_mixed_commutator", _fam_mixed),
-    Verifier("general_commutator", "theorem", "check_general_commutator", _fam_general_comm),
+    Verifier("commutator_scale", "theorem", "check_commutator_scale", _herm_pair),
+    Verifier("commutator_sv", "theorem", "check_commutator_sv", _herm_pair),
+    Verifier("mixed_commutator", "theorem", "check_mixed_commutator", _herm_coupling),
+    Verifier("general_commutator", "theorem", "check_general_commutator", _coupling(None)),
     Verifier("unitary_conj", "theorem", "check_unitary_conj", _fam_unitary),
-    Verifier("agm_projection", "theorem", "check_agm_projection", _fam_agm_split),
+    Verifier("agm_projection", "theorem", "check_agm_projection", _agm_split),
     Verifier("agm_pair", "theorem", "check_agm_pair", _fam_agm_pair),
-    Verifier("agm_compact", "theorem", "check_agm_compact", _fam_agm_split),
+    Verifier("agm_compact", "theorem", "check_agm_compact", _agm_split),
     Verifier("agm_general", "theorem", "check_agm_general", _fam_agm_general),
-    Verifier("zhan", "theorem", "check_zhan", _fam_herm_pair),
+    Verifier("zhan", "theorem", "check_zhan", _herm_pair),
     Verifier("equiv1", "equivalent", "check_offdiag_projection", _fam_offdiag),
-    Verifier("equiv2", "equivalent", "check_commutator_sv", _fam_herm_pair),
-    Verifier("equiv3", "equivalent", "check_mixed_commutator", _fam_mixed),
-    Verifier("equiv4", "equivalent", "check_zhan", _fam_herm_pair),
-    Verifier("equiv5", "equivalent", "check_identity_split", _fam_equiv5),
+    Verifier("equiv2", "equivalent", "check_commutator_sv", _herm_pair),
+    Verifier("equiv3", "equivalent", "check_mixed_commutator", _herm_coupling),
+    Verifier("equiv4", "equivalent", "check_zhan", _herm_pair),
+    Verifier("equiv5", "equivalent", "check_identity_split", _splitting(identity=True)),
     Verifier("equiv_compact1", "equivalent", "check_offdiag_compact", _fam_offdiag),
     # not an alias of agm_general: E here is always Hermitian, never drawn positive
-    Verifier("equiv_compact2", "equivalent", "check_agm_general", _fam_equiv_c2),
-    Verifier("control_kittaneh", "control", "control_kittaneh_positive", _fam_control_kittaneh),
-    Verifier("control_bhatia_kittaneh", "control", "control_bhatia_kittaneh", _fam_control_bk),
+    Verifier("equiv_compact2", "equivalent", "check_agm_general", _operands(None, None, _herm)),
+    Verifier("control_kittaneh", "control", "control_kittaneh_positive", _coupling(_psd)),
+    Verifier("control_bhatia_kittaneh", "control", "control_bhatia_kittaneh",
+             _operands(None, None)),
     Verifier("control_strict_gap", "control", "control_strict_gap", _fam_control_gap),
 )}
 
@@ -367,7 +356,11 @@ def _lookup(ineq_id: str) -> Verifier:
 def _check_dims(dims: tuple[int, int], what: str, trials: int = 0) -> None:
     if not 0 <= trials <= MAX_TRIALS:
         raise ValueError(f"{what} runs from 0 up to {MAX_TRIALS} trials, got {trials}")
-    if dims[1] < 2 or dims[1] < dims[0]:
+    if dims[0] < 1:
+        raise ValueError(f"{what} draws dimensions of 1 or more (a >= 1), got {dims}")
+    if dims[1] < dims[0]:
+        raise ValueError(f"{what} needs a dimension range a..b with a <= b, got {dims}")
+    if dims[1] < 2:
         raise ValueError(f"{what} needs dimension 2 or more in its range (d >= 2), got {dims}")
     if dims[1] > MAX_DIM:
         raise ValueError(f"{what} draws dimensions up to {MAX_DIM}, got {dims}")
@@ -454,9 +447,9 @@ def fuzz(ineq_id: str, trials: int = 500, dims: tuple[int, int] = (2, 8),
 
     Trial t uses the child seed derive_seed(seed, t). The trials are judged
     by the verifier's kernel and reduced by _campaign. Every family needs
-    d >= 2: a lower bound of 1 is raised to 2, and a range with no d >= 2 or
-    above MAX_DIM raises ValueError, as does a trial count below 0 or above
-    MAX_TRIALS.
+    d >= 2: a lower bound of 1 is raised to 2. A lower bound below 1, an
+    empty range, a range with no d >= 2 or above MAX_DIM raises ValueError
+    (_check_dims), as does a trial count below 0 or above MAX_TRIALS.
     """
     _check_dims(dims, "fuzz", trials)
     entry = _lookup(ineq_id)

@@ -40,8 +40,8 @@ and comparison is made at linalg._tol of the input operands' size (e.g.
 ||A|| ||X|| for a commutator, read off a decomposition the kernel makes
 anyway, or tr F max|E| for agm_general, which decomposes neither), never of
 a computed bound, which can cancel. Only unitary_conj computes eigenvectors,
-for e^{iX}. A public verifier raises ValueError, naming the claim, where the
-judged margin of finite operands is NaN or infinite (_finite_margin).
+for e^{iX}. A public verifier raises ValueError naming the claim by its verdict
+id at the first overflow or invalid operation, or on a non-finite margin.
 """
 
 from __future__ import annotations
@@ -271,11 +271,10 @@ def _operand(role: tuple, a):
 
 def _finite_margin(rows: Rows) -> Rows:
     """rows, when row 0's judged margin and its submajorization's tol are
-    finite. The operands are finite here, so a NaN or an infinity means that
-    their scale overflowed the claim's arithmetic, and a verdict on it would
-    be undefined (NaN) or vacuous (inf): ValueError names the claim instead.
-    A claim that compares nothing (empty operands) keeps its margin inf, the
-    smallest of no margins."""
+    finite: the backstop for an overflow that no error state reports (LAPACK
+    runs with overflow ignored). A verdict on a NaN or an infinity would be
+    undefined or vacuous, so ValueError names the claim instead. A claim that
+    compares nothing (empty operands) keeps its margin inf."""
     sub, ew = rows.sub, rows.entrywise
     margin = float(rows.margin[0])
     tol = 0.0 if sub is None else float(sub.tol[0])
@@ -287,32 +286,44 @@ def _finite_margin(rows: Rows) -> Rows:
     return rows
 
 
-def _verifier(kernel: Callable[..., Rows]) -> Callable[..., Verdict]:
-    """The public verifier of a kernel: the kernel on a batch of one.
+def _verifier(ineq_id: str) -> Callable[[Callable[..., Rows]], Callable[..., Verdict]]:
+    """The public verifier of a kernel whose verdicts carry ineq_id: the
+    kernel on a batch of one.
 
     Each matrix argument, as a stack of one, passes the gate of its class in
-    parameter order; the kernel then runs its own gates, and the result is
-    row 0's Verdict, once _finite_margin has passed it (kernels stay
-    unguarded). The roles are read off the kernel's parameters here, once, so
-    a call binds nothing. The public function keeps the kernel's name,
-    docstring and parameters, and its __wrapped__ is the kernel, which
-    inspect.unwrap reaches through any wrapper that sets __wrapped__ too.
+    parameter order, and the kernel then runs its own gates, under an error
+    state that stops them at the first overflow or invalid operation with a
+    ValueError naming ineq_id, and warns of nothing (kernels stay unguarded).
+    The result is row 0's Verdict, once _finite_margin has passed it. Roles
+    are read off the kernel's parameters once, so a call binds nothing. The
+    public function keeps the kernel's name, docstring and parameters, and
+    its __wrapped__ is the kernel, which inspect.unwrap reaches through any
+    wrapper that sets __wrapped__ too.
     """
-    sig = inspect.signature(kernel)
-    matrices = {p.name for p in _matrix_params(sig)}
-    roles = tuple((_GATES[p.annotation.removesuffix(" | None")] if p.name in matrices else None,
-                   p.name) for p in sig.parameters.values())
+    def wrap(kernel: Callable[..., Rows]) -> Callable[..., Verdict]:
+        sig = inspect.signature(kernel)
+        matrices = {p.name for p in _matrix_params(sig)}
+        roles = tuple((_GATES[p.annotation.removesuffix(" | None")] if p.name in matrices
+                       else None, p.name) for p in sig.parameters.values())
 
-    @functools.wraps(kernel)
-    def public(*args, **kwargs):
-        # positional arguments precede keyword ones in parameter order
-        given = [*map(_operand, roles, args), *args[len(roles):]]
-        kwargs.update({r[1]: _operand(r, kwargs[r[1]]) for r in roles if r[1] in kwargs})
-        return _finite_margin(kernel(*given, **kwargs)).verdict(0)
+        @functools.wraps(kernel)
+        def public(*args, **kwargs):
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    # positional arguments precede keyword ones in parameter order
+                    given = [*map(_operand, roles, args), *args[len(roles):]]
+                    kwargs.update({r[1]: _operand(r, kwargs[r[1]])
+                                   for r in roles if r[1] in kwargs})
+                    rows = kernel(*given, **kwargs)
+            except FloatingPointError as exc:
+                raise ValueError(f"{ineq_id}: {exc}: the operands' scale overflows "
+                                 "the claim") from None
+            return _finite_margin(rows).verdict(0)
 
-    public.__signature__ = sig.replace(return_annotation="Verdict")
-    public.__annotations__ = {**kernel.__annotations__, "return": "Verdict"}
-    return public
+        public.__signature__ = sig.replace(return_annotation="Verdict")
+        public.__annotations__ = {**kernel.__annotations__, "return": "Verdict"}
+        return public
+    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +331,7 @@ def _verifier(kernel: Callable[..., Rows]) -> Callable[..., Verdict]:
 # Rows, under the public name that _verifier gives its batch-of-one form
 
 
-@_verifier
+@_verifier("tao_positive")
 def check_tao_positive(f: Positive, split: int | None = None) -> Rows:
     """Off-diagonal block bound for a positive 2x2 block matrix.
 
@@ -337,7 +348,7 @@ def check_tao_positive(f: Positive, split: int | None = None) -> Rows:
                 extras=lambda i: {"split": split})
 
 
-@_verifier
+@_verifier("key")
 def check_key(a: Hermitian, split: int | None = None) -> Rows:
     """Doubled off-diagonal block of a Hermitian matrix vs its spread.
 
@@ -353,7 +364,7 @@ def check_key(a: Hermitian, split: int | None = None) -> Rows:
                 extras=lambda i: {"split": split})
 
 
-@_verifier
+@_verifier("trace_pairing")
 def check_trace_pairing(a: Hermitian, b: Hermitian) -> Rows:
     """tr(AB) bounded by the index-paired product of the two-sided scales."""
     _same_shape(a, b)
@@ -373,7 +384,7 @@ def check_trace_pairing(a: Hermitian, b: Hermitian) -> Rows:
         "margin": float(margin[i]), "rank_a": int(rank[i])})
 
 
-@_verifier
+@_verifier("commutator_scale")
 def check_commutator_scale(a: Hermitian, x: Hermitian) -> Rows:
     """Positive scale of i[A,X] vs half the product of the two spreads."""
     _same_shape(a, x)
@@ -384,7 +395,7 @@ def check_commutator_scale(a: Hermitian, x: Hermitian) -> Rows:
     return Rows("commutator_scale", "compact", sub.holds, sub.margin, (a, x), sub)
 
 
-@_verifier
+@_verifier("commutator_sv")
 def check_commutator_sv(a: Hermitian, x: Hermitian) -> Rows:
     """s([A,X]) vs half the product of the doubled spreads."""
     _same_shape(a, x)
@@ -397,7 +408,7 @@ def check_commutator_sv(a: Hermitian, x: Hermitian) -> Rows:
     return Rows("commutator_sv", "compact", sub.holds, sub.margin, (a, x), sub)
 
 
-@_verifier
+@_verifier("mixed_commutator")
 def check_mixed_commutator(a: Hermitian, b: Hermitian, x: Matrix) -> Rows:
     """s(AX-XB) vs spread-of-direct-sum times s(X); entrywise form recorded.
 
@@ -424,7 +435,7 @@ def _herm_parts(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (c + _ct(c)) / 2.0, (c - _ct(c)) / 2j
 
 
-@_verifier
+@_verifier("general_commutator")
 def check_general_commutator(a: Matrix, b: Matrix, x: Matrix) -> Rows:
     """s(AX-XB) for non-normal A, B via their Hermitian parts.
 
@@ -456,7 +467,7 @@ def check_general_commutator(a: Matrix, b: Matrix, x: Matrix) -> Rows:
                                                   "coro_holds": bool(coro.holds[i])})
 
 
-@_verifier
+@_verifier("unitary_conj")
 def check_unitary_conj(a: Hermitian, x: Hermitian) -> Rows:
     """s(A - U*AU) with U = e^{iX}, against the doubled-spread product."""
     _same_shape(a, x)
@@ -488,7 +499,7 @@ def _projection_sum(s: np.ndarray, c: np.ndarray, *on: np.ndarray) -> np.ndarray
     return p
 
 
-@_verifier
+@_verifier("agm_projection")
 def check_agm_projection(s: Matrix, c: Matrix, e: Hermitian) -> Rows:
     """Doubled s(SEC*) vs the spread of the compressed operator plus a zero block."""
     p = _projection_sum(s, c, e)
@@ -499,7 +510,7 @@ def check_agm_projection(s: Matrix, c: Matrix, e: Hermitian) -> Rows:
     return Rows("agm_projection", "compact", sub.holds, sub.margin, (s, c, e), sub)
 
 
-@_verifier
+@_verifier("agm_pair")
 def check_agm_pair(s: Positive, c: Positive, e1: Hermitian,
                   e2: Hermitian | None = None) -> Rows:
     """s(S E1 C + C E2 S) for a positive splitting pair C^2 + S^2 = P.
@@ -525,7 +536,7 @@ def check_agm_pair(s: Positive, c: Positive, e1: Hermitian,
     return Rows("agm_pair", "compact", sub.holds, sub.margin, (s, c, e1, e2), sub)
 
 
-@_verifier
+@_verifier("agm_compact")
 def check_agm_compact(s: Matrix, c: Matrix, e: Hermitian) -> Rows:
     """Doubled s(SEC*) vs the compact-model spread of E itself.
 
@@ -558,7 +569,7 @@ def check_agm_compact(s: Matrix, c: Matrix, e: Hermitian) -> Rows:
                 })
 
 
-@_verifier
+@_verifier("agm_general")
 def check_agm_general(a: Matrix, b: Matrix, e: Hermitian) -> Rows:
     """s(AEB*) vs half the spread of F^(1/2) E F^(1/2), F = A*A + B*B.
 
@@ -590,7 +601,7 @@ def check_agm_general(a: Matrix, b: Matrix, e: Hermitian) -> Rows:
                 (margins, e_ok))
 
 
-@_verifier
+@_verifier("zhan")
 def check_zhan(e: Hermitian, f: Hermitian) -> Rows:
     """s(E - F) vs the compact-model spread of E oplus F."""
     _same_shape(e, f)
@@ -600,7 +611,7 @@ def check_zhan(e: Hermitian, f: Hermitian) -> Rows:
     return Rows("zhan", "compact", sub.holds, sub.margin, (e, f), sub)
 
 
-@_verifier
+@_verifier("equiv1")
 def check_offdiag_projection(e: Hermitian, p: Projection) -> Rows:
     """Doubled corner s-values vs the d-dimensional spread of E.
 
@@ -623,7 +634,7 @@ def check_offdiag_projection(e: Hermitian, p: Projection) -> Rows:
                 extras=lambda i: {"dropped_sv": float(dropped[i])})
 
 
-@_verifier
+@_verifier("equiv_compact1")
 def check_offdiag_compact(e: Hermitian, p: Projection) -> Rows:
     """Doubled corner s-values vs the compact-model spread of E."""
     _same_shape(e, p)
@@ -634,7 +645,7 @@ def check_offdiag_compact(e: Hermitian, p: Projection) -> Rows:
     return Rows("equiv_compact1", "compact", sub.holds, sub.margin, (e, p), sub)
 
 
-@_verifier
+@_verifier("equiv5")
 def check_identity_split(s: Matrix, c: Matrix, e: Hermitian) -> Rows:
     """Full splitting C*C + S*S = I: doubled s(SEC*) vs spread of E plus a zero block."""
     p = _projection_sum(s, c, e)
@@ -648,7 +659,7 @@ def check_identity_split(s: Matrix, c: Matrix, e: Hermitian) -> Rows:
     return Rows("equiv5", "compact", sub.holds, sub.margin, (s, c, e), sub)
 
 
-@_verifier
+@_verifier("control_kittaneh")
 def control_kittaneh_positive(c: Positive, d: Positive, x: Matrix) -> Rows:
     """Entrywise s_i(CX - XD) <= ||X|| s_i(C oplus D) for positive C, D."""
     wc, wd = _positive(c, "C"), _positive(d, "D")
@@ -662,7 +673,7 @@ def control_kittaneh_positive(c: Positive, d: Positive, x: Matrix) -> Rows:
     return Rows("control_kittaneh", "matrix", ok, low, (c, d, x), entrywise=(margins, ok))
 
 
-@_verifier
+@_verifier("control_bhatia_kittaneh")
 def control_bhatia_kittaneh(a: Matrix, b: Matrix) -> Rows:
     """Entrywise 2 s_i(AB*) <= s_i(A*A + B*B)."""
     _same_shape(a, b)
@@ -673,7 +684,7 @@ def control_bhatia_kittaneh(a: Matrix, b: Matrix) -> Rows:
     return Rows("control_bhatia_kittaneh", "matrix", ok, low, (a, b), entrywise=(margins, ok))
 
 
-@_verifier
+@_verifier("control_strict_gap")
 def control_strict_gap(e: Hermitian) -> Rows:
     """Strict Frobenius gap ||E||_2 < g_2(spread(E)) for indefinite E."""
     w = _eigvalsh(e)

@@ -3,7 +3,8 @@ verifiers rest on (eigensolver residuals, Weyl and Ky Fan bounds, the spread's
 invariances, the majorization calculus, the generators' contracts).
 
 A property draws its inputs for a stream's trials as the fuzz families of
-harness.py do, [(rows, args)], and judge(*args) returns the rows' verdicts,
+harness.py do, [(rows, args)], through the same recipes where a draw is
+operands on one space (harness._operands), and judge(*args) returns the rows' verdicts,
 margins and failure messages (None where a row holds), through _judged, from
 checks whose tol is linalg._tol of the size of the judge's inputs. Judges
 work on stacks through the same private helpers the public functions run on
@@ -26,18 +27,18 @@ from .harness import (
     MAX_DIM,
     _campaign,
     _check_dims,
-    _crandn,
-    _fam_control_bk,
-    _fam_herm_pair,
+    _herm,
+    _herm_pair,
     _hermitian,
+    _operands,
     _partition,
-    _positive,
     _projection,
+    _psd,
     _split,
     _unitary,
     _whole,
 )
-from .linalg import _ct, _diag, _pad, _size, _sv_array, _tol
+from .linalg import _ct, _diag, _haar, _pad, _size, _sv_array, _tol
 from .major import _dec
 from .rng import Stream, _splitmix64_block, derive_seed
 from .spectra import (
@@ -412,13 +413,11 @@ def _j_contracts(p, c, s, pp, u, again, first):
 
 PROPERTIES = {
     "eigh_residual": Property(_d_eigh, _j_eigh, hi=16),
-    "hat_trick": Property(lambda s, d: _whole(_crandn(s, d, d)), _j_hat),
-    "sv_unitary_invariance": Property(
-        lambda s, d: _whole(_crandn(s, d, d), _unitary(s, d), _unitary(s, d)), _j_sv_invariance),
-    "sv_product_bound": Property(
-        lambda s, d: _whole(*(_crandn(s, d, d) for _ in range(3))), _j_sv_product),
-    "weyl_scale": Property(_fam_herm_pair, _j_weyl_scale),
-    "weyl_sv": Property(_fam_control_bk, _relation(
+    "hat_trick": Property(_operands(None), _j_hat),
+    "sv_unitary_invariance": Property(_operands(None, _haar, _haar), _j_sv_invariance),
+    "sv_product_bound": Property(_operands(None, None, None), _j_sv_product),
+    "weyl_scale": Property(_herm_pair, _j_weyl_scale),
+    "weyl_sv": Property(_operands(None, None), _relation(
         "singular-value triangle submajorization failed",
         lambda a, b: (_sv_array(a + b), _sv_array(a) + _sv_array(b)), lower=False)),
     "ky_fan_extremality": Property(_d_ky_fan, _j_ky_fan),
@@ -428,12 +427,11 @@ PROPERTIES = {
         lambda s, d: _whole(_hermitian(s, d), 4.0 * (s.uniform() - 0.5)), _j_translation),
     "spread_homogeneity": Property(
         lambda s, d: _whole(_hermitian(s, d), 4.0 * (s.uniform() - 0.5)), _j_homogeneity),
-    "spread_zero_block": Property(lambda s, d: _whole(_hermitian(s, d)), _j_zero_block),
-    "spread_vs_sv": Property(
-        lambda s, d: _whole(_hermitian(s, d), _positive(s, d)), _j_spread_vs_sv),
-    "spread_doubling": Property(lambda s, d: _whole(_hermitian(s, d)), _j_doubling),
+    "spread_zero_block": Property(_operands(_herm), _j_zero_block),
+    "spread_vs_sv": Property(_operands(_herm, _psd), _j_spread_vs_sv),
+    "spread_doubling": Property(_operands(_herm), _j_doubling),
     "spread_monotone": Property(_d_monotone, _j_monotone),
-    "spread_subadditive": Property(_fam_herm_pair, _relation(
+    "spread_subadditive": Property(_herm_pair, _relation(
         "spread subadditivity failed", _subadditive_sides, clip=True)),
     "updown_sum": Property(
         lambda s, n: _whole(s.normals(2 * n), s.normals(2 * n)), _relation(
@@ -466,10 +464,9 @@ def property_suite(seed: int, trials: int = 500, dims: tuple[int, int] = (2, 8))
     Trial t of the property numbered i (in name order) uses the child seed
     derive_seed(derive_seed(seed, i), t), reduced by harness._campaign as
     fuzz's trials are: detail is the first failing trial's message and
-    worst_margin the smallest margin of every trial. A lower bound below 1
-    is raised to 1; like fuzz, it raises ValueError on a dimension range
-    with no d >= 2 or above MAX_DIM and on a trial count below 0 or above
-    MAX_TRIALS.
+    worst_margin the smallest margin of every trial. Like fuzz, it raises
+    ValueError on a dimension range that _check_dims refuses and on a trial
+    count below 0 or above MAX_TRIALS.
     """
     _check_dims(dims, "property_suite", trials)
     results = []

@@ -230,7 +230,21 @@ def test_check_of_an_overflowing_margin_exits_two(capsys, tmp_path):
     with np.errstate(all="ignore"):
         code, out, err = run(capsys, "check", "trace_pairing", *files, "--json")
     assert (code, out) == (2, "")
-    assert err.startswith("sspread: trace_pairing: the judged margin is nan: ")
+    assert err.startswith("sspread: trace_pairing: overflow encountered in ")
+
+
+def test_check_of_an_overflowing_scale_writes_one_line(tmp_path):
+    # a fresh process, where no test harness collects numpy's warnings: the
+    # named input error is all that reaches stderr
+    files = []
+    for name, m in zip("AB", trial_args("trace_pairing", 3, (4, 4))):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(cli.write_matrix_text(1e200 * m))
+        files.append(str(path))
+    out = _sspread(["check", "trace_pairing", *files], capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("sspread: trace_pairing: overflow encountered in ")
 
 
 def test_check_split_flag(capsys, tmp_path):
@@ -563,9 +577,10 @@ def test_range_errors_are_the_librarys(capsys, monkeypatch, cmd):
     monkeypatch.setattr(harness, "_campaign", started)
     monkeypatch.setattr(examples, "repro", started)
     argv = ["fuzz", "key"] if cmd == "fuzz" else ["suite"]
-    edges = (1, 2, 3, harness.MAX_DIM, harness.MAX_DIM + 1)
+    # lower bounds of 0 and ranges with hi < lo included
+    edges = (0, 1, 2, 3, harness.MAX_DIM, harness.MAX_DIM + 1)
     for lo in edges:
-        for hi in (h for h in edges if h >= lo):
+        for hi in edges:
             for trials in (1, 2, harness.MAX_TRIALS, harness.MAX_TRIALS + 1):
                 call = [*argv, "--dims", f"{lo}..{hi}", "--trials", str(trials), "--json"]
                 try:

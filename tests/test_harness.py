@@ -248,12 +248,31 @@ def test_fuzz_covers_all_declared_families():
     assert not bad, bad
 
 
+# each refused range has its own message: no d >= 2, a lower bound below 1,
+# an empty range
+REFUSED_DIMS = {(1, 1): "d >= 2", (0, 1): "a >= 1", (5, 4): "a <= b",
+                (0, 4): "a >= 1", (-3, 5): "a >= 1", (4, 2): "a <= b"}
+
+
 @pytest.mark.parametrize("dims", [(1, 1), (0, 1), (5, 4)])
 def test_fuzz_rejects_dims_without_d2(dims):
     # checked before the first trial, so even an empty campaign is refused
     for trials in (0, 1):
-        with pytest.raises(ValueError, match="d >= 2"):
+        with pytest.raises(ValueError, match=REFUSED_DIMS[dims]):
             fuzz("zhan", trials=trials, dims=dims)
+
+
+@pytest.mark.parametrize("dims", [(0, 4), (-3, 5), (4, 2)])
+def test_bounds_below_one_and_empty_ranges_are_refused(dims):
+    # never a silently raised lower bound, and an empty range called empty
+    msg = REFUSED_DIMS[dims]
+    for trials in (0, 3):
+        with pytest.raises(ValueError, match=f"^fuzz .*{msg}"):
+            fuzz("key", trials=trials, dims=dims)
+        with pytest.raises(ValueError, match=f"^property_suite .*{msg}"):
+            property_suite(1, trials=trials, dims=dims)
+    with pytest.raises(ValueError, match=f"^trial_args .*{msg}"):
+        trial_args("key", 1, dims)
 
 
 @pytest.mark.parametrize("dims", [(2, harness.MAX_DIM + 1), (2, 100000)])
@@ -271,7 +290,7 @@ def test_dims_above_max_are_refused(dims):
 @pytest.mark.parametrize("dims", [(1, 1), (0, 1), (5, 4)])
 def test_property_suite_rejects_dims_without_d2(dims):
     for trials in (0, 1):
-        with pytest.raises(ValueError, match="d >= 2"):
+        with pytest.raises(ValueError, match=REFUSED_DIMS[dims]):
             property_suite(1, trials=trials, dims=dims)
 
 
@@ -380,8 +399,11 @@ def test_judged_names_the_first_failing_check():
                       None]
 
 
-def test_property_suite_raises_lower_bound_to_one():
-    assert property_suite(2, trials=6, dims=(-3, 4)) == property_suite(2, trials=6, dims=(1, 4))
+def test_property_suite_refuses_a_lower_bound_below_one():
+    # the bound is not raised to 1, and 1 itself draws d = 1
+    with pytest.raises(ValueError, match="a >= 1"):
+        property_suite(2, trials=6, dims=(-3, 4))
+    assert property_suite(2, trials=6, dims=(1, 4))["holds"]
 
 
 def test_property_suite_runs_above_the_eigh_residual_cap():

@@ -13,6 +13,7 @@ operands it computes run.
 """
 
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -373,10 +374,13 @@ def test_keyword_operands_are_validated_in_parameter_order():
 
 
 # -- non-finite margins ------------------------------------------------------------
-# Finite operands whose scale overflows a claim's arithmetic: the judged margin
-# (or its tol) comes out NaN or infinite, and the public verifier raises an
-# input error naming the claim instead of a NaN or a vacuous verdict. The
-# kernels stay unguarded; fuzz draws at unit scale.
+# Finite operands whose scale overflows a claim's arithmetic: the kernel's
+# judged margin (or its tol) comes out NaN or infinite, and the public verifier
+# stops at the first overflow and raises an input error naming the claim by its
+# verdict id instead of a NaN or a vacuous verdict. The kernels stay unguarded;
+# fuzz draws at unit scale.
+
+OVERFLOW = r"(overflow|invalid value) encountered in \w+: the operands' scale overflows the claim$"
 
 # id: (the trial rebuilt, the operands scaled, their scale, the kernel's margin)
 OVERFLOWS = {
@@ -397,5 +401,43 @@ def test_overflowing_scale_names_the_claim(claim):
     with np.errstate(all="ignore"):
         rows = inspect.unwrap(check)(*(None if a is None else a[None] for a in args))
         assert str(rows.margin[0]) == margin
-        with pytest.raises(ValueError, match=f"^{claim}: the judged margin is {margin}[ :]"):
+        with pytest.raises(ValueError, match=f"^{claim}: {OVERFLOW}"):
             check(*args)
+
+
+# id: (the trial rebuilt, the scale of every operand, the verdict id)
+STOPPED = {
+    "general_commutator": (("general_commutator", 3, (4, 4)), 1e200, "general_commutator"),
+    # tr F max|E| overflows, and with it R E R*
+    "agm_general": (("agm_general", 1, (2, 8)), 2.0**400, "agm_general"),
+    "equiv_compact2": (("equiv_compact2", 1, (2, 8)), 2.0**400, "agm_general"),
+}
+
+
+@pytest.mark.parametrize("ineq_id", sorted(STOPPED))
+def test_overflow_stops_the_public_verifier(ineq_id):
+    # stopped at the first overflow: no NoConvergence, no gate's message,
+    # and no RuntimeWarning before the error
+    trial, scale, verdict_id = STOPPED[ineq_id]
+    args = [scale * a for a in harness.trial_args(*trial)]
+    check = getattr(ineq, harness.VERIFIERS[ineq_id].check)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=f"^{verdict_id}: {OVERFLOW}"):
+            check(*args)
+    assert caught == []
+
+
+@pytest.mark.parametrize("ineq_id", sorted(harness.VERIFIERS))
+def test_overflow_error_names_the_verdict_id(ineq_id, monkeypatch):
+    # the id an overflow names is the one the verifier's verdicts carry
+    args = harness.trial_args(ineq_id, 1)
+    check = getattr(ineq, harness.VERIFIERS[ineq_id].check)
+    verdict_id = check(*args).ineq_id
+
+    def overflow(role, a):
+        raise FloatingPointError("overflow encountered in multiply")
+
+    monkeypatch.setattr(ineq, "_operand", overflow)
+    with pytest.raises(ValueError, match=f"^{verdict_id}: {OVERFLOW}"):
+        check(*args)

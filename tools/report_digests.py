@@ -18,11 +18,13 @@ checkout's root:
 
 and prints one line per command: the argv, the exit code and the sha256 of
 stdout. It then runs a fixed list of invalid `check` commands (ERRORS) that
-trips every input gate, on matrix files it writes to a temporary directory
-and names relative to it, so that no message holds a path, then a fixed
-list of `fuzz`, `suite`, `scale` and `repro` commands whose --dims, --trials,
---horizon or id is refused before any work (BOUNDARY), and prints one line
-per command:
+trips every input gate, and then overflows the arithmetic of trace_pairing,
+general_commutator and agm_general on finite fuzz trials times 1e200 or
+2**400, on matrix files it writes to a temporary directory and names
+relative to it, so that no message holds a path. Then it runs a fixed list
+of `fuzz`, `suite`, `scale` and `repro` commands whose --dims (a lower
+bound of 0 among them: `--dims 0..4`), --trials, --horizon or id is refused
+before any work (BOUNDARY), and prints one line per command:
 
     error ARGV CODE SHA      the exit code and the sha256 of stderr
 
@@ -122,7 +124,7 @@ E11 = ("1 0", "0 0")
 E22 = ("0 0", "0 1")
 
 # (id, {file: rows}): each command trips one input gate; a file holds
-# `dim n` and its n rows
+# `dim n` and its n rows, or the text of a matrix
 ERRORS = (
     ("zhan", {"E": I2, "F": I3}),  # a mis-shaped pair
     ("key", {"A": ("1 1", "0 1")}),  # a non-Hermitian operand
@@ -139,18 +141,28 @@ ERRORS = (
     ("key", {"A": ("1 2ii", "0 1")}),  # a bad complex literal
     ("key", {"A": ("1 1.2.3", "0 1")}),  # a bad number
     ("no_such_id", {"A": I2}),  # an unknown id
+) + tuple(
+    # finite operands whose scale overflows the claim's arithmetic: a file
+    # holds a matrix of a fuzz trial times the scale
+    (ineq_id, {name: scale * m for name, m in zip(names, harness.trial_args(ineq_id, *trial))})
+    for ineq_id, names, trial, scale in (
+        ("trace_pairing", "AB", (3, (4, 4)), 1e200),
+        ("general_commutator", "ABX", (1, (4, 4)), 1e200),  # X square, as a file holds
+        ("agm_general", "ABE", (1, (2, 8)), 2.0**400),  # tr F max|E| overflows
+    )
 )
 
 
-# commands refused at the CLI boundary: a --dims range without d >= 2, above
-# MAX_DIM, empty or malformed; --trials below 1 or above MAX_TRIALS; a
+# commands refused at the CLI boundary: a --dims range below 1, without
+# d >= 2, above MAX_DIM, empty or malformed; --trials below 1 or above MAX_TRIALS; a
 # compact horizon below d, a diag horizon of 0 or above 10,000, a matrix-mode
 # horizon; and an unknown fuzz or repro id
 BOUNDARY = tuple(
     [cmd, *(["key"] if cmd == "fuzz" else []), flag, value, "--json"]
     for cmd in ("fuzz", "suite")
-    for flag, value in (("--dims", "1..1"), ("--dims", "2..1025"), ("--dims", "4..2"),
-                        ("--dims", "3"), ("--trials", "0"), ("--trials", "1000001"))
+    for flag, value in (("--dims", "0..4"), ("--dims", "1..1"), ("--dims", "2..1025"),
+                        ("--dims", "4..2"), ("--dims", "3"), ("--trials", "0"),
+                        ("--trials", "1000001"))
 ) + (
     ["scale", "fixtures/agm_fail_2x2_S.txt", "--horizon", "1", "--json"],
     ["scale", "fixtures/diag_scale.diag", "--horizon", "0", "--json"],
@@ -172,7 +184,9 @@ def errors() -> list[tuple[list[str], int, str]]:
             for n, (ineq_id, files) in enumerate(ERRORS):
                 os.mkdir(str(n))
                 for name, rows in files.items():
-                    Path(f"{n}/{name}.txt").write_text(f"dim {len(rows)}\n" + "\n".join(rows))
+                    text = (cli.write_matrix_text(rows) if isinstance(rows, np.ndarray)
+                            else f"dim {len(rows)}\n" + "\n".join(rows))
+                    Path(f"{n}/{name}.txt").write_text(text)
                 argv = ["check", ineq_id, *(f"{n}/{name}.txt" for name in files)]
                 code, _, err = report(argv)
                 out.append((argv, code, err))
