@@ -495,6 +495,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ParseError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        # argparse takes a word of "-" and a digit that is no number (-3..5)
+        # for an option: bind such a --dims value to its flag, for the library
+        # to judge
+        words = list(sys.argv[1:] if args is None else args)
+        for i in range(len(words) - 1, 0, -1):
+            if words[i - 1] == "--dims" and words[i][:1] == "-" and words[i][1:2].isdigit():
+                words[i - 1:i + 1] = [f"--dims={words[i]}"]
+        return super().parse_args(words, namespace)
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="sspread", description="spectral spread toolkit")

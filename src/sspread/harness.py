@@ -307,13 +307,10 @@ class Verifier:
     @property
     def judge(self) -> Callable[..., tuple]:
         """The judge of a campaign's groups: the kernel behind `check`, looked
-        up once, when the campaign reads this."""
+        up once, when the campaign reads this. It gives a group's holds and
+        margin, the first two columns of the kernel's Rows, and no messages."""
         kernel = inspect.unwrap(getattr(ineq, self.check))
-
-        def judge(*args) -> tuple:
-            rows = kernel(*args)
-            return rows.holds, rows.margin, None
-        return judge
+        return lambda *args: (*kernel(*args)[:2], None)
 
 
 VERIFIERS = {v.id: v for v in (
@@ -411,9 +408,13 @@ def _rows(entry: Verifier, judge: Callable, seeds: np.ndarray, dims: tuple[int, 
 
 def _campaign(entry: Verifier, judge: Callable, seeds: np.ndarray, dims: tuple[int, int]):
     """(failures, worst margin, worst seed, first failure's message) of these
-    child seeds' trials. A NaN margin never wins, and the first trial within
-    _tol(|worst|) of the smallest margin names it, so a tie broken by
-    rounding names the same trial on every BLAS build."""
+    child seeds' trials, which fuzz and the property suite report unchanged.
+    An empty campaign's worst margin is 0.0 (seed 0). A NaN margin never
+    wins, so a campaign with no finite margin reports inf; otherwise the
+    first trial within _tol(|worst|) of the smallest margin names it, so a
+    tie broken by rounding names the same trial on every BLAS build."""
+    if not len(seeds):
+        return 0, 0.0, 0, None
     holds, margin, detail = _rows(entry, judge, seeds, dims)
     margin = np.where(np.isnan(margin), math.inf, margin)
     worst = float(margin.min(initial=math.inf))
@@ -456,7 +457,5 @@ def fuzz(ineq_id: str, trials: int = 500, dims: tuple[int, int] = (2, 8),
     # derive_seed(seed, t) for every t at once
     seeds = _splitmix64_block(seed & _MASK, 0, trials)
     failures, worst, worst_seed, _ = _campaign(entry, entry.judge, seeds, dims)
-    return FuzzSummary(
-        ineq_id=ineq_id, trials=trials, failures=failures,
-        worst_margin=0.0 if trials == 0 else worst, worst_seed=worst_seed,
-    )
+    return FuzzSummary(ineq_id=ineq_id, trials=trials, failures=failures,
+                       worst_margin=worst, worst_seed=worst_seed)

@@ -14,13 +14,13 @@ Every verifier is a kernel over stacks: its matrix arguments carry a leading
 batch axis (B, rows, cols), every member of a stack has the same shape, and
 scalar arguments (a split, an absent E2) are shared by the whole batch. A
 kernel works only through the private stacked helpers of linalg, spectra
-and major, and returns Rows: a record of per-row columns (verdict and judged
-margin as arrays, the input stacks, the SubRows of the submajorization, the
-entrywise margins, a per-row extras function), from which Rows.verdict(i)
-builds row i's Verdict for every kernel alike. Each kernel is written once,
-under its public check_*/control_* name, and _verifier turns it into the
-public function, the kernel on a batch of one; harness.fuzz reaches the
-kernel behind the public name with inspect.unwrap and runs it on groups of
+and major, and returns Rows: per-row columns only (verdict and judged margin
+as arrays, the input stacks, the SubRows of the submajorization, the
+entrywise margins, a per-row extras function). Each kernel is written once,
+under its public check_*/control_* name, and @_verifier(ineq_id, mode), the
+one statement of its verdicts' id and model, turns it into the public
+function, the kernel on a batch of one; harness.fuzz reaches the kernel
+behind the public name with inspect.unwrap and runs it on groups of
 trials of equal shape. numpy runs LAPACK, matmul, sorts and partial sums
 member by member, so a row's numbers do not depend on the batch around it.
 A kernel decomposes each operand stack by a call of its own, after every
@@ -118,18 +118,17 @@ class Verdict:
 
 
 class Rows(NamedTuple):
-    """A kernel's judgement of a batch: one column per Verdict field.
+    """A kernel's judgement of a batch: its per-row columns.
 
     holds and margin are (B,) arrays. margin is the judged margin: the
     report's smallest margin, else the smallest entrywise margin, else
     extras["margin"]. inputs are the validated input stacks, whose row i is
     the witness of row i; sub holds the submajorization claim's SubRows,
     entrywise the (margins (B, n), holds (B,)) pair of an entrywise form,
-    and extras(i) row i's extras. verdict(i) builds row i's Verdict.
+    and extras(i) row i's extras. verdict(i, ineq_id, mode) builds row i's
+    Verdict, with the id and model that the kernel's _verifier declares.
     """
 
-    ineq_id: str
-    mode: str
     holds: np.ndarray
     margin: np.ndarray
     inputs: tuple
@@ -137,11 +136,11 @@ class Rows(NamedTuple):
     entrywise: tuple[np.ndarray, np.ndarray] | None = None
     extras: Callable[[int], dict] | None = None
 
-    def verdict(self, i: int) -> Verdict:
+    def verdict(self, i: int, ineq_id: str, mode: str) -> Verdict:
         ew = self.entrywise
         return Verdict(
-            self.ineq_id, bool(self.holds[i]), None if self.sub is None else self.sub.report(i),
-            tuple(m[i] for m in self.inputs), self.mode,
+            ineq_id, bool(self.holds[i]), None if self.sub is None else self.sub.report(i),
+            tuple(m[i] for m in self.inputs), mode,
             entrywise_margins=None if ew is None else ew[0][i],
             entrywise_holds=None if ew is None else bool(ew[1][i]),
             extras=None if self.extras is None else self.extras(i),
@@ -269,7 +268,7 @@ def _operand(role: tuple, a):
         raise type(exc)(f"{name.upper()}: {exc}") from None
 
 
-def _finite_margin(rows: Rows) -> Rows:
+def _finite_margin(rows: Rows, ineq_id: str) -> Rows:
     """rows, when row 0's judged margin and its submajorization's tol are
     finite: the backstop for an overflow that no error state reports (LAPACK
     runs with overflow ignored). A verdict on a NaN or an infinity would be
@@ -281,14 +280,14 @@ def _finite_margin(rows: Rows) -> Rows:
     compared = sub.upper.shape[-1] if sub is not None else 1 if ew is None else ew[0].shape[-1]
     if math.isnan(margin) or (compared and math.isinf(margin)) or not math.isfinite(tol):
         at = "" if sub is None else f" at tol {tol:.3e}"
-        raise ValueError(f"{rows.ineq_id}: the judged margin is {margin:.3e}{at}: "
+        raise ValueError(f"{ineq_id}: the judged margin is {margin:.3e}{at}: "
                          "the operands' scale overflows the claim")
     return rows
 
 
-def _verifier(ineq_id: str) -> Callable[[Callable[..., Rows]], Callable[..., Verdict]]:
-    """The public verifier of a kernel whose verdicts carry ineq_id: the
-    kernel on a batch of one.
+def _verifier(ineq_id: str, mode: str) -> Callable[[Callable[..., Rows]], Callable[..., Verdict]]:
+    """The public verifier of a kernel, the kernel on a batch of one, whose
+    verdicts carry ineq_id and mode ("matrix" or "compact").
 
     Each matrix argument, as a stack of one, passes the gate of its class in
     parameter order, and the kernel then runs its own gates, under an error
@@ -318,7 +317,7 @@ def _verifier(ineq_id: str) -> Callable[[Callable[..., Rows]], Callable[..., Ver
             except FloatingPointError as exc:
                 raise ValueError(f"{ineq_id}: {exc}: the operands' scale overflows "
                                  "the claim") from None
-            return _finite_margin(rows).verdict(0)
+            return _finite_margin(rows, ineq_id).verdict(0, ineq_id, mode)
 
         public.__signature__ = sig.replace(return_annotation="Verdict")
         public.__annotations__ = {**kernel.__annotations__, "return": "Verdict"}
@@ -331,7 +330,7 @@ def _verifier(ineq_id: str) -> Callable[[Callable[..., Rows]], Callable[..., Ver
 # Rows, under the public name that _verifier gives its batch-of-one form
 
 
-@_verifier("tao_positive")
+@_verifier("tao_positive", "matrix")
 def check_tao_positive(f: Positive, split: int | None = None) -> Rows:
     """Off-diagonal block bound for a positive 2x2 block matrix.
 
@@ -344,11 +343,10 @@ def check_tao_positive(f: Positive, split: int | None = None) -> Rows:
     sb = _sv_array(f[:, :split, split:])
     margins = sf[:, : sb.shape[-1]] - 2.0 * sb
     ok, low = _entrywise(margins, _size(sf))
-    return Rows("tao_positive", "matrix", ok, low, (f,), entrywise=(margins, ok),
-                extras=lambda i: {"split": split})
+    return Rows(ok, low, (f,), entrywise=(margins, ok), extras=lambda i: {"split": split})
 
 
-@_verifier("key")
+@_verifier("key", "compact")
 def check_key(a: Hermitian, split: int | None = None) -> Rows:
     """Doubled off-diagonal block of a Hermitian matrix vs its spread.
 
@@ -360,11 +358,10 @@ def check_key(a: Hermitian, split: int | None = None) -> Rows:
     lhs = 2.0 * _pad(_sv_array(a[:, :split, split:]), 2 * d)
     w = _eigvalsh(a)
     sub = _sub_rows(lhs, _eig_spread(w), _size(w))
-    return Rows("key", "compact", sub.holds, sub.margin, (a,), sub,
-                extras=lambda i: {"split": split})
+    return Rows(sub.holds, sub.margin, (a,), sub, extras=lambda i: {"split": split})
 
 
-@_verifier("trace_pairing")
+@_verifier("trace_pairing", "compact")
 def check_trace_pairing(a: Hermitian, b: Hermitian) -> Rows:
     """tr(AB) bounded by the index-paired product of the two-sided scales."""
     _same_shape(a, b)
@@ -379,12 +376,12 @@ def check_trace_pairing(a: Hermitian, b: Hermitian) -> Rows:
     margin = rhs - lhs
     rank = np.sum(np.abs(wa) > _tol(_size(wa))[:, None], axis=-1)
     ok = margin >= -_tol(_size(wa) * _size(wb), d)
-    return Rows("trace_pairing", "compact", ok, margin, (a, b), extras=lambda i: {
+    return Rows(ok, margin, (a, b), extras=lambda i: {
         "lhs": float(lhs[i]), "rhs": float(rhs[i]),
         "margin": float(margin[i]), "rank_a": int(rank[i])})
 
 
-@_verifier("commutator_scale")
+@_verifier("commutator_scale", "compact")
 def check_commutator_scale(a: Hermitian, x: Hermitian) -> Rows:
     """Positive scale of i[A,X] vs half the product of the two spreads."""
     _same_shape(a, x)
@@ -392,10 +389,10 @@ def check_commutator_scale(a: Hermitian, x: Hermitian) -> Rows:
     lhs = _eig_sides(wc)[0]
     rhs = 0.5 * (_eig_spread(wa) * _eig_spread(wx))
     sub = _sub_rows(lhs, rhs, _size(wa) * _size(wx))
-    return Rows("commutator_scale", "compact", sub.holds, sub.margin, (a, x), sub)
+    return Rows(sub.holds, sub.margin, (a, x), sub)
 
 
-@_verifier("commutator_sv")
+@_verifier("commutator_sv", "compact")
 def check_commutator_sv(a: Hermitian, x: Hermitian) -> Rows:
     """s([A,X]) vs half the product of the doubled spreads."""
     _same_shape(a, x)
@@ -405,10 +402,10 @@ def check_commutator_sv(a: Hermitian, x: Hermitian) -> Rows:
     lhs = _pad(_herm_sv(wc), 4 * d)
     rhs = 0.5 * (_spr_sum(wa, wa) * _spr_sum(wx, wx))
     sub = _sub_rows(lhs, rhs, _size(wa) * _size(wx))
-    return Rows("commutator_sv", "compact", sub.holds, sub.margin, (a, x), sub)
+    return Rows(sub.holds, sub.margin, (a, x), sub)
 
 
-@_verifier("mixed_commutator")
+@_verifier("mixed_commutator", "compact")
 def check_mixed_commutator(a: Hermitian, b: Hermitian, x: Matrix) -> Rows:
     """s(AX-XB) vs spread-of-direct-sum times s(X); entrywise form recorded.
 
@@ -425,8 +422,7 @@ def check_mixed_commutator(a: Hermitian, b: Hermitian, x: Matrix) -> Rows:
     sub = _sub_rows(_pad(lhs_vals, k), rhs, mag)
     margins = rhs[:, : lhs_vals.shape[-1]] - lhs_vals
     e_ok, _ = _entrywise(margins, mag)
-    return Rows("mixed_commutator", "compact", sub.holds, sub.margin, (a, b, x), sub,
-                (margins, e_ok))
+    return Rows(sub.holds, sub.margin, (a, b, x), sub, (margins, e_ok))
 
 
 def _herm_parts(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -435,7 +431,7 @@ def _herm_parts(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (c + _ct(c)) / 2.0, (c - _ct(c)) / 2j
 
 
-@_verifier("general_commutator")
+@_verifier("general_commutator", "compact")
 def check_general_commutator(a: Matrix, b: Matrix, x: Matrix) -> Rows:
     """s(AX-XB) for non-normal A, B via their Hermitian parts.
 
@@ -462,12 +458,11 @@ def check_general_commutator(a: Matrix, b: Matrix, x: Matrix) -> Rows:
     # the scalar corollary's diameters of those spectra; an empty direct sum has 0
     scalar = np.zeros(len(s1)) if m + n == 0 else s1[:, 0] - s1[:, -1] + s2[:, 0] - s2[:, -1]
     coro = _sub_rows(lhs, scalar[:, None] * _pad(sx, k), mag)
-    return Rows("general_commutator", "compact", sub.holds & coro.holds, sub.margin,
-                (a, b, x), sub, extras=lambda i: {"scalar": float(scalar[i]),
-                                                  "coro_holds": bool(coro.holds[i])})
+    return Rows(sub.holds & coro.holds, sub.margin, (a, b, x), sub, extras=lambda i: {
+        "scalar": float(scalar[i]), "coro_holds": bool(coro.holds[i])})
 
 
-@_verifier("unitary_conj")
+@_verifier("unitary_conj", "compact")
 def check_unitary_conj(a: Hermitian, x: Hermitian) -> Rows:
     """s(A - U*AU) with U = e^{iX}, against the doubled-spread product."""
     _same_shape(a, x)
@@ -479,7 +474,7 @@ def check_unitary_conj(a: Hermitian, x: Hermitian) -> Rows:
     rhs = 0.5 * (_spr_sum(wx, wx) * _spr_sum(wa, wa))
     # ||A|| alone: U = e^{iX} has norm 1 at every scale of X
     sub = _sub_rows(lhs, rhs, _size(wa))
-    return Rows("unitary_conj", "compact", sub.holds, sub.margin, (a, x), sub)
+    return Rows(sub.holds, sub.margin, (a, x), sub)
 
 
 def _projection_sum(s: np.ndarray, c: np.ndarray, *on: np.ndarray) -> np.ndarray:
@@ -499,7 +494,7 @@ def _projection_sum(s: np.ndarray, c: np.ndarray, *on: np.ndarray) -> np.ndarray
     return p
 
 
-@_verifier("agm_projection")
+@_verifier("agm_projection", "compact")
 def check_agm_projection(s: Matrix, c: Matrix, e: Hermitian) -> Rows:
     """Doubled s(SEC*) vs the spread of the compressed operator plus a zero block."""
     p = _projection_sum(s, c, e)
@@ -507,10 +502,10 @@ def check_agm_projection(s: Matrix, c: Matrix, e: Hermitian) -> Rows:
     lhs = 2.0 * _pad(_sv_array(s @ e @ _ct(c)), k)
     rhs = _eig_spread(_eigvalsh(p @ e @ p), k)  # PEP oplus 0
     sub = _sub_rows(lhs, rhs, _size(e))  # S and C are contractions
-    return Rows("agm_projection", "compact", sub.holds, sub.margin, (s, c, e), sub)
+    return Rows(sub.holds, sub.margin, (s, c, e), sub)
 
 
-@_verifier("agm_pair")
+@_verifier("agm_pair", "compact")
 def check_agm_pair(s: Positive, c: Positive, e1: Hermitian,
                   e2: Hermitian | None = None) -> Rows:
     """s(S E1 C + C E2 S) for a positive splitting pair C^2 + S^2 = P.
@@ -533,10 +528,10 @@ def check_agm_pair(s: Positive, c: Positive, e1: Hermitian,
     else:
         s_pair, w2 = _sv_array(pair), _eigvalsh(p @ e2 @ p)
     sub = _sub_rows(_pad(s_pair, k), 0.5 * _spr_sum(w1, -w2, k=k), _size(e1, e2))
-    return Rows("agm_pair", "compact", sub.holds, sub.margin, (s, c, e1, e2), sub)
+    return Rows(sub.holds, sub.margin, (s, c, e1, e2), sub)
 
 
-@_verifier("agm_compact")
+@_verifier("agm_compact", "compact")
 def check_agm_compact(s: Matrix, c: Matrix, e: Hermitian) -> Rows:
     """Doubled s(SEC*) vs the compact-model spread of E itself.
 
@@ -561,15 +556,14 @@ def check_agm_compact(s: Matrix, c: Matrix, e: Hermitian) -> Rows:
     identity_bound = 0.5 * _schatten_rows(s_e, 2)
     identity_ok = fro_lhs <= identity_bound + _tol(mag)
     e_positive = _positive_gate(w_e)
-    return Rows("agm_compact", "compact", sub.holds & sub_ok, sub.margin, (s, c, e), sub,
-                (margins, sub_ok), lambda i: {
-                    "fro": {"lhs": float(fro_lhs[i]), "identity_bound": float(identity_bound[i]),
-                            "identity_ok": bool(identity_ok[i])},
-                    "e_positive": bool(e_positive[i]),
-                })
+    return Rows(sub.holds & sub_ok, sub.margin, (s, c, e), sub, (margins, sub_ok), lambda i: {
+        "fro": {"lhs": float(fro_lhs[i]), "identity_bound": float(identity_bound[i]),
+                "identity_ok": bool(identity_ok[i])},
+        "e_positive": bool(e_positive[i]),
+    })
 
 
-@_verifier("agm_general")
+@_verifier("agm_general", "compact")
 def check_agm_general(a: Matrix, b: Matrix, e: Hermitian) -> Rows:
     """s(AEB*) vs half the spread of F^(1/2) E F^(1/2), F = A*A + B*B.
 
@@ -597,21 +591,20 @@ def check_agm_general(a: Matrix, b: Matrix, e: Hermitian) -> Rows:
     sub = _sub_rows(_pad(s_aeb, k), 0.5 * spr_g, mag)
     margins = spr_g[:, :d] - 2.0 * s_aeb
     e_ok, _ = _entrywise(margins, mag)
-    return Rows("agm_general", "compact", sub.holds, sub.margin, (a, b, e), sub,
-                (margins, e_ok))
+    return Rows(sub.holds, sub.margin, (a, b, e), sub, (margins, e_ok))
 
 
-@_verifier("zhan")
+@_verifier("zhan", "compact")
 def check_zhan(e: Hermitian, f: Hermitian) -> Rows:
     """s(E - F) vs the compact-model spread of E oplus F."""
     _same_shape(e, f)
     k = 4 * e.shape[-1]
     we, wf, wd = _eigvalsh(e), _eigvalsh(f), _eigvalsh(e - f)
     sub = _sub_rows(_pad(_herm_sv(wd), k), _spr_sum(we, wf, k=k), _size(we, wf))
-    return Rows("zhan", "compact", sub.holds, sub.margin, (e, f), sub)
+    return Rows(sub.holds, sub.margin, (e, f), sub)
 
 
-@_verifier("equiv1")
+@_verifier("equiv1", "matrix")
 def check_offdiag_projection(e: Hermitian, p: Projection) -> Rows:
     """Doubled corner s-values vs the d-dimensional spread of E.
 
@@ -630,11 +623,11 @@ def check_offdiag_projection(e: Hermitian, p: Projection) -> Rows:
     we = _eigvalsh(e)
     sub = _sub_rows(2.0 * sv[:, :half], _matrix_spread(we), _size(we))
     noise_ok = dropped <= _tol(_size(we), d)
-    return Rows("equiv1", "matrix", sub.holds & noise_ok, sub.margin, (e, p), sub,
+    return Rows(sub.holds & noise_ok, sub.margin, (e, p), sub,
                 extras=lambda i: {"dropped_sv": float(dropped[i])})
 
 
-@_verifier("equiv_compact1")
+@_verifier("equiv_compact1", "compact")
 def check_offdiag_compact(e: Hermitian, p: Projection) -> Rows:
     """Doubled corner s-values vs the compact-model spread of E."""
     _same_shape(e, p)
@@ -642,10 +635,10 @@ def check_offdiag_compact(e: Hermitian, p: Projection) -> Rows:
     lhs = 2.0 * _pad(_sv_array(p @ e @ (np.eye(d) - p)), 2 * d)
     we = _eigvalsh(e)
     sub = _sub_rows(lhs, _eig_spread(we), _size(we))
-    return Rows("equiv_compact1", "compact", sub.holds, sub.margin, (e, p), sub)
+    return Rows(sub.holds, sub.margin, (e, p), sub)
 
 
-@_verifier("equiv5")
+@_verifier("equiv5", "compact")
 def check_identity_split(s: Matrix, c: Matrix, e: Hermitian) -> Rows:
     """Full splitting C*C + S*S = I: doubled s(SEC*) vs spread of E plus a zero block."""
     p = _projection_sum(s, c, e)
@@ -656,10 +649,10 @@ def check_identity_split(s: Matrix, c: Matrix, e: Hermitian) -> Rows:
     lhs = 2.0 * _pad(_sv_array(s @ e @ _ct(c)), k)
     we = _eigvalsh(e)
     sub = _sub_rows(lhs, _eig_spread(we, k), _size(we))  # E oplus 0
-    return Rows("equiv5", "compact", sub.holds, sub.margin, (s, c, e), sub)
+    return Rows(sub.holds, sub.margin, (s, c, e), sub)
 
 
-@_verifier("control_kittaneh")
+@_verifier("control_kittaneh", "matrix")
 def control_kittaneh_positive(c: Positive, d: Positive, x: Matrix) -> Rows:
     """Entrywise s_i(CX - XD) <= ||X|| s_i(C oplus D) for positive C, D."""
     wc, wd = _positive(c, "C"), _positive(d, "D")
@@ -670,10 +663,10 @@ def control_kittaneh_positive(c: Positive, d: Positive, x: Matrix) -> Rows:
     rhs = top[:, None] * s_cd[:, : lhs.shape[-1]]  # ||X|| s(C oplus D)
     margins = rhs - lhs
     ok, low = _entrywise(margins, _size(wc, wd) * top)
-    return Rows("control_kittaneh", "matrix", ok, low, (c, d, x), entrywise=(margins, ok))
+    return Rows(ok, low, (c, d, x), entrywise=(margins, ok))
 
 
-@_verifier("control_bhatia_kittaneh")
+@_verifier("control_bhatia_kittaneh", "matrix")
 def control_bhatia_kittaneh(a: Matrix, b: Matrix) -> Rows:
     """Entrywise 2 s_i(AB*) <= s_i(A*A + B*B)."""
     _same_shape(a, b)
@@ -681,10 +674,10 @@ def control_bhatia_kittaneh(a: Matrix, b: Matrix) -> Rows:
     s_f = _herm_sv(_eigvalsh(_ct(a) @ a + _ct(b) @ b))
     margins = s_f[:, : lhs.shape[-1]] - lhs
     ok, low = _entrywise(margins, _size(s_f))  # a sum of positives cannot cancel
-    return Rows("control_bhatia_kittaneh", "matrix", ok, low, (a, b), entrywise=(margins, ok))
+    return Rows(ok, low, (a, b), entrywise=(margins, ok))
 
 
-@_verifier("control_strict_gap")
+@_verifier("control_strict_gap", "compact")
 def control_strict_gap(e: Hermitian) -> Rows:
     """Strict Frobenius gap ||E||_2 < g_2(spread(E)) for indefinite E."""
     w = _eigvalsh(e)
@@ -694,6 +687,5 @@ def control_strict_gap(e: Hermitian) -> Rows:
     fro = _schatten_rows(_herm_sv(w), 2)
     g2 = _schatten_rows(_eig_spread(w), 2)
     margin = g2 - fro
-    return Rows("control_strict_gap", "compact", margin > _tol(fro), margin, (e,),
-                extras=lambda i: {"fro": float(fro[i]), "g2_spread": float(g2[i]),
-                                  "margin": float(margin[i])})
+    return Rows(margin > _tol(fro), margin, (e,), extras=lambda i: {
+        "fro": float(fro[i]), "g2_spread": float(g2[i]), "margin": float(margin[i])})

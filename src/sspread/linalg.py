@@ -112,7 +112,7 @@ def _as_hermitians(a, magnitude=None, k: int = 1, sized: bool = False):
         raise NotHermitian(f"matrix is {m.shape[1]}x{m.shape[2]}, not square")
     limit = _tol(size if magnitude is None else magnitude, k)
     defect = _size(m - _ct(m))
-    bad = defect > limit
+    bad = ~(defect <= limit)  # a NaN defect fails too
     if bad.any():
         i = bad.argmax()  # the first True
         raise NotHermitian(f"Hermitian defect {defect[i]:.3e} exceeds {limit[i]:.3e}")
@@ -125,7 +125,7 @@ def _as_projections(p, k: int = 1) -> np.ndarray:
     m, size = _as_hermitians(p, k=k, sized=True)
     limit = _tol(size, k)
     defect = _size(m @ m - m)
-    bad = defect > limit
+    bad = ~(defect <= limit)  # a NaN defect (a square that overflows) fails too
     if bad.any():
         i = bad.argmax()  # the first True
         raise NotProjection(f"idempotency defect {defect[i]:.3e} exceeds {limit[i]:.3e}")

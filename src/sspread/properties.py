@@ -94,27 +94,17 @@ def _relation(msg: str, sides: Callable, **how) -> Callable:
 
 
 def _rand_perm(stream: Stream, n: int) -> np.ndarray:
-    """A Fisher-Yates permutation of range(n) per row.
-
-    The swap partners of steps i = n-1 .. 1 are drawn at once, one word per
-    step in step order, as a randint(0, i) per step would draw them.
-    """
-    perm = np.tile(np.arange(n), stream.shape + (1,))
-    rows = np.arange(len(perm))
-    steps = np.arange(n - 1, 0, -1)
-    for i, j in zip(steps, stream.randint(0, steps).T):
-        perm[rows, i], perm[rows, j] = perm[rows, j], perm[rows, i]
-    return perm
+    """A uniform permutation of range(n) per row: the stable argsort of the
+    row's n uniforms, so a tie (two equal uniforms) keeps index order."""
+    return np.argsort(stream.uniforms(n), axis=-1, kind="stable")
 
 
 def _mix(stream: Stream, y: np.ndarray, rounds: int = 6) -> np.ndarray:
     """A vector classically majorized by each row of y: a convex mix of its permutations."""
     weights = stream.uniforms(rounds) + 1e-3
     weights /= weights.sum(axis=-1, keepdims=True)
-    acc = np.zeros(y.shape)
-    for w in weights.T:
-        acc = acc + w[:, None] * np.take_along_axis(y, _rand_perm(stream, y.shape[-1]), -1)
-    return acc
+    return sum(w[:, None] * np.take_along_axis(y, _rand_perm(stream, y.shape[-1]), -1)
+               for w in weights.T)
 
 
 def _matrix_multiset(mu: np.ndarray) -> np.ndarray:
@@ -256,6 +246,11 @@ def _j_scale_ordering(a, specs, horizons):
                    ("diag scale ordering violated", np.array(diag), 0.0))
 
 
+def _d_shift(stream: Stream, d: int):
+    """A Hermitian matrix and a shift or factor c in [-2, 2) per row."""
+    return _whole(_hermitian(stream, d), 4.0 * (stream.uniform() - 0.5))
+
+
 def _j_translation(a, c):
     w = linalg._eigvalsh(a)
     shifted = linalg._eigvalsh(a + c[:, None, None] * np.eye(a.shape[-1]))
@@ -355,6 +350,11 @@ def _d_product_monotone(stream: Stream, n: int):
     return _whole(stream.uniform()[:, None] * _mix(stream, y), y, z)
 
 
+def _d_abs_pair(stream: Stream, n: int):
+    """Two vectors of |Gaussian| entries, for the two product properties."""
+    return _whole(np.abs(stream.normals(n)), np.abs(stream.normals(n)))
+
+
 def _j_product_chain(x, y):
     mid = x * y
     low = major._sub_rows(_dec(x) * np.sort(y, axis=-1), mid)
@@ -423,10 +423,8 @@ PROPERTIES = {
     "ky_fan_extremality": Property(_d_ky_fan, _j_ky_fan),
     "interlacing": Property(_d_interlacing, _j_interlacing, lo=2),
     "scale_ordering": Property(_d_scale_ordering, _j_scale_ordering),
-    "spread_translation_invariance": Property(
-        lambda s, d: _whole(_hermitian(s, d), 4.0 * (s.uniform() - 0.5)), _j_translation),
-    "spread_homogeneity": Property(
-        lambda s, d: _whole(_hermitian(s, d), 4.0 * (s.uniform() - 0.5)), _j_homogeneity),
+    "spread_translation_invariance": Property(_d_shift, _j_translation),
+    "spread_homogeneity": Property(_d_shift, _j_homogeneity),
     "spread_zero_block": Property(_operands(_herm), _j_zero_block),
     "spread_vs_sv": Property(_operands(_herm, _psd), _j_spread_vs_sv),
     "spread_doubling": Property(_operands(_herm), _j_doubling),
@@ -444,14 +442,11 @@ PROPERTIES = {
         "interleaved pair submajorization failed",
         lambda x, z, y, w: (np.concatenate([x, z], axis=-1), np.concatenate([y, w], axis=-1)),
         clip=True, lower=False)),
-    "product_sorting": Property(
-        lambda s, n: _whole(np.abs(s.normals(n)), np.abs(s.normals(n))), _relation(
-            "product vs sorted product failed",
-            lambda x, y: (x * y, _dec(x) * _dec(y)), lower=False)),
+    "product_sorting": Property(_d_abs_pair, _relation(
+        "product vs sorted product failed", lambda x, y: (x * y, _dec(x) * _dec(y)), lower=False)),
     "product_monotone": Property(_d_product_monotone, _relation(
         "product with a decreasing weight failed", lambda x, y, z: (x * z, y * z), lower=False)),
-    "product_chain": Property(
-        lambda s, n: _whole(np.abs(s.normals(n)), np.abs(s.normals(n))), _j_product_chain),
+    "product_chain": Property(_d_abs_pair, _j_product_chain),
     "weighted_sums": Property(_d_weighted, _j_weighted),
     "gauge_monotone": Property(_d_gauge, _j_gauge),
     "generator_contracts": Property(_d_contracts, _j_contracts),
@@ -463,10 +458,11 @@ def property_suite(seed: int, trials: int = 500, dims: tuple[int, int] = (2, 8))
 
     Trial t of the property numbered i (in name order) uses the child seed
     derive_seed(derive_seed(seed, i), t), reduced by harness._campaign as
-    fuzz's trials are: detail is the first failing trial's message and
-    worst_margin the smallest margin of every trial. Like fuzz, it raises
-    ValueError on a dimension range that _check_dims refuses and on a trial
-    count below 0 or above MAX_TRIALS.
+    fuzz's trials are and reported as it reduces them: detail is the first
+    failing trial's message and worst_margin the smallest margin of every
+    trial (0.0 for no trials, inf where no margin is finite, as in fuzz's
+    summary). Like fuzz, it raises ValueError on a dimension range that
+    _check_dims refuses and on a trial count below 0 or above MAX_TRIALS.
     """
     _check_dims(dims, "property_suite", trials)
     results = []
@@ -476,7 +472,7 @@ def property_suite(seed: int, trials: int = 500, dims: tuple[int, int] = (2, 8))
         results.append({
             "name": name,
             "holds": failures == 0,
-            "worst_margin": 0.0 if worst == math.inf else worst,
+            "worst_margin": worst,
             "detail": detail,
         })
     return {

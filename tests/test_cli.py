@@ -247,6 +247,21 @@ def test_check_of_an_overflowing_scale_writes_one_line(tmp_path):
     assert out.stderr.startswith("sspread: trace_pairing: overflow encountered in ")
 
 
+def test_check_of_a_non_finite_margin_writes_one_line(tmp_path):
+    # an overflow only LAPACK meets (A's eigenvalue 2e308) reaches the
+    # non-finite margin backstop: its error is the one line on stderr of a
+    # fresh process
+    files = []
+    for name, m in zip("ABX", (np.full((2, 2), 1e308), np.eye(2), 1e-300 * np.ones((2, 2)))):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(cli.write_matrix_text(m))
+        files.append(str(path))
+    out = _sspread(["check", "mixed_commutator", *files], capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == ("sspread: mixed_commutator: the judged margin is inf at tol inf: "
+                          "the operands' scale overflows the claim\n")
+
+
 def test_check_split_flag(capsys, tmp_path):
     p = tmp_path / "f.txt"
     p.write_text("dim 2\n1 1\n1 1\n")
@@ -577,19 +592,19 @@ def test_range_errors_are_the_librarys(capsys, monkeypatch, cmd):
     monkeypatch.setattr(harness, "_campaign", started)
     monkeypatch.setattr(examples, "repro", started)
     argv = ["fuzz", "key"] if cmd == "fuzz" else ["suite"]
-    # lower bounds of 0 and ranges with hi < lo included
+    # lower bounds of 0 and ranges with hi < lo included, and a negative
+    # lower bound, which argparse alone would take for an option
     edges = (0, 1, 2, 3, harness.MAX_DIM, harness.MAX_DIM + 1)
-    for lo in edges:
-        for hi in edges:
-            for trials in (1, 2, harness.MAX_TRIALS, harness.MAX_TRIALS + 1):
-                call = [*argv, "--dims", f"{lo}..{hi}", "--trials", str(trials), "--json"]
-                try:
-                    harness._check_dims((lo, hi), cmd, trials)
-                except ValueError as exc:
-                    assert run(capsys, *call) == (2, "", f"sspread: {exc}\n"), call
-                else:
-                    with pytest.raises(_Started):
-                        cli.main(call)
+    for lo, hi in [*((lo, hi) for lo in edges for hi in edges), (-3, 5)]:
+        for trials in (1, 2, harness.MAX_TRIALS, harness.MAX_TRIALS + 1):
+            call = [*argv, "--dims", f"{lo}..{hi}", "--trials", str(trials), "--json"]
+            try:
+                harness._check_dims((lo, hi), cmd, trials)
+            except ValueError as exc:
+                assert run(capsys, *call) == (2, "", f"sspread: {exc}\n"), call
+            else:
+                with pytest.raises(_Started):
+                    cli.main(call)
 
 
 def test_diag_horizon_zero_exit_two(capsys):

@@ -192,8 +192,9 @@ def test_every_row_gets_its_own_verdict(ineq_id):
         largest = max(largest, len(index))
         for j in range(len(index)):
             row = [a[j] if isinstance(a, np.ndarray) else a for a in args]
-            got = cli.canonical_json(cli.verdict_to_dict(rows.verdict(j)))
-            assert got == cli.canonical_json(cli.verdict_to_dict(check(*row))), (ineq_id, j)
+            want = check(*row)
+            got = cli.canonical_json(cli.verdict_to_dict(rows.verdict(j, want.ineq_id, want.mode)))
+            assert got == cli.canonical_json(cli.verdict_to_dict(want)), (ineq_id, j)
     assert largest >= 3
 
 
@@ -224,7 +225,7 @@ def test_fuzz_report_does_not_depend_on_chunking(monkeypatch):
         assert (one.failures, one.worst_margin, one.worst_seed) == (s.failures, s.worst_margin, s.worst_seed)
 
 
-def test_fuzz_zero_trials():
+def test_fuzz_zero_trials(monkeypatch):
     s = fuzz("zhan", trials=0, seed=1)
     assert s.trials == 0 and s.failures == 0
     assert s.worst_margin == 0.0
@@ -232,6 +233,21 @@ def test_fuzz_zero_trials():
     rep = property_suite(1, trials=0)
     assert rep["holds"] and len(rep["properties"]) == len(PROPERTIES)
     assert all((p["worst_margin"], p["detail"]) == (0.0, None) for p in rep["properties"])
+
+    # a campaign whose every margin is NaN fails every trial, and both report
+    # its worst margin as inf: no margin is finite
+    def nan_rows(*args):
+        b = len(args[0])
+        return np.zeros(b, dtype=bool), np.full(b, math.nan), ["NaN margin"] * b
+
+    monkeypatch.setattr(ineq, "check_zhan", lambda *args: ineq.Rows(*nan_rows(*args)[:2], args))
+    s = fuzz("zhan", trials=7, seed=1)
+    assert (s.failures, s.worst_margin, s.worst_seed) == (7, math.inf, 0)
+    monkeypatch.setattr(properties, "PROPERTIES", {"nan": properties.Property(
+        harness._operands(None), nan_rows)})
+    rep = property_suite(1, trials=7)
+    assert rep["properties"] == [
+        {"name": "nan", "holds": False, "worst_margin": math.inf, "detail": "NaN margin"}]
 
 
 def test_fuzz_unknown_family():
@@ -548,26 +564,20 @@ def test_aliases_rerun_their_target():
         assert (sa.failures, sa.worst_margin, sa.worst_seed) == (st.failures, st.worst_margin, st.worst_seed)
 
 
-def _rand_perm_per_step(seed: int, counter: int, n: int) -> list[int]:
-    """Fisher-Yates on the scalar stream, one randint(0, i) per step."""
-    stream = Stream(seed)
-    stream.counter = counter
-    perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = stream.randint(0, i)
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 17])
-def test_rand_perm_matches_the_per_step_shuffle_row_by_row(n):
+def test_rand_perm_is_the_stable_argsort_of_n_uniforms(n):
     seeds = np.array([0, 9, derive_seed(5, 3), 2**64 - 1], dtype=np.uint64)
     stream = Stream(seeds)
     stream.counter = 11
     perm = properties._rand_perm(stream, n)
-    assert stream.counter == 11 + n - 1
+    assert stream.counter == 11 + n
     for b, seed in enumerate(seeds.tolist()):
-        assert perm[b].tolist() == _rand_perm_per_step(seed, 11, n)
+        assert sorted(perm[b].tolist()) == list(range(n))
+        one = Stream(seed)
+        one.counter = 11
+        u = one.uniforms(n)
+        # Python's sort is stable: equal uniforms keep their index order
+        assert perm[b].tolist() == sorted(range(n), key=u.__getitem__)
 
 
 def test_randint_over_bounds_draws_one_word_per_bound():

@@ -272,6 +272,17 @@ def test_as_projection_accepts_and_rejects():
         as_projection(np.diag([1.0, 0.5]))
 
 
+def test_a_nan_idempotency_defect_fails_the_gate():
+    # P P overflows to inf, so P P - P holds inf - inf = NaN, which no
+    # comparison with the limit passes
+    big = 1e200 * _projection(Stream(3), 4, rank=2)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NotProjection, match="idempotency defect nan exceeds "):
+            as_projection(big)
+        with pytest.raises(NotProjection, match="idempotency defect nan exceeds "):
+            linalg._as_projections(np.stack([_projection(Stream(3), 4, rank=2), big]))
+
+
 def test_empty_matrix_is_a_projection_as_it_is_hermitian():
     # a 0x0 matrix has no entry, so no defect: both gates accept it alike
     for gate in (as_hermitian, as_projection):

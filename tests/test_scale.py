@@ -124,7 +124,8 @@ def test_fixture_failures_hold_at_every_scale():
     m = fixture_matrices("agm-fail-2x2")
     rows = _kernel("check_agm_compact")(*_scaled(_stack(m["S"], m["C"], m["E"]), {0, 1}))
     assert rows.holds.all()
-    assert not any(rows.verdict(i).extras["fro"]["identity_ok"] for i in range(len(SCALES)))
+    assert not any(rows.verdict(i, "agm_compact", "compact").extras["fro"]["identity_ok"]
+                   for i in range(len(SCALES)))
 
 
 def test_small_relations_are_judged_at_their_own_scale():

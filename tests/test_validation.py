@@ -428,6 +428,21 @@ def test_overflow_stops_the_public_verifier(ineq_id):
     assert caught == []
 
 
+def test_a_non_finite_margin_meets_the_backstop():
+    # finite operands whose overflow only LAPACK meets, which runs with
+    # overflow ignored: A's eigenvalue 2e308 is inf, so the spread of A oplus
+    # B and the tol are inf, while s(AX - XB) is finite. No error state
+    # reports it: the margin check names the claim, after no RuntimeWarning
+    args = (np.full((2, 2), 1e308), np.eye(2), 1e-300 * np.ones((2, 2)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError) as exc:
+            ineq.check_mixed_commutator(*args)
+    assert str(exc.value) == ("mixed_commutator: the judged margin is inf at tol inf: "
+                              "the operands' scale overflows the claim")
+    assert caught == []
+
+
 @pytest.mark.parametrize("ineq_id", sorted(harness.VERIFIERS))
 def test_overflow_error_names_the_verdict_id(ineq_id, monkeypatch):
     # the id an overflow names is the one the verifier's verdicts carry

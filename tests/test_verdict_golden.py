@@ -47,17 +47,17 @@ FUZZ = {
 PROPERTIES = {
     "abs_majorization": -8.881784197001252e-16,
     "eigh_residual": -5.095950705338766e-14,
-    "gauge_monotone": 0.009197755977096683,
+    "gauge_monotone": 0.010590943409327425,
     "generator_contracts": -1.4713399666228987e-15,
     "hat_trick": -4.440892098500626e-15,
     "interlacing": 0.0026901271519519376,
-    "interleave_pairs": 0.316793986032745,
+    "interleave_pairs": 0.27909453943379836,
     "ky_fan_extremality": -6.217248937900877e-15,
     "product_chain": 0.0,
-    "product_monotone": 0.04857835064521485,
+    "product_monotone": 0.04867194351890893,
     "product_sorting": 0.0,
     "scale_ordering": 0.0,
-    "sorted_sum": -1.7763568394002505e-15,
+    "sorted_sum": -3.552713678800501e-15,
     "spread_doubling": -7.105427357601002e-15,
     "spread_homogeneity": -5.329070518200751e-15,
     "spread_monotone": -8.881784197001252e-15,
@@ -68,7 +68,7 @@ PROPERTIES = {
     "sv_product_bound": 0.11647408849865981,
     "sv_unitary_invariance": -2.6645352591003757e-15,
     "updown_sum": 0.0,
-    "weighted_sums": 0.05216337431449984,
+    "weighted_sums": 0.07958096372624317,
     "weyl_scale": -1.509903313490213e-14,
     "weyl_sv": 0.5969612287322943,
 }

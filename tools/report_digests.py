@@ -18,13 +18,16 @@ checkout's root:
 
 and prints one line per command: the argv, the exit code and the sha256 of
 stdout. It then runs a fixed list of invalid `check` commands (ERRORS) that
-trips every input gate, and then overflows the arithmetic of trace_pairing,
+trips every input gate, then overflows the arithmetic of trace_pairing,
 general_commutator and agm_general on finite fuzz trials times 1e200 or
-2**400, on matrix files it writes to a temporary directory and names
-relative to it, so that no message holds a path. Then it runs a fixed list
-of `fuzz`, `suite`, `scale` and `repro` commands whose --dims (a lower
-bound of 0 among them: `--dims 0..4`), --trials, --horizon or id is refused
-before any work (BOUNDARY), and prints one line per command:
+2**400, and then meets the non-finite margin backstop (mixed_commutator on
+A = 1e308 everywhere, B = I and X = 1e-300 everywhere, 2 x 2, whose overflow
+only LAPACK sees), on matrix files it writes to a temporary directory and
+names relative to it, so that no message holds a path. Then it runs a fixed
+list of `fuzz`, `suite`, `scale` and `repro` commands whose --dims (lower
+bounds of 0 and -3 among them: `--dims 0..4`, `--dims -3..5`), --trials,
+--horizon or id is refused before any work (BOUNDARY), and prints one line
+per command:
 
     error ARGV CODE SHA      the exit code and the sha256 of stderr
 
@@ -150,17 +153,24 @@ ERRORS = (
         ("general_commutator", "ABX", (1, (4, 4)), 1e200),  # X square, as a file holds
         ("agm_general", "ABE", (1, (2, 8)), 2.0**400),  # tr F max|E| overflows
     )
+) + (
+    # an overflow only LAPACK meets (A's eigenvalue 2e308), which no error
+    # state reports: the non-finite margin backstop names the claim
+    ("mixed_commutator", {"A": np.full((2, 2), 1e308), "B": np.eye(2),
+                          "X": 1e-300 * np.ones((2, 2))}),
 )
 
 
-# commands refused at the CLI boundary: a --dims range below 1, without
-# d >= 2, above MAX_DIM, empty or malformed; --trials below 1 or above MAX_TRIALS; a
-# compact horizon below d, a diag horizon of 0 or above 10,000, a matrix-mode
-# horizon; and an unknown fuzz or repro id
+# commands refused at the CLI boundary: a --dims range below 1 (a negative
+# lower bound among them, which argparse alone would take for an option),
+# without d >= 2, above MAX_DIM, empty or malformed; --trials below 1 or above
+# MAX_TRIALS; a compact horizon below d, a diag horizon of 0 or above 10,000, a
+# matrix-mode horizon; and an unknown fuzz or repro id
 BOUNDARY = tuple(
     [cmd, *(["key"] if cmd == "fuzz" else []), flag, value, "--json"]
     for cmd in ("fuzz", "suite")
-    for flag, value in (("--dims", "0..4"), ("--dims", "1..1"), ("--dims", "2..1025"),
+    for flag, value in (("--dims", "0..4"), ("--dims", "-3..5"), ("--dims", "1..1"),
+                        ("--dims", "2..1025"),
                         ("--dims", "4..2"), ("--dims", "3"), ("--trials", "0"),
                         ("--trials", "1000001"))
 ) + (
